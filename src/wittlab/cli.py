@@ -122,6 +122,9 @@ def cmd_verify(args) -> int:
             f"verify: unknown lemma id {args.lemma!r}; known: {', '.join(LEMMA_IDS)}\n"
         )
         return EXIT_CONFIG
+    if args.samples < 1:
+        sys.stderr.write(f"verify: --samples must be at least 1, got {args.samples}\n")
+        return EXIT_CONFIG
     try:
         tower = _load_tower(args)
     except (OSError, ValueError, KeyError) as exc:
@@ -164,6 +167,9 @@ def cmd_suite(args) -> int:
             return EXIT_CONFIG
     else:
         manifest = _default_manifest()
+    if not isinstance(manifest, dict):
+        sys.stderr.write("suite: manifest must be a JSON object\n")
+        return EXIT_CONFIG
     towers = manifest.get("towers") or []
     lemmas = manifest.get("lemmas") or []
     if not towers or not lemmas:
@@ -173,8 +179,15 @@ def cmd_suite(args) -> int:
         if lemma not in cohomlab.VERIFIERS:
             sys.stderr.write(f"suite: unknown lemma id {lemma!r}\n")
             return EXIT_CONFIG
-    samples = int(manifest.get("samples", 200))
-    seed = int(manifest.get("seed", 2026))
+    samples = manifest.get("samples", 200)
+    seed = manifest.get("seed", 2026)
+    for key, value in (("samples", samples), ("seed", seed)):
+        if type(value) is not int:
+            sys.stderr.write(f"suite: manifest {key} must be an integer, got {value!r}\n")
+            return EXIT_CONFIG
+    if samples < 1:
+        sys.stderr.write(f"suite: manifest samples must be at least 1, got {samples}\n")
+        return EXIT_CONFIG
 
     cells = []
     worst = EXIT_PASS

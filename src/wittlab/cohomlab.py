@@ -502,6 +502,14 @@ def _base_report(
     )
 
 
+def _record_checked(report: VerificationReport, checked: int, samples: int) -> None:
+    """A sampled check that ran out of attempts before reaching the
+    requested sample count decides nothing: PASS becomes UNDETERMINED."""
+    report.params["checked"] = checked
+    if checked < samples and report.status == "PASS":
+        report.status = "UNDETERMINED"
+
+
 def verify_vktr(
     tower: ExtensionTower, samples: int = 1000, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
@@ -534,7 +542,7 @@ def verify_vktr(
                     "bound": bound,
                 }
             )
-    report.params["checked"] = checked
+    _record_checked(report, checked, samples)
     return report
 
 
@@ -571,7 +579,7 @@ def verify_vksub(
                 }
             )
     report.margins["max_deviation"] = worst
-    report.params["checked"] = checked
+    _record_checked(report, checked, samples)
     return report
 
 

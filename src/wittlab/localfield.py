@@ -24,7 +24,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import kernels
 
@@ -135,6 +135,7 @@ class ExtLevel:
         self.ram_index = self.degree * below.ram_index
         self._base = below if isinstance(below, ZpBase) else below._base
         self.modulus = self._base.modulus
+        self.digits = self._base.digits
         self._validate_eisenstein(ecoeffs)
         self.ecoeffs = tuple(ecoeffs)
         self.zero_elem = tuple(self._below_zero() for _ in range(self.degree))
@@ -255,6 +256,12 @@ class ExtLevel:
             tuple(self.flatten(a)), tuple(self.flatten(b)), self.flat_struct, self.modulus
         )
         return self.unflatten(flat)
+
+    def structure_rows(self) -> tuple:
+        """Products of the flat basis elements, for ``kernels.flat_mul``."""
+        if self.flat_struct is not None:
+            return self.flat_struct
+        return self._structure_constants()
 
     def _structure_constants(self) -> tuple:
         rows = []
@@ -399,15 +406,40 @@ class OElem:
 
 
 class LevelRing:
-    """Ring adapter (zero/one/from_int) for polynomial evaluation."""
+    """Ring adapter (zero/one/from_int) for polynomial evaluation.
 
-    def __init__(self, level: ExtLevel):
+    It also exposes the level on flat integer coordinates, together with
+    the same level rebuilt at more base digits (``flat_lift``), which is
+    what the ghost-coordinate Witt sums in ``wittcore`` run on.
+    """
+
+    def __init__(self, level: ExtLevel, lift: Callable[[int], ExtLevel]):
         self.level = level
         self.zero = OElem(level, level.zero_elem)
         self.one = OElem(level, level.one_elem)
+        self._lift = lift  # base digits -> this level rebuilt at that precision
+        self._frames: dict[int, tuple[tuple, int]] = {}
 
     def from_int(self, k: int) -> OElem:
         return OElem(self.level, self.level.from_int(k))
+
+    def flatten(self, a: OElem) -> list[int]:
+        return self.level.flatten(a.data)
+
+    def unflatten(self, coords: Sequence[int]) -> OElem:
+        """Element from flat coordinates, reduced to the working precision."""
+        return OElem(self.level, self.level.unflatten(coords))
+
+    def flat_lift(self, extra_digits: int) -> tuple[tuple, int]:
+        """Structure rows (for ``kernels.flat_mul``) and modulus of this
+        ring at ``extra_digits`` more base digits.  Reducing the lifted
+        ring modulo the working modulus gives this ring back."""
+        frame = self._frames.get(extra_digits)
+        if frame is None:
+            lifted = self._lift(self.level.digits + extra_digits)
+            frame = (lifted.structure_rows(), lifted.modulus)
+            self._frames[extra_digits] = frame
+        return frame
 
     def __repr__(self):
         return f"LevelRing({self.level.name})"
@@ -612,30 +644,20 @@ class ExtensionTower:
         # valuation, so lifted roots stay exact in the working ring
         dv_bound = p * self.e_K + 2 * p + 4
         self.N_int = N + 2 + -(-dv_bound // (p * self.e_K))
-        self.base = ZpBase(p, self.N_int)
-
-        if e_k_coeffs:
-            self.K = ExtLevel(
-                self.base, [self.base.from_int(int(c)) for c in e_k_coeffs], "O_K"
-            )
-        else:
-            self.K = ExtLevel(self.base, [self.base.from_int(-p)], "O_K")
-        el = []
-        for c in e_l_coeffs:
-            if isinstance(c, list):
-                el.append(self.K.unflatten([int(x) for x in c]))
-            else:
-                el.append(self.K.from_int(int(c)))
-        if len(el) != p:
-            raise NotEisenstein(f"top step must have degree {p}, got {len(el)}")
-        self.L = ExtLevel(self.K, el, "O_L")
+        # integer coefficients as given: the working levels reduce them
+        # modulo p^N_int, the lifted copies (``flat_lift``) at more digits
+        self._e_k_src = [int(c) for c in e_k_coeffs] if e_k_coeffs else [-p]
+        self._e_l_src = [
+            [int(x) for x in c] if isinstance(c, list) else int(c) for c in e_l_coeffs
+        ]
+        self.base, self.K, self.L = self._build_levels(self.N_int)
 
         self.val_cap = p * self.e_K * N
         self.val_cap_K = self.e_K * N
         self.cap_int = p * self.e_K * self.N_int
 
-        self.KR = LevelRing(self.K)
-        self.LR = LevelRing(self.L)
+        self.KR = LevelRing(self.K, lambda digits: self._build_levels(digits)[1])
+        self.LR = LevelRing(self.L, lambda digits: self._build_levels(digits)[2])
 
         self._find_roots_and_sigma(sigma_choice)
         self._build_matrices()
@@ -658,6 +680,18 @@ class ExtensionTower:
         self.tower_hash = hashlib.sha256(blob.encode()).hexdigest()
 
     # -- construction helpers ------------------------------------------
+
+    def _build_levels(self, digits: int) -> tuple[ZpBase, ExtLevel, ExtLevel]:
+        """Z_p, O_K and O_L with base residues modulo p^digits."""
+        base = ZpBase(self.p, digits)
+        K = ExtLevel(base, [base.from_int(c) for c in self._e_k_src], "O_K")
+        el = [
+            K.unflatten(c) if isinstance(c, list) else K.from_int(c)
+            for c in self._e_l_src
+        ]
+        if len(el) != self.p:
+            raise NotEisenstein(f"top step must have degree {self.p}, got {len(el)}")
+        return base, K, ExtLevel(K, el, "O_L")
 
     def _eval_top(self, x):
         """E_L at an O_L point, by Horner."""

@@ -10,6 +10,15 @@ divisions, so a successful construction doubles as an integrality
 certificate.  Group arithmetic on length-n vectors over any commutative
 ring is evaluation of those integral polynomials, with no division.
 
+Over the rings of a tower (any ring with a ``flat_lift``), sums are
+computed in ghost coordinates instead: the summands are lifted to the
+same ring at n-1 more base digits, their ghost components are added,
+and the sum's Witt components are recovered one level at a time by
+certified exact division.  Because the addition polynomials are
+integral, the result is exactly what evaluating them gives; the
+polynomial path remains the oracle and the only path for symbolic
+composition.
+
 The p-fold decomposition splits the l-th component of a sum of p
 vectors into the plain coefficient sum plus a carry polynomial, and
 splits the carry further into two explicitly p-divisible brackets plus
@@ -26,6 +35,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
+from . import kernels
 from .exactpoly import MPoly, MPOLY_RING, NotDivisible
 
 # Symbolic budgets: term counts grow like p^(n-1), so the supported
@@ -183,21 +193,10 @@ class WittVec:
         if len(self.components) != self.ctx.n:
             raise ValueError("component count does not match context length")
 
-    def _assignment(self, other: "WittVec") -> dict:
-        assign = {}
-        for j in range(1, self.ctx.n + 1):
-            assign[xvar(j)] = self.components[j - 1]
-            assign[yvar(j)] = other.components[j - 1]
-        return assign
-
     def __add__(self, other: "WittVec") -> "WittVec":
-        if other.ctx is not self.ctx or other.ring is not self.ring:
-            raise ValueError("operands must share context and ring")
-        assign = self._assignment(other)
-        comps = tuple(
-            phi.eval(assign, self.ring) for phi in self.ctx.addition
-        )
-        return WittVec(self.ctx, self.ring, comps)
+        if hasattr(self.ring, "flat_lift"):
+            return ghost_witt_sum((self, other))
+        return polynomial_witt_sum((self, other))
 
     def __neg__(self) -> "WittVec":
         assign = {j - 1: self.components[j - 1] for j in range(1, self.ctx.n + 1)}
@@ -218,25 +217,98 @@ class WittVec:
         return WittVec(ctx_for(self.ctx.p, m), self.ring, self.components[:m])
 
 
-def witt_add(a: WittVec, b: WittVec) -> WittVec:
-    return a + b
-
-
-def witt_neg(a: WittVec) -> WittVec:
-    return -a
+def _common_frame(vectors: Sequence[WittVec]) -> tuple[WittCtx, object]:
+    if not vectors:
+        raise ValueError("a Witt sum needs at least one vector")
+    ctx, ring = vectors[0].ctx, vectors[0].ring
+    for v in vectors[1:]:
+        if v.ctx is not ctx or v.ring is not ring:
+            raise ValueError("operands must share context and ring")
+    return ctx, ring
 
 
 def witt_sum(vectors: Sequence[WittVec]) -> WittVec:
-    if not vectors:
-        raise ValueError("witt_sum needs at least one vector")
-    acc = vectors[0]
+    """Sum by ghost coordinates when the ring has ``flat_lift`` (the
+    rings of a tower), else by the addition polynomials."""
+    if vectors and hasattr(vectors[0].ring, "flat_lift"):
+        return ghost_witt_sum(vectors)
+    return polynomial_witt_sum(vectors)
+
+
+def polynomial_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
+    """Left-to-right sum by evaluating the addition polynomials; works
+    over any ring and is the oracle for ``ghost_witt_sum``."""
+    ctx, ring = _common_frame(vectors)
+    acc = vectors[0].components
     for v in vectors[1:]:
-        acc = acc + v
-    return acc
+        assign = {}
+        for j in range(1, ctx.n + 1):
+            assign[xvar(j)] = acc[j - 1]
+            assign[yvar(j)] = v.components[j - 1]
+        acc = tuple(phi.eval(assign, ring) for phi in ctx.addition)
+    return WittVec(ctx, ring, acc)
 
 
-def truncate(a: WittVec, m: int) -> WittVec:
-    return a.truncate(m)
+def ghost_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
+    """Witt sum over a ring with ``flat_lift``, in ghost coordinates.
+
+    With M the ring's base digits, the summands are read as elements of
+    the lifted ring at M + n - 1 digits, where
+
+        W_l = sum over summands of  sum_{i<=l} p^(i-1) x_i^(p^(l-i))
+        S_l = (W_l - sum_{i<l} p^(i-1) S_i^(p^(l-i))) / p^(l-1).
+
+    Each S_l is then known modulo p^(M+n-l), at least p^M, and enters
+    later levels multiplied by p^(l-1), so its ambiguity vanishes modulo
+    the lifted modulus.  The lifted ring reduces to the working ring and
+    the addition polynomials are integral, so S_l reduced modulo p^M is
+    the polynomial value.  Every division checks every coordinate and
+    raises IntegralityViolation on a remainder; nothing is floored.
+    """
+    ctx, ring = _common_frame(vectors)
+    p, n = ctx.p, ctx.n
+    struct, modulus = ring.flat_lift(n - 1)
+    add, sub = kernels.zmod_vec_add, kernels.zmod_vec_sub
+
+    ghost = [(0,) * len(struct)] * n  # W_1..W_n on flat coordinates
+    for v in vectors:
+        for i, comp in enumerate(v.components):
+            y = tuple(ring.flatten(comp))
+            for l in range(i, n):
+                ghost[l] = add(ghost[l], tuple(c * p**i for c in y), modulus)
+                if l + 1 < n:
+                    y = _pth_power(y, p, struct, modulus)
+
+    sums: list[tuple] = []
+    powers: list[tuple] = []  # S_i^(p^(l-i)) for the level l being solved
+    for l in range(n):
+        num = ghost[l]
+        for i, pw in enumerate(powers):
+            num = sub(num, tuple(c * p**i for c in pw), modulus)
+        sums.append(_divide_exact(num, p**l))
+        if l + 1 < n:
+            powers = [_pth_power(pw, p, struct, modulus) for pw in powers + [sums[-1]]]
+    return WittVec(ctx, ring, tuple(ring.unflatten(s) for s in sums))
+
+
+def _pth_power(x: tuple, p: int, struct: tuple, modulus: int) -> tuple:
+    out = x
+    for _ in range(p - 1):
+        out = kernels.flat_mul(out, x, struct, modulus)
+    return out
+
+
+def _divide_exact(coords: tuple, q: int) -> tuple:
+    """Divide every coordinate by q; a remainder is an integrality bug."""
+    out = []
+    for c in coords:
+        d, r = divmod(c, q)
+        if r:
+            raise IntegralityViolation(
+                f"ghost numerator coordinate {c} is not divisible by {q}"
+            )
+        out.append(d)
+    return tuple(out)
 
 
 def alternating_binom_constant(p: int) -> int:
@@ -393,14 +465,6 @@ def pfold_decomposition(p: int, n: int) -> PFoldDecomposition:
     if key not in _PFOLD_CACHE:
         _PFOLD_CACHE[key] = PFoldDecomposition(p, n)
     return _PFOLD_CACHE[key]
-
-
-def addition_polys(p: int, n: int) -> list[MPoly]:
-    return list(ctx_for(p, n).addition)
-
-
-def negation_polys(p: int, n: int) -> list[MPoly]:
-    return list(ctx_for(p, n).negation)
 
 
 def carry_value(p: int, level: int, rows: Sequence[Sequence], ring):

@@ -41,3 +41,27 @@ def q2_sqrt_minus2(towers):
 @pytest.fixture(scope="session")
 def q3(towers):
     return towers["q3"]
+
+
+@pytest.fixture(scope="session")
+def nested():
+    """Nested tower with s <= e_K/(p-1), over K = Q2(sqrt(2))."""
+    return localfield.build_tower(
+        2,
+        "auto",
+        [[0, 1], [0, 1], [1]],  # x^2 + pi_K*x + pi_K over O_K
+        e_k_coeffs=[-2, 0, 1],  # K = Q2(sqrt(2))
+        witt_length_hint=3,
+    )
+
+
+@pytest.fixture(scope="session")
+def quartic():
+    """Nested quartic tower with the largest supported break, s = 4."""
+    return localfield.build_tower(
+        2,
+        "auto",
+        [[0, -1], [0, 0], [1]],  # x^2 - pi_K over O_K
+        e_k_coeffs=[-2, 0, 1],
+        witt_length_hint=4,
+    )

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from wittlab import cli, cohomlab, localfield
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -117,6 +119,29 @@ class TestVerify:
         assert res.returncode == 64
         assert "bogus" in res.stderr
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_usage_error(self, samples):
+        res = run_cli(
+            "verify", "--lemma", "vksub", "--tower", "q2_i", "--samples", samples
+        )
+        assert res.returncode == 64
+        assert res.stderr.count("\n") == 1 and "--samples" in res.stderr
+        assert "PASS" not in res.stdout
+
+    @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
+    def test_short_of_samples_is_undetermined(self, lemma, monkeypatch, capsys):
+        # every draw is zero at precision, so no sample can be checked
+        monkeypatch.setattr(
+            localfield.ExtensionTower,
+            "random_L_elem",
+            lambda self, rng, spread_valuation=False: self.LR.zero,
+        )
+        code = cli.main(
+            ["verify", "--lemma", lemma, "--tower", "q2_i", "--samples", "3"]
+        )
+        assert code == 2
+        assert "UNDETERMINED" in capsys.readouterr().out
+
 
 class TestSuite:
     def test_deterministic_aggregate(self, tmp_path):
@@ -166,6 +191,36 @@ class TestSuite:
         manifest = tmp_path / "m.json"
         manifest.write_text('{"towers": [], "lemmas": []}')
         assert run_cli("suite", "--manifest", str(manifest)).returncode == 64
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"samples": 0},
+            {"samples": -3},
+            {"samples": "x"},
+            {"samples": 2.5},
+            {"seed": "x"},
+            {"seed": None},
+        ],
+    )
+    def test_bad_samples_or_seed_is_usage_error(self, tmp_path, fields):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            json.dumps({"towers": ["q2_i"], "lemmas": ["vksub"], **fields})
+        )
+        res = run_cli("suite", "--manifest", str(manifest))
+        assert res.returncode == 64
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
+    def test_default_suite_valuation_cells_check_every_sample(self, towers):
+        # the default suite runs vktr and vksub with 200 samples and seed
+        # 2026 on the four builtin towers; all 8 cells must stay PASS
+        for tower in towers.values():
+            for lemma in ("vktr", "vksub"):
+                rep = cohomlab.VERIFIERS[lemma](tower, samples=200, seed=2026)
+                assert rep.params["checked"] == 200
+                assert rep.status == "PASS"
 
     def test_unknown_lemma_named(self, tmp_path):
         manifest = tmp_path / "m.json"

@@ -187,19 +187,6 @@ class TestStableLength:
         assert step_bound(1, 2, 1) == 1
 
 
-@pytest.fixture(scope="module")
-def nested():
-    from wittlab.localfield import build_tower
-
-    return build_tower(
-        2,
-        "auto",
-        [[0, 1], [0, 1], [1]],  # x^2 + pi_K*x + pi_K over O_K
-        e_k_coeffs=[-2, 0, 1],  # K = Q2(sqrt(2))
-        witt_length_hint=3,
-    )
-
-
 class TestNonStrictRegime:
     """A nested tower with s <= e_K/(p-1): outside the strict-break
     label, which is exactly where the vanishing statement is new."""
@@ -226,19 +213,6 @@ class TestNonStrictRegime:
     def test_valuation_lemmas_hold(self, nested):
         assert cohomlab.verify_vktr(nested, samples=200, seed=5).status == "PASS"
         assert cohomlab.verify_vksub(nested, samples=200, seed=5).status == "PASS"
-
-
-@pytest.fixture(scope="module")
-def quartic():
-    from wittlab.localfield import build_tower
-
-    return build_tower(
-        2,
-        "auto",
-        [[0, -1], [0, 0], [1]],  # x^2 - pi_K over O_K
-        e_k_coeffs=[-2, 0, 1],
-        witt_length_hint=4,
-    )
 
 
 class TestDeepBreakTower:

@@ -1,0 +1,137 @@
+"""Ghost-coordinate Witt sums over tower rings against the addition
+polynomials, which stay in the repository as their oracle."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wittlab import kernels, wittcore
+from wittlab.exactpoly import ModRing, MPoly
+from wittlab.wittcore import (
+    BINARY_RANGE,
+    IntegralityViolation,
+    WittVec,
+    carry_value,
+    ctx_for,
+    polynomial_witt_sum,
+    witt_sum,
+)
+
+# the four builtin towers and the two nested towers of conftest.py
+TOWER_PRIMES = {
+    "q2_i": 2,
+    "q2_sqrt2": 2,
+    "q2_sqrt_minus2": 2,
+    "q3": 3,
+    "nested": 2,
+    "quartic": 2,
+}
+CASES = [
+    (name, n)
+    for name, p in TOWER_PRIMES.items()
+    for n in range(1, min(4, BINARY_RANGE[p]) + 1)
+]
+PROPERTY = settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@pytest.fixture(scope="session")
+def all_towers(towers, nested, quartic):
+    return {**towers, "nested": nested, "quartic": quartic}
+
+
+def draw_vectors(data, tower, n, count, top_zero=False):
+    """``count`` length-n vectors over O_L with drawn flat coordinates."""
+    rank, modulus = tower.L.flat_rank, tower.base.modulus
+    coords = st.lists(st.integers(0, modulus - 1), min_size=rank, max_size=rank)
+    ctx = ctx_for(tower.p, n)
+    vecs = []
+    for _ in range(count):
+        comps = [tower.unflatten_L(data.draw(coords)) for _ in range(n)]
+        if top_zero:
+            comps[-1] = tower.LR.zero
+        vecs.append(WittVec(ctx, tower.LR, tuple(comps)))
+    return vecs
+
+
+def datas(vec):
+    return [c.data for c in vec.components]
+
+
+@pytest.mark.parametrize("name,n", CASES)
+@PROPERTY
+@given(data=st.data())
+def test_pfold_sum_matches_polynomials(all_towers, name, n, data):
+    tower = all_towers[name]
+    vecs = draw_vectors(data, tower, n, tower.p)
+    assert datas(witt_sum(vecs)) == datas(polynomial_witt_sum(vecs))
+
+
+@pytest.mark.parametrize("name,n", CASES)
+@PROPERTY
+@given(data=st.data())
+def test_binary_add_matches_polynomials(all_towers, name, n, data):
+    tower = all_towers[name]
+    a, b = draw_vectors(data, tower, n, 2)
+    assert datas(a + b) == datas(polynomial_witt_sum([a, b]))
+
+
+@pytest.mark.parametrize("name,n", CASES)
+@PROPERTY
+@given(data=st.data())
+def test_carry_value_matches_polynomials(all_towers, name, n, data):
+    tower = all_towers[name]
+    vecs = draw_vectors(data, tower, n, tower.p, top_zero=True)
+    rows = [v.components[: n - 1] for v in vecs]
+    got = carry_value(tower.p, n, rows, tower.LR)
+    assert got.data == polynomial_witt_sum(vecs).components[n - 1].data
+
+
+def test_tower_sums_evaluate_no_polynomial(q3, monkeypatch):
+    ctx = ctx_for(3, 4)
+    vec = WittVec(ctx, q3.LR, (q3.pi_L + 1, q3.pi_L, q3.LR.one, q3.pi_L * 2))
+    want = polynomial_witt_sum([vec, vec, vec])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial evaluation on a tower ring")
+
+    monkeypatch.setattr(MPoly, "eval", refuse)
+    assert witt_sum([vec, vec, vec]).components == want.components
+
+
+def test_rings_without_lift_keep_the_polynomial_path():
+    ring = ModRing(2**10)
+    assert not hasattr(ring, "flat_lift")
+    ctx = ctx_for(2, 2)
+    a, b = ctx.vec(ring, [1, 0]), ctx.vec(ring, [1, 0])
+    assert (a + b).components == (ring.from_int(2), ring.from_int(-1))
+
+
+def test_lift_reduces_to_the_working_ring(all_towers):
+    for tower in all_towers.values():
+        for ring in (tower.KR, tower.LR):
+            for extra in (1, 3):
+                rows, modulus = ring.flat_lift(extra)
+                assert modulus == tower.base.modulus * tower.p**extra
+                reduced = tuple(
+                    tuple(tuple(c % tower.base.modulus for c in cell) for cell in row)
+                    for row in rows
+                )
+                assert reduced == ring.level.structure_rows()
+
+
+def test_non_divisible_ghost_numerator_raises(q2_i, monkeypatch):
+    """A product that is off by one leaves w_2 - S_1^2 odd."""
+    good = kernels.flat_mul
+
+    def off_by_one(a, b, rows, modulus):
+        out = good(a, b, rows, modulus)
+        return ((out[0] + 1) % modulus,) + out[1:]
+
+    vec = ctx_for(2, 2).vec(q2_i.LR, [1, 0])
+    monkeypatch.setattr(kernels, "flat_mul", off_by_one)
+    with pytest.raises(IntegralityViolation):
+        wittcore.witt_sum([vec, vec])
