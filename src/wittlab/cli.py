@@ -116,6 +116,20 @@ def cmd_tower_info(args) -> int:
     return EXIT_PASS
 
 
+def _witt_length_problem(lemma: str, p: int, n: int) -> str | None:
+    """Why ``--n`` is out of range for this lemma at p, or None."""
+    if lemma in ("carry_identity", "residual_invariant"):
+        table, kind = wittcore.PFOLD_RANGE, "p-fold"
+    else:
+        table, kind = wittcore.BINARY_RANGE, "binary"
+    top = table.get(p, 0)
+    if 1 <= n <= top:
+        return None
+    if top == 0:
+        return f"--n: no {kind} Witt tables at p={p}"
+    return f"--n {n} outside the {kind} Witt range 1..{top} at p={p}"
+
+
 def cmd_verify(args) -> int:
     if args.lemma not in cohomlab.VERIFIERS:
         sys.stderr.write(
@@ -130,6 +144,11 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"verify: {exc}\n")
         return EXIT_CONFIG
+    if args.n is not None:
+        problem = _witt_length_problem(args.lemma, tower.p, args.n)
+        if problem:
+            sys.stderr.write(f"verify: {problem}\n")
+            return EXIT_CONFIG
     fn = cohomlab.VERIFIERS[args.lemma]
     t0 = time.perf_counter()
     try:
@@ -193,7 +212,11 @@ def cmd_suite(args) -> int:
     worst = EXIT_PASS
     for tower_ref in towers:
         if isinstance(tower_ref, dict):
-            tower = localfield.tower_from_obj(tower_ref)
+            try:
+                tower = localfield.tower_from_obj(tower_ref)
+            except (OSError, ValueError, KeyError) as exc:
+                sys.stderr.write(f"suite: cannot build inline tower: {exc}\n")
+                return EXIT_CONFIG
             tower_name = tower_ref.get("name", tower.tower_hash[:12])
         elif tower_ref in DEFAULT_TOWERS:
             tower = localfield.tower_from_obj(DEFAULT_TOWERS[tower_ref], seed=seed)

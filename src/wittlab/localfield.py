@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -133,7 +134,13 @@ class ExtLevel:
         self.name = name
         self.p = below.p
         self.ram_index = self.degree * below.ram_index
-        self._base = below if isinstance(below, ZpBase) else below._base
+        # elements sit at most two levels above the base: their flat
+        # coordinates are one comprehension away, with no recursion
+        self._on_base = isinstance(below, ZpBase)
+        if not self._on_base and not below._on_base:
+            raise ValueError(f"{name}: a level must sit at most two levels above Z_p")
+        self._base = below if self._on_base else below._base
+        self.flat_rank = self.degree * (1 if self._on_base else below.degree)
         self.modulus = self._base.modulus
         self.digits = self._base.digits
         self._validate_eisenstein(ecoeffs)
@@ -145,39 +152,34 @@ class ExtLevel:
         )
         self.red_rows = self._reduction_rows()
         self.flat_struct: tuple | None = None
-        if not isinstance(below, ZpBase):
+        if not self._on_base:
             self.flat_struct = self._structure_constants()
 
     # -- plumbing over the level below ---------------------------------
 
     def _below_zero(self):
-        return 0 if isinstance(self.below, ZpBase) else self.below.zero_elem
+        return 0 if self._on_base else self.below.zero_elem
 
     def _below_one(self):
-        return 1 if isinstance(self.below, ZpBase) else self.below.one_elem
+        return 1 if self._on_base else self.below.one_elem
 
     def _below_from_int(self, k: int):
         return self.below.from_int(k)
 
     def _below_add(self, a, b):
-        if isinstance(self.below, ZpBase):
+        if self._on_base:
             return (a + b) % self.modulus
         return self.below.add(a, b)
 
     def _below_sub(self, a, b):
-        if isinstance(self.below, ZpBase):
+        if self._on_base:
             return (a - b) % self.modulus
         return self.below.sub(a, b)
 
     def _below_mul(self, a, b):
-        if isinstance(self.below, ZpBase):
+        if self._on_base:
             return (a * b) % self.modulus
         return self.below.mul(a, b)
-
-    def _below_val(self, a):
-        if isinstance(self.below, ZpBase):
-            return self.below.val_raw(a)
-        return self.below.val_raw(a)
 
     def _unit_vector(self, j: int):
         vec = [self._below_zero() for _ in range(self.degree)]
@@ -229,12 +231,12 @@ class ExtLevel:
         return tuple(vec)
 
     def add(self, a, b):
-        if isinstance(self.below, ZpBase):
+        if self._on_base:
             return kernels.zmod_vec_add(a, b, self.modulus)
         return tuple(self._below_add(x, y) for x, y in zip(a, b))
 
     def sub(self, a, b):
-        if isinstance(self.below, ZpBase):
+        if self._on_base:
             return kernels.zmod_vec_sub(a, b, self.modulus)
         return tuple(self._below_sub(x, y) for x, y in zip(a, b))
 
@@ -242,13 +244,13 @@ class ExtLevel:
         return self.sub(self.zero_elem, a)
 
     def scale_int(self, a, k: int):
-        if isinstance(self.below, ZpBase):
+        if self._on_base:
             k %= self.modulus
             return tuple((x * k) % self.modulus for x in a)
         return tuple(self.below.scale_int(x, k) for x in a)
 
     def mul(self, a, b):
-        if isinstance(self.below, ZpBase):
+        if self._on_base:
             if self.degree == 1:
                 return ((a[0] * b[0]) % self.modulus,)
             return kernels.zmod_poly_mulmod(a, b, self.red_rows, self.modulus)
@@ -307,7 +309,7 @@ class ExtLevel:
         values of the summands are pairwise distinct modulo the degree."""
         best: int | None = None
         for j, c in enumerate(a):
-            v = self._below_val(c)
+            v = self.below.val_raw(c)
             if v is None:
                 continue
             cand = v * self.degree + j
@@ -319,27 +321,19 @@ class ExtLevel:
         return self.val_raw(a) is None
 
     def flatten(self, a) -> list[int]:
-        if isinstance(self.below, ZpBase):
+        if self._on_base:
             return list(a)
-        out: list[int] = []
-        for c in a:
-            out.extend(self.below.flatten(c))
-        return out
+        return [c for k in a for c in k]
 
     def unflatten(self, coords: Sequence[int]):
-        if isinstance(self.below, ZpBase):
-            return tuple(c % self.modulus for c in coords)
-        step = len(coords) // self.degree
+        mod = self.modulus
+        if self._on_base:
+            return tuple(c % mod for c in coords)
+        step = self.below.degree
         return tuple(
-            self.below.unflatten(coords[j * step : (j + 1) * step])
-            for j in range(self.degree)
+            tuple(c % mod for c in coords[j : j + step])
+            for j in range(0, self.flat_rank, step)
         )
-
-    @property
-    def flat_rank(self) -> int:
-        if isinstance(self.below, ZpBase):
-            return self.degree
-        return self.degree * self.below.flat_rank
 
 
 class OElem:
@@ -661,6 +655,7 @@ class ExtensionTower:
 
         self._find_roots_and_sigma(sigma_choice)
         self._build_matrices()
+        self._pi_L_pows = [self.L.one_elem]
 
         smin = precision_policy(p, self.e_K, self.s, witt_length_hint)
         if N < smin:
@@ -800,19 +795,27 @@ class ExtensionTower:
         return v is None or v >= cap
 
     def _build_matrices(self) -> None:
-        rank = self.L.flat_rank
-        tcols, scols = [], []
-        for m in range(rank):
-            coords = [0] * rank
-            coords[m] = 1
-            basis = self.L.unflatten(coords)
-            tcols.append(self.K.flatten(self._trace_raw(basis, check=False)))
-            scols.append(self.L.flatten(self.L.sub(self._galois_raw(basis, 1), basis)))
-        self.trace_mat = [
-            [tcols[m][r] for m in range(rank)] for r in range(self.K.flat_rank)
-        ]
+        """sigma^i and the trace as matrices on flat coordinates.
+
+        Multiplication in the working ring is exactly bilinear modulo
+        p^N_int, so sigma^i is linear on flat coordinates and its matrix,
+        built by the substitution path on the flat basis, reproduces the
+        substitution byte for byte.
+        """
+        rank, mod = self.L.flat_rank, self.base.modulus
+        basis = [self.L.unflatten([int(r == m) for r in range(rank)]) for m in range(rank)]
+        # galois_mats[i][r][m]: coordinate r of sigma^i applied to basis vector m
+        self.galois_mats = tuple(
+            tuple(zip(*(self.L.flatten(self._galois_by_substitution(b, i)) for b in basis)))
+            for i in range(self.p)
+        )
+        self.trace_full_mat = tuple(
+            tuple(sum(col) % mod for col in zip(*rows)) for rows in zip(*self.galois_mats)
+        )
+        self.trace_mat = [list(row) for row in self.trace_full_mat[: self.K.flat_rank]]
         self.sigma_minus_one_mat = [
-            [scols[m][r] for m in range(rank)] for r in range(rank)
+            [(x - (r == m)) % mod for m, x in enumerate(row)]
+            for r, row in enumerate(self.galois_mats[1])
         ]
         self._trace_snf = smith_normal_form(self.trace_mat, self.p, self.N_int)
         self._smo_snf = smith_normal_form(self.sigma_minus_one_mat, self.p, self.N_int)
@@ -820,7 +823,14 @@ class ExtensionTower:
 
     # -- raw (tuple-level) operations -----------------------------------
 
-    def _galois_raw(self, a, times: int):
+    def _apply(self, mat, a):
+        """A matrix on the flat coordinates of an O_L element."""
+        x = self.L.flatten(a)
+        return self.L.unflatten([sum(map(operator.mul, row, x)) for row in mat])
+
+    def _galois_by_substitution(self, a, times: int):
+        """sigma^times by substituting sigma^times(pi_L) into the
+        coefficients of ``a``; builds ``galois_mats`` and is their oracle."""
         times %= self.p
         if times == 0:
             return a
@@ -831,18 +841,20 @@ class ExtensionTower:
             acc = L.add(acc, L.mul(L.embed(a[j]), pows[j]))
         return acc
 
-    def _trace_raw(self, a, check: bool = True):
-        L = self.L
-        acc = a
-        for i in range(1, self.p):
-            acc = L.add(acc, self._galois_raw(a, i))
-        if check:
-            for j in range(1, self.p):
-                v = self.K.val_raw(acc[j])
-                if v is not None and v < self.val_cap_K:
-                    raise TraceNotRational(
-                        f"trace has a pi_L^{j} coefficient of valuation {v}"
-                    )
+    def _galois_raw(self, a, times: int):
+        times %= self.p
+        if times == 0:
+            return a
+        return self._apply(self.galois_mats[times], a)
+
+    def _trace_raw(self, a):
+        acc = self._apply(self.trace_full_mat, a)
+        for j in range(1, self.p):
+            v = self.K.val_raw(acc[j])
+            if v is not None and v < self.val_cap_K:
+                raise TraceNotRational(
+                    f"trace has a pi_L^{j} coefficient of valuation {v}"
+                )
         return acc[0]
 
     # -- public element API ----------------------------------------------
@@ -1002,8 +1014,16 @@ class ExtensionTower:
         )
         if spread_valuation:
             shift = rng.randrange(0, max(1, self.val_cap // 3))
-            a = a * (self.pi_L ** shift if shift else 1)
+            if shift:
+                a = a * OElem(self.L, self._pi_L_power(shift))
         return a
+
+    def _pi_L_power(self, k: int):
+        """pi_L^k, from a per-tower table grown by one multiply per power."""
+        pows = self._pi_L_pows
+        while len(pows) <= k:
+            pows.append(self.L.mul(pows[-1], self.L.pi_elem))
+        return pows[k]
 
     def random_L_unit(self, rng) -> OElem:
         while True:

@@ -65,3 +65,9 @@ def quartic():
         e_k_coeffs=[-2, 0, 1],
         witt_length_hint=4,
     )
+
+
+@pytest.fixture(scope="session")
+def all_towers(towers, nested, quartic):
+    """The four builtin towers and the two nested ones, by name."""
+    return {**towers, "nested": nested, "quartic": quartic}

@@ -128,6 +128,25 @@ class TestVerify:
         assert res.stderr.count("\n") == 1 and "--samples" in res.stderr
         assert "PASS" not in res.stdout
 
+    @pytest.mark.parametrize(
+        "lemma, n",
+        [
+            ("step_bounds", "9"),
+            ("step_bounds", "0"),
+            ("fixed_points", "-1"),
+            ("carry_identity", "4"),
+            ("residual_invariant", "4"),
+        ],
+    )
+    def test_witt_length_out_of_range_is_usage_error(self, lemma, n):
+        # q3_ramified has p=3: binary tables reach n=4, p-fold tables n=3
+        res = run_cli(
+            "verify", "--lemma", lemma, "--tower", "q3_ramified", "--n", n, "--samples", "1"
+        )
+        assert res.returncode == 64
+        assert res.stderr.count("\n") == 1 and "--n" in res.stderr
+        assert "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
     def test_short_of_samples_is_undetermined(self, lemma, monkeypatch, capsys):
         # every draw is zero at precision, so no sample can be checked
@@ -211,6 +230,21 @@ class TestSuite:
         res = run_cli("suite", "--manifest", str(manifest))
         assert res.returncode == 64
         assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "tower",
+        [
+            {"p": 2, "N": 24, "E_K": None, "E_L": ["1", "0", "1"]},  # not Eisenstein
+            {"N": 24, "E_K": None, "E_L": ["-2", "0", "1"]},  # no "p"
+        ],
+    )
+    def test_bad_inline_tower_is_usage_error(self, tmp_path, tower):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"towers": [tower], "lemmas": ["vktr"]}))
+        res = run_cli("suite", "--manifest", str(manifest))
+        assert res.returncode == 64
+        assert res.stderr.count("\n") == 1 and "inline tower" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_default_suite_valuation_cells_check_every_sample(self, towers):

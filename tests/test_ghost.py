@@ -38,11 +38,6 @@ PROPERTY = settings(
 )
 
 
-@pytest.fixture(scope="session")
-def all_towers(towers, nested, quartic):
-    return {**towers, "nested": nested, "quartic": quartic}
-
-
 def draw_vectors(data, tower, n, count, top_zero=False):
     """``count`` length-n vectors over O_L with drawn flat coordinates."""
     rank, modulus = tower.L.flat_rank, tower.base.modulus

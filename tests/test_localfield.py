@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wittlab import localfield
 from wittlab.localfield import (
@@ -9,6 +11,7 @@ from wittlab.localfield import (
     NotEisenstein,
     NotNormal,
     PrecisionTooLow,
+    TraceNotRational,
     ValExtended,
     build_tower,
     linsolve,
@@ -414,3 +417,105 @@ class TestSolvers:
         assert i_flat not in image
         with pytest.raises(NoSolutionAtPrecision):
             q2_i.solve_sigma_minus_one(q2_i.pi_L - 1)
+
+
+# -- Galois and trace matrices against the substitution path ---------------
+
+TOWER_NAMES = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic"]
+PROPERTY = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def draw_L(data, tower):
+    rank, modulus = tower.L.flat_rank, tower.base.modulus
+    coords = data.draw(st.lists(st.integers(0, modulus - 1), min_size=rank, max_size=rank))
+    return tower.L.unflatten(coords)
+
+
+def substitution_trace_sum(tower, a):
+    """sum_i sigma^i(a) in O_L, every conjugate by substitution."""
+    acc = tower.L.zero_elem
+    for i in range(tower.p):
+        acc = tower.L.add(acc, tower._galois_by_substitution(a, i))
+    return acc
+
+
+def check_against_substitution(tower, a):
+    for i in range(tower.p + 1):
+        assert tower._galois_raw(a, i) == tower._galois_by_substitution(a, i), i
+    full = substitution_trace_sum(tower, a)
+    assert tower._apply(tower.trace_full_mat, a) == full
+    assert tower._trace_raw(a) == full[0]
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES)
+@PROPERTY
+@given(data=st.data())
+def test_matrices_match_substitution(all_towers, name, data):
+    tower = all_towers[name]
+    check_against_substitution(tower, draw_L(data, tower))
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES)
+def test_derived_matrices_match_oracle_columns(all_towers, name):
+    tower = all_towers[name]
+    L, K, rank = tower.L, tower.K, tower.L.flat_rank
+    for m in range(rank):
+        basis = L.unflatten([int(r == m) for r in range(rank)])
+        trace_col = K.flatten(substitution_trace_sum(tower, basis)[0])
+        smo_col = L.flatten(L.sub(tower._galois_by_substitution(basis, 1), basis))
+        assert [row[m] for row in tower.trace_mat] == trace_col
+        assert [row[m] for row in tower.sigma_minus_one_mat] == smo_col
+
+
+def corrupted(table, r, m, modulus):
+    rows = [list(row) for row in table]
+    rows[r][m] = (rows[r][m] + 1) % modulus
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("name", ["q2_sqrt2", "q3", "quartic"])
+def test_corrupted_matrix_entry_is_caught(all_towers, name, monkeypatch):
+    # one entry off by one, in any sigma^i or in the trace, must fail the
+    # comparison with the substitution path on ordinary draws
+    tower = all_towers[name]
+    rank, modulus = tower.L.flat_rank, tower.base.modulus
+    rng = random.Random(3)
+    draws = [tower.random_L_elem(rng).data for _ in range(10)]
+    mutants = []
+    for r, m in ((0, 0), (rank - 1, rank // 2)):
+        for i in range(1, tower.p):
+            mats = list(tower.galois_mats)
+            mats[i] = corrupted(mats[i], r, m, modulus)
+            mutants.append(("galois_mats", tuple(mats)))
+        mutants.append(("trace_full_mat", corrupted(tower.trace_full_mat, r, m, modulus)))
+    for attr, bad in mutants:
+        with monkeypatch.context() as patch:
+            patch.setattr(tower, attr, bad)
+            with pytest.raises((AssertionError, TraceNotRational)):
+                for a in draws:
+                    check_against_substitution(tower, a)
+
+
+@pytest.mark.parametrize("name", ["nested", "quartic"])
+@PROPERTY
+@given(data=st.data())
+def test_nested_flatten_roundtrip(all_towers, name, data):
+    tower = all_towers[name]
+    L, modulus = tower.L, tower.base.modulus
+    digit = st.integers(0, modulus - 1)
+    a = tuple(
+        tuple(data.draw(digit) for _ in range(tower.e_K)) for _ in range(tower.p)
+    )
+    assert L.unflatten(L.flatten(a)) == a
+    # unflatten reduces to the working precision
+    shifted = [c + modulus * data.draw(st.integers(-3, 3)) for c in L.flatten(a)]
+    assert L.unflatten(shifted) == a
+
+
+def test_levels_stop_two_above_the_base(nested):
+    with pytest.raises(ValueError):
+        localfield.ExtLevel(nested.L, [nested.L.from_int(2)], "too deep")
