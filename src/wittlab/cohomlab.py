@@ -143,23 +143,15 @@ def witt_diff_of_coboundary(tower: ExtensionTower, y: WittVec) -> WittVec:
     return galois_vec(tower, y) - y
 
 
-def _conjugate_rows(tower: ExtensionTower, comps: Sequence[OElem]) -> list[list[OElem]]:
-    return [[tower.galois(c, i) for c in comps] for i in range(tower.p)]
-
-
-def _carry_at_level(tower: ExtensionTower, comps: Sequence[OElem], level: int) -> OElem:
-    """Numeric carry of the conjugate family into the given component,
-    as an element of the fixed ring."""
-    rows = _conjugate_rows(tower, comps[: level - 1])
-    value = wittcore.carry_value(tower.p, level, rows, tower.LR)
-    return tower.project_to_K(value)
-
-
 def random_trace_kernel_elem(tower: ExtensionTower, rng: random.Random) -> OElem:
-    acc = tower.LR.zero
-    for k in tower.trace_kernel_basis():
-        acc = acc + k * rng.randrange(tower.base.modulus)
-    return acc
+    """Sum of r_k * k over the tower's trace-kernel basis, with each r_k
+    drawn uniformly modulo p^N_int, on flat coordinates."""
+    modulus = tower.base.modulus
+    acc = [0] * tower.L.flat_rank
+    for k in tower.trace_kernel_flat:
+        r = rng.randrange(modulus)
+        acc = [a + r * c for a, c in zip(acc, k)]
+    return tower.unflatten_L(acc)
 
 
 def sample_trace_zero(
@@ -175,17 +167,22 @@ def sample_trace_zero(
     Component 1 is a random trace-kernel element; component l solves
     tr(x_l) = -carry_l and gets a fresh kernel element added.  When the
     carry falls outside the trace image, the level l-1 kernel part is
-    redrawn (bounded retries); the finished vector is audited.
+    redrawn (bounded retries); the finished vector is audited.  The
+    carries come from one ``GhostSum`` over the conjugate family, so a
+    retry recomputes only the columns from the cut up.
     """
     ctx = ctx_for(tower.p, n)
+    engine = wittcore.GhostSum(tower.p, n, tower.LR)
     particulars: list[OElem] = [tower.LR.zero]
     comps: list[OElem] = [random_trace_kernel_elem(tower, rng)]
     level = 2
     budget = retries * n * 8
     fail_streak = 0
     while level <= n:
+        # the engine holds columns 1..level-2; column level-1 is new
+        engine.push([tower.galois(comps[level - 2], i) for i in range(tower.p)])
         try:
-            carry = _carry_at_level(tower, comps, level)
+            carry = tower.project_to_K(engine.carry())
             part, _, _ = tower.solve_trace_eq(-carry)
         except NoSolutionAtPrecision:
             budget -= 1
@@ -203,6 +200,7 @@ def sample_trace_zero(
             comps[cut - 1] = particulars[cut - 1] + random_trace_kernel_elem(
                 tower, rng
             )
+            engine.truncate(cut - 1)
             level = cut + 1
             continue
         particulars.append(part)

@@ -818,6 +818,9 @@ class ExtensionTower:
             for r, row in enumerate(self.galois_mats[1])
         ]
         self._trace_snf = smith_normal_form(self.trace_mat, self.p, self.N_int)
+        # the trace kernel on flat coordinates, and as O_L elements
+        self.trace_kernel_flat = tuple(tuple(k) for k in self._trace_snf.kernel_basis())
+        self._trace_kernel = tuple(self.unflatten_L(k) for k in self.trace_kernel_flat)
         self._smo_snf = smith_normal_form(self.sigma_minus_one_mat, self.p, self.N_int)
         self._smo_snf_cache: dict[int, SmithForm] = {}
 
@@ -965,11 +968,11 @@ class ExtensionTower:
         sol = linsolve(
             self.trace_mat, self.flatten_K(c), self.p, self.N_int, snf=self._trace_snf
         )
-        kernel = [self.unflatten_L(k) for k in sol.kernel]
-        return self.unflatten_L(sol.particular), kernel, sol.delta
+        return self.unflatten_L(sol.particular), list(self._trace_kernel), sol.delta
 
-    def trace_kernel_basis(self) -> list[OElem]:
-        return [self.unflatten_L(k) for k in self._trace_snf.kernel_basis()]
+    def trace_kernel_basis(self) -> tuple[OElem, ...]:
+        """The trace-kernel basis, built once per tower."""
+        return self._trace_kernel
 
     def solve_sigma_minus_one(self, c: OElem, digits: int | None = None) -> tuple[OElem, int]:
         """y with (sigma-1)y = c at the given base precision (advertised
@@ -1078,18 +1081,47 @@ def build_tower(
     )
 
 
+def _tower_int(value, what: str) -> int:
+    """An integer field of a tower description; JSON strings of digits
+    count, anything else is a malformed description (ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"tower {what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _tower_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"tower {what} must be a list, got {value!r}")
+    return value
+
+
 def tower_from_obj(obj: dict, **overrides) -> ExtensionTower:
+    """A tower from its JSON description; a description of the wrong
+    shape raises ValueError with a one-line message."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a tower must be a JSON object, got {type(obj).__name__}")
+    for key in ("p", "E_L"):
+        if key not in obj:
+            raise ValueError(f"tower has no {key!r}")
+    p = _tower_int(obj["p"], "p")
+    if p < 2:
+        raise ValueError(f"tower p must be at least 2, got {p}")
     e_l = []
-    for c in obj["E_L"]:
-        e_l.append([int(x) for x in c] if isinstance(c, list) else int(c))
-    e_k = [int(c) for c in obj["E_K"]] if obj.get("E_K") else None
+    for c in _tower_list(obj["E_L"], "E_L"):
+        if isinstance(c, list):
+            e_l.append([_tower_int(x, "E_L coefficient") for x in c])
+        else:
+            e_l.append(_tower_int(c, "E_L coefficient"))
+    e_k = obj.get("E_K")
+    if e_k is not None:
+        e_k = [_tower_int(c, "E_K coefficient") for c in _tower_list(e_k, "E_K")]
     kwargs = {
         "witt_length_hint": overrides.get("witt_length_hint", 4),
         "sigma_choice": overrides.get("sigma_choice", 0),
         "seed": overrides.get("seed", obj.get("seed", 0)),
     }
     n_prec = overrides.get("N", obj.get("N", "auto"))
-    return build_tower(int(obj["p"]), n_prec, e_l, e_k, **kwargs)
+    return build_tower(p, n_prec, e_l, e_k, **kwargs)
 
 
 def load_tower(path: str, **overrides) -> ExtensionTower:

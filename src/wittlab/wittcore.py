@@ -10,9 +10,10 @@ divisions, so a successful construction doubles as an integrality
 certificate.  Group arithmetic on length-n vectors over any commutative
 ring is evaluation of those integral polynomials, with no division.
 
-Over the rings of a tower (any ring with a ``flat_lift``), sums are
-computed in ghost coordinates instead: the summands are lifted to the
-same ring at n-1 more base digits, their ghost components are added,
+Over the rings of a tower (any ring with a ``flat_lift``), sums and
+carries are computed in ghost coordinates instead, by one incremental
+engine (``GhostSum``): the summands are lifted to the same ring at n-1
+more base digits, their ghost components are added column by column,
 and the sum's Witt components are recovered one level at a time by
 certified exact division.  Because the addition polynomials are
 integral, the result is exactly what evaluating them gives; the
@@ -250,7 +251,18 @@ def polynomial_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
 
 
 def ghost_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
-    """Witt sum over a ring with ``flat_lift``, in ghost coordinates.
+    """Witt sum over a ring with ``flat_lift``, one ``GhostSum`` column
+    at a time."""
+    ctx, ring = _common_frame(vectors)
+    engine = GhostSum(ctx.p, ctx.n, ring)
+    for j in range(ctx.n):
+        engine.push([v.components[j] for v in vectors])
+    return WittVec(ctx, ring, engine.sums())
+
+
+class GhostSum:
+    """Witt sum of several length-n vectors over a ring with ``flat_lift``,
+    built column by column in ghost coordinates.
 
     With M the ring's base digits, the summands are read as elements of
     the lifted ring at M + n - 1 digits, where
@@ -262,33 +274,91 @@ def ghost_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
     later levels multiplied by p^(l-1), so its ambiguity vanishes modulo
     the lifted modulus.  The lifted ring reduces to the working ring and
     the addition polynomials are integral, so S_l reduced modulo p^M is
-    the polynomial value.  Every division checks every coordinate and
-    raises IntegralityViolation on a remainder; nothing is floored.
+    the polynomial value; this holds for any lift of at least l-1
+    digits, so one engine serves every level up to n.  Every division
+    checks every coordinate and raises IntegralityViolation on a
+    remainder; nothing is floored.
+
+    Column i holds, per level l > i, its summed ghost contributions
+    p^(i-1) x_i^(p^(l-i)) minus p^(i-1) S_i^(p^(l-i)).  These depend on
+    columns 1..i only, so ``truncate`` keeps them for the columns it
+    keeps; a level's contributions are computed the first time a
+    ``push`` or ``carry`` needs that level.
     """
-    ctx, ring = _common_frame(vectors)
-    p, n = ctx.p, ctx.n
-    struct, modulus = ring.flat_lift(n - 1)
-    add, sub = kernels.zmod_vec_add, kernels.zmod_vec_sub
 
-    ghost = [(0,) * len(struct)] * n  # W_1..W_n on flat coordinates
-    for v in vectors:
-        for i, comp in enumerate(v.components):
-            y = tuple(ring.flatten(comp))
-            for l in range(i, n):
-                ghost[l] = add(ghost[l], tuple(c * p**i for c in y), modulus)
-                if l + 1 < n:
-                    y = _pth_power(y, p, struct, modulus)
+    def __init__(self, p: int, n: int, ring):
+        self.p = p
+        self.n = n
+        self.ring = ring
+        self._struct, self._modulus = ring.flat_lift(n - 1)
+        self._zero = (0,) * len(self._struct)
+        self._columns: list[_GhostColumn] = []
 
-    sums: list[tuple] = []
-    powers: list[tuple] = []  # S_i^(p^(l-i)) for the level l being solved
-    for l in range(n):
-        num = ghost[l]
-        for i, pw in enumerate(powers):
-            num = sub(num, tuple(c * p**i for c in pw), modulus)
-        sums.append(_divide_exact(num, p**l))
-        if l + 1 < n:
-            powers = [_pth_power(pw, p, struct, modulus) for pw in powers + [sums[-1]]]
-    return WittVec(ctx, ring, tuple(ring.unflatten(s) for s in sums))
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def push(self, column: Sequence) -> None:
+        """Add the next column: component ``len(self) + 1`` of every summand."""
+        i = len(self._columns)
+        if i >= self.n:
+            raise ValueError(f"all {self.n} columns are already pushed")
+        add, mod = kernels.zmod_vec_add, self._modulus
+        rows = [tuple(self.ring.flatten(x)) for x in column]
+        total = self._zero
+        for y in rows:
+            total = add(total, y, mod)
+        num = add(self._lower(i), tuple(c * self.p**i for c in total), mod)
+        s = _divide_exact(num, self.p**i)
+        self._columns.append(_GhostColumn(s, rows))
+
+    def truncate(self, k: int) -> None:
+        """Keep the first ``k`` columns."""
+        if not 0 <= k <= len(self._columns):
+            raise ValueError(f"cannot truncate {len(self._columns)} columns to {k}")
+        del self._columns[k:]
+
+    def carry(self):
+        """Component ``len(self) + 1`` of the sum with that column zero:
+        the carry into the next level, reduced to the working ring."""
+        i = len(self._columns)
+        if i >= self.n:
+            raise ValueError(f"no level above the {self.n} pushed columns")
+        return self.ring.unflatten(_divide_exact(self._lower(i), self.p**i))
+
+    def sums(self) -> tuple:
+        """The sum's components over the pushed columns, reduced."""
+        return tuple(self.ring.unflatten(c.sum) for c in self._columns)
+
+    def _lower(self, level: int) -> tuple:
+        """Sum over the pushed columns of their contributions at ``level``
+        (0-based), raising each column's powers as far as needed."""
+        p, struct, mod = self.p, self._struct, self._modulus
+        add, sub = kernels.zmod_vec_add, kernels.zmod_vec_sub
+        acc = self._zero
+        for i, col in enumerate(self._columns):
+            while len(col.net) < level - i:
+                col.rows = [_pth_power(y, p, struct, mod) for y in col.rows]
+                col.power = _pth_power(col.power, p, struct, mod)
+                ghost = self._zero
+                for y in col.rows:
+                    ghost = add(ghost, y, mod)
+                diff = sub(ghost, col.power, mod)
+                col.net.append(tuple(c * p**i for c in diff))
+            acc = add(acc, col.net[level - i - 1], mod)
+        return acc
+
+
+class _GhostColumn:
+    """One pushed column: S_i, the current p-power of S_i and of each
+    summand's entry, and the net contributions at levels i+1, i+2, ..."""
+
+    __slots__ = ("sum", "power", "rows", "net")
+
+    def __init__(self, s: tuple, rows: list):
+        self.sum = s
+        self.power = s
+        self.rows = rows
+        self.net: list[tuple] = []
 
 
 def _pth_power(x: tuple, p: int, struct: tuple, modulus: int) -> tuple:
@@ -472,15 +542,16 @@ def carry_value(p: int, level: int, rows: Sequence[Sequence], ring):
 
     ``rows`` holds p sequences of ring elements covering columns
     1..level-1.  Because the carry does not involve column ``level``,
-    summing the vectors with that column zeroed leaves exactly the
-    carry in the top component.
+    it is the top component of the sum with that column zero.
     """
+    if hasattr(ring, "flat_lift"):
+        engine = GhostSum(p, level, ring)
+        for j in range(level - 1):
+            engine.push([row[j] for row in rows])
+        return engine.carry()
     ctx = ctx_for(p, level)
-    vecs = []
-    for row in rows:
-        comps = tuple(row[: level - 1]) + (ring.zero,)
-        vecs.append(WittVec(ctx, ring, comps))
-    return witt_sum(vecs).components[level - 1]
+    vecs = [WittVec(ctx, ring, tuple(row[: level - 1]) + (ring.zero,)) for row in rows]
+    return polynomial_witt_sum(vecs).components[level - 1]
 
 
 def content_hash(obj: dict) -> str:

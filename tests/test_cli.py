@@ -264,6 +264,70 @@ class TestSuite:
         assert "nope" in res.stderr
 
 
+# tower descriptions of the wrong shape: each used to raise TypeError
+MALFORMED_TOWERS = {
+    "p_null": {"p": None, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"]},
+    "e_l_not_list": {"p": 2, "N": 24, "E_K": None, "E_L": 5},
+    "array": [1, 2],
+}
+
+
+def _one_line_usage_error(res):
+    assert res.returncode == 64
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
+class TestMalformedTower:
+    @pytest.fixture(params=sorted(MALFORMED_TOWERS))
+    def tower_file(self, request, tmp_path):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(MALFORMED_TOWERS[request.param]))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("tower-info",),
+            ("verify", "--lemma", "vktr", "--samples", "1"),
+            ("oracle", "--what", "h1"),
+        ],
+    )
+    def test_tower_file_is_usage_error(self, tower_file, command):
+        _one_line_usage_error(run_cli(*command, "--tower", tower_file))
+
+    def test_suite_tower_file_is_usage_error(self, tower_file, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"towers": [tower_file], "lemmas": ["vktr"]}))
+        _one_line_usage_error(run_cli("suite", "--manifest", str(manifest)))
+
+    @pytest.mark.parametrize("name", ["p_null", "e_l_not_list"])
+    def test_suite_inline_tower_is_usage_error(self, tmp_path, name):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            json.dumps({"towers": [MALFORMED_TOWERS[name]], "lemmas": ["vktr"]})
+        )
+        res = run_cli("suite", "--manifest", str(manifest))
+        _one_line_usage_error(res)
+        assert "inline tower" in res.stderr
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            *MALFORMED_TOWERS.values(),
+            {"p": 0, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"]},
+            {"p": True, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"]},
+            {"p": 2, "N": 24, "E_K": 5, "E_L": ["-2", "0", "1"]},
+            {"p": 2, "N": 24, "E_K": None, "E_L": [None, "0", "1"]},
+            {"p": 2, "N": 24, "E_K": None, "E_L": [[None], "0", "1"]},
+            {"p": 2, "N": 24, "E_K": None},
+        ],
+    )
+    def test_tower_from_obj_raises_value_error(self, obj):
+        with pytest.raises(ValueError):
+            localfield.tower_from_obj(obj)
+
+
 class TestOracle:
     def test_oracle_passes(self):
         res = run_cli("oracle", "--tower", "q2_i", "--what", "all")

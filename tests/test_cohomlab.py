@@ -5,6 +5,7 @@ import pytest
 from wittlab import cohomlab, wittcore
 from wittlab.cohomlab import (
     KernelSample,
+    SamplerExhausted,
     coboundary_sample,
     galois_vec,
     h1_order_enumeration_stable,
@@ -18,7 +19,8 @@ from wittlab.cohomlab import (
     witt_class_trivial,
     witt_trace,
 )
-from wittlab.wittcore import WittVec, ctx_for
+from wittlab.localfield import NoSolutionAtPrecision
+from wittlab.wittcore import BINARY_RANGE, WittVec, ctx_for
 
 
 class TestWittTrace:
@@ -91,6 +93,91 @@ class TestSampler:
                     tower.is_zero_at_precision(c) for c in s.residual.components
                 )
                 assert s.provenance == "recursive-sampler"
+
+
+def sample_with_fresh_carries(tower, n, rng, retries=32):
+    """The sampler's loop with every carry computed afresh: each attempt
+    builds the conjugate rows and calls ``carry_value``, and kernel
+    elements are summed from OElems over the basis derived from the
+    Smith form.  The oracle for ``sample_trace_zero``."""
+    basis = [tower.unflatten_L(k) for k in tower._trace_snf.kernel_basis()]
+
+    def kernel_elem():
+        acc = tower.LR.zero
+        for k in basis:
+            acc = acc + k * rng.randrange(tower.base.modulus)
+        return acc
+
+    particulars = [tower.LR.zero]
+    comps = [kernel_elem()]
+    level = 2
+    budget = retries * n * 8
+    fail_streak = 0
+    while level <= n:
+        rows = [[tower.galois(c, i) for c in comps[: level - 1]] for i in range(tower.p)]
+        carry = wittcore.carry_value(tower.p, level, rows, tower.LR)
+        try:
+            part, _, _ = tower.solve_trace_eq(-tower.project_to_K(carry))
+        except NoSolutionAtPrecision:
+            budget -= 1
+            fail_streak += 1
+            if budget <= 0:
+                raise SamplerExhausted(level, retries) from None
+            cut = level - min(level - 1, 1 + fail_streak // retries)
+            del comps[cut:]
+            del particulars[cut:]
+            comps[cut - 1] = particulars[cut - 1] + kernel_elem()
+            level = cut + 1
+            continue
+        particulars.append(part)
+        comps.append(part + kernel_elem())
+        level += 1
+        fail_streak = 0
+    return comps
+
+
+TOWER_PRIMES = {
+    "q2_i": 2,
+    "q2_sqrt2": 2,
+    "q2_sqrt_minus2": 2,
+    "q3": 3,
+    "nested": 2,
+    "quartic": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, n) for name, p in TOWER_PRIMES.items() for n in range(1, BINARY_RANGE[p] + 1)],
+)
+@pytest.mark.parametrize("retries", [32, 1])
+def test_sampler_matches_fresh_carry_loop(all_towers, name, n, retries):
+    """Same components and the same RNG stream; with one retry per level
+    the cut deepens after every failure."""
+    tower = all_towers[name]
+    for seed in range(20):
+        want_rng = random.Random(f"{name}:{n}:{seed}")
+        got_rng = random.Random(f"{name}:{n}:{seed}")
+        try:
+            want = [c.data for c in sample_with_fresh_carries(tower, n, want_rng, retries)]
+        except SamplerExhausted as exc:
+            want = ("exhausted", exc.level)
+        try:
+            sample = sample_trace_zero(tower, n, got_rng, retries=retries)
+            got = [c.data for c in sample.vec.components]
+        except SamplerExhausted as exc:
+            got = ("exhausted", exc.level)
+        assert got == want, (name, n, retries, seed)
+        assert got_rng.random() == want_rng.random()
+
+
+def test_trace_kernel_basis_is_cached(all_towers):
+    for tower in all_towers.values():
+        basis = tower.trace_kernel_basis()
+        assert basis is tower.trace_kernel_basis()
+        derived = [tower.unflatten_L(k) for k in tower._trace_snf.kernel_basis()]
+        assert [k.data for k in basis] == [k.data for k in derived]
+        assert [tuple(tower.flatten_L(k)) for k in basis] == list(tower.trace_kernel_flat)
 
 
 class TestClassDecisions:

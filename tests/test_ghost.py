@@ -1,6 +1,8 @@
 """Ghost-coordinate Witt sums over tower rings against the addition
 polynomials, which stay in the repository as their oracle."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from wittlab import kernels, wittcore
 from wittlab.exactpoly import ModRing, MPoly
 from wittlab.wittcore import (
     BINARY_RANGE,
+    GhostSum,
     IntegralityViolation,
     WittVec,
     carry_value,
@@ -130,3 +133,112 @@ def test_non_divisible_ghost_numerator_raises(q2_i, monkeypatch):
     monkeypatch.setattr(kernels, "flat_mul", off_by_one)
     with pytest.raises(IntegralityViolation):
         wittcore.witt_sum([vec, vec])
+
+
+def polynomial_carry(tower, columns):
+    """Top component of the sum of the p rows with one more column, zero,
+    by the addition polynomials."""
+    ctx = ctx_for(tower.p, len(columns) + 1)
+    vecs = [
+        WittVec(ctx, tower.LR, tuple(col[r] for col in columns) + (tower.LR.zero,))
+        for r in range(tower.p)
+    ]
+    return polynomial_witt_sum(vecs).components[-1]
+
+
+def check_push_truncate(tower, draw, engine_type=GhostSum):
+    """Pushes, carries and truncations as the sampler's retries make them:
+    after each push the engine goes on, redraws the last column, or cuts
+    two or three columns deep.  Every carry and the final sum are
+    compared with the addition polynomials.  ``draw(lo, hi)`` gives an
+    integer in [lo, hi]."""
+    p, modulus, rank = tower.p, tower.base.modulus, tower.L.flat_rank
+    n = draw(2, min(4, BINARY_RANGE[p]))
+
+    def column():
+        return [
+            tower.unflatten_L([draw(0, modulus - 1) for _ in range(rank)])
+            for _ in range(p)
+        ]
+
+    engine = engine_type(p, n, tower.LR)
+    columns = []
+    for _ in range(draw(1, 12)):
+        if len(columns) < n:
+            columns.append(column())
+            engine.push(columns[-1])
+        if len(columns) < n:
+            assert engine.carry().data == polynomial_carry(tower, columns).data
+        move = draw(0, 4)
+        depth = 0 if move < 3 else (1 if move == 3 else draw(2, 3))
+        cut = max(0, len(columns) - depth)
+        engine.truncate(cut)
+        del columns[cut:]
+        assert len(engine) == cut
+    while len(columns) < n:
+        columns.append(column())
+        engine.push(columns[-1])
+    ctx = ctx_for(p, n)
+    vecs = [
+        WittVec(ctx, tower.LR, tuple(col[r] for col in columns)) for r in range(p)
+    ]
+    want = polynomial_witt_sum(vecs).components
+    assert [s.data for s in engine.sums()] == [c.data for c in want]
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_engine_push_truncate_matches_polynomials(all_towers, name, data):
+    check_push_truncate(
+        all_towers[name], lambda lo, hi: data.draw(st.integers(lo, hi))
+    )
+
+
+class StaleTruncate(GhostSum):
+    """Mutant: a column pushed after a truncate reuses the contributions
+    that the dropped column had computed for the levels above it."""
+
+    def truncate(self, k):
+        self._dropped = self._columns[k:]
+        super().truncate(k)
+
+    def push(self, column):
+        super().push(column)
+        if getattr(self, "_dropped", None):
+            self._columns[-1].net = self._dropped.pop(0).net
+
+
+class LiftOneShort(GhostSum):
+    """Mutant: the summands are lifted by n-2 digits, one too few."""
+
+    def __init__(self, p, n, ring):
+        super().__init__(p, n, ring)
+        self._struct, self._modulus = ring.flat_lift(n - 2)
+        self._zero = (0,) * len(self._struct)
+
+
+@pytest.mark.parametrize("mutant", [StaleTruncate, LiftOneShort])
+def test_engine_mutants_fail(all_towers, mutant):
+    rng = random.Random(0)
+    # a wrong carry may also leave a later ghost numerator indivisible
+    with pytest.raises((AssertionError, IntegralityViolation)):
+        for name in ("q2_i", "q2_sqrt2", "quartic"):
+            for _ in range(10):
+                check_push_truncate(all_towers[name], rng.randint, mutant)
+
+
+def test_engine_refuses_out_of_range_columns(q2_i):
+    engine = GhostSum(2, 2, q2_i.LR)
+    with pytest.raises(ValueError):
+        engine.truncate(1)
+    engine.push([q2_i.LR.one, q2_i.LR.one])
+    engine.push([q2_i.LR.one, q2_i.LR.one])
+    with pytest.raises(ValueError):
+        engine.push([q2_i.LR.one, q2_i.LR.one])
+    with pytest.raises(ValueError):
+        engine.carry()
