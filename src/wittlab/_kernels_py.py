@@ -1,4 +1,4 @@
-"""Pure-Python reference implementations of the hot arithmetic kernels.
+"""The hot arithmetic kernels, in pure Python.
 
 Two kernel families live here:
 
@@ -9,8 +9,7 @@ Two kernel families live here:
   ``Z/modulus`` reduced against a monic polynomial given by precomputed
   reduction rows.
 
-The compiled extension in ``_kernels.pyx`` implements the same API; the
-selector in ``kernels`` picks whichever is available.
+The package calls them through ``kernels``.
 """
 
 

@@ -22,12 +22,8 @@ EXIT_FAIL = 1
 EXIT_UNDETERMINED = 2
 EXIT_CONFIG = 64
 
-DEFAULT_TOWERS = {
-    "q2_sqrt2": {"p": 2, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"], "seed": 2026},
-    "q2_sqrt_minus2": {"p": 2, "N": 24, "E_K": None, "E_L": ["2", "0", "1"], "seed": 2026},
-    "q2_i": {"p": 2, "N": 24, "E_K": None, "E_L": ["2", "-2", "1"], "seed": 2026},
-    "q3_ramified": {"p": 3, "N": 16, "E_K": None, "E_L": ["3", "0", "-3", "1"], "seed": 2026},
-}
+# the builtin towers: one JSON description per name, the file stem
+TOWER_DIR = Path(__file__).resolve().parent / "towers"
 
 LEMMA_IDS = tuple(cohomlab.VERIFIERS)
 
@@ -76,6 +72,17 @@ def cmd_polys(args) -> int:
     return EXIT_PASS
 
 
+def _builtin_towers() -> list[str]:
+    return sorted(path.stem for path in TOWER_DIR.glob("*.json"))
+
+
+def _tower_path(ref: str) -> str:
+    """The description file of a builtin tower name; any other ref is a path."""
+    if ref in _builtin_towers():
+        return str(TOWER_DIR / f"{ref}.json")
+    return ref
+
+
 def _load_tower(args) -> localfield.ExtensionTower:
     overrides = {}
     if getattr(args, "precision", None) and args.precision != "auto":
@@ -84,9 +91,7 @@ def _load_tower(args) -> localfield.ExtensionTower:
         overrides["N"] = "auto"
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if args.tower in DEFAULT_TOWERS:
-        return localfield.tower_from_obj(DEFAULT_TOWERS[args.tower], **overrides)
-    return localfield.load_tower(args.tower, **overrides)
+    return localfield.load_tower(_tower_path(args.tower), **overrides)
 
 
 def cmd_tower_info(args) -> int:
@@ -116,18 +121,27 @@ def cmd_tower_info(args) -> int:
     return EXIT_PASS
 
 
-def _witt_length_problem(lemma: str, p: int, n: int) -> str | None:
-    """Why ``--n`` is out of range for this lemma at p, or None."""
+def _witt_length_problem(
+    lemma: str, tower: localfield.ExtensionTower, n: int
+) -> str | None:
+    """Why ``--n`` is out of range for this lemma on this tower, or None."""
+    p = tower.p
     if lemma in ("carry_identity", "residual_invariant"):
         table, kind = wittcore.PFOLD_RANGE, "p-fold"
     else:
         table, kind = wittcore.BINARY_RANGE, "binary"
     top = table.get(p, 0)
-    if 1 <= n <= top:
-        return None
     if top == 0:
         return f"--n: no {kind} Witt tables at p={p}"
-    return f"--n {n} outside the {kind} Witt range 1..{top} at p={p}"
+    if not 1 <= n <= top:
+        return f"--n {n} outside the {kind} Witt range 1..{top} at p={p}"
+    if lemma == "main":
+        # below the stable length the theorem claims nothing, so a small
+        # valuation there is its sharpness, not a counterexample
+        M = cohomlab.stable_witt_length(tower.s, p)
+        if n < M:
+            return f"--n {n} is below the stable Witt length M={M} the main theorem needs"
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -145,7 +159,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"verify: {exc}\n")
         return EXIT_CONFIG
     if args.n is not None:
-        problem = _witt_length_problem(args.lemma, tower.p, args.n)
+        problem = _witt_length_problem(args.lemma, tower, args.n)
         if problem:
             sys.stderr.write(f"verify: {problem}\n")
             return EXIT_CONFIG
@@ -170,7 +184,7 @@ def cmd_verify(args) -> int:
 
 def _default_manifest() -> dict:
     return {
-        "towers": sorted(DEFAULT_TOWERS),
+        "towers": _builtin_towers(),
         "lemmas": list(LEMMA_IDS),
         "samples": 200,
         "seed": 2026,
@@ -218,12 +232,9 @@ def cmd_suite(args) -> int:
                 sys.stderr.write(f"suite: cannot build inline tower: {exc}\n")
                 return EXIT_CONFIG
             tower_name = tower_ref.get("name", tower.tower_hash[:12])
-        elif tower_ref in DEFAULT_TOWERS:
-            tower = localfield.tower_from_obj(DEFAULT_TOWERS[tower_ref], seed=seed)
-            tower_name = tower_ref
         else:
             try:
-                tower = localfield.load_tower(tower_ref, seed=seed)
+                tower = localfield.load_tower(_tower_path(tower_ref), seed=seed)
             except (OSError, ValueError, KeyError) as exc:
                 sys.stderr.write(f"suite: cannot load tower {tower_ref!r}: {exc}\n")
                 return EXIT_CONFIG

@@ -183,7 +183,7 @@ def sample_trace_zero(
         engine.push([tower.galois(comps[level - 2], i) for i in range(tower.p)])
         try:
             carry = tower.project_to_K(engine.carry())
-            part, _, _ = tower.solve_trace_eq(-carry)
+            part, _ = tower.solve_trace_eq(-carry)
         except NoSolutionAtPrecision:
             budget -= 1
             fail_streak += 1

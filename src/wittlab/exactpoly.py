@@ -170,11 +170,6 @@ class MPoly:
             return float("inf")
         return min(sum(e for _, e in key) for key in self.terms)
 
-    def max_monomial_degree(self) -> float:
-        if not self.terms:
-            return float("-inf")
-        return max(sum(e for _, e in key) for key in self.terms)
-
     def coefficient(self, monomial: Monomial) -> int:
         return self.terms.get(monomial.key, 0)
 

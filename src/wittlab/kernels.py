@@ -1,34 +1,21 @@
-"""Kernel backend selection.
+"""The hot arithmetic kernels, as the rest of the package calls them.
 
-The compiled extension is preferred when it imports cleanly; the
-pure-Python module is the fallback and the reference implementation.
-Set ``WITTLAB_PURE_PYTHON=1`` to force the pure lane (used by the
-benchmark and the backend-agreement tests).
+The implementations live in ``_kernels_py``. Callers go through this
+module (``kernels.flat_mul(...)``), so each kernel can be wrapped, for
+timing or tracing, in one place.
 """
 
-import os
+from ._kernels_py import (
+    flat_mul,
+    monomial_key_mul,
+    sparse_add,
+    sparse_mul,
+    sparse_neg,
+    sparse_pow,
+    sparse_scale,
+    zmod_poly_mulmod,
+    zmod_vec_add,
+    zmod_vec_sub,
+)
 
-from . import _kernels_py
-
-if os.environ.get("WITTLAB_PURE_PYTHON") == "1":
-    _impl = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
-
-monomial_key_mul = _impl.monomial_key_mul
-sparse_add = _impl.sparse_add
-sparse_neg = _impl.sparse_neg
-sparse_scale = _impl.sparse_scale
-sparse_mul = _impl.sparse_mul
-sparse_pow = _impl.sparse_pow
-zmod_poly_mulmod = _impl.zmod_poly_mulmod
-flat_mul = _impl.flat_mul
-zmod_vec_add = _impl.zmod_vec_add
-zmod_vec_sub = _impl.zmod_vec_sub
+BACKEND = "python"

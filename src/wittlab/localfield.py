@@ -542,8 +542,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], p: int, digits: int) -> S
 @dataclass
 class LinearSolution:
     particular: list[int]
-    kernel: list[list[int]]
     delta: int
+    snf: SmithForm
+
+    @property
+    def kernel(self) -> list[list[int]]:
+        """A kernel basis, built from the Smith form when asked for."""
+        return self.snf.kernel_basis()
 
 
 def linsolve(
@@ -555,7 +560,8 @@ def linsolve(
 ) -> LinearSolution:
     """Solve A*x = rhs over Z/p^digits; pivots are minimal-valuation entries.
 
-    Returns a particular solution and a kernel basis, or raises
+    Returns a particular solution (its ``kernel`` basis is built only
+    when asked for), or raises
     :class:`NoSolutionAtPrecision` whose depth is the digit count at
     which the system is already contradictory.
     """
@@ -584,7 +590,7 @@ def linsolve(
     particular = [
         sum(snf.V[i][k] * z[k] for k in range(n)) % modulus for i in range(n)
     ]
-    return LinearSolution(particular, snf.kernel_basis(), delta)
+    return LinearSolution(particular, delta, snf)
 
 
 # ---------------------------------------------------------------------------
@@ -870,9 +876,6 @@ class ExtensionTower:
     def pi_K(self) -> OElem:
         return OElem(self.K, self.K.pi_elem)
 
-    def K_elem(self, coords: Sequence[int]) -> OElem:
-        return OElem(self.K, self.K.unflatten(list(coords)))
-
     def L_elem(self, coeffs: Sequence[OElem | int]) -> OElem:
         data = []
         for c in coeffs:
@@ -961,14 +964,15 @@ class ExtensionTower:
     def unflatten_K(self, coords: Sequence[int]) -> OElem:
         return OElem(self.K, self.K.unflatten(list(coords)))
 
-    def solve_trace_eq(self, c: OElem) -> tuple[OElem, list[OElem], int]:
-        """x with tr(x) = c, plus a trace-kernel basis at precision."""
+    def solve_trace_eq(self, c: OElem) -> tuple[OElem, int]:
+        """x with tr(x) = c at precision, and ``delta``, the digits the
+        solve loses (its largest pivot valuation)."""
         if c.level is not self.K:
             raise ValueError("solve_trace_eq expects an O_K right-hand side")
         sol = linsolve(
             self.trace_mat, self.flatten_K(c), self.p, self.N_int, snf=self._trace_snf
         )
-        return self.unflatten_L(sol.particular), list(self._trace_kernel), sol.delta
+        return self.unflatten_L(sol.particular), sol.delta
 
     def trace_kernel_basis(self) -> tuple[OElem, ...]:
         """The trace-kernel basis, built once per tower."""

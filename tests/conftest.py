@@ -1,11 +1,7 @@
-import pathlib
-
 import pytest
 
 from wittlab import localfield
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-TOWERS = ROOT / "towers"
+from wittlab.cli import TOWER_DIR
 
 TOWER_FILES = {
     "q2_i": "q2_i.json",
@@ -18,7 +14,7 @@ TOWER_FILES = {
 @pytest.fixture(scope="session")
 def towers():
     return {
-        name: localfield.load_tower(str(TOWERS / fname))
+        name: localfield.load_tower(str(TOWER_DIR / fname))
         for name, fname in TOWER_FILES.items()
     }
 

@@ -53,7 +53,7 @@ class TestTowerInfo:
         b = run_cli(
             "tower-info",
             "--tower",
-            str(ROOT / "towers" / "q2_i.json"),
+            str(cli.TOWER_DIR / "q2_i.json"),
             "--json",
             "--out",
             str(tmp_path / "b"),
@@ -80,7 +80,7 @@ class TestVerify:
             "--lemma",
             "vksub",
             "--tower",
-            str(ROOT / "towers" / "q2_i.json"),
+            str(cli.TOWER_DIR / "q2_i.json"),
             "--samples",
             "50",
             "--seed",
@@ -146,6 +146,23 @@ class TestVerify:
         assert res.returncode == 64
         assert res.stderr.count("\n") == 1 and "--n" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_main_below_stable_length_is_usage_error(self, n):
+        # q2_sqrt2 has s = 2, so M = 3; below M the theorem claims nothing
+        res = run_cli(
+            "verify", "--lemma", "main", "--tower", "q2_sqrt2", "--n", n, "--samples", "1"
+        )
+        assert res.returncode == 64
+        assert res.stderr.count("\n") == 1 and "M=3" in res.stderr
+        assert "Traceback" not in res.stderr and not res.stdout
+
+    def test_main_at_stable_length_runs(self):
+        res = run_cli(
+            "verify", "--lemma", "main", "--tower", "q2_sqrt2", "--n", "3", "--samples", "2"
+        )
+        assert res.returncode == 0, res.stderr
+        assert "main on q2_sqrt2: PASS" in res.stdout and "M=3" in res.stdout
 
     @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
     def test_short_of_samples_is_undetermined(self, lemma, monkeypatch, capsys):

@@ -117,7 +117,7 @@ def sample_with_fresh_carries(tower, n, rng, retries=32):
         rows = [[tower.galois(c, i) for c in comps[: level - 1]] for i in range(tower.p)]
         carry = wittcore.carry_value(tower.p, level, rows, tower.LR)
         try:
-            part, _, _ = tower.solve_trace_eq(-tower.project_to_K(carry))
+            part, _ = tower.solve_trace_eq(-tower.project_to_K(carry))
         except NoSolutionAtPrecision:
             budget -= 1
             fail_streak += 1
