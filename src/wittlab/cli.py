@@ -2,7 +2,9 @@
 verification, suite aggregation, and brute-force oracles.
 
 Exit codes: 0 pass, 1 fail, 2 undetermined/not-stabilized, 64 usage or
-configuration error.  A fixed seed makes every run byte-reproducible;
+configuration error, 70 internal error (any other exception escaped a
+verifier: a crash, never a mathematical FAIL).  A fixed seed makes every
+run byte-reproducible;
 the aggregate suite report carries no timing so that repeated runs are
 byte-identical.
 """
@@ -21,6 +23,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNDETERMINED = 2
 EXIT_CONFIG = 64
+EXIT_CRASH = 70
 
 # the builtin towers: one JSON description per name, the file stem
 TOWER_DIR = Path(__file__).resolve().parent / "towers"
@@ -41,6 +44,12 @@ def _write_json(path: str | None, obj: dict) -> None:
         Path(path).write_text(blob, encoding="utf-8")
     else:
         sys.stdout.write(blob)
+
+
+def _crash_line(exc: Exception) -> str:
+    """The exception type and the first line of its message."""
+    lines = str(exc).splitlines()
+    return f"{type(exc).__name__}: {lines[0]}" if lines else type(exc).__name__
 
 
 def _status_exit(status: str) -> int:
@@ -170,6 +179,9 @@ def cmd_verify(args) -> int:
     except (cohomlab.NotStabilized, cohomlab.SamplerExhausted) as exc:
         sys.stderr.write(f"verify: {exc}\n")
         return EXIT_UNDETERMINED
+    except Exception as exc:
+        sys.stderr.write(f"verify: {args.lemma} crashed: {_crash_line(exc)}\n")
+        return EXIT_CRASH
     report.runtime_ms = int((time.perf_counter() - t0) * 1000)
     _write_json(args.out, report.to_obj())
     extra = f" sign={report.sign_convention}" if report.sign_convention else ""
@@ -208,8 +220,20 @@ def cmd_suite(args) -> int:
     if not towers or not lemmas:
         sys.stderr.write("suite: manifest must list towers and lemmas\n")
         return EXIT_CONFIG
+    if not isinstance(towers, list) or not isinstance(lemmas, list):
+        sys.stderr.write("suite: manifest towers and lemmas must be JSON arrays\n")
+        return EXIT_CONFIG
+    for tower_ref in towers:
+        # a name or path, or an inline description; anything else (a
+        # number would be opened as a file descriptor) is refused here
+        if not isinstance(tower_ref, (dict, str)):
+            sys.stderr.write(
+                f"suite: a manifest tower must be a name, a path or an object, "
+                f"got {json.dumps(tower_ref)}\n"
+            )
+            return EXIT_CONFIG
     for lemma in lemmas:
-        if lemma not in cohomlab.VERIFIERS:
+        if not isinstance(lemma, str) or lemma not in cohomlab.VERIFIERS:
             sys.stderr.write(f"suite: unknown lemma id {lemma!r}\n")
             return EXIT_CONFIG
     samples = manifest.get("samples", 200)
@@ -244,9 +268,14 @@ def cmd_suite(args) -> int:
             try:
                 report = fn(tower, samples=samples, seed=seed)
                 status = report.status
-            except (cohomlab.NotStabilized, cohomlab.SamplerExhausted) as exc:
+            except (cohomlab.NotStabilized, cohomlab.SamplerExhausted):
                 report = None
                 status = "UNDETERMINED"
+            except Exception as exc:
+                sys.stderr.write(
+                    f"suite: {lemma} on {tower_name} crashed: {_crash_line(exc)}\n"
+                )
+                return EXIT_CRASH
             cell = {
                 "tower": tower_name,
                 "tower_hash": tower.tower_hash,

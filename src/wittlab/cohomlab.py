@@ -146,7 +146,7 @@ def witt_diff_of_coboundary(tower: ExtensionTower, y: WittVec) -> WittVec:
 def random_trace_kernel_elem(tower: ExtensionTower, rng: random.Random) -> OElem:
     """Sum of r_k * k over the tower's trace-kernel basis, with each r_k
     drawn uniformly modulo p^N_int, on flat coordinates."""
-    modulus = tower.base.modulus
+    modulus = tower.modulus
     acc = [0] * tower.L.flat_rank
     for k in tower.trace_kernel_flat:
         r = rng.randrange(modulus)

@@ -13,6 +13,13 @@ guard margin sized so that:
   root ambiguity (roots are pinned only up to the derivative
   valuation).
 
+O_K and O_L are both a ``FlatRing``: an element is a tuple of residues
+modulo p^N_int on a fixed Z_p-basis, pi_K^i on O_K and pi_K^i*pi_L^j at
+index j*e_K + i on O_L, so the O_K-coefficient of pi_L^j is a slice.
+Products go through structure rows built from the integer Eisenstein
+coefficients; the Galois action and the trace are matrices on the same
+coordinates.
+
 Valuations are reported at the advertised cap: a value at or beyond
 the cap is the interval "at least cap", and any assertion past the cap
 is refused rather than guessed.
@@ -105,193 +112,84 @@ def _vp_int(x: int, p: int, vmax: int) -> int | None:
     return v
 
 
-class ZpBase:
-    """Base coefficients: integers modulo p^N_int."""
+def _check_eisenstein(name: str, valuations: Sequence[int | None]) -> None:
+    """Non-leading coefficients in the maximal ideal, constant term of
+    valuation exactly one; the leading coefficient 1 is implicit."""
+    for j, v in enumerate(valuations):
+        if j == 0:
+            if v != 1:
+                raise NotEisenstein(f"{name}: constant term has valuation {v}, need exactly 1")
+        elif v is not None and v < 1:
+            raise NotEisenstein(f"{name}: coefficient of x^{j} is a unit")
 
-    def __init__(self, p: int, digits: int):
+
+class FlatRing:
+    """O_K or O_L as coordinate tuples modulo p^digits on a Z_p-basis.
+
+    O_K has the basis pi_K^i (i < e_K); O_L has the basis pi_K^i*pi_L^j
+    (i < e_K, j < p) at index r = j*e_K + i, so the K-coefficient of
+    pi_L^j is the slice ``coeff(a, j)``.  ``weights[r]`` is the valuation
+    of basis element r in this ring's units (i on O_K, i*p + j on O_L),
+    and ``struct[r][m]`` holds the coordinates of the product of basis
+    elements r and m, for ``kernels.flat_mul``.  ``ecoeffs`` are the
+    non-leading coefficients of the level's Eisenstein polynomial, as
+    elements of the level below.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        p: int,
+        digits: int,
+        block: int,
+        weights: tuple,
+        struct: tuple,
+        ecoeffs: tuple,
+    ):
+        self.name = name
         self.p = p
         self.digits = digits
         self.modulus = p**digits
-        self.ram_index = 1
+        self.block = block  # coordinates per coefficient of the level below
+        self.weights = weights
+        self.struct = struct
+        self.ecoeffs = ecoeffs
+        self.flat_rank = len(weights)
+        self.ram_index = self.flat_rank
+        self.zero_elem = (0,) * self.flat_rank
+        self.one_elem = self.from_int(1)
+        # pi_K on O_K (p itself when K = Q_p), pi_L on O_L
+        self.pi_elem = struct[0][block] if self.flat_rank > 1 else (p % self.modulus,)
 
-    def from_int(self, k: int) -> int:
-        return k % self.modulus
+    def from_int(self, k: int) -> tuple:
+        return (k % self.modulus,) + self.zero_elem[1:]
 
-    def val_raw(self, x: int) -> int | None:
-        return _vp_int(x % self.modulus, self.p, self.digits)
+    def reduce(self, coords: Sequence[int]) -> tuple:
+        return tuple(c % self.modulus for c in coords)
 
+    def embed(self, a: tuple) -> tuple:
+        """An element of the level below (a prefix of the basis)."""
+        return tuple(a) + self.zero_elem[len(a) :]
 
-class ExtLevel:
-    """R[x]/(E) for an Eisenstein E over the level below.
-
-    Elements are tuples of ``degree`` lower-level elements on the power
-    basis of the class of x (the uniformizer of this level).
-    """
-
-    def __init__(self, below, ecoeffs: Sequence, name: str):
-        self.below = below
-        self.degree = len(ecoeffs)
-        self.name = name
-        self.p = below.p
-        self.ram_index = self.degree * below.ram_index
-        # elements sit at most two levels above the base: their flat
-        # coordinates are one comprehension away, with no recursion
-        self._on_base = isinstance(below, ZpBase)
-        if not self._on_base and not below._on_base:
-            raise ValueError(f"{name}: a level must sit at most two levels above Z_p")
-        self._base = below if self._on_base else below._base
-        self.flat_rank = self.degree * (1 if self._on_base else below.degree)
-        self.modulus = self._base.modulus
-        self.digits = self._base.digits
-        self._validate_eisenstein(ecoeffs)
-        self.ecoeffs = tuple(ecoeffs)
-        self.zero_elem = tuple(self._below_zero() for _ in range(self.degree))
-        self.one_elem = self._unit_vector(0)
-        self.pi_elem = (
-            self._unit_vector(1) if self.degree > 1 else (self._below_from_int(self.p),)
-        )
-        self.red_rows = self._reduction_rows()
-        self.flat_struct: tuple | None = None
-        if not self._on_base:
-            self.flat_struct = self._structure_constants()
-
-    # -- plumbing over the level below ---------------------------------
-
-    def _below_zero(self):
-        return 0 if self._on_base else self.below.zero_elem
-
-    def _below_one(self):
-        return 1 if self._on_base else self.below.one_elem
-
-    def _below_from_int(self, k: int):
-        return self.below.from_int(k)
-
-    def _below_add(self, a, b):
-        if self._on_base:
-            return (a + b) % self.modulus
-        return self.below.add(a, b)
-
-    def _below_sub(self, a, b):
-        if self._on_base:
-            return (a - b) % self.modulus
-        return self.below.sub(a, b)
-
-    def _below_mul(self, a, b):
-        if self._on_base:
-            return (a * b) % self.modulus
-        return self.below.mul(a, b)
-
-    def _unit_vector(self, j: int):
-        vec = [self._below_zero() for _ in range(self.degree)]
-        vec[j] = self._below_one()
-        return tuple(vec)
-
-    def _validate_eisenstein(self, ecoeffs) -> None:
-        # non-leading coefficients in the maximal ideal, constant term
-        # of valuation exactly one; the leading coefficient 1 is implicit
-        for j, c in enumerate(ecoeffs):
-            v = self.below.val_raw(c)
-            if j == 0:
-                if v != 1:
-                    raise NotEisenstein(
-                        f"{self.name}: constant term has valuation {v}, need exactly 1"
-                    )
-            elif v is not None and v < 1:
-                raise NotEisenstein(f"{self.name}: coefficient of x^{j} is a unit")
-
-    def _reduction_rows(self):
-        # rows[t] = expansion of x^(degree+t) on the power basis
-        d = self.degree
-        rows = []
-        if d == 1:
-            return tuple(rows)
-        cur = tuple(self._below_sub(self._below_zero(), c) for c in self.ecoeffs)
-        rows.append(cur)
-        for _ in range(d - 2):
-            shifted = (self._below_zero(),) + cur[:-1]
-            top = cur[-1]
-            cur = tuple(
-                self._below_sub(shifted[j], self._below_mul(top, self.ecoeffs[j]))
-                for j in range(d)
-            )
-            rows.append(cur)
-        return tuple(rows)
-
-    # -- ring operations ------------------------------------------------
-
-    def from_int(self, k: int):
-        vec = [self._below_zero() for _ in range(self.degree)]
-        vec[0] = self._below_from_int(k)
-        return tuple(vec)
-
-    def embed(self, a):
-        """Embed a lower-level element as a constant."""
-        vec = [self._below_zero() for _ in range(self.degree)]
-        vec[0] = a
-        return tuple(vec)
+    def coeff(self, a: tuple, j: int) -> tuple:
+        """The coefficient of the j-th power of this level's uniformizer."""
+        return a[j * self.block : (j + 1) * self.block]
 
     def add(self, a, b):
-        if self._on_base:
-            return kernels.zmod_vec_add(a, b, self.modulus)
-        return tuple(self._below_add(x, y) for x, y in zip(a, b))
+        return kernels.zmod_vec_add(a, b, self.modulus)
 
     def sub(self, a, b):
-        if self._on_base:
-            return kernels.zmod_vec_sub(a, b, self.modulus)
-        return tuple(self._below_sub(x, y) for x, y in zip(a, b))
+        return kernels.zmod_vec_sub(a, b, self.modulus)
 
     def neg(self, a):
         return self.sub(self.zero_elem, a)
 
     def scale_int(self, a, k: int):
-        if self._on_base:
-            k %= self.modulus
-            return tuple((x * k) % self.modulus for x in a)
-        return tuple(self.below.scale_int(x, k) for x in a)
+        k %= self.modulus
+        return tuple((x * k) % self.modulus for x in a)
 
     def mul(self, a, b):
-        if self._on_base:
-            if self.degree == 1:
-                return ((a[0] * b[0]) % self.modulus,)
-            return kernels.zmod_poly_mulmod(a, b, self.red_rows, self.modulus)
-        flat = kernels.flat_mul(
-            tuple(self.flatten(a)), tuple(self.flatten(b)), self.flat_struct, self.modulus
-        )
-        return self.unflatten(flat)
-
-    def structure_rows(self) -> tuple:
-        """Products of the flat basis elements, for ``kernels.flat_mul``."""
-        if self.flat_struct is not None:
-            return self.flat_struct
-        return self._structure_constants()
-
-    def _structure_constants(self) -> tuple:
-        rows = []
-        for i in range(self.flat_rank):
-            ei = [0] * self.flat_rank
-            ei[i] = 1
-            bi = self.unflatten(ei)
-            row = []
-            for j in range(self.flat_rank):
-                ej = [0] * self.flat_rank
-                ej[j] = 1
-                row.append(tuple(self.flatten(self._mul_generic(bi, self.unflatten(ej)))))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def _mul_generic(self, a, b):
-        d = self.degree
-        conv = [self._below_zero() for _ in range(2 * d - 1)]
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                conv[i + j] = self._below_add(conv[i + j], self._below_mul(ai, bj))
-        out = list(conv[:d])
-        for t in range(d - 2, -1, -1):
-            c = conv[d + t]
-            row = self.red_rows[t]
-            for j in range(d):
-                out[j] = self._below_add(out[j], self._below_mul(c, row[j]))
-        return tuple(out)
+        return kernels.flat_mul(a, b, self.struct, self.modulus)
 
     def pow(self, a, k: int):
         result = self.one_elem
@@ -305,35 +203,71 @@ class ExtLevel:
         return result
 
     def val_raw(self, a) -> int | None:
-        """Valuation in this level's units; exact because the candidate
-        values of the summands are pairwise distinct modulo the degree."""
+        """Valuation in this ring's units: v_p(c)*e + w(r) minimized over
+        the coordinates, exact because the weights are distinct modulo e."""
         best: int | None = None
-        for j, c in enumerate(a):
-            v = self.below.val_raw(c)
-            if v is None:
-                continue
-            cand = v * self.degree + j
-            if best is None or cand < best:
-                best = cand
+        e, p, digits = self.ram_index, self.p, self.digits
+        for c, w in zip(a, self.weights):
+            v = _vp_int(c, p, digits)
+            if v is not None and (best is None or v * e + w < best):
+                best = v * e + w
         return best
 
     def is_zero_raw(self, a) -> bool:
         return self.val_raw(a) is None
 
-    def flatten(self, a) -> list[int]:
-        if self._on_base:
-            return list(a)
-        return [c for k in a for c in k]
 
-    def unflatten(self, coords: Sequence[int]):
-        mod = self.modulus
-        if self._on_base:
-            return tuple(c % mod for c in coords)
-        step = self.below.degree
-        return tuple(
-            tuple(c % mod for c in coords[j : j + step])
-            for j in range(0, self.flat_rank, step)
+def build_rings(
+    p: int, e_k: Sequence[int], e_l: Sequence, digits: int
+) -> tuple[FlatRing, FlatRing]:
+    """O_K and O_L modulo p^digits from the non-leading integer Eisenstein
+    coefficients: ``e_k`` of E_K (``[-p]`` when K = Q_p), ``e_l`` of E_L,
+    each an integer or a list of O_K coordinates.  The structure rows are
+    powers of pi_K and pi_L, built by multiplying by each in turn."""
+    mod = p**digits
+    e = len(e_k)
+    e_k = [c % mod for c in e_k]
+    _check_eisenstein("O_K", [_vp_int(c, p, digits) for c in e_k])
+
+    def times_pi_K(x: tuple) -> tuple:
+        top = x[-1]
+        return tuple((lo - top * c) % mod for lo, c in zip((0,) + x[:-1], e_k))
+
+    pk = [(1,) + (0,) * (e - 1)]  # pk[u] = pi_K^u
+    for _ in range(2 * e - 2):
+        pk.append(times_pi_K(pk[-1]))
+    K_struct = tuple(tuple(pk[a + b] for b in range(e)) for a in range(e))
+    K = FlatRing("O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k))
+
+    el = []
+    for c in e_l:
+        coords = list(c) if isinstance(c, list) else [c]
+        if len(coords) > e:
+            raise NotEisenstein(f"O_L: coefficient {c!r} has more than e_K={e} coordinates")
+        el.append(K.reduce(K.embed(coords)))
+    if len(el) != p:
+        raise NotEisenstein(f"top step must have degree {p}, got {len(el)}")
+    _check_eisenstein("O_L", [K.val_raw(c) for c in el])
+
+    def times_pi_L(x: list) -> list:
+        # x[j] is the O_K coefficient of pi_L^j; pi_L^p = -sum_j el[j]*pi_L^j
+        top = x[-1]
+        return [K.sub(lo, K.mul(top, c)) for lo, c in zip([K.zero_elem] + x[:-1], el)]
+
+    pl = [[K.one_elem] + [K.zero_elem] * (p - 1)]  # pl[v] = pi_L^v
+    for _ in range(2 * p - 2):
+        pl.append(times_pi_L(pl[-1]))
+    # basis r = j*e + i is pi_K^i * pi_L^j
+    index = [(i, j) for j in range(p) for i in range(e)]
+    struct = tuple(
+        tuple(
+            tuple(x for c in pl[j + jj] for x in K.mul(pk[i + ii], c))
+            for ii, jj in index
         )
+        for i, j in index
+    )
+    weights = tuple(i * p + j for i, j in index)
+    return K, FlatRing("O_L", p, digits, e, weights, struct, tuple(el))
 
 
 class OElem:
@@ -341,7 +275,7 @@ class OElem:
 
     __slots__ = ("level", "data")
 
-    def __init__(self, level: ExtLevel, data: tuple):
+    def __init__(self, level: FlatRing, data: tuple):
         self.level = level
         self.data = data
 
@@ -407,7 +341,7 @@ class LevelRing:
     what the ghost-coordinate Witt sums in ``wittcore`` run on.
     """
 
-    def __init__(self, level: ExtLevel, lift: Callable[[int], ExtLevel]):
+    def __init__(self, level: FlatRing, lift: Callable[[int], FlatRing]):
         self.level = level
         self.zero = OElem(level, level.zero_elem)
         self.one = OElem(level, level.one_elem)
@@ -417,12 +351,9 @@ class LevelRing:
     def from_int(self, k: int) -> OElem:
         return OElem(self.level, self.level.from_int(k))
 
-    def flatten(self, a: OElem) -> list[int]:
-        return self.level.flatten(a.data)
-
     def unflatten(self, coords: Sequence[int]) -> OElem:
         """Element from flat coordinates, reduced to the working precision."""
-        return OElem(self.level, self.level.unflatten(coords))
+        return OElem(self.level, self.level.reduce(coords))
 
     def flat_lift(self, extra_digits: int) -> tuple[tuple, int]:
         """Structure rows (for ``kernels.flat_mul``) and modulus of this
@@ -431,7 +362,7 @@ class LevelRing:
         frame = self._frames.get(extra_digits)
         if frame is None:
             lifted = self._lift(self.level.digits + extra_digits)
-            frame = (lifted.structure_rows(), lifted.modulus)
+            frame = (lifted.struct, lifted.modulus)
             self._frames[extra_digits] = frame
         return frame
 
@@ -650,14 +581,15 @@ class ExtensionTower:
         self._e_l_src = [
             [int(x) for x in c] if isinstance(c, list) else int(c) for c in e_l_coeffs
         ]
-        self.base, self.K, self.L = self._build_levels(self.N_int)
+        self.modulus = p**self.N_int
+        self.K, self.L = self._build_rings(self.N_int)
 
         self.val_cap = p * self.e_K * N
         self.val_cap_K = self.e_K * N
         self.cap_int = p * self.e_K * self.N_int
 
-        self.KR = LevelRing(self.K, lambda digits: self._build_levels(digits)[1])
-        self.LR = LevelRing(self.L, lambda digits: self._build_levels(digits)[2])
+        self.KR = LevelRing(self.K, lambda digits: self._build_rings(digits)[0])
+        self.LR = LevelRing(self.L, lambda digits: self._build_rings(digits)[1])
 
         self._find_roots_and_sigma(sigma_choice)
         self._build_matrices()
@@ -682,17 +614,9 @@ class ExtensionTower:
 
     # -- construction helpers ------------------------------------------
 
-    def _build_levels(self, digits: int) -> tuple[ZpBase, ExtLevel, ExtLevel]:
-        """Z_p, O_K and O_L with base residues modulo p^digits."""
-        base = ZpBase(self.p, digits)
-        K = ExtLevel(base, [base.from_int(c) for c in self._e_k_src], "O_K")
-        el = [
-            K.unflatten(c) if isinstance(c, list) else K.from_int(c)
-            for c in self._e_l_src
-        ]
-        if len(el) != self.p:
-            raise NotEisenstein(f"top step must have degree {self.p}, got {len(el)}")
-        return base, K, ExtLevel(K, el, "O_L")
+    def _build_rings(self, digits: int) -> tuple[FlatRing, FlatRing]:
+        """O_K and O_L with coordinates modulo p^digits."""
+        return build_rings(self.p, self._e_k_src, self._e_l_src, digits)
 
     def _eval_top(self, x):
         """E_L at an O_L point, by Horner."""
@@ -753,9 +677,7 @@ class ExtensionTower:
             raise NotNormal(
                 f"found {len(roots)} roots of the top polynomial at precision, need {p}"
             )
-        others = sorted(
-            (r for r in roots if r != pi), key=lambda r: tuple(L.flatten(r))
-        )
+        others = sorted(r for r in roots if r != pi)
         if len(others) != p - 1:
             raise NotNormal("uniformizer is not among the lifted roots")
         self.dv = dv
@@ -793,7 +715,7 @@ class ExtensionTower:
         L = self.L
         acc = L.zero_elem
         for j in range(self.p - 1, -1, -1):
-            acc = L.add(L.mul(acc, point), L.embed(a[j]))
+            acc = L.add(L.mul(acc, point), L.embed(L.coeff(a, j)))
         return acc
 
     def _close_raw(self, a, b, cap: int) -> bool:
@@ -808,11 +730,11 @@ class ExtensionTower:
         built by the substitution path on the flat basis, reproduces the
         substitution byte for byte.
         """
-        rank, mod = self.L.flat_rank, self.base.modulus
-        basis = [self.L.unflatten([int(r == m) for r in range(rank)]) for m in range(rank)]
+        rank, mod = self.L.flat_rank, self.modulus
+        basis = [tuple(int(r == m) for r in range(rank)) for m in range(rank)]
         # galois_mats[i][r][m]: coordinate r of sigma^i applied to basis vector m
         self.galois_mats = tuple(
-            tuple(zip(*(self.L.flatten(self._galois_by_substitution(b, i)) for b in basis)))
+            tuple(zip(*(self._galois_by_substitution(b, i) for b in basis)))
             for i in range(self.p)
         )
         self.trace_full_mat = tuple(
@@ -834,8 +756,7 @@ class ExtensionTower:
 
     def _apply(self, mat, a):
         """A matrix on the flat coordinates of an O_L element."""
-        x = self.L.flatten(a)
-        return self.L.unflatten([sum(map(operator.mul, row, x)) for row in mat])
+        return self.L.reduce([sum(map(operator.mul, row, a)) for row in mat])
 
     def _galois_by_substitution(self, a, times: int):
         """sigma^times by substituting sigma^times(pi_L) into the
@@ -847,7 +768,7 @@ class ExtensionTower:
         pows = self.sigma_pows[times]
         acc = L.zero_elem
         for j in range(self.p):
-            acc = L.add(acc, L.mul(L.embed(a[j]), pows[j]))
+            acc = L.add(acc, L.mul(L.embed(L.coeff(a, j)), pows[j]))
         return acc
 
     def _galois_raw(self, a, times: int):
@@ -859,12 +780,12 @@ class ExtensionTower:
     def _trace_raw(self, a):
         acc = self._apply(self.trace_full_mat, a)
         for j in range(1, self.p):
-            v = self.K.val_raw(acc[j])
+            v = self.K.val_raw(self.L.coeff(acc, j))
             if v is not None and v < self.val_cap_K:
                 raise TraceNotRational(
                     f"trace has a pi_L^{j} coefficient of valuation {v}"
                 )
-        return acc[0]
+        return self.L.coeff(acc, 0)
 
     # -- public element API ----------------------------------------------
 
@@ -877,12 +798,11 @@ class ExtensionTower:
         return OElem(self.K, self.K.pi_elem)
 
     def L_elem(self, coeffs: Sequence[OElem | int]) -> OElem:
-        data = []
+        """sum_j c_j*pi_L^j from O_K (or integer) coefficients c_j."""
+        data = ()
         for c in coeffs:
-            data.append(self.K.from_int(c) if isinstance(c, int) else c.data)
-        while len(data) < self.p:
-            data.append(self.K.zero_elem)
-        return OElem(self.L, tuple(data))
+            data += self.K.from_int(c) if isinstance(c, int) else c.data
+        return OElem(self.L, self.L.embed(data))
 
     def embed_K(self, a: OElem) -> OElem:
         if a.level is not self.K:
@@ -931,8 +851,8 @@ class ExtensionTower:
         if a.level is self.K:
             return True
         return all(
-            (v := self.K.val_raw(c)) is None or v >= self.val_cap_K
-            for c in a.data[1:]
+            (v := self.K.val_raw(self.L.coeff(a.data, j))) is None or v >= self.val_cap_K
+            for j in range(1, self.p)
         )
 
     def project_to_K(self, a: OElem) -> OElem:
@@ -940,7 +860,7 @@ class ExtensionTower:
             return a
         if not self.in_K_at_precision(a):
             raise TraceNotRational("element does not lie in O_K at precision")
-        return OElem(self.K, a.data[0])
+        return OElem(self.K, self.L.coeff(a.data, 0))
 
     def ramification_break(self) -> int:
         return self.s
@@ -952,17 +872,12 @@ class ExtensionTower:
 
     # -- linear solving ----------------------------------------------------
 
-    def flatten_L(self, a: OElem) -> list[int]:
-        return self.L.flatten(a.data)
-
     def unflatten_L(self, coords: Sequence[int]) -> OElem:
-        return OElem(self.L, self.L.unflatten(list(coords)))
-
-    def flatten_K(self, a: OElem) -> list[int]:
-        return self.K.flatten(a.data)
+        """The O_L element with these flat coordinates, reduced."""
+        return OElem(self.L, self.L.reduce(coords))
 
     def unflatten_K(self, coords: Sequence[int]) -> OElem:
-        return OElem(self.K, self.K.unflatten(list(coords)))
+        return OElem(self.K, self.K.reduce(coords))
 
     def solve_trace_eq(self, c: OElem) -> tuple[OElem, int]:
         """x with tr(x) = c at precision, and ``delta``, the digits the
@@ -970,7 +885,7 @@ class ExtensionTower:
         if c.level is not self.K:
             raise ValueError("solve_trace_eq expects an O_K right-hand side")
         sol = linsolve(
-            self.trace_mat, self.flatten_K(c), self.p, self.N_int, snf=self._trace_snf
+            self.trace_mat, c.data, self.p, self.N_int, snf=self._trace_snf
         )
         return self.unflatten_L(sol.particular), sol.delta
 
@@ -989,7 +904,7 @@ class ExtensionTower:
             raise PrecisionTooLow("cannot solve below the advertised precision")
         sol = linsolve(
             self.sigma_minus_one_mat,
-            self.flatten_L(c),
+            c.data,
             self.p,
             digits,
             snf=self._smo_snf_at(digits),
@@ -1012,12 +927,12 @@ class ExtensionTower:
 
     def random_K_elem(self, rng) -> OElem:
         return self.unflatten_K(
-            [rng.randrange(self.base.modulus) for _ in range(self.K.flat_rank)]
+            [rng.randrange(self.modulus) for _ in range(self.K.flat_rank)]
         )
 
     def random_L_elem(self, rng, spread_valuation: bool = False) -> OElem:
         a = self.unflatten_L(
-            [rng.randrange(self.base.modulus) for _ in range(self.L.flat_rank)]
+            [rng.randrange(self.modulus) for _ in range(self.L.flat_rank)]
         )
         if spread_valuation:
             shift = rng.randrange(0, max(1, self.val_cap // 3))
@@ -1046,7 +961,7 @@ class ExtensionTower:
         seen = 0
         while seen < budget:
             for coords in itertools.product(range(p**depth), repeat=e):
-                yield self.unflatten_K(list(coords))
+                yield self.unflatten_K(coords)
                 seen += 1
                 if seen >= budget:
                     return

@@ -303,7 +303,7 @@ class GhostSum:
         if i >= self.n:
             raise ValueError(f"all {self.n} columns are already pushed")
         add, mod = kernels.zmod_vec_add, self._modulus
-        rows = [tuple(self.ring.flatten(x)) for x in column]
+        rows = [x.data for x in column]
         total = self._zero
         for y in rows:
             total = add(total, y, mod)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from wittlab import cli, cohomlab, localfield
+from wittlab import cli, cohomlab, localfield, wittcore
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -273,12 +273,83 @@ class TestSuite:
                 assert rep.params["checked"] == 200
                 assert rep.status == "PASS"
 
+    @pytest.mark.parametrize("entry", [5, 0, [1], None, True])
+    def test_non_object_tower_entry_is_usage_error(
+        self, tmp_path, entry, monkeypatch, capsys
+    ):
+        # 5 would be opened as a file descriptor and 0 would read stdin;
+        # every entry is checked before any tower is loaded
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was loaded")
+
+        monkeypatch.setattr(localfield, "load_tower", refuse)
+        monkeypatch.setattr(localfield, "tower_from_obj", refuse)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"towers": ["q2_i", entry], "lemmas": ["vktr"]}))
+        code = cli.main(["suite", "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.count("\n") == 1 and json.dumps(entry) in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"towers": 5, "lemmas": ["vktr"]},
+            {"towers": ["q2_i"], "lemmas": "vktr"},
+            {"towers": ["q2_i"], "lemmas": [["vktr"]]},
+        ],
+    )
+    def test_manifest_lists_of_wrong_shape_are_usage_errors(self, tmp_path, fields, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(fields))
+        assert cli.main(["suite", "--manifest", str(manifest)]) == 64
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_unknown_lemma_named(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text('{"towers": ["q2_i"], "lemmas": ["nope"]}')
         res = run_cli("suite", "--manifest", str(manifest))
         assert res.returncode == 64
         assert "nope" in res.stderr
+
+
+CRASHES = [
+    wittcore.IntegralityViolation("remainder 1 in an exact division"),
+    localfield.TraceNotRational("trace has a pi_L^1 coefficient of valuation 3"),
+    localfield.PrecisionTooLow("assertion v >= 99 exceeds the valuation cap 48"),
+]
+
+
+class TestCrash:
+    """An exception escaping a verifier is a crash (exit 70), never a
+    mathematical FAIL (exit 1)."""
+
+    @pytest.fixture(params=CRASHES, ids=lambda exc: type(exc).__name__)
+    def crash(self, request, monkeypatch):
+        def raiser(tower, **kwargs):
+            raise request.param
+
+        monkeypatch.setitem(cohomlab.VERIFIERS, "vktr", raiser)
+        return type(request.param).__name__
+
+    def test_verify(self, crash, capsys):
+        code = cli.main(["verify", "--lemma", "vktr", "--tower", "q2_i", "--samples", "1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CRASH == 70
+        assert err.count("\n") == 1 and crash in err and "vktr" in err
+        assert not out
+
+    def test_suite(self, crash, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            json.dumps({"towers": ["q2_i"], "lemmas": ["vksub", "vktr"], "samples": 2})
+        )
+        out_path = tmp_path / "agg.json"
+        code = cli.main(["suite", "--manifest", str(manifest), "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 70
+        assert err.count("\n") == 1 and crash in err and "vktr on q2_i" in err
+        assert not out_path.exists()
 
 
 # tower descriptions of the wrong shape: each used to raise TypeError

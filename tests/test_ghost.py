@@ -43,7 +43,7 @@ PROPERTY = settings(
 
 def draw_vectors(data, tower, n, count, top_zero=False):
     """``count`` length-n vectors over O_L with drawn flat coordinates."""
-    rank, modulus = tower.L.flat_rank, tower.base.modulus
+    rank, modulus = tower.L.flat_rank, tower.modulus
     coords = st.lists(st.integers(0, modulus - 1), min_size=rank, max_size=rank)
     ctx = ctx_for(tower.p, n)
     vecs = []
@@ -113,12 +113,12 @@ def test_lift_reduces_to_the_working_ring(all_towers):
         for ring in (tower.KR, tower.LR):
             for extra in (1, 3):
                 rows, modulus = ring.flat_lift(extra)
-                assert modulus == tower.base.modulus * tower.p**extra
+                assert modulus == tower.modulus * tower.p**extra
                 reduced = tuple(
-                    tuple(tuple(c % tower.base.modulus for c in cell) for cell in row)
+                    tuple(tuple(c % tower.modulus for c in cell) for cell in row)
                     for row in rows
                 )
-                assert reduced == ring.level.structure_rows()
+                assert reduced == ring.level.struct
 
 
 def test_non_divisible_ghost_numerator_raises(q2_i, monkeypatch):
@@ -152,7 +152,7 @@ def check_push_truncate(tower, draw, engine_type=GhostSum):
     two or three columns deep.  Every carry and the final sum are
     compared with the addition polynomials.  ``draw(lo, hi)`` gives an
     integer in [lo, hi]."""
-    p, modulus, rank = tower.p, tower.base.modulus, tower.L.flat_rank
+    p, modulus, rank = tower.p, tower.modulus, tower.L.flat_rank
     n = draw(2, min(4, BINARY_RANGE[p]))
 
     def column():

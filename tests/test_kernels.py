@@ -5,7 +5,6 @@ import random
 import wittlab
 from wittlab import _kernels_py as pure
 from wittlab import kernels
-from wittlab.localfield import ExtLevel
 
 
 def rand_terms(rng, nvars=5, nterms=8, maxexp=6):
@@ -59,27 +58,82 @@ class TestPureLane:
         assert got == ((3 * 3 + 2 * 5 * 5) % mod, (2 * 3 * 5) % mod)
 
 
+def eisenstein_coeffs(tower):
+    """Non-leading integer coefficients of E_K, and of E_L as lists of
+    O_K coordinates, read from the tower description."""
+    desc, e = tower.description, tower.e_K
+    e_k = [int(c) for c in (desc["E_K"] or [-tower.p, 1])[:-1]]
+    e_l = []
+    for c in desc["E_L"][:-1]:
+        coords = [int(x) for x in c] if isinstance(c, list) else [int(c)]
+        e_l.append(coords + [0] * (e - len(coords)))
+    return e_k, e_l
+
+
+def schoolbook_K(x, y, e_k, mod):
+    """O_K product: polynomials in pi_K, reduced by E_K."""
+    e = len(e_k)
+    conv = [0] * (2 * e - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            conv[i + j] += xi * yj
+    for t in range(2 * e - 2, e - 1, -1):  # pi_K^t = -sum_i c_i pi_K^(t-e+i)
+        for i, c in enumerate(e_k):
+            conv[t - e + i] -= conv[t] * c
+    return [c % mod for c in conv[:e]]
+
+
+def schoolbook_L(a, b, e_k, e_l, mod):
+    """O_L product: polynomials in pi_L over O_K, reduced by E_L and then
+    (inside every O_K product) by E_K."""
+    p, e = len(e_l), len(e_k)
+    conv = [[0] * e for _ in range(2 * p - 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod = schoolbook_K(ai, bj, e_k, mod)
+            conv[i + j] = [x + y for x, y in zip(conv[i + j], prod)]
+    for t in range(2 * p - 2, p - 1, -1):  # pi_L^t = -sum_j E_L[j] pi_L^(t-p+j)
+        for j, c in enumerate(e_l):
+            prod = schoolbook_K(conv[t], c, e_k, mod)
+            conv[t - p + j] = [x - y for x, y in zip(conv[t - p + j], prod)]
+    return [[x % mod for x in k] for k in conv[:p]]
+
+
 class TestRingProducts:
-    """The kernels behind O_K and O_L products against the schoolbook
-    product: ``flat_mul`` on a level over O_K, ``zmod_poly_mulmod`` on a
-    level over Z_p."""
+    """``flat_mul`` on the structure rows of O_K and O_L against the
+    schoolbook nested product, which uses only the Eisenstein
+    coefficients."""
 
     def test_mul_matches_generic(self, all_towers):
         rng = random.Random(6)
         for name, tower in all_towers.items():
-            levels = [tower.L] + ([tower.K] if isinstance(tower.K, ExtLevel) else [])
-            for level in levels:
+            e_k, e_l = eisenstein_coeffs(tower)
+            mod = tower.modulus
+            for level in (tower.K, tower.L):
                 for _ in range(40):
                     a, b = (
-                        level.unflatten([rng.randrange(level.modulus) for _ in range(level.flat_rank)])
+                        tuple(rng.randrange(mod) for _ in range(level.flat_rank))
                         for _ in range(2)
                     )
-                    assert level.mul(a, b) == level._mul_generic(a, b), (name, level.name)
-        # the nested towers reach both kernels: flat_mul on L, and
-        # zmod_poly_mulmod of degree > 1 on K
-        for name in ("nested", "quartic"):
-            tower = all_towers[name]
-            assert tower.L.flat_struct is not None and tower.K.degree > 1
+                    if level is tower.K:
+                        want = schoolbook_K(a, b, e_k, mod)
+                    else:
+                        blocks = [
+                            [list(level.coeff(x, j)) for j in range(tower.p)] for x in (a, b)
+                        ]
+                        want = [c for k in schoolbook_L(*blocks, e_k, e_l, mod) for c in k]
+                    assert level.mul(a, b) == tuple(want), (name, level.name)
+
+    def test_uniformizers_are_roots(self, all_towers):
+        for name, tower in all_towers.items():
+            e_k, e_l = eisenstein_coeffs(tower)
+            pi_K, pi_L = tower.pi_K, tower.pi_L
+            at_pi_K = sum((pi_K**i * c for i, c in enumerate(e_k)), pi_K ** len(e_k))
+            at_pi_L = sum(
+                (tower.embed_K(tower.unflatten_K(c)) * pi_L**j for j, c in enumerate(e_l)),
+                pi_L**tower.p,
+            )
+            assert at_pi_K == 0 and at_pi_L == 0, name
 
 
 class TestVecKernels:

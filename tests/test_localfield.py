@@ -1,11 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wittlab import localfield
 from wittlab.localfield import (
     NoSolutionAtPrecision,
     NotEisenstein,
@@ -130,10 +131,10 @@ class TestGaloisAction:
         assert other.s == q3.s
         rng = random.Random(77)
         for _ in range(25):
-            coords = [rng.randrange(q3.base.modulus) for _ in range(q3.L.flat_rank)]
+            coords = [rng.randrange(q3.modulus) for _ in range(q3.L.flat_rank)]
             a1, a2 = q3.unflatten_L(coords), other.unflatten_L(coords)
             t1, t2 = q3.trace(a1), other.trace(a2)
-            assert q3.flatten_K(t1)[0] % 3**16 == other.flatten_K(t2)[0] % 3**16
+            assert t1.data[0] % 3**16 == t2.data[0] % 3**16
 
     def test_choice_independent_verdicts(self, q3):
         # solvability of (sigma-1)y = c does not depend on the generator
@@ -231,17 +232,17 @@ class TestTrace:
                 coords = [0] * rank
                 coords[m] = 1
                 basis = tower.unflatten_L(coords)
-                direct = tower.flatten_K(tower.trace(basis))
+                direct = tower.trace(basis).data
                 column = [tower.trace_mat[r][m] for r in range(tower.K.flat_rank)]
-                got = [x % tower.base.modulus for x in column]
+                got = [x % tower.modulus for x in column]
                 for g, d in zip(got, direct):
                     assert (g - d) % tower.p**tower.N == 0
                 smo_col = [
-                    tower.sigma_minus_one_mat[r][m] % tower.base.modulus
+                    tower.sigma_minus_one_mat[r][m] % tower.modulus
                     for r in range(rank)
                 ]
-                diff = tower.flatten_L(tower.galois(basis) - basis)
-                assert smo_col == [x % tower.base.modulus for x in diff]
+                diff = (tower.galois(basis) - basis).data
+                assert smo_col == [x % tower.modulus for x in diff]
 
 
 class TestLinSolve:
@@ -370,7 +371,7 @@ class TestSolvers:
         image = set()
         for a, b in itertools.product(range(4), repeat=2):
             elem = q2_i.L_elem([a, b])
-            image.add(q2_i.flatten_K(q2_i.trace(elem))[0] % 4)
+            image.add(q2_i.trace(elem).data[0] % 4)
         assert 1 not in image
         with pytest.raises(NoSolutionAtPrecision):
             q2_i.solve_trace_eq(q2_i.KR.from_int(1))
@@ -381,8 +382,7 @@ class TestSolvers:
         # i generates the kernel: some basis combination hits it mod 2^N
         spanned_first = set()
         for k in kernel:
-            flat = q2_i.flatten_L(k)
-            spanned_first.add(tuple(x % 4 for x in flat))
+            spanned_first.add(tuple(x % 4 for x in k.data))
         closure = {(0, 0)}
         changed = True
         while changed:
@@ -393,7 +393,7 @@ class TestSolvers:
                     if y not in closure:
                         closure.add(y)
                         changed = True
-        i_flat = tuple(x % 4 for x in q2_i.flatten_L(i_elem))
+        i_flat = tuple(x % 4 for x in i_elem.data)
         assert i_flat in closure
 
     def test_sigma_minus_one_zero(self, q2_i):
@@ -412,8 +412,8 @@ class TestSolvers:
         for a, b in itertools.product(range(4), repeat=2):
             elem = q2_i.L_elem([a, b])
             diff = q2_i.galois(elem) - elem
-            image.add(tuple(x % 4 for x in q2_i.flatten_L(diff)))
-        i_flat = tuple(x % 4 for x in q2_i.flatten_L(q2_i.pi_L - 1))
+            image.add(tuple(x % 4 for x in diff.data))
+        i_flat = tuple(x % 4 for x in (q2_i.pi_L - 1).data)
         assert i_flat not in image
         with pytest.raises(NoSolutionAtPrecision):
             q2_i.solve_sigma_minus_one(q2_i.pi_L - 1)
@@ -430,9 +430,9 @@ PROPERTY = settings(
 
 
 def draw_L(data, tower):
-    rank, modulus = tower.L.flat_rank, tower.base.modulus
+    rank, modulus = tower.L.flat_rank, tower.modulus
     coords = data.draw(st.lists(st.integers(0, modulus - 1), min_size=rank, max_size=rank))
-    return tower.L.unflatten(coords)
+    return tower.L.reduce(coords)
 
 
 def substitution_trace_sum(tower, a):
@@ -448,7 +448,7 @@ def check_against_substitution(tower, a):
         assert tower._galois_raw(a, i) == tower._galois_by_substitution(a, i), i
     full = substitution_trace_sum(tower, a)
     assert tower._apply(tower.trace_full_mat, a) == full
-    assert tower._trace_raw(a) == full[0]
+    assert tower._trace_raw(a) == tower.L.coeff(full, 0)
 
 
 @pytest.mark.parametrize("name", TOWER_NAMES)
@@ -462,11 +462,11 @@ def test_matrices_match_substitution(all_towers, name, data):
 @pytest.mark.parametrize("name", TOWER_NAMES)
 def test_derived_matrices_match_oracle_columns(all_towers, name):
     tower = all_towers[name]
-    L, K, rank = tower.L, tower.K, tower.L.flat_rank
+    L, rank = tower.L, tower.L.flat_rank
     for m in range(rank):
-        basis = L.unflatten([int(r == m) for r in range(rank)])
-        trace_col = K.flatten(substitution_trace_sum(tower, basis)[0])
-        smo_col = L.flatten(L.sub(tower._galois_by_substitution(basis, 1), basis))
+        basis = tuple(int(r == m) for r in range(rank))
+        trace_col = list(L.coeff(substitution_trace_sum(tower, basis), 0))
+        smo_col = list(L.sub(tower._galois_by_substitution(basis, 1), basis))
         assert [row[m] for row in tower.trace_mat] == trace_col
         assert [row[m] for row in tower.sigma_minus_one_mat] == smo_col
 
@@ -482,7 +482,7 @@ def test_corrupted_matrix_entry_is_caught(all_towers, name, monkeypatch):
     # one entry off by one, in any sigma^i or in the trace, must fail the
     # comparison with the substitution path on ordinary draws
     tower = all_towers[name]
-    rank, modulus = tower.L.flat_rank, tower.base.modulus
+    rank, modulus = tower.L.flat_rank, tower.modulus
     rng = random.Random(3)
     draws = [tower.random_L_elem(rng).data for _ in range(10)]
     mutants = []
@@ -503,19 +503,104 @@ def test_corrupted_matrix_entry_is_caught(all_towers, name, monkeypatch):
 @pytest.mark.parametrize("name", ["nested", "quartic"])
 @PROPERTY
 @given(data=st.data())
-def test_nested_flatten_roundtrip(all_towers, name, data):
+def test_coeff_slices_roundtrip(all_towers, name, data):
     tower = all_towers[name]
-    L, modulus = tower.L, tower.base.modulus
+    L, modulus = tower.L, tower.modulus
     digit = st.integers(0, modulus - 1)
-    a = tuple(
-        tuple(data.draw(digit) for _ in range(tower.e_K)) for _ in range(tower.p)
-    )
-    assert L.unflatten(L.flatten(a)) == a
+    a = tuple(data.draw(digit) for _ in range(L.flat_rank))
+    # the O_K coefficients of the powers of pi_L reassemble the element
+    coeffs = [tower.unflatten_K(L.coeff(a, j)) for j in range(tower.p)]
+    assert all(len(c.data) == tower.e_K for c in coeffs)
+    assert tower.L_elem(coeffs).data == a
     # unflatten reduces to the working precision
-    shifted = [c + modulus * data.draw(st.integers(-3, 3)) for c in L.flatten(a)]
-    assert L.unflatten(shifted) == a
+    shifted = [c + modulus * data.draw(st.integers(-3, 3)) for c in a]
+    assert tower.unflatten_L(shifted).data == a
 
 
-def test_levels_stop_two_above_the_base(nested):
-    with pytest.raises(ValueError):
-        localfield.ExtLevel(nested.L, [nested.L.from_int(2)], "too deep")
+# -- the flat ring ------------------------------------------------------------
+
+# sha256 of the JSON of the structure rows of O_K and O_L: at N_int, and
+# lifted by one and by three base digits (``flat_lift``)
+RANK_ONE = "ae973b0501aa804743d67badc7de3645e565b60a1aa115316bb493a205c13843"
+SQRT2 = "493dcdd24ba4fa7825c666cd5031752a8c8a0325ba139c82b859b1e7d44be4be"
+STRUCTURE_ROWS_SHA256 = {
+    "q2_i": {
+        "K": (RANK_ONE,) * 3,
+        "L": (
+            "435ab88f994baa18972d2b18dc29ed4402eec4d8181268d29ae59015ad163b94",
+            "85ee12b84942186216fb30b53ab8c943ae7f424177629bd3497cef3e5ebe8932",
+            "55f87972d0fcbcda88627fb43291b582b724b03d4cacb92ea7c0a081f73ccc06",
+        ),
+    },
+    "q2_sqrt2": {"K": (RANK_ONE,) * 3, "L": (SQRT2,) * 3},
+    "q2_sqrt_minus2": {
+        "K": (RANK_ONE,) * 3,
+        "L": (
+            "a9703988d127f7389eb29a3d103285db0c0763ec9a6be8f88b6eeb52d53a2714",
+            "d83bfe076e01b2f5b6483a42825e6a73054a43d957422d6405eef4b2d651771f",
+            "68c1c1b445f9b3a1dcc84dffdb013e29bc32e4a0bac186f9b6a42147751cdca5",
+        ),
+    },
+    "q3": {
+        "K": (RANK_ONE,) * 3,
+        "L": (
+            "397551694372a8192b67500e7b2f3b754a6ccdbf1e3418500ce5afe3bd05a0e4",
+            "c53e54ee312d0f5d05488a59e50182703460878ddb2725cce6e9199e294b4d86",
+            "1144c2f84d30cbebf6522a94af7281ca74364d07c22d3e1eceb657ba195a6328",
+        ),
+    },
+    "nested": {
+        "K": (SQRT2,) * 3,
+        "L": (
+            "c923351219167ac89a2709e89ef46632f9042b279487f6dd0fc32ca98dd10a91",
+            "ecc048c0f1ff200d86fd6b5a754684de5a2fa2a397d1672a9c820764277f928a",
+            "e776b6865681216b7b1f5fdd7c16b4f6b2cb4090e84546953c1e8664b2fa3d28",
+        ),
+    },
+    "quartic": {
+        "K": (SQRT2,) * 3,
+        "L": ("65eb474296eb76f1bc54e60bde0a1b28d2c7cd36cb678126fc68413b4b30e6df",) * 3,
+    },
+}
+
+
+def rows_sha256(rows) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+class TestFlatRing:
+    @pytest.mark.parametrize("name", TOWER_NAMES)
+    def test_structure_rows_pinned(self, all_towers, name):
+        tower = all_towers[name]
+        for key, ring in (("K", tower.KR), ("L", tower.LR)):
+            got = (
+                rows_sha256(ring.level.struct),
+                rows_sha256(ring.flat_lift(1)[0]),
+                rows_sha256(ring.flat_lift(3)[0]),
+            )
+            assert got == STRUCTURE_ROWS_SHA256[name][key], key
+
+    @pytest.mark.parametrize("name", TOWER_NAMES)
+    def test_basis_valuations(self, all_towers, name):
+        tower = all_towers[name]
+        p, e = tower.p, tower.e_K
+        for j in range(p):
+            for i in range(e):
+                elem = tower.embed_K(tower.pi_K**i) * tower.pi_L**j
+                r = j * e + i
+                assert elem.data == tuple(int(m == r) for m in range(p * e))
+                assert tower.vL(elem).exact() == i * p + j
+                assert tower.L.weights[r] == i * p + j
+            assert tower.vK(tower.pi_K**j).exact() == j
+
+    def test_coefficients_are_slices(self, nested):
+        rng = random.Random(5)
+        for _ in range(20):
+            a = nested.random_L_elem(rng)
+            coeffs = [nested.unflatten_K(nested.L.coeff(a.data, j)) for j in range(2)]
+            rebuilt = nested.embed_K(coeffs[0]) + nested.embed_K(coeffs[1]) * nested.pi_L
+            assert rebuilt == a
+
+    def test_long_e_l_coefficient_is_rejected(self):
+        with pytest.raises(NotEisenstein):
+            build_tower(2, "auto", [[0, 1, 0], [0, 1], [1]], e_k_coeffs=[-2, 0, 1])
