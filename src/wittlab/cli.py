@@ -232,6 +232,12 @@ def cmd_suite(args) -> int:
                 f"got {json.dumps(tower_ref)}\n"
             )
             return EXIT_CONFIG
+        if isinstance(tower_ref, dict) and not isinstance(tower_ref.get("name", ""), str):
+            sys.stderr.write(
+                f"suite: an inline tower name must be a string, "
+                f"got {json.dumps(tower_ref['name'])}\n"
+            )
+            return EXIT_CONFIG
     for lemma in lemmas:
         if not isinstance(lemma, str) or lemma not in cohomlab.VERIFIERS:
             sys.stderr.write(f"suite: unknown lemma id {lemma!r}\n")
@@ -340,8 +346,15 @@ def cmd_oracle(args) -> int:
         ok &= match
         print(f"h1 order: elementary-divisor={fast} enumeration={slow} match={match}")
     if args.what in ("linsolve", "all"):
-        for digits in (2, 3):
-            result = cohomlab.linsolve_matches_enumeration(tower, digits)
+        try:
+            results = {
+                digits: cohomlab.linsolve_matches_enumeration(tower, digits)
+                for digits in (2, 3)
+            }
+        except ValueError as exc:
+            sys.stderr.write(f"oracle: {exc}\n")
+            return EXIT_CONFIG
+        for digits, result in results.items():
             for key, value in sorted(result.items()):
                 ok &= value
                 print(f"linsolve vs enumeration (digits={digits}) {key}: {value}")

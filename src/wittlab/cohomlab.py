@@ -37,7 +37,7 @@ from .localfield import (
     linsolve,
     smith_normal_form,
 )
-from .wittcore import PFOLD_RANGE, WittVec, ctx_for, fold_var
+from .wittcore import PFOLD_RANGE, WittVec, ctx_for
 
 
 class SamplerExhausted(RuntimeError):
@@ -581,16 +581,15 @@ def verify_vksub(
     return report
 
 
-def _residual_value(
-    tower: ExtensionTower, decomposition, comps: Sequence[OElem], level: int
-) -> OElem:
-    """Evaluate the symbolic residual at the conjugate family (in O_L)."""
-    poly = decomposition.residual_for_level(level)
-    assign = {}
-    for i in range(1, tower.p + 1):
-        for j in range(1, level - 1):
-            assign[fold_var(tower.p, i, j)] = tower.galois(comps[j - 1], i - 1)
-    return poly.eval(assign, tower.LR)
+def _residual(tower: ExtensionTower, comps: Sequence[OElem], level: int) -> OElem:
+    """The p-fold residual at the conjugate family (in O_L): the level-l
+    component of the Witt sum of the conjugate rows with columns l-1 and
+    l set to zero, which is the carry with column l-1 set to zero."""
+    rows = [
+        [tower.galois(c, i) for c in comps[: level - 2]] + [tower.LR.zero]
+        for i in range(tower.p)
+    ]
+    return wittcore.carry_value(tower.p, level, rows, tower.LR)
 
 
 def verify_carry_identity(
@@ -600,13 +599,13 @@ def verify_carry_identity(
 
     Checks p*(-tr(x_l)) against the Frobenius bracket, the alternating
     binomial term (both signs tried, the exact one recorded), and p
-    times the evaluated residual.
+    times the residual.
     """
     p = tower.p
     if n is None:
         n = PFOLD_RANGE[p]
     decomposition = wittcore.pfold_decomposition(p, n)
-    C = decomposition.carry_constant
+    C = wittcore.alternating_binom_constant(p)
     report = _base_report(
         tower, "carry_identity", {"samples": samples, "seed": seed, "n": n}
     )
@@ -622,9 +621,7 @@ def verify_carry_identity(
             t_pow = tower.trace(comps[level - 2] ** p)
             lhs = (-t_l) * p
             base = t_pow - t_prev**p
-            h_val = tower.project_to_K(
-                _residual_value(tower, decomposition, comps, level)
-            )
+            h_val = tower.project_to_K(_residual(tower, comps, level))
             cterm = (t_prev**p) * (C * p)
             matched = False
             for sign, rhs in (
@@ -658,7 +655,6 @@ def verify_residual_invariant(
     p = tower.p
     if n is None:
         n = PFOLD_RANGE[p]
-    decomposition = wittcore.pfold_decomposition(p, n)
     report = _base_report(
         tower, "residual_invariant", {"samples": samples, "seed": seed, "n": n}
     )
@@ -668,7 +664,7 @@ def verify_residual_invariant(
         sample = sample_trace_zero(tower, n, rng, seed_label=label)
         comps = sample.vec.components
         for level in range(2, n + 1):
-            h_raw = _residual_value(tower, decomposition, comps, level)
+            h_raw = _residual(tower, comps, level)
             if not tower.eq_at_precision(tower.galois(h_raw), h_raw):
                 report.record_failure(
                     {"seed": label, "level": level, "what": "not Galois-fixed"}

@@ -25,7 +25,12 @@ vectors into the plain coefficient sum plus a carry polynomial, and
 splits the carry further into two explicitly p-divisible brackets plus
 a deep residual whose monomials all have degree >= p^2; the residual is
 defined by subtraction, and the sign of the middle bracket that makes
-the degree audit pass is recorded rather than assumed.
+the degree audit pass is recorded rather than assumed.  The residual
+h_l equals carry_l with the column l-1 variables set to zero: it is the
+level-l component of the Witt sum of the p rows with columns l-1 and l
+set to zero, so numerically it is ``carry_value`` on rows whose column
+l-1 is zero, and the symbolic residual is needed only as audit and
+oracle.
 """
 
 from __future__ import annotations

@@ -291,6 +291,26 @@ class TestSuite:
         assert code == 64
         assert err.count("\n") == 1 and json.dumps(entry) in err
 
+    @pytest.mark.parametrize("name", [5, None, ["q2"]])
+    def test_inline_tower_name_not_a_string_is_usage_error(
+        self, tmp_path, name, monkeypatch, capsys
+    ):
+        # the table printer needs a string; refused before any tower is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was loaded")
+
+        monkeypatch.setattr(localfield, "tower_from_obj", refuse)
+        tower = {"name": name, "p": 2, "N": 24, "E_L": ["2", "-2", "1"]}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            json.dumps({"towers": [tower], "lemmas": ["vktr"], "samples": 1})
+        )
+        code = cli.main(["suite", "--manifest", str(manifest), "--out", str(tmp_path / "a")])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err.count("\n") == 1 and json.dumps(name) in captured.err
+        assert not (tmp_path / "a").exists()
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -422,3 +442,17 @@ class TestOracle:
         assert res.returncode == 0
         assert "match=True" in res.stdout
         assert "oracle status: PASS" in res.stdout
+
+    @pytest.mark.parametrize("what", ["linsolve", "all"])
+    def test_enumeration_too_large_is_usage_error(self, tmp_path, what, capsys):
+        # K = Q2(2^(1/4)), L = K(sqrt(pi_K)): flat rank 8, so the digits=3
+        # enumeration domain 2^24 is refused
+        tower = tmp_path / "rank8.json"
+        tower.write_text(
+            json.dumps({"p": 2, "N": "auto", "E_K": [-2, 0, 0, 0, 1], "E_L": [[0, -1], [0], [1]]})
+        )
+        code = cli.main(["oracle", "--tower", str(tower), "--what", what])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err == "oracle: enumeration domain p^24 too large\n"
+        assert "oracle status" not in captured.out

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wittlab import cohomlab, wittcore
 from wittlab.cohomlab import (
@@ -20,7 +22,7 @@ from wittlab.cohomlab import (
     witt_trace,
 )
 from wittlab.localfield import NoSolutionAtPrecision
-from wittlab.wittcore import BINARY_RANGE, WittVec, ctx_for
+from wittlab.wittcore import BINARY_RANGE, PFOLD_RANGE, WittVec, ctx_for, fold_var
 
 
 class TestWittTrace:
@@ -178,6 +180,84 @@ def test_trace_kernel_basis_is_cached(all_towers):
         derived = [tower.unflatten_L(k) for k in tower._trace_snf.kernel_basis()]
         assert [k.data for k in basis] == [k.data for k in derived]
         assert [k.data for k in basis] == list(tower.trace_kernel_flat)
+
+
+def symbolic_residual(tower, comps, level):
+    """The p-fold residual polynomial evaluated at the conjugate family
+    over O_L; the oracle for ``cohomlab._residual``."""
+    p = tower.p
+    poly = wittcore.pfold_decomposition(p, PFOLD_RANGE[p]).residual_for_level(level)
+    assign = {}
+    for i in range(1, p + 1):
+        for j in range(1, level - 1):
+            assign[fold_var(p, i, j)] = tower.galois(comps[j - 1], i - 1)
+    return poly.eval(assign, tower.LR)
+
+
+def assert_residuals_match(tower, comps, residual):
+    for level in range(2, len(comps) + 1):
+        got = residual(tower, comps, level)
+        assert got.data == symbolic_residual(tower, comps, level).data, level
+
+
+def residual_components(tower, kind, draw_int):
+    """Length-PFOLD_RANGE[p] components: a trace-zero sample from a drawn
+    seed, or components of drawn flat coordinates."""
+    n = PFOLD_RANGE[tower.p]
+    if kind == "trace-zero":
+        return sample_trace_zero(tower, n, random.Random(draw_int(0, 2**32))).vec.components
+    top = tower.modulus - 1
+    return tuple(
+        tower.unflatten_L([draw_int(0, top) for _ in range(tower.L.flat_rank)])
+        for _ in range(n)
+    )
+
+
+@pytest.mark.parametrize("kind", ["trace-zero", "random"])
+@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_residual_matches_symbolic(all_towers, name, kind, data):
+    tower = all_towers[name]
+    comps = residual_components(tower, kind, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assert_residuals_match(tower, comps, cohomlab._residual)
+
+
+def residual_zeroing_column_below(tower, comps, level):
+    """Mutant: zeroes column l-2 instead of l-1."""
+    rows = []
+    for i in range(tower.p):
+        row = [tower.galois(c, i) for c in comps[: level - 1]]
+        if level >= 3:
+            row[level - 3] = tower.LR.zero
+        rows.append(row)
+    return wittcore.carry_value(tower.p, level, rows, tower.LR)
+
+
+def residual_keeping_column(tower, comps, level):
+    """Mutant: leaves column l-1 in, so it returns the whole carry."""
+    rows = [[tower.galois(c, i) for c in comps[: level - 1]] for i in range(tower.p)]
+    return wittcore.carry_value(tower.p, level, rows, tower.LR)
+
+
+@pytest.mark.parametrize("mutant", [residual_zeroing_column_below, residual_keeping_column])
+@pytest.mark.parametrize("kind", ["trace-zero", "random"])
+def test_residual_mutants_fail(all_towers, mutant, kind):
+    rng = random.Random(0)
+    for name in ("q2_i", "q3", "quartic"):
+        comps = residual_components(all_towers[name], kind, rng.randint)
+        with pytest.raises(AssertionError):
+            assert_residuals_match(all_towers[name], comps, mutant)
+
+
+def test_residual_invariant_builds_no_decomposition(q2_i, q3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symbolic decomposition was built")
+
+    monkeypatch.setattr(wittcore, "pfold_decomposition", refuse)
+    for tower in (q2_i, q3):
+        report = cohomlab.verify_residual_invariant(tower, samples=10, seed=3)
+        assert report.status == "PASS", report.failures[:2]
 
 
 class TestClassDecisions:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wittlab.exactpoly import INT_RING, ModRing, MPoly
+from wittlab.exactpoly import INT_RING, MPOLY_RING, ModRing, MPoly
 from wittlab import wittcore
 from wittlab.wittcore import (
     BINARY_RANGE,
@@ -228,6 +228,20 @@ class TestPFoldDecomposition:
         assert pfold_decomposition(3, 3).sign_convention == "minus"
         # with no middle bracket anywhere the convention is undetermined
         assert pfold_decomposition(5, 2).sign_convention == "degenerate"
+
+    def test_residual_is_carry_with_column_below_zeroed(self):
+        # the identity behind the numeric residual: h_l is carry_l with
+        # the fold variables of column l-1 set to zero
+        for p, nmax in PFOLD_RANGE.items():
+            for n in range(2, nmax + 1):
+                pf = pfold_decomposition(p, n)
+                for l in range(2, n + 1):
+                    # the fold space packs p*n variables into slots 0..p*n-1
+                    assign = {v: MPoly.var(v) for v in range(p * n)}
+                    for i in range(1, p + 1):
+                        assign[fold_var(p, i, l - 1)] = MPoly.zero()
+                    zeroed = pf.carry_polys[l - 1].eval(assign, MPOLY_RING)
+                    assert pf.residual_for_level(l) == zeroed, (p, n, l)
 
     def test_carry_constant(self):
         assert alternating_binom_constant(2) == -1
