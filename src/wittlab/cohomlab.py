@@ -208,10 +208,7 @@ def sample_trace_zero(
         level += 1
         fail_streak = 0
     vec = WittVec(ctx, tower.LR, tuple(comps))
-    residual = witt_trace(tower, vec)
-    for c in residual.components:
-        if not tower.is_zero_at_precision(c):
-            raise AssertionError("trace audit failed on a fresh sample")
+    residual = _audited_trace(tower, vec, "a fresh sample")
     return KernelSample(vec, residual, "recursive-sampler", seed_label)
 
 
@@ -224,8 +221,17 @@ def coboundary_sample(
         ctx, tower.LR, tuple(tower.random_L_elem(rng) for _ in range(n))
     )
     vec = witt_diff_of_coboundary(tower, y)
-    residual = witt_trace(tower, vec)
+    residual = _audited_trace(tower, vec, "a coboundary sample")
     return KernelSample(vec, residual, "coboundary", seed_label, witness=y)
+
+
+def _audited_trace(tower: ExtensionTower, vec: WittVec, what: str) -> WittVec:
+    """The Witt trace of a vector that must have trace zero at precision."""
+    residual = witt_trace(tower, vec)
+    for c in residual.components:
+        if not tower.is_zero_at_precision(c):
+            raise AssertionError(f"trace audit failed on {what}")
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +341,18 @@ def h1_order_level1(tower: ExtensionTower) -> int:
     return tower.p ** sum(runs[0])
 
 
+# the precisions the enumeration oracles run at
+ENUMERATION_DIGITS = (2, 3)
+
+
+def check_enumeration_domain(tower: ExtensionTower, digits: int) -> None:
+    """Refuse (ValueError) to enumerate O_L modulo p^digits when it holds
+    more than 65536 vectors."""
+    exponent = digits * tower.L.flat_rank
+    if tower.p**exponent > 65536:
+        raise ValueError(f"enumeration domain p^{exponent} too large")
+
+
 def h1_order_enumeration(tower: ExtensionTower, digits: int) -> int:
     """Set-enumeration oracle for the level-one order.
 
@@ -342,12 +360,11 @@ def h1_order_enumeration(tower: ExtensionTower, digits: int) -> int:
     naive kernel/image quotient by the trace-image defect, which is the
     finite-precision artifact.
     """
+    check_enumeration_domain(tower, digits)
     p = tower.p
     rank = tower.L.flat_rank
     krank = tower.K.flat_rank
     modulus = p**digits
-    if modulus**rank > 65536:
-        raise ValueError(f"enumeration domain p^{digits * rank} too large")
     tmat = [[x % modulus for x in row] for row in tower.trace_mat]
     smat = [[x % modulus for x in row] for row in tower.sigma_minus_one_mat]
 
@@ -392,11 +409,10 @@ def _subgroup_span(generators, rank: int, modulus: int) -> frozenset:
 def linsolve_matches_enumeration(tower: ExtensionTower, digits: int) -> dict:
     """Check the elimination's kernel and image bases against full set
     enumeration, for both the trace and (sigma - 1) matrices."""
+    check_enumeration_domain(tower, digits)
     p = tower.p
     rank = tower.L.flat_rank
     modulus = p**digits
-    if modulus**rank > 65536:
-        raise ValueError(f"enumeration domain p^{digits * rank} too large")
     results = {}
     for name, mat in (
         ("trace", tower.trace_mat),
@@ -424,8 +440,7 @@ def linsolve_matches_enumeration(tower: ExtensionTower, digits: int) -> dict:
 
 
 def h1_order_enumeration_stable(tower: ExtensionTower) -> int:
-    a = h1_order_enumeration(tower, 2)
-    b = h1_order_enumeration(tower, 3)
+    a, b = (h1_order_enumeration(tower, digits) for digits in ENUMERATION_DIGITS)
     if a != b:
         raise NotStabilized(f"enumeration order moved: {a} vs {b}")
     return a
@@ -716,7 +731,7 @@ def verify_step_bounds(
     """Valuation cascade on trace-zero samples (coboundaries mixed in)."""
     p, s = tower.p, tower.s
     if n is None:
-        n = min(4, wittcore.BINARY_RANGE[p])
+        n = 4
     report = _base_report(
         tower, "step_bounds", {"samples": samples, "seed": seed, "n": n}
     )
@@ -826,7 +841,7 @@ def verify_fixed_points(
     and truncation of fixed-ring vectors is split by zero-padding."""
     p = tower.p
     if n is None:
-        n = min(3, wittcore.BINARY_RANGE[p])
+        n = 3
     ctx = ctx_for(p, n)
     report = _base_report(
         tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}

@@ -7,18 +7,23 @@ Everything here is bootstrapped from the ghost polynomials
 The addition and negation polynomials are produced by solving the ghost
 identities recursively; the divisions involved are exact integer
 divisions, so a successful construction doubles as an integrality
-certificate.  Group arithmetic on length-n vectors over any commutative
-ring is evaluation of those integral polynomials, with no division.
+certificate.  They are built the first time something asks for them,
+and only inside the symbolic budget ``BINARY_RANGE``.  Group arithmetic
+on length-n vectors over a ring without ``flat_lift`` (the integers,
+Z/m, polynomials) is evaluation of those integral polynomials, with no
+division.
 
-Over the rings of a tower (any ring with a ``flat_lift``), sums and
-carries are computed in ghost coordinates instead, by one incremental
-engine (``GhostSum``): the summands are lifted to the same ring at n-1
-more base digits, their ghost components are added column by column,
-and the sum's Witt components are recovered one level at a time by
-certified exact division.  Because the addition polynomials are
-integral, the result is exactly what evaluating them gives; the
-polynomial path remains the oracle and the only path for symbolic
-composition.
+Over the rings of a tower (any ring with a ``flat_lift``), sums,
+carries and negatives are computed in ghost coordinates instead, by one
+incremental engine (``GhostSum``): the summands are lifted to the same
+ring at n-1 more base digits, their ghost components are added column
+by column, and the sum's Witt components are recovered one level at a
+time by certified exact division.  A negative is the vector whose sum
+with the given one is zero, solved column by column with the same
+engine.  Because the addition polynomials are integral, the result is
+exactly what evaluating them gives; the polynomial path remains the
+oracle and the only path for symbolic composition.  No table is needed
+here, so a tower vector may be as long as the tower's precision allows.
 
 The p-fold decomposition splits the l-th component of a sum of p
 vectors into the plain coefficient sum plus a carry polynomial, and
@@ -38,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
@@ -45,7 +51,8 @@ from . import kernels
 from .exactpoly import MPoly, MPOLY_RING, NotDivisible
 
 # Symbolic budgets: term counts grow like p^(n-1), so the supported
-# window is fixed rather than discovered by timeout.
+# window is fixed rather than discovered by timeout.  They bound the
+# polynomial tables only; tower-ring arithmetic runs on ``GhostSum``.
 BINARY_RANGE = {2: 5, 3: 4, 5: 3}
 PFOLD_RANGE = {2: 4, 3: 3, 5: 2}
 
@@ -101,15 +108,30 @@ def ghost_poly(p: int, level: int) -> MPoly:
 
 
 class WittCtx:
-    """Precomputed polynomial tables for length-n vectors at a prime p."""
+    """Length-n vectors at a prime p, with their ghost polynomials; the
+    addition and negation tables are built on first access."""
 
     def __init__(self, p: int, n: int):
-        _check_range(p, n, BINARY_RANGE, "binary symbolic")
+        if n < 1:
+            raise ValueError(f"Witt length must be at least 1, got {n}")
         self.p = p
         self.n = n
         self.ghost = [ghost_poly(p, l) for l in range(1, n + 1)]
-        self.addition = _addition_polys(p, n, self.ghost)
-        self.negation = _negation_polys(p, n, self.ghost)
+
+    @cached_property
+    def addition(self) -> list[MPoly]:
+        _check_range(self.p, self.n, BINARY_RANGE, "binary symbolic")
+        targets = [
+            w.rename_vars({j - 1: xvar(j) for j in range(1, l + 1)})
+            + w.rename_vars({j - 1: yvar(j) for j in range(1, l + 1)})
+            for l, w in enumerate(self.ghost, start=1)
+        ]
+        return _solve_ghost(self.p, targets, "addition")
+
+    @cached_property
+    def negation(self) -> list[MPoly]:
+        _check_range(self.p, self.n, BINARY_RANGE, "binary symbolic")
+        return _solve_ghost(self.p, [-w for w in self.ghost], "negation")
 
     def zero_vec(self, ring) -> "WittVec":
         return WittVec(self, ring, tuple(ring.zero for _ in range(self.n)))
@@ -158,32 +180,17 @@ def ctx_for(p: int, n: int) -> WittCtx:
     return _CTX_CACHE[key]
 
 
-def _addition_polys(p: int, n: int, ghost: list[MPoly]) -> list[MPoly]:
+def _solve_ghost(p: int, targets: list[MPoly], what: str) -> list[MPoly]:
+    """The polynomials f_1, ..., f_n with w_l(f_1, ..., f_l) = targets[l-1],
+    solved level by level; every division is exact or raises."""
     polys: list[MPoly] = []
-    for l in range(1, n + 1):
-        w = ghost[l - 1]
-        wx = w.rename_vars({j - 1: xvar(j) for j in range(1, l + 1)})
-        wy = w.rename_vars({j - 1: yvar(j) for j in range(1, l + 1)})
-        rem = wx + wy
+    for l, rem in enumerate(targets, start=1):
         for i in range(1, l):
             rem = rem - polys[i - 1] ** (p ** (l - i)) * p ** (i - 1)
         try:
             polys.append(rem.exact_div_int(p ** (l - 1)))
         except NotDivisible as exc:
-            raise IntegralityViolation(f"addition polynomial level {l}: {exc}") from exc
-    return polys
-
-
-def _negation_polys(p: int, n: int, ghost: list[MPoly]) -> list[MPoly]:
-    polys: list[MPoly] = []
-    for l in range(1, n + 1):
-        rem = -ghost[l - 1]
-        for i in range(1, l):
-            rem = rem - polys[i - 1] ** (p ** (l - i)) * p ** (i - 1)
-        try:
-            polys.append(rem.exact_div_int(p ** (l - 1)))
-        except NotDivisible as exc:
-            raise IntegralityViolation(f"negation polynomial level {l}: {exc}") from exc
+            raise IntegralityViolation(f"{what} polynomial level {l}: {exc}") from exc
     return polys
 
 
@@ -205,9 +212,9 @@ class WittVec:
         return polynomial_witt_sum((self, other))
 
     def __neg__(self) -> "WittVec":
-        assign = {j - 1: self.components[j - 1] for j in range(1, self.ctx.n + 1)}
-        comps = tuple(iota.eval(assign, self.ring) for iota in self.ctx.negation)
-        return WittVec(self.ctx, self.ring, comps)
+        if hasattr(self.ring, "flat_lift"):
+            return ghost_witt_neg(self)
+        return polynomial_witt_neg(self)
 
     def __sub__(self, other: "WittVec") -> "WittVec":
         return self + (-other)
@@ -263,6 +270,26 @@ def ghost_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
     for j in range(ctx.n):
         engine.push([v.components[j] for v in vectors])
     return WittVec(ctx, ring, engine.sums())
+
+
+def polynomial_witt_neg(y: WittVec) -> WittVec:
+    """Negative by evaluating the negation polynomials; works over any
+    ring and is the oracle for ``ghost_witt_neg``."""
+    assign = {j - 1: y.components[j - 1] for j in range(1, y.ctx.n + 1)}
+    comps = tuple(iota.eval(assign, y.ring) for iota in y.ctx.negation)
+    return WittVec(y.ctx, y.ring, comps)
+
+
+def ghost_witt_neg(y: WittVec) -> WittVec:
+    """Negative over a ring with ``flat_lift``: solve y + z = 0 column by
+    column, z_{j+1} = -(y_{j+1} + carry of the columns pushed so far)."""
+    comps = y.components
+    engine = GhostSum(y.ctx.p, y.ctx.n, y.ring)
+    z = [-comps[0]]
+    for j in range(1, y.ctx.n):
+        engine.push([comps[j - 1], z[j - 1]])
+        z.append(-(comps[j] + engine.carry()))
+    return WittVec(y.ctx, y.ring, tuple(z))
 
 
 class GhostSum:

@@ -135,17 +135,46 @@ class TestVerify:
             ("step_bounds", "0"),
             ("fixed_points", "-1"),
             ("carry_identity", "4"),
-            ("residual_invariant", "4"),
+            ("residual_invariant", "6"),
         ],
     )
     def test_witt_length_out_of_range_is_usage_error(self, lemma, n):
-        # q3_ramified has p=3: binary tables reach n=4, p-fold tables n=3
+        # q3_ramified has p=3, s=1 and N=16: n=6 needs N >= 19, and the
+        # p-fold tables that carry_identity reads reach n=3
         res = run_cli(
             "verify", "--lemma", lemma, "--tower", "q3_ramified", "--n", n, "--samples", "1"
         )
         assert res.returncode == 64
         assert res.stderr.count("\n") == 1 and "--n" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "lemma, n, extra",
+        [
+            ("residual_invariant", "4", []),
+            ("step_bounds", "5", []),
+            ("step_bounds", "6", ["--precision", "19"]),
+        ],
+    )
+    def test_witt_length_beyond_the_tables_runs(self, lemma, n, extra):
+        # past BINARY_RANGE[3] = 4 and PFOLD_RANGE[3] = 3; only the
+        # tower's precision bounds n
+        res = run_cli(
+            "verify", "--lemma", lemma, "--tower", "q3_ramified", "--n", n,
+            "--samples", "4", *extra,
+        )
+        assert res.returncode == 0, res.stderr
+        assert f"{lemma} on q3_ramified: PASS" in res.stdout
+
+    def test_precision_message_names_the_needed_n(self):
+        res = run_cli(
+            "verify", "--lemma", "step_bounds", "--tower", "q3_ramified", "--n", "6",
+            "--samples", "1",
+        )
+        assert res.returncode == 64
+        assert res.stderr == (
+            "verify: --n 6 needs precision N >= 19 at p=3, s=1; the tower has N=16\n"
+        )
 
     @pytest.mark.parametrize("n", ["1", "2"])
     def test_main_below_stable_length_is_usage_error(self, n):
@@ -443,16 +472,27 @@ class TestOracle:
         assert "match=True" in res.stdout
         assert "oracle status: PASS" in res.stdout
 
-    @pytest.mark.parametrize("what", ["linsolve", "all"])
-    def test_enumeration_too_large_is_usage_error(self, tmp_path, what, capsys):
+    @pytest.mark.parametrize("what", ["h1", "linsolve", "all"])
+    def test_enumeration_too_large_is_usage_error(self, tmp_path, what, capsys, monkeypatch):
         # K = Q2(2^(1/4)), L = K(sqrt(pi_K)): flat rank 8, so the digits=3
-        # enumeration domain 2^24 is refused
+        # enumeration domain 2^24 is refused, before the digits=2 domain
+        # (2^16 vectors, which is allowed) is enumerated
         tower = tmp_path / "rank8.json"
         tower.write_text(
             json.dumps({"p": 2, "N": "auto", "E_K": [-2, 0, 0, 0, 1], "E_L": [[0, -1], [0], [1]]})
         )
+        product = cohomlab.itertools.product
+        enumerated = []
+
+        def counting_product(*args, **kwargs):
+            for vec in product(*args, **kwargs):
+                enumerated.append(vec)
+                yield vec
+
+        monkeypatch.setattr(cohomlab.itertools, "product", counting_product)
         code = cli.main(["oracle", "--tower", str(tower), "--what", what])
         captured = capsys.readouterr()
         assert code == 64
         assert captured.err == "oracle: enumeration domain p^24 too large\n"
         assert "oracle status" not in captured.out
+        assert enumerated == []

@@ -21,7 +21,7 @@ from wittlab.cohomlab import (
     witt_class_trivial,
     witt_trace,
 )
-from wittlab.localfield import NoSolutionAtPrecision
+from wittlab.localfield import NoSolutionAtPrecision, build_tower
 from wittlab.wittcore import BINARY_RANGE, PFOLD_RANGE, WittVec, ctx_for, fold_var
 
 
@@ -42,6 +42,20 @@ class TestWittTrace:
                     tower.is_zero_at_precision(c)
                     for c in sample.residual.components
                 )
+
+    def test_coboundary_audit_catches_a_wrong_negative(self, towers, monkeypatch):
+        # the negative is off by one in its first component, so the first
+        # component of sigma(y) - y has trace p, not zero
+        negate = WittVec.__neg__
+
+        def off_by_one(self):
+            z = negate(self)
+            return WittVec(z.ctx, z.ring, (z.components[0] + 1,) + z.components[1:])
+
+        monkeypatch.setattr(WittVec, "__neg__", off_by_one)
+        for tower in towers.values():
+            with pytest.raises(AssertionError, match="coboundary sample"):
+                coboundary_sample(tower, 2, random.Random(1))
 
     def test_level1_trace_of_i(self, q2_i):
         ctx = ctx_for(2, 1)
@@ -402,6 +416,23 @@ class TestDeepBreakTower:
 
 
 class TestVerifiers:
+    @pytest.mark.parametrize("verifier", ["step_bounds", "residual_invariant"])
+    def test_q3_beyond_the_tables(self, q3, verifier):
+        # n = 5 is past BINARY_RANGE[3] and PFOLD_RANGE[3]; with samples=8
+        # step_bounds draws two coboundaries, so it negates at n = 5
+        report = cohomlab.VERIFIERS[verifier](q3, samples=8, seed=3, n=5)
+        assert report.status == "PASS", report.failures[:2]
+        assert report.params["n"] == 5
+
+    def test_quintic_step_bounds_default_length(self):
+        # the degree-5 subfield of Q5(zeta_25), pi = eta - 4 for the
+        # Gaussian period eta: the default n = 4 is past BINARY_RANGE[5]
+        # = 3, and samples=8 draws two coboundaries, negated at n = 4
+        tower = build_tower(5, "auto", [505, 850, 525, 150, 20, 1])
+        report = cohomlab.verify_step_bounds(tower, samples=8, seed=3)
+        assert report.params["n"] == 4
+        assert report.status == "PASS", report.failures[:2]
+
     def test_all_pass_smoke(self, q2_i):
         for lemma, fn in cohomlab.VERIFIERS.items():
             report = fn(q2_i, samples=10, seed=3)

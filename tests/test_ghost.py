@@ -1,5 +1,6 @@
-"""Ghost-coordinate Witt sums over tower rings against the addition
-polynomials, which stay in the repository as their oracle."""
+"""Ghost-coordinate Witt sums and negatives over tower rings against the
+addition and negation polynomials, which stay in the repository as their
+oracle."""
 
 import random
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wittlab import kernels, wittcore
+from wittlab import cohomlab, kernels, wittcore
 from wittlab.exactpoly import ModRing, MPoly
+from wittlab.localfield import LevelRing
 from wittlab.wittcore import (
     BINARY_RANGE,
     GhostSum,
@@ -16,6 +18,7 @@ from wittlab.wittcore import (
     WittVec,
     carry_value,
     ctx_for,
+    polynomial_witt_neg,
     polynomial_witt_sum,
     witt_sum,
 )
@@ -88,16 +91,95 @@ def test_carry_value_matches_polynomials(all_towers, name, n, data):
     assert got.data == polynomial_witt_sum(vecs).components[n - 1].data
 
 
+# every length the negation tables cover, so n = 5 at p = 2
+NEG_CASES = [
+    (name, n) for name, p in TOWER_PRIMES.items() for n in range(1, BINARY_RANGE[p] + 1)
+]
+
+
+@pytest.mark.parametrize("name,n", NEG_CASES)
+@PROPERTY
+@given(data=st.data())
+def test_negation_matches_polynomials(all_towers, name, n, data):
+    tower = all_towers[name]
+    (y,) = draw_vectors(data, tower, n, 1)
+    assert datas(-y) == datas(polynomial_witt_neg(y))
+
+
+class CarrySignFlipped(GhostSum):
+    """Mutant: the carry enters the negative with the wrong sign."""
+
+    def carry(self):
+        return -super().carry()
+
+
+class OneRowPushed(GhostSum):
+    """Mutant: the negative pushes its column as [y_j] only."""
+
+    def push(self, column):
+        super().push(column[:1])
+
+
+@pytest.mark.parametrize("mutant", [CarrySignFlipped, OneRowPushed])
+def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
+    # at odd p the negative is componentwise and the carry vanishes, so
+    # the p = 2 towers are the ones that catch these
+    rng = random.Random(0)
+    cases = []
+    for name, n in NEG_CASES:
+        tower = all_towers[name]
+        ctx = ctx_for(tower.p, n)
+        for _ in range(5):
+            comps = [
+                tower.unflatten_L([rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank)])
+                for _ in range(n)
+            ]
+            y = WittVec(ctx, tower.LR, tuple(comps))
+            cases.append((y, datas(polynomial_witt_neg(y))))
+    monkeypatch.setattr(wittcore, "GhostSum", mutant)
+    assert any(datas(-y) != want for y, want in cases)
+
+
 def test_tower_sums_evaluate_no_polynomial(q3, monkeypatch):
     ctx = ctx_for(3, 4)
     vec = WittVec(ctx, q3.LR, (q3.pi_L + 1, q3.pi_L, q3.LR.one, q3.pi_L * 2))
     want = polynomial_witt_sum([vec, vec, vec])
+    want_neg = polynomial_witt_neg(vec)
 
     def refuse(*args, **kwargs):
         raise AssertionError("polynomial evaluation on a tower ring")
 
     monkeypatch.setattr(MPoly, "eval", refuse)
     assert witt_sum([vec, vec, vec]).components == want.components
+    assert (-vec).components == want_neg.components
+
+
+def test_verifiers_evaluate_no_polynomial_on_tower_rings(q2_i, q3, monkeypatch):
+    """Every verifier, step_bounds with coboundary samples among them,
+    PASSes while MPoly.eval refuses tower rings; the symbolic p-fold
+    decomposition that carry_identity builds still evaluates."""
+    original_eval = MPoly.eval
+
+    def guarded(self, assignment, ring=None):
+        if isinstance(ring, LevelRing):
+            raise AssertionError("polynomial evaluation on a tower ring")
+        return original_eval(self, assignment, ring)
+
+    drawn = []
+    original_sample = cohomlab.coboundary_sample
+
+    def counted(*args, **kwargs):
+        drawn.append(1)
+        return original_sample(*args, **kwargs)
+
+    monkeypatch.setattr(MPoly, "eval", guarded)
+    monkeypatch.setattr(cohomlab, "coboundary_sample", counted)
+    for tower in (q2_i, q3):
+        for lemma, fn in cohomlab.VERIFIERS.items():
+            report = fn(tower, samples=8, seed=3)
+            assert report.status == "PASS", (lemma, report.failures[:2])
+    # every fourth step_bounds sample is a coboundary sigma(y) - y
+    assert len(drawn) == 2 * 2
 
 
 def test_rings_without_lift_keep_the_polynomial_path():

@@ -8,6 +8,7 @@ from wittlab import wittcore
 from wittlab.wittcore import (
     BINARY_RANGE,
     PFOLD_RANGE,
+    WittCtx,
     WittVec,
     alternating_binom_constant,
     carry_value,
@@ -85,10 +86,24 @@ class TestAdditionPolys:
             ctx_for(p, n).verify_ghost_identities()
 
     def test_out_of_range(self):
+        # a context outside the symbolic budget exists (tower vectors need
+        # no table); only its tables refuse
+        for p, n in ((2, 6), (7, 1)):
+            ctx = ctx_for(p, n)
+            assert ctx.n == n and len(ctx.ghost) == n
+            with pytest.raises(ValueError):
+                ctx.addition
+            with pytest.raises(ValueError):
+                ctx.negation
         with pytest.raises(ValueError):
-            ctx_for(2, 6)
-        with pytest.raises(ValueError):
-            ctx_for(7, 1)
+            ctx_for(2, 0)
+
+    def test_tables_are_built_on_first_access(self):
+        ctx = WittCtx(2, 3)
+        assert "addition" not in vars(ctx) and "negation" not in vars(ctx)
+        assert ctx.addition is ctx.addition
+        assert "negation" not in vars(ctx)
+        assert ctx.negation == ctx_for(2, 3).negation
 
 
 class TestNegationPolys:
