@@ -7,7 +7,12 @@ Two kernel families live here:
   index, exponents positive, and coefficients are nonzero Python ints;
 * dense modular kernels: fixed-length coefficient tuples over
   ``Z/modulus`` reduced against a monic polynomial given by precomputed
-  reduction rows.
+  reduction rows, or multiplied through structure rows (``flat_mul``).
+
+``flat_mul`` is the reference product on structure rows: it loops over
+every (i, j, k) cell.  The rings of a tower multiply with a product that
+``compile_flat_mul`` generates once from their own rows, and the tests
+compare it with ``flat_mul``.
 
 The package calls them through ``kernels``.
 """
@@ -170,3 +175,71 @@ def flat_mul(a, b, struct_rows, modulus):
                         if rk:
                             out[k] += c * rk
     return tuple(x % modulus for x in out)
+
+
+def flat_mul_plan(struct_rows):
+    """The cells (i, j) of a rank-r product grouped by their structure
+    row: a list of ``(row, pairs)`` in first-seen order, zero rows left
+    out, since they contribute nothing.  Every entry must be an int."""
+    r = len(struct_rows)
+    groups = {}
+    for i in range(r):
+        if len(struct_rows[i]) != r:
+            raise ValueError(f"structure row {i} has {len(struct_rows[i])} cells, need {r}")
+        for j in range(r):
+            row = tuple(_checked_int(c) for c in struct_rows[i][j])
+            if len(row) != r:
+                raise ValueError(f"structure cell ({i}, {j}) has {len(row)} coordinates, need {r}")
+            if any(row):
+                groups.setdefault(row, []).append((i, j))
+    return list(groups.items())
+
+
+def _checked_int(x) -> int:
+    """An integer bound for the generated source; anything else is
+    refused, so that source holds only integer literals and local names."""
+    if type(x) is not int:
+        raise TypeError(f"a structure constant must be an int, got {type(x).__name__}")
+    return x
+
+
+def flat_mul_source(plan, rank: int, modulus: int) -> str:
+    """Straight-line source of ``mul(a, b)`` for a product plan.
+
+    Each group's cells are summed once.  A unit row (one coordinate
+    equal to 1) adds that sum to its coordinate directly; any other row
+    reduces the sum modulo ``modulus`` once and scales it by the row's
+    constants, inlined as the representatives of least absolute value.
+    Every output coordinate is reduced once, at the end.
+    """
+    if _checked_int(modulus) < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    _checked_int(rank)
+    a = ", ".join(f"a{i}" for i in range(rank))
+    b = ", ".join(f"b{i}" for i in range(rank))
+    lines = ["def mul(a, b):", f"    ({a},) = a", f"    ({b},) = b"]
+    terms = [[] for _ in range(rank)]
+    for g, (row, pairs) in enumerate(plan):
+        total = " + ".join(f"a{_checked_int(i)} * b{_checked_int(j)}" for i, j in pairs)
+        consts = [(k, _checked_int(c) % modulus) for k, c in enumerate(row)]
+        consts = [(k, c - modulus if 2 * c > modulus else c) for k, c in consts if c]
+        if len(consts) == 1 and consts[0][1] == 1:
+            terms[consts[0][0]].append(total)
+            continue
+        lines.append(f"    g{g} = ({total}) % {modulus}")
+        for k, c in consts:
+            terms[k].append(f"g{g}" if c == 1 else f"{c} * g{g}")
+    outs = [f"({' + '.join(t)}) % {modulus}" if t else "0" for t in terms]
+    lines.append(f"    return ({', '.join(outs)},)")
+    return "\n".join(lines) + "\n"
+
+
+def compile_flat_mul(struct_rows, modulus: int):
+    """The product on flattened coordinates modulo ``modulus`` with these
+    structure rows, as a function ``mul(a, b)`` compiled once; it returns
+    what ``flat_mul(a, b, struct_rows, modulus)`` returns."""
+    rank = len(struct_rows)
+    source = flat_mul_source(flat_mul_plan(struct_rows), rank, modulus)
+    namespace = {"__builtins__": {}}
+    exec(compile(source, f"<flat_mul rank {rank}>", "exec"), namespace)
+    return namespace["mul"]

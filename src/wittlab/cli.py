@@ -130,39 +130,6 @@ def cmd_tower_info(args) -> int:
     return EXIT_PASS
 
 
-def _witt_length_problem(
-    lemma: str, tower: localfield.ExtensionTower, n: int
-) -> str | None:
-    """Why ``--n`` is out of range for this lemma on this tower, or None.
-
-    Only carry_identity needs a symbolic table (the p-fold decomposition
-    behind its sign observation); every other lemma is bounded by the
-    precision the tower was built at."""
-    p = tower.p
-    if lemma == "carry_identity":
-        top = wittcore.PFOLD_RANGE.get(p, 0)
-        if top == 0:
-            return f"--n: no p-fold Witt tables at p={p}"
-        if not 1 <= n <= top:
-            return f"--n {n} outside the p-fold Witt range 1..{top} at p={p}"
-        return None
-    if n < 1:
-        return f"--n {n} is not a Witt length; it must be at least 1"
-    need = localfield.precision_policy(p, tower.e_K, tower.s, n)
-    if need > tower.N:
-        return (
-            f"--n {n} needs precision N >= {need} at p={p}, s={tower.s}; "
-            f"the tower has N={tower.N}"
-        )
-    if lemma == "main":
-        # below the stable length the theorem claims nothing, so a small
-        # valuation there is its sharpness, not a counterexample
-        M = cohomlab.stable_witt_length(tower.s, p)
-        if n < M:
-            return f"--n {n} is below the stable Witt length M={M} the main theorem needs"
-    return None
-
-
 def cmd_verify(args) -> int:
     if args.lemma not in cohomlab.VERIFIERS:
         sys.stderr.write(
@@ -177,15 +144,14 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"verify: {exc}\n")
         return EXIT_CONFIG
-    if args.n is not None:
-        problem = _witt_length_problem(args.lemma, tower, args.n)
-        if problem:
-            sys.stderr.write(f"verify: {problem}\n")
-            return EXIT_CONFIG
     fn = cohomlab.VERIFIERS[args.lemma]
     t0 = time.perf_counter()
     try:
+        # a Witt length out of range is refused before anything is drawn
         report = fn(tower, samples=args.samples, seed=args.seed, n=args.n)
+    except cohomlab.WittLengthOutOfRange as exc:
+        sys.stderr.write(f"verify: {exc}\n")
+        return EXIT_CONFIG
     except (cohomlab.NotStabilized, cohomlab.SamplerExhausted) as exc:
         sys.stderr.write(f"verify: {exc}\n")
         return EXIT_UNDETERMINED
@@ -284,6 +250,9 @@ def cmd_suite(args) -> int:
             try:
                 report = fn(tower, samples=samples, seed=seed)
                 status = report.status
+            except cohomlab.WittLengthOutOfRange as exc:
+                sys.stderr.write(f"suite: {lemma} on {tower_name}: {exc}\n")
+                return EXIT_CONFIG
             except (cohomlab.NotStabilized, cohomlab.SamplerExhausted):
                 report = None
                 status = "UNDETERMINED"

@@ -1,11 +1,17 @@
 """The hot arithmetic kernels, as the rest of the package calls them.
 
 The implementations live in ``_kernels_py``. Callers go through this
-module (``kernels.flat_mul(...)``), so each kernel can be wrapped, for
+module (``kernels.sparse_mul(...)``), so each kernel can be wrapped, for
 timing or tracing, in one place.
+
+The rings of a tower do not multiply through a kernel call: each one
+holds a product that ``compile_flat_mul`` generated from its structure
+rows when the ring was built.  ``flat_mul`` is the reference that
+product is tested against.
 """
 
 from ._kernels_py import (
+    compile_flat_mul,
     flat_mul,
     monomial_key_mul,
     sparse_add,

@@ -16,9 +16,11 @@ guard margin sized so that:
 O_K and O_L are both a ``FlatRing``: an element is a tuple of residues
 modulo p^N_int on a fixed Z_p-basis, pi_K^i on O_K and pi_K^i*pi_L^j at
 index j*e_K + i on O_L, so the O_K-coefficient of pi_L^j is a slice.
-Products go through structure rows built from the integer Eisenstein
-coefficients; the Galois action and the trace are matrices on the same
-coordinates.
+Products are bilinear through structure rows built from the integer
+Eisenstein coefficients: each ring compiles them, once, into a
+straight-line product (``kernels.compile_flat_mul``), and
+``kernels.flat_mul`` on the same rows is its reference.  The Galois
+action and the trace are matrices on the same coordinates.
 
 Valuations are reported at the advertised cap: a value at or beyond
 the cap is the interval "at least cap", and any assertion past the cap
@@ -131,9 +133,9 @@ class FlatRing:
     pi_L^j is the slice ``coeff(a, j)``.  ``weights[r]`` is the valuation
     of basis element r in this ring's units (i on O_K, i*p + j on O_L),
     and ``struct[r][m]`` holds the coordinates of the product of basis
-    elements r and m, for ``kernels.flat_mul``.  ``ecoeffs`` are the
-    non-leading coefficients of the level's Eisenstein polynomial, as
-    elements of the level below.
+    elements r and m; ``mul`` is the product compiled from them.
+    ``ecoeffs`` are the non-leading coefficients of the level's
+    Eisenstein polynomial, as elements of the level below.
     """
 
     def __init__(
@@ -153,6 +155,7 @@ class FlatRing:
         self.block = block  # coordinates per coefficient of the level below
         self.weights = weights
         self.struct = struct
+        self.mul = kernels.compile_flat_mul(struct, self.modulus)
         self.ecoeffs = ecoeffs
         self.flat_rank = len(weights)
         self.ram_index = self.flat_rank
@@ -187,9 +190,6 @@ class FlatRing:
     def scale_int(self, a, k: int):
         k %= self.modulus
         return tuple((x * k) % self.modulus for x in a)
-
-    def mul(self, a, b):
-        return kernels.flat_mul(a, b, self.struct, self.modulus)
 
     def pow(self, a, k: int):
         result = self.one_elem
@@ -346,7 +346,7 @@ class LevelRing:
         self.zero = OElem(level, level.zero_elem)
         self.one = OElem(level, level.one_elem)
         self._lift = lift  # base digits -> this level rebuilt at that precision
-        self._frames: dict[int, tuple[tuple, int]] = {}
+        self._frames: dict[int, FlatRing] = {}
 
     def from_int(self, k: int) -> OElem:
         return OElem(self.level, self.level.from_int(k))
@@ -355,16 +355,15 @@ class LevelRing:
         """Element from flat coordinates, reduced to the working precision."""
         return OElem(self.level, self.level.reduce(coords))
 
-    def flat_lift(self, extra_digits: int) -> tuple[tuple, int]:
-        """Structure rows (for ``kernels.flat_mul``) and modulus of this
-        ring at ``extra_digits`` more base digits.  Reducing the lifted
-        ring modulo the working modulus gives this ring back."""
-        frame = self._frames.get(extra_digits)
-        if frame is None:
+    def flat_lift(self, extra_digits: int) -> FlatRing:
+        """This ring rebuilt at ``extra_digits`` more base digits, with its
+        own compiled product.  Reducing the lifted ring modulo the working
+        modulus gives this ring back."""
+        lifted = self._frames.get(extra_digits)
+        if lifted is None:
             lifted = self._lift(self.level.digits + extra_digits)
-            frame = (lifted.struct, lifted.modulus)
-            self._frames[extra_digits] = frame
-        return frame
+            self._frames[extra_digits] = lifted
+        return lifted
 
     def __repr__(self):
         return f"LevelRing({self.level.name})"

@@ -47,7 +47,6 @@ from functools import cached_property
 from math import comb
 from typing import Sequence
 
-from . import kernels
 from .exactpoly import MPoly, MPOLY_RING, NotDivisible
 
 # Symbolic budgets: term counts grow like p^(n-1), so the supported
@@ -315,15 +314,17 @@ class GhostSum:
     p^(i-1) x_i^(p^(l-i)) minus p^(i-1) S_i^(p^(l-i)).  These depend on
     columns 1..i only, so ``truncate`` keeps them for the columns it
     keeps; a level's contributions are computed the first time a
-    ``push`` or ``carry`` needs that level.
+    ``push`` or ``carry`` needs that level.  Powers go through the lifted
+    ring's compiled ``mul``; the summands of a column, its net
+    contributions and the lower levels are plain integer sums, reduced
+    once, modulo the lifted modulus, before each division.
     """
 
     def __init__(self, p: int, n: int, ring):
         self.p = p
         self.n = n
         self.ring = ring
-        self._struct, self._modulus = ring.flat_lift(n - 1)
-        self._zero = (0,) * len(self._struct)
+        self._lifted = ring.flat_lift(n - 1)
         self._columns: list[_GhostColumn] = []
 
     def __len__(self) -> int:
@@ -334,13 +335,12 @@ class GhostSum:
         i = len(self._columns)
         if i >= self.n:
             raise ValueError(f"all {self.n} columns are already pushed")
-        add, mod = kernels.zmod_vec_add, self._modulus
+        if not column:
+            raise ValueError("a column needs at least one summand")
         rows = [x.data for x in column]
-        total = self._zero
-        for y in rows:
-            total = add(total, y, mod)
-        num = add(self._lower(i), tuple(c * self.p**i for c in total), mod)
-        s = _divide_exact(num, self.p**i)
+        q = self.p**i
+        num = [c + q * sum(ys) for c, ys in zip(self._lower(i), zip(*rows))]
+        s = _divide_exact(num, q, self._lifted.modulus)
         self._columns.append(_GhostColumn(s, rows))
 
     def truncate(self, k: int) -> None:
@@ -355,34 +355,37 @@ class GhostSum:
         i = len(self._columns)
         if i >= self.n:
             raise ValueError(f"no level above the {self.n} pushed columns")
-        return self.ring.unflatten(_divide_exact(self._lower(i), self.p**i))
+        num = self._lower(i)
+        return self.ring.unflatten(_divide_exact(num, self.p**i, self._lifted.modulus))
 
     def sums(self) -> tuple:
         """The sum's components over the pushed columns, reduced."""
         return tuple(self.ring.unflatten(c.sum) for c in self._columns)
 
-    def _lower(self, level: int) -> tuple:
+    def _lower(self, level: int):
         """Sum over the pushed columns of their contributions at ``level``
-        (0-based), raising each column's powers as far as needed."""
-        p, struct, mod = self.p, self._struct, self._modulus
-        add, sub = kernels.zmod_vec_add, kernels.zmod_vec_sub
-        acc = self._zero
+        (0-based), raising each column's powers as far as needed.  Nothing
+        is reduced: the caller reduces once, before it divides."""
+        p, mul = self.p, self._lifted.mul
+        nets = []
         for i, col in enumerate(self._columns):
             while len(col.net) < level - i:
-                col.rows = [_pth_power(y, p, struct, mod) for y in col.rows]
-                col.power = _pth_power(col.power, p, struct, mod)
-                ghost = self._zero
-                for y in col.rows:
-                    ghost = add(ghost, y, mod)
-                diff = sub(ghost, col.power, mod)
-                col.net.append(tuple(c * p**i for c in diff))
-            acc = add(acc, col.net[level - i - 1], mod)
-        return acc
+                col.rows = [_pth_power(y, p, mul) for y in col.rows]
+                col.power = _pth_power(col.power, p, mul)
+                q = p**i
+                col.net.append(
+                    [q * (sum(ys) - s) for ys, s in zip(zip(*col.rows), col.power)]
+                )
+            nets.append(col.net[level - i - 1])
+        if not nets:
+            return self._lifted.zero_elem
+        return [sum(cs) for cs in zip(*nets)]
 
 
 class _GhostColumn:
     """One pushed column: S_i, the current p-power of S_i and of each
-    summand's entry, and the net contributions at levels i+1, i+2, ..."""
+    summand's entry, and the net contributions at levels i+1, i+2, ...
+    (unreduced)."""
 
     __slots__ = ("sum", "power", "rows", "net")
 
@@ -390,24 +393,25 @@ class _GhostColumn:
         self.sum = s
         self.power = s
         self.rows = rows
-        self.net: list[tuple] = []
+        self.net: list[list] = []
 
 
-def _pth_power(x: tuple, p: int, struct: tuple, modulus: int) -> tuple:
+def _pth_power(x: tuple, p: int, mul) -> tuple:
     out = x
     for _ in range(p - 1):
-        out = kernels.flat_mul(out, x, struct, modulus)
+        out = mul(out, x)
     return out
 
 
-def _divide_exact(coords: tuple, q: int) -> tuple:
-    """Divide every coordinate by q; a remainder is an integrality bug."""
+def _divide_exact(coords, q: int, modulus: int) -> tuple:
+    """Reduce every coordinate modulo ``modulus``, then divide it by q; a
+    remainder is an integrality bug."""
     out = []
     for c in coords:
-        d, r = divmod(c, q)
+        d, r = divmod(c % modulus, q)
         if r:
             raise IntegralityViolation(
-                f"ghost numerator coordinate {c} is not divisible by {q}"
+                f"ghost numerator coordinate {c % modulus} is not divisible by {q}"
             )
         out.append(d)
     return tuple(out)

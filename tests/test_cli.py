@@ -176,6 +176,18 @@ class TestVerify:
             "verify: --n 6 needs precision N >= 19 at p=3, s=1; the tower has N=16\n"
         )
 
+    @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
+    @pytest.mark.parametrize("n", ["3", "9"])
+    def test_lemma_without_witt_length_refuses_n(self, lemma, n):
+        # these lemmas read no Witt vector; an --n that fits the tower's
+        # precision (3) is refused as well as one that does not (9)
+        res = run_cli(
+            "verify", "--lemma", lemma, "--tower", "q3_ramified", "--n", n, "--samples", "1"
+        )
+        assert res.returncode == 64
+        assert res.stderr == f"verify: --n: {lemma} takes no Witt length\n"
+        assert not res.stdout
+
     @pytest.mark.parametrize("n", ["1", "2"])
     def test_main_below_stable_length_is_usage_error(self, n):
         # q2_sqrt2 has s = 2, so M = 3; below M the theorem claims nothing
@@ -292,6 +304,26 @@ class TestSuite:
         assert res.returncode == 64
         assert res.stderr.count("\n") == 1 and "inline tower" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_default_length_past_the_cap_is_usage_error(self, tmp_path):
+        # K = Q2(2^(1/4)), L = K(sqrt(pi_K)): s = 8, so main runs at its
+        # stable length M = 5, which needs N >= 21; "auto" gives N = 17
+        tower = {
+            "name": "rank8", "p": 2, "N": "auto",
+            "E_K": [-2, 0, 0, 0, 1], "E_L": [[0, -1], [0], [1]],
+        }
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            json.dumps({"towers": [tower], "lemmas": ["vktr", "main"], "samples": 1})
+        )
+        out_path = tmp_path / "agg.json"
+        res = run_cli("suite", "--manifest", str(manifest), "--out", str(out_path))
+        assert res.returncode == 64
+        assert res.stderr == (
+            "suite: main on rank8: --n 5 needs precision N >= 21 at p=2, s=8; "
+            "the tower has N=17\n"
+        )
+        assert not out_path.exists()
 
     def test_default_suite_valuation_cells_check_every_sample(self, towers):
         # the default suite runs vktr and vksub with 200 samples and seed

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +22,7 @@ from wittlab.cohomlab import (
     witt_class_trivial,
     witt_trace,
 )
-from wittlab.localfield import NoSolutionAtPrecision, build_tower
+from wittlab.localfield import NoSolutionAtPrecision, PrecisionTooLow, build_tower
 from wittlab.wittcore import BINARY_RANGE, PFOLD_RANGE, WittVec, ctx_for, fold_var
 
 
@@ -467,3 +468,43 @@ class TestVerifiers:
     def test_coboundary_samples_respect_step_bounds(self, q2_sqrt2):
         report = cohomlab.verify_step_bounds(q2_sqrt2, samples=12, seed=5, n=3)
         assert report.status == "PASS"
+
+
+class TestWittLengthRule:
+    """Every verifier checks the Witt length it will run at before it
+    draws anything, whoever calls it."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        for name in ("sample_trace_zero", "coboundary_sample"):
+            monkeypatch.setattr(cohomlab, name, refuse)
+        monkeypatch.setattr(cohomlab.random, "Random", refuse)
+
+    def test_step_bounds_past_the_precision(self, q3, no_draws):
+        # q3_ramified has p=3, s=1 and N=16; n=8 needs N >= 24
+        with pytest.raises(PrecisionTooLow) as exc:
+            cohomlab.verify_step_bounds(q3, samples=4, seed=1, n=8)
+        assert str(exc.value) == (
+            "--n 8 needs precision N >= 24 at p=3, s=1; the tower has N=16"
+        )
+
+    @pytest.mark.parametrize(
+        "lemma, n",
+        [
+            ("vktr", 3),
+            ("vksub", 3),
+            ("carry_identity", 4),
+            ("residual_invariant", 6),
+            ("step_bounds", 0),
+            ("main", 1),
+            ("fixed_points", 7),
+        ],
+    )
+    def test_every_verifier_refuses(self, q3, no_draws, lemma, n):
+        problem = cohomlab.witt_length_problem(lemma, q3, n)
+        assert problem and "\n" not in problem
+        with pytest.raises(cohomlab.WittLengthOutOfRange, match=re.escape(problem)):
+            cohomlab.VERIFIERS[lemma](q3, samples=1, seed=0, n=n)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wittlab import cohomlab, kernels, wittcore
+from wittlab import cohomlab, wittcore
 from wittlab.exactpoly import ModRing, MPoly
 from wittlab.localfield import LevelRing
 from wittlab.wittcore import (
@@ -194,25 +194,26 @@ def test_lift_reduces_to_the_working_ring(all_towers):
     for tower in all_towers.values():
         for ring in (tower.KR, tower.LR):
             for extra in (1, 3):
-                rows, modulus = ring.flat_lift(extra)
-                assert modulus == tower.modulus * tower.p**extra
+                lifted = ring.flat_lift(extra)
+                assert lifted.modulus == tower.modulus * tower.p**extra
                 reduced = tuple(
                     tuple(tuple(c % tower.modulus for c in cell) for cell in row)
-                    for row in rows
+                    for row in lifted.struct
                 )
                 assert reduced == ring.level.struct
 
 
 def test_non_divisible_ghost_numerator_raises(q2_i, monkeypatch):
     """A product that is off by one leaves w_2 - S_1^2 odd."""
-    good = kernels.flat_mul
+    lifted = q2_i.LR.flat_lift(1)  # the ring a length-2 sum runs in
+    good = lifted.mul
 
-    def off_by_one(a, b, rows, modulus):
-        out = good(a, b, rows, modulus)
-        return ((out[0] + 1) % modulus,) + out[1:]
+    def off_by_one(a, b):
+        out = good(a, b)
+        return ((out[0] + 1) % lifted.modulus,) + out[1:]
 
     vec = ctx_for(2, 2).vec(q2_i.LR, [1, 0])
-    monkeypatch.setattr(kernels, "flat_mul", off_by_one)
+    monkeypatch.setattr(lifted, "mul", off_by_one)
     with pytest.raises(IntegralityViolation):
         wittcore.witt_sum([vec, vec])
 
@@ -300,8 +301,7 @@ class LiftOneShort(GhostSum):
 
     def __init__(self, p, n, ring):
         super().__init__(p, n, ring)
-        self._struct, self._modulus = ring.flat_lift(n - 2)
-        self._zero = (0,) * len(self._struct)
+        self._lifted = ring.flat_lift(n - 2)
 
 
 @pytest.mark.parametrize("mutant", [StaleTruncate, LiftOneShort])

@@ -1,6 +1,11 @@
 import importlib.util
 import pathlib
 import random
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wittlab
 from wittlab import _kernels_py as pure
@@ -134,6 +139,146 @@ class TestRingProducts:
                 pi_L**tower.p,
             )
             assert at_pi_K == 0 and at_pi_L == 0, name
+
+
+def ring_at(tower, level, extra):
+    """O_K or O_L of a tower, at its working precision or lifted."""
+    ring = tower.KR if level == "K" else tower.LR
+    return ring.flat_lift(extra) if extra else ring.level
+
+
+def check_product(build, struct, modulus, pairs):
+    """A product built from ``struct`` against ``flat_mul``, byte for byte."""
+    mul = build(struct, modulus)
+    for a, b in pairs:
+        assert mul(a, b) == pure.flat_mul(a, b, struct, modulus)
+
+
+def random_structure(draw, rank, modulus, zero_odds):
+    """Dense structure rows; each cell is zero with probability ``zero_odds``."""
+    return tuple(
+        tuple(
+            (0,) * rank
+            if draw(0, 99) < zero_odds
+            else tuple(draw(0, modulus - 1) for _ in range(rank))
+            for _ in range(rank)
+        )
+        for _ in range(rank)
+    )
+
+
+def random_pairs(draw, rank, modulus, count):
+    return [
+        tuple(tuple(draw(0, modulus - 1) for _ in range(rank)) for _ in range(2))
+        for _ in range(count)
+    ]
+
+
+TOWER_RINGS = [
+    (name, level, extra)
+    for name in ("q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic")
+    for level in ("K", "L")
+    for extra in range(4)
+]
+PRODUCT_PROPERTY = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def compile_source(source):
+    namespace = {}
+    exec(source, namespace)
+    return namespace["mul"]
+
+
+def drop_a_group(struct, modulus):
+    """Mutant generator: the source leaves out one structure group."""
+    plan = pure.flat_mul_plan(struct)
+    return compile_source(pure.flat_mul_source(plan[:-1], len(struct), modulus))
+
+
+def unreduced_group(struct, modulus):
+    """Mutant generator: the contribution of one non-unit group skips the
+    reduction; it is added after the output is reduced."""
+    plan = pure.flat_mul_plan(struct)
+    unit = [0] * (len(struct) - 1) + [1]
+    k = next((k for k, (row, _) in enumerate(plan) if sorted(row) != unit), None)
+    if k is None:
+        return kernels.compile_flat_mul(struct, modulus)
+    row, pairs = plan[k]
+    rest = compile_source(pure.flat_mul_source(plan[:k] + plan[k + 1 :], len(struct), modulus))
+
+    def mul(a, b):
+        g = sum(a[i] * b[j] for i, j in pairs) % modulus
+        return tuple(x + c * g for x, c in zip(rest(a, b), row))
+
+    return mul
+
+
+class TestCompiledProduct:
+    """The product each ring compiles from its structure rows against
+    ``flat_mul``, the reference kernel."""
+
+    @pytest.mark.parametrize("name,level,extra", TOWER_RINGS)
+    @PRODUCT_PROPERTY
+    @given(data=st.data())
+    def test_tower_rings_match_flat_mul(self, all_towers, name, level, extra, data):
+        ring = ring_at(all_towers[name], level, extra)
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))
+        pairs = random_pairs(draw, ring.flat_rank, ring.modulus, 4)
+        # the product the ring compiled when it was built
+        check_product(lambda struct, modulus: ring.mul, ring.struct, ring.modulus, pairs)
+
+    @pytest.mark.parametrize("zero_odds", [0, 50, 100])
+    @PRODUCT_PROPERTY
+    @given(data=st.data())
+    def test_random_structures_match_flat_mul(self, zero_odds, data):
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))
+        rank = draw(1, 4)
+        modulus = data.draw(st.sampled_from([2, 3, 2**24, 3**23, 5**30, 10**40 + 7]))
+        struct = random_structure(draw, rank, modulus, zero_odds)
+        pairs = random_pairs(draw, rank, modulus, 4)
+        check_product(kernels.compile_flat_mul, struct, modulus, pairs)
+
+    @pytest.mark.parametrize(
+        "build", [drop_a_group, unreduced_group], ids=lambda f: f.__name__
+    )
+    def test_mutant_generators_fail(self, all_towers, build):
+        rng = random.Random(0)
+        draw = rng.randint
+        with pytest.raises(AssertionError):
+            for name, level, extra in TOWER_RINGS:
+                ring = ring_at(all_towers[name], level, extra)
+                pairs = random_pairs(draw, ring.flat_rank, ring.modulus, 4)
+                check_product(build, ring.struct, ring.modulus, pairs)
+            for rank in range(1, 5):
+                modulus = 3**23
+                struct = random_structure(draw, rank, modulus, 0)
+                check_product(build, struct, modulus, random_pairs(draw, rank, modulus, 4))
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, None])
+    def test_generator_accepts_only_integers(self, bad):
+        struct = (((1, 0), (0, 1)), ((0, 1), (bad, 0)))
+        with pytest.raises(TypeError):
+            kernels.compile_flat_mul(struct, 2**10)
+        with pytest.raises(TypeError):
+            kernels.compile_flat_mul((((1,),),), bad)
+
+    def test_source_holds_only_literals_and_locals(self, q3):
+        ring = q3.LR.flat_lift(3)
+        source = pure.flat_mul_source(pure.flat_mul_plan(ring.struct), 3, ring.modulus)
+        names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source))
+        assert names <= {"def", "mul", "return", "a", "b"} | {
+            f"{x}{k}" for x in "abg" for k in range(9)
+        }
+
+    def test_unit_rows_add_directly(self, q3):
+        # O_L of q3_ramified: pi_L^0..pi_L^2 are basis vectors, so only
+        # the cells landing on pi_L^3 and pi_L^4 are reduced before scaling
+        source = pure.flat_mul_source(pure.flat_mul_plan(q3.L.struct), 3, q3.modulus)
+        assert source.count(f") % {q3.modulus}\n") == 2
 
 
 class TestVecKernels:

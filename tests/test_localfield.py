@@ -575,8 +575,8 @@ class TestFlatRing:
         for key, ring in (("K", tower.KR), ("L", tower.LR)):
             got = (
                 rows_sha256(ring.level.struct),
-                rows_sha256(ring.flat_lift(1)[0]),
-                rows_sha256(ring.flat_lift(3)[0]),
+                rows_sha256(ring.flat_lift(1).struct),
+                rows_sha256(ring.flat_lift(3).struct),
             )
             assert got == STRUCTURE_ROWS_SHA256[name][key], key
 
