@@ -139,10 +139,15 @@ def galois_vec(tower: ExtensionTower, x: WittVec, times: int = 1) -> WittVec:
 
 
 def witt_trace(tower: ExtensionTower, x: WittVec) -> WittVec:
-    """Witt sum of the Galois conjugates, projected into the fixed ring."""
-    conj = [galois_vec(tower, x, i) for i in range(tower.p)]
-    total = wittcore.witt_sum(conj)
-    projected = tuple(tower.project_to_K(c) for c in total.components)
+    """Witt sum of the Galois conjugates, projected into the fixed ring.
+
+    The conjugates of each component are pushed, as flat coordinates,
+    into a fresh ``GhostSum``, so the sampler's audit shares no state
+    with the engine that produced the sample."""
+    engine = wittcore.GhostSum(tower.p, x.ctx.n, tower.LR)
+    for c in x.components:
+        engine.push(tower.conjugates_raw(c.data))
+    projected = tuple(tower.project_to_K(c) for c in engine.sums())
     return WittVec(x.ctx, tower.KR, projected)
 
 
@@ -150,15 +155,15 @@ def witt_diff_of_coboundary(tower: ExtensionTower, y: WittVec) -> WittVec:
     return galois_vec(tower, y) - y
 
 
-def random_trace_kernel_elem(tower: ExtensionTower, rng: random.Random) -> OElem:
-    """Sum of r_k * k over the tower's trace-kernel basis, with each r_k
-    drawn uniformly modulo p^N_int, on flat coordinates."""
+def _trace_kernel_draw(tower: ExtensionTower, rng: random.Random, base) -> tuple:
+    """``base`` plus sum of r_k * k over the tower's trace-kernel basis,
+    with each r_k drawn uniformly modulo p^N_int, on flat coordinates."""
     modulus = tower.modulus
-    acc = [0] * tower.L.flat_rank
+    acc = base
     for k in tower.trace_kernel_flat:
         r = rng.randrange(modulus)
         acc = [a + r * c for a, c in zip(acc, k)]
-    return tower.unflatten_L(acc)
+    return tower.L.reduce(acc)
 
 
 def sample_trace_zero(
@@ -176,21 +181,25 @@ def sample_trace_zero(
     carry falls outside the trace image, the level l-1 kernel part is
     redrawn (bounded retries); the finished vector is audited.  The
     carries come from one ``GhostSum`` over the conjugate family, so a
-    retry recomputes only the columns from the cut up.
+    retry recomputes only the columns from the cut up.  Components,
+    particular solutions and carries stay flat coordinate tuples until
+    the finished vector is built.
     """
     ctx = ctx_for(tower.p, n)
+    K, L = tower.K, tower.L
     engine = wittcore.GhostSum(tower.p, n, tower.LR)
-    particulars: list[OElem] = [tower.LR.zero]
-    comps: list[OElem] = [random_trace_kernel_elem(tower, rng)]
+    particulars: list[tuple] = [L.zero_elem]
+    comps: list[tuple] = [_trace_kernel_draw(tower, rng, L.zero_elem)]
     level = 2
     budget = retries * n * 8
     fail_streak = 0
     while level <= n:
         # the engine holds columns 1..level-2; column level-1 is new
-        engine.push([tower.galois(comps[level - 2], i) for i in range(tower.p)])
+        engine.push(tower.conjugates_raw(comps[level - 2]))
         try:
-            carry = tower.project_to_K(engine.carry())
-            part, _ = tower.solve_trace_eq(-carry)
+            carry = tower.project_to_K_raw(engine.carry().data)
+            rhs = OElem(K, tuple(-c % K.modulus for c in carry))
+            part, _ = tower.solve_trace_eq(rhs)
         except NoSolutionAtPrecision:
             budget -= 1
             fail_streak += 1
@@ -204,17 +213,15 @@ def sample_trace_zero(
             cut = level - depth
             del comps[cut:]
             del particulars[cut:]
-            comps[cut - 1] = particulars[cut - 1] + random_trace_kernel_elem(
-                tower, rng
-            )
+            comps[cut - 1] = _trace_kernel_draw(tower, rng, particulars[cut - 1])
             engine.truncate(cut - 1)
             level = cut + 1
             continue
-        particulars.append(part)
-        comps.append(part + random_trace_kernel_elem(tower, rng))
+        particulars.append(part.data)
+        comps.append(_trace_kernel_draw(tower, rng, part.data))
         level += 1
         fail_streak = 0
-    vec = WittVec(ctx, tower.LR, tuple(comps))
+    vec = WittVec(ctx, tower.LR, tuple(OElem(L, c) for c in comps))
     residual = _audited_trace(tower, vec, "a fresh sample")
     return KernelSample(vec, residual, "recursive-sampler", seed_label)
 
@@ -633,7 +640,8 @@ def verify_vksub(
         vk = tower.vK(diff)
         checked += 1
         if not vk.finite or vk.value != expected:
-            worst = max(worst, abs((vk.value or tower.val_cap_K) - expected))
+            got = vk.value if vk.finite else tower.val_cap_K
+            worst = max(worst, abs(got - expected))
             report.record_failure(
                 {
                     "seed": _sample_seed(seed, "vksub", attempts - 1),
@@ -886,7 +894,7 @@ def _contrast_candidates(tower: ExtensionTower, seed: int):
         yield k
     for j in range(64):
         rng = random.Random(_sample_seed(seed, "contrast", j))
-        yield random_trace_kernel_elem(tower, rng)
+        yield OElem(tower.L, _trace_kernel_draw(tower, rng, tower.L.zero_elem))
 
 
 def verify_fixed_points(

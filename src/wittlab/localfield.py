@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -101,17 +102,17 @@ class ValExtended:
         return str(self.value)
 
 
+# (p, vmax) -> (p^vmax, {p^k: k for k < vmax})
+_VP_TABLES: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+
+
 def _vp_int(x: int, p: int, vmax: int) -> int | None:
-    """p-adic valuation of a residue; None means zero at working precision."""
-    if x == 0:
-        return None
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-        if v >= vmax:
-            return None
-    return v
+    """p-adic valuation of an integer, for vmax >= 1; None means v_p(x) >=
+    vmax (zero at working precision).  gcd(x, p^vmax) is p^min(v, vmax)."""
+    table = _VP_TABLES.get((p, vmax))
+    if table is None:
+        table = _VP_TABLES[(p, vmax)] = (p**vmax, {p**k: k for k in range(vmax)})
+    return table[1].get(math.gcd(x, table[0]))
 
 
 def _check_eisenstein(name: str, valuations: Sequence[int | None]) -> None:
@@ -581,6 +582,7 @@ class ExtensionTower:
             [int(x) for x in c] if isinstance(c, list) else int(c) for c in e_l_coeffs
         ]
         self.modulus = p**self.N_int
+        self.prec_modulus = p**N  # coordinates divisible by it are zero at precision
         self.K, self.L = self._build_rings(self.N_int)
 
         self.val_cap = p * self.e_K * N
@@ -776,14 +778,32 @@ class ExtensionTower:
             return a
         return self._apply(self.galois_mats[times], a)
 
+    def conjugates_raw(self, a) -> tuple:
+        """sigma^i(a) for i = 0, ..., p-1, on flat coordinates."""
+        return (a,) + tuple(self._apply(m, a) for m in self.galois_mats[1:])
+
+    def _zero_raw(self, coords) -> bool:
+        """Zero at precision: every coordinate is 0 modulo p^N (see
+        ``is_zero_at_precision``)."""
+        m = self.prec_modulus
+        return not any(c % m for c in coords)
+
+    def project_to_K_raw(self, a):
+        """The O_K coordinates of an O_L element that lies in O_K at
+        precision; TraceNotRational otherwise."""
+        e = self.K.flat_rank
+        if not self._zero_raw(a[e:]):
+            raise TraceNotRational("element does not lie in O_K at precision")
+        return a[:e]
+
     def _trace_raw(self, a):
         acc = self._apply(self.trace_full_mat, a)
-        for j in range(1, self.p):
+        if not self._zero_raw(acc[self.K.flat_rank :]):
+            j = next(
+                j for j in range(1, self.p) if not self._zero_raw(self.L.coeff(acc, j))
+            )
             v = self.K.val_raw(self.L.coeff(acc, j))
-            if v is not None and v < self.val_cap_K:
-                raise TraceNotRational(
-                    f"trace has a pi_L^{j} coefficient of valuation {v}"
-                )
+            raise TraceNotRational(f"trace has a pi_L^{j} coefficient of valuation {v}")
         return self.L.coeff(acc, 0)
 
     # -- public element API ----------------------------------------------
@@ -818,11 +838,6 @@ class ExtensionTower:
             raise ValueError("trace expects an O_L element")
         return OElem(self.K, self._trace_raw(a.data))
 
-    def valuation(self, a: OElem) -> ValExtended:
-        if a.level is self.L:
-            return self.vL(a)
-        return self.vK(a)
-
     def vL(self, a: OElem) -> ValExtended:
         if a.level is self.K:
             a = self.embed_K(a)
@@ -840,7 +855,16 @@ class ExtensionTower:
         return ValExtended(v, self.val_cap_K)
 
     def is_zero_at_precision(self, a: OElem) -> bool:
-        return not self.valuation(a).finite
+        """v(a) >= cap, decided as: every coordinate is 0 modulo p^N.
+
+        In a ring of ramification index e (the flat rank), basis element
+        r has weight w(r) < e and cap = e*N, so the coordinate c at r
+        contributes v_p(c)*e + w(r) >= e*N exactly when v_p(c) >= N; the
+        weights are distinct modulo e, so v(a) is the least contribution.
+        """
+        if a.level is not self.L and a.level is not self.K:
+            raise ValueError("is_zero_at_precision expects an O_K or O_L element")
+        return self._zero_raw(a.data)
 
     def eq_at_precision(self, a: OElem, b: OElem) -> bool:
         return self.is_zero_at_precision(a - b)
@@ -849,17 +873,12 @@ class ExtensionTower:
         """True when every pi_L coefficient beyond degree 0 vanishes."""
         if a.level is self.K:
             return True
-        return all(
-            (v := self.K.val_raw(self.L.coeff(a.data, j))) is None or v >= self.val_cap_K
-            for j in range(1, self.p)
-        )
+        return self._zero_raw(a.data[self.K.flat_rank :])
 
     def project_to_K(self, a: OElem) -> OElem:
         if a.level is self.K:
             return a
-        if not self.in_K_at_precision(a):
-            raise TraceNotRational("element does not lie in O_K at precision")
-        return OElem(self.K, self.L.coeff(a.data, 0))
+        return OElem(self.K, self.project_to_K_raw(a.data))
 
     def ramification_break(self) -> int:
         return self.s

@@ -267,7 +267,7 @@ def ghost_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
     ctx, ring = _common_frame(vectors)
     engine = GhostSum(ctx.p, ctx.n, ring)
     for j in range(ctx.n):
-        engine.push([v.components[j] for v in vectors])
+        engine.push([v.components[j].data for v in vectors])
     return WittVec(ctx, ring, engine.sums())
 
 
@@ -286,14 +286,15 @@ def ghost_witt_neg(y: WittVec) -> WittVec:
     engine = GhostSum(y.ctx.p, y.ctx.n, y.ring)
     z = [-comps[0]]
     for j in range(1, y.ctx.n):
-        engine.push([comps[j - 1], z[j - 1]])
+        engine.push([comps[j - 1].data, z[j - 1].data])
         z.append(-(comps[j] + engine.carry()))
     return WittVec(y.ctx, y.ring, tuple(z))
 
 
 class GhostSum:
     """Witt sum of several length-n vectors over a ring with ``flat_lift``,
-    built column by column in ghost coordinates.
+    built column by column in ghost coordinates.  Columns are pushed as
+    flat coordinate tuples; ``carry`` and ``sums`` give ring elements.
 
     With M the ring's base digits, the summands are read as elements of
     the lifted ring at M + n - 1 digits, where
@@ -330,14 +331,15 @@ class GhostSum:
     def __len__(self) -> int:
         return len(self._columns)
 
-    def push(self, column: Sequence) -> None:
-        """Add the next column: component ``len(self) + 1`` of every summand."""
+    def push(self, column: Sequence[tuple]) -> None:
+        """Add the next column: component ``len(self) + 1`` of every
+        summand, each as the flat coordinate tuple of a ring element."""
         i = len(self._columns)
         if i >= self.n:
             raise ValueError(f"all {self.n} columns are already pushed")
         if not column:
             raise ValueError("a column needs at least one summand")
-        rows = [x.data for x in column]
+        rows = list(column)
         q = self.p**i
         num = [c + q * sum(ys) for c, ys in zip(self._lower(i), zip(*rows))]
         s = _divide_exact(num, q, self._lifted.modulus)
@@ -583,7 +585,7 @@ def carry_value(p: int, level: int, rows: Sequence[Sequence], ring):
     if hasattr(ring, "flat_lift"):
         engine = GhostSum(p, level, ring)
         for j in range(level - 1):
-            engine.push([row[j] for row in rows])
+            engine.push([row[j].data for row in rows])
         return engine.carry()
     ctx = ctx_for(p, level)
     vecs = [WittVec(ctx, ring, tuple(row[: level - 1]) + (ring.zero,)) for row in rows]

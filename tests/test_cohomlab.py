@@ -22,8 +22,21 @@ from wittlab.cohomlab import (
     witt_class_trivial,
     witt_trace,
 )
-from wittlab.localfield import NoSolutionAtPrecision, PrecisionTooLow, build_tower
-from wittlab.wittcore import BINARY_RANGE, PFOLD_RANGE, WittVec, ctx_for, fold_var
+from wittlab.localfield import (
+    NoSolutionAtPrecision,
+    PrecisionTooLow,
+    TraceNotRational,
+    ValExtended,
+    build_tower,
+)
+from wittlab.wittcore import (
+    BINARY_RANGE,
+    PFOLD_RANGE,
+    WittVec,
+    ctx_for,
+    fold_var,
+    polynomial_witt_sum,
+)
 
 
 class TestWittTrace:
@@ -186,6 +199,55 @@ def test_sampler_matches_fresh_carry_loop(all_towers, name, n, retries):
             got = ("exhausted", exc.level)
         assert got == want, (name, n, retries, seed)
         assert got_rng.random() == want_rng.random()
+
+
+def polynomial_trace(tower, x):
+    """Witt trace by the addition polynomials: the oracle for the flat
+    ``witt_trace``."""
+    conj = [galois_vec(tower, x, i) for i in range(tower.p)]
+    return [tower.project_to_K(c).data for c in polynomial_witt_sum(conj).components]
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, n) for name, p in TOWER_PRIMES.items() for n in range(1, min(4, BINARY_RANGE[p]) + 1)],
+)
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_witt_trace_matches_polynomials(all_towers, name, n, data):
+    tower = all_towers[name]
+    rank, top = tower.L.flat_rank, tower.modulus - 1
+    coords = st.lists(st.integers(0, top), min_size=rank, max_size=rank)
+    x = WittVec(
+        ctx_for(tower.p, n),
+        tower.LR,
+        tuple(tower.unflatten_L(data.draw(coords)) for _ in range(n)),
+    )
+    got = witt_trace(tower, x)
+    assert got.ring is tower.KR
+    assert [c.data for c in got.components] == polynomial_trace(tower, x)
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+def test_sampler_refuses_a_corrupted_sigma(all_towers, name, monkeypatch):
+    """Every entry of sigma^1, in turn, off by one: the sampler's carry or
+    its trace audit must raise at n = 2, 3.  (At n = 1 the sample is a
+    true trace-kernel element whatever sigma is, so an entry acting only
+    on coordinates the kernel pins to 0 modulo p^N is rightly passed.)"""
+    tower = all_towers[name]
+    rank, modulus = tower.L.flat_rank, tower.modulus
+    mats = tower.galois_mats
+    for r in range(rank):
+        for m in range(rank):
+            rows = [list(row) for row in mats[1]]
+            rows[r][m] = (rows[r][m] + 1) % modulus
+            bad = (mats[0], tuple(map(tuple, rows))) + mats[2:]
+            with monkeypatch.context() as patch:
+                patch.setattr(tower, "galois_mats", bad)
+                for n in (2, 3):
+                    for seed in range(3):
+                        with pytest.raises((TraceNotRational, AssertionError)):
+                            sample_trace_zero(tower, n, random.Random(seed))
 
 
 def test_trace_kernel_basis_is_cached(all_towers):
@@ -464,6 +526,17 @@ class TestVerifiers:
             include_runtime=False
         )
         assert a == b
+
+    def test_vksub_deviation_reads_a_zero_valuation_as_zero(self, q2_i, monkeypatch):
+        # a finite v_K of 0 is a deviation from 0, not from the cap
+        monkeypatch.setattr(
+            cohomlab.ExtensionTower, "vK", lambda self, a: ValExtended(0, self.val_cap_K)
+        )
+        report = cohomlab.verify_vksub(q2_i, samples=3, seed=1)
+        assert report.status == "FAIL"
+        assert [f["v_K(diff)"] for f in report.failures] == [0, 0, 0]
+        assert [f["expected"] for f in report.failures] == [4, 16, 8]
+        assert report.margins["max_deviation"] == 16
 
     def test_coboundary_samples_respect_step_bounds(self, q2_sqrt2):
         report = cohomlab.verify_step_bounds(q2_sqrt2, samples=12, seed=5, n=3)

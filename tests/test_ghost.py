@@ -249,7 +249,7 @@ def check_push_truncate(tower, draw, engine_type=GhostSum):
     for _ in range(draw(1, 12)):
         if len(columns) < n:
             columns.append(column())
-            engine.push(columns[-1])
+            engine.push([c.data for c in columns[-1]])
         if len(columns) < n:
             assert engine.carry().data == polynomial_carry(tower, columns).data
         move = draw(0, 4)
@@ -260,7 +260,7 @@ def check_push_truncate(tower, draw, engine_type=GhostSum):
         assert len(engine) == cut
     while len(columns) < n:
         columns.append(column())
-        engine.push(columns[-1])
+        engine.push([c.data for c in columns[-1]])
     ctx = ctx_for(p, n)
     vecs = [
         WittVec(ctx, tower.LR, tuple(col[r] for col in columns)) for r in range(p)
@@ -316,11 +316,12 @@ def test_engine_mutants_fail(all_towers, mutant):
 
 def test_engine_refuses_out_of_range_columns(q2_i):
     engine = GhostSum(2, 2, q2_i.LR)
+    one = q2_i.L.one_elem
     with pytest.raises(ValueError):
         engine.truncate(1)
-    engine.push([q2_i.LR.one, q2_i.LR.one])
-    engine.push([q2_i.LR.one, q2_i.LR.one])
+    engine.push([one, one])
+    engine.push([one, one])
     with pytest.raises(ValueError):
-        engine.push([q2_i.LR.one, q2_i.LR.one])
+        engine.push([one, one])
     with pytest.raises(ValueError):
         engine.carry()

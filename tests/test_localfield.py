@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +15,7 @@ from wittlab.localfield import (
     PrecisionTooLow,
     TraceNotRational,
     ValExtended,
+    _vp_int,
     build_tower,
     linsolve,
     smith_normal_form,
@@ -604,3 +606,98 @@ class TestFlatRing:
     def test_long_e_l_coefficient_is_rejected(self):
         with pytest.raises(NotEisenstein):
             build_tower(2, "auto", [[0, 1, 0], [0, 1], [1]], e_k_coeffs=[-2, 0, 1])
+
+
+# -- zero at precision ----------------------------------------------------------
+
+
+def vp_int_by_division(x, p, vmax):
+    """The repeated-division p-adic valuation that ``_vp_int`` replaced;
+    its oracle."""
+    if x == 0:
+        return None
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+        if v >= vmax:
+            return None
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    vmax=st.integers(1, 40),
+    unit=st.integers(-(10**6), 10**6),
+    shift=st.integers(0, 60),
+)
+def test_vp_int_matches_repeated_division(p, vmax, unit, shift):
+    # negative inputs, and multiples of p^k far past p^vmax (unreduced)
+    x = unit * p**shift
+    assert _vp_int(x, p, vmax) == vp_int_by_division(x, p, vmax)
+
+
+def scaled_coords(draw_int, tower, rank):
+    """Flat coordinates, each drawn at random and scaled by one of 1,
+    p^(N-1), p^N and p^N_int, reduced modulo p^N_int."""
+    p, N = tower.p, tower.N
+    scales = (1, p ** (N - 1), p**N, p**tower.N_int)
+    return tuple(
+        (draw_int(0, tower.modulus - 1) * scales[draw_int(0, 3)]) % tower.modulus
+        for _ in range(rank)
+    )
+
+
+def check_zero_tests(tower, draw_int):
+    """``is_zero_at_precision`` and ``in_K_at_precision`` against their
+    valuation definitions, on an O_L and an O_K element."""
+    a = tower.unflatten_L(scaled_coords(draw_int, tower, tower.L.flat_rank))
+    b = tower.unflatten_K(scaled_coords(draw_int, tower, tower.K.flat_rank))
+    assert tower.is_zero_at_precision(a) == (not tower.vL(a).finite)
+    assert tower.is_zero_at_precision(b) == (not tower.vK(b).finite)
+    in_K = all(
+        not tower.vK(tower.unflatten_K(tower.L.coeff(a.data, j))).finite
+        for j in range(1, tower.p)
+    )
+    assert tower.in_K_at_precision(a) == in_K
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_zero_at_precision_matches_valuation(all_towers, name, data):
+    check_zero_tests(all_towers[name], lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES)
+def test_zero_test_one_digit_short_fails(all_towers, name, monkeypatch):
+    """Mutant: coordinates are tested modulo p^(N-1)."""
+    tower = all_towers[name]
+    monkeypatch.setattr(tower, "prec_modulus", tower.p ** (tower.N - 1))
+    rng = random.Random(0)
+    with pytest.raises(AssertionError):
+        for _ in range(200):
+            check_zero_tests(tower, rng.randint)
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES)
+def test_trace_rationality_check(all_towers, name, monkeypatch):
+    """The trace refuses a sum of conjugates with a pi_L^j coefficient of
+    finite valuation, and names the first such j."""
+    tower = all_towers[name]
+    a = tower.random_L_elem(random.Random(1)).data
+    e, N = tower.e_K, tower.N
+    good = tower._apply(tower.trace_full_mat, a)
+    for j in range(1, tower.p):
+        for step, rational in ((tower.p ** (N - 1), False), (tower.p**N, True)):
+            full = list(good)
+            full[j * e] = (full[j * e] + step) % tower.modulus
+            with monkeypatch.context() as patch:
+                patch.setattr(tower, "_apply", lambda mat, x, full=full: tuple(full))
+                if rational:
+                    assert tower._trace_raw(a) == good[:e]
+                else:
+                    msg = f"pi_L^{j} coefficient of valuation {(N - 1) * e}"
+                    with pytest.raises(TraceNotRational, match=re.escape(msg) + "$"):
+                        tower._trace_raw(a)
