@@ -27,7 +27,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import wittcore
 from .localfield import (
@@ -336,15 +336,14 @@ def h1_order_level1(tower: ExtensionTower) -> int:
 
     The finite elementary divisors of (sigma - 1) are exactly the
     invariants of the quotient (the rational kernel is split off by the
-    rank count), so the order is p to their sum.  Computed at two
-    precisions; disagreement raises NotStabilized.
+    rank count), so the order is p to their sum.  Read from the tower's
+    cached Smith forms at two precisions; disagreement raises NotStabilized.
     """
     rank = tower.L.flat_rank
     expected_zeros = tower.K.flat_rank
     runs = []
     for digits in (tower.N, tower.N + 2):
-        snf = smith_normal_form(tower.sigma_minus_one_mat, tower.p, digits)
-        finite = [v for v in snf.pivots if v < digits - 1]
+        finite = [v for v in tower.sigma_minus_one_snf(digits).pivots if v < digits - 1]
         if rank - len(finite) != expected_zeros:
             raise NotStabilized(
                 f"rank defect {rank - len(finite)} != expected {expected_zeros}"
@@ -447,7 +446,7 @@ def linsolve_matches_enumeration(tower: ExtensionTower, digits: int) -> dict:
         snf = smith_normal_form(reduced, p, digits)
         sol = linsolve(reduced, [0] * m, p, digits, snf=snf)
         kernel_span = _subgroup_span(sol.kernel, rank, modulus)
-        image_span = _subgroup_span(snf.image_basis(), m, modulus)
+        image_span = _subgroup_span(snf.image_basis(reduced), m, modulus)
         results[f"{name}_kernel"] = kernel_span == kernel_set
         results[f"{name}_image"] = image_span == image_set
     return results
@@ -502,16 +501,16 @@ def _sampler_mix(
     seed: int,
     lemma: str,
     coboundary_every: int = 0,
-) -> list[KernelSample]:
-    out = []
+) -> Iterator[KernelSample]:
+    """The verifiers' one sample stream: sample k is drawn lazily from
+    random.Random("seed:lemma:k"), a coboundary every coboundary_every-th."""
     for k in range(samples):
         label = _sample_seed(seed, lemma, k)
         rng = random.Random(label)
         if coboundary_every and k % coboundary_every == coboundary_every - 1:
-            out.append(coboundary_sample(tower, n, rng, label))
+            yield coboundary_sample(tower, n, rng, label)
         else:
-            out.append(sample_trace_zero(tower, n, rng, seed_label=label))
-    return out
+            yield sample_trace_zero(tower, n, rng, seed_label=label)
 
 
 def _base_report(
@@ -529,46 +528,43 @@ def _base_report(
     )
 
 
-def witt_length_problem(lemma: str, tower: ExtensionTower, n: int | None) -> str | None:
-    """Why Witt length ``n`` is out of range for this lemma on this
-    tower, or None; the message names the CLI's ``--n``.
+def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
+    """The Witt length ``lemma`` runs at on this tower: ``n``, or the
+    lemma's default when n is None; out of range, WittLengthOutOfRange
+    with one line that names the CLI's ``--n``.
 
-    vktr and vksub read no Witt vector, so they take no length.  Only
-    carry_identity needs a symbolic table (the p-fold decomposition
-    behind its sign observation); every other lemma is bounded by the
-    precision the tower was built at, and main also by its stable
-    length."""
+    vktr and vksub read no Witt vector, so they take no length (None).
+    Every other lemma follows one rule: 1 <= n, the tower's precision
+    covers n (``precision_policy``), and for main n >= its stable length
+    M, which is its default."""
     p = tower.p
     if lemma in ("vktr", "vksub"):
-        return None if n is None else f"--n: {lemma} takes no Witt length"
-    if lemma == "carry_identity":
-        top = PFOLD_RANGE.get(p, 0)
-        if top == 0:
-            return f"--n: no p-fold Witt tables at p={p}"
-        if not 1 <= n <= top:
-            return f"--n {n} outside the p-fold Witt range 1..{top} at p={p}"
+        if n is not None:
+            raise WittLengthOutOfRange(f"--n: {lemma} takes no Witt length")
         return None
+    M = stable_witt_length(tower.s, p)
+    if n is None:
+        # carry_identity and residual_invariant: the p-fold table length
+        n = {"step_bounds": 4, "fixed_points": 3, "main": M}.get(lemma, PFOLD_RANGE.get(p))
+        if n is None:
+            raise WittLengthOutOfRange(
+                f"--n: {lemma} has no default Witt length at p={p}; pass one with --n"
+            )
     if n < 1:
-        return f"--n {n} is not a Witt length; it must be at least 1"
+        raise WittLengthOutOfRange(f"--n {n} is not a Witt length; it must be at least 1")
     need = precision_policy(p, tower.e_K, tower.s, n)
     if need > tower.N:
-        return (
+        raise WittLengthOutOfRange(
             f"--n {n} needs precision N >= {need} at p={p}, s={tower.s}; "
             f"the tower has N={tower.N}"
         )
-    if lemma == "main":
-        # below the stable length the theorem claims nothing, so a small
-        # valuation there is its sharpness, not a counterexample
-        M = stable_witt_length(tower.s, p)
-        if n < M:
-            return f"--n {n} is below the stable Witt length M={M} the main theorem needs"
-    return None
-
-
-def _require_witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> None:
-    problem = witt_length_problem(lemma, tower, n)
-    if problem:
-        raise WittLengthOutOfRange(problem)
+    # below the stable length the theorem claims nothing, so a small
+    # valuation there is its sharpness, not a counterexample
+    if lemma == "main" and n < M:
+        raise WittLengthOutOfRange(
+            f"--n {n} is below the stable Witt length M={M} the main theorem needs"
+        )
+    return n
 
 
 def _record_checked(report: VerificationReport, checked: int, samples: int) -> None:
@@ -583,7 +579,7 @@ def verify_vktr(
     tower: ExtensionTower, samples: int = 1000, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
     """Trace valuation lower bound on the top ring."""
-    _require_witt_length("vktr", tower, n)
+    witt_length("vktr", tower, n)
     p, s = tower.p, tower.s
     report = _base_report(tower, "vktr", {"samples": samples, "seed": seed})
     checked = 0
@@ -620,7 +616,7 @@ def verify_vksub(
     tower: ExtensionTower, samples: int = 1000, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
     """Exact valuation of tr(a^p) - tr(a)^p."""
-    _require_witt_length("vksub", tower, n)
+    witt_length("vksub", tower, n)
     p, e_k = tower.p, tower.e_K
     report = _base_report(tower, "vksub", {"samples": samples, "seed": seed})
     checked = 0
@@ -676,19 +672,13 @@ def verify_carry_identity(
     times the residual.
     """
     p = tower.p
-    if n is None:
-        n = PFOLD_RANGE.get(p)
-    _require_witt_length("carry_identity", tower, n)
-    decomposition = wittcore.pfold_decomposition(p, n)
+    n = witt_length("carry_identity", tower, n)
     C = wittcore.alternating_binom_constant(p)
     report = _base_report(
         tower, "carry_identity", {"samples": samples, "seed": seed, "n": n}
     )
     sign_ok = {"minus": True, "plus": True}
-    for k in range(samples):
-        label = _sample_seed(seed, "carry", k)
-        rng = random.Random(label)
-        sample = sample_trace_zero(tower, n, rng, seed_label=label)
+    for sample in _sampler_mix(tower, n, samples, seed, "carry"):
         comps = sample.vec.components
         for level in range(2, n + 1):
             t_l = tower.trace(comps[level - 1])
@@ -708,7 +698,7 @@ def verify_carry_identity(
                 else:
                     sign_ok[sign] = False
             if not matched:
-                report.record_failure({"seed": label, "level": level})
+                report.record_failure({"seed": sample.seed, "level": level})
     if sign_ok["minus"]:
         report.sign_convention = "minus"
         report.observations["c_term_degenerate"] = C == 0
@@ -719,7 +709,12 @@ def verify_carry_identity(
         if not report.failures:
             report.record_failure({"what": "no consistent sign convention"})
     report.observations["carry_constant"] = C
-    report.observations["symbolic_sign_convention"] = decomposition.sign_convention
+    # the symbolic split exists only within the p-fold tables
+    report.observations["symbolic_sign_convention"] = (
+        wittcore.pfold_decomposition(p, n).sign_convention
+        if n <= PFOLD_RANGE.get(p, 0)
+        else None
+    )
     return report
 
 
@@ -728,16 +723,12 @@ def verify_residual_invariant(
 ) -> VerificationReport:
     """Residual values are Galois-fixed with the cascaded valuation bound."""
     p = tower.p
-    if n is None:
-        n = PFOLD_RANGE[p]
-    _require_witt_length("residual_invariant", tower, n)
+    n = witt_length("residual_invariant", tower, n)
     report = _base_report(
         tower, "residual_invariant", {"samples": samples, "seed": seed, "n": n}
     )
-    for k in range(samples):
-        label = _sample_seed(seed, "residual", k)
-        rng = random.Random(label)
-        sample = sample_trace_zero(tower, n, rng, seed_label=label)
+    for sample in _sampler_mix(tower, n, samples, seed, "residual"):
+        label = sample.seed
         comps = sample.vec.components
         for level in range(2, n + 1):
             h_raw = _residual(tower, comps, level)
@@ -791,9 +782,7 @@ def verify_step_bounds(
 ) -> VerificationReport:
     """Valuation cascade on trace-zero samples (coboundaries mixed in)."""
     p, s = tower.p, tower.s
-    if n is None:
-        n = 4
-    _require_witt_length("step_bounds", tower, n)
+    n = witt_length("step_bounds", tower, n)
     report = _base_report(
         tower, "step_bounds", {"samples": samples, "seed": seed, "n": n}
     )
@@ -822,14 +811,11 @@ def verify_main_theorem(
 ) -> VerificationReport:
     """At the stable length, first components of trace-zero vectors have
     valuation >= s and trivial level-one class; plus the contrast check."""
-    p, s = tower.p, tower.s
-    M = stable_witt_length(s, p) if n is None else n
-    _require_witt_length("main", tower, M)
+    s = tower.s
+    M = witt_length("main", tower, n)
     report = _base_report(tower, "main", {"samples": samples, "seed": seed, "M": M})
-    for k in range(samples):
-        label = _sample_seed(seed, "main", k)
-        rng = random.Random(label)
-        sample = sample_trace_zero(tower, M, rng, seed_label=label)
+    for sample in _sampler_mix(tower, M, samples, seed, "main"):
+        label = sample.seed
         x1 = sample.vec.components[0]
         v1 = tower.vL(x1)
         margin = (v1.value if v1.finite else tower.val_cap) - s
@@ -878,10 +864,7 @@ def verify_main_theorem(
     # observed (not asserted) behavior one length below the stable one
     if M >= 2:
         observed = None
-        for k in range(min(samples, 50)):
-            label = _sample_seed(seed, "main-below", k)
-            rng = random.Random(label)
-            sample = sample_trace_zero(tower, M - 1, rng, seed_label=label)
+        for sample in _sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below"):
             v = tower.vL(sample.vec.components[0])
             value = v.value if v.finite else tower.val_cap
             observed = value if observed is None else min(observed, value)
@@ -903,9 +886,7 @@ def verify_fixed_points(
     """Galois-fixed vectors are exactly those with fixed-ring components,
     and truncation of fixed-ring vectors is split by zero-padding."""
     p = tower.p
-    if n is None:
-        n = 3
-    _require_witt_length("fixed_points", tower, n)
+    n = witt_length("fixed_points", tower, n)
     ctx = ctx_for(p, n)
     report = _base_report(
         tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}

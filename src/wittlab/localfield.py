@@ -376,11 +376,10 @@ class LevelRing:
 
 @dataclass
 class SmithForm:
-    """U*A*V = diag(p^v) with U, V invertible mod p^M; Uinv tracks U^-1."""
+    """U*A*V = diag(p^v) with U, V invertible mod p^M."""
 
     pivots: list[int]
     U: list[list[int]]
-    Uinv: list[list[int]]
     V: list[list[int]]
     rows: int
     cols: int
@@ -399,11 +398,13 @@ class SmithForm:
             basis.append([self.V[i][k] % mod for i in range(n)])
         return basis
 
-    def image_basis(self) -> list[list[int]]:
-        m, mod = self.rows, self.modulus
+    def image_basis(self, matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+        """Columns k < rank of A*V, A the matrix this form was built from:
+        column k is U^-1 e_k p^v_k and the rest vanish, so they span im A."""
+        m, n, mod = self.rows, self.cols, self.modulus
         return [
-            [(self.Uinv[i][k] * self.p**v) % mod for i in range(m)]
-            for k, v in enumerate(self.pivots)
+            [sum(matrix[i][j] * self.V[j][k] for j in range(n)) % mod for i in range(m)]
+            for k in range(len(self.pivots))
         ]
 
 
@@ -413,7 +414,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], p: int, digits: int) -> S
     m = len(A)
     n = len(A[0]) if m else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    Uinv = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
     pivots: list[int] = []
 
@@ -433,8 +433,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], p: int, digits: int) -> S
         if bi != k:
             A[k], A[bi] = A[bi], A[k]
             U[k], U[bi] = U[bi], U[k]
-            for r in range(m):
-                Uinv[r][k], Uinv[r][bi] = Uinv[r][bi], Uinv[r][k]
         if bj != k:
             for r in range(m):
                 A[r][k], A[r][bj] = A[r][bj], A[r][k]
@@ -447,8 +445,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], p: int, digits: int) -> S
             A[k][j] = (A[k][j] * uinv) % modulus
         for j in range(m):
             U[k][j] = (U[k][j] * uinv) % modulus
-        for r in range(m):
-            Uinv[r][k] = (Uinv[r][k] * unit) % modulus
         pv = p**v
         for i in range(k + 1, m):
             if A[i][k]:
@@ -457,8 +453,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], p: int, digits: int) -> S
                     A[i][j] = (A[i][j] - mult * A[k][j]) % modulus
                 for j in range(m):
                     U[i][j] = (U[i][j] - mult * U[k][j]) % modulus
-                for r in range(m):
-                    Uinv[r][k] = (Uinv[r][k] + mult * Uinv[r][i]) % modulus
         for j in range(k + 1, n):
             if A[k][j]:
                 mult = A[k][j] // pv
@@ -467,7 +461,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], p: int, digits: int) -> S
                 for r in range(n):
                     V[r][j] = (V[r][j] - mult * V[r][k]) % modulus
         pivots.append(v)
-    return SmithForm(pivots, U, Uinv, V, m, n, p, modulus, digits)
+    return SmithForm(pivots, U, V, m, n, p, modulus, digits)
 
 
 @dataclass
@@ -925,14 +919,16 @@ class ExtensionTower:
             c.data,
             self.p,
             digits,
-            snf=self._smo_snf_at(digits),
+            snf=self.sigma_minus_one_snf(digits),
         )
         y = self.unflatten_L(sol.particular)
         if not self.eq_at_precision(self.galois(y) - y, c):
             raise TraceNotRational("solver postcondition failed")  # pragma: no cover
         return y, sol.delta
 
-    def _smo_snf_at(self, digits: int) -> SmithForm:
+    def sigma_minus_one_snf(self, digits: int) -> SmithForm:
+        """The Smith form of (sigma - 1) modulo p^digits, built once per
+        digit count."""
         if digits == self.N_int:
             return self._smo_snf
         cached = self._smo_snf_cache.get(digits)

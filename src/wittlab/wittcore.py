@@ -52,6 +52,8 @@ from .exactpoly import MPoly, MPOLY_RING, NotDivisible
 # Symbolic budgets: term counts grow like p^(n-1), so the supported
 # window is fixed rather than discovered by timeout.  They bound the
 # polynomial tables only; tower-ring arithmetic runs on ``GhostSum``.
+# PFOLD_RANGE[p] is also the default Witt length of carry_identity and
+# residual_invariant (``cohomlab.witt_length``); elsewhere they need one.
 BINARY_RANGE = {2: 5, 3: 4, 5: 3}
 PFOLD_RANGE = {2: 4, 3: 3, 5: 2}
 
@@ -315,10 +317,14 @@ class GhostSum:
     p^(i-1) x_i^(p^(l-i)) minus p^(i-1) S_i^(p^(l-i)).  These depend on
     columns 1..i only, so ``truncate`` keeps them for the columns it
     keeps; a level's contributions are computed the first time a
-    ``push`` or ``carry`` needs that level.  Powers go through the lifted
-    ring's compiled ``mul``; the summands of a column, its net
-    contributions and the lower levels are plain integer sums, reduced
-    once, modulo the lifted modulus, before each division.
+    ``push`` or ``carry`` needs that level.  Their sum over columns
+    1..l-1, the numerator at level l, is likewise kept until a
+    ``truncate`` drops one of those columns, so the ``push`` after a
+    ``carry`` at the same level, and the re-push after a cut, sum it
+    once.  Powers go through the lifted ring's compiled ``mul``; the
+    summands of a column, its net contributions and the lower levels
+    are plain integer sums, reduced once, modulo the lifted modulus,
+    before each division.
     """
 
     def __init__(self, p: int, n: int, ring):
@@ -327,6 +333,7 @@ class GhostSum:
         self.ring = ring
         self._lifted = ring.flat_lift(n - 1)
         self._columns: list[_GhostColumn] = []
+        self._numerators: list[list] = []  # _lower(l) for l = 0, 1, ...
 
     def __len__(self) -> int:
         return len(self._columns)
@@ -341,7 +348,7 @@ class GhostSum:
             raise ValueError("a column needs at least one summand")
         rows = list(column)
         q = self.p**i
-        num = [c + q * sum(ys) for c, ys in zip(self._lower(i), zip(*rows))]
+        num = [c + q * sum(ys) for c, ys in zip(self._numerator(i), zip(*rows))]
         s = _divide_exact(num, q, self._lifted.modulus)
         self._columns.append(_GhostColumn(s, rows))
 
@@ -350,6 +357,7 @@ class GhostSum:
         if not 0 <= k <= len(self._columns):
             raise ValueError(f"cannot truncate {len(self._columns)} columns to {k}")
         del self._columns[k:]
+        del self._numerators[k + 1 :]
 
     def carry(self):
         """Component ``len(self) + 1`` of the sum with that column zero:
@@ -357,12 +365,18 @@ class GhostSum:
         i = len(self._columns)
         if i >= self.n:
             raise ValueError(f"no level above the {self.n} pushed columns")
-        num = self._lower(i)
+        num = self._numerator(i)
         return self.ring.unflatten(_divide_exact(num, self.p**i, self._lifted.modulus))
 
     def sums(self) -> tuple:
         """The sum's components over the pushed columns, reduced."""
         return tuple(self.ring.unflatten(c.sum) for c in self._columns)
+
+    def _numerator(self, level: int):
+        """``_lower(level)``, summed once while its columns stay pushed."""
+        if len(self._numerators) == level:
+            self._numerators.append(self._lower(level))
+        return self._numerators[level]
 
     def _lower(self, level: int):
         """Sum over the pushed columns of their contributions at ``level``

@@ -134,13 +134,12 @@ class TestVerify:
             ("step_bounds", "9"),
             ("step_bounds", "0"),
             ("fixed_points", "-1"),
-            ("carry_identity", "4"),
+            ("carry_identity", "6"),
             ("residual_invariant", "6"),
         ],
     )
     def test_witt_length_out_of_range_is_usage_error(self, lemma, n):
-        # q3_ramified has p=3, s=1 and N=16: n=6 needs N >= 19, and the
-        # p-fold tables that carry_identity reads reach n=3
+        # q3_ramified has p=3, s=1 and N=16: n=6 needs N >= 19
         res = run_cli(
             "verify", "--lemma", lemma, "--tower", "q3_ramified", "--n", n, "--samples", "1"
         )
@@ -154,6 +153,7 @@ class TestVerify:
             ("residual_invariant", "4", []),
             ("step_bounds", "5", []),
             ("step_bounds", "6", ["--precision", "19"]),
+            ("carry_identity", "4", []),
         ],
     )
     def test_witt_length_beyond_the_tables_runs(self, lemma, n, extra):
@@ -165,6 +165,26 @@ class TestVerify:
         )
         assert res.returncode == 0, res.stderr
         assert f"{lemma} on q3_ramified: PASS" in res.stdout
+
+    @pytest.mark.parametrize("lemma", ["carry_identity", "residual_invariant"])
+    def test_no_default_length_past_the_pfold_tables(self, tmp_path, lemma):
+        # the degree-7 subfield of Q7(zeta_49), shifted to be Eisenstein:
+        # PFOLD_RANGE has no entry at p=7, so these lemmas need --n
+        path = tmp_path / "septic.json"
+        path.write_text(json.dumps({
+            "p": 7, "N": "auto", "E_K": None, "seed": 2026,
+            "E_L": ["-156256387", "74760231", "-15270458", "1725976",
+                    "-116571", "4704", "-105", "1"],
+        }))
+        res = run_cli("verify", "--lemma", lemma, "--tower", str(path), "--samples", "2")
+        assert res.returncode == 64
+        assert res.stderr.count("\n") == 1 and "--n" in res.stderr
+        assert "Traceback" not in res.stderr
+        res = run_cli(
+            "verify", "--lemma", lemma, "--tower", str(path), "--n", "3", "--samples", "2"
+        )
+        assert res.returncode == 0, res.stderr
+        assert f"{lemma} on {path}: PASS" in res.stdout
 
     def test_precision_message_names_the_needed_n(self):
         res = run_cli(

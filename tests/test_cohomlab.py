@@ -542,6 +542,86 @@ class TestVerifiers:
         report = cohomlab.verify_step_bounds(q2_sqrt2, samples=12, seed=5, n=3)
         assert report.status == "PASS"
 
+    @pytest.mark.parametrize("name, n", [("q3", 4), ("q2_sqrt2", 5)])
+    def test_carry_identity_past_the_pfold_tables(self, towers, name, n):
+        # only the tower's precision bounds n; past PFOLD_RANGE the
+        # symbolic sign is not known, so it is recorded as None
+        assert n > PFOLD_RANGE[towers[name].p]
+        report = cohomlab.verify_carry_identity(towers[name], samples=4, seed=3, n=n)
+        assert report.status == "PASS", report.failures[:2]
+        assert report.params["n"] == n
+        assert report.sign_convention == "minus"
+        assert report.observations["symbolic_sign_convention"] is None
+
+    @pytest.mark.parametrize("name, n", [("q3", 2), ("q3", 3), ("q2_i", 4)])
+    def test_carry_identity_within_the_tables_reads_the_symbolic_sign(
+        self, towers, name, n
+    ):
+        tower = towers[name]
+        want = wittcore.pfold_decomposition(tower.p, n).sign_convention
+        report = cohomlab.verify_carry_identity(tower, samples=2, seed=3, n=n)
+        assert report.observations["symbolic_sign_convention"] == want
+
+
+class TestSampleStream:
+    """Every sampled verifier draws its Witt vectors through one stream,
+    ``_sampler_mix``: sample k from ``random.Random("seed:label:k")``."""
+
+    def test_labels_and_coboundaries(self, q2_i):
+        stream = cohomlab._sampler_mix(q2_i, 2, 4, 7, "x", coboundary_every=2)
+        got = [(s.seed, s.provenance) for s in stream]
+        assert got == [
+            ("7:x:0", "recursive-sampler"),
+            ("7:x:1", "coboundary"),
+            ("7:x:2", "recursive-sampler"),
+            ("7:x:3", "coboundary"),
+        ]
+
+    def test_is_lazy(self, q2_i, monkeypatch):
+        drawn = []
+        original = cohomlab.sample_trace_zero
+
+        def counted(*args, **kwargs):
+            drawn.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cohomlab, "sample_trace_zero", counted)
+        stream = cohomlab._sampler_mix(q2_i, 2, 5, 1, "x")
+        assert drawn == []
+        next(stream)
+        assert drawn == [1]
+
+    @pytest.mark.parametrize(
+        "lemma, labels",
+        [
+            ("carry_identity", ["carry"]),
+            ("residual_invariant", ["residual"]),
+            ("step_bounds", ["steps"]),
+            ("main", ["main", "main-below"]),
+        ],
+    )
+    def test_verifiers_draw_through_the_stream(self, q2_i, monkeypatch, lemma, labels):
+        seen, streamed, drawn = [], [], []
+        original = cohomlab._sampler_mix
+
+        def recorded(tower, n, samples, seed, label, coboundary_every=0):
+            seen.append(label)
+            for sample in original(tower, n, samples, seed, label, coboundary_every):
+                streamed.append(sample.seed)
+                yield sample
+
+        for name in ("sample_trace_zero", "coboundary_sample"):
+            draw = getattr(cohomlab, name)
+            monkeypatch.setattr(
+                cohomlab, name, lambda *a, _draw=draw, **k: drawn.append(1) or _draw(*a, **k)
+            )
+        monkeypatch.setattr(cohomlab, "_sampler_mix", recorded)
+        report = cohomlab.VERIFIERS[lemma](q2_i, samples=3, seed=4)
+        assert report.status == "PASS", report.failures[:2]
+        assert seen == labels
+        # every sample drawn came out of the stream
+        assert len(drawn) == len(streamed) > 0
+
 
 class TestWittLengthRule:
     """Every verifier checks the Witt length it will run at before it
@@ -556,6 +636,19 @@ class TestWittLengthRule:
             monkeypatch.setattr(cohomlab, name, refuse)
         monkeypatch.setattr(cohomlab.random, "Random", refuse)
 
+    def test_defaults(self, q3):
+        M = stable_witt_length(q3.s, q3.p)
+        got = {lemma: cohomlab.witt_length(lemma, q3, None) for lemma in cohomlab.VERIFIERS}
+        assert got == {
+            "vktr": None,
+            "vksub": None,
+            "carry_identity": PFOLD_RANGE[3],
+            "residual_invariant": PFOLD_RANGE[3],
+            "step_bounds": 4,
+            "main": M,
+            "fixed_points": 3,
+        }
+
     def test_step_bounds_past_the_precision(self, q3, no_draws):
         # q3_ramified has p=3, s=1 and N=16; n=8 needs N >= 24
         with pytest.raises(PrecisionTooLow) as exc:
@@ -569,7 +662,7 @@ class TestWittLengthRule:
         [
             ("vktr", 3),
             ("vksub", 3),
-            ("carry_identity", 4),
+            ("carry_identity", 6),
             ("residual_invariant", 6),
             ("step_bounds", 0),
             ("main", 1),
@@ -577,7 +670,9 @@ class TestWittLengthRule:
         ],
     )
     def test_every_verifier_refuses(self, q3, no_draws, lemma, n):
-        problem = cohomlab.witt_length_problem(lemma, q3, n)
+        with pytest.raises(cohomlab.WittLengthOutOfRange) as refused:
+            cohomlab.witt_length(lemma, q3, n)
+        problem = str(refused.value)
         assert problem and "\n" not in problem
         with pytest.raises(cohomlab.WittLengthOutOfRange, match=re.escape(problem)):
             cohomlab.VERIFIERS[lemma](q3, samples=1, seed=0, n=n)

@@ -231,10 +231,11 @@ def polynomial_carry(tower, columns):
 
 def check_push_truncate(tower, draw, engine_type=GhostSum):
     """Pushes, carries and truncations as the sampler's retries make them:
-    after each push the engine goes on, redraws the last column, or cuts
-    two or three columns deep.  Every carry and the final sum are
-    compared with the addition polynomials.  ``draw(lo, hi)`` gives an
-    integer in [lo, hi]."""
+    after each push the engine goes on (so the next push follows a
+    carry at its level), redraws the last column, or cuts two or three
+    columns deep.  Every carry and the final sum are compared with the
+    addition polynomials.  ``draw(lo, hi)`` gives an integer in
+    [lo, hi]."""
     p, modulus, rank = tower.p, tower.modulus, tower.L.flat_rank
     n = draw(2, min(4, BINARY_RANGE[p]))
 
@@ -254,10 +255,11 @@ def check_push_truncate(tower, draw, engine_type=GhostSum):
             assert engine.carry().data == polynomial_carry(tower, columns).data
         move = draw(0, 4)
         depth = 0 if move < 3 else (1 if move == 3 else draw(2, 3))
-        cut = max(0, len(columns) - depth)
-        engine.truncate(cut)
-        del columns[cut:]
-        assert len(engine) == cut
+        if depth:
+            cut = max(0, len(columns) - depth)
+            engine.truncate(cut)
+            del columns[cut:]
+        assert len(engine) == len(columns)
     while len(columns) < n:
         columns.append(column())
         engine.push([c.data for c in columns[-1]])
@@ -296,6 +298,16 @@ class StaleTruncate(GhostSum):
             self._columns[-1].net = self._dropped.pop(0).net
 
 
+class NumeratorKeptPastTruncate(GhostSum):
+    """Mutant: a truncate keeps the numerators of the levels above the
+    cut, summed over columns it dropped."""
+
+    def truncate(self, k):
+        kept = list(self._numerators)
+        super().truncate(k)
+        self._numerators = kept
+
+
 class LiftOneShort(GhostSum):
     """Mutant: the summands are lifted by n-2 digits, one too few."""
 
@@ -304,7 +316,7 @@ class LiftOneShort(GhostSum):
         self._lifted = ring.flat_lift(n - 2)
 
 
-@pytest.mark.parametrize("mutant", [StaleTruncate, LiftOneShort])
+@pytest.mark.parametrize("mutant", [StaleTruncate, NumeratorKeptPastTruncate, LiftOneShort])
 def test_engine_mutants_fail(all_towers, mutant):
     rng = random.Random(0)
     # a wrong carry may also leave a later ghost numerator indivisible
@@ -312,6 +324,66 @@ def test_engine_mutants_fail(all_towers, mutant):
         for name in ("q2_i", "q2_sqrt2", "quartic"):
             for _ in range(10):
                 check_push_truncate(all_towers[name], rng.randint, mutant)
+
+
+def test_carry_then_push_sums_the_level_once(all_towers, monkeypatch):
+    """The push after a carry reuses the carry's numerator: one ``_lower``
+    call per level, and the same sums as an engine that never carried."""
+    calls = []
+    original = GhostSum._lower
+
+    def counted(self, level):
+        calls.append(level)
+        return original(self, level)
+
+    monkeypatch.setattr(GhostSum, "_lower", counted)
+    rng = random.Random(3)
+    for name in ("q2_sqrt2", "q3", "quartic"):
+        tower = all_towers[name]
+        n = 3
+        columns = [
+            [tower.random_L_elem(rng).data for _ in range(tower.p)] for _ in range(n)
+        ]
+        plain = GhostSum(tower.p, n, tower.LR)
+        for col in columns:
+            plain.push(col)
+        engine = GhostSum(tower.p, n, tower.LR)
+        engine.push(columns[0])
+        for level, col in enumerate(columns[1:], start=1):
+            calls.clear()
+            engine.carry()
+            engine.push(col)
+            assert calls == [level]
+        assert [s.data for s in engine.sums()] == [s.data for s in plain.sums()]
+
+
+def test_repush_after_a_cut_sums_the_level_once(q2_sqrt2, monkeypatch):
+    """A carry, a cut of that column and its re-push, as the sampler
+    makes on a rejection: the re-push reuses the numerator of the kept
+    columns, and the sums match an engine that never cut."""
+    calls = []
+    original = GhostSum._lower
+    monkeypatch.setattr(
+        GhostSum, "_lower", lambda self, level: calls.append(level) or original(self, level)
+    )
+    rng = random.Random(5)
+    column = lambda: [q2_sqrt2.random_L_elem(rng).data for _ in range(2)]
+    first, dropped, redrawn = column(), column(), column()
+    engine = GhostSum(2, 3, q2_sqrt2.LR)
+    engine.push(first)
+    engine.push(dropped)
+    engine.carry()
+    engine.truncate(1)
+    calls.clear()
+    engine.push(redrawn)
+    assert calls == []
+    engine.carry()
+    assert calls == [2]
+    plain = GhostSum(2, 3, q2_sqrt2.LR)
+    plain.push(first)
+    plain.push(redrawn)
+    assert engine.carry().data == plain.carry().data
+    assert [s.data for s in engine.sums()] == [s.data for s in plain.sums()]
 
 
 def test_engine_refuses_out_of_range_columns(q2_i):

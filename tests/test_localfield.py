@@ -290,15 +290,13 @@ class TestLinSolve:
                 for j in range(n):
                     want = 2 ** snf.pivots[i] if i == j and i < len(snf.pivots) else 0
                     assert UAV[i][j] == want % mod
-            # Uinv is a two-sided inverse of U
-            UUinv = [
-                [
-                    sum(snf.U[i][k] * snf.Uinv[k][j] for k in range(m)) % mod
-                    for j in range(m)
-                ]
+            # the image basis is the first rank columns of A*V
+            AV = [
+                [sum(A[i][k] * snf.V[k][j] for k in range(n)) % mod for j in range(n)]
                 for i in range(m)
             ]
-            assert UUinv == [[int(i == j) for j in range(m)] for i in range(m)]
+            basis = snf.image_basis(A)
+            assert basis == [[AV[i][k] for i in range(m)] for k in range(len(snf.pivots))]
 
     def test_random_systems_roundtrip(self):
         rng = random.Random(10)
@@ -349,7 +347,7 @@ class TestLinSolve:
                 return seen
 
             assert span(sol.kernel, n) == kernel_set
-            assert span(snf.image_basis(), m) == image_set
+            assert span(snf.image_basis(A), m) == image_set
 
     def test_degenerate_matrices(self):
         sol = linsolve([[0, 0], [0, 0]], [0, 0], 2, 3)
