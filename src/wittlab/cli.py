@@ -365,7 +365,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--n", type=int, default=None, help=(
         "Witt length, at least 1 and covered by the tower's precision (main: at "
         "least M); default main M, step_bounds 4, fixed_points 3, carry_identity "
-        "and residual_invariant PFOLD_RANGE[p], none at p > 5; vktr/vksub: none"))
+        "and residual_invariant PFOLD_RANGE[p], 2 at p > 5; vktr/vksub: none"))
     p_verify.add_argument("--precision", default=None)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(fn=cmd_verify)

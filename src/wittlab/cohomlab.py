@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,11 +145,11 @@ def witt_trace(tower: ExtensionTower, x: WittVec) -> WittVec:
     The conjugates of each component are pushed, as flat coordinates,
     into a fresh ``GhostSum``, so the sampler's audit shares no state
     with the engine that produced the sample."""
-    engine = wittcore.GhostSum(tower.p, x.ctx.n, tower.LR)
+    engine = wittcore.GhostSum(tower.p, x.ctx.n, tower.L)
     for c in x.components:
         engine.push(tower.conjugates_raw(c.data))
     projected = tuple(tower.project_to_K(c) for c in engine.sums())
-    return WittVec(x.ctx, tower.KR, projected)
+    return WittVec(x.ctx, tower.K, projected)
 
 
 def witt_diff_of_coboundary(tower: ExtensionTower, y: WittVec) -> WittVec:
@@ -187,7 +188,7 @@ def sample_trace_zero(
     """
     ctx = ctx_for(tower.p, n)
     K, L = tower.K, tower.L
-    engine = wittcore.GhostSum(tower.p, n, tower.LR)
+    engine = wittcore.GhostSum(tower.p, n, L)
     particulars: list[tuple] = [L.zero_elem]
     comps: list[tuple] = [_trace_kernel_draw(tower, rng, L.zero_elem)]
     level = 2
@@ -221,7 +222,7 @@ def sample_trace_zero(
         comps.append(_trace_kernel_draw(tower, rng, part.data))
         level += 1
         fail_streak = 0
-    vec = WittVec(ctx, tower.LR, tuple(OElem(L, c) for c in comps))
+    vec = WittVec(ctx, L, tuple(OElem(L, c) for c in comps))
     residual = _audited_trace(tower, vec, "a fresh sample")
     return KernelSample(vec, residual, "recursive-sampler", seed_label)
 
@@ -231,9 +232,7 @@ def coboundary_sample(
 ) -> KernelSample:
     """A trace-zero vector of the form sigma(y) - y, with its witness."""
     ctx = ctx_for(tower.p, n)
-    y = WittVec(
-        ctx, tower.LR, tuple(tower.random_L_elem(rng) for _ in range(n))
-    )
+    y = WittVec(ctx, tower.L, tuple(tower.random_L_elem(rng) for _ in range(n)))
     vec = witt_diff_of_coboundary(tower, y)
     residual = _audited_trace(tower, vec, "a coboundary sample")
     return KernelSample(vec, residual, "coboundary", seed_label, witness=y)
@@ -289,10 +288,8 @@ def witt_class_trivial(
     counter = {"left": budget}
 
     def diff_component(y_comps: list[OElem], level: int) -> OElem:
-        padded = tuple(y_comps) + tuple(
-            tower.LR.zero for _ in range(n - len(y_comps))
-        )
-        y = WittVec(ctx, tower.LR, padded)
+        padded = tuple(y_comps) + (tower.L.zero,) * (n - len(y_comps))
+        y = WittVec(ctx, tower.L, padded)
         return witt_diff_of_coboundary(tower, y).components[level - 1]
 
     def extend(y_comps: list[OElem], level: int) -> list[OElem] | None:
@@ -319,7 +316,7 @@ def witt_class_trivial(
     found = extend([], 1)
     if found is None:
         return ClassVerdict("undetermined")
-    y = WittVec(ctx, tower.LR, tuple(found))
+    y = WittVec(ctx, tower.L, tuple(found))
     d = witt_diff_of_coboundary(tower, y)
     for got, want in zip(d.components, x.components):
         if not tower.eq_at_precision(got, want):
@@ -366,6 +363,29 @@ def check_enumeration_domain(tower: ExtensionTower, digits: int) -> None:
         raise ValueError(f"enumeration domain p^{exponent} too large")
 
 
+def enumerate_maps(tower: ExtensionTower, digits: int) -> dict[str, tuple]:
+    """For the trace and for (sigma - 1) on O_L modulo p^digits: the
+    reduced matrix, and its kernel and image as sets, from one
+    enumeration of the whole module; refused (ValueError) by
+    ``check_enumeration_domain`` first."""
+    check_enumeration_domain(tower, digits)
+    modulus = tower.p**digits
+    maps = {
+        name: ([[x % modulus for x in row] for row in mat], set(), set())
+        for name, mat in (
+            ("trace", tower.trace_mat),
+            ("sigma_minus_one", tower.sigma_minus_one_mat),
+        )
+    }
+    for vec in itertools.product(range(modulus), repeat=tower.L.flat_rank):
+        for mat, kernel, image in maps.values():
+            out = tuple(sum(map(operator.mul, row, vec)) % modulus for row in mat)
+            image.add(out)
+            if not any(out):
+                kernel.add(vec)
+    return maps
+
+
 def h1_order_enumeration(tower: ExtensionTower, digits: int) -> int:
     """Set-enumeration oracle for the level-one order.
 
@@ -373,31 +393,10 @@ def h1_order_enumeration(tower: ExtensionTower, digits: int) -> int:
     naive kernel/image quotient by the trace-image defect, which is the
     finite-precision artifact.
     """
-    check_enumeration_domain(tower, digits)
-    p = tower.p
-    rank = tower.L.flat_rank
-    krank = tower.K.flat_rank
-    modulus = p**digits
-    tmat = [[x % modulus for x in row] for row in tower.trace_mat]
-    smat = [[x % modulus for x in row] for row in tower.sigma_minus_one_mat]
-
-    def apply(mat, vec):
-        return tuple(
-            sum(mat[i][j] * vec[j] for j in range(rank)) % modulus
-            for i in range(len(mat))
-        )
-
-    kernel = 0
-    trace_image = set()
-    smo_image = set()
-    for vec in itertools.product(range(modulus), repeat=rank):
-        tv = apply(tmat, vec)
-        if all(c == 0 for c in tv):
-            kernel += 1
-        trace_image.add(tv)
-        smo_image.add(apply(smat, vec))
-    numerator = kernel * len(trace_image)
-    denominator = len(smo_image) * modulus**krank
+    maps = enumerate_maps(tower, digits)
+    _, trace_kernel, trace_image = maps["trace"]
+    numerator = len(trace_kernel) * len(trace_image)
+    denominator = len(maps["sigma_minus_one"][2]) * tower.p ** (digits * tower.K.flat_rank)
     if numerator % denominator:
         raise NotStabilized("enumeration counts are not an integer ratio")
     return numerator // denominator
@@ -422,27 +421,12 @@ def _subgroup_span(generators, rank: int, modulus: int) -> frozenset:
 def linsolve_matches_enumeration(tower: ExtensionTower, digits: int) -> dict:
     """Check the elimination's kernel and image bases against full set
     enumeration, for both the trace and (sigma - 1) matrices."""
-    check_enumeration_domain(tower, digits)
     p = tower.p
     rank = tower.L.flat_rank
     modulus = p**digits
     results = {}
-    for name, mat in (
-        ("trace", tower.trace_mat),
-        ("sigma_minus_one", tower.sigma_minus_one_mat),
-    ):
-        reduced = [[x % modulus for x in row] for row in mat]
+    for name, (reduced, kernel_set, image_set) in enumerate_maps(tower, digits).items():
         m = len(reduced)
-        kernel_set = set()
-        image_set = set()
-        for vec in itertools.product(range(modulus), repeat=rank):
-            out = tuple(
-                sum(reduced[i][j] * vec[j] for j in range(rank)) % modulus
-                for i in range(m)
-            )
-            image_set.add(out)
-            if all(c == 0 for c in out):
-                kernel_set.add(vec)
         snf = smith_normal_form(reduced, p, digits)
         sol = linsolve(reduced, [0] * m, p, digits, snf=snf)
         kernel_span = _subgroup_span(sol.kernel, rank, modulus)
@@ -544,12 +528,9 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
         return None
     M = stable_witt_length(tower.s, p)
     if n is None:
-        # carry_identity and residual_invariant: the p-fold table length
-        n = {"step_bounds": 4, "fixed_points": 3, "main": M}.get(lemma, PFOLD_RANGE.get(p))
-        if n is None:
-            raise WittLengthOutOfRange(
-                f"--n: {lemma} has no default Witt length at p={p}; pass one with --n"
-            )
+        # carry_identity and residual_invariant: the p-fold table length,
+        # and past the tables 2, the p = 5 length and the shortest with a carry
+        n = {"step_bounds": 4, "fixed_points": 3, "main": M}.get(lemma, PFOLD_RANGE.get(p, 2))
     if n < 1:
         raise WittLengthOutOfRange(f"--n {n} is not a Witt length; it must be at least 1")
     need = precision_policy(p, tower.e_K, tower.s, n)
@@ -597,7 +578,7 @@ def verify_vktr(
         vk = tower.vK(tower.trace(a))
         checked += 1
         ok = vk.at_least(bound)
-        margin = (vk.value if vk.finite else tower.val_cap_K) - bound
+        margin = vk.capped() - bound
         _update_margin(report.margins, "trace_valuation_slack", margin)
         if not ok:
             report.record_failure(
@@ -636,8 +617,7 @@ def verify_vksub(
         vk = tower.vK(diff)
         checked += 1
         if not vk.finite or vk.value != expected:
-            got = vk.value if vk.finite else tower.val_cap_K
-            worst = max(worst, abs(got - expected))
+            worst = max(worst, abs(vk.capped() - expected))
             report.record_failure(
                 {
                     "seed": _sample_seed(seed, "vksub", attempts - 1),
@@ -656,10 +636,10 @@ def _residual(tower: ExtensionTower, comps: Sequence[OElem], level: int) -> OEle
     component of the Witt sum of the conjugate rows with columns l-1 and
     l set to zero, which is the carry with column l-1 set to zero."""
     rows = [
-        [tower.galois(c, i) for c in comps[: level - 2]] + [tower.LR.zero]
+        [tower.galois(c, i) for c in comps[: level - 2]] + [tower.L.zero]
         for i in range(tower.p)
     ]
-    return wittcore.carry_value(tower.p, level, rows, tower.LR)
+    return wittcore.carry_value(tower.p, level, rows, tower.L)
 
 
 def verify_carry_identity(
@@ -755,7 +735,7 @@ def verify_residual_invariant(
             if bound > tower.val_cap_K - 1:
                 continue
             vk = tower.vK(tower.project_to_K(h_raw))
-            margin = (vk.value if vk.finite else tower.val_cap_K) - bound
+            margin = vk.capped() - bound
             _update_margin(report.margins, "residual_valuation_slack", margin)
             if not vk.at_least(bound):
                 report.record_failure(
@@ -791,7 +771,7 @@ def verify_step_bounds(
         for i in range(1, n):
             bound = step_bound(s, p, i)
             v = tower.vL(comps[n - i - 1])
-            margin = (v.value if v.finite else tower.val_cap) - bound
+            margin = v.capped() - bound
             _update_margin(report.margins, f"component_{n - i}_slack", margin)
             if not v.at_least(bound):
                 report.record_failure(
@@ -818,7 +798,7 @@ def verify_main_theorem(
         label = sample.seed
         x1 = sample.vec.components[0]
         v1 = tower.vL(x1)
-        margin = (v1.value if v1.finite else tower.val_cap) - s
+        margin = v1.capped() - s
         _update_margin(report.margins, "first_component_slack", margin)
         if not v1.at_least(s):
             report.record_failure(
@@ -865,8 +845,7 @@ def verify_main_theorem(
     if M >= 2:
         observed = None
         for sample in _sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below"):
-            v = tower.vL(sample.vec.components[0])
-            value = v.value if v.finite else tower.val_cap
+            value = tower.vL(sample.vec.components[0]).capped()
             observed = value if observed is None else min(observed, value)
         report.observations["min_v_L_x1_at_length_M_minus_1"] = observed
     return report
@@ -897,7 +876,7 @@ def verify_fixed_points(
         rng = random.Random(label)
         kvec = WittVec(
             ctx,
-            tower.LR,
+            tower.L,
             tuple(tower.embed_K(tower.random_K_elem(rng)) for _ in range(n)),
         )
         gk = galois_vec(tower, kvec)
@@ -912,7 +891,7 @@ def verify_fixed_points(
         idx = rng.randrange(n)
         perturbed = list(kvec.components)
         perturbed[idx] = perturbed[idx] + tower.pi_L * tower.random_L_unit(rng)
-        pvec = WittVec(ctx, tower.LR, tuple(perturbed))
+        pvec = WittVec(ctx, tower.L, tuple(perturbed))
         gp = galois_vec(tower, pvec)
         if all(
             tower.eq_at_precision(a, b) for a, b in zip(gp.components, pvec.components)
@@ -928,9 +907,7 @@ def verify_fixed_points(
         # truncation is split on fixed-ring vectors: append zero
         if n >= 2:
             low = kvec.truncate(n - 1)
-            lifted = WittVec(
-                ctx, tower.LR, low.components + (tower.LR.zero,)
-            )
+            lifted = WittVec(ctx, tower.L, low.components + (tower.L.zero,))
             if lifted.truncate(n - 1).components != low.components:
                 report.record_failure({"seed": label, "what": "truncation section"})
     report.observations["fixed_vectors_checked"] = fixed_seen

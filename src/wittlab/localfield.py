@@ -81,6 +81,10 @@ class ValExtended:
     def finite(self) -> bool:
         return self.value is not None
 
+    def capped(self) -> int:
+        """The value, or the cap when it is only known to be at least that."""
+        return self.cap if self.value is None else self.value
+
     def exact(self) -> int:
         if self.value is None:
             raise PrecisionTooLow(f"valuation only known to be >= {self.cap}")
@@ -127,7 +131,9 @@ def _check_eisenstein(name: str, valuations: Sequence[int | None]) -> None:
 
 
 class FlatRing:
-    """O_K or O_L as coordinate tuples modulo p^digits on a Z_p-basis.
+    """O_K or O_L as coordinate tuples modulo p^digits on a Z_p-basis: the
+    one ring object of its level, which ``OElem.level``, ``WittVec.ring``
+    and ``wittcore.GhostSum`` all point to.
 
     O_K has the basis pi_K^i (i < e_K); O_L has the basis pi_K^i*pi_L^j
     (i < e_K, j < p) at index r = j*e_K + i, so the K-coefficient of
@@ -136,7 +142,9 @@ class FlatRing:
     and ``struct[r][m]`` holds the coordinates of the product of basis
     elements r and m; ``mul`` is the product compiled from them.
     ``ecoeffs`` are the non-leading coefficients of the level's
-    Eisenstein polynomial, as elements of the level below.
+    Eisenstein polynomial, as elements of the level below.  ``rebuild``
+    builds the same level at another digit count (``flat_lift``, which is
+    what the ghost-coordinate Witt sums in ``wittcore`` run on).
     """
 
     def __init__(
@@ -148,6 +156,7 @@ class FlatRing:
         weights: tuple,
         struct: tuple,
         ecoeffs: tuple,
+        rebuild: Callable[[int], "FlatRing"],
     ):
         self.name = name
         self.p = p
@@ -161,12 +170,29 @@ class FlatRing:
         self.flat_rank = len(weights)
         self.ram_index = self.flat_rank
         self.zero_elem = (0,) * self.flat_rank
-        self.one_elem = self.from_int(1)
+        self.one_elem = self.from_int(1).data
+        self.zero = OElem(self, self.zero_elem)
+        self.one = OElem(self, self.one_elem)
         # pi_K on O_K (p itself when K = Q_p), pi_L on O_L
         self.pi_elem = struct[0][block] if self.flat_rank > 1 else (p % self.modulus,)
+        self._rebuild = rebuild  # base digits -> this ring at that precision
+        self._lifts: dict[int, FlatRing] = {}
 
-    def from_int(self, k: int) -> tuple:
-        return (k % self.modulus,) + self.zero_elem[1:]
+    def from_int(self, k: int) -> "OElem":
+        return OElem(self, (k % self.modulus,) + self.zero_elem[1:])
+
+    def unflatten(self, coords: Sequence[int]) -> "OElem":
+        """The element with these flat coordinates, reduced."""
+        return OElem(self, self.reduce(coords))
+
+    def flat_lift(self, extra_digits: int) -> "FlatRing":
+        """This ring rebuilt at ``extra_digits`` more base digits, with its
+        own compiled product, built once per digit count.  Reducing the
+        lifted ring modulo the working modulus gives this ring back."""
+        lifted = self._lifts.get(extra_digits)
+        if lifted is None:
+            lifted = self._lifts[extra_digits] = self._rebuild(self.digits + extra_digits)
+        return lifted
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         return tuple(c % self.modulus for c in coords)
@@ -224,21 +250,25 @@ def build_rings(
     """O_K and O_L modulo p^digits from the non-leading integer Eisenstein
     coefficients: ``e_k`` of E_K (``[-p]`` when K = Q_p), ``e_l`` of E_L,
     each an integer or a list of O_K coordinates.  The structure rows are
-    powers of pi_K and pi_L, built by multiplying by each in turn."""
+    powers of pi_K and pi_L, built by multiplying by each in turn.  Each
+    ring rebuilds itself at more digits from these integers, unreduced."""
     mod = p**digits
     e = len(e_k)
-    e_k = [c % mod for c in e_k]
-    _check_eisenstein("O_K", [_vp_int(c, p, digits) for c in e_k])
+    e_k_mod = [c % mod for c in e_k]
+    _check_eisenstein("O_K", [_vp_int(c, p, digits) for c in e_k_mod])
 
     def times_pi_K(x: tuple) -> tuple:
         top = x[-1]
-        return tuple((lo - top * c) % mod for lo, c in zip((0,) + x[:-1], e_k))
+        return tuple((lo - top * c) % mod for lo, c in zip((0,) + x[:-1], e_k_mod))
 
     pk = [(1,) + (0,) * (e - 1)]  # pk[u] = pi_K^u
     for _ in range(2 * e - 2):
         pk.append(times_pi_K(pk[-1]))
     K_struct = tuple(tuple(pk[a + b] for b in range(e)) for a in range(e))
-    K = FlatRing("O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k))
+    K = FlatRing(
+        "O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k_mod),
+        lambda d: build_rings(p, e_k, e_l, d)[0],
+    )
 
     el = []
     for c in e_l:
@@ -268,7 +298,11 @@ def build_rings(
         for i, j in index
     )
     weights = tuple(i * p + j for i, j in index)
-    return K, FlatRing("O_L", p, digits, e, weights, struct, tuple(el))
+    L = FlatRing(
+        "O_L", p, digits, e, weights, struct, tuple(el),
+        lambda d: build_rings(p, e_k, e_l, d)[1],
+    )
+    return K, L
 
 
 class OElem:
@@ -286,7 +320,7 @@ class OElem:
                 raise ValueError("operands live at different tower levels")
             return other
         if isinstance(other, int):
-            return OElem(self.level, self.level.from_int(other))
+            return self.level.from_int(other)
         raise TypeError(f"cannot combine OElem with {type(other).__name__}")
 
     def __add__(self, other):
@@ -320,7 +354,7 @@ class OElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = OElem(self.level, self.level.from_int(other))
+            other = self.level.from_int(other)
         return (
             isinstance(other, OElem)
             and other.level is self.level
@@ -332,42 +366,6 @@ class OElem:
 
     def __repr__(self):
         return f"OElem<{self.level.name}>{self.data}"
-
-
-class LevelRing:
-    """Ring adapter (zero/one/from_int) for polynomial evaluation.
-
-    It also exposes the level on flat integer coordinates, together with
-    the same level rebuilt at more base digits (``flat_lift``), which is
-    what the ghost-coordinate Witt sums in ``wittcore`` run on.
-    """
-
-    def __init__(self, level: FlatRing, lift: Callable[[int], FlatRing]):
-        self.level = level
-        self.zero = OElem(level, level.zero_elem)
-        self.one = OElem(level, level.one_elem)
-        self._lift = lift  # base digits -> this level rebuilt at that precision
-        self._frames: dict[int, FlatRing] = {}
-
-    def from_int(self, k: int) -> OElem:
-        return OElem(self.level, self.level.from_int(k))
-
-    def unflatten(self, coords: Sequence[int]) -> OElem:
-        """Element from flat coordinates, reduced to the working precision."""
-        return OElem(self.level, self.level.reduce(coords))
-
-    def flat_lift(self, extra_digits: int) -> FlatRing:
-        """This ring rebuilt at ``extra_digits`` more base digits, with its
-        own compiled product.  Reducing the lifted ring modulo the working
-        modulus gives this ring back."""
-        lifted = self._frames.get(extra_digits)
-        if lifted is None:
-            lifted = self._lift(self.level.digits + extra_digits)
-            self._frames[extra_digits] = lifted
-        return lifted
-
-    def __repr__(self):
-        return f"LevelRing({self.level.name})"
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +569,17 @@ class ExtensionTower:
         self.N_int = N + 2 + -(-dv_bound // (p * self.e_K))
         # integer coefficients as given: the working levels reduce them
         # modulo p^N_int, the lifted copies (``flat_lift``) at more digits
-        self._e_k_src = [int(c) for c in e_k_coeffs] if e_k_coeffs else [-p]
-        self._e_l_src = [
-            [int(x) for x in c] if isinstance(c, list) else int(c) for c in e_l_coeffs
-        ]
+        e_k_src = [int(c) for c in e_k_coeffs] if e_k_coeffs else [-p]
+        e_l_src = [[int(x) for x in c] if isinstance(c, list) else int(c) for c in e_l_coeffs]
         self.modulus = p**self.N_int
         self.prec_modulus = p**N  # coordinates divisible by it are zero at precision
-        self.K, self.L = self._build_rings(self.N_int)
+        self.K, self.L = build_rings(p, e_k_src, e_l_src, self.N_int)
+        # a second name for L, read by perfbench/baseline.py
+        self.LR = self.L
 
         self.val_cap = p * self.e_K * N
         self.val_cap_K = self.e_K * N
         self.cap_int = p * self.e_K * self.N_int
-
-        self.KR = LevelRing(self.K, lambda digits: self._build_rings(digits)[0])
-        self.LR = LevelRing(self.L, lambda digits: self._build_rings(digits)[1])
 
         self._find_roots_and_sigma(sigma_choice)
         self._build_matrices()
@@ -609,10 +604,6 @@ class ExtensionTower:
 
     # -- construction helpers ------------------------------------------
 
-    def _build_rings(self, digits: int) -> tuple[FlatRing, FlatRing]:
-        """O_K and O_L with coordinates modulo p^digits."""
-        return build_rings(self.p, self._e_k_src, self._e_l_src, digits)
-
     def _eval_top(self, x):
         """E_L at an O_L point, by Horner."""
         acc = self.L.one_elem
@@ -628,7 +619,7 @@ class ExtensionTower:
         ]
 
         def eval_deriv(x):
-            acc = self.L.from_int(p)
+            acc = L.from_int(p).data
             for j in range(p - 2, -1, -1):
                 acc = L.add(L.mul(acc, x), dpoly[j])
             return acc
@@ -649,7 +640,7 @@ class ExtensionTower:
         pi_pows = [L.one_elem]
         for _ in range(k_stop):
             pi_pows.append(L.mul(pi_pows[-1], pi))
-        digits = [L.from_int(d) for d in range(p)]
+        digits = [L.from_int(d).data for d in range(p)]
 
         def threshold(k: int) -> int:
             return min(k + (p - 1) * min(k, s_pre + 1), self.cap_int)
@@ -678,7 +669,7 @@ class ExtensionTower:
         self.dv = dv
         self.sigma_root = others[sigma_choice % (p - 1)]
 
-        # power tables for sigma^i: conj[i] = sigma^i(pi), then its powers
+        # conj[i] = sigma^i(pi), the points the substitution path evaluates at
         conj = [pi]
         for _ in range(p - 1):
             conj.append(self._subst(conj[-1], self.sigma_root))
@@ -688,12 +679,7 @@ class ExtensionTower:
         for i in range(1, p):
             if self._close_raw(conj[i], pi, self.val_cap):
                 raise NotNormal("Galois substitution has order < p at precision")
-        self.sigma_pows = []
-        for i in range(p):
-            pows = [L.one_elem]
-            for _ in range(p - 1):
-                pows.append(L.mul(pows[-1], conj[i]))
-            self.sigma_pows.append(pows)
+        self.pi_conjugates = tuple(conj)
 
         diff = L.sub(conj[1], pi)
         vdiff = L.val_raw(diff)
@@ -743,9 +729,8 @@ class ExtensionTower:
         self._trace_snf = smith_normal_form(self.trace_mat, self.p, self.N_int)
         # the trace kernel on flat coordinates, and as O_L elements
         self.trace_kernel_flat = tuple(tuple(k) for k in self._trace_snf.kernel_basis())
-        self._trace_kernel = tuple(self.unflatten_L(k) for k in self.trace_kernel_flat)
-        self._smo_snf = smith_normal_form(self.sigma_minus_one_mat, self.p, self.N_int)
-        self._smo_snf_cache: dict[int, SmithForm] = {}
+        self._trace_kernel = tuple(self.L.unflatten(k) for k in self.trace_kernel_flat)
+        self._smo_snf: dict[int, SmithForm] = {}  # digits -> Smith form of sigma - 1
 
     # -- raw (tuple-level) operations -----------------------------------
 
@@ -759,12 +744,7 @@ class ExtensionTower:
         times %= self.p
         if times == 0:
             return a
-        L = self.L
-        pows = self.sigma_pows[times]
-        acc = L.zero_elem
-        for j in range(self.p):
-            acc = L.add(acc, L.mul(L.embed(L.coeff(a, j)), pows[j]))
-        return acc
+        return self._subst(a, self.pi_conjugates[times])
 
     def _galois_raw(self, a, times: int):
         times %= self.p
@@ -814,7 +794,7 @@ class ExtensionTower:
         """sum_j c_j*pi_L^j from O_K (or integer) coefficients c_j."""
         data = ()
         for c in coeffs:
-            data += self.K.from_int(c) if isinstance(c, int) else c.data
+            data += (self.K.from_int(c) if isinstance(c, int) else c).data
         return OElem(self.L, self.L.embed(data))
 
     def embed_K(self, a: OElem) -> OElem:
@@ -874,22 +854,12 @@ class ExtensionTower:
             return a
         return OElem(self.K, self.project_to_K_raw(a.data))
 
-    def ramification_break(self) -> int:
-        return self.s
-
     def strict_break_regime(self) -> bool:
         """True when s > e_K/(p-1) strictly; towers sitting exactly on
         the bound are the delicate boundary cases, labeled False."""
         return self.s * (self.p - 1) > self.e_K
 
     # -- linear solving ----------------------------------------------------
-
-    def unflatten_L(self, coords: Sequence[int]) -> OElem:
-        """The O_L element with these flat coordinates, reduced."""
-        return OElem(self.L, self.L.reduce(coords))
-
-    def unflatten_K(self, coords: Sequence[int]) -> OElem:
-        return OElem(self.K, self.K.reduce(coords))
 
     def solve_trace_eq(self, c: OElem) -> tuple[OElem, int]:
         """x with tr(x) = c at precision, and ``delta``, the digits the
@@ -899,7 +869,7 @@ class ExtensionTower:
         sol = linsolve(
             self.trace_mat, c.data, self.p, self.N_int, snf=self._trace_snf
         )
-        return self.unflatten_L(sol.particular), sol.delta
+        return self.L.unflatten(sol.particular), sol.delta
 
     def trace_kernel_basis(self) -> tuple[OElem, ...]:
         """The trace-kernel basis, built once per tower."""
@@ -921,33 +891,28 @@ class ExtensionTower:
             digits,
             snf=self.sigma_minus_one_snf(digits),
         )
-        y = self.unflatten_L(sol.particular)
+        y = self.L.unflatten(sol.particular)
         if not self.eq_at_precision(self.galois(y) - y, c):
             raise TraceNotRational("solver postcondition failed")  # pragma: no cover
         return y, sol.delta
 
     def sigma_minus_one_snf(self, digits: int) -> SmithForm:
-        """The Smith form of (sigma - 1) modulo p^digits, built once per
-        digit count."""
-        if digits == self.N_int:
-            return self._smo_snf
-        cached = self._smo_snf_cache.get(digits)
-        if cached is None:
-            cached = smith_normal_form(self.sigma_minus_one_mat, self.p, digits)
-            self._smo_snf_cache[digits] = cached
-        return cached
+        """The Smith form of (sigma - 1) modulo p^digits, built on first use
+        at each digit count."""
+        snf = self._smo_snf.get(digits)
+        if snf is None:
+            snf = self._smo_snf[digits] = smith_normal_form(
+                self.sigma_minus_one_mat, self.p, digits
+            )
+        return snf
 
     # -- sampling -----------------------------------------------------------
 
     def random_K_elem(self, rng) -> OElem:
-        return self.unflatten_K(
-            [rng.randrange(self.modulus) for _ in range(self.K.flat_rank)]
-        )
+        return self.K.unflatten([rng.randrange(self.modulus) for _ in range(self.K.flat_rank)])
 
     def random_L_elem(self, rng, spread_valuation: bool = False) -> OElem:
-        a = self.unflatten_L(
-            [rng.randrange(self.modulus) for _ in range(self.L.flat_rank)]
-        )
+        a = self.L.unflatten([rng.randrange(self.modulus) for _ in range(self.L.flat_rank)])
         if spread_valuation:
             shift = rng.randrange(0, max(1, self.val_cap // 3))
             if shift:
@@ -975,14 +940,11 @@ class ExtensionTower:
         seen = 0
         while seen < budget:
             for coords in itertools.product(range(p**depth), repeat=e):
-                yield self.unflatten_K(coords)
+                yield self.K.unflatten(coords)
                 seen += 1
                 if seen >= budget:
                     return
             depth += 1
-
-    def to_obj(self) -> dict:
-        return dict(self.description)
 
 
 def build_tower(
@@ -1048,10 +1010,14 @@ def tower_from_obj(obj: dict, **overrides) -> ExtensionTower:
     e_k = obj.get("E_K")
     if e_k is not None:
         e_k = [_tower_int(c, "E_K coefficient") for c in _tower_list(e_k, "E_K")]
+    # checked even when an override replaces it: the file is malformed
+    seed = obj.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"tower seed must be an integer, got {seed!r}")
     kwargs = {
         "witt_length_hint": overrides.get("witt_length_hint", 4),
         "sigma_choice": overrides.get("sigma_choice", 0),
-        "seed": overrides.get("seed", obj.get("seed", 0)),
+        "seed": overrides.get("seed", seed),
     }
     n_prec = overrides.get("N", obj.get("N", "auto"))
     return build_tower(p, n_prec, e_l, e_k, **kwargs)

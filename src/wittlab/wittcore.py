@@ -13,12 +13,13 @@ on length-n vectors over a ring without ``flat_lift`` (the integers,
 Z/m, polynomials) is evaluation of those integral polynomials, with no
 division.
 
-Over the rings of a tower (any ring with a ``flat_lift``), sums,
-carries and negatives are computed in ghost coordinates instead, by one
-incremental engine (``GhostSum``): the summands are lifted to the same
-ring at n-1 more base digits, their ghost components are added column
-by column, and the sum's Witt components are recovered one level at a
-time by certified exact division.  A negative is the vector whose sum
+Over the rings of a tower, each one ``localfield.FlatRing`` per level
+and the only rings with a ``flat_lift``, sums, carries and negatives
+are computed in ghost coordinates instead, by one incremental engine
+(``GhostSum``): the summands are lifted to the same ring at n-1 more
+base digits, their ghost components are added column by column, and
+the sum's Witt components are recovered one level at a time by
+certified exact division.  A negative is the vector whose sum
 with the given one is zero, solved column by column with the same
 engine.  Because the addition polynomials are integral, the result is
 exactly what evaluating them gives; the polynomial path remains the
@@ -53,7 +54,7 @@ from .exactpoly import MPoly, MPOLY_RING, NotDivisible
 # window is fixed rather than discovered by timeout.  They bound the
 # polynomial tables only; tower-ring arithmetic runs on ``GhostSum``.
 # PFOLD_RANGE[p] is also the default Witt length of carry_identity and
-# residual_invariant (``cohomlab.witt_length``); elsewhere they need one.
+# residual_invariant (``cohomlab.witt_length``); past the tables it is 2.
 BINARY_RANGE = {2: 5, 3: 4, 5: 3}
 PFOLD_RANGE = {2: 4, 3: 3, 5: 2}
 

@@ -72,6 +72,14 @@ class TestTowerInfo:
         assert res.returncode == 64
 
 
+# the degree-7 subfield of Q7(zeta_49), shifted to be Eisenstein
+SEPTIC = {
+    "p": 7, "N": "auto", "E_K": None, "seed": 2026,
+    "E_L": ["-156256387", "74760231", "-15270458", "1725976",
+            "-116571", "4704", "-105", "1"],
+}
+
+
 class TestVerify:
     def test_pass_run(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -167,19 +175,17 @@ class TestVerify:
         assert f"{lemma} on q3_ramified: PASS" in res.stdout
 
     @pytest.mark.parametrize("lemma", ["carry_identity", "residual_invariant"])
-    def test_no_default_length_past_the_pfold_tables(self, tmp_path, lemma):
-        # the degree-7 subfield of Q7(zeta_49), shifted to be Eisenstein:
-        # PFOLD_RANGE has no entry at p=7, so these lemmas need --n
+    def test_default_length_past_the_pfold_tables(self, tmp_path, lemma):
+        # PFOLD_RANGE has no entry at p=7: these lemmas default to n = 2
         path = tmp_path / "septic.json"
-        path.write_text(json.dumps({
-            "p": 7, "N": "auto", "E_K": None, "seed": 2026,
-            "E_L": ["-156256387", "74760231", "-15270458", "1725976",
-                    "-116571", "4704", "-105", "1"],
-        }))
-        res = run_cli("verify", "--lemma", lemma, "--tower", str(path), "--samples", "2")
-        assert res.returncode == 64
-        assert res.stderr.count("\n") == 1 and "--n" in res.stderr
-        assert "Traceback" not in res.stderr
+        path.write_text(json.dumps(SEPTIC))
+        res = run_cli(
+            "verify", "--lemma", lemma, "--tower", str(path), "--samples", "2",
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert res.returncode == 0, res.stderr
+        assert f"{lemma} on {path}: PASS" in res.stdout
+        assert json.loads((tmp_path / "report.json").read_text())["params"]["n"] == 2
         res = run_cli(
             "verify", "--lemma", lemma, "--tower", str(path), "--n", "3", "--samples", "2"
         )
@@ -231,7 +237,7 @@ class TestVerify:
         monkeypatch.setattr(
             localfield.ExtensionTower,
             "random_L_elem",
-            lambda self, rng, spread_valuation=False: self.LR.zero,
+            lambda self, rng, spread_valuation=False: self.L.zero,
         )
         code = cli.main(
             ["verify", "--lemma", lemma, "--tower", "q2_i", "--samples", "3"]
@@ -344,6 +350,22 @@ class TestSuite:
             "the tower has N=17\n"
         )
         assert not out_path.exists()
+
+    def test_tower_past_the_pfold_tables(self, tmp_path):
+        # every lemma that needs a Witt length takes its default at p=7
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "towers": [{"name": "septic", **SEPTIC}],
+            "lemmas": ["vktr", "carry_identity", "residual_invariant"],
+            "samples": 2,
+        }))
+        out_path = tmp_path / "agg.json"
+        res = run_cli("suite", "--manifest", str(manifest), "--out", str(out_path))
+        assert res.returncode == 0, res.stderr
+        cells = json.loads(out_path.read_text())["cells"]
+        assert [(c["lemma"], c["status"]) for c in cells] == [
+            ("vktr", "PASS"), ("carry_identity", "PASS"), ("residual_invariant", "PASS"),
+        ]
 
     def test_default_suite_valuation_cells_check_every_sample(self, towers):
         # the default suite runs vktr and vksub with 200 samples and seed
@@ -458,6 +480,9 @@ MALFORMED_TOWERS = {
     "p_null": {"p": None, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"]},
     "e_l_not_list": {"p": 2, "N": 24, "E_K": None, "E_L": 5},
     "array": [1, 2],
+    # a seed is checked even where an override replaces it (verify, suite)
+    "seed_string": {"p": 2, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"], "seed": "x"},
+    "seed_list": {"p": 2, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"], "seed": [1]},
 }
 
 
@@ -490,7 +515,7 @@ class TestMalformedTower:
         manifest.write_text(json.dumps({"towers": [tower_file], "lemmas": ["vktr"]}))
         _one_line_usage_error(run_cli("suite", "--manifest", str(manifest)))
 
-    @pytest.mark.parametrize("name", ["p_null", "e_l_not_list"])
+    @pytest.mark.parametrize("name", ["p_null", "e_l_not_list", "seed_string", "seed_list"])
     def test_suite_inline_tower_is_usage_error(self, tmp_path, name):
         manifest = tmp_path / "m.json"
         manifest.write_text(
@@ -510,11 +535,14 @@ class TestMalformedTower:
             {"p": 2, "N": 24, "E_K": None, "E_L": [None, "0", "1"]},
             {"p": 2, "N": 24, "E_K": None, "E_L": [[None], "0", "1"]},
             {"p": 2, "N": 24, "E_K": None},
+            {"p": 2, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"], "seed": True},
         ],
     )
     def test_tower_from_obj_raises_value_error(self, obj):
         with pytest.raises(ValueError):
             localfield.tower_from_obj(obj)
+        with pytest.raises(ValueError):
+            localfield.tower_from_obj(obj, seed=7)
 
 
 class TestOracle:

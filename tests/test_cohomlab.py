@@ -42,7 +42,7 @@ from wittlab.wittcore import (
 class TestWittTrace:
     def test_zero(self, q2_i):
         ctx = ctx_for(2, 2)
-        z = ctx.zero_vec(q2_i.LR)
+        z = ctx.zero_vec(q2_i.L)
         out = witt_trace(q2_i, z)
         assert all(q2_i.is_zero_at_precision(c) for c in out.components)
 
@@ -73,7 +73,7 @@ class TestWittTrace:
 
     def test_level1_trace_of_i(self, q2_i):
         ctx = ctx_for(2, 1)
-        vec = WittVec(ctx, q2_i.LR, (q2_i.pi_L - 1,))
+        vec = WittVec(ctx, q2_i.L, (q2_i.pi_L - 1,))
         out = witt_trace(q2_i, vec)
         assert q2_i.is_zero_at_precision(out.components[0])
 
@@ -83,10 +83,10 @@ class TestWittTrace:
             ctx = ctx_for(tower.p, 2)
             for _ in range(10):
                 x = WittVec(
-                    ctx, tower.LR, tuple(tower.random_L_elem(rng) for _ in range(2))
+                    ctx, tower.L, tuple(tower.random_L_elem(rng) for _ in range(2))
                 )
                 y = WittVec(
-                    ctx, tower.LR, tuple(tower.random_L_elem(rng) for _ in range(2))
+                    ctx, tower.L, tuple(tower.random_L_elem(rng) for _ in range(2))
                 )
                 lhs = witt_trace(tower, x + y)
                 rhs = witt_trace(tower, x) + witt_trace(tower, y)
@@ -130,22 +130,22 @@ def sample_with_fresh_carries(tower, n, rng, retries=32):
     builds the conjugate rows and calls ``carry_value``, and kernel
     elements are summed from OElems over the basis derived from the
     Smith form.  The oracle for ``sample_trace_zero``."""
-    basis = [tower.unflatten_L(k) for k in tower._trace_snf.kernel_basis()]
+    basis = [tower.L.unflatten(k) for k in tower._trace_snf.kernel_basis()]
 
     def kernel_elem():
-        acc = tower.LR.zero
+        acc = tower.L.zero
         for k in basis:
             acc = acc + k * rng.randrange(tower.modulus)
         return acc
 
-    particulars = [tower.LR.zero]
+    particulars = [tower.L.zero]
     comps = [kernel_elem()]
     level = 2
     budget = retries * n * 8
     fail_streak = 0
     while level <= n:
         rows = [[tower.galois(c, i) for c in comps[: level - 1]] for i in range(tower.p)]
-        carry = wittcore.carry_value(tower.p, level, rows, tower.LR)
+        carry = wittcore.carry_value(tower.p, level, rows, tower.L)
         try:
             part, _ = tower.solve_trace_eq(-tower.project_to_K(carry))
         except NoSolutionAtPrecision:
@@ -220,11 +220,11 @@ def test_witt_trace_matches_polynomials(all_towers, name, n, data):
     coords = st.lists(st.integers(0, top), min_size=rank, max_size=rank)
     x = WittVec(
         ctx_for(tower.p, n),
-        tower.LR,
-        tuple(tower.unflatten_L(data.draw(coords)) for _ in range(n)),
+        tower.L,
+        tuple(tower.L.unflatten(data.draw(coords)) for _ in range(n)),
     )
     got = witt_trace(tower, x)
-    assert got.ring is tower.KR
+    assert got.ring is tower.K
     assert [c.data for c in got.components] == polynomial_trace(tower, x)
 
 
@@ -254,7 +254,7 @@ def test_trace_kernel_basis_is_cached(all_towers):
     for tower in all_towers.values():
         basis = tower.trace_kernel_basis()
         assert basis is tower.trace_kernel_basis()
-        derived = [tower.unflatten_L(k) for k in tower._trace_snf.kernel_basis()]
+        derived = [tower.L.unflatten(k) for k in tower._trace_snf.kernel_basis()]
         assert [k.data for k in basis] == [k.data for k in derived]
         assert [k.data for k in basis] == list(tower.trace_kernel_flat)
 
@@ -268,7 +268,7 @@ def symbolic_residual(tower, comps, level):
     for i in range(1, p + 1):
         for j in range(1, level - 1):
             assign[fold_var(p, i, j)] = tower.galois(comps[j - 1], i - 1)
-    return poly.eval(assign, tower.LR)
+    return poly.eval(assign, tower.L)
 
 
 def assert_residuals_match(tower, comps, residual):
@@ -285,7 +285,7 @@ def residual_components(tower, kind, draw_int):
         return sample_trace_zero(tower, n, random.Random(draw_int(0, 2**32))).vec.components
     top = tower.modulus - 1
     return tuple(
-        tower.unflatten_L([draw_int(0, top) for _ in range(tower.L.flat_rank)])
+        tower.L.unflatten([draw_int(0, top) for _ in range(tower.L.flat_rank)])
         for _ in range(n)
     )
 
@@ -306,15 +306,15 @@ def residual_zeroing_column_below(tower, comps, level):
     for i in range(tower.p):
         row = [tower.galois(c, i) for c in comps[: level - 1]]
         if level >= 3:
-            row[level - 3] = tower.LR.zero
+            row[level - 3] = tower.L.zero
         rows.append(row)
-    return wittcore.carry_value(tower.p, level, rows, tower.LR)
+    return wittcore.carry_value(tower.p, level, rows, tower.L)
 
 
 def residual_keeping_column(tower, comps, level):
     """Mutant: leaves column l-1 in, so it returns the whole carry."""
     rows = [[tower.galois(c, i) for c in comps[: level - 1]] for i in range(tower.p)]
-    return wittcore.carry_value(tower.p, level, rows, tower.LR)
+    return wittcore.carry_value(tower.p, level, rows, tower.L)
 
 
 @pytest.mark.parametrize("mutant", [residual_zeroing_column_below, residual_keeping_column])
@@ -339,7 +339,7 @@ def test_residual_invariant_builds_no_decomposition(q2_i, q3, monkeypatch):
 
 class TestClassDecisions:
     def test_zero_is_trivial(self, q2_i):
-        verdict = level1_class_trivial(q2_i, q2_i.LR.zero)
+        verdict = level1_class_trivial(q2_i, q2_i.L.zero)
         assert verdict.status == "trivial"
 
     def test_i_is_nontrivial(self, q2_i):
@@ -356,7 +356,7 @@ class TestClassDecisions:
 
     def test_witt_class_of_zero(self, q2_i):
         ctx = ctx_for(2, 2)
-        z = ctx.zero_vec(q2_i.LR)
+        z = ctx.zero_vec(q2_i.L)
         sample = KernelSample(z, witt_trace(q2_i, z), "explicit", "0")
         assert witt_class_trivial(q2_i, sample).status == "trivial"
 

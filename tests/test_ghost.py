@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wittlab import cohomlab, wittcore
 from wittlab.exactpoly import ModRing, MPoly
-from wittlab.localfield import LevelRing
+from wittlab.localfield import FlatRing
 from wittlab.wittcore import (
     BINARY_RANGE,
     GhostSum,
@@ -51,10 +51,10 @@ def draw_vectors(data, tower, n, count, top_zero=False):
     ctx = ctx_for(tower.p, n)
     vecs = []
     for _ in range(count):
-        comps = [tower.unflatten_L(data.draw(coords)) for _ in range(n)]
+        comps = [tower.L.unflatten(data.draw(coords)) for _ in range(n)]
         if top_zero:
-            comps[-1] = tower.LR.zero
-        vecs.append(WittVec(ctx, tower.LR, tuple(comps)))
+            comps[-1] = tower.L.zero
+        vecs.append(WittVec(ctx, tower.L, tuple(comps)))
     return vecs
 
 
@@ -87,7 +87,7 @@ def test_carry_value_matches_polynomials(all_towers, name, n, data):
     tower = all_towers[name]
     vecs = draw_vectors(data, tower, n, tower.p, top_zero=True)
     rows = [v.components[: n - 1] for v in vecs]
-    got = carry_value(tower.p, n, rows, tower.LR)
+    got = carry_value(tower.p, n, rows, tower.L)
     assert got.data == polynomial_witt_sum(vecs).components[n - 1].data
 
 
@@ -131,10 +131,10 @@ def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
         ctx = ctx_for(tower.p, n)
         for _ in range(5):
             comps = [
-                tower.unflatten_L([rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank)])
+                tower.L.unflatten([rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank)])
                 for _ in range(n)
             ]
-            y = WittVec(ctx, tower.LR, tuple(comps))
+            y = WittVec(ctx, tower.L, tuple(comps))
             cases.append((y, datas(polynomial_witt_neg(y))))
     monkeypatch.setattr(wittcore, "GhostSum", mutant)
     assert any(datas(-y) != want for y, want in cases)
@@ -142,7 +142,7 @@ def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
 
 def test_tower_sums_evaluate_no_polynomial(q3, monkeypatch):
     ctx = ctx_for(3, 4)
-    vec = WittVec(ctx, q3.LR, (q3.pi_L + 1, q3.pi_L, q3.LR.one, q3.pi_L * 2))
+    vec = WittVec(ctx, q3.L, (q3.pi_L + 1, q3.pi_L, q3.L.one, q3.pi_L * 2))
     want = polynomial_witt_sum([vec, vec, vec])
     want_neg = polynomial_witt_neg(vec)
 
@@ -161,7 +161,7 @@ def test_verifiers_evaluate_no_polynomial_on_tower_rings(q2_i, q3, monkeypatch):
     original_eval = MPoly.eval
 
     def guarded(self, assignment, ring=None):
-        if isinstance(ring, LevelRing):
+        if isinstance(ring, FlatRing):
             raise AssertionError("polynomial evaluation on a tower ring")
         return original_eval(self, assignment, ring)
 
@@ -192,7 +192,7 @@ def test_rings_without_lift_keep_the_polynomial_path():
 
 def test_lift_reduces_to_the_working_ring(all_towers):
     for tower in all_towers.values():
-        for ring in (tower.KR, tower.LR):
+        for ring in (tower.K, tower.L):
             for extra in (1, 3):
                 lifted = ring.flat_lift(extra)
                 assert lifted.modulus == tower.modulus * tower.p**extra
@@ -200,19 +200,19 @@ def test_lift_reduces_to_the_working_ring(all_towers):
                     tuple(tuple(c % tower.modulus for c in cell) for cell in row)
                     for row in lifted.struct
                 )
-                assert reduced == ring.level.struct
+                assert reduced == ring.struct
 
 
 def test_non_divisible_ghost_numerator_raises(q2_i, monkeypatch):
     """A product that is off by one leaves w_2 - S_1^2 odd."""
-    lifted = q2_i.LR.flat_lift(1)  # the ring a length-2 sum runs in
+    lifted = q2_i.L.flat_lift(1)  # the ring a length-2 sum runs in
     good = lifted.mul
 
     def off_by_one(a, b):
         out = good(a, b)
         return ((out[0] + 1) % lifted.modulus,) + out[1:]
 
-    vec = ctx_for(2, 2).vec(q2_i.LR, [1, 0])
+    vec = ctx_for(2, 2).vec(q2_i.L, [1, 0])
     monkeypatch.setattr(lifted, "mul", off_by_one)
     with pytest.raises(IntegralityViolation):
         wittcore.witt_sum([vec, vec])
@@ -223,7 +223,7 @@ def polynomial_carry(tower, columns):
     by the addition polynomials."""
     ctx = ctx_for(tower.p, len(columns) + 1)
     vecs = [
-        WittVec(ctx, tower.LR, tuple(col[r] for col in columns) + (tower.LR.zero,))
+        WittVec(ctx, tower.L, tuple(col[r] for col in columns) + (tower.L.zero,))
         for r in range(tower.p)
     ]
     return polynomial_witt_sum(vecs).components[-1]
@@ -241,11 +241,11 @@ def check_push_truncate(tower, draw, engine_type=GhostSum):
 
     def column():
         return [
-            tower.unflatten_L([draw(0, modulus - 1) for _ in range(rank)])
+            tower.L.unflatten([draw(0, modulus - 1) for _ in range(rank)])
             for _ in range(p)
         ]
 
-    engine = engine_type(p, n, tower.LR)
+    engine = engine_type(p, n, tower.L)
     columns = []
     for _ in range(draw(1, 12)):
         if len(columns) < n:
@@ -265,7 +265,7 @@ def check_push_truncate(tower, draw, engine_type=GhostSum):
         engine.push([c.data for c in columns[-1]])
     ctx = ctx_for(p, n)
     vecs = [
-        WittVec(ctx, tower.LR, tuple(col[r] for col in columns)) for r in range(p)
+        WittVec(ctx, tower.L, tuple(col[r] for col in columns)) for r in range(p)
     ]
     want = polynomial_witt_sum(vecs).components
     assert [s.data for s in engine.sums()] == [c.data for c in want]
@@ -344,10 +344,10 @@ def test_carry_then_push_sums_the_level_once(all_towers, monkeypatch):
         columns = [
             [tower.random_L_elem(rng).data for _ in range(tower.p)] for _ in range(n)
         ]
-        plain = GhostSum(tower.p, n, tower.LR)
+        plain = GhostSum(tower.p, n, tower.L)
         for col in columns:
             plain.push(col)
-        engine = GhostSum(tower.p, n, tower.LR)
+        engine = GhostSum(tower.p, n, tower.L)
         engine.push(columns[0])
         for level, col in enumerate(columns[1:], start=1):
             calls.clear()
@@ -369,7 +369,7 @@ def test_repush_after_a_cut_sums_the_level_once(q2_sqrt2, monkeypatch):
     rng = random.Random(5)
     column = lambda: [q2_sqrt2.random_L_elem(rng).data for _ in range(2)]
     first, dropped, redrawn = column(), column(), column()
-    engine = GhostSum(2, 3, q2_sqrt2.LR)
+    engine = GhostSum(2, 3, q2_sqrt2.L)
     engine.push(first)
     engine.push(dropped)
     engine.carry()
@@ -379,7 +379,7 @@ def test_repush_after_a_cut_sums_the_level_once(q2_sqrt2, monkeypatch):
     assert calls == []
     engine.carry()
     assert calls == [2]
-    plain = GhostSum(2, 3, q2_sqrt2.LR)
+    plain = GhostSum(2, 3, q2_sqrt2.L)
     plain.push(first)
     plain.push(redrawn)
     assert engine.carry().data == plain.carry().data
@@ -387,7 +387,7 @@ def test_repush_after_a_cut_sums_the_level_once(q2_sqrt2, monkeypatch):
 
 
 def test_engine_refuses_out_of_range_columns(q2_i):
-    engine = GhostSum(2, 2, q2_i.LR)
+    engine = GhostSum(2, 2, q2_i.L)
     one = q2_i.L.one_elem
     with pytest.raises(ValueError):
         engine.truncate(1)

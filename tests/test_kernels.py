@@ -135,7 +135,7 @@ class TestRingProducts:
             pi_K, pi_L = tower.pi_K, tower.pi_L
             at_pi_K = sum((pi_K**i * c for i, c in enumerate(e_k)), pi_K ** len(e_k))
             at_pi_L = sum(
-                (tower.embed_K(tower.unflatten_K(c)) * pi_L**j for j, c in enumerate(e_l)),
+                (tower.embed_K(tower.K.unflatten(c)) * pi_L**j for j, c in enumerate(e_l)),
                 pi_L**tower.p,
             )
             assert at_pi_K == 0 and at_pi_L == 0, name
@@ -143,8 +143,8 @@ class TestRingProducts:
 
 def ring_at(tower, level, extra):
     """O_K or O_L of a tower, at its working precision or lifted."""
-    ring = tower.KR if level == "K" else tower.LR
-    return ring.flat_lift(extra) if extra else ring.level
+    ring = tower.K if level == "K" else tower.L
+    return ring.flat_lift(extra) if extra else ring
 
 
 def check_product(build, struct, modulus, pairs):
@@ -267,7 +267,7 @@ class TestCompiledProduct:
             kernels.compile_flat_mul((((1,),),), bad)
 
     def test_source_holds_only_literals_and_locals(self, q3):
-        ring = q3.LR.flat_lift(3)
+        ring = q3.L.flat_lift(3)
         source = pure.flat_mul_source(pure.flat_mul_plan(ring.struct), 3, ring.modulus)
         names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source))
         assert names <= {"def", "mul", "return", "a", "b"} | {

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wittlab import cohomlab, localfield
 from wittlab.localfield import (
     NoSolutionAtPrecision,
     NotEisenstein,
@@ -35,6 +36,10 @@ class TestValExtended:
         with pytest.raises(PrecisionTooLow):
             v.at_least(49)
 
+    def test_capped(self):
+        assert ValExtended(3, 48).capped() == 3
+        assert ValExtended(None, 48).capped() == 48
+
     def test_refuses_beyond_cap_even_when_finite(self):
         with pytest.raises(PrecisionTooLow):
             ValExtended(3, 48).at_least(50)
@@ -59,10 +64,10 @@ class TestTowerConstruction:
             build_tower(2, 6, [-2, 0, 1], witt_length_hint=4)
 
     def test_breaks(self, q2_i, q2_sqrt2, q2_sqrt_minus2, q3):
-        assert q2_sqrt2.ramification_break() == 2
-        assert q2_i.ramification_break() == 1
-        assert q2_sqrt_minus2.ramification_break() == 2
-        assert q3.ramification_break() == 1
+        assert q2_sqrt2.s == 2
+        assert q2_i.s == 1
+        assert q2_sqrt_minus2.s == 2
+        assert q3.s == 1
 
     def test_break_regime_labels(self, q2_i, q2_sqrt2, q3):
         assert q2_sqrt2.strict_break_regime()
@@ -95,12 +100,12 @@ class TestTowerConstruction:
 class TestGaloisAction:
     def test_fixes_embedded_base(self, q2_i):
         for k in (1, 5, -3):
-            a = q2_i.LR.from_int(k)
+            a = q2_i.L.from_int(k)
             assert q2_i.galois(a) == a
 
     def test_q2i_conjugate(self, q2_i):
         got = q2_i.galois(q2_i.pi_L)
-        want = q2_i.LR.from_int(2) - q2_i.pi_L
+        want = q2_i.L.from_int(2) - q2_i.pi_L
         assert q2_i.eq_at_precision(got, want)
 
     def test_order_p_on_random_elements(self, towers):
@@ -134,7 +139,7 @@ class TestGaloisAction:
         rng = random.Random(77)
         for _ in range(25):
             coords = [rng.randrange(q3.modulus) for _ in range(q3.L.flat_rank)]
-            a1, a2 = q3.unflatten_L(coords), other.unflatten_L(coords)
+            a1, a2 = q3.L.unflatten(coords), other.L.unflatten(coords)
             t1, t2 = q3.trace(a1), other.trace(a2)
             assert t1.data[0] % 3**16 == t2.data[0] % 3**16
 
@@ -149,7 +154,7 @@ class TestGaloisAction:
             verdicts = []
             for tower in (q3, other):
                 try:
-                    tower.solve_sigma_minus_one(tower.unflatten_L(coords), digits=tower.N)
+                    tower.solve_sigma_minus_one(tower.L.unflatten(coords), digits=tower.N)
                     verdicts.append("trivial")
                 except NoSolutionAtPrecision:
                     verdicts.append("nontrivial")
@@ -163,7 +168,7 @@ class TestValuation:
 
     def test_p_is_totally_ramified(self, towers):
         for tower in towers.values():
-            assert tower.vL(tower.LR.from_int(tower.p)).exact() == tower.e_L
+            assert tower.vL(tower.L.from_int(tower.p)).exact() == tower.e_L
 
     def test_unit_i(self, q2_i):
         assert q2_i.vL(q2_i.pi_L - 1).exact() == 0
@@ -200,13 +205,13 @@ class TestValuation:
 class TestTrace:
     def test_trace_of_one(self, towers):
         for tower in towers.values():
-            assert tower.trace(tower.LR.from_int(1)) == tower.KR.from_int(tower.p)
+            assert tower.trace(tower.L.from_int(1)) == tower.K.from_int(tower.p)
 
     def test_q2i_values(self, q2_i):
         i_elem = q2_i.pi_L - 1
         assert q2_i.is_zero_at_precision(q2_i.trace(i_elem))
         tr_pi = q2_i.trace(q2_i.pi_L)
-        assert q2_i.eq_at_precision(tr_pi, q2_i.KR.from_int(2))
+        assert q2_i.eq_at_precision(tr_pi, q2_i.K.from_int(2))
 
     def test_q2sqrt2_formula(self, q2_sqrt2):
         rng = random.Random(4)
@@ -214,7 +219,7 @@ class TestTrace:
             a = rng.randrange(2**20)
             b = rng.randrange(2**20)
             elem = q2_sqrt2.L_elem([a, b])
-            want = q2_sqrt2.KR.from_int(2 * a)
+            want = q2_sqrt2.K.from_int(2 * a)
             assert q2_sqrt2.eq_at_precision(q2_sqrt2.trace(elem), want)
 
     def test_additive_and_base_linear(self, q3):
@@ -233,7 +238,7 @@ class TestTrace:
             for m in range(rank):
                 coords = [0] * rank
                 coords[m] = 1
-                basis = tower.unflatten_L(coords)
+                basis = tower.L.unflatten(coords)
                 direct = tower.trace(basis).data
                 column = [tower.trace_mat[r][m] for r in range(tower.K.flat_rank)]
                 got = [x % tower.modulus for x in column]
@@ -361,7 +366,7 @@ class TestLinSolve:
 
 class TestSolvers:
     def test_trace_eq_solvable(self, q2_i):
-        c = q2_i.KR.from_int(2)
+        c = q2_i.K.from_int(2)
         x, delta = q2_i.solve_trace_eq(c)
         assert q2_i.eq_at_precision(q2_i.trace(x), c)
         assert q2_i.trace_kernel_basis()  # nontrivial trace kernel
@@ -374,7 +379,7 @@ class TestSolvers:
             image.add(q2_i.trace(elem).data[0] % 4)
         assert 1 not in image
         with pytest.raises(NoSolutionAtPrecision):
-            q2_i.solve_trace_eq(q2_i.KR.from_int(1))
+            q2_i.solve_trace_eq(q2_i.K.from_int(1))
 
     def test_trace_kernel_contains_i(self, q2_i):
         kernel = q2_i.trace_kernel_basis()
@@ -397,7 +402,7 @@ class TestSolvers:
         assert i_flat in closure
 
     def test_sigma_minus_one_zero(self, q2_i):
-        y, _ = q2_i.solve_sigma_minus_one(q2_i.LR.zero)
+        y, _ = q2_i.solve_sigma_minus_one(q2_i.L.zero)
         assert q2_i.is_zero_at_precision(q2_i.galois(y) - y)
 
     def test_sigma_minus_one_solvable(self, q2_i):
@@ -509,12 +514,12 @@ def test_coeff_slices_roundtrip(all_towers, name, data):
     digit = st.integers(0, modulus - 1)
     a = tuple(data.draw(digit) for _ in range(L.flat_rank))
     # the O_K coefficients of the powers of pi_L reassemble the element
-    coeffs = [tower.unflatten_K(L.coeff(a, j)) for j in range(tower.p)]
+    coeffs = [tower.K.unflatten(L.coeff(a, j)) for j in range(tower.p)]
     assert all(len(c.data) == tower.e_K for c in coeffs)
     assert tower.L_elem(coeffs).data == a
     # unflatten reduces to the working precision
     shifted = [c + modulus * data.draw(st.integers(-3, 3)) for c in a]
-    assert tower.unflatten_L(shifted).data == a
+    assert tower.L.unflatten(shifted).data == a
 
 
 # -- the flat ring ------------------------------------------------------------
@@ -572,9 +577,9 @@ class TestFlatRing:
     @pytest.mark.parametrize("name", TOWER_NAMES)
     def test_structure_rows_pinned(self, all_towers, name):
         tower = all_towers[name]
-        for key, ring in (("K", tower.KR), ("L", tower.LR)):
+        for key, ring in (("K", tower.K), ("L", tower.L)):
             got = (
-                rows_sha256(ring.level.struct),
+                rows_sha256(ring.struct),
                 rows_sha256(ring.flat_lift(1).struct),
                 rows_sha256(ring.flat_lift(3).struct),
             )
@@ -597,13 +602,57 @@ class TestFlatRing:
         rng = random.Random(5)
         for _ in range(20):
             a = nested.random_L_elem(rng)
-            coeffs = [nested.unflatten_K(nested.L.coeff(a.data, j)) for j in range(2)]
+            coeffs = [nested.K.unflatten(nested.L.coeff(a.data, j)) for j in range(2)]
             rebuilt = nested.embed_K(coeffs[0]) + nested.embed_K(coeffs[1]) * nested.pi_L
             assert rebuilt == a
 
     def test_long_e_l_coefficient_is_rejected(self):
         with pytest.raises(NotEisenstein):
             build_tower(2, "auto", [[0, 1, 0], [0, 1], [1]], e_k_coeffs=[-2, 0, 1])
+
+    @pytest.mark.parametrize("name", TOWER_NAMES)
+    def test_one_ring_object_per_level(self, all_towers, name):
+        """Elements, Witt vectors and the Witt trace point to tower.K and
+        tower.L themselves; LR is a second name for L."""
+        tower = all_towers[name]
+        sample = cohomlab.sample_trace_zero(tower, 2, random.Random(3))
+        assert sample.vec.ring is tower.L
+        assert all(c.level is tower.L for c in sample.vec.components)
+        trace = cohomlab.witt_trace(tower, sample.vec)
+        assert trace.ring is tower.K
+        assert all(c.level is tower.K for c in trace.components)
+        assert tower.LR is tower.L
+        for ring in (tower.K, tower.L):
+            assert ring.zero.level is ring and ring.one.data == ring.one_elem
+            assert ring.from_int(-1) == ring.unflatten((-1,) + ring.zero_elem[1:])
+
+    @pytest.mark.parametrize("name", TOWER_NAMES)
+    def test_flat_lift_is_built_once_per_digit_count(self, all_towers, name):
+        tower = all_towers[name]
+        for ring in (tower.K, tower.L):
+            lifted = ring.flat_lift(2)
+            assert ring.flat_lift(2) is lifted
+            assert lifted.digits == ring.digits + 2 and lifted.name == ring.name
+            # a lifted ring lifts again from the unreduced coefficients
+            assert lifted.flat_lift(1).struct == ring.flat_lift(3).struct
+
+    def test_build_computes_one_smith_form(self, monkeypatch):
+        """Only the trace's Smith form is built with the tower; sigma - 1
+        gets one per digit count, on first use."""
+        calls = []
+        original = localfield.smith_normal_form
+
+        def counted(matrix, p, digits):
+            calls.append(digits)
+            return original(matrix, p, digits)
+
+        monkeypatch.setattr(localfield, "smith_normal_form", counted)
+        tower = build_tower(2, 24, ["-2", "0", "1"])
+        assert calls == [tower.N_int]
+        for digits in (tower.N, tower.N + 2, tower.N_int):
+            snf = tower.sigma_minus_one_snf(digits)
+            assert tower.sigma_minus_one_snf(digits) is snf
+        assert calls == [tower.N_int, tower.N, tower.N + 2, tower.N_int]
 
 
 # -- zero at precision ----------------------------------------------------------
@@ -650,12 +699,12 @@ def scaled_coords(draw_int, tower, rank):
 def check_zero_tests(tower, draw_int):
     """``is_zero_at_precision`` and ``in_K_at_precision`` against their
     valuation definitions, on an O_L and an O_K element."""
-    a = tower.unflatten_L(scaled_coords(draw_int, tower, tower.L.flat_rank))
-    b = tower.unflatten_K(scaled_coords(draw_int, tower, tower.K.flat_rank))
+    a = tower.L.unflatten(scaled_coords(draw_int, tower, tower.L.flat_rank))
+    b = tower.K.unflatten(scaled_coords(draw_int, tower, tower.K.flat_rank))
     assert tower.is_zero_at_precision(a) == (not tower.vL(a).finite)
     assert tower.is_zero_at_precision(b) == (not tower.vK(b).finite)
     in_K = all(
-        not tower.vK(tower.unflatten_K(tower.L.coeff(a.data, j))).finite
+        not tower.vK(tower.K.unflatten(tower.L.coeff(a.data, j))).finite
         for j in range(1, tower.p)
     )
     assert tower.in_K_at_precision(a) == in_K
