@@ -12,7 +12,10 @@ Two kernel families live here:
 ``flat_mul`` is the reference product on structure rows: it loops over
 every (i, j, k) cell.  The rings of a tower multiply with a product that
 ``compile_flat_mul`` generates once from their own rows, and the tests
-compare it with ``flat_mul``.
+compare it with ``flat_mul``.  In the same way ``compile_flat_linear``
+turns a matrix on flattened coordinates (sigma^i or the trace of a
+tower) into a straight-line function, which the tests compare with a
+plain matrix-vector product.
 
 The package calls them through ``kernels``.
 """
@@ -199,7 +202,7 @@ def _checked_int(x) -> int:
     """An integer bound for the generated source; anything else is
     refused, so that source holds only integer literals and local names."""
     if type(x) is not int:
-        raise TypeError(f"a structure constant must be an int, got {type(x).__name__}")
+        raise TypeError(f"a compiled constant must be an int, got {type(x).__name__}")
     return x
 
 
@@ -243,3 +246,42 @@ def compile_flat_mul(struct_rows, modulus: int):
     namespace = {"__builtins__": {}}
     exec(compile(source, f"<flat_mul rank {rank}>", "exec"), namespace)
     return namespace["mul"]
+
+
+def flat_linear_source(matrix, modulus: int) -> str:
+    """Straight-line source of ``apply(a)``, the matrix times the column
+    ``a`` modulo ``modulus``.
+
+    Zero entries are left out, the others are inlined as the
+    representatives of least absolute value, and every output coordinate
+    is reduced once; a row with no nonzero entry returns 0.
+    """
+    if _checked_int(modulus) < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    if not matrix or not matrix[0]:
+        raise ValueError("a matrix needs at least one row and one column")
+    cols = len(matrix[0])
+    outs = []
+    for r, row in enumerate(matrix):
+        if len(row) != cols:
+            raise ValueError(f"matrix row {r} has {len(row)} entries, need {cols}")
+        terms = []
+        for m, c in enumerate(row):
+            c = _checked_int(c) % modulus
+            if 2 * c > modulus:
+                c -= modulus
+            if c:
+                terms.append(f"a{m}" if c == 1 else f"-a{m}" if c == -1 else f"{c} * a{m}")
+        outs.append(f"({' + '.join(terms)}) % {modulus}" if terms else "0")
+    a = ", ".join(f"a{m}" for m in range(cols))
+    return f"def apply(a):\n    ({a},) = a\n    return ({', '.join(outs)},)\n"
+
+
+def compile_flat_linear(matrix, modulus: int):
+    """The matrix acting on flattened coordinates modulo ``modulus``, as a
+    function ``apply(a)`` compiled once; it returns the tuple of
+    ``sum_m matrix[r][m] * a[m] % modulus`` over the rows r."""
+    source = flat_linear_source(matrix, modulus)
+    namespace = {"__builtins__": {}}
+    exec(compile(source, f"<flat_linear {len(matrix)}x{len(matrix[0])}>", "exec"), namespace)
+    return namespace["apply"]

@@ -318,17 +318,22 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"oracle: {exc}\n")
         return EXIT_CONFIG
+    # one enumeration of O_L per digit count, shared by both oracles
+    enumerations = {
+        digits: cohomlab.enumerate_maps(tower, digits)
+        for digits in cohomlab.ENUMERATION_DIGITS
+    }
     ok = True
     if args.what in ("h1", "all"):
         fast = cohomlab.h1_order_level1(tower)
-        slow = cohomlab.h1_order_enumeration_stable(tower)
+        slow = cohomlab.h1_order_enumeration_stable(tower, enumerations)
         match = fast == slow
         ok &= match
         print(f"h1 order: elementary-divisor={fast} enumeration={slow} match={match}")
     if args.what in ("linsolve", "all"):
         results = {
-            digits: cohomlab.linsolve_matches_enumeration(tower, digits)
-            for digits in cohomlab.ENUMERATION_DIGITS
+            digits: cohomlab.linsolve_matches_enumeration(tower, digits, maps)
+            for digits, maps in enumerations.items()
         }
         for digits, result in results.items():
             for key, value in sorted(result.items()):

@@ -36,6 +36,7 @@ from .localfield import (
     NoSolutionAtPrecision,
     OElem,
     PrecisionTooLow,
+    ValExtended,
     linsolve,
     precision_policy,
     smith_normal_form,
@@ -386,14 +387,18 @@ def enumerate_maps(tower: ExtensionTower, digits: int) -> dict[str, tuple]:
     return maps
 
 
-def h1_order_enumeration(tower: ExtensionTower, digits: int) -> int:
+def h1_order_enumeration(
+    tower: ExtensionTower, digits: int, maps: dict[str, tuple] | None = None
+) -> int:
     """Set-enumeration oracle for the level-one order.
 
-    Enumerates the whole module at the given precision and corrects the
-    naive kernel/image quotient by the trace-image defect, which is the
-    finite-precision artifact.
+    Enumerates the whole module at the given precision (or reads
+    ``maps``, the ``enumerate_maps`` result at these digits) and corrects
+    the naive kernel/image quotient by the trace-image defect, which is
+    the finite-precision artifact.
     """
-    maps = enumerate_maps(tower, digits)
+    if maps is None:
+        maps = enumerate_maps(tower, digits)
     _, trace_kernel, trace_image = maps["trace"]
     numerator = len(trace_kernel) * len(trace_image)
     denominator = len(maps["sigma_minus_one"][2]) * tower.p ** (digits * tower.K.flat_rank)
@@ -418,14 +423,19 @@ def _subgroup_span(generators, rank: int, modulus: int) -> frozenset:
     return frozenset(seen)
 
 
-def linsolve_matches_enumeration(tower: ExtensionTower, digits: int) -> dict:
+def linsolve_matches_enumeration(
+    tower: ExtensionTower, digits: int, maps: dict[str, tuple] | None = None
+) -> dict:
     """Check the elimination's kernel and image bases against full set
-    enumeration, for both the trace and (sigma - 1) matrices."""
+    enumeration (or ``maps``, the ``enumerate_maps`` result at these
+    digits), for both the trace and (sigma - 1) matrices."""
     p = tower.p
     rank = tower.L.flat_rank
     modulus = p**digits
     results = {}
-    for name, (reduced, kernel_set, image_set) in enumerate_maps(tower, digits).items():
+    if maps is None:
+        maps = enumerate_maps(tower, digits)
+    for name, (reduced, kernel_set, image_set) in maps.items():
         m = len(reduced)
         snf = smith_normal_form(reduced, p, digits)
         sol = linsolve(reduced, [0] * m, p, digits, snf=snf)
@@ -436,8 +446,16 @@ def linsolve_matches_enumeration(tower: ExtensionTower, digits: int) -> dict:
     return results
 
 
-def h1_order_enumeration_stable(tower: ExtensionTower) -> int:
-    a, b = (h1_order_enumeration(tower, digits) for digits in ENUMERATION_DIGITS)
+def h1_order_enumeration_stable(
+    tower: ExtensionTower, maps_by_digits: dict[int, dict] | None = None
+) -> int:
+    """The enumeration order at each of ``ENUMERATION_DIGITS``, which must
+    agree; ``maps_by_digits`` holds ``enumerate_maps`` results to reuse."""
+    maps_by_digits = maps_by_digits or {}
+    a, b = (
+        h1_order_enumeration(tower, digits, maps_by_digits.get(digits))
+        for digits in ENUMERATION_DIGITS
+    )
     if a != b:
         raise NotStabilized(f"enumeration order moved: {a} vs {b}")
     return a
@@ -559,23 +577,24 @@ def _record_checked(report: VerificationReport, checked: int, samples: int) -> N
 def verify_vktr(
     tower: ExtensionTower, samples: int = 1000, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """Trace valuation lower bound on the top ring."""
+    """Trace valuation lower bound on the top ring, on flat coordinates."""
     witt_length("vktr", tower, n)
     p, s = tower.p, tower.s
+    L, K, cap, cap_K = tower.L, tower.K, tower.val_cap, tower.val_cap_K
     report = _base_report(tower, "vktr", {"samples": samples, "seed": seed})
     checked = 0
     attempts = 0
     while checked < samples and attempts < 20 * samples:
         rng = random.Random(_sample_seed(seed, "vktr", attempts))
         attempts += 1
-        a = tower.random_L_elem(rng, spread_valuation=True)
-        va = tower.vL(a)
-        if not va.finite:
+        a = tower.random_L_elem(rng, spread_valuation=True).data
+        va = L.val_raw(a)
+        if va is None or va >= cap:
             continue
-        bound = -(-(va.value + s * (p - 1)) // p)
-        if bound > tower.val_cap_K - 2:
+        bound = -(-(va + s * (p - 1)) // p)
+        if bound > cap_K - 2:
             continue  # not decidable with margin; redraw
-        vk = tower.vK(tower.trace(a))
+        vk = ValExtended.at_cap(K.val_raw(tower._trace_raw(a)), cap_K)
         checked += 1
         ok = vk.at_least(bound)
         margin = vk.capped() - bound
@@ -584,7 +603,7 @@ def verify_vktr(
             report.record_failure(
                 {
                     "seed": _sample_seed(seed, "vktr", attempts - 1),
-                    "v_L(a)": va.value,
+                    "v_L(a)": va,
                     "v_K(tr(a))": vk.value,
                     "bound": bound,
                 }
@@ -596,9 +615,10 @@ def verify_vktr(
 def verify_vksub(
     tower: ExtensionTower, samples: int = 1000, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """Exact valuation of tr(a^p) - tr(a)^p."""
+    """Exact valuation of tr(a^p) - tr(a)^p, on flat coordinates."""
     witt_length("vksub", tower, n)
     p, e_k = tower.p, tower.e_K
+    L, K, cap, cap_K = tower.L, tower.K, tower.val_cap, tower.val_cap_K
     report = _base_report(tower, "vksub", {"samples": samples, "seed": seed})
     checked = 0
     attempts = 0
@@ -606,22 +626,22 @@ def verify_vksub(
     while checked < samples and attempts < 20 * samples:
         rng = random.Random(_sample_seed(seed, "vksub", attempts))
         attempts += 1
-        a = tower.random_L_elem(rng, spread_valuation=True)
-        va = tower.vL(a)
-        if not va.finite:
+        a = tower.random_L_elem(rng, spread_valuation=True).data
+        va = L.val_raw(a)
+        if va is None or va >= cap:
             continue
-        expected = e_k + va.value
-        if expected >= tower.val_cap_K - 1:
+        expected = e_k + va
+        if expected >= cap_K - 1:
             continue
-        diff = tower.trace(a**p) - tower.trace(a) ** p
-        vk = tower.vK(diff)
+        diff = K.sub(tower._trace_raw(L.pow(a, p)), K.pow(tower._trace_raw(a), p))
+        vk = ValExtended.at_cap(K.val_raw(diff), cap_K)
         checked += 1
         if not vk.finite or vk.value != expected:
             worst = max(worst, abs(vk.capped() - expected))
             report.record_failure(
                 {
                     "seed": _sample_seed(seed, "vksub", attempts - 1),
-                    "v_L(a)": va.value,
+                    "v_L(a)": va,
                     "v_K(diff)": vk.value,
                     "expected": expected,
                 }
@@ -863,49 +883,46 @@ def verify_fixed_points(
     tower: ExtensionTower, samples: int = 200, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
     """Galois-fixed vectors are exactly those with fixed-ring components,
-    and truncation of fixed-ring vectors is split by zero-padding."""
+    and truncation of fixed-ring vectors is split by zero-padding.  The
+    components are flat coordinate tuples until the truncation check."""
     p = tower.p
     n = witt_length("fixed_points", tower, n)
     ctx = ctx_for(p, n)
+    L, e_K = tower.L, tower.K.flat_rank
     report = _base_report(
         tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}
     )
+
+    def fixed(comps) -> bool:
+        return all(tower._zero_raw(L.sub(tower._galois_raw(c, 1), c)) for c in comps)
+
     fixed_seen = 0
     for k in range(samples):
         label = _sample_seed(seed, "fixed", k)
         rng = random.Random(label)
-        kvec = WittVec(
-            ctx,
-            tower.L,
-            tuple(tower.embed_K(tower.random_K_elem(rng)) for _ in range(n)),
-        )
-        gk = galois_vec(tower, kvec)
-        if not all(
-            tower.eq_at_precision(a, b) for a, b in zip(gk.components, kvec.components)
-        ):
+        kcomps = tuple(L.embed(tower.random_K_elem(rng).data) for _ in range(n))
+        if not fixed(kcomps):
             report.record_failure({"seed": label, "what": "fixed vector moved"})
             continue
         fixed_seen += 1
 
         # perturb one component off the fixed ring; must not be fixed
         idx = rng.randrange(n)
-        perturbed = list(kvec.components)
-        perturbed[idx] = perturbed[idx] + tower.pi_L * tower.random_L_unit(rng)
-        pvec = WittVec(ctx, tower.L, tuple(perturbed))
-        gp = galois_vec(tower, pvec)
-        if all(
-            tower.eq_at_precision(a, b) for a, b in zip(gp.components, pvec.components)
-        ):
+        perturbed = list(kcomps)
+        unit = tower.random_L_unit(rng).data
+        perturbed[idx] = L.add(perturbed[idx], L.mul(L.pi_elem, unit))
+        if fixed(perturbed):
             report.record_failure({"seed": label, "what": "moved vector looks fixed"})
             continue
 
         # any vector fixed at precision must have fixed-ring components;
-        # of the two, only kvec is fixed (the checks above decided both)
-        if not all(tower.in_K_at_precision(c) for c in kvec.components):
+        # of the two, only kcomps is fixed (the checks above decided both)
+        if not all(tower._zero_raw(c[e_K:]) for c in kcomps):
             report.record_failure({"seed": label, "what": "fixed but not rational"})
 
         # truncation is split on fixed-ring vectors: append zero
         if n >= 2:
+            kvec = WittVec(ctx, L, tuple(OElem(L, c) for c in kcomps))
             low = kvec.truncate(n - 1)
             lifted = WittVec(ctx, tower.L, low.components + (tower.L.zero,))
             if lifted.truncate(n - 1).components != low.components:

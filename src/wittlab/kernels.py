@@ -7,10 +7,14 @@ timing or tracing, in one place.
 The rings of a tower do not multiply through a kernel call: each one
 holds a product that ``compile_flat_mul`` generated from its structure
 rows when the ring was built.  ``flat_mul`` is the reference that
-product is tested against.
+product is tested against.  Likewise a tower applies sigma^i and the
+trace through functions that ``compile_flat_linear`` generated from
+their matrices when the tower was built; a plain matrix-vector product
+in the tests is their reference.
 """
 
 from ._kernels_py import (
+    compile_flat_linear,
     compile_flat_mul,
     flat_mul,
     monomial_key_mul,

@@ -20,7 +20,9 @@ Products are bilinear through structure rows built from the integer
 Eisenstein coefficients: each ring compiles them, once, into a
 straight-line product (``kernels.compile_flat_mul``), and
 ``kernels.flat_mul`` on the same rows is its reference.  The Galois
-action and the trace are matrices on the same coordinates.
+action and the trace are matrices on the same coordinates, which the
+tower compiles, once, into straight-line functions
+(``kernels.compile_flat_linear``).
 
 Valuations are reported at the advertised cap: a value at or beyond
 the cap is the interval "at least cap", and any assertion past the cap
@@ -33,7 +35,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -104,6 +105,12 @@ class ValExtended:
         if self.value is None:
             return f">= {self.cap}"
         return str(self.value)
+
+    @classmethod
+    def at_cap(cls, v: int | None, cap: int) -> "ValExtended":
+        """A ring valuation (``val_raw``; None is zero at working
+        precision) reported at the cap: at or past it, "at least cap"."""
+        return cls(None if v is None or v >= cap else v, cap)
 
 
 # (p, vmax) -> (p^vmax, {p^k: k for k < vmax})
@@ -704,7 +711,8 @@ class ExtensionTower:
         return v is None or v >= cap
 
     def _build_matrices(self) -> None:
-        """sigma^i and the trace as matrices on flat coordinates.
+        """sigma^i and the trace as matrices on flat coordinates, each
+        also compiled into a straight-line function.
 
         Multiplication in the working ring is exactly bilinear modulo
         p^N_int, so sigma^i is linear on flat coordinates and its matrix,
@@ -721,6 +729,12 @@ class ExtensionTower:
         self.trace_full_mat = tuple(
             tuple(sum(col) % mod for col in zip(*rows)) for rows in zip(*self.galois_mats)
         )
+        # the same maps as straight-line functions on flat coordinates;
+        # galois_maps[i] applies sigma^i for i >= 1 (index 0 is unused)
+        self.galois_maps = (None,) + tuple(
+            kernels.compile_flat_linear(m, mod) for m in self.galois_mats[1:]
+        )
+        self.trace_map = kernels.compile_flat_linear(self.trace_full_mat, mod)
         self.trace_mat = [list(row) for row in self.trace_full_mat[: self.K.flat_rank]]
         self.sigma_minus_one_mat = [
             [(x - (r == m)) % mod for m, x in enumerate(row)]
@@ -734,10 +748,6 @@ class ExtensionTower:
 
     # -- raw (tuple-level) operations -----------------------------------
 
-    def _apply(self, mat, a):
-        """A matrix on the flat coordinates of an O_L element."""
-        return self.L.reduce([sum(map(operator.mul, row, a)) for row in mat])
-
     def _galois_by_substitution(self, a, times: int):
         """sigma^times by substituting sigma^times(pi_L) into the
         coefficients of ``a``; builds ``galois_mats`` and is their oracle."""
@@ -750,11 +760,11 @@ class ExtensionTower:
         times %= self.p
         if times == 0:
             return a
-        return self._apply(self.galois_mats[times], a)
+        return self.galois_maps[times](a)
 
     def conjugates_raw(self, a) -> tuple:
         """sigma^i(a) for i = 0, ..., p-1, on flat coordinates."""
-        return (a,) + tuple(self._apply(m, a) for m in self.galois_mats[1:])
+        return (a,) + tuple(f(a) for f in self.galois_maps[1:])
 
     def _zero_raw(self, coords) -> bool:
         """Zero at precision: every coordinate is 0 modulo p^N (see
@@ -771,7 +781,7 @@ class ExtensionTower:
         return a[:e]
 
     def _trace_raw(self, a):
-        acc = self._apply(self.trace_full_mat, a)
+        acc = self.trace_map(a)
         if not self._zero_raw(acc[self.K.flat_rank :]):
             j = next(
                 j for j in range(1, self.p) if not self._zero_raw(self.L.coeff(acc, j))
@@ -815,18 +825,12 @@ class ExtensionTower:
     def vL(self, a: OElem) -> ValExtended:
         if a.level is self.K:
             a = self.embed_K(a)
-        v = self.L.val_raw(a.data)
-        if v is None or v >= self.val_cap:
-            return ValExtended(None, self.val_cap)
-        return ValExtended(v, self.val_cap)
+        return ValExtended.at_cap(self.L.val_raw(a.data), self.val_cap)
 
     def vK(self, a: OElem) -> ValExtended:
         if a.level is not self.K:
             raise ValueError("vK expects an O_K element")
-        v = self.K.val_raw(a.data)
-        if v is None or v >= self.val_cap_K:
-            return ValExtended(None, self.val_cap_K)
-        return ValExtended(v, self.val_cap_K)
+        return ValExtended.at_cap(self.K.val_raw(a.data), self.val_cap_K)
 
     def is_zero_at_precision(self, a: OElem) -> bool:
         """v(a) >= cap, decided as: every coordinate is 0 modulo p^N.
@@ -909,15 +913,17 @@ class ExtensionTower:
     # -- sampling -----------------------------------------------------------
 
     def random_K_elem(self, rng) -> OElem:
-        return self.K.unflatten([rng.randrange(self.modulus) for _ in range(self.K.flat_rank)])
+        return OElem(self.K, tuple(rng.randrange(self.modulus) for _ in range(self.K.flat_rank)))
 
     def random_L_elem(self, rng, spread_valuation: bool = False) -> OElem:
-        a = self.L.unflatten([rng.randrange(self.modulus) for _ in range(self.L.flat_rank)])
+        """Uniform coordinates modulo p^N_int; with ``spread_valuation``,
+        times pi_L to a random power below a third of the cap."""
+        a = tuple(rng.randrange(self.modulus) for _ in range(self.L.flat_rank))
         if spread_valuation:
             shift = rng.randrange(0, max(1, self.val_cap // 3))
             if shift:
-                a = a * OElem(self.L, self._pi_L_power(shift))
-        return a
+                a = self.L.mul(a, self._pi_L_power(shift))
+        return OElem(self.L, a)
 
     def _pi_L_power(self, k: int):
         """pi_L^k, from a per-tower table grown by one multiply per power."""

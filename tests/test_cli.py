@@ -552,6 +552,21 @@ class TestOracle:
         assert "match=True" in res.stdout
         assert "oracle status: PASS" in res.stdout
 
+    @pytest.mark.parametrize("tower", ["q2_i", "q3_ramified"])
+    def test_all_enumerates_once_per_digit_count(self, tower, monkeypatch, capsys):
+        # the h1 and linsolve oracles share one enumeration at each digit count
+        enumerate_maps = cohomlab.enumerate_maps
+        calls = []
+
+        def counted(tower, digits):
+            calls.append(digits)
+            return enumerate_maps(tower, digits)
+
+        monkeypatch.setattr(cohomlab, "enumerate_maps", counted)
+        assert cli.main(["oracle", "--tower", tower, "--what", "all"]) == 0
+        assert "oracle status: PASS" in capsys.readouterr().out
+        assert calls == list(cohomlab.ENUMERATION_DIGITS) == [2, 3]
+
     @pytest.mark.parametrize("what", ["h1", "linsolve", "all"])
     def test_enumeration_too_large_is_usage_error(self, tmp_path, what, capsys, monkeypatch):
         # K = Q2(2^(1/4)), L = K(sqrt(pi_K)): flat rank 8, so the digits=3

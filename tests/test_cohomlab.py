@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wittlab import cohomlab, wittcore
+from wittlab.kernels import compile_flat_linear
 from wittlab.cohomlab import (
     KernelSample,
     SamplerExhausted,
@@ -236,14 +237,15 @@ def test_sampler_refuses_a_corrupted_sigma(all_towers, name, monkeypatch):
     on coordinates the kernel pins to 0 modulo p^N is rightly passed.)"""
     tower = all_towers[name]
     rank, modulus = tower.L.flat_rank, tower.modulus
-    mats = tower.galois_mats
+    maps = tower.galois_maps
     for r in range(rank):
         for m in range(rank):
-            rows = [list(row) for row in mats[1]]
+            rows = [list(row) for row in tower.galois_mats[1]]
             rows[r][m] = (rows[r][m] + 1) % modulus
-            bad = (mats[0], tuple(map(tuple, rows))) + mats[2:]
+            # the tower applies sigma through the map compiled from its matrix
+            bad = (maps[0], compile_flat_linear(rows, modulus)) + maps[2:]
             with monkeypatch.context() as patch:
-                patch.setattr(tower, "galois_mats", bad)
+                patch.setattr(tower, "galois_maps", bad)
                 for n in (2, 3):
                     for seed in range(3):
                         with pytest.raises((TraceNotRational, AssertionError)):
@@ -529,9 +531,8 @@ class TestVerifiers:
 
     def test_vksub_deviation_reads_a_zero_valuation_as_zero(self, q2_i, monkeypatch):
         # a finite v_K of 0 is a deviation from 0, not from the cap
-        monkeypatch.setattr(
-            cohomlab.ExtensionTower, "vK", lambda self, a: ValExtended(0, self.val_cap_K)
-        )
+        # the verifier reads v_K from the ring's val_raw, on flat coordinates
+        monkeypatch.setattr(q2_i.K, "val_raw", lambda a: 0)
         report = cohomlab.verify_vksub(q2_i, samples=3, seed=1)
         assert report.status == "FAIL"
         assert [f["v_K(diff)"] for f in report.failures] == [0, 0, 0]
@@ -561,6 +562,171 @@ class TestVerifiers:
         want = wittcore.pfold_decomposition(tower.p, n).sign_convention
         report = cohomlab.verify_carry_identity(tower, samples=2, seed=3, n=n)
         assert report.observations["symbolic_sign_convention"] == want
+
+
+# -- the field-lemma verifiers against their OElem forms ---------------------
+#
+# The verifiers vktr, vksub and fixed_points run on flat coordinate tuples.
+# These are the bodies they had on OElem, WittVec and ValExtended, kept as
+# their oracles: the reports must agree byte for byte.
+
+
+def oracle_vktr(tower, samples, seed):
+    p, s = tower.p, tower.s
+    report = cohomlab._base_report(tower, "vktr", {"samples": samples, "seed": seed})
+    checked = 0
+    attempts = 0
+    while checked < samples and attempts < 20 * samples:
+        rng = random.Random(cohomlab._sample_seed(seed, "vktr", attempts))
+        attempts += 1
+        a = tower.random_L_elem(rng, spread_valuation=True)
+        va = tower.vL(a)
+        if not va.finite:
+            continue
+        bound = -(-(va.value + s * (p - 1)) // p)
+        if bound > tower.val_cap_K - 2:
+            continue
+        vk = tower.vK(tower.trace(a))
+        checked += 1
+        ok = vk.at_least(bound)
+        cohomlab._update_margin(report.margins, "trace_valuation_slack", vk.capped() - bound)
+        if not ok:
+            report.record_failure(
+                {
+                    "seed": cohomlab._sample_seed(seed, "vktr", attempts - 1),
+                    "v_L(a)": va.value,
+                    "v_K(tr(a))": vk.value,
+                    "bound": bound,
+                }
+            )
+    cohomlab._record_checked(report, checked, samples)
+    return report
+
+
+def oracle_vksub(tower, samples, seed):
+    p, e_k = tower.p, tower.e_K
+    report = cohomlab._base_report(tower, "vksub", {"samples": samples, "seed": seed})
+    checked = 0
+    attempts = 0
+    worst = 0
+    while checked < samples and attempts < 20 * samples:
+        rng = random.Random(cohomlab._sample_seed(seed, "vksub", attempts))
+        attempts += 1
+        a = tower.random_L_elem(rng, spread_valuation=True)
+        va = tower.vL(a)
+        if not va.finite:
+            continue
+        expected = e_k + va.value
+        if expected >= tower.val_cap_K - 1:
+            continue
+        vk = tower.vK(tower.trace(a**p) - tower.trace(a) ** p)
+        checked += 1
+        if not vk.finite or vk.value != expected:
+            worst = max(worst, abs(vk.capped() - expected))
+            report.record_failure(
+                {
+                    "seed": cohomlab._sample_seed(seed, "vksub", attempts - 1),
+                    "v_L(a)": va.value,
+                    "v_K(diff)": vk.value,
+                    "expected": expected,
+                }
+            )
+    report.margins["max_deviation"] = worst
+    cohomlab._record_checked(report, checked, samples)
+    return report
+
+
+def oracle_fixed_points(tower, samples, seed):
+    n = cohomlab.witt_length("fixed_points", tower, None)
+    ctx = ctx_for(tower.p, n)
+    report = cohomlab._base_report(
+        tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}
+    )
+    fixed_seen = 0
+    for k in range(samples):
+        label = cohomlab._sample_seed(seed, "fixed", k)
+        rng = random.Random(label)
+        kvec = WittVec(
+            ctx, tower.L, tuple(tower.embed_K(tower.random_K_elem(rng)) for _ in range(n))
+        )
+        gk = galois_vec(tower, kvec)
+        if not all(tower.eq_at_precision(a, b) for a, b in zip(gk.components, kvec.components)):
+            report.record_failure({"seed": label, "what": "fixed vector moved"})
+            continue
+        fixed_seen += 1
+        idx = rng.randrange(n)
+        perturbed = list(kvec.components)
+        perturbed[idx] = perturbed[idx] + tower.pi_L * tower.random_L_unit(rng)
+        pvec = WittVec(ctx, tower.L, tuple(perturbed))
+        gp = galois_vec(tower, pvec)
+        if all(tower.eq_at_precision(a, b) for a, b in zip(gp.components, pvec.components)):
+            report.record_failure({"seed": label, "what": "moved vector looks fixed"})
+            continue
+        if not all(tower.in_K_at_precision(c) for c in kvec.components):
+            report.record_failure({"seed": label, "what": "fixed but not rational"})
+        if n >= 2:
+            low = kvec.truncate(n - 1)
+            lifted = WittVec(ctx, tower.L, low.components + (tower.L.zero,))
+            if lifted.truncate(n - 1).components != low.components:
+                report.record_failure({"seed": label, "what": "truncation section"})
+    report.observations["fixed_vectors_checked"] = fixed_seen
+    return report
+
+
+FIELD_ORACLES = {
+    "vktr": (oracle_vktr, 40),
+    "vksub": (oracle_vksub, 25),
+    "fixed_points": (oracle_fixed_points, 10),
+}
+ALL_TOWER_NAMES = sorted(TOWER_PRIMES)
+
+
+def check_field_lemma(tower, lemma, seeds):
+    oracle, samples = FIELD_ORACLES[lemma]
+    for seed in seeds:
+        got = cohomlab.VERIFIERS[lemma](tower, samples=samples, seed=seed)
+        want = oracle(tower, samples, seed)
+        assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False), seed
+
+
+class TestFieldLemmaOracles:
+    @pytest.mark.parametrize("lemma", sorted(FIELD_ORACLES))
+    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    def test_flat_verifier_matches_oracle(self, all_towers, name, lemma):
+        check_field_lemma(all_towers[name], lemma, range(5))
+
+    @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
+    def test_failing_reports_match_oracle(self, q2_i, lemma, monkeypatch):
+        # a trace map that adds one to its first coordinate breaks both
+        # lemmas, so the failure payloads are compared as well
+        trace, modulus = q2_i.trace_map, q2_i.modulus
+
+        def off_by_one(a):
+            t = trace(a)
+            return ((t[0] + 1) % modulus,) + t[1:]
+
+        monkeypatch.setattr(q2_i, "trace_map", off_by_one)
+        got = cohomlab.VERIFIERS[lemma](q2_i, samples=25, seed=4)
+        assert got.status == "FAIL"
+        assert got.to_json(include_runtime=False) == FIELD_ORACLES[lemma][0](
+            q2_i, 25, 4
+        ).to_json(include_runtime=False)
+
+    def test_sigma_off_by_one_in_fixed_points_fails(self, all_towers, monkeypatch):
+        # mutant: fixed_points applies a sigma with one entry off by one;
+        # the oracle runs on the true sigma
+        with pytest.raises(AssertionError):
+            for name in ALL_TOWER_NAMES:
+                tower = all_towers[name]
+                rows = [list(row) for row in tower.galois_mats[1]]
+                rows[0][0] = (rows[0][0] + 1) % tower.modulus
+                maps = tower.galois_maps
+                bad = (maps[0], compile_flat_linear(rows, tower.modulus)) + maps[2:]
+                with monkeypatch.context() as patch:
+                    patch.setattr(tower, "galois_maps", bad)
+                    got = cohomlab.verify_fixed_points(tower, samples=5, seed=0)
+                want = oracle_fixed_points(tower, 5, 0)
+                assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
 
 
 class TestSampleStream:

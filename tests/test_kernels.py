@@ -174,9 +174,10 @@ def random_pairs(draw, rank, modulus, count):
     ]
 
 
+TOWER_NAMES = ("q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic")
 TOWER_RINGS = [
     (name, level, extra)
-    for name in ("q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic")
+    for name in TOWER_NAMES
     for level in ("K", "L")
     for extra in range(4)
 ]
@@ -279,6 +280,118 @@ class TestCompiledProduct:
         # the cells landing on pi_L^3 and pi_L^4 are reduced before scaling
         source = pure.flat_mul_source(pure.flat_mul_plan(q3.L.struct), 3, q3.modulus)
         assert source.count(f") % {q3.modulus}\n") == 2
+
+
+def mat_vec(matrix, a, modulus):
+    """The reference for the compiled maps: a plain matrix-vector product."""
+    return tuple(sum(c * x for c, x in zip(row, a)) % modulus for row in matrix)
+
+
+def check_linear(build, matrix, modulus, vectors):
+    """A map built from ``matrix`` against ``mat_vec``, byte for byte."""
+    apply = build(matrix, modulus)
+    for a in vectors:
+        assert apply(a) == mat_vec(matrix, a, modulus)
+
+
+def random_matrix(draw, rows, cols, modulus, zero_odds):
+    """Each entry is zero with probability ``zero_odds`` percent."""
+    return tuple(
+        tuple(0 if draw(0, 99) < zero_odds else draw(0, modulus - 1) for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def compile_linear_source(source):
+    namespace = {}
+    exec(source, namespace)
+    return namespace["apply"]
+
+
+def drop_a_term(matrix, modulus):
+    """Mutant generator: the source leaves out the first nonzero entry."""
+    rows = [list(row) for row in matrix]
+    for row in rows:
+        m = next((m for m, c in enumerate(row) if c % modulus), None)
+        if m is not None:
+            row[m] = 0
+            break
+    return compile_linear_source(pure.flat_linear_source(rows, modulus))
+
+
+def unreduced_outputs(matrix, modulus):
+    """Mutant generator: the outputs are returned without their reduction."""
+    source = pure.flat_linear_source(matrix, modulus)
+    return compile_linear_source(source.replace(f") % {modulus}", ")"))
+
+
+class TestCompiledLinear:
+    """The sigma^i and trace maps each tower compiles from its matrices,
+    against a plain matrix-vector product and the substitution path."""
+
+    @pytest.mark.parametrize("name", TOWER_NAMES)
+    @PRODUCT_PROPERTY
+    @given(data=st.data())
+    def test_tower_maps_match_reference(self, all_towers, name, data):
+        tower = all_towers[name]
+        L, modulus = tower.L, tower.modulus
+        a = tuple(data.draw(st.integers(0, modulus - 1)) for _ in range(L.flat_rank))
+        for i in range(1, tower.p):
+            got = tower.galois_maps[i](a)
+            assert got == mat_vec(tower.galois_mats[i], a, modulus), i
+            assert got == tower._galois_by_substitution(a, i), i
+        conjugates = [tower._galois_by_substitution(a, i) for i in range(tower.p)]
+        full = tuple(sum(col) % modulus for col in zip(*conjugates))
+        assert tower.trace_map(a) == mat_vec(tower.trace_full_mat, a, modulus) == full
+
+    @pytest.mark.parametrize("zero_odds", [0, 50, 100])
+    @pytest.mark.parametrize("shape", ["square", "e_K x rank"])
+    @PRODUCT_PROPERTY
+    @given(data=st.data())
+    def test_random_matrices_match_mat_vec(self, zero_odds, shape, data):
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))
+        cols = draw(1, 4)
+        rows = cols if shape == "square" else draw(1, cols)
+        modulus = data.draw(st.sampled_from([2, 3, 2**24, 3**23, 5**30, 10**40 + 7]))
+        matrix = random_matrix(draw, rows, cols, modulus, zero_odds)
+        vectors = [tuple(draw(0, modulus - 1) for _ in range(cols)) for _ in range(4)]
+        check_linear(kernels.compile_flat_linear, matrix, modulus, vectors)
+
+    @pytest.mark.parametrize(
+        "build", [drop_a_term, unreduced_outputs], ids=lambda f: f.__name__
+    )
+    def test_mutant_generators_fail(self, all_towers, build):
+        rng = random.Random(0)
+        draw = rng.randint
+        with pytest.raises(AssertionError):
+            for name in TOWER_NAMES:
+                tower = all_towers[name]
+                rank, modulus = tower.L.flat_rank, tower.modulus
+                vectors = [tuple(draw(0, modulus - 1) for _ in range(rank)) for _ in range(4)]
+                for matrix in tower.galois_mats[1:] + (tower.trace_full_mat,):
+                    check_linear(build, matrix, modulus, vectors)
+            for cols in range(1, 5):
+                modulus = 3**23
+                matrix = random_matrix(draw, cols, cols, modulus, 0)
+                vectors = [tuple(draw(0, modulus - 1) for _ in range(cols)) for _ in range(4)]
+                check_linear(build, matrix, modulus, vectors)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, None])
+    def test_generator_accepts_only_integers(self, bad):
+        with pytest.raises(TypeError):
+            kernels.compile_flat_linear(((1, 0), (bad, 1)), 2**10)
+        with pytest.raises(TypeError):
+            kernels.compile_flat_linear(((1,),), bad)
+
+    def test_source_holds_only_literals_and_locals(self, q3):
+        source = pure.flat_linear_source(q3.trace_full_mat, q3.modulus)
+        source += pure.flat_linear_source(q3.galois_mats[1], q3.modulus)
+        names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source))
+        assert names <= {"def", "apply", "return", "a", "a0", "a1", "a2"}
+
+    def test_constants_are_least_absolute_and_zeros_left_out(self):
+        source = pure.flat_linear_source(((1, 0, 8), (0, 0, 0), (0, 6, 7)), 9)
+        assert source.endswith("return ((a0 + -a2) % 9, 0, (-3 * a1 + -2 * a2) % 9,)\n")
 
 
 class TestVecKernels:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wittlab import cohomlab, localfield
+from wittlab.kernels import compile_flat_linear
 from wittlab.localfield import (
     NoSolutionAtPrecision,
     NotEisenstein,
@@ -448,11 +449,17 @@ def substitution_trace_sum(tower, a):
     return acc
 
 
+def mat_vec(mat, a, modulus):
+    """The reference for the compiled maps: a plain matrix-vector product
+    on flat coordinates, reduced."""
+    return tuple(sum(x * y for x, y in zip(row, a)) % modulus for row in mat)
+
+
 def check_against_substitution(tower, a):
     for i in range(tower.p + 1):
         assert tower._galois_raw(a, i) == tower._galois_by_substitution(a, i), i
     full = substitution_trace_sum(tower, a)
-    assert tower._apply(tower.trace_full_mat, a) == full
+    assert tower.trace_map(a) == full
     assert tower._trace_raw(a) == tower.L.coeff(full, 0)
 
 
@@ -484,8 +491,9 @@ def corrupted(table, r, m, modulus):
 
 @pytest.mark.parametrize("name", ["q2_sqrt2", "q3", "quartic"])
 def test_corrupted_matrix_entry_is_caught(all_towers, name, monkeypatch):
-    # one entry off by one, in any sigma^i or in the trace, must fail the
-    # comparison with the substitution path on ordinary draws
+    # one entry off by one, in any sigma^i or in the trace, compiled as the
+    # tower compiles its maps, must fail the comparison with the
+    # substitution path on ordinary draws
     tower = all_towers[name]
     rank, modulus = tower.L.flat_rank, tower.modulus
     rng = random.Random(3)
@@ -493,10 +501,11 @@ def test_corrupted_matrix_entry_is_caught(all_towers, name, monkeypatch):
     mutants = []
     for r, m in ((0, 0), (rank - 1, rank // 2)):
         for i in range(1, tower.p):
-            mats = list(tower.galois_mats)
-            mats[i] = corrupted(mats[i], r, m, modulus)
-            mutants.append(("galois_mats", tuple(mats)))
-        mutants.append(("trace_full_mat", corrupted(tower.trace_full_mat, r, m, modulus)))
+            maps = list(tower.galois_maps)
+            maps[i] = compile_flat_linear(corrupted(tower.galois_mats[i], r, m, modulus), modulus)
+            mutants.append(("galois_maps", tuple(maps)))
+        bad_trace = corrupted(tower.trace_full_mat, r, m, modulus)
+        mutants.append(("trace_map", compile_flat_linear(bad_trace, modulus)))
     for attr, bad in mutants:
         with monkeypatch.context() as patch:
             patch.setattr(tower, attr, bad)
@@ -735,13 +744,13 @@ def test_trace_rationality_check(all_towers, name, monkeypatch):
     tower = all_towers[name]
     a = tower.random_L_elem(random.Random(1)).data
     e, N = tower.e_K, tower.N
-    good = tower._apply(tower.trace_full_mat, a)
+    good = mat_vec(tower.trace_full_mat, a, tower.modulus)
     for j in range(1, tower.p):
         for step, rational in ((tower.p ** (N - 1), False), (tower.p**N, True)):
             full = list(good)
             full[j * e] = (full[j * e] + step) % tower.modulus
             with monkeypatch.context() as patch:
-                patch.setattr(tower, "_apply", lambda mat, x, full=full: tuple(full))
+                patch.setattr(tower, "trace_map", lambda x, full=full: tuple(full))
                 if rational:
                     assert tower._trace_raw(a) == good[:e]
                 else:
