@@ -2,11 +2,13 @@
 verification, suite aggregation, and brute-force oracles.
 
 Exit codes: 0 pass, 1 fail, 2 undetermined/not-stabilized, 64 usage or
-configuration error, 70 internal error (any other exception escaped a
-verifier: a crash, never a mathematical FAIL).  A fixed seed makes every
-run byte-reproducible;
-the aggregate suite report carries no timing so that repeated runs are
-byte-identical.
+configuration error, 70 internal error.  ``main`` is the one place that
+maps a command's outcome to its exit code, the same way for every
+command: a usage error is 64, NotStabilized and SamplerExhausted are 2,
+and any other exception that escapes a command is a crash, 70, never a
+mathematical FAIL; each is reported on one line of stderr.  A fixed seed
+makes every run byte-reproducible; the aggregate suite report carries no
+timing so that repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +31,15 @@ EXIT_CRASH = 70
 TOWER_DIR = Path(__file__).resolve().parent / "towers"
 
 LEMMA_IDS = tuple(cohomlab.VERIFIERS)
+
+
+class _Exit(Exception):
+    """A command's outcome other than a verdict: an exit code and the
+    one-line message ``main`` writes after the command's name."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,14 +69,12 @@ def _status_exit(status: str) -> int:
 
 def cmd_polys(args) -> int:
     try:
-        tables = wittcore.dump_tables(args.p, args.n, include_pfold=not args.no_pfold)
+        tables = wittcore.dump_tables(args.p, args.n)
         wittcore.ctx_for(args.p, args.n).verify_ghost_identities()
     except ValueError as exc:
-        sys.stderr.write(f"polys: {exc}\n")
-        return EXIT_CONFIG
+        raise _Exit(EXIT_CONFIG, str(exc)) from None
     except (wittcore.IntegralityViolation, wittcore.DegreeAuditFailure) as exc:
-        sys.stderr.write(f"polys: {exc}\n")
-        return EXIT_FAIL
+        raise _Exit(EXIT_FAIL, str(exc)) from None
     _write_json(args.out, tables)
     print(f"content hash: {tables['content_hash']}")
     if tables["pfold"]:
@@ -85,30 +94,49 @@ def _builtin_towers() -> list[str]:
     return sorted(path.stem for path in TOWER_DIR.glob("*.json"))
 
 
-def _tower_path(ref: str) -> str:
-    """The description file of a builtin tower name; any other ref is a path."""
-    if ref in _builtin_towers():
-        return str(TOWER_DIR / f"{ref}.json")
-    return ref
+def _tower(ref, context: str = "", **overrides) -> localfield.ExtensionTower:
+    """The tower of a builtin name, a description file or an inline
+    description object, with ``N`` (``--precision``: "auto" or an integer
+    string) or ``seed`` replaced by ``overrides``.  A description that
+    cannot be read or built is a usage error, its line led by ``context``."""
+    try:
+        if overrides.get("N", "auto") != "auto":
+            overrides["N"] = int(overrides["N"])
+        if isinstance(ref, dict):
+            return localfield.tower_from_obj(ref, **overrides)
+        if ref in _builtin_towers():
+            ref = str(TOWER_DIR / f"{ref}.json")
+        return localfield.load_tower(ref, **overrides)
+    except (OSError, ValueError) as exc:
+        raise _Exit(EXIT_CONFIG, f"{context}{exc}") from None
 
 
-def _load_tower(args) -> localfield.ExtensionTower:
-    overrides = {}
-    if getattr(args, "precision", None) and args.precision != "auto":
-        overrides["N"] = int(args.precision)
-    elif getattr(args, "precision", None) == "auto":
-        overrides["N"] = "auto"
-    if getattr(args, "seed", None) is not None:
+def _args_overrides(args) -> dict:
+    """``--precision`` and ``--seed``, where given."""
+    overrides = {"N": args.precision} if args.precision else {}
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    return localfield.load_tower(_tower_path(args.tower), **overrides)
+    return overrides
+
+
+def _run(lemma: str, tower, tower_name: str | None = None, **kwargs):
+    """``lemma``'s report on ``tower``.  A Witt length out of range is a
+    usage error, refused before anything is drawn; NotStabilized and
+    SamplerExhausted propagate; any other exception is a crash whose line
+    names the lemma, and ``tower_name`` where given (a suite cell)."""
+    where = lemma if tower_name is None else f"{lemma} on {tower_name}"
+    try:
+        return cohomlab.VERIFIERS[lemma](tower, **kwargs)
+    except cohomlab.WittLengthOutOfRange as exc:
+        raise _Exit(EXIT_CONFIG, str(exc) if tower_name is None else f"{where}: {exc}") from None
+    except (cohomlab.NotStabilized, cohomlab.SamplerExhausted):
+        raise
+    except Exception as exc:
+        raise _Exit(EXIT_CRASH, f"{where} crashed: {_crash_line(exc)}") from None
 
 
 def cmd_tower_info(args) -> int:
-    try:
-        tower = _load_tower(args)
-    except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"tower-info: {exc}\n")
-        return EXIT_CONFIG
+    tower = _tower(args.tower, **_args_overrides(args))
     info = {
         "tower_hash": tower.tower_hash,
         "p": tower.p,
@@ -132,32 +160,14 @@ def cmd_tower_info(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.lemma not in cohomlab.VERIFIERS:
-        sys.stderr.write(
-            f"verify: unknown lemma id {args.lemma!r}; known: {', '.join(LEMMA_IDS)}\n"
+        raise _Exit(
+            EXIT_CONFIG, f"unknown lemma id {args.lemma!r}; known: {', '.join(LEMMA_IDS)}"
         )
-        return EXIT_CONFIG
     if args.samples < 1:
-        sys.stderr.write(f"verify: --samples must be at least 1, got {args.samples}\n")
-        return EXIT_CONFIG
-    try:
-        tower = _load_tower(args)
-    except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"verify: {exc}\n")
-        return EXIT_CONFIG
-    fn = cohomlab.VERIFIERS[args.lemma]
+        raise _Exit(EXIT_CONFIG, f"--samples must be at least 1, got {args.samples}")
+    tower = _tower(args.tower, **_args_overrides(args))
     t0 = time.perf_counter()
-    try:
-        # a Witt length out of range is refused before anything is drawn
-        report = fn(tower, samples=args.samples, seed=args.seed, n=args.n)
-    except cohomlab.WittLengthOutOfRange as exc:
-        sys.stderr.write(f"verify: {exc}\n")
-        return EXIT_CONFIG
-    except (cohomlab.NotStabilized, cohomlab.SamplerExhausted) as exc:
-        sys.stderr.write(f"verify: {exc}\n")
-        return EXIT_UNDETERMINED
-    except Exception as exc:
-        sys.stderr.write(f"verify: {args.lemma} crashed: {_crash_line(exc)}\n")
-        return EXIT_CRASH
+    report = _run(args.lemma, tower, samples=args.samples, seed=args.seed, n=args.n)
     report.runtime_ms = int((time.perf_counter() - t0) * 1000)
     _write_json(args.out, report.to_obj())
     extra = f" sign={report.sign_convention}" if report.sign_convention else ""
@@ -184,83 +194,60 @@ def cmd_suite(args) -> int:
         try:
             manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"suite: cannot read manifest: {exc}\n")
-            return EXIT_CONFIG
+            raise _Exit(EXIT_CONFIG, f"cannot read manifest: {exc}") from None
     else:
         manifest = _default_manifest()
     if not isinstance(manifest, dict):
-        sys.stderr.write("suite: manifest must be a JSON object\n")
-        return EXIT_CONFIG
+        raise _Exit(EXIT_CONFIG, "manifest must be a JSON object")
     towers = manifest.get("towers") or []
     lemmas = manifest.get("lemmas") or []
     if not towers or not lemmas:
-        sys.stderr.write("suite: manifest must list towers and lemmas\n")
-        return EXIT_CONFIG
+        raise _Exit(EXIT_CONFIG, "manifest must list towers and lemmas")
     if not isinstance(towers, list) or not isinstance(lemmas, list):
-        sys.stderr.write("suite: manifest towers and lemmas must be JSON arrays\n")
-        return EXIT_CONFIG
+        raise _Exit(EXIT_CONFIG, "manifest towers and lemmas must be JSON arrays")
     for tower_ref in towers:
         # a name or path, or an inline description; anything else (a
         # number would be opened as a file descriptor) is refused here
         if not isinstance(tower_ref, (dict, str)):
-            sys.stderr.write(
-                f"suite: a manifest tower must be a name, a path or an object, "
-                f"got {json.dumps(tower_ref)}\n"
+            raise _Exit(
+                EXIT_CONFIG,
+                f"a manifest tower must be a name, a path or an object, "
+                f"got {json.dumps(tower_ref)}",
             )
-            return EXIT_CONFIG
         if isinstance(tower_ref, dict) and not isinstance(tower_ref.get("name", ""), str):
-            sys.stderr.write(
-                f"suite: an inline tower name must be a string, "
-                f"got {json.dumps(tower_ref['name'])}\n"
+            raise _Exit(
+                EXIT_CONFIG,
+                f"an inline tower name must be a string, got {json.dumps(tower_ref['name'])}",
             )
-            return EXIT_CONFIG
     for lemma in lemmas:
         if not isinstance(lemma, str) or lemma not in cohomlab.VERIFIERS:
-            sys.stderr.write(f"suite: unknown lemma id {lemma!r}\n")
-            return EXIT_CONFIG
+            raise _Exit(EXIT_CONFIG, f"unknown lemma id {lemma!r}")
     samples = manifest.get("samples", 200)
     seed = manifest.get("seed", 2026)
     for key, value in (("samples", samples), ("seed", seed)):
         if type(value) is not int:
-            sys.stderr.write(f"suite: manifest {key} must be an integer, got {value!r}\n")
-            return EXIT_CONFIG
+            raise _Exit(EXIT_CONFIG, f"manifest {key} must be an integer, got {value!r}")
     if samples < 1:
-        sys.stderr.write(f"suite: manifest samples must be at least 1, got {samples}\n")
-        return EXIT_CONFIG
+        raise _Exit(EXIT_CONFIG, f"manifest samples must be at least 1, got {samples}")
 
     cells = []
     worst = EXIT_PASS
     for tower_ref in towers:
+        # an inline description keeps its own seed; a named tower or a
+        # file takes the manifest's
         if isinstance(tower_ref, dict):
-            try:
-                tower = localfield.tower_from_obj(tower_ref)
-            except (OSError, ValueError, KeyError) as exc:
-                sys.stderr.write(f"suite: cannot build inline tower: {exc}\n")
-                return EXIT_CONFIG
+            tower = _tower(tower_ref, "cannot build inline tower: ")
             tower_name = tower_ref.get("name", tower.tower_hash[:12])
         else:
-            try:
-                tower = localfield.load_tower(_tower_path(tower_ref), seed=seed)
-            except (OSError, ValueError, KeyError) as exc:
-                sys.stderr.write(f"suite: cannot load tower {tower_ref!r}: {exc}\n")
-                return EXIT_CONFIG
+            tower = _tower(tower_ref, f"cannot load tower {tower_ref!r}: ", seed=seed)
             tower_name = Path(tower_ref).stem
         for lemma in lemmas:
-            fn = cohomlab.VERIFIERS[lemma]
             try:
-                report = fn(tower, samples=samples, seed=seed)
+                report = _run(lemma, tower, tower_name, samples=samples, seed=seed)
                 status = report.status
-            except cohomlab.WittLengthOutOfRange as exc:
-                sys.stderr.write(f"suite: {lemma} on {tower_name}: {exc}\n")
-                return EXIT_CONFIG
             except (cohomlab.NotStabilized, cohomlab.SamplerExhausted):
                 report = None
                 status = "UNDETERMINED"
-            except Exception as exc:
-                sys.stderr.write(
-                    f"suite: {lemma} on {tower_name} crashed: {_crash_line(exc)}\n"
-                )
-                return EXIT_CRASH
             cell = {
                 "tower": tower_name,
                 "tower_hash": tower.tower_hash,
@@ -308,16 +295,11 @@ def cmd_suite(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        tower = _load_tower(args)
-    except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"oracle: {exc}\n")
-        return EXIT_CONFIG
+    tower = _tower(args.tower, **_args_overrides(args))
     try:
         cohomlab.check_enumeration_domain(tower, max(cohomlab.ENUMERATION_DIGITS))
     except ValueError as exc:
-        sys.stderr.write(f"oracle: {exc}\n")
-        return EXIT_CONFIG
+        raise _Exit(EXIT_CONFIG, str(exc)) from None
     # one enumeration of O_L per digit count, shared by both oracles
     enumerations = {
         digits: cohomlab.enumerate_maps(tower, digits)
@@ -351,7 +333,6 @@ def build_parser() -> _Parser:
     p_polys.add_argument("--p", type=int, required=True)
     p_polys.add_argument("--n", type=int, required=True)
     p_polys.add_argument("--out", default=None)
-    p_polys.add_argument("--no-pfold", action="store_true")
     p_polys.set_defaults(fn=cmd_polys)
 
     p_info = sub.add_parser("tower-info", help="build a tower and print its data")
@@ -392,8 +373,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place an outcome becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _Exit as exc:
+        code, line = exc.code, str(exc)
+    except (cohomlab.NotStabilized, cohomlab.SamplerExhausted) as exc:
+        code, line = EXIT_UNDETERMINED, str(exc)
+    except Exception as exc:
+        code, line = EXIT_CRASH, f"crashed: {_crash_line(exc)}"
+    sys.stderr.write(f"{args.command}: {line}\n")
+    return code
 
 
 if __name__ == "__main__":

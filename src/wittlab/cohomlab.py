@@ -515,6 +515,22 @@ def _sampler_mix(
             yield sample_trace_zero(tower, n, rng, seed_label=label)
 
 
+def _field_draws(
+    tower: ExtensionTower, samples: int, seed: int, lemma: str
+) -> Iterator[tuple]:
+    """The field lemmas' one draw stream: attempt k < 20*samples draws
+    ``a`` from random.Random("seed:lemma:k"), times a random power of
+    pi_L, and yields (label, a, v_L(a)) on flat coordinates unless the
+    cap does not decide v_L(a)."""
+    L, cap = tower.L, tower.val_cap
+    for k in range(20 * samples):
+        label = _sample_seed(seed, lemma, k)
+        a = tower.random_L_elem(random.Random(label), spread_valuation=True).data
+        va = L.val_raw(a)
+        if va is not None and va < cap:
+            yield label, a, va
+
+
 def _base_report(
     tower: ExtensionTower, lemma: str, params: dict
 ) -> VerificationReport:
@@ -579,18 +595,10 @@ def verify_vktr(
 ) -> VerificationReport:
     """Trace valuation lower bound on the top ring, on flat coordinates."""
     witt_length("vktr", tower, n)
-    p, s = tower.p, tower.s
-    L, K, cap, cap_K = tower.L, tower.K, tower.val_cap, tower.val_cap_K
+    p, s, K, cap_K = tower.p, tower.s, tower.K, tower.val_cap_K
     report = _base_report(tower, "vktr", {"samples": samples, "seed": seed})
     checked = 0
-    attempts = 0
-    while checked < samples and attempts < 20 * samples:
-        rng = random.Random(_sample_seed(seed, "vktr", attempts))
-        attempts += 1
-        a = tower.random_L_elem(rng, spread_valuation=True).data
-        va = L.val_raw(a)
-        if va is None or va >= cap:
-            continue
+    for label, a, va in _field_draws(tower, samples, seed, "vktr"):
         bound = -(-(va + s * (p - 1)) // p)
         if bound > cap_K - 2:
             continue  # not decidable with margin; redraw
@@ -601,13 +609,10 @@ def verify_vktr(
         _update_margin(report.margins, "trace_valuation_slack", margin)
         if not ok:
             report.record_failure(
-                {
-                    "seed": _sample_seed(seed, "vktr", attempts - 1),
-                    "v_L(a)": va,
-                    "v_K(tr(a))": vk.value,
-                    "bound": bound,
-                }
+                {"seed": label, "v_L(a)": va, "v_K(tr(a))": vk.value, "bound": bound}
             )
+        if checked == samples:
+            break
     _record_checked(report, checked, samples)
     return report
 
@@ -618,18 +623,11 @@ def verify_vksub(
     """Exact valuation of tr(a^p) - tr(a)^p, on flat coordinates."""
     witt_length("vksub", tower, n)
     p, e_k = tower.p, tower.e_K
-    L, K, cap, cap_K = tower.L, tower.K, tower.val_cap, tower.val_cap_K
+    L, K, cap_K = tower.L, tower.K, tower.val_cap_K
     report = _base_report(tower, "vksub", {"samples": samples, "seed": seed})
     checked = 0
-    attempts = 0
     worst = 0
-    while checked < samples and attempts < 20 * samples:
-        rng = random.Random(_sample_seed(seed, "vksub", attempts))
-        attempts += 1
-        a = tower.random_L_elem(rng, spread_valuation=True).data
-        va = L.val_raw(a)
-        if va is None or va >= cap:
-            continue
+    for label, a, va in _field_draws(tower, samples, seed, "vksub"):
         expected = e_k + va
         if expected >= cap_K - 1:
             continue
@@ -639,13 +637,10 @@ def verify_vksub(
         if not vk.finite or vk.value != expected:
             worst = max(worst, abs(vk.capped() - expected))
             report.record_failure(
-                {
-                    "seed": _sample_seed(seed, "vksub", attempts - 1),
-                    "v_L(a)": va,
-                    "v_K(diff)": vk.value,
-                    "expected": expected,
-                }
+                {"seed": label, "v_L(a)": va, "v_K(diff)": vk.value, "expected": expected}
             )
+        if checked == samples:
+            break
     report.margins["max_deviation"] = worst
     _record_checked(report, checked, samples)
     return report
@@ -883,11 +878,9 @@ def verify_fixed_points(
     tower: ExtensionTower, samples: int = 200, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
     """Galois-fixed vectors are exactly those with fixed-ring components,
-    and truncation of fixed-ring vectors is split by zero-padding.  The
-    components are flat coordinate tuples until the truncation check."""
-    p = tower.p
+    on flat coordinate tuples: a vector of O_K components is fixed, one
+    moved off O_K is not, and the fixed one has O_K components."""
     n = witt_length("fixed_points", tower, n)
-    ctx = ctx_for(p, n)
     L, e_K = tower.L, tower.K.flat_rank
     report = _base_report(
         tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}
@@ -919,14 +912,6 @@ def verify_fixed_points(
         # of the two, only kcomps is fixed (the checks above decided both)
         if not all(tower._zero_raw(c[e_K:]) for c in kcomps):
             report.record_failure({"seed": label, "what": "fixed but not rational"})
-
-        # truncation is split on fixed-ring vectors: append zero
-        if n >= 2:
-            kvec = WittVec(ctx, L, tuple(OElem(L, c) for c in kcomps))
-            low = kvec.truncate(n - 1)
-            lifted = WittVec(ctx, tower.L, low.components + (tower.L.zero,))
-            if lifted.truncate(n - 1).components != low.components:
-                report.record_failure({"seed": label, "what": "truncation section"})
     report.observations["fixed_vectors_checked"] = fixed_seen
     return report
 

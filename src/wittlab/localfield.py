@@ -180,8 +180,9 @@ class FlatRing:
         self.one_elem = self.from_int(1).data
         self.zero = OElem(self, self.zero_elem)
         self.one = OElem(self, self.one_elem)
-        # pi_K on O_K (p itself when K = Q_p), pi_L on O_L
-        self.pi_elem = struct[0][block] if self.flat_rank > 1 else (p % self.modulus,)
+        # pi_L on O_L, pi_K on O_K; at rank 1 pi_K is the root -E_K(0) of
+        # E_K (p itself when K = Q_p)
+        self.pi_elem = struct[0][block] if self.flat_rank > 1 else (-ecoeffs[0] % self.modulus,)
         self._rebuild = rebuild  # base digits -> this ring at that precision
         self._lifts: dict[int, FlatRing] = {}
 
@@ -545,42 +546,30 @@ def precision_policy(p: int, e_k: int, s_bound: int, witt_length: int) -> int:
 
 
 class ExtensionTower:
-    """L/K/Q_p with a chosen Galois generator and precomputed maps."""
+    """L/K/Q_p with a chosen Galois generator and precomputed maps.
 
-    def __init__(
-        self,
-        p: int,
-        N: int,
-        e_k_coeffs: Sequence[int] | None,
-        e_l_coeffs: Sequence,
-        *,
-        witt_length_hint: int = 4,
-        sigma_choice: int = 0,
-        seed: int = 0,
-    ):
-        full_e_k = [str(c) for c in e_k_coeffs] if e_k_coeffs else None
-        full_e_l = [
-            c if isinstance(c, str) else ([str(x) for x in c] if isinstance(c, list) else str(c))
-            for c in e_l_coeffs
-        ]
-        e_k_coeffs = _strip_monic(e_k_coeffs, "E_K") if e_k_coeffs else None
-        e_l_coeffs = _strip_monic(e_l_coeffs, "E_L")
+    Built by ``build_tower``, which reads the coefficient lists: ``e_k``
+    and ``e_l`` are the non-leading integer Eisenstein coefficients
+    (``e_k`` is ``[-p]`` when K = Q_p; an ``e_l`` entry is an integer or
+    a list of O_K coordinates), and ``description`` is the tower's JSON
+    description, whose sha256 is ``tower_hash``."""
+
+    def __init__(self, e_k: list, e_l: list, description: dict, *, sigma_choice: int = 0):
+        p, N = description["p"], description["N"]
         self.p = p
         self.N = N
-        self.seed = seed
-        self.e_K = len(e_k_coeffs) if e_k_coeffs else 1
+        self.seed = description["seed"]
+        self.e_K = len(e_k)
         self.e_L = p * self.e_K
         # guard digits: sized from the generic bound on the derivative
         # valuation, so lifted roots stay exact in the working ring
         dv_bound = p * self.e_K + 2 * p + 4
         self.N_int = N + 2 + -(-dv_bound // (p * self.e_K))
-        # integer coefficients as given: the working levels reduce them
-        # modulo p^N_int, the lifted copies (``flat_lift``) at more digits
-        e_k_src = [int(c) for c in e_k_coeffs] if e_k_coeffs else [-p]
-        e_l_src = [[int(x) for x in c] if isinstance(c, list) else int(c) for c in e_l_coeffs]
         self.modulus = p**self.N_int
         self.prec_modulus = p**N  # coordinates divisible by it are zero at precision
-        self.K, self.L = build_rings(p, e_k_src, e_l_src, self.N_int)
+        # the working levels reduce the integer coefficients modulo
+        # p^N_int, the lifted copies (``flat_lift``) at more digits
+        self.K, self.L = build_rings(p, e_k, e_l, self.N_int)
         # a second name for L, read by perfbench/baseline.py
         self.LR = self.L
 
@@ -592,21 +581,8 @@ class ExtensionTower:
         self._build_matrices()
         self._pi_L_pows = [self.L.one_elem]
 
-        smin = precision_policy(p, self.e_K, self.s, witt_length_hint)
-        if N < smin:
-            raise PrecisionTooLow(
-                f"N={N} below the policy minimum {smin} for Witt length "
-                f"{witt_length_hint} at s={self.s}"
-            )
-
-        self.description = {
-            "p": p,
-            "N": N,
-            "E_K": full_e_k,
-            "E_L": full_e_l,
-            "seed": seed,
-        }
-        blob = json.dumps(self.description, sort_keys=True, separators=(",", ":"))
+        self.description = description
+        blob = json.dumps(description, sort_keys=True, separators=(",", ":"))
         self.tower_hash = hashlib.sha256(blob.encode()).hexdigest()
 
     # -- construction helpers ------------------------------------------
@@ -963,23 +939,42 @@ def build_tower(
     sigma_choice: int = 0,
     seed: int = 0,
 ) -> ExtensionTower:
-    """Construct and validate a tower; ``N="auto"`` applies the policy
-    with the generic bound on the ramification break."""
-    e_k = len(e_k_coeffs) if e_k_coeffs else 1
+    """Construct and validate a tower from little-endian coefficient
+    lists that carry the leading 1 (``e_k_coeffs`` None or empty when
+    K = Q_p).  The one reader of those lists: it strips the leading 1,
+    converts to integers, takes e_K from the stripped E_K, resolves
+    ``N="auto"`` by the policy at the generic bound on the break, and
+    after construction refuses an N below the policy at the tower's
+    break for Witt length ``witt_length_hint``."""
+    e_k = [int(c) for c in _strip_monic(e_k_coeffs, "E_K")] if e_k_coeffs else [-p]
+    e_l = [
+        [int(x) for x in c] if isinstance(c, list) else int(c)
+        for c in _strip_monic(e_l_coeffs, "E_L")
+    ]
     if N == "auto":
-        s_bound = (p * e_k) // (p - 1)
-        N = precision_policy(p, e_k, s_bound, witt_length_hint)
+        s_bound = (p * len(e_k)) // (p - 1)
+        N = precision_policy(p, len(e_k), s_bound, witt_length_hint)
     if not isinstance(N, int) or N < 4:
         raise PrecisionTooLow(f"N={N!r} is not an acceptable precision")
-    return ExtensionTower(
-        p,
-        N,
-        e_k_coeffs,
-        e_l_coeffs,
-        witt_length_hint=witt_length_hint,
-        sigma_choice=sigma_choice,
-        seed=seed,
-    )
+    # the lists as given, leading 1 included: their strings are hashed
+    description = {
+        "p": p,
+        "N": N,
+        "E_K": [str(c) for c in e_k_coeffs] if e_k_coeffs else None,
+        "E_L": [
+            c if isinstance(c, str) else ([str(x) for x in c] if isinstance(c, list) else str(c))
+            for c in e_l_coeffs
+        ],
+        "seed": seed,
+    }
+    tower = ExtensionTower(e_k, e_l, description, sigma_choice=sigma_choice)
+    smin = precision_policy(p, tower.e_K, tower.s, witt_length_hint)
+    if N < smin:
+        raise PrecisionTooLow(
+            f"N={N} below the policy minimum {smin} for Witt length "
+            f"{witt_length_hint} at s={tower.s}"
+        )
+    return tower
 
 
 def _tower_int(value, what: str) -> int:
@@ -997,8 +992,9 @@ def _tower_list(value, what: str) -> list:
 
 
 def tower_from_obj(obj: dict, **overrides) -> ExtensionTower:
-    """A tower from its JSON description; a description of the wrong
-    shape raises ValueError with a one-line message."""
+    """A tower from its JSON description, with ``N`` or ``seed``
+    replaced by ``overrides``; a description of the wrong shape raises
+    ValueError with a one-line message."""
     if not isinstance(obj, dict):
         raise ValueError(f"a tower must be a JSON object, got {type(obj).__name__}")
     for key in ("p", "E_L"):
@@ -1020,13 +1016,8 @@ def tower_from_obj(obj: dict, **overrides) -> ExtensionTower:
     seed = obj.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"tower seed must be an integer, got {seed!r}")
-    kwargs = {
-        "witt_length_hint": overrides.get("witt_length_hint", 4),
-        "sigma_choice": overrides.get("sigma_choice", 0),
-        "seed": overrides.get("seed", seed),
-    }
     n_prec = overrides.get("N", obj.get("N", "auto"))
-    return build_tower(p, n_prec, e_l, e_k, **kwargs)
+    return build_tower(p, n_prec, e_l, e_k, seed=overrides.get("seed", seed))
 
 
 def load_tower(path: str, **overrides) -> ExtensionTower:

@@ -612,10 +612,10 @@ def content_hash(obj: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def dump_tables(p: int, n: int, include_pfold: bool = True) -> dict:
+def dump_tables(p: int, n: int) -> dict:
     """JSON-ready dump of the polynomial tables, keyed and hashed."""
     obj = {"p": p, "n": n, "binary": ctx_for(p, n).to_obj()}
-    if include_pfold and p in PFOLD_RANGE and n <= PFOLD_RANGE[p]:
+    if p in PFOLD_RANGE and n <= PFOLD_RANGE[p]:
         obj["pfold"] = pfold_decomposition(p, n).to_obj()
     else:
         obj["pfold"] = None

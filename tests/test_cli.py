@@ -475,6 +475,74 @@ class TestCrash:
         assert not out_path.exists()
 
 
+class TestExitPath:
+    """``main`` maps every command's outcome the same way: an exception
+    that escapes a command is a crash (70), and NotStabilized is 2, each
+    on one line; never the FAIL code 1."""
+
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (["tower-info", "--tower", "q2_i"], cohomlab, "h1_order_level1"),
+            (["oracle", "--tower", "q2_i", "--what", "h1"], cohomlab, "h1_order_level1"),
+            (["polys", "--p", "2", "--n", "2"], wittcore, "dump_tables"),
+        ],
+    )
+    def test_crash_is_70(self, argv, module, name, monkeypatch, capsys):
+        def raiser(*args, **kwargs):
+            raise ZeroDivisionError("integer division by zero\nsecond line")
+
+        monkeypatch.setattr(module, name, raiser)
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CRASH == 70
+        assert err == f"{argv[0]}: crashed: ZeroDivisionError: integer division by zero\n"
+        assert "status" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["tower-info", "--tower", "q2_i"], ["oracle", "--tower", "q2_i", "--what", "h1"]],
+    )
+    def test_not_stabilized_is_2(self, argv, monkeypatch, capsys):
+        def raiser(tower):
+            raise cohomlab.NotStabilized("elementary divisors moved: [2] vs [4]")
+
+        monkeypatch.setattr(cohomlab, "h1_order_level1", raiser)
+        code = cli.main(argv)
+        assert code == cli.EXIT_UNDETERMINED == 2
+        assert capsys.readouterr().err == f"{argv[0]}: elementary divisors moved: [2] vs [4]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tower-info", "--tower", "q2_i"],
+            ["verify", "--lemma", "vktr", "--tower", "q2_i", "--samples", "1"],
+            ["oracle", "--tower", "q2_i"],
+            ["suite"],
+        ],
+    )
+    def test_key_error_building_a_tower_is_a_crash(self, argv, monkeypatch, capsys):
+        # nothing in the parse raises KeyError, so one is a bug, not a
+        # malformed description (64)
+        def raiser(*args, **kwargs):
+            raise KeyError("E_K")
+
+        monkeypatch.setattr(localfield, "build_rings", raiser)
+        assert cli.main(argv) == 70
+        assert capsys.readouterr().err == f"{argv[0]}: crashed: KeyError: 'E_K'\n"
+
+    def test_auto_precision_builds_where_the_field_does(self, tmp_path, capsys):
+        # K = Q2(2^(1/3)), L = K(sqrt(pi_K)): auto picks N = 18, which the
+        # policy at the tower's break s = 6 accepts
+        tower = tmp_path / "cubic.json"
+        tower.write_text(
+            json.dumps({"p": 2, "N": "auto", "E_K": [-2, 0, 0, 1], "E_L": [[0, -1], [0], [1]]})
+        )
+        assert cli.main(["tower-info", "--tower", str(tower), "--json"]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert (info["e_K"], info["N"], info["ramification_break"]) == (3, 18, 6)
+
+
 # tower descriptions of the wrong shape: each used to raise TypeError
 MALFORMED_TOWERS = {
     "p_null": {"p": None, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"]},

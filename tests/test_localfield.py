@@ -24,6 +24,21 @@ from wittlab.localfield import (
 )
 
 
+TOWER_NAMES = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic"]
+
+# tower_hash is the sha256 of the description, so these move only when
+# a description or its parse does
+TOWER_HASHES = {
+    "q2_i": "84be0c6f340b5624cc80c0b142d6d1933f41ebd3bfb2fa2c4fac0953b7d36920",
+    "q2_sqrt2": "99666e11867af9ed32377b9b782c7731af08129972a477fcc578139ffb987c3c",
+    "q2_sqrt_minus2": "5b9f056eee283e72a579e19c6e0862544368a0f5fb22c1096eb80da3d0c33515",
+    "q3": "e9154c16953468de13efd5bca663ec9d5467e1093ee9bd37aea3f71f82a84dc6",
+    "nested": "f290003d4ff2a612411e48dcd76b32fcf738afdd82ac364b96a5b1ae128b971c",
+    "quartic": "6908a6ec6d5798aa0dabe8ec253c86d32bcc929e70dcb5f60fc2c362f06efc1f",
+    "rank8": "e63bff29449b659ad9581f1fcaba77ae013a353141c1c4afd8aa35f391206cd2",
+}
+
+
 class TestValExtended:
     def test_finite(self):
         v = ValExtended(3, 48)
@@ -63,6 +78,31 @@ class TestTowerConstruction:
     def test_rejects_low_precision(self):
         with pytest.raises(PrecisionTooLow):
             build_tower(2, 6, [-2, 0, 1], witt_length_hint=4)
+
+    def test_auto_precision_counts_e_k_without_the_leading_one(self):
+        # K = Q2(2^(1/3)), L = K(sqrt(pi_K)): e_K = 3, s = 6, so the policy
+        # at Witt length 4 needs N = 18; counting E_K's leading 1 as a
+        # fourth coefficient picked N = 17, which the tower then refused
+        tower = build_tower(2, "auto", [[0, -1], [0], [1]], [-2, 0, 0, 1])
+        assert tower.e_K == 3 and tower.N == 18 and tower.s == 6
+
+    def test_tower_hashes_are_pinned(self, all_towers):
+        # a change to how a description is read must not move any hash
+        rank8 = build_tower(2, "auto", [[0, -1], [0], [1]], [-2, 0, 0, 0, 1])
+        got = {name: tower.tower_hash for name, tower in all_towers.items()}
+        assert {**got, "rank8": rank8.tower_hash} == TOWER_HASHES
+
+    @pytest.mark.parametrize("name", [*TOWER_NAMES, "x_plus_2"])
+    def test_pi_k_is_a_root_of_e_k(self, all_towers, name):
+        # K = Q_2 presented by E_K = x + 2 has pi_K = -2, not p
+        if name == "x_plus_2":
+            tower = build_tower(2, 24, [2, -2, 1], [2, 1])
+        else:
+            tower = all_towers[name]
+        e_k = tower.description["E_K"] or [str(-tower.p), "1"]
+        pi_K = tower.pi_K
+        at_pi_K = sum((pi_K**i * int(c) for i, c in enumerate(e_k)), tower.K.zero)
+        assert tower.is_zero_at_precision(at_pi_K)
 
     def test_breaks(self, q2_i, q2_sqrt2, q2_sqrt_minus2, q3):
         assert q2_sqrt2.s == 2
@@ -427,7 +467,6 @@ class TestSolvers:
 
 # -- Galois and trace matrices against the substitution path ---------------
 
-TOWER_NAMES = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic"]
 PROPERTY = settings(
     max_examples=25,
     deadline=None,
