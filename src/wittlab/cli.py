@@ -233,14 +233,12 @@ def cmd_suite(args) -> int:
     cells = []
     worst = EXIT_PASS
     for tower_ref in towers:
-        # an inline description keeps its own seed; a named tower or a
-        # file takes the manifest's
-        if isinstance(tower_ref, dict):
-            tower = _tower(tower_ref, "cannot build inline tower: ")
-            tower_name = tower_ref.get("name", tower.tower_hash[:12])
-        else:
-            tower = _tower(tower_ref, f"cannot load tower {tower_ref!r}: ", seed=seed)
-            tower_name = Path(tower_ref).stem
+        # every tower, named, from a file or inline, takes the manifest's
+        # seed, so one description has one tower_hash in a manifest
+        inline = isinstance(tower_ref, dict)
+        context = "cannot build inline tower: " if inline else f"cannot load tower {tower_ref!r}: "
+        tower = _tower(tower_ref, context, seed=seed)
+        tower_name = tower_ref.get("name", tower.tower_hash[:12]) if inline else Path(tower_ref).stem
         for lemma in lemmas:
             try:
                 report = _run(lemma, tower, tower_name, samples=samples, seed=seed)

@@ -470,36 +470,21 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], p: int, digits: int) -> S
     return SmithForm(pivots, U, V, m, n, p, modulus, digits)
 
 
-@dataclass
-class LinearSolution:
-    particular: list[int]
-    delta: int
-    snf: SmithForm
+def linsolve(snf: SmithForm, rhs: Sequence[int]) -> tuple[tuple, int]:
+    """Solve A*x = rhs over Z/p^digits, with A the matrix ``snf`` was
+    built from (p, digits and the shape are read from it).
 
-    @property
-    def kernel(self) -> list[list[int]]:
-        """A kernel basis, built from the Smith form when asked for."""
-        return self.snf.kernel_basis()
-
-
-def linsolve(
-    matrix: Sequence[Sequence[int]],
-    rhs: Sequence[int],
-    p: int,
-    digits: int,
-    snf: SmithForm | None = None,
-) -> LinearSolution:
-    """Solve A*x = rhs over Z/p^digits; pivots are minimal-valuation entries.
-
-    Returns a particular solution (its ``kernel`` basis is built only
-    when asked for), or raises
-    :class:`NoSolutionAtPrecision` whose depth is the digit count at
-    which the system is already contradictory.
+    Returns a particular solution as a reduced coordinate tuple and
+    ``delta``, the largest pivot valuation; a kernel basis is
+    ``snf.kernel_basis()``.  Raises :class:`NoSolutionAtPrecision`, whose
+    depth is the digit count at which the system is already
+    contradictory, and ValueError on a right-hand side of the wrong
+    length.
     """
-    if snf is None:
-        snf = smith_normal_form(matrix, p, digits)
-    modulus = snf.modulus
+    p, digits, modulus = snf.p, snf.digits, snf.modulus
     m, n = snf.rows, snf.cols
+    if len(rhs) != m:
+        raise ValueError(f"right-hand side has {len(rhs)} entries, the system {m} rows")
     uc = [
         sum(snf.U[i][j] * rhs[j] for j in range(m)) % modulus for i in range(m)
     ]
@@ -518,10 +503,10 @@ def linsolve(
         if uc[k]:
             vv = _vp_int(uc[k], p, digits)
             raise NoSolutionAtPrecision((digits if vv is None else vv) + 1, delta)
-    particular = [
+    particular = tuple([
         sum(snf.V[i][k] * z[k] for k in range(n)) % modulus for i in range(n)
-    ]
-    return LinearSolution(particular, delta, snf)
+    ])
+    return particular, delta
 
 
 # ---------------------------------------------------------------------------
@@ -711,15 +696,14 @@ class ExtensionTower:
             kernels.compile_flat_linear(m, mod) for m in self.galois_mats[1:]
         )
         self.trace_map = kernels.compile_flat_linear(self.trace_full_mat, mod)
-        self.trace_mat = [list(row) for row in self.trace_full_mat[: self.K.flat_rank]]
+        # the trace into O_K: the first e_K rows of the full trace
+        self.trace_mat = self.trace_full_mat[: self.K.flat_rank]
         self.sigma_minus_one_mat = [
             [(x - (r == m)) % mod for m, x in enumerate(row)]
             for r, row in enumerate(self.galois_mats[1])
         ]
         self._trace_snf = smith_normal_form(self.trace_mat, self.p, self.N_int)
-        # the trace kernel on flat coordinates, and as O_L elements
         self.trace_kernel_flat = tuple(tuple(k) for k in self._trace_snf.kernel_basis())
-        self._trace_kernel = tuple(self.L.unflatten(k) for k in self.trace_kernel_flat)
         self._smo_snf: dict[int, SmithForm] = {}  # digits -> Smith form of sigma - 1
 
     # -- raw (tuple-level) operations -----------------------------------
@@ -841,40 +825,23 @@ class ExtensionTower:
 
     # -- linear solving ----------------------------------------------------
 
-    def solve_trace_eq(self, c: OElem) -> tuple[OElem, int]:
-        """x with tr(x) = c at precision, and ``delta``, the digits the
-        solve loses (its largest pivot valuation)."""
-        if c.level is not self.K:
-            raise ValueError("solve_trace_eq expects an O_K right-hand side")
-        sol = linsolve(
-            self.trace_mat, c.data, self.p, self.N_int, snf=self._trace_snf
-        )
-        return self.L.unflatten(sol.particular), sol.delta
+    def solve_trace_eq(self, c) -> tuple[tuple, int]:
+        """x with tr(x) = c at precision, on flat coordinates (c on O_K,
+        x on O_L), and ``delta``, the digits the solve loses (its largest
+        pivot valuation)."""
+        return linsolve(self._trace_snf, c)
 
-    def trace_kernel_basis(self) -> tuple[OElem, ...]:
-        """The trace-kernel basis, built once per tower."""
-        return self._trace_kernel
-
-    def solve_sigma_minus_one(self, c: OElem, digits: int | None = None) -> tuple[OElem, int]:
-        """y with (sigma-1)y = c at the given base precision (advertised
-        precision and above only); raises NoSolutionAtPrecision otherwise."""
-        if c.level is not self.L:
-            raise ValueError("solve_sigma_minus_one expects an O_L right-hand side")
-        if digits is None:
-            digits = self.N_int
+    def solve_sigma_minus_one(self, c, digits: int) -> tuple[tuple, int]:
+        """y with (sigma-1)y = c modulo p^digits, on O_L flat coordinates
+        (advertised precision and above only), and ``delta``; raises
+        NoSolutionAtPrecision otherwise."""
         if digits < self.N:
             raise PrecisionTooLow("cannot solve below the advertised precision")
-        sol = linsolve(
-            self.sigma_minus_one_mat,
-            c.data,
-            self.p,
-            digits,
-            snf=self.sigma_minus_one_snf(digits),
-        )
-        y = self.L.unflatten(sol.particular)
-        if not self.eq_at_precision(self.galois(y) - y, c):
+        y, delta = linsolve(self.sigma_minus_one_snf(digits), c)
+        L = self.L
+        if not self._zero_raw(L.sub(L.sub(self._galois_raw(y, 1), y), c)):
             raise TraceNotRational("solver postcondition failed")  # pragma: no cover
-        return y, sol.delta
+        return y, delta
 
     def sigma_minus_one_snf(self, digits: int) -> SmithForm:
         """The Smith form of (sigma - 1) modulo p^digits, built on first use

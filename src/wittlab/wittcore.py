@@ -49,6 +49,7 @@ from math import comb
 from typing import Sequence
 
 from .exactpoly import MPoly, MPOLY_RING, NotDivisible
+from .localfield import OElem
 
 # Symbolic budgets: term counts grow like p^(n-1), so the supported
 # window is fixed rather than discovered by timeout.  They bound the
@@ -271,7 +272,7 @@ def ghost_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
     engine = GhostSum(ctx.p, ctx.n, ring)
     for j in range(ctx.n):
         engine.push([v.components[j].data for v in vectors])
-    return WittVec(ctx, ring, engine.sums())
+    return WittVec(ctx, ring, tuple(OElem(ring, s) for s in engine.sums()))
 
 
 def polynomial_witt_neg(y: WittVec) -> WittVec:
@@ -285,19 +286,20 @@ def polynomial_witt_neg(y: WittVec) -> WittVec:
 def ghost_witt_neg(y: WittVec) -> WittVec:
     """Negative over a ring with ``flat_lift``: solve y + z = 0 column by
     column, z_{j+1} = -(y_{j+1} + carry of the columns pushed so far)."""
-    comps = y.components
-    engine = GhostSum(y.ctx.p, y.ctx.n, y.ring)
-    z = [-comps[0]]
+    ring = y.ring
+    comps = [c.data for c in y.components]
+    engine = GhostSum(y.ctx.p, y.ctx.n, ring)
+    z = [ring.neg(comps[0])]
     for j in range(1, y.ctx.n):
-        engine.push([comps[j - 1].data, z[j - 1].data])
-        z.append(-(comps[j] + engine.carry()))
-    return WittVec(y.ctx, y.ring, tuple(z))
+        engine.push([comps[j - 1], z[j - 1]])
+        z.append(ring.neg(ring.add(comps[j], engine.carry())))
+    return WittVec(y.ctx, ring, tuple(OElem(ring, c) for c in z))
 
 
 class GhostSum:
     """Witt sum of several length-n vectors over a ring with ``flat_lift``,
-    built column by column in ghost coordinates.  Columns are pushed as
-    flat coordinate tuples; ``carry`` and ``sums`` give ring elements.
+    built column by column in ghost coordinates.  Columns are pushed, and
+    ``carry`` and ``sums`` returned, as reduced flat coordinate tuples.
 
     With M the ring's base digits, the summands are read as elements of
     the lifted ring at M + n - 1 digits, where
@@ -367,11 +369,11 @@ class GhostSum:
         if i >= self.n:
             raise ValueError(f"no level above the {self.n} pushed columns")
         num = self._numerator(i)
-        return self.ring.unflatten(_divide_exact(num, self.p**i, self._lifted.modulus))
+        return self.ring.reduce(_divide_exact(num, self.p**i, self._lifted.modulus))
 
     def sums(self) -> tuple:
         """The sum's components over the pushed columns, reduced."""
-        return tuple(self.ring.unflatten(c.sum) for c in self._columns)
+        return tuple(self.ring.reduce(c.sum) for c in self._columns)
 
     def _numerator(self, level: int):
         """``_lower(level)``, summed once while its columns stay pushed."""
@@ -601,7 +603,7 @@ def carry_value(p: int, level: int, rows: Sequence[Sequence], ring):
         engine = GhostSum(p, level, ring)
         for j in range(level - 1):
             engine.push([row[j].data for row in rows])
-        return engine.carry()
+        return OElem(ring, engine.carry())
     ctx = ctx_for(p, level)
     vecs = [WittVec(ctx, ring, tuple(row[: level - 1]) + (ring.zero,)) for row in rows]
     return polynomial_witt_sum(vecs).components[level - 1]

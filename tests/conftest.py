@@ -67,3 +67,18 @@ def quartic():
 def all_towers(towers, nested, quartic):
     """The four builtin towers and the two nested ones, by name."""
     return {**towers, "nested": nested, "quartic": quartic}
+
+
+@pytest.fixture(scope="session")
+def stable_witt_length_closed():
+    """The closed form of the stable length, least M with p^(M-1) > s:
+    the oracle that ``cohomlab.stable_witt_length``, which sums the
+    geometric bound in exact rationals, is compared against."""
+
+    def closed(break_s, p):
+        M = 1
+        while p ** (M - 1) <= break_s:
+            M += 1
+        return M
+
+    return closed

@@ -176,13 +176,13 @@ def test_criterion_09_oracle_equivalence(towers):
                 assert all(result.values()), (name, digits, result)
 
 
-def test_criterion_10_stable_length_equivalence():
+def test_criterion_10_stable_length_equivalence(stable_witt_length_closed):
     with criterion(10, "stable length agrees with its closed form"):
         for p in (2, 3, 5, 7):
             for s in range(1, 101):
                 assert cohomlab.stable_witt_length(
                     s, p
-                ) == cohomlab.stable_witt_length_closed(s, p), (s, p)
+                ) == stable_witt_length_closed(s, p), (s, p)
 
 
 def test_criterion_11_suite_determinism(tmp_path):

@@ -268,6 +268,26 @@ class TestSuite:
         assert agg["status"] == "PASS"
         assert len(agg["cells"]) == 2
 
+    def test_one_seed_rule_for_file_and_inline_towers(self, tmp_path, capsys):
+        # the same description as a file and inline with its own seed: both
+        # take the manifest's seed, so both cells have one tower_hash
+        description = {"p": 2, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"], "seed": 3}
+        tower_file = tmp_path / "q2_sqrt2_copy.json"
+        tower_file.write_text(json.dumps(description))
+        inline = {**description, "seed": 99, "name": "inline"}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            json.dumps(
+                {"towers": [str(tower_file), inline], "lemmas": ["vktr"], "samples": 2, "seed": 5}
+            )
+        )
+        out = tmp_path / "agg.json"
+        assert cli.main(["suite", "--manifest", str(manifest), "--out", str(out)]) == 0
+        capsys.readouterr()
+        hashes = [cell["tower_hash"] for cell in json.loads(out.read_text())["cells"]]
+        assert len(hashes) == 2 and hashes[0] == hashes[1]
+        assert hashes[0] == localfield.tower_from_obj(description, seed=5).tower_hash
+
     def test_csv_summary(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(

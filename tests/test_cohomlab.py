@@ -18,7 +18,6 @@ from wittlab.cohomlab import (
     linsolve_matches_enumeration,
     sample_trace_zero,
     stable_witt_length,
-    stable_witt_length_closed,
     step_bound,
     witt_class_trivial,
     witt_trace,
@@ -148,7 +147,8 @@ def sample_with_fresh_carries(tower, n, rng, retries=32):
         rows = [[tower.galois(c, i) for c in comps[: level - 1]] for i in range(tower.p)]
         carry = wittcore.carry_value(tower.p, level, rows, tower.L)
         try:
-            part, _ = tower.solve_trace_eq(-tower.project_to_K(carry))
+            part, _ = tower.solve_trace_eq((-tower.project_to_K(carry)).data)
+            part = tower.L.unflatten(part)
         except NoSolutionAtPrecision:
             budget -= 1
             fail_streak += 1
@@ -175,6 +175,40 @@ TOWER_PRIMES = {
     "nested": 2,
     "quartic": 2,
 }
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, monkeypatch):
+    """Solves, carries and retries run on flat coordinates: a sample of
+    length n builds n O_L elements (the vector) and n O_K elements (its
+    audited trace), however many attempts it takes."""
+    tower = all_towers[name]
+    built = []
+    init = cohomlab.OElem.__init__
+
+    def counted(self, level, data):
+        built.append(level)
+        init(self, level, data)
+
+    solves = []
+    solve = tower.solve_trace_eq
+
+    def recorded(c):
+        assert type(c) is tuple
+        solves.append(1)
+        x, delta = solve(c)
+        assert type(x) is tuple
+        return x, delta
+
+    n = 3
+    sample_trace_zero(tower, n, random.Random(-1))  # builds the lifted ring once
+    monkeypatch.setattr(cohomlab.OElem, "__init__", counted)
+    monkeypatch.setattr(tower, "solve_trace_eq", recorded)
+    for seed in range(4):
+        built.clear()
+        sample_trace_zero(tower, n, random.Random(seed))
+        assert built == [tower.L] * n + [tower.K] * n
+    assert len(solves) > 4 * (n - 1)  # some attempt was rejected
 
 
 @pytest.mark.parametrize(
@@ -254,11 +288,12 @@ def test_sampler_refuses_a_corrupted_sigma(all_towers, name, monkeypatch):
 
 def test_trace_kernel_basis_is_cached(all_towers):
     for tower in all_towers.values():
-        basis = tower.trace_kernel_basis()
-        assert basis is tower.trace_kernel_basis()
+        basis = tower.trace_kernel_flat
         derived = [tower.L.unflatten(k) for k in tower._trace_snf.kernel_basis()]
-        assert [k.data for k in basis] == [k.data for k in derived]
-        assert [k.data for k in basis] == list(tower.trace_kernel_flat)
+        assert list(basis) == [k.data for k in derived]
+        # each vector is reduced and lies in the trace kernel
+        assert all(tower.L.reduce(k) == k for k in basis)
+        assert all(tower._zero_raw(tower.trace_map(k)) for k in basis)
 
 
 def symbolic_residual(tower, comps, level):
@@ -413,7 +448,30 @@ class TestH1Orders:
 
     def test_linsolve_matches_enumeration(self, q2_i):
         for digits in (2, 3):
-            assert all(linsolve_matches_enumeration(q2_i, digits).values())
+            result = linsolve_matches_enumeration(q2_i, digits)
+            assert {"trace_solve", "sigma_minus_one_solve"} <= result.keys()
+            assert all(result.values())
+
+    @pytest.mark.parametrize("mutant", ["off_by_one", "always_raises"])
+    def test_linsolve_mutants_fail_the_oracle(self, q2_i, q3, monkeypatch, mutant):
+        solve = cohomlab.linsolve
+
+        def off_by_one(snf, rhs):
+            # the last coordinate: sigma fixes the first basis vector, 1
+            x, delta = solve(snf, rhs)
+            return x[:-1] + ((x[-1] + 1) % snf.modulus,), delta
+
+        def always_raises(snf, rhs):
+            raise NoSolutionAtPrecision(1)
+
+        monkeypatch.setattr(
+            cohomlab, "linsolve", {"off_by_one": off_by_one, "always_raises": always_raises}[mutant]
+        )
+        for tower in (q2_i, q3):
+            result = linsolve_matches_enumeration(tower, 2)
+            assert not (result["trace_solve"] and result["sigma_minus_one_solve"])
+            # the kernel and image checks do not read linsolve
+            assert all(v for k, v in result.items() if not k.endswith("_solve"))
 
 
 class TestStableLength:
@@ -422,7 +480,7 @@ class TestStableLength:
         assert stable_witt_length(2, 2) == 3
         assert stable_witt_length(1, 3) == 2
 
-    def test_closed_form_spot(self):
+    def test_closed_form_spot(self, stable_witt_length_closed):
         for s in (1, 2, 3, 7, 9):
             for p in (2, 3, 5):
                 assert stable_witt_length(s, p) == stable_witt_length_closed(s, p)

@@ -195,7 +195,7 @@ class TestGaloisAction:
             verdicts = []
             for tower in (q3, other):
                 try:
-                    tower.solve_sigma_minus_one(tower.L.unflatten(coords), digits=tower.N)
+                    tower.solve_sigma_minus_one(tower.L.reduce(coords), digits=tower.N)
                     verdicts.append("trivial")
                 except NoSolutionAtPrecision:
                     verdicts.append("nontrivial")
@@ -293,26 +293,39 @@ class TestTrace:
                 assert smo_col == [x % tower.modulus for x in diff]
 
 
+def solve(matrix, rhs, p, digits):
+    """``linsolve`` on a fresh Smith form: (particular, delta, kernel)."""
+    snf = smith_normal_form(matrix, p, digits)
+    particular, delta = linsolve(snf, rhs)
+    return particular, delta, snf.kernel_basis()
+
+
 class TestLinSolve:
     def test_identity(self):
-        sol = linsolve([[1, 0], [0, 1]], [3, 5], 2, 3)
-        assert sol.particular == [3, 5]
-        assert sol.kernel == []
-        assert sol.delta == 0
+        particular, delta, kernel = solve([[1, 0], [0, 1]], [3, 5], 2, 3)
+        assert particular == (3, 5)
+        assert kernel == []
+        assert delta == 0
 
     def test_two_y_four_mod8(self):
-        sol = linsolve([[2]], [4], 2, 3)
-        assert sol.particular[0] % 8 in (2, 6)
+        particular, delta, kernel = solve([[2]], [4], 2, 3)
+        assert particular[0] % 8 in (2, 6)
         spanned = {0}
-        for k in sol.kernel:
+        for k in kernel:
             spanned |= {(x + k[0]) % 8 for x in spanned}
         assert spanned == {0, 4}
-        assert sol.delta == 1
+        assert delta == 1
 
     def test_two_y_one_mod8(self):
         with pytest.raises(NoSolutionAtPrecision) as info:
-            linsolve([[2]], [1], 2, 3)
+            solve([[2]], [1], 2, 3)
         assert info.value.depth == 1
+
+    @pytest.mark.parametrize("rhs", [[1], [1, 2, 3]])
+    def test_refuses_a_right_hand_side_of_the_wrong_length(self, rhs):
+        snf = smith_normal_form([[1, 0], [0, 1]], 2, 3)
+        with pytest.raises(ValueError, match="right-hand side has"):
+            linsolve(snf, rhs)
 
     def test_smith_diagonalizes(self):
         rng = random.Random(8)
@@ -353,9 +366,10 @@ class TestLinSolve:
             A = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
             x = [rng.randrange(mod) for _ in range(n)]
             c = [sum(A[i][j] * x[j] for j in range(n)) % mod for i in range(n)]
-            sol = linsolve(A, c, 3, digits)
+            particular, _, _ = solve(A, c, 3, digits)
+            assert all(0 <= y < mod for y in particular)
             got = [
-                sum(A[i][j] * sol.particular[j] for j in range(n)) % mod
+                sum(A[i][j] * particular[j] for j in range(n)) % mod
                 for i in range(n)
             ]
             assert got == c
@@ -378,7 +392,8 @@ class TestLinSolve:
                 if all(c == 0 for c in out):
                     kernel_set.add(vec)
             snf = smith_normal_form(A, 2, digits)
-            sol = linsolve(A, [0] * m, 2, digits, snf=snf)
+            particular, _ = linsolve(snf, [0] * m)
+            assert particular == (0,) * n
 
             def span(gens, rank):
                 zero = tuple([0] * rank)
@@ -392,15 +407,15 @@ class TestLinSolve:
                             stack.append(y)
                 return seen
 
-            assert span(sol.kernel, n) == kernel_set
+            assert span(snf.kernel_basis(), n) == kernel_set
             assert span(snf.image_basis(A), m) == image_set
 
     def test_degenerate_matrices(self):
-        sol = linsolve([[0, 0], [0, 0]], [0, 0], 2, 3)
-        assert sol.particular == [0, 0]
-        assert len(sol.kernel) == 2
+        particular, _, kernel = solve([[0, 0], [0, 0]], [0, 0], 2, 3)
+        assert particular == (0, 0)
+        assert len(kernel) == 2
         with pytest.raises(NoSolutionAtPrecision):
-            linsolve([[0]], [1], 2, 3)
+            solve([[0]], [1], 2, 3)
         wide = smith_normal_form([[2, 4, 6]], 2, 4)
         assert wide.pivots == [1]
 
@@ -408,9 +423,9 @@ class TestLinSolve:
 class TestSolvers:
     def test_trace_eq_solvable(self, q2_i):
         c = q2_i.K.from_int(2)
-        x, delta = q2_i.solve_trace_eq(c)
-        assert q2_i.eq_at_precision(q2_i.trace(x), c)
-        assert q2_i.trace_kernel_basis()  # nontrivial trace kernel
+        x, delta = q2_i.solve_trace_eq(c.data)
+        assert q2_i.eq_at_precision(q2_i.trace(q2_i.L.unflatten(x)), c)
+        assert q2_i.trace_kernel_flat  # nontrivial trace kernel
 
     def test_trace_eq_obstruction(self, q2_i):
         # enumeration oracle first: the trace image modulo 4 misses 1
@@ -420,15 +435,15 @@ class TestSolvers:
             image.add(q2_i.trace(elem).data[0] % 4)
         assert 1 not in image
         with pytest.raises(NoSolutionAtPrecision):
-            q2_i.solve_trace_eq(q2_i.K.from_int(1))
+            q2_i.solve_trace_eq(q2_i.K.from_int(1).data)
 
     def test_trace_kernel_contains_i(self, q2_i):
-        kernel = q2_i.trace_kernel_basis()
+        kernel = q2_i.trace_kernel_flat
         i_elem = q2_i.pi_L - 1
         # i generates the kernel: some basis combination hits it mod 2^N
         spanned_first = set()
         for k in kernel:
-            spanned_first.add(tuple(x % 4 for x in k.data))
+            spanned_first.add(tuple(x % 4 for x in k))
         closure = {(0, 0)}
         changed = True
         while changed:
@@ -443,14 +458,34 @@ class TestSolvers:
         assert i_flat in closure
 
     def test_sigma_minus_one_zero(self, q2_i):
-        y, _ = q2_i.solve_sigma_minus_one(q2_i.L.zero)
+        y, _ = q2_i.solve_sigma_minus_one(q2_i.L.zero_elem, q2_i.N_int)
+        y = q2_i.L.unflatten(y)
         assert q2_i.is_zero_at_precision(q2_i.galois(y) - y)
 
     def test_sigma_minus_one_solvable(self, q2_i):
         i_elem = q2_i.pi_L - 1
         c = i_elem * 2
-        y, delta = q2_i.solve_sigma_minus_one(c)
+        y, delta = q2_i.solve_sigma_minus_one(c.data, q2_i.N_int)
+        y = q2_i.L.unflatten(y)
         assert q2_i.eq_at_precision(q2_i.galois(y) - y, c)
+
+    @pytest.mark.parametrize("name", TOWER_NAMES)
+    def test_solutions_are_tuples_that_solve(self, all_towers, name):
+        # right-hand sides in each image: tr(a) and sigma(a) - a
+        tower = all_towers[name]
+        L, rng = tower.L, random.Random(21)
+        for _ in range(10):
+            a = tower.random_L_elem(rng).data
+            c = tower._trace_raw(a)
+            x, _ = tower.solve_trace_eq(c)
+            assert isinstance(x, tuple) and L.reduce(x) == x
+            assert tower.trace_map(x)[: tower.K.flat_rank] == c
+            d = L.sub(tower._galois_raw(a, 1), a)
+            for digits in (tower.N, tower.N_int):
+                y, _ = tower.solve_sigma_minus_one(d, digits)
+                assert isinstance(y, tuple) and L.reduce(y) == y
+                residual = L.sub(L.sub(tower._galois_raw(y, 1), y), d)
+                assert not any(r % tower.p**digits for r in residual)
 
     def test_sigma_minus_one_obstruction(self, q2_i):
         # enumeration oracle: the image of (sigma - 1) modulo 4
@@ -462,7 +497,7 @@ class TestSolvers:
         i_flat = tuple(x % 4 for x in (q2_i.pi_L - 1).data)
         assert i_flat not in image
         with pytest.raises(NoSolutionAtPrecision):
-            q2_i.solve_sigma_minus_one(q2_i.pi_L - 1)
+            q2_i.solve_sigma_minus_one((q2_i.pi_L - 1).data, q2_i.N_int)
 
 
 # -- Galois and trace matrices against the substitution path ---------------
