@@ -187,25 +187,46 @@ def sample_trace_zero(
     retry recomputes only the columns from the cut up.  Components,
     particular solutions and carries stay flat coordinate tuples until
     the finished vector is built.
+
+    Whether level l is solvable depends only on x_1..x_{l-1} modulo
+    ``tower.trace_residue_modulus``, p^delta with delta the largest pivot
+    of the trace's Smith form.  carry_l is an integral polynomial in the
+    coordinates of their conjugates, sigma and the ring's structure
+    constants are integral, and the solve fails exactly when some entry
+    of U*c is nonzero modulo its pivot's p^v, v <= delta.  (A zero row of
+    the form needs every digit; the modulus is then p^N_int.)  A residue
+    prefix that once failed is kept in ``tower.unsolvable_prefixes``, and
+    when it comes back the carry and the solve are skipped for the same
+    failure branch.  The memo never changes a draw: the RNG stream and
+    the components are those of the loop without it.
     """
     ctx = ctx_for(tower.p, n)
     K, L = tower.K, tower.L
     engine = wittcore.GhostSum(tower.p, n, L)
+    residue = tower.trace_residue_modulus
+    unsolvable = tower.unsolvable_prefixes
     particulars: list[tuple] = [L.zero_elem]
     comps: list[tuple] = [_trace_kernel_draw(tower, rng, L.zero_elem)]
     level = 2
     budget = retries * n * 8
     fail_streak = 0
     while level <= n:
-        # the engine holds columns 1..level-2; column level-1 is new
-        engine.push(tower.conjugates_raw(comps[level - 2]))
-        try:
-            part, _ = tower.solve_trace_eq(K.neg(tower.project_to_K_raw(engine.carry())))
-        except NoSolutionAtPrecision:
+        # comps holds x_1..x_{level-1}, so the key's length is the level
+        key = tuple(tuple(c % residue for c in x) for x in comps)
+        doomed = key in unsolvable
+        if not doomed:
+            # the engine holds columns 1..level-2; column level-1 is new
+            engine.push(tower.conjugates_raw(comps[level - 2]))
+            try:
+                part, _ = tower.solve_trace_eq(K.neg(tower.project_to_K_raw(engine.carry())))
+            except NoSolutionAtPrecision:
+                unsolvable.add(key)
+                doomed = True
+        if doomed:
             budget -= 1
             fail_streak += 1
             if budget <= 0:
-                raise SamplerExhausted(level, retries) from None
+                raise SamplerExhausted(level, retries)
             # redraw the kernel part one level down; solvability can be
             # pinned by deeper components, so the cut deepens every
             # ``retries`` consecutive failures, and everything above the

@@ -704,6 +704,16 @@ class ExtensionTower:
         ]
         self._trace_snf = smith_normal_form(self.trace_mat, self.p, self.N_int)
         self.trace_kernel_flat = tuple(tuple(k) for k in self._trace_snf.kernel_basis())
+        # whether tr(x) = c is solvable depends on c modulo p^delta, delta
+        # the largest pivot; a zero row of the form needs every digit
+        pivots = self._trace_snf.pivots
+        if len(pivots) == self.K.flat_rank:
+            self.trace_residue_modulus = self.p ** max(pivots, default=0)
+        else:
+            self.trace_residue_modulus = self.modulus
+        # residue prefixes whose next trace equation has no solution, filled
+        # by the trace-zero sampler (see ``cohomlab.sample_trace_zero``)
+        self.unsolvable_prefixes: set[tuple] = set()
         self._smo_snf: dict[int, SmithForm] = {}  # digits -> Smith form of sigma - 1
 
     # -- raw (tuple-level) operations -----------------------------------

@@ -190,7 +190,7 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
         built.append(level)
         init(self, level, data)
 
-    solves = []
+    solves, memo_hits = [], []
     solve = tower.solve_trace_eq
 
     def recorded(c):
@@ -200,27 +200,47 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
         assert type(x) is tuple
         return x, delta
 
+    class CountedMemo(set):
+        def __contains__(self, key):
+            hit = super().__contains__(key)
+            if hit:
+                memo_hits.append(key)
+            return hit
+
     n = 3
     sample_trace_zero(tower, n, random.Random(-1))  # builds the lifted ring once
     monkeypatch.setattr(cohomlab.OElem, "__init__", counted)
     monkeypatch.setattr(tower, "solve_trace_eq", recorded)
+    monkeypatch.setattr(tower, "unsolvable_prefixes", CountedMemo(tower.unsolvable_prefixes))
     for seed in range(4):
         built.clear()
         sample_trace_zero(tower, n, random.Random(seed))
         assert built == [tower.L] * n + [tower.K] * n
-    assert len(solves) > 4 * (n - 1)  # some attempt was rejected
+    # an attempt is a solve or a memo hit: a rejected one either raised
+    # or hit the memo of prefixes that raised before
+    assert len(solves) + len(memo_hits) > 4 * (n - 1)  # some attempt was rejected
 
 
-@pytest.mark.parametrize(
-    "name,n",
-    [(name, n) for name, p in TOWER_PRIMES.items() for n in range(1, BINARY_RANGE[p] + 1)],
-)
-@pytest.mark.parametrize("retries", [32, 1])
-def test_sampler_matches_fresh_carry_loop(all_towers, name, n, retries):
-    """Same components and the same RNG stream; with one retry per level
-    the cut deepens after every failure."""
-    tower = all_towers[name]
-    for seed in range(20):
+def trace_eq_solvable(tower, comps) -> bool:
+    """Whether tr(x) = -carry is solvable after the prefix ``comps`` (flat
+    O_L coordinates of x_1..x_{l-1}), by the oracle path: OElem
+    conjugates, ``carry_value`` and the trace solve."""
+    level = len(comps) + 1
+    elems = [tower.L.unflatten(c) for c in comps]
+    rows = [[tower.galois(c, i) for c in elems] for i in range(tower.p)]
+    carry = wittcore.carry_value(tower.p, level, rows, tower.L)
+    try:
+        tower.solve_trace_eq((-tower.project_to_K(carry)).data)
+    except NoSolutionAtPrecision:
+        return False
+    return True
+
+
+def fresh_carry_mismatches(tower, name, n, retries, seeds=range(20)):
+    """Seeds on which ``sample_trace_zero`` and ``sample_with_fresh_carries``
+    differ in their components or in the state they leave the RNG in."""
+    bad = []
+    for seed in seeds:
         want_rng = random.Random(f"{name}:{n}:{seed}")
         got_rng = random.Random(f"{name}:{n}:{seed}")
         try:
@@ -232,8 +252,70 @@ def test_sampler_matches_fresh_carry_loop(all_towers, name, n, retries):
             got = [c.data for c in sample.vec.components]
         except SamplerExhausted as exc:
             got = ("exhausted", exc.level)
-        assert got == want, (name, n, retries, seed)
-        assert got_rng.random() == want_rng.random()
+        if got != want or got_rng.random() != want_rng.random():
+            bad.append(seed)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, n) for name, p in TOWER_PRIMES.items() for n in range(1, BINARY_RANGE[p] + 1)],
+)
+@pytest.mark.parametrize("retries", [32, 1])
+def test_sampler_matches_fresh_carry_loop(all_towers, name, n, retries, monkeypatch):
+    """Same components and the same RNG stream; with one retry per level
+    the cut deepens after every failure.  The sampler runs twice, from an
+    empty memo of unsolvable prefixes and then from the memo the first
+    run left, and every prefix in it fails the oracle's full solve."""
+    tower = all_towers[name]
+    memo = set()
+    monkeypatch.setattr(tower, "unsolvable_prefixes", memo)
+    for run in ("cold", "warm"):
+        assert fresh_carry_mismatches(tower, name, n, retries) == [], (name, n, retries, run)
+    assert all(not trace_eq_solvable(tower, key) for key in memo)
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+def test_unsolvable_prefix_keys_are_residues(all_towers, name):
+    """Solvability of the level-l trace equation does not change when any
+    coordinate of x_1..x_{l-1} moves by a multiple of p^delta, delta the
+    largest pivot of the trace's Smith form: the memo's key is sound.
+    The prefixes are arbitrary, not only trace-zero ones."""
+    tower = all_towers[name]
+    pivots = tower._trace_snf.pivots
+    assert len(pivots) == tower.K.flat_rank  # no zero row: delta digits decide
+    step = tower.trace_residue_modulus
+    assert step == tower.p ** max(pivots)
+    rng = random.Random(f"residues:{name}")
+    rank, modulus = tower.L.flat_rank, tower.modulus
+    outcomes = []
+    for level in (2, 3, 4):
+        for _ in range(100):
+            comps = [
+                tuple(rng.randrange(modulus) for _ in range(rank)) for _ in range(level - 1)
+            ]
+            moved = [
+                tuple((c + step * rng.randrange(modulus)) % modulus for c in x) for x in comps
+            ]
+            solvable = trace_eq_solvable(tower, comps)
+            assert trace_eq_solvable(tower, moved) == solvable, (name, level, comps)
+            outcomes.append(solvable)
+    assert True in outcomes and False in outcomes
+
+
+def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
+    """Mutant: prefixes are remembered modulo p^(delta-1), so a solvable
+    prefix can share a key with one that failed; the sampler must part
+    from the fresh-carry loop on some tower."""
+    parted = []
+    for name in sorted(TOWER_PRIMES):
+        tower = all_towers[name]
+        with monkeypatch.context() as patch:
+            patch.setattr(tower, "trace_residue_modulus", tower.trace_residue_modulus // tower.p)
+            patch.setattr(tower, "unsolvable_prefixes", set())
+            if fresh_carry_mismatches(tower, name, 3, 32, seeds=range(5)):
+                parted.append(name)
+    assert parted
 
 
 def polynomial_trace(tower, x):
@@ -280,6 +362,9 @@ def test_sampler_refuses_a_corrupted_sigma(all_towers, name, monkeypatch):
             bad = (maps[0], compile_flat_linear(rows, modulus)) + maps[2:]
             with monkeypatch.context() as patch:
                 patch.setattr(tower, "galois_maps", bad)
+                # prefixes that fail under a corrupted sigma must not stay
+                # in the tower's memo once sigma is restored
+                patch.setattr(tower, "unsolvable_prefixes", set())
                 for n in (2, 3):
                     for seed in range(3):
                         with pytest.raises((TraceNotRational, AssertionError)):
