@@ -112,9 +112,10 @@ def _tower(ref, context: str = "", **overrides) -> localfield.ExtensionTower:
 
 
 def _args_overrides(args) -> dict:
-    """``--precision`` and ``--seed``, where given."""
+    """``--precision`` and ``--seed``, where the command has them and they
+    are given."""
     overrides = {"N": args.precision} if args.precision else {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     return overrides
 
@@ -364,7 +365,6 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--tower", required=True)
     p_oracle.add_argument("--what", choices=("h1", "linsolve", "all"), default="all")
     p_oracle.add_argument("--precision", default=None)
-    p_oracle.add_argument("--seed", type=int, default=None)
     p_oracle.set_defaults(fn=cmd_oracle)
 
     return parser

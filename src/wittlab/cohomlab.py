@@ -143,14 +143,13 @@ def galois_vec(tower: ExtensionTower, x: WittVec, times: int = 1) -> WittVec:
 def witt_trace(tower: ExtensionTower, x: WittVec) -> WittVec:
     """Witt sum of the Galois conjugates, projected into the fixed ring.
 
-    The conjugates of each component are pushed, as flat coordinates,
-    into a fresh ``GhostSum``, so the sampler's audit shares no state
-    with the engine that produced the sample."""
-    engine = wittcore.GhostSum(tower.p, x.ctx.n, tower.L)
-    for c in x.components:
-        engine.push(tower.conjugates_raw(c.data))
+    The conjugates of each component, as flat coordinates, are the
+    columns of one ``ghost_sum`` pass, which keeps no state, so the
+    sampler's audit shares nothing with the passes that drew the sample."""
+    columns = [tower.conjugates_raw(c.data) for c in x.components]
+    sums = wittcore.ghost_sum(tower.p, tower.L, columns, x.ctx.n)
     K = tower.K
-    projected = tuple(OElem(K, tower.project_to_K_raw(c)) for c in engine.sums())
+    projected = tuple(OElem(K, tower.project_to_K_raw(c)) for c in sums)
     return WittVec(x.ctx, K, projected)
 
 
@@ -182,9 +181,9 @@ def sample_trace_zero(
     Component 1 is a random trace-kernel element; component l solves
     tr(x_l) = -carry_l and gets a fresh kernel element added.  When the
     carry falls outside the trace image, the level l-1 kernel part is
-    redrawn (bounded retries); the finished vector is audited.  The
-    carries come from one ``GhostSum`` over the conjugate family, so a
-    retry recomputes only the columns from the cut up.  Components,
+    redrawn (bounded retries); the finished vector is audited.  Each
+    carry is one ``ghost_sum`` pass over the conjugates of x_1..x_{l-1},
+    lifted by l-1 digits; nothing is kept between attempts.  Components,
     particular solutions and carries stay flat coordinate tuples until
     the finished vector is built.
 
@@ -202,7 +201,6 @@ def sample_trace_zero(
     """
     ctx = ctx_for(tower.p, n)
     K, L = tower.K, tower.L
-    engine = wittcore.GhostSum(tower.p, n, L)
     residue = tower.trace_residue_modulus
     unsolvable = tower.unsolvable_prefixes
     particulars: list[tuple] = [L.zero_elem]
@@ -215,10 +213,10 @@ def sample_trace_zero(
         key = tuple(tuple(c % residue for c in x) for x in comps)
         doomed = key in unsolvable
         if not doomed:
-            # the engine holds columns 1..level-2; column level-1 is new
-            engine.push(tower.conjugates_raw(comps[level - 2]))
+            columns = [tower.conjugates_raw(x) for x in comps]
+            carry = wittcore.ghost_sum(tower.p, L, columns, level)[-1]
             try:
-                part, _ = tower.solve_trace_eq(K.neg(tower.project_to_K_raw(engine.carry())))
+                part, _ = tower.solve_trace_eq(K.neg(tower.project_to_K_raw(carry)))
             except NoSolutionAtPrecision:
                 unsolvable.add(key)
                 doomed = True
@@ -236,7 +234,6 @@ def sample_trace_zero(
             del comps[cut:]
             del particulars[cut:]
             comps[cut - 1] = _trace_kernel_draw(tower, rng, particulars[cut - 1])
-            engine.truncate(cut - 1)
             level = cut + 1
             continue
         particulars.append(part)

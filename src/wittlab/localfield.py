@@ -139,8 +139,8 @@ def _check_eisenstein(name: str, valuations: Sequence[int | None]) -> None:
 
 class FlatRing:
     """O_K or O_L as coordinate tuples modulo p^digits on a Z_p-basis: the
-    one ring object of its level, which ``OElem.level``, ``WittVec.ring``
-    and ``wittcore.GhostSum`` all point to.
+    one ring object of its level, which ``OElem.level`` and
+    ``WittVec.ring`` point to and ``wittcore.ghost_sum`` is given.
 
     O_K has the basis pi_K^i (i < e_K); O_L has the basis pi_K^i*pi_L^j
     (i < e_K, j < p) at index r = j*e_K + i, so the K-coefficient of
@@ -543,7 +543,6 @@ class ExtensionTower:
         p, N = description["p"], description["N"]
         self.p = p
         self.N = N
-        self.seed = description["seed"]
         self.e_K = len(e_k)
         self.e_L = p * self.e_K
         # guard digits: sized from the generic bound on the derivative

@@ -15,16 +15,16 @@ division.
 
 Over the rings of a tower, each one ``localfield.FlatRing`` per level
 and the only rings with a ``flat_lift``, sums, carries and negatives
-are computed in ghost coordinates instead, by one incremental engine
-(``GhostSum``): the summands are lifted to the same ring at n-1 more
-base digits, their ghost components are added column by column, and
-the sum's Witt components are recovered one level at a time by
-certified exact division.  A negative is the vector whose sum
-with the given one is zero, solved column by column with the same
-engine.  Because the addition polynomials are integral, the result is
-exactly what evaluating them gives; the polynomial path remains the
-oracle and the only path for symbolic composition.  No table is needed
-here, so a tower vector may be as long as the tower's precision allows.
+are computed in ghost coordinates instead, by one function
+(``ghost_sum``): for l levels the summands are lifted to the same ring
+at l-1 more base digits, their ghost components are summed, and the
+sum's Witt components are recovered one level at a time by certified
+exact division.  A negative is the vector whose sum with the
+given one is zero, solved column by column with one pass per carry.
+Because the addition polynomials are integral, the result is exactly
+what evaluating them gives; the polynomial path remains the oracle and
+the only path for symbolic composition.  No table is needed here, so a
+tower vector may be as long as the tower's precision allows.
 
 The p-fold decomposition splits the l-th component of a sum of p
 vectors into the plain coefficient sum plus a carry polynomial, and
@@ -53,7 +53,7 @@ from .localfield import OElem
 
 # Symbolic budgets: term counts grow like p^(n-1), so the supported
 # window is fixed rather than discovered by timeout.  They bound the
-# polynomial tables only; tower-ring arithmetic runs on ``GhostSum``.
+# polynomial tables only; tower-ring arithmetic runs on ``ghost_sum``.
 # PFOLD_RANGE[p] is also the default Witt length of carry_identity and
 # residual_invariant (``cohomlab.witt_length``); past the tables it is 2.
 BINARY_RANGE = {2: 5, 3: 4, 5: 3}
@@ -266,13 +266,11 @@ def polynomial_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
 
 
 def ghost_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
-    """Witt sum over a ring with ``flat_lift``, one ``GhostSum`` column
-    at a time."""
+    """Witt sum over a ring with ``flat_lift``, in one ``ghost_sum`` pass."""
     ctx, ring = _common_frame(vectors)
-    engine = GhostSum(ctx.p, ctx.n, ring)
-    for j in range(ctx.n):
-        engine.push([v.components[j].data for v in vectors])
-    return WittVec(ctx, ring, tuple(OElem(ring, s) for s in engine.sums()))
+    columns = [[v.components[j].data for v in vectors] for j in range(ctx.n)]
+    sums = ghost_sum(ctx.p, ring, columns, ctx.n)
+    return WittVec(ctx, ring, tuple(OElem(ring, s) for s in sums))
 
 
 def polynomial_witt_neg(y: WittVec) -> WittVec:
@@ -285,134 +283,67 @@ def polynomial_witt_neg(y: WittVec) -> WittVec:
 
 def ghost_witt_neg(y: WittVec) -> WittVec:
     """Negative over a ring with ``flat_lift``: solve y + z = 0 column by
-    column, z_{j+1} = -(y_{j+1} + carry of the columns pushed so far)."""
+    column, z_{j+1} = -(y_{j+1} + carry of columns 1..j), one
+    ``ghost_sum`` pass per carry."""
     ring = y.ring
     comps = [c.data for c in y.components]
-    engine = GhostSum(y.ctx.p, y.ctx.n, ring)
     z = [ring.neg(comps[0])]
     for j in range(1, y.ctx.n):
-        engine.push([comps[j - 1], z[j - 1]])
-        z.append(ring.neg(ring.add(comps[j], engine.carry())))
+        columns = [[y_i, z_i] for y_i, z_i in zip(comps, z)]
+        carry = ghost_sum(y.ctx.p, ring, columns, j + 1)[-1]
+        z.append(ring.neg(ring.add(comps[j], carry)))
     return WittVec(y.ctx, ring, tuple(OElem(ring, c) for c in z))
 
 
-class GhostSum:
-    """Witt sum of several length-n vectors over a ring with ``flat_lift``,
-    built column by column in ghost coordinates.  Columns are pushed, and
-    ``carry`` and ``sums`` returned, as reduced flat coordinate tuples.
+def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> tuple:
+    """Components 1..``levels`` of the Witt sum of several vectors over a
+    ring with ``flat_lift``, as reduced flat coordinate tuples.
+    ``columns[i]`` holds component i+1 of every summand, each as the flat
+    coordinate tuple of a ring element.  ``levels`` is ``len(columns)``,
+    or one more: that level's column is then zero, so its component is
+    the carry into it.
 
     With M the ring's base digits, the summands are read as elements of
-    the lifted ring at M + n - 1 digits, where
+    the lifted ring at M + levels - 1 digits, where
 
         W_l = sum over summands of  sum_{i<=l} p^(i-1) x_i^(p^(l-i))
         S_l = (W_l - sum_{i<l} p^(i-1) S_i^(p^(l-i))) / p^(l-1).
 
-    Each S_l is then known modulo p^(M+n-l), at least p^M, and enters
-    later levels multiplied by p^(l-1), so its ambiguity vanishes modulo
-    the lifted modulus.  The lifted ring reduces to the working ring and
-    the addition polynomials are integral, so S_l reduced modulo p^M is
-    the polynomial value; this holds for any lift of at least l-1
-    digits, so one engine serves every level up to n.  Every division
-    checks every coordinate and raises IntegralityViolation on a
-    remainder; nothing is floored.
-
-    Column i holds, per level l > i, its summed ghost contributions
-    p^(i-1) x_i^(p^(l-i)) minus p^(i-1) S_i^(p^(l-i)).  These depend on
-    columns 1..i only, so ``truncate`` keeps them for the columns it
-    keeps; a level's contributions are computed the first time a
-    ``push`` or ``carry`` needs that level.  Their sum over columns
-    1..l-1, the numerator at level l, is likewise kept until a
-    ``truncate`` drops one of those columns, so the ``push`` after a
-    ``carry`` at the same level, and the re-push after a cut, sum it
-    once.  Powers go through the lifted ring's compiled ``mul``; the
-    summands of a column, its net contributions and the lower levels
-    are plain integer sums, reduced once, modulo the lifted modulus,
-    before each division.
+    Each S_l is then known modulo p^(M+levels-l), at least p^M, and
+    enters later levels multiplied by p^(l-1), so its ambiguity vanishes
+    modulo the lifted modulus.  The lifted ring reduces to the working
+    ring and the addition polynomials are integral, so S_l reduced modulo
+    p^M is the polynomial value.  The pass goes level by level; at each
+    level every lower column's summands and S_i are raised to the p-th
+    power once, through the lifted ring's compiled ``mul``.  The
+    numerator is a plain integer sum, reduced once, modulo the lifted
+    modulus, before its division, which checks every coordinate and
+    raises IntegralityViolation on a remainder; nothing is floored.
     """
-
-    def __init__(self, p: int, n: int, ring):
-        self.p = p
-        self.n = n
-        self.ring = ring
-        self._lifted = ring.flat_lift(n - 1)
-        self._columns: list[_GhostColumn] = []
-        self._numerators: list[list] = []  # _lower(l) for l = 0, 1, ...
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def push(self, column: Sequence[tuple]) -> None:
-        """Add the next column: component ``len(self) + 1`` of every
-        summand, each as the flat coordinate tuple of a ring element."""
-        i = len(self._columns)
-        if i >= self.n:
-            raise ValueError(f"all {self.n} columns are already pushed")
-        if not column:
-            raise ValueError("a column needs at least one summand")
-        rows = list(column)
-        q = self.p**i
-        num = [c + q * sum(ys) for c, ys in zip(self._numerator(i), zip(*rows))]
-        s = _divide_exact(num, q, self._lifted.modulus)
-        self._columns.append(_GhostColumn(s, rows))
-
-    def truncate(self, k: int) -> None:
-        """Keep the first ``k`` columns."""
-        if not 0 <= k <= len(self._columns):
-            raise ValueError(f"cannot truncate {len(self._columns)} columns to {k}")
-        del self._columns[k:]
-        del self._numerators[k + 1 :]
-
-    def carry(self):
-        """Component ``len(self) + 1`` of the sum with that column zero:
-        the carry into the next level, reduced to the working ring."""
-        i = len(self._columns)
-        if i >= self.n:
-            raise ValueError(f"no level above the {self.n} pushed columns")
-        num = self._numerator(i)
-        return self.ring.reduce(_divide_exact(num, self.p**i, self._lifted.modulus))
-
-    def sums(self) -> tuple:
-        """The sum's components over the pushed columns, reduced."""
-        return tuple(self.ring.reduce(c.sum) for c in self._columns)
-
-    def _numerator(self, level: int):
-        """``_lower(level)``, summed once while its columns stay pushed."""
-        if len(self._numerators) == level:
-            self._numerators.append(self._lower(level))
-        return self._numerators[level]
-
-    def _lower(self, level: int):
-        """Sum over the pushed columns of their contributions at ``level``
-        (0-based), raising each column's powers as far as needed.  Nothing
-        is reduced: the caller reduces once, before it divides."""
-        p, mul = self.p, self._lifted.mul
-        nets = []
-        for i, col in enumerate(self._columns):
-            while len(col.net) < level - i:
-                col.rows = [_pth_power(y, p, mul) for y in col.rows]
-                col.power = _pth_power(col.power, p, mul)
-                q = p**i
-                col.net.append(
-                    [q * (sum(ys) - s) for ys, s in zip(zip(*col.rows), col.power)]
-                )
-            nets.append(col.net[level - i - 1])
-        if not nets:
-            return self._lifted.zero_elem
-        return [sum(cs) for cs in zip(*nets)]
-
-
-class _GhostColumn:
-    """One pushed column: S_i, the current p-power of S_i and of each
-    summand's entry, and the net contributions at levels i+1, i+2, ...
-    (unreduced)."""
-
-    __slots__ = ("sum", "power", "rows", "net")
-
-    def __init__(self, s: tuple, rows: list):
-        self.sum = s
-        self.power = s
-        self.rows = rows
-        self.net: list[list] = []
+    if levels < 1 or levels not in (len(columns), len(columns) + 1):
+        raise ValueError(f"{len(columns)} columns give no {levels} levels")
+    if not all(columns):
+        raise ValueError("a column needs at least one summand")
+    lifted = ring.flat_lift(levels - 1)
+    mul, modulus = lifted.mul, lifted.modulus
+    rows: list[list] = []  # the current p-powers of each column's summands
+    powers: list[tuple] = []  # the current p-power of each S_i
+    sums = []
+    for l in range(levels):
+        num = lifted.zero_elem
+        for i in range(l):
+            rows[i] = [_pth_power(y, p, mul) for y in rows[i]]
+            powers[i] = _pth_power(powers[i], p, mul)
+            q = p**i
+            num = [c + q * (sum(ys) - s) for c, ys, s in zip(num, zip(*rows[i]), powers[i])]
+        q = p**l
+        if l < len(columns):
+            rows.append(columns[l])
+            num = [c + q * sum(ys) for c, ys in zip(num, zip(*rows[l]))]
+        s = _divide_exact(num, q, modulus)
+        powers.append(s)
+        sums.append(ring.reduce(s))
+    return tuple(sums)
 
 
 def _pth_power(x: tuple, p: int, mul) -> tuple:
@@ -600,10 +531,8 @@ def carry_value(p: int, level: int, rows: Sequence[Sequence], ring):
     it is the top component of the sum with that column zero.
     """
     if hasattr(ring, "flat_lift"):
-        engine = GhostSum(p, level, ring)
-        for j in range(level - 1):
-            engine.push([row[j].data for row in rows])
-        return OElem(ring, engine.carry())
+        columns = [[row[j].data for row in rows] for j in range(level - 1)]
+        return OElem(ring, ghost_sum(p, ring, columns, level)[-1])
     ctx = ctx_for(p, level)
     vecs = [WittVec(ctx, ring, tuple(row[: level - 1]) + (ring.zero,)) for row in rows]
     return polynomial_witt_sum(vecs).components[level - 1]

@@ -640,6 +640,13 @@ class TestOracle:
         assert "match=True" in res.stdout
         assert "oracle status: PASS" in res.stdout
 
+    def test_seed_is_usage_error(self):
+        # oracle prints no tower hash, so a tower seed would change no byte
+        res = run_cli("oracle", "--tower", "q2_i", "--what", "h1", "--seed", "1")
+        assert res.returncode == 64
+        assert "unrecognized arguments: --seed 1" in res.stderr
+        assert "oracle status" not in res.stdout
+
     @pytest.mark.parametrize("tower", ["q2_i", "q3_ramified"])
     def test_all_enumerates_once_per_digit_count(self, tower, monkeypatch, capsys):
         # the h1 and linsolve oracles share one enumeration at each digit count

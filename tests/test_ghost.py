@@ -13,11 +13,11 @@ from wittlab.exactpoly import ModRing, MPoly
 from wittlab.localfield import FlatRing
 from wittlab.wittcore import (
     BINARY_RANGE,
-    GhostSum,
     IntegralityViolation,
     WittVec,
     carry_value,
     ctx_for,
+    ghost_sum,
     polynomial_witt_neg,
     polynomial_witt_sum,
     witt_sum,
@@ -106,21 +106,22 @@ def test_negation_matches_polynomials(all_towers, name, n, data):
     assert datas(-y) == datas(polynomial_witt_neg(y))
 
 
-class CarrySignFlipped(GhostSum):
+def carry_sign_flipped(p, ring, columns, levels):
     """Mutant: the carry enters the negative with the wrong sign."""
-
-    def carry(self):
-        return self.ring.neg(super().carry())
-
-
-class OneRowPushed(GhostSum):
-    """Mutant: the negative pushes its column as [y_j] only."""
-
-    def push(self, column):
-        super().push(column[:1])
+    out = ghost_sum(p, ring, columns, levels)
+    if levels > len(columns):
+        out = out[:-1] + (ring.neg(out[-1]),)
+    return out
 
 
-@pytest.mark.parametrize("mutant", [CarrySignFlipped, OneRowPushed])
+def one_row_pushed(p, ring, columns, levels):
+    """Mutant: the negative passes each column as [y_j] only."""
+    return ghost_sum(p, ring, [col[:1] for col in columns], levels)
+
+
+@pytest.mark.parametrize(
+    "mutant", [carry_sign_flipped, one_row_pushed], ids=["CarrySignFlipped", "OneRowPushed"]
+)
 def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
     # at odd p the negative is componentwise and the carry vanishes, so
     # the p = 2 towers are the ones that catch these
@@ -136,7 +137,7 @@ def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
             ]
             y = WittVec(ctx, tower.L, tuple(comps))
             cases.append((y, datas(polynomial_witt_neg(y))))
-    monkeypatch.setattr(wittcore, "GhostSum", mutant)
+    monkeypatch.setattr(wittcore, "ghost_sum", mutant)
     assert any(datas(-y) != want for y, want in cases)
 
 
@@ -229,46 +230,28 @@ def polynomial_carry(tower, columns):
     return polynomial_witt_sum(vecs).components[-1]
 
 
-def check_push_truncate(tower, draw, engine_type=GhostSum):
-    """Pushes, carries and truncations as the sampler's retries make them:
-    after each push the engine goes on (so the next push follows a
-    carry at its level), redraws the last column, or cuts two or three
-    columns deep.  Every carry and the final sum are compared with the
-    addition polynomials.  ``draw(lo, hi)`` gives an integer in
-    [lo, hi]."""
+def check_ghost_sum(tower, draw):
+    """At a drawn length n, ``ghost_sum`` with ``levels = len(columns)``
+    gives the sum's components, and on the first n-1 columns with one
+    level more it gives them with a zero top column, whose component is
+    the carry; both are compared with the addition polynomials.
+    ``draw(lo, hi)`` gives an integer in [lo, hi]."""
     p, modulus, rank = tower.p, tower.modulus, tower.L.flat_rank
-    n = draw(2, min(4, BINARY_RANGE[p]))
-
-    def column():
-        return [
-            tower.L.unflatten([draw(0, modulus - 1) for _ in range(rank)])
-            for _ in range(p)
-        ]
-
-    engine = engine_type(p, n, tower.L)
-    columns = []
-    for _ in range(draw(1, 12)):
-        if len(columns) < n:
-            columns.append(column())
-            engine.push([c.data for c in columns[-1]])
-        if len(columns) < n:
-            assert engine.carry() == polynomial_carry(tower, columns).data
-        move = draw(0, 4)
-        depth = 0 if move < 3 else (1 if move == 3 else draw(2, 3))
-        if depth:
-            cut = max(0, len(columns) - depth)
-            engine.truncate(cut)
-            del columns[cut:]
-        assert len(engine) == len(columns)
-    while len(columns) < n:
-        columns.append(column())
-        engine.push([c.data for c in columns[-1]])
-    ctx = ctx_for(p, n)
-    vecs = [
-        WittVec(ctx, tower.L, tuple(col[r] for col in columns)) for r in range(p)
+    n = draw(1, min(4, BINARY_RANGE[p]))
+    columns = [
+        [tower.L.unflatten([draw(0, modulus - 1) for _ in range(rank)]) for _ in range(p)]
+        for _ in range(n)
     ]
-    want = polynomial_witt_sum(vecs).components
-    assert engine.sums() == tuple(c.data for c in want)
+    ctx = ctx_for(p, n)
+
+    def polynomial(cols):
+        vecs = [WittVec(ctx, tower.L, tuple(col[r] for col in cols)) for r in range(p)]
+        return tuple(c.data for c in polynomial_witt_sum(vecs).components)
+
+    flat = [[c.data for c in col] for col in columns]
+    assert ghost_sum(p, tower.L, flat, n) == polynomial(columns)
+    carried = polynomial(columns[:-1] + [[tower.L.zero] * p])
+    assert ghost_sum(p, tower.L, flat[:-1], n) == carried
 
 
 @pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
@@ -279,141 +262,99 @@ def check_push_truncate(tower, draw, engine_type=GhostSum):
 )
 @given(data=st.data())
 def test_engine_push_truncate_matches_polynomials(all_towers, name, data):
-    check_push_truncate(
-        all_towers[name], lambda lo, hi: data.draw(st.integers(lo, hi))
-    )
+    """The sums and the carry of ``ghost_sum`` at random lengths."""
+    check_ghost_sum(all_towers[name], lambda lo, hi: data.draw(st.integers(lo, hi)))
 
 
-class StaleTruncate(GhostSum):
-    """Mutant: a column pushed after a truncate reuses the contributions
-    that the dropped column had computed for the levels above it."""
-
-    def truncate(self, k):
-        self._dropped = self._columns[k:]
-        super().truncate(k)
-
-    def push(self, column):
-        super().push(column)
-        if getattr(self, "_dropped", None):
-            self._columns[-1].net = self._dropped.pop(0).net
+def lift_one_short(monkeypatch):
+    """Mutant: the summands are lifted by levels-2 digits, one too few."""
+    lift = FlatRing.flat_lift
+    monkeypatch.setattr(FlatRing, "flat_lift", lambda ring, extra: lift(ring, extra - 1))
 
 
-class NumeratorKeptPastTruncate(GhostSum):
-    """Mutant: a truncate keeps the numerators of the levels above the
-    cut, summed over columns it dropped."""
+def s_power_skipped(monkeypatch):
+    """Mutant: a pass skips S_1's p-th power at level 2, so S_1 enters
+    that level's numerator unraised and every later level one power
+    short."""
+    divide, power = wittcore._divide_exact, wittcore._pth_power
+    state = {}
 
-    def truncate(self, k):
-        kept = list(self._numerators)
-        super().truncate(k)
-        self._numerators = kept
+    def recorded(coords, q, modulus):
+        out = divide(coords, q, modulus)
+        if q == 1:  # the level-1 division, which gives S_1
+            state["s1"] = out
+        return out
+
+    def skipping(x, p, mul):
+        if x is state.get("s1"):
+            state["s1"] = None
+            return x
+        return power(x, p, mul)
+
+    monkeypatch.setattr(wittcore, "_divide_exact", recorded)
+    monkeypatch.setattr(wittcore, "_pth_power", skipping)
 
 
-class LiftOneShort(GhostSum):
-    """Mutant: the summands are lifted by n-2 digits, one too few."""
-
-    def __init__(self, p, n, ring):
-        super().__init__(p, n, ring)
-        self._lifted = ring.flat_lift(n - 2)
-
-
-@pytest.mark.parametrize("mutant", [StaleTruncate, NumeratorKeptPastTruncate, LiftOneShort])
-def test_engine_mutants_fail(all_towers, mutant):
+@pytest.mark.parametrize(
+    "mutant", [lift_one_short, s_power_skipped], ids=["LiftOneShort", "SPowerSkipped"]
+)
+def test_engine_mutants_fail(all_towers, mutant, monkeypatch):
     rng = random.Random(0)
-    # a wrong carry may also leave a later ghost numerator indivisible
+    mutant(monkeypatch)
+    # a wrong component may also leave a later ghost numerator indivisible
     with pytest.raises((AssertionError, IntegralityViolation)):
         for name in ("q2_i", "q2_sqrt2", "quartic"):
             for _ in range(10):
-                check_push_truncate(all_towers[name], rng.randint, mutant)
+                check_ghost_sum(all_towers[name], rng.randint)
 
 
-def test_carry_then_push_sums_the_level_once(all_towers, monkeypatch):
-    """The push after a carry reuses the carry's numerator: one ``_lower``
-    call per level, and the same sums as an engine that never carried."""
+@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+def test_each_lower_column_is_raised_once_per_level(all_towers, name, monkeypatch):
+    """At level l a pass raises the summands and S_i of each of the l-1
+    columns below it to the p-th power once, and nothing else."""
+    tower = all_towers[name]
+    p, rng = tower.p, random.Random(7)
     calls = []
-    original = GhostSum._lower
-
-    def counted(self, level):
-        calls.append(level)
-        return original(self, level)
-
-    monkeypatch.setattr(GhostSum, "_lower", counted)
-    rng = random.Random(3)
-    for name in ("q2_sqrt2", "q3", "quartic"):
-        tower = all_towers[name]
-        n = 3
-        columns = [
-            [tower.random_L_elem(rng).data for _ in range(tower.p)] for _ in range(n)
-        ]
-        plain = GhostSum(tower.p, n, tower.L)
-        for col in columns:
-            plain.push(col)
-        engine = GhostSum(tower.p, n, tower.L)
-        engine.push(columns[0])
-        for level, col in enumerate(columns[1:], start=1):
-            calls.clear()
-            engine.carry()
-            engine.push(col)
-            assert calls == [level]
-        assert engine.sums() == plain.sums()
-
-
-def test_repush_after_a_cut_sums_the_level_once(q2_sqrt2, monkeypatch):
-    """A carry, a cut of that column and its re-push, as the sampler
-    makes on a rejection: the re-push reuses the numerator of the kept
-    columns, and the sums match an engine that never cut."""
-    calls = []
-    original = GhostSum._lower
+    power = wittcore._pth_power
     monkeypatch.setattr(
-        GhostSum, "_lower", lambda self, level: calls.append(level) or original(self, level)
+        wittcore, "_pth_power", lambda x, p, mul: calls.append(x) or power(x, p, mul)
     )
-    rng = random.Random(5)
-    column = lambda: [q2_sqrt2.random_L_elem(rng).data for _ in range(2)]
-    first, dropped, redrawn = column(), column(), column()
-    engine = GhostSum(2, 3, q2_sqrt2.L)
-    engine.push(first)
-    engine.push(dropped)
-    engine.carry()
-    engine.truncate(1)
-    calls.clear()
-    engine.push(redrawn)
-    assert calls == []
-    engine.carry()
-    assert calls == [2]
-    plain = GhostSum(2, 3, q2_sqrt2.L)
-    plain.push(first)
-    plain.push(redrawn)
-    assert engine.carry() == plain.carry()
-    assert engine.sums() == plain.sums()
+    for width in (1, 2, 3):
+        columns = [[tower.random_L_elem(rng).data for _ in range(p)] for _ in range(width)]
+        for levels in (width, width + 1):
+            calls.clear()
+            ghost_sum(p, tower.L, columns, levels)
+            assert len(calls) == (p + 1) * levels * (levels - 1) // 2
 
 
 def test_engine_refuses_out_of_range_columns(q2_i):
-    engine = GhostSum(2, 2, q2_i.L)
     one = q2_i.L.one_elem
-    with pytest.raises(ValueError):
-        engine.truncate(1)
-    engine.push([one, one])
-    engine.push([one, one])
-    with pytest.raises(ValueError):
-        engine.push([one, one])
-    with pytest.raises(ValueError):
-        engine.carry()
+    column = [one, one]
+    for columns, levels in (
+        ([column, column], 1),
+        ([column, column], 4),
+        ([], 0),
+        ([column, []], 2),
+        ([[]], 2),
+    ):
+        with pytest.raises(ValueError):
+            ghost_sum(2, q2_i.L, columns, levels)
 
 
 @pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
 def test_carry_and_sums_are_the_polynomial_values_as_tuples(all_towers, name):
-    """``carry`` and ``sums`` return reduced flat coordinate tuples, the
+    """Carries and sums come back as reduced flat coordinate tuples, the
     ``.data`` of the elements the addition polynomials give."""
     tower = all_towers[name]
     p, rng = tower.p, random.Random(11)
     n = min(3, BINARY_RANGE[p])
     columns = [[tower.random_L_elem(rng) for _ in range(p)] for _ in range(n)]
-    engine = GhostSum(p, n, tower.L)
-    for j, col in enumerate(columns):
-        carry = engine.carry()
+    flat = [[c.data for c in col] for col in columns]
+    for j in range(n):
+        carry = ghost_sum(p, tower.L, flat[:j], j + 1)[-1]
         assert isinstance(carry, tuple)
         assert carry == polynomial_carry(tower, columns[:j]).data
-        engine.push([c.data for c in col])
-    sums = engine.sums()
+    sums = ghost_sum(p, tower.L, flat, n)
     assert isinstance(sums, tuple) and all(isinstance(s, tuple) for s in sums)
     ctx = ctx_for(p, n)
     vecs = [WittVec(ctx, tower.L, tuple(col[r] for col in columns)) for r in range(p)]
