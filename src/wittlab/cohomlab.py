@@ -37,6 +37,7 @@ from .localfield import (
     OElem,
     PrecisionTooLow,
     ValExtended,
+    _uniform,
     linsolve,
     precision_policy,
     smith_normal_form,
@@ -159,11 +160,11 @@ def witt_diff_of_coboundary(tower: ExtensionTower, y: WittVec) -> WittVec:
 
 def _trace_kernel_draw(tower: ExtensionTower, rng: random.Random, base) -> tuple:
     """``base`` plus sum of r_k * k over the tower's trace-kernel basis,
-    with each r_k drawn uniformly modulo p^N_int, on flat coordinates."""
-    modulus = tower.modulus
+    with each r_k drawn uniformly modulo p^N_int (one ``rng.randrange``
+    per basis element, replayed by ``_uniform``), on flat coordinates."""
+    basis = tower.trace_kernel_flat
     acc = base
-    for k in tower.trace_kernel_flat:
-        r = rng.randrange(modulus)
+    for r, k in zip(_uniform(rng, tower.modulus, len(basis)), basis):
         acc = [a + r * c for a, c in zip(acc, k)]
     return tower.L.reduce(acc)
 
@@ -183,7 +184,8 @@ def sample_trace_zero(
     carry falls outside the trace image, the level l-1 kernel part is
     redrawn (bounded retries); the finished vector is audited.  Each
     carry is one ``ghost_sum`` pass over the conjugates of x_1..x_{l-1},
-    lifted by l-1 digits; nothing is kept between attempts.  Components,
+    lifted by l-1 digits; each component's conjugates are computed once
+    and kept until the component is redrawn or cut.  Components,
     particular solutions and carries stay flat coordinate tuples until
     the finished vector is built.
 
@@ -205,6 +207,8 @@ def sample_trace_zero(
     unsolvable = tower.unsolvable_prefixes
     particulars: list[tuple] = [L.zero_elem]
     comps: list[tuple] = [_trace_kernel_draw(tower, rng, L.zero_elem)]
+    # columns[i] holds the conjugates of comps[i], computed on first use
+    columns: list[tuple] = []
     level = 2
     budget = retries * n * 8
     fail_streak = 0
@@ -213,7 +217,7 @@ def sample_trace_zero(
         key = tuple(tuple(c % residue for c in x) for x in comps)
         doomed = key in unsolvable
         if not doomed:
-            columns = [tower.conjugates_raw(x) for x in comps]
+            columns += map(tower.conjugates_raw, comps[len(columns) :])
             carry = wittcore.ghost_sum(tower.p, L, columns, level)[-1]
             try:
                 part, _ = tower.solve_trace_eq(K.neg(tower.project_to_K_raw(carry)))
@@ -232,6 +236,7 @@ def sample_trace_zero(
             depth = min(level - 1, 1 + fail_streak // retries)
             cut = level - depth
             del comps[cut:]
+            del columns[cut - 1 :]  # x_cut is redrawn below
             del particulars[cut:]
             comps[cut - 1] = _trace_kernel_draw(tower, rng, particulars[cut - 1])
             level = cut + 1
@@ -910,7 +915,7 @@ def verify_fixed_points(
     )
 
     def fixed(comps) -> bool:
-        return all(tower._zero_raw(L.sub(tower._galois_raw(c, 1), c)) for c in comps)
+        return all(tower._fixed_raw(c) for c in comps)
 
     fixed_seen = 0
     for k in range(samples):

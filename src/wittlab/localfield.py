@@ -35,6 +35,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -126,6 +127,30 @@ def _vp_int(x: int, p: int, vmax: int) -> int | None:
     return table[1].get(math.gcd(x, table[0]))
 
 
+def _below(rng, n: int) -> int:
+    """A draw below n >= 1 that replays ``rng.randrange(n)`` bit for bit:
+    CPython draws getrandbits(n.bit_length()) until the value is below n
+    (n.bit_length(), not (n - 1).bit_length(), so n = 1 draws bits too)."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _uniform(rng, modulus: int, count: int) -> list[int]:
+    """``count`` draws below ``modulus``: the values, and the generator
+    state, of as many ``_below(rng, modulus)`` calls, which are the first
+    ``count`` getrandbits(modulus.bit_length()) values below the modulus."""
+    k, bits = modulus.bit_length(), rng.getrandbits
+    out: list[int] = []
+    while len(out) < count:
+        r = bits(k)
+        if r < modulus:
+            out.append(r)
+    return out
+
+
 def _check_eisenstein(name: str, valuations: Sequence[int | None]) -> None:
     """Non-leading coefficients in the maximal ideal, constant term of
     valuation exactly one; the leading coefficient 1 is implicit."""
@@ -185,6 +210,10 @@ class FlatRing:
         self.pi_elem = struct[0][block] if self.flat_rank > 1 else (-ecoeffs[0] % self.modulus,)
         self._rebuild = rebuild  # base digits -> this ring at that precision
         self._lifts: dict[int, FlatRing] = {}
+        # for val_raw: p^v -> v below the modulus, and (index, weight) of
+        # the coordinates in increasing weight
+        self._p_exponent = {p**v: v for v in range(digits)}
+        self._by_weight = tuple(sorted(enumerate(weights), key=lambda rw: rw[1]))
 
     def from_int(self, k: int) -> "OElem":
         return OElem(self, (k % self.modulus,) + self.zero_elem[1:])
@@ -238,15 +267,21 @@ class FlatRing:
         return result
 
     def val_raw(self, a) -> int | None:
-        """Valuation in this ring's units: v_p(c)*e + w(r) minimized over
-        the coordinates, exact because the weights are distinct modulo e."""
-        best: int | None = None
-        e, p, digits = self.ram_index, self.p, self.digits
-        for c, w in zip(a, self.weights):
-            v = _vp_int(c, p, digits)
-            if v is not None and (best is None or v * e + w < best):
-                best = v * e + w
-        return best
+        """Valuation in this ring's units: v_p(c_r)*e + w(r) minimized over
+        the coordinates, None when every coordinate is 0 modulo p^digits.
+
+        g = gcd(p^digits, c_0, c_1, ...) is p^v with v = min_r v_p(c_r).
+        The weights are distinct and below e, so the minimum is v*e + w(r)
+        for the least-weight r with v_p(c_r) = v, that is c_r nonzero
+        modulo p^(v+1): any coordinate of larger valuation contributes at
+        least (v+1)*e."""
+        g = math.gcd(self.modulus, *a)
+        if g == self.modulus:
+            return None
+        q = g * self.p
+        for r, w in self._by_weight:
+            if a[r] % q:
+                return self._p_exponent[g] * self.ram_index + w
 
     def is_zero_raw(self, a) -> bool:
         return self.val_raw(a) is None
@@ -737,9 +772,16 @@ class ExtensionTower:
 
     def _zero_raw(self, coords) -> bool:
         """Zero at precision: every coordinate is 0 modulo p^N (see
-        ``is_zero_at_precision``)."""
+        ``is_zero_at_precision``), decided as gcd(p^N, c_0, c_1, ...) = p^N,
+        one gcd over all coordinates."""
         m = self.prec_modulus
-        return not any(c % m for c in coords)
+        return math.gcd(m, *coords) == m
+
+    def _fixed_raw(self, a) -> bool:
+        """sigma(a) = a at precision: one gcd over sigma(a) - a, with the
+        sigma the tower holds in ``galois_maps[1]`` at call time."""
+        m = self.prec_modulus
+        return math.gcd(m, *map(operator.sub, self.galois_maps[1](a), a)) == m
 
     def project_to_K_raw(self, a):
         """The O_K coordinates of an O_L element that lies in O_K at
@@ -865,14 +907,17 @@ class ExtensionTower:
     # -- sampling -----------------------------------------------------------
 
     def random_K_elem(self, rng) -> OElem:
-        return OElem(self.K, tuple(rng.randrange(self.modulus) for _ in range(self.K.flat_rank)))
+        """Uniform coordinates modulo p^N_int, the draws of one
+        ``rng.randrange(p^N_int)`` per coordinate."""
+        return OElem(self.K, tuple(_uniform(rng, self.modulus, self.K.flat_rank)))
 
     def random_L_elem(self, rng, spread_valuation: bool = False) -> OElem:
         """Uniform coordinates modulo p^N_int; with ``spread_valuation``,
-        times pi_L to a random power below a third of the cap."""
-        a = tuple(rng.randrange(self.modulus) for _ in range(self.L.flat_rank))
+        times pi_L to a random power below a third of the cap.  The draws
+        replay one ``rng.randrange`` per coordinate and one for the power."""
+        a = tuple(_uniform(rng, self.modulus, self.L.flat_rank))
         if spread_valuation:
-            shift = rng.randrange(0, max(1, self.val_cap // 3))
+            shift = _below(rng, max(1, self.val_cap // 3))
             if shift:
                 a = self.L.mul(a, self._pi_L_power(shift))
         return OElem(self.L, a)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 
@@ -21,6 +22,15 @@ from wittlab.localfield import (
     build_tower,
     linsolve,
     smith_normal_form,
+)
+
+from oracles import (
+    fixed_by_substitution,
+    randrange_K_elem,
+    randrange_L_elem,
+    val_by_coordinates,
+    vp_int_by_division,
+    zero_by_coordinates,
 )
 
 
@@ -741,20 +751,6 @@ class TestFlatRing:
 # -- zero at precision ----------------------------------------------------------
 
 
-def vp_int_by_division(x, p, vmax):
-    """The repeated-division p-adic valuation that ``_vp_int`` replaced;
-    its oracle."""
-    if x == 0:
-        return None
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-        if v >= vmax:
-            return None
-    return v
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     p=st.sampled_from([2, 3, 5, 7]),
@@ -770,11 +766,12 @@ def test_vp_int_matches_repeated_division(p, vmax, unit, shift):
 
 def scaled_coords(draw_int, tower, rank):
     """Flat coordinates, each drawn at random and scaled by one of 1,
-    p^(N-1), p^N and p^N_int, reduced modulo p^N_int."""
+    p^(N-1), p^N (the cap), p^(N_int-1) (the last working digit) and
+    p^N_int, reduced modulo p^N_int."""
     p, N = tower.p, tower.N
-    scales = (1, p ** (N - 1), p**N, p**tower.N_int)
+    scales = (1, p ** (N - 1), p**N, p ** (tower.N_int - 1), p**tower.N_int)
     return tuple(
-        (draw_int(0, tower.modulus - 1) * scales[draw_int(0, 3)]) % tower.modulus
+        (draw_int(0, tower.modulus - 1) * scales[draw_int(0, len(scales) - 1)]) % tower.modulus
         for _ in range(rank)
     )
 
@@ -831,3 +828,159 @@ def test_trace_rationality_check(all_towers, name, monkeypatch):
                     msg = f"pi_L^{j} coefficient of valuation {(N - 1) * e}"
                     with pytest.raises(TraceNotRational, match=re.escape(msg) + "$"):
                         tower._trace_raw(a)
+
+
+# -- one gcd and getrandbits against the per-coordinate loops ---------------
+
+
+def edge_elements(tower, ring):
+    """Coordinate tuples of ``ring`` at the edges a one-gcd test must
+    decide: zero, and one or two coordinates a unit times 1, p^(N-1), p^N
+    (at the cap) or p^(N_int-1) (the last working digit), the rest zero.
+    Two coordinates of one valuation are told apart by their weights."""
+    p, rank = tower.p, ring.flat_rank
+    supports = [*itertools.combinations(range(rank), 1), *itertools.combinations(range(rank), 2)]
+    yield ring.zero_elem
+    for k in (0, tower.N - 1, tower.N, tower.N_int - 1):
+        for support in supports:
+            for unit in (1, p + 1, -1):
+                yield ring.reduce(tuple(unit * p**k * (m in support) for m in range(rank)))
+
+
+def check_one_gcd_primitives(tower, a_L, a_K):
+    """``val_raw`` and ``_zero_raw`` on O_L and O_K, and ``_fixed_raw`` on
+    O_L and on an element of O_K plus ``a_L`` times p^N, against their
+    per-coordinate oracles."""
+    L = tower.L
+    for ring, a in ((L, a_L), (tower.K, a_K)):
+        assert ring.val_raw(a) == val_by_coordinates(ring, a), (ring.name, a)
+        assert tower._zero_raw(a) == zero_by_coordinates(tower, a), (ring.name, a)
+    near_K = L.add(L.embed(a_K), L.scale_int(a_L, tower.prec_modulus))
+    for a in (a_L, near_K):
+        assert tower._fixed_raw(a) == fixed_by_substitution(tower, a), a
+
+
+def check_one_gcd_edges(tower):
+    # O_K has no more coordinates than O_L, so its edges are cycled
+    K_edges = itertools.cycle(edge_elements(tower, tower.K))
+    for a_L, a_K in zip(edge_elements(tower, tower.L), K_edges):
+        check_one_gcd_primitives(tower, a_L, a_K)
+
+
+def check_one_gcd_draws(tower, draw_int):
+    check_one_gcd_primitives(
+        tower,
+        scaled_coords(draw_int, tower, tower.L.flat_rank),
+        scaled_coords(draw_int, tower, tower.K.flat_rank),
+    )
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES)
+def test_one_gcd_primitives_at_the_edges(all_towers, name):
+    check_one_gcd_edges(all_towers[name])
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_gcd_primitives_match_coordinate_loops(all_towers, name, data):
+    check_one_gcd_draws(all_towers[name], lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+
+def draw_moduli(all_towers):
+    return [1, 2, 5, 2**30 + 7] + sorted({t.modulus for t in all_towers.values()})
+
+
+def check_draws_replay_randrange(modulus, seed):
+    """``_uniform`` and ``_below`` leave the values and the generator state
+    of as many ``randrange`` calls, in both of its forms."""
+    want, got = random.Random(seed), random.Random(seed)
+    expected = [want.randrange(modulus) for _ in range(7)] + [want.randrange(0, modulus)]
+    drawn = localfield._uniform(got, modulus, 7) + [localfield._below(got, modulus)]
+    assert drawn == expected, modulus
+    assert got.getstate() == want.getstate(), modulus
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_draws_replay_randrange(all_towers, seed):
+    for modulus in draw_moduli(all_towers):
+        check_draws_replay_randrange(modulus, seed)
+    # a count of zero draws nothing
+    rng = random.Random(seed)
+    state = rng.getstate()
+    assert localfield._uniform(rng, 5, 0) == [] and rng.getstate() == state
+
+
+def test_tower_draws_replay_randrange(all_towers):
+    """The tower's samplers draw as the per-coordinate randrange loops do."""
+    for name, tower in all_towers.items():
+        for seed in range(10):
+            want, got = random.Random(seed), random.Random(seed)
+            expected = (
+                randrange_L_elem(tower, want, spread_valuation=True),
+                randrange_K_elem(tower, want),
+                randrange_L_elem(tower, want),
+            )
+            drawn = (
+                tower.random_L_elem(got, spread_valuation=True),
+                tower.random_K_elem(got),
+                tower.random_L_elem(got),
+            )
+            assert drawn == expected, (name, seed)
+            assert got.getstate() == want.getstate(), (name, seed)
+
+
+def below_bit_short(rng, n):
+    # the "obvious" fix for power-of-two n: one bit fewer, another stream
+    k = (n - 1).bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def uniform_bit_short(rng, modulus, count):
+    return [below_bit_short(rng, modulus) for _ in range(count)]
+
+
+class BelowBitShort:
+    def __init__(self, towers, patch):
+        patch.setattr(localfield, "_below", below_bit_short)
+
+
+class UniformBitShort:
+    def __init__(self, towers, patch):
+        patch.setattr(localfield, "_uniform", uniform_bit_short)
+
+
+class ValIndexOrder:
+    # scans the coordinates by index, not by weight: the same on O_K and
+    # on O_L over Q_p, where the two orders agree
+    def __init__(self, towers, patch):
+        for tower in towers.values():
+            for ring in (tower.K, tower.L):
+                patch.setattr(ring, "_by_weight", tuple(enumerate(ring.weights)))
+
+
+class ZeroOneDigitShort:
+    def __init__(self, towers, patch):
+        for tower in towers.values():
+            m = tower.prec_modulus // tower.p
+            patch.setattr(tower, "_zero_raw", lambda coords, m=m: math.gcd(m, *coords) == m)
+
+
+@pytest.mark.parametrize(
+    "mutant", [BelowBitShort, UniformBitShort, ValIndexOrder, ZeroOneDigitShort]
+)
+def test_one_call_primitive_mutants_fail(all_towers, mutant, monkeypatch):
+    moduli = draw_moduli(all_towers)
+    rng = random.Random(0)
+    with monkeypatch.context() as patch:
+        mutant(all_towers, patch)
+        with pytest.raises(AssertionError):
+            for modulus in moduli:
+                check_draws_replay_randrange(modulus, 0)
+            for tower in all_towers.values():
+                check_one_gcd_edges(tower)
+                for _ in range(50):
+                    check_one_gcd_draws(tower, rng.randint)
