@@ -72,6 +72,9 @@ class KernelSample:
     provenance: str
     seed: str
     witness: WittVec | None = None
+    # failed sampler levels (trace solves that raised and memo hits); no
+    # report carries it
+    rejections: int = 0
 
 
 @dataclass
@@ -158,15 +161,20 @@ def witt_diff_of_coboundary(tower: ExtensionTower, y: WittVec) -> WittVec:
     return galois_vec(tower, y) - y
 
 
-def _trace_kernel_draw(tower: ExtensionTower, rng: random.Random, base) -> tuple:
-    """``base`` plus sum of r_k * k over the tower's trace-kernel basis,
-    with each r_k drawn uniformly modulo p^N_int (one ``rng.randrange``
-    per basis element, replayed by ``_uniform``), on flat coordinates."""
-    basis = tower.trace_kernel_flat
+def _kernel_elem(tower: ExtensionTower, base, coeffs) -> tuple:
+    """``base`` plus sum of r_k * k over the tower's trace-kernel basis, on
+    flat coordinates.  The coefficients r_k are drawn uniformly modulo
+    p^N_int by ``_uniform`` (one ``rng.randrange`` each, replayed)."""
     acc = base
-    for r, k in zip(_uniform(rng, tower.modulus, len(basis)), basis):
+    for r, k in zip(coeffs, tower.trace_kernel_flat):
         acc = [a + r * c for a, c in zip(acc, k)]
     return tower.L.reduce(acc)
+
+
+def _residues(tower: ExtensionTower, x) -> tuple:
+    """Flat coordinates modulo ``tower.trace_residue_modulus``."""
+    m = tower.trace_residue_modulus
+    return tuple(c % m for c in x)
 
 
 def sample_trace_zero(
@@ -198,56 +206,92 @@ def sample_trace_zero(
     the form needs every digit; the modulus is then p^N_int.)  A residue
     prefix that once failed is kept in ``tower.unsolvable_prefixes``, and
     when it comes back the carry and the solve are skipped for the same
-    failure branch.  The memo never changes a draw: the RNG stream and
-    the components are those of the loop without it.
+    failure branch.
+
+    A draw is its kernel coefficients and its residue, the particular
+    solution's residue plus sum (r_k mod p^delta)(k mod p^delta), from
+    small integers; the full-precision component is built only when a
+    carry needs it (its prefix is not in the memo) or the vector is
+    finished, so a memo hit costs the draw and one set lookup.  The memo
+    never changes a draw: the RNG stream and the components are those of
+    the loop without it.  ``rejections`` on the sample counts the failed
+    levels, memo hits included.
     """
     ctx = ctx_for(tower.p, n)
     K, L = tower.K, tower.L
-    residue = tower.trace_residue_modulus
     unsolvable = tower.unsolvable_prefixes
+    m = tower.trace_residue_modulus
+    modulus, count = tower.modulus, len(tower.trace_kernel_flat)
+    moving = tower.trace_kernel_residues  # (index, residues) of basis vectors not 0 mod m
+
+    def draw(base: tuple) -> tuple[list[int], tuple]:
+        """A kernel part's coefficients, and the residues of the component
+        they make over a particular solution with residues ``base``."""
+        coeffs = _uniform(rng, modulus, count)
+        key = base
+        for i, k in moving:
+            r = coeffs[i] % m
+            if r:
+                key = tuple((a + r * c) % m for a, c in zip(key, k))
+        return coeffs, key
+
+    # particulars[i] is x_{i+1}'s particular solution; keys holds the
+    # residues of x_1..x_{level-1}, and comps the components built so far:
+    # all but the top one, x_{level-1}, whose coefficients are ``coeffs``
     particulars: list[tuple] = [L.zero_elem]
-    comps: list[tuple] = [_trace_kernel_draw(tower, rng, L.zero_elem)]
-    # columns[i] holds the conjugates of comps[i], computed on first use
-    columns: list[tuple] = []
+    coeffs, key = draw(_residues(tower, L.zero_elem))
+    keys: list[tuple] = [key]
+    comps: list[tuple] = []
+    columns: list[tuple] = []  # columns[i] holds the conjugates of comps[i]
     level = 2
-    budget = retries * n * 8
+    budget = allowed = retries * n * 8
     fail_streak = 0
     while level <= n:
-        # comps holds x_1..x_{level-1}, so the key's length is the level
-        key = tuple(tuple(c % residue for c in x) for x in comps)
-        doomed = key in unsolvable
-        if not doomed:
-            columns += map(tower.conjugates_raw, comps[len(columns) :])
+        prefix = tuple(keys)
+        if prefix not in unsolvable:
+            comps.append(_kernel_elem(tower, particulars[-1], coeffs))
+            columns.append(tower.conjugates_raw(comps[-1]))
             carry = wittcore.ghost_sum(tower.p, L, columns, level)[-1]
             try:
                 part, _ = tower.solve_trace_eq(K.neg(tower.project_to_K_raw(carry)))
             except NoSolutionAtPrecision:
-                unsolvable.add(key)
-                doomed = True
-        if doomed:
+                unsolvable.add(prefix)
+            else:
+                particulars.append(part)
+                coeffs, key = draw(_residues(tower, part))
+                keys.append(key)
+                level += 1
+                fail_streak = 0
+                continue
+        budget -= 1
+        fail_streak += 1
+        if budget <= 0:
+            raise SamplerExhausted(level, retries)
+        # redraw the kernel part one level down; solvability can be pinned
+        # by deeper components, so the cut deepens every ``retries``
+        # consecutive failures, and everything above the cut is rebuilt
+        # (its trace equations used the old carries)
+        depth = min(level - 1, 1 + fail_streak // retries)
+        cut = level - depth
+        del comps[cut - 1 :], columns[cut - 1 :]  # x_cut is redrawn below
+        del keys[cut:], particulars[cut:]
+        base = _residues(tower, particulars[-1])
+        coeffs, keys[-1] = draw(base)
+        level = cut + 1
+        # while the next failure would cut at depth 1 again, a memo hit is
+        # answered here: the same bookkeeping, and x_{level-1} redrawn
+        while (level == 2 or fail_streak + 1 < retries) and tuple(keys) in unsolvable:
             budget -= 1
             fail_streak += 1
             if budget <= 0:
                 raise SamplerExhausted(level, retries)
-            # redraw the kernel part one level down; solvability can be
-            # pinned by deeper components, so the cut deepens every
-            # ``retries`` consecutive failures, and everything above the
-            # cut is rebuilt (its trace equations used the old carries)
-            depth = min(level - 1, 1 + fail_streak // retries)
-            cut = level - depth
-            del comps[cut:]
-            del columns[cut - 1 :]  # x_cut is redrawn below
-            del particulars[cut:]
-            comps[cut - 1] = _trace_kernel_draw(tower, rng, particulars[cut - 1])
-            level = cut + 1
-            continue
-        particulars.append(part)
-        comps.append(_trace_kernel_draw(tower, rng, part))
-        level += 1
-        fail_streak = 0
+            coeffs, keys[-1] = draw(base)
+    comps.append(_kernel_elem(tower, particulars[-1], coeffs))
     vec = WittVec(ctx, L, tuple(OElem(L, c) for c in comps))
     residual = _audited_trace(tower, vec, "a fresh sample")
-    return KernelSample(vec, residual, "recursive-sampler", seed_label)
+    return KernelSample(
+        vec, residual, "recursive-sampler", seed_label, rejections=allowed - budget
+    )
 
 
 def coboundary_sample(
@@ -899,7 +943,8 @@ def _contrast_candidates(tower: ExtensionTower, seed: int):
         yield OElem(tower.L, k)
     for j in range(64):
         rng = random.Random(_sample_seed(seed, "contrast", j))
-        yield OElem(tower.L, _trace_kernel_draw(tower, rng, tower.L.zero_elem))
+        coeffs = _uniform(rng, tower.modulus, len(tower.trace_kernel_flat))
+        yield OElem(tower.L, _kernel_elem(tower, tower.L.zero_elem, coeffs))
 
 
 def verify_fixed_points(

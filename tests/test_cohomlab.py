@@ -134,11 +134,13 @@ class TestSampler:
                 assert s.provenance == "recursive-sampler"
 
 
-def sample_with_fresh_carries(tower, n, rng, retries=32):
+def sample_with_fresh_carries(tower, n, rng, retries=32, cuts=None):
     """The sampler's loop with every carry computed afresh: each attempt
     builds the conjugate rows and calls ``carry_value``, and kernel
     elements are summed from OElems over the basis derived from the
-    Smith form.  The oracle for ``sample_trace_zero``."""
+    Smith form.  The oracle for ``sample_trace_zero``: returns the
+    components and the number of failed levels.  ``cuts``, if given,
+    receives (level, depth) for each failure."""
     basis = [tower.L.unflatten(k) for k in tower._trace_snf.kernel_basis()]
 
     def kernel_elem():
@@ -163,7 +165,10 @@ def sample_with_fresh_carries(tower, n, rng, retries=32):
             fail_streak += 1
             if budget <= 0:
                 raise SamplerExhausted(level, retries) from None
-            cut = level - min(level - 1, 1 + fail_streak // retries)
+            depth = min(level - 1, 1 + fail_streak // retries)
+            if cuts is not None:
+                cuts.append((level, depth))
+            cut = level - depth
             del comps[cut:]
             del particulars[cut:]
             comps[cut - 1] = particulars[cut - 1] + kernel_elem()
@@ -173,7 +178,7 @@ def sample_with_fresh_carries(tower, n, rng, retries=32):
         comps.append(part + kernel_elem())
         level += 1
         fail_streak = 0
-    return comps
+    return comps, retries * n * 8 - budget
 
 
 TOWER_PRIMES = {
@@ -190,22 +195,31 @@ TOWER_PRIMES = {
 def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, monkeypatch):
     """Solves, carries and retries run on flat coordinates: a sample of
     length n builds n O_L elements (the vector) and n O_K elements (its
-    audited trace), however many attempts it takes."""
+    audited trace), however many attempts it takes.  A full-precision
+    component is built only for a trace solve and for the finished
+    vector, and conjugated only for a carry and for the audit, so an
+    attempt the memo of unsolvable prefixes answers builds nothing."""
     tower = all_towers[name]
-    built = []
+    built, components, conjugated = [], [], []
     init = cohomlab.OElem.__init__
+    kernel_elem = cohomlab._kernel_elem
+    conjugates = tower.conjugates_raw
 
     def counted(self, level, data):
         built.append(level)
         init(self, level, data)
 
-    solves, memo_hits = [], []
+    solves, raised, memo_hits = [], [], []
     solve = tower.solve_trace_eq
 
     def recorded(c):
         assert type(c) is tuple
         solves.append(1)
-        x, delta = solve(c)
+        try:
+            x, delta = solve(c)
+        except NoSolutionAtPrecision:
+            raised.append(1)
+            raise
         assert type(x) is tuple
         return x, delta
 
@@ -220,14 +234,28 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
     sample_trace_zero(tower, n, random.Random(-1))  # builds the lifted ring once
     monkeypatch.setattr(cohomlab.OElem, "__init__", counted)
     monkeypatch.setattr(tower, "solve_trace_eq", recorded)
-    monkeypatch.setattr(tower, "unsolvable_prefixes", CountedMemo(tower.unsolvable_prefixes))
-    for seed in range(4):
-        built.clear()
-        sample_trace_zero(tower, n, random.Random(seed))
+    monkeypatch.setattr(tower, "unsolvable_prefixes", CountedMemo())
+    monkeypatch.setattr(
+        cohomlab, "_kernel_elem", lambda *args: components.append(1) or kernel_elem(*args)
+    )
+    monkeypatch.setattr(tower, "conjugates_raw", lambda a: conjugated.append(1) or conjugates(a))
+    hits = 0
+    for seed in range(8):
+        for counts in (built, components, conjugated, solves, raised, memo_hits):
+            counts.clear()
+        sample = sample_trace_zero(tower, n, random.Random(seed))
         assert built == [tower.L] * n + [tower.K] * n
-    # an attempt is a solve or a memo hit: a rejected one either raised
-    # or hit the memo of prefixes that raised before
-    assert len(solves) + len(memo_hits) > 4 * (n - 1)  # some attempt was rejected
+        # one build per solve and one for the finished vector's top, so
+        # at most n + solves whatever the memo answered
+        assert len(components) == len(solves) + 1
+        # each component below the top once, for the carries, and the
+        # audit's n
+        assert len(conjugated) == len(components) - 1 + n
+        # an attempt is a solve or a memo hit: a rejected one either
+        # raised or hit the memo of prefixes that raised before
+        assert sample.rejections == len(raised) + len(memo_hits)
+        hits += len(memo_hits)
+    assert hits > 0
 
 
 def trace_eq_solvable(tower, comps) -> bool:
@@ -245,20 +273,26 @@ def trace_eq_solvable(tower, comps) -> bool:
     return True
 
 
+def fresh_carry_rng(name, n, seed):
+    return random.Random(f"{name}:{n}:{seed}")
+
+
 def fresh_carry_mismatches(tower, name, n, retries, seeds=range(20)):
     """Seeds on which ``sample_trace_zero`` and ``sample_with_fresh_carries``
-    differ in their components or in the state they leave the RNG in."""
+    differ in their components, in their count of failed levels or in
+    the state they leave the RNG in."""
     bad = []
     for seed in seeds:
-        want_rng = random.Random(f"{name}:{n}:{seed}")
-        got_rng = random.Random(f"{name}:{n}:{seed}")
+        want_rng = fresh_carry_rng(name, n, seed)
+        got_rng = fresh_carry_rng(name, n, seed)
         try:
-            want = [c.data for c in sample_with_fresh_carries(tower, n, want_rng, retries)]
+            comps, rejections = sample_with_fresh_carries(tower, n, want_rng, retries)
+            want = ([c.data for c in comps], rejections)
         except SamplerExhausted as exc:
             want = ("exhausted", exc.level)
         try:
             sample = sample_trace_zero(tower, n, got_rng, retries=retries)
-            got = [c.data for c in sample.vec.components]
+            got = ([c.data for c in sample.vec.components], sample.rejections)
         except SamplerExhausted as exc:
             got = ("exhausted", exc.level)
         if got != want or got_rng.random() != want_rng.random():
@@ -266,22 +300,46 @@ def fresh_carry_mismatches(tower, name, n, retries, seeds=range(20)):
     return bad
 
 
-@pytest.mark.parametrize(
-    "name,n",
-    [(name, n) for name, p in TOWER_PRIMES.items() for n in range(1, BINARY_RANGE[p] + 1)],
-)
-@pytest.mark.parametrize("retries", [32, 1])
+FRESH_CARRY_CASES = [
+    (name, n) for name, p in TOWER_PRIMES.items() for n in range(1, BINARY_RANGE[p] + 1)
+]
+
+
+@pytest.mark.parametrize("name,n", FRESH_CARRY_CASES)
+@pytest.mark.parametrize("retries", [32, 3, 1])
 def test_sampler_matches_fresh_carry_loop(all_towers, name, n, retries, monkeypatch):
-    """Same components and the same RNG stream; with one retry per level
-    the cut deepens after every failure.  The sampler runs twice, from an
-    empty memo of unsolvable prefixes and then from the memo the first
-    run left, and every prefix in it fails the oracle's full solve."""
+    """Same components, the same count of failed levels and the same RNG
+    stream; with one retry per level the cut deepens after every failure.
+    The sampler runs twice, from an empty memo of unsolvable prefixes and
+    then from the memo the first run left, and every prefix in it fails
+    the oracle's full solve."""
     tower = all_towers[name]
     memo = set()
     monkeypatch.setattr(tower, "unsolvable_prefixes", memo)
     for run in ("cold", "warm"):
         assert fresh_carry_mismatches(tower, name, n, retries) == [], (name, n, retries, run)
     assert all(not trace_eq_solvable(tower, key) for key in memo)
+
+
+def test_fresh_carry_cases_cut_deeper_above_level_two(all_towers):
+    """With three retries per level, some case that
+    ``test_sampler_matches_fresh_carry_loop`` compares fails ``retries``
+    times in a row at a level of 3 or more, so the cut leaves depth 1
+    there: the sampler's redraw loop at depth 1 must hand over to the
+    deeper cut as the oracle does, not only at level 2, where the depth
+    stays 1."""
+    for name, n in FRESH_CARRY_CASES:
+        for seed in range(20):
+            cuts = []
+            try:
+                sample_with_fresh_carries(
+                    all_towers[name], n, fresh_carry_rng(name, n, seed), 3, cuts
+                )
+            except SamplerExhausted:
+                pass
+            if any(level >= 3 and depth >= 2 for level, depth in cuts):
+                return
+    pytest.fail("no compared case cuts below depth 1")
 
 
 @pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
@@ -323,6 +381,41 @@ def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
             patch.setattr(tower, "trace_residue_modulus", tower.trace_residue_modulus // tower.p)
             patch.setattr(tower, "unsolvable_prefixes", set())
             if fresh_carry_mismatches(tower, name, 3, 32, seeds=range(5)):
+                parted.append(name)
+    assert parted
+
+
+def test_residue_without_the_particular_fails(all_towers, monkeypatch):
+    """Mutant: a redrawn component's residues are taken from its kernel
+    part alone, without its particular solution's (a component drawn
+    right after a solve keeps them), so the memo is asked about, and
+    told, the wrong prefix.  The sampler must part from the fresh-carry
+    loop on some tower: in its components or its RNG stream, or in a
+    remembered prefix that the oracle's full solve finds solvable.  (On
+    the six towers the streams still agree; the memo does not.)"""
+    residues = cohomlab._residues
+    parted = []
+    for name in sorted(TOWER_PRIMES):
+        tower = all_towers[name]
+        solve = tower.solve_trace_eq
+        solved = [False]  # whether the last call was a solve that returned
+
+        def noted(c):
+            x = solve(c)
+            solved[0] = True
+            return x
+
+        def without_particular(tower, x):
+            after_solve, solved[0] = solved[0], False
+            return residues(tower, x) if after_solve else (0,) * len(x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomlab, "_residues", without_particular)
+            patch.setattr(tower, "solve_trace_eq", noted)
+            memo = set()
+            patch.setattr(tower, "unsolvable_prefixes", memo)
+            mismatched = fresh_carry_mismatches(tower, name, 3, 32, seeds=range(5))
+            if mismatched or any(trace_eq_solvable(tower, key) for key in memo):
                 parted.append(name)
     assert parted
 
@@ -388,6 +481,12 @@ def test_trace_kernel_basis_is_cached(all_towers):
         # each vector is reduced and lies in the trace kernel
         assert all(tower.L.reduce(k) == k for k in basis)
         assert all(tower._zero_raw(tower.trace_map(k)) for k in basis)
+        # the sampler's residues of a draw sum the moving vectors' residues
+        m = tower.trace_residue_modulus
+        moving = dict(tower.trace_kernel_residues)
+        assert all(any(r) for r in moving.values())
+        for i, k in enumerate(basis):
+            assert moving.get(i, (0,) * len(k)) == tuple(c % m for c in k)
 
 
 def symbolic_residual(tower, comps, level):
