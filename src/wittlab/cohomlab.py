@@ -72,9 +72,6 @@ class KernelSample:
     provenance: str
     seed: str
     witness: WittVec | None = None
-    # failed sampler levels (trace solves that raised and memo hits); no
-    # report carries it
-    rejections: int = 0
 
 
 @dataclass
@@ -162,9 +159,8 @@ def witt_diff_of_coboundary(tower: ExtensionTower, y: WittVec) -> WittVec:
 
 
 def _kernel_elem(tower: ExtensionTower, base, coeffs) -> tuple:
-    """``base`` plus sum of r_k * k over the tower's trace-kernel basis, on
-    flat coordinates.  The coefficients r_k are drawn uniformly modulo
-    p^N_int by ``_uniform`` (one ``rng.randrange`` each, replayed)."""
+    """``base`` plus sum of r_k * k over the tower's trace-kernel basis for
+    the given coefficients ``coeffs``, reduced, on flat coordinates."""
     acc = base
     for r, k in zip(coeffs, tower.trace_kernel_flat):
         acc = [a + r * c for a, c in zip(acc, k)]
@@ -208,21 +204,23 @@ def sample_trace_zero(
     when it comes back the carry and the solve are skipped for the same
     failure branch.
 
-    A draw is its kernel coefficients and its residue, the particular
-    solution's residue plus sum (r_k mod p^delta)(k mod p^delta), from
-    small integers; the full-precision component is built only when a
-    carry needs it (its prefix is not in the memo) or the vector is
-    finished, so a memo hit costs the draw and one set lookup.  The memo
-    never changes a draw: the RNG stream and the components are those of
-    the loop without it.  ``rejections`` on the sample counts the failed
-    levels, memo hits included.
+    A draw is its kernel coefficients r_k, each uniform modulo p^N_int
+    (``_uniform``, which replays ``rng.randrange``), and its residue, the
+    particular solution's residue plus sum (r_k mod p^delta)(k mod
+    p^delta), from small integers; the full-precision component is built
+    only when a carry needs it (its prefix is not in the memo) or the
+    vector is finished, so a memo hit costs the draw and one set lookup.
+    The memo never changes a draw: the RNG stream and the components are
+    those of the loop without it.
     """
     ctx = ctx_for(tower.p, n)
     K, L = tower.K, tower.L
     unsolvable = tower.unsolvable_prefixes
     m = tower.trace_residue_modulus
-    modulus, count = tower.modulus, len(tower.trace_kernel_flat)
-    moving = tower.trace_kernel_residues  # (index, residues) of basis vectors not 0 mod m
+    basis = tower.trace_kernel_flat
+    modulus, count = tower.modulus, len(basis)
+    # the basis vectors that are not 0 modulo m, by index, with their residues
+    moving = [(i, r) for i, k in enumerate(basis) if any(r := tuple(c % m for c in k))]
 
     def draw(base: tuple) -> tuple[list[int], tuple]:
         """A kernel part's coefficients, and the residues of the component
@@ -244,7 +242,7 @@ def sample_trace_zero(
     comps: list[tuple] = []
     columns: list[tuple] = []  # columns[i] holds the conjugates of comps[i]
     level = 2
-    budget = allowed = retries * n * 8
+    budget = retries * n * 8
     fail_streak = 0
     while level <= n:
         prefix = tuple(keys)
@@ -275,23 +273,12 @@ def sample_trace_zero(
         cut = level - depth
         del comps[cut - 1 :], columns[cut - 1 :]  # x_cut is redrawn below
         del keys[cut:], particulars[cut:]
-        base = _residues(tower, particulars[-1])
-        coeffs, keys[-1] = draw(base)
+        coeffs, keys[-1] = draw(_residues(tower, particulars[-1]))
         level = cut + 1
-        # while the next failure would cut at depth 1 again, a memo hit is
-        # answered here: the same bookkeeping, and x_{level-1} redrawn
-        while (level == 2 or fail_streak + 1 < retries) and tuple(keys) in unsolvable:
-            budget -= 1
-            fail_streak += 1
-            if budget <= 0:
-                raise SamplerExhausted(level, retries)
-            coeffs, keys[-1] = draw(base)
     comps.append(_kernel_elem(tower, particulars[-1], coeffs))
     vec = WittVec(ctx, L, tuple(OElem(L, c) for c in comps))
     residual = _audited_trace(tower, vec, "a fresh sample")
-    return KernelSample(
-        vec, residual, "recursive-sampler", seed_label, rejections=allowed - budget
-    )
+    return KernelSample(vec, residual, "recursive-sampler", seed_label)
 
 
 def coboundary_sample(

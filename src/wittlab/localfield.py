@@ -745,14 +745,6 @@ class ExtensionTower:
             self.trace_residue_modulus = self.p ** max(pivots, default=0)
         else:
             self.trace_residue_modulus = self.modulus
-        # the kernel basis vectors that are not 0 modulo it, by index, with
-        # their residues: the sampler's residue of a draw sums these
-        residue = self.trace_residue_modulus
-        self.trace_kernel_residues = tuple(
-            (i, r)
-            for i, k in enumerate(self.trace_kernel_flat)
-            if any(r := tuple(c % residue for c in k))
-        )
         # residue prefixes whose next trace equation has no solution, filled
         # by the trace-zero sampler (see ``cohomlab.sample_trace_zero``)
         self.unsolvable_prefixes: set[tuple] = set()

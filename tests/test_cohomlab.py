@@ -138,9 +138,8 @@ def sample_with_fresh_carries(tower, n, rng, retries=32, cuts=None):
     """The sampler's loop with every carry computed afresh: each attempt
     builds the conjugate rows and calls ``carry_value``, and kernel
     elements are summed from OElems over the basis derived from the
-    Smith form.  The oracle for ``sample_trace_zero``: returns the
-    components and the number of failed levels.  ``cuts``, if given,
-    receives (level, depth) for each failure."""
+    Smith form.  The oracle for ``sample_trace_zero``.  ``cuts``, if
+    given, receives (level, depth) for each failure."""
     basis = [tower.L.unflatten(k) for k in tower._trace_snf.kernel_basis()]
 
     def kernel_elem():
@@ -178,7 +177,7 @@ def sample_with_fresh_carries(tower, n, rng, retries=32, cuts=None):
         comps.append(part + kernel_elem())
         level += 1
         fail_streak = 0
-    return comps, retries * n * 8 - budget
+    return comps
 
 
 TOWER_PRIMES = {
@@ -209,17 +208,13 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
         built.append(level)
         init(self, level, data)
 
-    solves, raised, memo_hits = [], [], []
+    solves, memo_hits = [], []
     solve = tower.solve_trace_eq
 
     def recorded(c):
         assert type(c) is tuple
         solves.append(1)
-        try:
-            x, delta = solve(c)
-        except NoSolutionAtPrecision:
-            raised.append(1)
-            raise
+        x, delta = solve(c)
         assert type(x) is tuple
         return x, delta
 
@@ -241,9 +236,9 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
     monkeypatch.setattr(tower, "conjugates_raw", lambda a: conjugated.append(1) or conjugates(a))
     hits = 0
     for seed in range(8):
-        for counts in (built, components, conjugated, solves, raised, memo_hits):
+        for counts in (built, components, conjugated, solves, memo_hits):
             counts.clear()
-        sample = sample_trace_zero(tower, n, random.Random(seed))
+        sample_trace_zero(tower, n, random.Random(seed))
         assert built == [tower.L] * n + [tower.K] * n
         # one build per solve and one for the finished vector's top, so
         # at most n + solves whatever the memo answered
@@ -251,9 +246,6 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
         # each component below the top once, for the carries, and the
         # audit's n
         assert len(conjugated) == len(components) - 1 + n
-        # an attempt is a solve or a memo hit: a rejected one either
-        # raised or hit the memo of prefixes that raised before
-        assert sample.rejections == len(raised) + len(memo_hits)
         hits += len(memo_hits)
     assert hits > 0
 
@@ -279,20 +271,18 @@ def fresh_carry_rng(name, n, seed):
 
 def fresh_carry_mismatches(tower, name, n, retries, seeds=range(20)):
     """Seeds on which ``sample_trace_zero`` and ``sample_with_fresh_carries``
-    differ in their components, in their count of failed levels or in
-    the state they leave the RNG in."""
+    differ in their components or in the state they leave the RNG in."""
     bad = []
     for seed in seeds:
         want_rng = fresh_carry_rng(name, n, seed)
         got_rng = fresh_carry_rng(name, n, seed)
         try:
-            comps, rejections = sample_with_fresh_carries(tower, n, want_rng, retries)
-            want = ([c.data for c in comps], rejections)
+            want = [c.data for c in sample_with_fresh_carries(tower, n, want_rng, retries)]
         except SamplerExhausted as exc:
             want = ("exhausted", exc.level)
         try:
             sample = sample_trace_zero(tower, n, got_rng, retries=retries)
-            got = ([c.data for c in sample.vec.components], sample.rejections)
+            got = [c.data for c in sample.vec.components]
         except SamplerExhausted as exc:
             got = ("exhausted", exc.level)
         if got != want or got_rng.random() != want_rng.random():
@@ -308,11 +298,10 @@ FRESH_CARRY_CASES = [
 @pytest.mark.parametrize("name,n", FRESH_CARRY_CASES)
 @pytest.mark.parametrize("retries", [32, 3, 1])
 def test_sampler_matches_fresh_carry_loop(all_towers, name, n, retries, monkeypatch):
-    """Same components, the same count of failed levels and the same RNG
-    stream; with one retry per level the cut deepens after every failure.
-    The sampler runs twice, from an empty memo of unsolvable prefixes and
-    then from the memo the first run left, and every prefix in it fails
-    the oracle's full solve."""
+    """Same components and the same RNG stream; with one retry per level
+    the cut deepens after every failure.  The sampler runs twice, from an
+    empty memo of unsolvable prefixes and then from the memo the first
+    run left, and every prefix in it fails the oracle's full solve."""
     tower = all_towers[name]
     memo = set()
     monkeypatch.setattr(tower, "unsolvable_prefixes", memo)
@@ -325,9 +314,8 @@ def test_fresh_carry_cases_cut_deeper_above_level_two(all_towers):
     """With three retries per level, some case that
     ``test_sampler_matches_fresh_carry_loop`` compares fails ``retries``
     times in a row at a level of 3 or more, so the cut leaves depth 1
-    there: the sampler's redraw loop at depth 1 must hand over to the
-    deeper cut as the oracle does, not only at level 2, where the depth
-    stays 1."""
+    there: the comparison covers a redraw below depth 1, not only the
+    redraws at level 2, where the depth stays 1."""
     for name, n in FRESH_CARRY_CASES:
         for seed in range(20):
             cuts = []
@@ -481,12 +469,6 @@ def test_trace_kernel_basis_is_cached(all_towers):
         # each vector is reduced and lies in the trace kernel
         assert all(tower.L.reduce(k) == k for k in basis)
         assert all(tower._zero_raw(tower.trace_map(k)) for k in basis)
-        # the sampler's residues of a draw sum the moving vectors' residues
-        m = tower.trace_residue_modulus
-        moving = dict(tower.trace_kernel_residues)
-        assert all(any(r) for r in moving.values())
-        for i, k in enumerate(basis):
-            assert moving.get(i, (0,) * len(k)) == tuple(c % m for c in k)
 
 
 def symbolic_residual(tower, comps, level):
