@@ -9,8 +9,8 @@ so everything reduces to:
 * a recursive sampler of trace-zero vectors that solves one linear
   trace equation per component, with the right-hand side produced by
   the numeric carry of the conjugate family,
-* coboundary solving, exact and decisive at level one, budget-bounded
-  search above it,
+* coboundary solving at level one, exact and decisive up to the
+  elimination's precision loss,
 * an order computation for the level-one cohomology group from the
   elementary divisors of (sigma - 1), stabilization-checked across two
   precisions and backed by a set-enumeration oracle.
@@ -65,13 +65,11 @@ class WittLengthOutOfRange(PrecisionTooLow):
 
 @dataclass
 class KernelSample:
-    """A trace-zero Witt vector with its audit residual and provenance."""
+    """A trace-zero Witt vector, audited when drawn, with its provenance."""
 
     vec: WittVec
-    residual: WittVec
     provenance: str
     seed: str
-    witness: WittVec | None = None
 
 
 @dataclass
@@ -79,9 +77,8 @@ class ClassVerdict:
     """Outcome of a coboundary decision."""
 
     status: str  # "trivial" | "nontrivial" | "undetermined"
-    witness: OElem | WittVec | None = None
+    witness: OElem | None = None
     obstruction_depth: int | None = None
-    delta: int = 0
 
 
 @dataclass
@@ -277,28 +274,26 @@ def sample_trace_zero(
         level = cut + 1
     comps.append(_kernel_elem(tower, particulars[-1], coeffs))
     vec = WittVec(ctx, L, tuple(OElem(L, c) for c in comps))
-    residual = _audited_trace(tower, vec, "a fresh sample")
-    return KernelSample(vec, residual, "recursive-sampler", seed_label)
+    _audit_trace(tower, vec, "a fresh sample")
+    return KernelSample(vec, "recursive-sampler", seed_label)
 
 
 def coboundary_sample(
     tower: ExtensionTower, n: int, rng: random.Random, seed_label: str = ""
 ) -> KernelSample:
-    """A trace-zero vector of the form sigma(y) - y, with its witness."""
+    """A trace-zero vector of the form sigma(y) - y, y random, audited."""
     ctx = ctx_for(tower.p, n)
     y = WittVec(ctx, tower.L, tuple(tower.random_L_elem(rng) for _ in range(n)))
     vec = witt_diff_of_coboundary(tower, y)
-    residual = _audited_trace(tower, vec, "a coboundary sample")
-    return KernelSample(vec, residual, "coboundary", seed_label, witness=y)
+    _audit_trace(tower, vec, "a coboundary sample")
+    return KernelSample(vec, "coboundary", seed_label)
 
 
-def _audited_trace(tower: ExtensionTower, vec: WittVec, what: str) -> WittVec:
-    """The Witt trace of a vector that must have trace zero at precision."""
-    residual = witt_trace(tower, vec)
-    for c in residual.components:
+def _audit_trace(tower: ExtensionTower, vec: WittVec, what: str) -> None:
+    """Raise AssertionError unless ``vec`` has Witt trace zero at precision."""
+    for c in witt_trace(tower, vec).components:
         if not tower.is_zero_at_precision(c):
             raise AssertionError(f"trace audit failed on {what}")
-    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -313,70 +308,13 @@ def level1_class_trivial(tower: ExtensionTower, x1: OElem) -> ClassVerdict:
     is the elimination's pivot-valuation loss.
     """
     try:
-        y, delta = tower.solve_sigma_minus_one(x1.data, digits=tower.N)
+        y, _ = tower.solve_sigma_minus_one(x1.data, digits=tower.N)
     except NoSolutionAtPrecision as exc:
-        if exc.depth + exc.delta <= tower.N:
-            return ClassVerdict(
-                "nontrivial", obstruction_depth=exc.depth, delta=exc.delta
-            )
+        certified = exc.depth + exc.delta <= tower.N
         return ClassVerdict(
-            "undetermined", obstruction_depth=exc.depth, delta=exc.delta
+            "nontrivial" if certified else "undetermined", obstruction_depth=exc.depth
         )
-    return ClassVerdict("trivial", witness=OElem(tower.L, y), delta=delta)
-
-
-def witt_class_trivial(
-    tower: ExtensionTower, sample: KernelSample, budget: int = 256
-) -> ClassVerdict:
-    """Budget-bounded coboundary search at Witt length >= 1.
-
-    Level one is linear; each higher level is linear once the lower
-    components are pinned, but the lower solutions are only defined up
-    to translates from the fixed ring, so those cosets are searched up
-    to the budget.  Failure to find a witness is reported as
-    undetermined, never as a nontriviality claim.
-    """
-    x = sample.vec
-    n = x.ctx.n
-    ctx = x.ctx
-    counter = {"left": budget}
-
-    def diff_component(y_comps: list[OElem], level: int) -> OElem:
-        padded = tuple(y_comps) + (tower.L.zero,) * (n - len(y_comps))
-        y = WittVec(ctx, tower.L, padded)
-        return witt_diff_of_coboundary(tower, y).components[level - 1]
-
-    def extend(y_comps: list[OElem], level: int) -> list[OElem] | None:
-        if level > n:
-            return y_comps
-        rhs = x.components[level - 1] - diff_component(y_comps, level)
-        if counter["left"] <= 0:
-            return None
-        counter["left"] -= 1
-        try:
-            y_raw, _ = tower.solve_sigma_minus_one(rhs.data, digits=tower.N)
-        except NoSolutionAtPrecision:
-            return None
-        y_l = OElem(tower.L, y_raw)
-        if level == n:
-            return y_comps + [y_l]
-        for t in tower.enumerate_K_translates(max(1, budget // 8)):
-            found = extend(y_comps + [y_l + tower.embed_K(t)], level + 1)
-            if found is not None:
-                return found
-            if counter["left"] <= 0:
-                return None
-        return None
-
-    found = extend([], 1)
-    if found is None:
-        return ClassVerdict("undetermined")
-    y = WittVec(ctx, tower.L, tuple(found))
-    d = witt_diff_of_coboundary(tower, y)
-    for got, want in zip(d.components, x.components):
-        if not tower.eq_at_precision(got, want):
-            return ClassVerdict("undetermined")
-    return ClassVerdict("trivial", witness=y)
+    return ClassVerdict("trivial", witness=OElem(tower.L, y))
 
 
 # ---------------------------------------------------------------------------
@@ -532,23 +470,20 @@ def h1_order_enumeration_stable(
 # the stable length
 
 
-def stable_witt_length(break_s: int, p: int) -> int:
-    """Least M whose partial geometric bound climbs past s - 1.
+def _cascade(s: int, p: int, i: int) -> Fraction:
+    """(s(p-1)/p) * sum_{k<i} p^-k, the cascaded valuation bound i
+    components from the top, in exact rational arithmetic."""
+    return Fraction(s * (p - 1), p) * sum(Fraction(1, p**k) for k in range(i))
 
-    Evaluates (s(p-1)/p) * sum_{k=0}^{M-2} p^-k > s - 1 in exact
-    rational arithmetic.
-    """
+
+def stable_witt_length(break_s: int, p: int) -> int:
+    """Least M whose cascade over M - 1 components climbs past s - 1."""
     if break_s < 1:
         raise ValueError("ramification break must be >= 1")
-    target = Fraction(break_s - 1)
     M = 1
-    while True:
-        bound = Fraction(break_s * (p - 1), p) * sum(
-            Fraction(1, p**k) for k in range(M - 1)
-        )
-        if bound > target:
-            return M
+    while _cascade(break_s, p, M - 1) <= break_s - 1:
         M += 1
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -826,8 +761,8 @@ def verify_residual_invariant(
 
 def step_bound(s: int, p: int, i: int) -> int:
     """Ceiling of the cascaded lower bound for the i-th component from
-    the top (exact rational arithmetic)."""
-    frac = Fraction(s * (p - 1), p) * sum(Fraction(1, p**k) for k in range(i))
+    the top."""
+    frac = _cascade(s, p, i)
     return -(-frac.numerator // frac.denominator)
 
 

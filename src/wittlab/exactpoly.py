@@ -12,7 +12,7 @@ construction gets certified.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import kernels
 
@@ -154,9 +154,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def variables(self) -> frozenset[int]:
         out: set[int] = set()
         for key in self.terms:
@@ -244,14 +241,6 @@ class MPoly:
             [str(coeff), [[v, e] for v, e in key]]
             for key, coeff in sorted(self.terms.items(), key=_term_sort_key)
         ]
-
-    @classmethod
-    def from_obj(cls, obj: Iterable) -> "MPoly":
-        terms = {}
-        for coeff_str, pairs in obj:
-            key = tuple(sorted((int(v), int(e)) for v, e in pairs))
-            terms[key] = int(coeff_str)
-        return cls(terms)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -32,12 +32,11 @@ is refused rather than guessed.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import kernels
 
@@ -283,9 +282,6 @@ class FlatRing:
             if a[r] % q:
                 return self._p_exponent[g] * self.ram_index + w
 
-    def is_zero_raw(self, a) -> bool:
-        return self.val_raw(a) is None
-
 
 def build_rings(
     p: int, e_k: Sequence[int], e_l: Sequence, digits: int
@@ -319,8 +315,6 @@ def build_rings(
         if len(coords) > e:
             raise NotEisenstein(f"O_L: coefficient {c!r} has more than e_K={e} coordinates")
         el.append(K.reduce(K.embed(coords)))
-    if len(el) != p:
-        raise NotEisenstein(f"top step must have degree {p}, got {len(el)}")
     _check_eisenstein("O_L", [K.val_raw(c) for c in el])
 
     def times_pi_L(x: list) -> list:
@@ -660,7 +654,7 @@ class ExtensionTower:
             candidates = nxt
             if len(candidates) > 4 * p * p:
                 raise NotNormal("root search diverged; step is not a clean Galois step")
-        roots = [c for c in candidates if L.is_zero_raw(self._eval_top(c))]
+        roots = [c for c in candidates if L.val_raw(self._eval_top(c)) is None]
         if len(roots) != p:
             raise NotNormal(
                 f"found {len(roots)} roots of the top polynomial at precision, need {p}"
@@ -811,13 +805,6 @@ class ExtensionTower:
     def pi_K(self) -> OElem:
         return OElem(self.K, self.K.pi_elem)
 
-    def L_elem(self, coeffs: Sequence[OElem | int]) -> OElem:
-        """sum_j c_j*pi_L^j from O_K (or integer) coefficients c_j."""
-        data = ()
-        for c in coeffs:
-            data += (self.K.from_int(c) if isinstance(c, int) else c).data
-        return OElem(self.L, self.L.embed(data))
-
     def embed_K(self, a: OElem) -> OElem:
         if a.level is not self.K:
             raise ValueError("embed_K expects an O_K element")
@@ -936,19 +923,6 @@ class ExtensionTower:
             if v == 0:
                 return a
 
-    def enumerate_K_translates(self, budget: int) -> Iterable[OElem]:
-        """Small O_K elements for coset searches, by growing digit depth."""
-        p, e = self.p, self.K.flat_rank
-        depth = 1
-        seen = 0
-        while seen < budget:
-            for coords in itertools.product(range(p**depth), repeat=e):
-                yield self.K.unflatten(coords)
-                seen += 1
-                if seen >= budget:
-                    return
-            depth += 1
-
 
 def build_tower(
     p: int,
@@ -963,7 +937,9 @@ def build_tower(
     """Construct and validate a tower from little-endian coefficient
     lists that carry the leading 1 (``e_k_coeffs`` None or empty when
     K = Q_p).  The one reader of those lists: it strips the leading 1,
-    converts to integers, takes e_K from the stripped E_K, resolves
+    converts to integers, refuses a top step whose degree is not p and
+    then a p that is not prime (so trial division stops at the square
+    root of the length of E_L), takes e_K from the stripped E_K, resolves
     ``N="auto"`` by the policy at the generic bound on the break, and
     after construction refuses an N below the policy at the tower's
     break for Witt length ``witt_length_hint``."""
@@ -972,6 +948,10 @@ def build_tower(
         [int(x) for x in c] if isinstance(c, list) else int(c)
         for c in _strip_monic(e_l_coeffs, "E_L")
     ]
+    if len(e_l) != p:
+        raise NotEisenstein(f"top step must have degree {p}, got {len(e_l)}")
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"tower p must be a prime, got {p}")
     if N == "auto":
         s_bound = (p * len(e_k)) // (p - 1)
         N = precision_policy(p, len(e_k), s_bound, witt_length_hint)
@@ -1022,8 +1002,6 @@ def tower_from_obj(obj: dict, **overrides) -> ExtensionTower:
         if key not in obj:
             raise ValueError(f"tower has no {key!r}")
     p = _tower_int(obj["p"], "p")
-    if p < 2:
-        raise ValueError(f"tower p must be at least 2, got {p}")
     e_l = []
     for c in _tower_list(obj["E_L"], "E_L"):
         if isinstance(c, list):

@@ -136,9 +136,6 @@ class WittCtx:
         _check_range(self.p, self.n, BINARY_RANGE, "binary symbolic")
         return _solve_ghost(self.p, [-w for w in self.ghost], "negation")
 
-    def zero_vec(self, ring) -> "WittVec":
-        return WittVec(self, ring, tuple(ring.zero for _ in range(self.n)))
-
     def vec(self, ring, components: Sequence) -> "WittVec":
         comps = tuple(ring.from_int(c) if isinstance(c, int) else c for c in components)
         if len(comps) != self.n:
@@ -221,16 +218,6 @@ class WittVec:
 
     def __sub__(self, other: "WittVec") -> "WittVec":
         return self + (-other)
-
-    def ghost_components(self) -> tuple:
-        """Image under the ghost map; additive when p is invertible."""
-        assign = {j - 1: self.components[j - 1] for j in range(1, self.ctx.n + 1)}
-        return tuple(w.eval(assign, self.ring) for w in self.ctx.ghost)
-
-    def truncate(self, m: int) -> "WittVec":
-        if not 1 <= m <= self.ctx.n:
-            raise ValueError(f"truncation length {m} out of range")
-        return WittVec(ctx_for(self.ctx.p, m), self.ring, self.components[:m])
 
 
 def _common_frame(vectors: Sequence[WittVec]) -> tuple[WittCtx, object]:

@@ -74,7 +74,7 @@ def test_criterion_03_group_laws():
                 ring = INT_RING if ring_kind == "int" else ModRing(p**16)
                 rng = random.Random(f"{SEED}:laws:{ring_kind}:{p}:{n}")
                 span = 2 if (p, n) in ((3, 4), (5, 3)) else 9
-                zero = ctx.zero_vec(ring)
+                zero = ctx.vec(ring, [0] * n)
 
                 def rand_vec():
                     return ctx.vec(

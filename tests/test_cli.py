@@ -571,6 +571,10 @@ MALFORMED_TOWERS = {
     # a seed is checked even where an override replaces it (verify, suite)
     "seed_string": {"p": 2, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"], "seed": "x"},
     "seed_list": {"p": 2, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"], "seed": [1]},
+    # a composite p used to crash (exit 70) with a KeyError from the
+    # valuation of a coefficient whose gcd with p^N is not a power of p
+    "p_4": {"p": 4, "N": 12, "E_K": None, "E_L": ["4", "2", "0", "0", "1"]},
+    "p_6": {"p": 6, "N": 12, "E_K": None, "E_L": ["6", "2", "0", "0", "0", "0", "1"]},
 }
 
 
@@ -603,7 +607,9 @@ class TestMalformedTower:
         manifest.write_text(json.dumps({"towers": [tower_file], "lemmas": ["vktr"]}))
         _one_line_usage_error(run_cli("suite", "--manifest", str(manifest)))
 
-    @pytest.mark.parametrize("name", ["p_null", "e_l_not_list", "seed_string", "seed_list"])
+    @pytest.mark.parametrize(
+        "name", ["p_null", "e_l_not_list", "seed_string", "seed_list", "p_4", "p_6"]
+    )
     def test_suite_inline_tower_is_usage_error(self, tmp_path, name):
         manifest = tmp_path / "m.json"
         manifest.write_text(

@@ -41,7 +41,7 @@ class TestBasics:
 
     def test_disjoint_supports(self):
         p = MPoly.var(0, 2) + 2 * MPoly.var(1) + MPoly.var(2, 2)
-        assert p.num_terms() == 3
+        assert len(p.terms) == 3
         assert p.coefficient(Monomial({1: 1})) == 2
 
     def test_coefficient_arithmetic(self):
@@ -153,13 +153,6 @@ class TestDegreesAndSerialization:
         p = X0**3 + X0 * X1 + MPoly.const(5)
         degrees = [m.degree() for m, _ in p.iter_terms()]
         assert degrees == sorted(degrees)
-
-    def test_json_roundtrip(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            p = rand_poly(rng)
-            blob = json.dumps(p.to_obj())
-            assert MPoly.from_obj(json.loads(blob)) == p
 
     def test_serialization_is_byte_stable(self):
         # same polynomial assembled in two different orders

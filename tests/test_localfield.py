@@ -269,7 +269,7 @@ class TestTrace:
         for _ in range(50):
             a = rng.randrange(2**20)
             b = rng.randrange(2**20)
-            elem = q2_sqrt2.L_elem([a, b])
+            elem = q2_sqrt2.L.unflatten((a, b))
             want = q2_sqrt2.K.from_int(2 * a)
             assert q2_sqrt2.eq_at_precision(q2_sqrt2.trace(elem), want)
 
@@ -441,7 +441,7 @@ class TestSolvers:
         # enumeration oracle first: the trace image modulo 4 misses 1
         image = set()
         for a, b in itertools.product(range(4), repeat=2):
-            elem = q2_i.L_elem([a, b])
+            elem = q2_i.L.unflatten((a, b))
             image.add(q2_i.trace(elem).data[0] % 4)
         assert 1 not in image
         with pytest.raises(NoSolutionAtPrecision):
@@ -501,7 +501,7 @@ class TestSolvers:
         # enumeration oracle: the image of (sigma - 1) modulo 4
         image = set()
         for a, b in itertools.product(range(4), repeat=2):
-            elem = q2_i.L_elem([a, b])
+            elem = q2_i.L.unflatten((a, b))
             diff = q2_i.galois(elem) - elem
             image.add(tuple(x % 4 for x in diff.data))
         i_flat = tuple(x % 4 for x in (q2_i.pi_L - 1).data)
@@ -609,7 +609,7 @@ def test_coeff_slices_roundtrip(all_towers, name, data):
     # the O_K coefficients of the powers of pi_L reassemble the element
     coeffs = [tower.K.unflatten(L.coeff(a, j)) for j in range(tower.p)]
     assert all(len(c.data) == tower.e_K for c in coeffs)
-    assert tower.L_elem(coeffs).data == a
+    assert L.unflatten(sum((c.data for c in coeffs), ())).data == a
     # unflatten reduces to the working precision
     shifted = [c + modulus * data.draw(st.integers(-3, 3)) for c in a]
     assert tower.L.unflatten(shifted).data == a
