@@ -12,13 +12,17 @@ Two kernel families live here:
 ``flat_mul`` is the reference product on structure rows: it loops over
 every (i, j, k) cell.  The rings of a tower multiply with a product that
 ``compile_flat_mul`` generates once from their own rows, and the tests
-compare it with ``flat_mul``.  In the same way ``compile_flat_linear``
-turns a matrix on flattened coordinates (sigma^i or the trace of a
-tower) into a straight-line function, which the tests compare with a
-plain matrix-vector product.
+compare it with ``flat_mul``, and its x -> x^p (``compile_flat_pow``)
+with chained products.  In the same way ``compile_flat_linear`` turns a
+matrix on flattened coordinates (sigma^i or the trace of a tower) into
+a straight-line function, which the tests compare with a plain
+matrix-vector product.
 
 The package calls them through ``kernels``.
 """
+
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 
 
 def monomial_key_mul(m1, m2):
@@ -206,30 +210,35 @@ def _checked_int(x) -> int:
     return x
 
 
-def flat_mul_source(plan, rank: int, modulus: int) -> str:
-    """Straight-line source of ``mul(a, b)`` for a product plan.
+def flat_mul_source(plan, rank: int, modulus: int, factors: str = "ab") -> str:
+    """Straight-line source of ``mul(a, b)`` for a product plan, or with
+    ``factors`` "a" * p and cells of p indices of ``pth(a)`` = a^p.
 
-    Each group's cells are summed once.  A unit row (one coordinate
-    equal to 1) adds that sum to its coordinate directly; any other row
-    reduces the sum modulo ``modulus`` once and scales it by the row's
-    constants, inlined as the representatives of least absolute value.
-    Every output coordinate is reduced once, at the end.
+    Each group's cells (i, j, ...) are summed once, as terms a_i * b_j *
+    ...  A unit row (one coordinate equal to 1) adds that sum to its
+    coordinate directly; any other row scales it by the row's constants,
+    inlined as the representatives of least absolute value, after one
+    reduction modulo ``modulus`` in a product (a power's degree-p sums
+    are scaled unreduced, which is faster).  Every output coordinate is
+    reduced once, at the end.
     """
     if _checked_int(modulus) < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
-    _checked_int(rank)
-    a = ", ".join(f"a{i}" for i in range(rank))
-    b = ", ".join(f"b{i}" for i in range(rank))
-    lines = ["def mul(a, b):", f"    ({a},) = a", f"    ({b},) = b"]
+    names = sorted(set(factors))
+    lines = [f"def {'mul' if len(names) > 1 else 'pth'}({', '.join(names)}):"]
+    coords = range(_checked_int(rank))
+    lines += [f"    ({', '.join(f'{v}{i}' for i in coords)},) = {v}" for v in names]
     terms = [[] for _ in range(rank)]
-    for g, (row, pairs) in enumerate(plan):
-        total = " + ".join(f"a{_checked_int(i)} * b{_checked_int(j)}" for i, j in pairs)
+    for g, (row, cells) in enumerate(plan):
+        total = " + ".join(
+            " * ".join(f"{v}{_checked_int(k)}" for v, k in zip(factors, cell)) for cell in cells
+        )
         consts = [(k, _checked_int(c) % modulus) for k, c in enumerate(row)]
         consts = [(k, c - modulus if 2 * c > modulus else c) for k, c in consts if c]
         if len(consts) == 1 and consts[0][1] == 1:
             terms[consts[0][0]].append(total)
             continue
-        lines.append(f"    g{g} = ({total}) % {modulus}")
+        lines.append(f"    g{g} = " + (f"({total}) % {modulus}" if len(names) > 1 else total))
         for k, c in consts:
             terms[k].append(f"g{g}" if c == 1 else f"{c} * g{g}")
     outs = [f"({' + '.join(t)}) % {modulus}" if t else "0" for t in terms]
@@ -246,6 +255,35 @@ def compile_flat_mul(struct_rows, modulus: int):
     namespace = {"__builtins__": {}}
     exec(compile(source, f"<flat_mul rank {rank}>", "exec"), namespace)
     return namespace["mul"]
+
+
+def multinomial(counts) -> int:
+    """(k_1 + ... + k_m)! / (k_1! ... k_m!)."""
+    return factorial(sum(counts)) // prod(factorial(k) for k in counts)
+
+
+def compile_flat_pow(struct_rows, modulus: int, p: int, mul):
+    """x -> x^p modulo ``modulus``, compiled once, returning what p-1 chained
+    calls of ``mul`` (the product compiled from these rows) return: the
+    multinomial expansion when it has fewer monomials, C(r+p-1, p), than
+    the chain's (p-1)*r^2 cell products, else the chain.  The row of
+    monomial a_k1 * ... * a_kp is its multinomial coefficient times the
+    product of basis elements k1..kp (``flat_mul`` on unit vectors)."""
+    r = len(struct_rows)
+    source, form = f"def pth(a):\n    return {'mul(' * (p - 1)}a{', a)' * (p - 1)}\n", "chain"
+    if comb(r + p - 1, p) < (p - 1) * r * r:
+        unit = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+        groups = {}
+        for mono in combinations_with_replacement(range(r), p):
+            e = unit[mono[0]]
+            for k in mono[1:]:
+                e = flat_mul(e, unit[k], struct_rows, modulus)
+            c = multinomial([mono.count(k) for k in set(mono)])
+            groups.setdefault(tuple(c * x % modulus for x in e), []).append(mono)
+        source, form = flat_mul_source(list(groups.items()), r, modulus, "a" * p), "expansion"
+    namespace = {"__builtins__": {}, "mul": mul}
+    exec(compile(source, f"<flat_pow rank {r} {form}>", "exec"), namespace)
+    return namespace["pth"]
 
 
 def flat_linear_source(matrix, modulus: int) -> str:

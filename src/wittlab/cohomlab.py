@@ -292,7 +292,7 @@ def coboundary_sample(
 def _audit_trace(tower: ExtensionTower, vec: WittVec, what: str) -> None:
     """Raise AssertionError unless ``vec`` has Witt trace zero at precision."""
     for c in witt_trace(tower, vec).components:
-        if not tower.is_zero_at_precision(c):
+        if not tower._zero_raw(c.data):
             raise AssertionError(f"trace audit failed on {what}")
 
 
@@ -616,7 +616,7 @@ def verify_vksub(
 ) -> VerificationReport:
     """Exact valuation of tr(a^p) - tr(a)^p, on flat coordinates."""
     witt_length("vksub", tower, n)
-    p, e_k = tower.p, tower.e_K
+    e_k = tower.e_K
     L, K, cap_K = tower.L, tower.K, tower.val_cap_K
     report = _base_report(tower, "vksub", {"samples": samples, "seed": seed})
     checked = 0
@@ -625,7 +625,7 @@ def verify_vksub(
         expected = e_k + va
         if expected >= cap_K - 1:
             continue
-        diff = K.sub(tower._trace_raw(L.pow(a, p)), K.pow(tower._trace_raw(a), p))
+        diff = K.sub(tower._trace_raw(L.pth_power(a)), K.pth_power(tower._trace_raw(a)))
         vk = ValExtended.at_cap(K.val_raw(diff), cap_K)
         checked += 1
         if not vk.finite or vk.value != expected:
@@ -640,15 +640,11 @@ def verify_vksub(
     return report
 
 
-def _residual(tower: ExtensionTower, comps: Sequence[OElem], level: int) -> OElem:
-    """The p-fold residual at the conjugate family (in O_L): the level-l
-    component of the Witt sum of the conjugate rows with columns l-1 and
-    l set to zero, which is the carry with column l-1 set to zero."""
-    rows = [
-        [tower.galois(c, i) for c in comps[: level - 2]] + [tower.L.zero]
-        for i in range(tower.p)
-    ]
-    return wittcore.carry_value(tower.p, level, rows, tower.L)
+def _residual(tower: ExtensionTower, columns: Sequence[tuple], level: int) -> tuple:
+    """The p-fold residual at level l on the conjugate columns (``columns[j]``
+    holds the conjugates of x_{j+1}): the carry with column l-1 zero, as one
+    ``ghost_sum`` pass over the first l-2 columns, on O_L flat coordinates."""
+    return wittcore.ghost_sum(tower.p, tower.L, columns[: level - 2], level)[-1]
 
 
 def verify_carry_identity(
@@ -657,10 +653,10 @@ def verify_carry_identity(
     """Division-free trace recursion for trace-zero vectors.
 
     Checks p*(-tr(x_l)) against the Frobenius bracket, the alternating
-    binomial term (both signs tried, the exact one recorded), and p
-    times the residual.
+    binomial term (both signs tried, the exact one recorded), and p times
+    the residual, on flat coordinates (traces and conjugates once each).
     """
-    p = tower.p
+    p, L, K = tower.p, tower.L, tower.K
     n = witt_length("carry_identity", tower, n)
     C = wittcore.alternating_binom_constant(p)
     report = _base_report(
@@ -668,21 +664,22 @@ def verify_carry_identity(
     )
     sign_ok = {"minus": True, "plus": True}
     for sample in _sampler_mix(tower, n, samples, seed, "carry"):
-        comps = sample.vec.components
+        comps = [c.data for c in sample.vec.components]
+        columns = [tower.conjugates_raw(c) for c in comps[: n - 2]]
+        traces = [tower._trace_raw(c) for c in comps]
         for level in range(2, n + 1):
-            t_l = tower.trace(comps[level - 1])
-            t_prev = tower.trace(comps[level - 2])
-            t_pow = tower.trace(comps[level - 2] ** p)
-            lhs = (-t_l) * p
-            base = t_pow - t_prev**p
-            h_val = tower.project_to_K(_residual(tower, comps, level))
-            cterm = (t_prev**p) * (C * p)
+            t_pow = tower._trace_raw(L.pth_power(comps[level - 2]))
+            t_prev_p = K.pth_power(traces[level - 2])
+            h = tower.project_to_K_raw(_residual(tower, columns, level))
+            # p*(-tr(x_l)) - (bracket + p*h), and the binomial term under each sign
+            rest = [
+                -p * t - (b - c) - p * u
+                for t, b, c, u in zip(traces[level - 1], t_pow, t_prev_p, h)
+            ]
+            cterm = [C * p * c for c in t_prev_p]
             matched = False
-            for sign, rhs in (
-                ("minus", base - cterm + h_val * p),
-                ("plus", base + cterm + h_val * p),
-            ):
-                if tower.eq_at_precision(lhs, rhs):
+            for sign, op in (("minus", operator.add), ("plus", operator.sub)):
+                if tower._zero_raw(map(op, rest, cterm)):
                     matched = True
                 else:
                     sign_ok[sign] = False
@@ -710,40 +707,37 @@ def verify_carry_identity(
 def verify_residual_invariant(
     tower: ExtensionTower, samples: int = 200, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """Residual values are Galois-fixed with the cascaded valuation bound."""
-    p = tower.p
+    """Residual values are Galois-fixed with the cascaded valuation bound, on
+    flat coordinates (conjugates and valuations once per component)."""
+    p, L, cap, e = tower.p, tower.L, tower.val_cap, tower.K.flat_rank
     n = witt_length("residual_invariant", tower, n)
     report = _base_report(
         tower, "residual_invariant", {"samples": samples, "seed": seed, "n": n}
     )
     for sample in _sampler_mix(tower, n, samples, seed, "residual"):
         label = sample.seed
-        comps = sample.vec.components
+        comps = [c.data for c in sample.vec.components[: n - 2]]
+        columns = [tower.conjugates_raw(c) for c in comps]
+        vals = [L.val_raw(c) for c in comps]
         for level in range(2, n + 1):
-            h_raw = _residual(tower, comps, level)
-            if not tower.eq_at_precision(tower.galois(h_raw), h_raw):
-                report.record_failure(
-                    {"seed": label, "level": level, "what": "not Galois-fixed"}
-                )
+            h = _residual(tower, columns, level)
+            if not tower._fixed_raw(h):
+                report.record_failure({"seed": label, "level": level, "what": "not Galois-fixed"})
                 continue
-            if not tower.in_K_at_precision(h_raw):
-                report.record_failure(
-                    {"seed": label, "level": level, "what": "not in fixed ring"}
-                )
+            if not tower._zero_raw(h[e:]):
+                report.record_failure({"seed": label, "level": level, "what": "not in fixed ring"})
                 continue
             if level == 2:
-                if not tower.is_zero_at_precision(h_raw):
-                    report.record_failure(
-                        {"seed": label, "level": level, "what": "h0 nonzero"}
-                    )
+                if not tower._zero_raw(h):
+                    report.record_failure({"seed": label, "level": level, "what": "h0 nonzero"})
                 continue
-            vals = [tower.vL(comps[i]) for i in range(level - 2)]
-            if not all(v.finite for v in vals):
+            # v_L of x_1..x_{l-2}, each decided below the cap
+            if any(v is None or v >= cap for v in vals[: level - 2]):
                 continue
-            bound = p * min(v.value for v in vals)
+            bound = p * min(vals[: level - 2])
             if bound > tower.val_cap_K - 1:
                 continue
-            vk = tower.vK(tower.project_to_K(h_raw))
+            vk = ValExtended.at_cap(tower.K.val_raw(h[:e]), tower.val_cap_K)
             margin = vk.capped() - bound
             _update_margin(report.margins, "residual_valuation_slack", margin)
             if not vk.at_least(bound):

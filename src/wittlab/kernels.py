@@ -6,9 +6,9 @@ timing or tracing, in one place.
 
 The rings of a tower do not multiply through a kernel call: each one
 holds a product that ``compile_flat_mul`` generated from its structure
-rows when the ring was built.  ``flat_mul`` is the reference that
-product is tested against.  Likewise a tower applies sigma^i and the
-trace through functions that ``compile_flat_linear`` generated from
+rows when the ring was built (and x -> x^p from ``compile_flat_pow``, on
+first use); ``flat_mul`` is the product's reference.  Likewise sigma^i and the
+trace run through functions that ``compile_flat_linear`` generated from
 their matrices when the tower was built; a plain matrix-vector product
 in the tests is their reference.
 """
@@ -16,6 +16,7 @@ in the tests is their reference.
 from ._kernels_py import (
     compile_flat_linear,
     compile_flat_mul,
+    compile_flat_pow,
     flat_mul,
     monomial_key_mul,
     sparse_add,

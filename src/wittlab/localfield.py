@@ -86,11 +86,6 @@ class ValExtended:
         """The value, or the cap when it is only known to be at least that."""
         return self.cap if self.value is None else self.value
 
-    def exact(self) -> int:
-        if self.value is None:
-            raise PrecisionTooLow(f"valuation only known to be >= {self.cap}")
-        return self.value
-
     def at_least(self, bound: int) -> bool:
         """Decide ``v >= bound``; refuses bounds beyond the cap."""
         if bound > self.cap:
@@ -171,7 +166,8 @@ class FlatRing:
     pi_L^j is the slice ``coeff(a, j)``.  ``weights[r]`` is the valuation
     of basis element r in this ring's units (i on O_K, i*p + j on O_L),
     and ``struct[r][m]`` holds the coordinates of the product of basis
-    elements r and m; ``mul`` is the product compiled from them.
+    elements r and m; ``mul`` is the product compiled from them, and
+    ``pth_power`` is x -> x^p, compiled from them on first use.
     ``ecoeffs`` are the non-leading coefficients of the level's
     Eisenstein polynomial, as elements of the level below.  ``rebuild``
     builds the same level at another digit count (``flat_lift``, which is
@@ -209,6 +205,7 @@ class FlatRing:
         self.pi_elem = struct[0][block] if self.flat_rank > 1 else (-ecoeffs[0] % self.modulus,)
         self._rebuild = rebuild  # base digits -> this ring at that precision
         self._lifts: dict[int, FlatRing] = {}
+        self._pth_power = None  # a cached_property's __dict__ write slows lookups
         # for val_raw: p^v -> v below the modulus, and (index, weight) of
         # the coordinates in increasing weight
         self._p_exponent = {p**v: v for v in range(digits)}
@@ -216,10 +213,6 @@ class FlatRing:
 
     def from_int(self, k: int) -> "OElem":
         return OElem(self, (k % self.modulus,) + self.zero_elem[1:])
-
-    def unflatten(self, coords: Sequence[int]) -> "OElem":
-        """The element with these flat coordinates, reduced."""
-        return OElem(self, self.reduce(coords))
 
     def flat_lift(self, extra_digits: int) -> "FlatRing":
         """This ring rebuilt at ``extra_digits`` more base digits, with its
@@ -255,15 +248,21 @@ class FlatRing:
         return tuple((x * k) % self.modulus for x in a)
 
     def pow(self, a, k: int):
-        result = self.one_elem
-        base = a
+        result = None
         while k:
             if k & 1:
-                result = self.mul(result, base)
+                result = a if result is None else self.mul(result, a)
             k >>= 1
             if k:
-                base = self.mul(base, base)
-        return result
+                a = self.mul(a, a)
+        return self.one_elem if result is None else result
+
+    @property
+    def pth_power(self):
+        """x -> x^p, compiled on first use (``kernels.compile_flat_pow``)."""
+        if self._pth_power is None:
+            self._pth_power = kernels.compile_flat_pow(self.struct, self.modulus, self.p, self.mul)
+        return self._pth_power
 
     def val_raw(self, a) -> int | None:
         """Valuation in this ring's units: v_p(c_r)*e + w(r) minimized over
@@ -765,9 +764,12 @@ class ExtensionTower:
         return (a,) + tuple(f(a) for f in self.galois_maps[1:])
 
     def _zero_raw(self, coords) -> bool:
-        """Zero at precision: every coordinate is 0 modulo p^N (see
-        ``is_zero_at_precision``), decided as gcd(p^N, c_0, c_1, ...) = p^N,
-        one gcd over all coordinates."""
+        """Zero at precision, v >= cap: every coordinate is 0 modulo p^N,
+        decided as gcd(p^N, c_0, c_1, ...) = p^N, one gcd.  In a ring of
+        ramification index e (the flat rank), basis element r has weight
+        w(r) < e and cap = e*N, so the coordinate c at r contributes
+        v_p(c)*e + w(r) >= e*N exactly when v_p(c) >= N; the weights are
+        distinct modulo e, so the valuation is the least contribution."""
         m = self.prec_modulus
         return math.gcd(m, *coords) == m
 
@@ -801,10 +803,6 @@ class ExtensionTower:
     def pi_L(self) -> OElem:
         return OElem(self.L, self.L.pi_elem)
 
-    @property
-    def pi_K(self) -> OElem:
-        return OElem(self.K, self.K.pi_elem)
-
     def embed_K(self, a: OElem) -> OElem:
         if a.level is not self.K:
             raise ValueError("embed_K expects an O_K element")
@@ -829,32 +827,6 @@ class ExtensionTower:
         if a.level is not self.K:
             raise ValueError("vK expects an O_K element")
         return ValExtended.at_cap(self.K.val_raw(a.data), self.val_cap_K)
-
-    def is_zero_at_precision(self, a: OElem) -> bool:
-        """v(a) >= cap, decided as: every coordinate is 0 modulo p^N.
-
-        In a ring of ramification index e (the flat rank), basis element
-        r has weight w(r) < e and cap = e*N, so the coordinate c at r
-        contributes v_p(c)*e + w(r) >= e*N exactly when v_p(c) >= N; the
-        weights are distinct modulo e, so v(a) is the least contribution.
-        """
-        if a.level is not self.L and a.level is not self.K:
-            raise ValueError("is_zero_at_precision expects an O_K or O_L element")
-        return self._zero_raw(a.data)
-
-    def eq_at_precision(self, a: OElem, b: OElem) -> bool:
-        return self.is_zero_at_precision(a - b)
-
-    def in_K_at_precision(self, a: OElem) -> bool:
-        """True when every pi_L coefficient beyond degree 0 vanishes."""
-        if a.level is self.K:
-            return True
-        return self._zero_raw(a.data[self.K.flat_rank :])
-
-    def project_to_K(self, a: OElem) -> OElem:
-        if a.level is self.K:
-            return a
-        return OElem(self.K, self.project_to_K_raw(a.data))
 
     def strict_break_regime(self) -> bool:
         """True when s > e_K/(p-1) strictly; towers sitting exactly on

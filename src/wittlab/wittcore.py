@@ -34,9 +34,9 @@ defined by subtraction, and the sign of the middle bracket that makes
 the degree audit pass is recorded rather than assumed.  The residual
 h_l equals carry_l with the column l-1 variables set to zero: it is the
 level-l component of the Witt sum of the p rows with columns l-1 and l
-set to zero, so numerically it is ``carry_value`` on rows whose column
-l-1 is zero, and the symbolic residual is needed only as audit and
-oracle.
+set to zero, so numerically it is one ``ghost_sum`` pass over columns
+1..l-2 at l levels, and the symbolic residual is needed only as audit
+and oracle.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import comb
 from typing import Sequence
 
@@ -286,9 +287,9 @@ def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> 
     """Components 1..``levels`` of the Witt sum of several vectors over a
     ring with ``flat_lift``, as reduced flat coordinate tuples.
     ``columns[i]`` holds component i+1 of every summand, each as the flat
-    coordinate tuple of a ring element.  ``levels`` is ``len(columns)``,
-    or one more: that level's column is then zero, so its component is
-    the carry into it.
+    coordinate tuple of a ring element.  ``levels`` is at least
+    ``len(columns)``; the columns above those given are zero and never
+    built, so with one level more the top component is the carry into it.
 
     With M the ring's base digits, the summands are read as elements of
     the lifted ring at M + levels - 1 digits, where
@@ -302,42 +303,36 @@ def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> 
     ring and the addition polynomials are integral, so S_l reduced modulo
     p^M is the polynomial value.  The pass goes level by level; at each
     level every lower column's summands and S_i are raised to the p-th
-    power once, through the lifted ring's compiled ``mul``.  The
+    power once, through the lifted ring's compiled ``pth_power``.  The
     numerator is a plain integer sum, reduced once, modulo the lifted
     modulus, before its division, which checks every coordinate and
     raises IntegralityViolation on a remainder; nothing is floored.
     """
-    if levels < 1 or levels not in (len(columns), len(columns) + 1):
+    if levels < max(1, len(columns)):
         raise ValueError(f"{len(columns)} columns give no {levels} levels")
     if not all(columns):
         raise ValueError("a column needs at least one summand")
     lifted = ring.flat_lift(levels - 1)
-    mul, modulus = lifted.mul, lifted.modulus
-    rows: list[list] = []  # the current p-powers of each column's summands
+    pth, modulus = lifted.pth_power, lifted.modulus
+    # the current p-powers of each column's summands; a zero column has none
+    rows = list(columns) + [[]] * (levels - len(columns))
     powers: list[tuple] = []  # the current p-power of each S_i
     sums = []
     for l in range(levels):
         num = lifted.zero_elem
         for i in range(l):
-            rows[i] = [_pth_power(y, p, mul) for y in rows[i]]
-            powers[i] = _pth_power(powers[i], p, mul)
+            ys = rows[i] = [pth(y) for y in rows[i]]
+            s = powers[i] = pth(powers[i])
             q = p**i
-            num = [c + q * (sum(ys) - s) for c, ys, s in zip(num, zip(*rows[i]), powers[i])]
+            t = zip(*ys) if ys else repeat(())
+            num = [c + q * (sum(y) - u) for c, y, u in zip(num, t, s)]
         q = p**l
-        if l < len(columns):
-            rows.append(columns[l])
-            num = [c + q * sum(ys) for c, ys in zip(num, zip(*rows[l]))]
+        if rows[l]:
+            num = [c + q * sum(y) for c, y in zip(num, zip(*rows[l]))]
         s = _divide_exact(num, q, modulus)
         powers.append(s)
         sums.append(ring.reduce(s))
     return tuple(sums)
-
-
-def _pth_power(x: tuple, p: int, mul) -> tuple:
-    out = x
-    for _ in range(p - 1):
-        out = mul(out, x)
-    return out
 
 
 def _divide_exact(coords, q: int, modulus: int) -> tuple:

@@ -1,12 +1,55 @@
-"""Slow reference forms of the ring primitives that run on one C-level
-call each: ``FlatRing.val_raw`` and ``ExtensionTower._zero_raw`` (one
-gcd) and the draws of ``localfield._uniform``/``_below`` (getrandbits).
-These are the per-coordinate loops and the plain ``rng.randrange`` calls
-they replaced; the test modules compare the fast forms against them, and
-the field-lemma oracles in ``test_cohomlab`` draw and take valuations
-through them only."""
+"""Slow reference forms of the fast paths, kept as their test oracles.
 
+* The ring primitives that run on one C-level call each:
+  ``FlatRing.val_raw`` and ``ExtensionTower._zero_raw`` (one gcd) and the
+  draws of ``localfield._uniform``/``_below`` (getrandbits).  These are
+  the per-coordinate loops and the plain ``rng.randrange`` calls they
+  replaced; the test modules compare the fast forms against them, and the
+  field-lemma oracles in ``test_cohomlab`` draw and take valuations
+  through them only.
+* The Witt lemmas ``carry_identity`` and ``residual_invariant`` on OElem
+  components: Galois conjugates one element at a time, the residual
+  through ``wittcore.carry_value`` on rows with an explicit zero column,
+  and every check through the OElem dunders and the tower's
+  ``ValExtended`` accessors.  ``cohomlab`` runs both lemmas on flat
+  conjugate columns; their reports must agree byte for byte.
+* ``unflatten``, ``is_zero_at_precision``, ``eq_at_precision``,
+  ``in_K_at_precision``, ``pi_K`` and ``project_to_K``: OElem helpers
+  that only the tests use.
+"""
+
+from wittlab import cohomlab, wittcore
+from wittlab.cohomlab import _base_report, _update_margin, witt_length
 from wittlab.localfield import OElem, ValExtended
+from wittlab.wittcore import PFOLD_RANGE
+
+
+def unflatten(ring, coords) -> OElem:
+    """The element of ``ring`` with these flat coordinates, reduced."""
+    return OElem(ring, ring.reduce(coords))
+
+
+def is_zero_at_precision(tower, a: OElem) -> bool:
+    """v(a) >= cap: every coordinate is 0 modulo p^N (``_zero_raw``)."""
+    return tower._zero_raw(a.data)
+
+
+def eq_at_precision(tower, a: OElem, b: OElem) -> bool:
+    return is_zero_at_precision(tower, a - b)
+
+
+def in_K_at_precision(tower, a: OElem) -> bool:
+    """Every pi_L coefficient of an O_L element beyond degree 0 vanishes."""
+    return tower._zero_raw(a.data[tower.K.flat_rank :])
+
+
+def pi_K(tower) -> OElem:
+    return OElem(tower.K, tower.K.pi_elem)
+
+
+def project_to_K(tower, a: OElem) -> OElem:
+    """An O_L element that lies in O_K at precision, as an O_K element."""
+    return OElem(tower.K, tower.project_to_K_raw(a.data))
 
 
 def vp_int_by_division(x, p, vmax):
@@ -55,13 +98,13 @@ def vK_by_coordinates(tower, a: OElem) -> ValExtended:
 
 
 def randrange_K_elem(tower, rng) -> OElem:
-    return tower.K.unflatten([rng.randrange(tower.modulus) for _ in range(tower.K.flat_rank)])
+    return unflatten(tower.K, [rng.randrange(tower.modulus) for _ in range(tower.K.flat_rank)])
 
 
 def randrange_L_elem(tower, rng, spread_valuation=False) -> OElem:
     """``ExtensionTower.random_L_elem`` drawn with one ``rng.randrange``
     per coordinate, and the pi_L power by ``OElem.__pow__``."""
-    a = tower.L.unflatten([rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank)])
+    a = unflatten(tower.L, [rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank)])
     if spread_valuation:
         a = a * tower.pi_L ** rng.randrange(0, max(1, tower.val_cap // 3))
     return a
@@ -72,3 +115,112 @@ def randrange_L_unit(tower, rng) -> OElem:
         a = randrange_L_elem(tower, rng)
         if val_by_coordinates(tower.L, a.data) == 0:
             return a
+
+
+def residual_by_carry_value(tower, comps, level) -> OElem:
+    """The p-fold residual at the conjugate family (in O_L): the level-l
+    component of the Witt sum of the conjugate rows with columns l-1 and
+    l set to zero, which is the carry with column l-1 set to zero."""
+    rows = [
+        [tower.galois(c, i) for c in comps[: level - 2]] + [tower.L.zero]
+        for i in range(tower.p)
+    ]
+    return wittcore.carry_value(tower.p, level, rows, tower.L)
+
+
+def carry_identity_by_elements(tower, samples=200, seed=0, n=None):
+    """``cohomlab.verify_carry_identity`` on OElem components."""
+    p = tower.p
+    n = witt_length("carry_identity", tower, n)
+    C = wittcore.alternating_binom_constant(p)
+    report = _base_report(
+        tower, "carry_identity", {"samples": samples, "seed": seed, "n": n}
+    )
+    sign_ok = {"minus": True, "plus": True}
+    for sample in cohomlab._sampler_mix(tower, n, samples, seed, "carry"):
+        comps = sample.vec.components
+        for level in range(2, n + 1):
+            t_l = tower.trace(comps[level - 1])
+            t_prev = tower.trace(comps[level - 2])
+            t_pow = tower.trace(comps[level - 2] ** p)
+            lhs = (-t_l) * p
+            base = t_pow - t_prev**p
+            h_val = project_to_K(tower, residual_by_carry_value(tower, comps, level))
+            cterm = (t_prev**p) * (C * p)
+            matched = False
+            for sign, rhs in (
+                ("minus", base - cterm + h_val * p),
+                ("plus", base + cterm + h_val * p),
+            ):
+                if eq_at_precision(tower, lhs, rhs):
+                    matched = True
+                else:
+                    sign_ok[sign] = False
+            if not matched:
+                report.record_failure({"seed": sample.seed, "level": level})
+    if sign_ok["minus"]:
+        report.sign_convention = "minus"
+        report.observations["c_term_degenerate"] = C == 0
+    elif sign_ok["plus"]:
+        report.sign_convention = "plus"
+    else:
+        report.sign_convention = "neither"
+        if not report.failures:
+            report.record_failure({"what": "no consistent sign convention"})
+    report.observations["carry_constant"] = C
+    report.observations["symbolic_sign_convention"] = (
+        wittcore.pfold_decomposition(p, n).sign_convention
+        if n <= PFOLD_RANGE.get(p, 0)
+        else None
+    )
+    return report
+
+
+def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
+    """``cohomlab.verify_residual_invariant`` on OElem components."""
+    p = tower.p
+    n = witt_length("residual_invariant", tower, n)
+    report = _base_report(
+        tower, "residual_invariant", {"samples": samples, "seed": seed, "n": n}
+    )
+    for sample in cohomlab._sampler_mix(tower, n, samples, seed, "residual"):
+        label = sample.seed
+        comps = sample.vec.components
+        for level in range(2, n + 1):
+            h_raw = residual_by_carry_value(tower, comps, level)
+            if not eq_at_precision(tower, tower.galois(h_raw), h_raw):
+                report.record_failure(
+                    {"seed": label, "level": level, "what": "not Galois-fixed"}
+                )
+                continue
+            if not in_K_at_precision(tower, h_raw):
+                report.record_failure(
+                    {"seed": label, "level": level, "what": "not in fixed ring"}
+                )
+                continue
+            if level == 2:
+                if not is_zero_at_precision(tower, h_raw):
+                    report.record_failure(
+                        {"seed": label, "level": level, "what": "h0 nonzero"}
+                    )
+                continue
+            vals = [tower.vL(comps[i]) for i in range(level - 2)]
+            if not all(v.finite for v in vals):
+                continue
+            bound = p * min(v.value for v in vals)
+            if bound > tower.val_cap_K - 1:
+                continue
+            vk = tower.vK(project_to_K(tower, h_raw))
+            margin = vk.capped() - bound
+            _update_margin(report.margins, "residual_valuation_slack", margin)
+            if not vk.at_least(bound):
+                report.record_failure(
+                    {
+                        "seed": label,
+                        "level": level,
+                        "what": "valuation bound",
+                        "v_K(h)": vk.value,
+                        "bound": bound,
+                    }
+                )
+    return report

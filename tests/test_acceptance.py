@@ -13,9 +13,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-import pytest
-
-from wittlab import cohomlab, localfield, wittcore
+from wittlab import cohomlab, wittcore
 from wittlab.exactpoly import INT_RING, ModRing
 from wittlab.wittcore import BINARY_RANGE, PFOLD_RANGE, ctx_for, pfold_decomposition
 

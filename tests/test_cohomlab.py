@@ -22,9 +22,9 @@ from wittlab.cohomlab import (
 )
 from wittlab.localfield import (
     NoSolutionAtPrecision,
+    OElem,
     PrecisionTooLow,
     TraceNotRational,
-    ValExtended,
     build_tower,
 )
 from wittlab.wittcore import (
@@ -37,9 +37,15 @@ from wittlab.wittcore import (
 )
 
 from oracles import (
+    carry_identity_by_elements,
+    eq_at_precision,
+    is_zero_at_precision,
+    project_to_K,
     randrange_K_elem,
     randrange_L_elem,
     randrange_L_unit,
+    residual_invariant_by_elements,
+    unflatten,
     vK_by_coordinates,
     vL_by_coordinates,
     zero_by_coordinates,
@@ -51,7 +57,7 @@ class TestWittTrace:
         ctx = ctx_for(2, 2)
         z = ctx.vec(q2_i.L, [0] * 2)
         out = witt_trace(q2_i, z)
-        assert all(q2_i.is_zero_at_precision(c) for c in out.components)
+        assert all(is_zero_at_precision(q2_i, c) for c in out.components)
 
     def test_coboundary_has_zero_trace(self, towers):
         for tower in towers.values():
@@ -60,7 +66,7 @@ class TestWittTrace:
             for _ in range(10):
                 sample = coboundary_sample(tower, n, rng)
                 assert all(
-                    tower.is_zero_at_precision(c)
+                    is_zero_at_precision(tower, c)
                     for c in witt_trace(tower, sample.vec).components
                 )
 
@@ -82,7 +88,7 @@ class TestWittTrace:
         ctx = ctx_for(2, 1)
         vec = WittVec(ctx, q2_i.L, (q2_i.pi_L - 1,))
         out = witt_trace(q2_i, vec)
-        assert q2_i.is_zero_at_precision(out.components[0])
+        assert is_zero_at_precision(q2_i, out.components[0])
 
     def test_additive(self, q2_i, q3):
         for tower in (q2_i, q3):
@@ -98,7 +104,7 @@ class TestWittTrace:
                 lhs = witt_trace(tower, x + y)
                 rhs = witt_trace(tower, x) + witt_trace(tower, y)
                 assert all(
-                    tower.eq_at_precision(tower.embed_K(a), tower.embed_K(b))
+                    eq_at_precision(tower, tower.embed_K(a), tower.embed_K(b))
                     for a, b in zip(lhs.components, rhs.components)
                 )
 
@@ -109,7 +115,7 @@ class TestSampler:
         for _ in range(20):
             s = sample_trace_zero(q2_i, 1, rng)
             x1 = s.vec.components[0]
-            assert q2_i.is_zero_at_precision(q2_i.trace(x1))
+            assert is_zero_at_precision(q2_i, q2_i.trace(x1))
 
     def test_q2i_level2_forces_even_multiplier(self, q2_i):
         # a length-2 trace-zero vector over the Gaussian tower must have
@@ -127,7 +133,7 @@ class TestSampler:
             for _ in range(5):
                 s = sample_trace_zero(tower, n, rng)
                 assert all(
-                    tower.is_zero_at_precision(c)
+                    is_zero_at_precision(tower, c)
                     for c in witt_trace(tower, s.vec).components
                 )
                 assert s.provenance == "recursive-sampler"
@@ -139,7 +145,7 @@ def sample_with_fresh_carries(tower, n, rng, retries=32, cuts=None):
     elements are summed from OElems over the basis derived from the
     Smith form.  The oracle for ``sample_trace_zero``.  ``cuts``, if
     given, receives (level, depth) for each failure."""
-    basis = [tower.L.unflatten(k) for k in tower._trace_snf.kernel_basis()]
+    basis = [unflatten(tower.L, k) for k in tower._trace_snf.kernel_basis()]
 
     def kernel_elem():
         acc = tower.L.zero
@@ -156,8 +162,8 @@ def sample_with_fresh_carries(tower, n, rng, retries=32, cuts=None):
         rows = [[tower.galois(c, i) for c in comps[: level - 1]] for i in range(tower.p)]
         carry = wittcore.carry_value(tower.p, level, rows, tower.L)
         try:
-            part, _ = tower.solve_trace_eq((-tower.project_to_K(carry)).data)
-            part = tower.L.unflatten(part)
+            part, _ = tower.solve_trace_eq((-project_to_K(tower, carry)).data)
+            part = unflatten(tower.L, part)
         except NoSolutionAtPrecision:
             budget -= 1
             fail_streak += 1
@@ -254,11 +260,11 @@ def trace_eq_solvable(tower, comps) -> bool:
     O_L coordinates of x_1..x_{l-1}), by the oracle path: OElem
     conjugates, ``carry_value`` and the trace solve."""
     level = len(comps) + 1
-    elems = [tower.L.unflatten(c) for c in comps]
+    elems = [unflatten(tower.L, c) for c in comps]
     rows = [[tower.galois(c, i) for c in elems] for i in range(tower.p)]
     carry = wittcore.carry_value(tower.p, level, rows, tower.L)
     try:
-        tower.solve_trace_eq((-tower.project_to_K(carry)).data)
+        tower.solve_trace_eq((-project_to_K(tower, carry)).data)
     except NoSolutionAtPrecision:
         return False
     return True
@@ -411,7 +417,7 @@ def polynomial_trace(tower, x):
     """Witt trace by the addition polynomials: the oracle for the flat
     ``witt_trace``."""
     conj = [galois_vec(tower, x, i) for i in range(tower.p)]
-    return [tower.project_to_K(c).data for c in polynomial_witt_sum(conj).components]
+    return [project_to_K(tower, c).data for c in polynomial_witt_sum(conj).components]
 
 
 @pytest.mark.parametrize(
@@ -427,7 +433,7 @@ def test_witt_trace_matches_polynomials(all_towers, name, n, data):
     x = WittVec(
         ctx_for(tower.p, n),
         tower.L,
-        tuple(tower.L.unflatten(data.draw(coords)) for _ in range(n)),
+        tuple(unflatten(tower.L, data.draw(coords)) for _ in range(n)),
     )
     got = witt_trace(tower, x)
     assert got.ring is tower.K
@@ -463,7 +469,7 @@ def test_sampler_refuses_a_corrupted_sigma(all_towers, name, monkeypatch):
 def test_trace_kernel_basis_is_cached(all_towers):
     for tower in all_towers.values():
         basis = tower.trace_kernel_flat
-        derived = [tower.L.unflatten(k) for k in tower._trace_snf.kernel_basis()]
+        derived = [unflatten(tower.L, k) for k in tower._trace_snf.kernel_basis()]
         assert list(basis) == [k.data for k in derived]
         # each vector is reduced and lies in the trace kernel
         assert all(tower.L.reduce(k) == k for k in basis)
@@ -483,9 +489,12 @@ def symbolic_residual(tower, comps, level):
 
 
 def assert_residuals_match(tower, comps, residual):
+    """``residual(tower, columns, level)``, on the flat conjugate columns
+    of ``comps``, against the symbolic residual at every level."""
+    columns = [tower.conjugates_raw(c.data) for c in comps]
     for level in range(2, len(comps) + 1):
-        got = residual(tower, comps, level)
-        assert got.data == symbolic_residual(tower, comps, level).data, level
+        got = residual(tower, columns, level)
+        assert got == symbolic_residual(tower, comps, level).data, level
 
 
 def residual_components(tower, kind, draw_int):
@@ -496,7 +505,7 @@ def residual_components(tower, kind, draw_int):
         return sample_trace_zero(tower, n, random.Random(draw_int(0, 2**32))).vec.components
     top = tower.modulus - 1
     return tuple(
-        tower.L.unflatten([draw_int(0, top) for _ in range(tower.L.flat_rank)])
+        unflatten(tower.L, [draw_int(0, top) for _ in range(tower.L.flat_rank)])
         for _ in range(n)
     )
 
@@ -511,24 +520,35 @@ def test_residual_matches_symbolic(all_towers, name, kind, data):
     assert_residuals_match(tower, comps, cohomlab._residual)
 
 
-def residual_zeroing_column_below(tower, comps, level):
+def conjugate_rows(tower, columns):
+    """Row i holds sigma^i of each component, as OElems."""
+    return [[OElem(tower.L, col[i]) for col in columns] for i in range(tower.p)]
+
+
+def residual_zeroing_column_below(tower, columns, level):
     """Mutant: zeroes column l-2 instead of l-1."""
-    rows = []
-    for i in range(tower.p):
-        row = [tower.galois(c, i) for c in comps[: level - 1]]
-        if level >= 3:
+    rows = conjugate_rows(tower, columns[: level - 1])
+    if level >= 3:
+        for row in rows:
             row[level - 3] = tower.L.zero
-        rows.append(row)
-    return wittcore.carry_value(tower.p, level, rows, tower.L)
+    return wittcore.carry_value(tower.p, level, rows, tower.L).data
 
 
-def residual_keeping_column(tower, comps, level):
+def residual_keeping_column(tower, columns, level):
     """Mutant: leaves column l-1 in, so it returns the whole carry."""
-    rows = [[tower.galois(c, i) for c in comps[: level - 1]] for i in range(tower.p)]
-    return wittcore.carry_value(tower.p, level, rows, tower.L)
+    rows = conjugate_rows(tower, columns[: level - 1])
+    return wittcore.carry_value(tower.p, level, rows, tower.L).data
 
 
-@pytest.mark.parametrize("mutant", [residual_zeroing_column_below, residual_keeping_column])
+def residual_slice_one_long(tower, columns, level):
+    """Mutant: the flat pass over ``columns[:level-1]``, one column more
+    than the residual's l-2."""
+    return wittcore.ghost_sum(tower.p, tower.L, columns[: level - 1], level)[-1]
+
+
+@pytest.mark.parametrize(
+    "mutant", [residual_zeroing_column_below, residual_keeping_column, residual_slice_one_long]
+)
 @pytest.mark.parametrize("kind", ["trace-zero", "random"])
 def test_residual_mutants_fail(all_towers, mutant, kind):
     rng = random.Random(0)
@@ -563,14 +583,14 @@ class TestClassDecisions:
         verdict = level1_class_trivial(q2_i, c)
         assert verdict.status == "trivial"
         got = q2_i.galois(verdict.witness) - verdict.witness
-        assert q2_i.eq_at_precision(got, c)
+        assert eq_at_precision(q2_i, got, c)
 
     def test_obstruction_past_the_precision_is_undetermined(self, q2_i, q3):
         # x = p^(N-1) has trace p^N, zero at precision; its obstruction
         # sits at depth N, deeper than N - delta, so nothing is certified
         for tower in (q2_i, q3):
             x = tower.L.from_int(tower.p ** (tower.N - 1))
-            assert tower.is_zero_at_precision(tower.trace(x))
+            assert is_zero_at_precision(tower, tower.trace(x))
             verdict = level1_class_trivial(tower, x)
             assert verdict.status == "undetermined"
             assert verdict.obstruction_depth == tower.N
@@ -950,6 +970,74 @@ class TestFieldLemmaOracles:
                     got = cohomlab.verify_fixed_points(tower, samples=5, seed=0)
                 want = oracle_fixed_points(tower, 5, 0)
                 assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+
+
+# -- the Witt lemmas against their OElem forms -------------------------------
+#
+# carry_identity and residual_invariant run on flat conjugate columns; the
+# bodies they had on OElem components, with the residual through
+# ``carry_value`` on rows with an explicit zero column, are their oracles
+# in ``oracles``.
+
+WITT_LEMMA_ORACLES = {
+    "carry_identity": carry_identity_by_elements,
+    "residual_invariant": residual_invariant_by_elements,
+}
+
+
+class TestWittLemmaOracles:
+    @pytest.mark.parametrize("lemma", sorted(WITT_LEMMA_ORACLES))
+    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    def test_flat_verifier_matches_oracle(self, all_towers, name, lemma):
+        # n = PFOLD_RANGE[p] + 1 is past the symbolic tables; on the nested
+        # towers it is past the precision too, and both refuse it alike
+        tower = all_towers[name]
+        for n in (2, 3, PFOLD_RANGE[tower.p] + 1):
+            for seed in range(3):
+                try:
+                    want = WITT_LEMMA_ORACLES[lemma](tower, samples=3, seed=seed, n=n)
+                except cohomlab.WittLengthOutOfRange as exc:
+                    with pytest.raises(cohomlab.WittLengthOutOfRange, match=re.escape(str(exc))):
+                        cohomlab.VERIFIERS[lemma](tower, samples=3, seed=seed, n=n)
+                    continue
+                got = cohomlab.VERIFIERS[lemma](tower, samples=3, seed=seed, n=n)
+                assert got.to_json(include_runtime=False) == want.to_json(
+                    include_runtime=False
+                ), (n, seed)
+
+    @pytest.mark.parametrize("name", ["q2_i", "q3"])
+    def test_failing_carry_reports_match_oracle(self, all_towers, name, monkeypatch):
+        # an alternating binomial constant off by one breaks both signs
+        # wherever tr(x_{l-1}) is nonzero, so the failure payloads and the
+        # "neither" convention are compared as well
+        tower = all_towers[name]
+        C = wittcore.alternating_binom_constant(tower.p)
+        monkeypatch.setattr(wittcore, "alternating_binom_constant", lambda p: C + 1)
+        n = PFOLD_RANGE[tower.p]
+        got = cohomlab.verify_carry_identity(tower, samples=6, seed=2, n=n)
+        assert got.status == "FAIL"
+        want = carry_identity_by_elements(tower, samples=6, seed=2, n=n)
+        assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+
+    @pytest.mark.parametrize("name", ["q2_i", "q3"])
+    def test_failing_residual_reports_match_oracle(self, all_towers, name, monkeypatch):
+        # samples drawn under the true sigma, checked under a sigma with one
+        # entry off by one: the residuals move off the fixed ring, and the
+        # failure payloads are compared as well
+        tower = all_towers[name]
+        n = PFOLD_RANGE[tower.p]
+        drawn = list(cohomlab._sampler_mix(tower, n, 6, 2, "residual"))
+        rows = [list(row) for row in tower.galois_mats[1]]
+        rows[0][1] = (rows[0][1] + 1) % tower.modulus
+        maps = tower.galois_maps
+        monkeypatch.setattr(cohomlab, "_sampler_mix", lambda *args, **kwargs: iter(drawn))
+        monkeypatch.setattr(
+            tower, "galois_maps", (maps[0], compile_flat_linear(rows, tower.modulus)) + maps[2:]
+        )
+        got = cohomlab.verify_residual_invariant(tower, samples=6, seed=2, n=n)
+        assert got.status == "FAIL"
+        want = residual_invariant_by_elements(tower, samples=6, seed=2, n=n)
+        assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
 
 
 class TestSampleStream:

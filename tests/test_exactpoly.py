@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittlab.exactpoly import (
-    INT_RING,
     ModRing,
     Monomial,
     MPoly,

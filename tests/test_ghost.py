@@ -23,6 +23,8 @@ from wittlab.wittcore import (
     witt_sum,
 )
 
+from oracles import unflatten
+
 # the four builtin towers and the two nested towers of conftest.py
 TOWER_PRIMES = {
     "q2_i": 2,
@@ -51,7 +53,7 @@ def draw_vectors(data, tower, n, count, top_zero=False):
     ctx = ctx_for(tower.p, n)
     vecs = []
     for _ in range(count):
-        comps = [tower.L.unflatten(data.draw(coords)) for _ in range(n)]
+        comps = [unflatten(tower.L, data.draw(coords)) for _ in range(n)]
         if top_zero:
             comps[-1] = tower.L.zero
         vecs.append(WittVec(ctx, tower.L, tuple(comps)))
@@ -132,7 +134,7 @@ def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
         ctx = ctx_for(tower.p, n)
         for _ in range(5):
             comps = [
-                tower.L.unflatten([rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank)])
+                unflatten(tower.L, [rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank)])
                 for _ in range(n)
             ]
             y = WittVec(ctx, tower.L, tuple(comps))
@@ -205,16 +207,16 @@ def test_lift_reduces_to_the_working_ring(all_towers):
 
 
 def test_non_divisible_ghost_numerator_raises(q2_i, monkeypatch):
-    """A product that is off by one leaves w_2 - S_1^2 odd."""
+    """A square that is off by one leaves w_2 - S_1^2 odd."""
     lifted = q2_i.L.flat_lift(1)  # the ring a length-2 sum runs in
-    good = lifted.mul
+    good = lifted.pth_power
 
-    def off_by_one(a, b):
-        out = good(a, b)
+    def off_by_one(a):
+        out = good(a)
         return ((out[0] + 1) % lifted.modulus,) + out[1:]
 
     vec = ctx_for(2, 2).vec(q2_i.L, [1, 0])
-    monkeypatch.setattr(lifted, "mul", off_by_one)
+    monkeypatch.setattr(lifted, "_pth_power", off_by_one)
     with pytest.raises(IntegralityViolation):
         wittcore.witt_sum([vec, vec])
 
@@ -239,7 +241,7 @@ def check_ghost_sum(tower, draw):
     p, modulus, rank = tower.p, tower.modulus, tower.L.flat_rank
     n = draw(1, min(4, BINARY_RANGE[p]))
     columns = [
-        [tower.L.unflatten([draw(0, modulus - 1) for _ in range(rank)]) for _ in range(p)]
+        [unflatten(tower.L, [draw(0, modulus - 1) for _ in range(rank)]) for _ in range(p)]
         for _ in range(n)
     ]
     ctx = ctx_for(p, n)
@@ -272,11 +274,20 @@ def lift_one_short(monkeypatch):
     monkeypatch.setattr(FlatRing, "flat_lift", lambda ring, extra: lift(ring, extra - 1))
 
 
+def wrap_pth_power(monkeypatch, wrap):
+    """Every ring's ``pth_power`` reads as ``wrap(power)``, ``power`` the
+    one the ring compiles."""
+    compiled = vars(FlatRing)["pth_power"]
+    monkeypatch.setattr(
+        FlatRing, "pth_power", property(lambda ring: wrap(compiled.__get__(ring, FlatRing)))
+    )
+
+
 def s_power_skipped(monkeypatch):
     """Mutant: a pass skips S_1's p-th power at level 2, so S_1 enters
     that level's numerator unraised and every later level one power
     short."""
-    divide, power = wittcore._divide_exact, wittcore._pth_power
+    divide = wittcore._divide_exact
     state = {}
 
     def recorded(coords, q, modulus):
@@ -285,14 +296,17 @@ def s_power_skipped(monkeypatch):
             state["s1"] = out
         return out
 
-    def skipping(x, p, mul):
-        if x is state.get("s1"):
-            state["s1"] = None
-            return x
-        return power(x, p, mul)
+    def skipping(power):
+        def pth(x):
+            if x is state.get("s1"):
+                state["s1"] = None
+                return x
+            return power(x)
+
+        return pth
 
     monkeypatch.setattr(wittcore, "_divide_exact", recorded)
-    monkeypatch.setattr(wittcore, "_pth_power", skipping)
+    wrap_pth_power(monkeypatch, skipping)
 
 
 @pytest.mark.parametrize(
@@ -311,20 +325,34 @@ def test_engine_mutants_fail(all_towers, mutant, monkeypatch):
 @pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
 def test_each_lower_column_is_raised_once_per_level(all_towers, name, monkeypatch):
     """At level l a pass raises the summands and S_i of each of the l-1
-    columns below it to the p-th power once, and nothing else."""
+    columns below it to the p-th power once, and nothing else: a column
+    above those given is zero and has no summands to raise."""
     tower = all_towers[name]
     p, rng = tower.p, random.Random(7)
     calls = []
-    power = wittcore._pth_power
-    monkeypatch.setattr(
-        wittcore, "_pth_power", lambda x, p, mul: calls.append(x) or power(x, p, mul)
-    )
-    for width in (1, 2, 3):
+    wrap_pth_power(monkeypatch, lambda power: lambda x: calls.append(x) or power(x))
+    for width in (0, 1, 2, 3):
         columns = [[tower.random_L_elem(rng).data for _ in range(p)] for _ in range(width)]
-        for levels in (width, width + 1):
+        for levels in range(max(1, width), width + 3):
             calls.clear()
             ghost_sum(p, tower.L, columns, levels)
-            assert len(calls) == (p + 1) * levels * (levels - 1) // 2
+            summands = p * sum(min(l, width) for l in range(levels))
+            assert len(calls) == summands + levels * (levels - 1) // 2
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+def test_implicit_zero_columns_match_explicit(all_towers, name):
+    """Columns above those given count as zero: the pass equals the same
+    pass with those columns given as zeros."""
+    tower = all_towers[name]
+    p, rng, zero = tower.p, random.Random(5), tower.L.zero_elem
+    for width in (0, 1, 2, 3):
+        columns = [[tower.random_L_elem(rng).data for _ in range(p)] for _ in range(width)]
+        for levels in range(max(1, width), width + 3):
+            explicit = columns + [[zero] * p] * (levels - width)
+            assert ghost_sum(p, tower.L, columns, levels) == ghost_sum(
+                p, tower.L, explicit, levels
+            )
 
 
 def test_engine_refuses_out_of_range_columns(q2_i):
@@ -332,8 +360,10 @@ def test_engine_refuses_out_of_range_columns(q2_i):
     column = [one, one]
     for columns, levels in (
         ([column, column], 1),
-        ([column, column], 4),
+        ([column, column, column], 2),
+        ([column], 0),
         ([], 0),
+        ([], -1),
         ([column, []], 2),
         ([[]], 2),
     ):

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import pathlib
 import random
 import re
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 import wittlab
 from wittlab import _kernels_py as pure
 from wittlab import kernels
+from wittlab.localfield import build_tower
+
+from oracles import pi_K, unflatten
 
 
 def rand_terms(rng, nvars=5, nterms=8, maxexp=6):
@@ -132,10 +136,10 @@ class TestRingProducts:
     def test_uniformizers_are_roots(self, all_towers):
         for name, tower in all_towers.items():
             e_k, e_l = eisenstein_coeffs(tower)
-            pi_K, pi_L = tower.pi_K, tower.pi_L
-            at_pi_K = sum((pi_K**i * c for i, c in enumerate(e_k)), pi_K ** len(e_k))
+            pk, pi_L = pi_K(tower), tower.pi_L
+            at_pi_K = sum((pk**i * c for i, c in enumerate(e_k)), pk ** len(e_k))
             at_pi_L = sum(
-                (tower.embed_K(tower.K.unflatten(c)) * pi_L**j for j, c in enumerate(e_l)),
+                (tower.embed_K(unflatten(tower.K, c)) * pi_L**j for j, c in enumerate(e_l)),
                 pi_L**tower.p,
             )
             assert at_pi_K == 0 and at_pi_L == 0, name
@@ -274,12 +278,116 @@ class TestCompiledProduct:
         assert names <= {"def", "mul", "return", "a", "b"} | {
             f"{x}{k}" for x in "abg" for k in range(9)
         }
+        # the expanded p-th power: 10 monomials of degree 3 in a0, a1, a2
+        power = ring.pth_power
+        assert "expansion" in power.__code__.co_filename
+        names = set(power.__code__.co_varnames) | set(power.__code__.co_names)
+        assert names <= {"a"} | {f"{x}{k}" for x in "ag" for k in range(10)}
 
     def test_unit_rows_add_directly(self, q3):
         # O_L of q3_ramified: pi_L^0..pi_L^2 are basis vectors, so only
         # the cells landing on pi_L^3 and pi_L^4 are reduced before scaling
         source = pure.flat_mul_source(pure.flat_mul_plan(q3.L.struct), 3, q3.modulus)
         assert source.count(f") % {q3.modulus}\n") == 2
+
+
+def mul_chain(ring, x):
+    """x^p as p-1 chained products of the ring's compiled ``mul``."""
+    out = x
+    for _ in range(ring.p - 1):
+        out = ring.mul(out, x)
+    return out
+
+
+def pow_form(power):
+    """"expansion" or "chain", read from the compiled function's name."""
+    return power.__code__.co_filename.split()[-1].rstrip(">")
+
+
+POW_RINGS = [
+    (name, level, extra)
+    for name in TOWER_NAMES
+    for level in ("K", "L")
+    for extra in range(5)
+]
+
+
+def special_coords(ring):
+    """Zero, one, p^(D-1) and modulus-1 in every coordinate, D the digits."""
+    return [
+        ring.zero_elem,
+        ring.one_elem,
+        (ring.p ** (ring.digits - 1),) * ring.flat_rank,
+        (ring.modulus - 1,) * ring.flat_rank,
+    ]
+
+
+class TestCompiledPower:
+    """The p-th power each ring compiles on first use against p-1 chained
+    calls of its compiled product."""
+
+    @pytest.mark.parametrize("name,level,extra", POW_RINGS)
+    @PRODUCT_PROPERTY
+    @given(data=st.data())
+    def test_tower_rings_match_mul_chain(self, all_towers, name, level, extra, data):
+        ring = ring_at(all_towers[name], level, extra)
+        special = [0, 1, ring.p ** (ring.digits - 1), ring.modulus - 1]
+        digit = st.sampled_from(special) | st.integers(0, ring.modulus - 1)
+        drawn = [
+            tuple(data.draw(digit) for _ in range(ring.flat_rank)) for _ in range(4)
+        ]
+        for x in special_coords(ring) + drawn:
+            assert ring.pth_power(x) == mul_chain(ring, x)
+
+    def test_both_forms_are_reached(self, all_towers):
+        # rank and p decide: the expansion when C(r+p-1, p) < (p-1)*r^2,
+        # which at p = 2 holds from rank 2 on; rank-1 O_K over Q_2 chains
+        forms = {}
+        for name, level, extra in POW_RINGS:
+            ring = ring_at(all_towers[name], level, extra)
+            form = pow_form(ring.pth_power)
+            r, p = ring.flat_rank, ring.p
+            assert form == ("expansion" if math.comb(r + p - 1, p) < (p - 1) * r * r else "chain")
+            forms.setdefault(form, []).append((name, level, r))
+        assert set(forms) == {"expansion", "chain"}
+        assert ("q3", "L", 3) in forms["expansion"] and ("q2_i", "K", 1) in forms["chain"]
+
+    def test_large_rank_keeps_the_chain(self):
+        # rank 7 at p = 7: 1716 monomials against 294 products
+        struct = tuple(
+            tuple(tuple(int(k == (i + j) % 7) for k in range(7)) for j in range(7))
+            for i in range(7)
+        )
+        mul = kernels.compile_flat_mul(struct, 7**5)
+        power = kernels.compile_flat_pow(struct, 7**5, 7, mul)
+        assert pow_form(power) == "chain"
+        x = tuple(range(1, 8))
+        out = x
+        for _ in range(6):
+            out = mul(out, x)
+        assert power(x) == out
+
+    def test_multinomial_off_by_one_fails(self, all_towers, monkeypatch):
+        # mutant: every coefficient above one is one too large
+        good = pure.multinomial
+        monkeypatch.setattr(pure, "multinomial", lambda counts: good(counts) + (good(counts) > 1))
+        rng = random.Random(0)
+        with pytest.raises(AssertionError):
+            for name, level, extra in POW_RINGS:
+                ring = ring_at(all_towers[name], level, extra)
+                power = kernels.compile_flat_pow(ring.struct, ring.modulus, ring.p, ring.mul)
+                for _ in range(4):
+                    x = tuple(rng.randrange(ring.modulus) for _ in range(ring.flat_rank))
+                    assert power(x) == mul_chain(ring, x)
+
+    def test_power_is_compiled_on_first_use(self):
+        # a tower build compiles no power; the first ghost pass does
+        tower = build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
+        rings = [tower.K, tower.L, *tower.K._lifts.values(), *tower.L._lifts.values()]
+        assert all(ring._pth_power is None for ring in rings)
+        x = tower.L.one_elem
+        assert tower.L.pth_power(x) == x
+        assert tower.L._pth_power is tower.L.pth_power
 
 
 def mat_vec(matrix, a, modulus):

@@ -25,9 +25,14 @@ from wittlab.localfield import (
 )
 
 from oracles import (
+    eq_at_precision,
     fixed_by_substitution,
+    in_K_at_precision,
+    is_zero_at_precision,
+    pi_K,
     randrange_K_elem,
     randrange_L_elem,
+    unflatten,
     val_by_coordinates,
     vp_int_by_division,
     zero_by_coordinates,
@@ -52,7 +57,7 @@ TOWER_HASHES = {
 class TestValExtended:
     def test_finite(self):
         v = ValExtended(3, 48)
-        assert v.finite and v.exact() == 3
+        assert v.finite and v.value == 3
         assert v.at_least(3) and not v.at_least(4)
 
     def test_at_cap(self):
@@ -110,9 +115,9 @@ class TestTowerConstruction:
         else:
             tower = all_towers[name]
         e_k = tower.description["E_K"] or [str(-tower.p), "1"]
-        pi_K = tower.pi_K
-        at_pi_K = sum((pi_K**i * int(c) for i, c in enumerate(e_k)), tower.K.zero)
-        assert tower.is_zero_at_precision(at_pi_K)
+        pk = pi_K(tower)
+        at_pi_K = sum((pk**i * int(c) for i, c in enumerate(e_k)), tower.K.zero)
+        assert is_zero_at_precision(tower, at_pi_K)
 
     def test_breaks(self, q2_i, q2_sqrt2, q2_sqrt_minus2, q3):
         assert q2_sqrt2.s == 2
@@ -142,7 +147,7 @@ class TestTowerConstruction:
         )
         assert tower.e_K == 2 and tower.e_L == 4
         assert tower.s == 4
-        assert tower.vL(tower.embed_K(tower.pi_K)).exact() == 2
+        assert tower.vL(tower.embed_K(pi_K(tower))).value == 2
         rng = random.Random(1)
         a = tower.random_L_elem(rng)
         tower.trace(a)  # lands in O_K without complaint
@@ -157,7 +162,7 @@ class TestGaloisAction:
     def test_q2i_conjugate(self, q2_i):
         got = q2_i.galois(q2_i.pi_L)
         want = q2_i.L.from_int(2) - q2_i.pi_L
-        assert q2_i.eq_at_precision(got, want)
+        assert eq_at_precision(q2_i, got, want)
 
     def test_order_p_on_random_elements(self, towers):
         for tower in towers.values():
@@ -167,7 +172,7 @@ class TestGaloisAction:
                 b = a
                 for _ in range(tower.p):
                     b = tower.galois(b)
-                assert tower.eq_at_precision(a, b)
+                assert eq_at_precision(tower, a, b)
 
     def test_is_ring_homomorphism(self, q3):
         rng = random.Random(9)
@@ -181,8 +186,8 @@ class TestGaloisAction:
         for tower in (q2_i, q3):
             for _ in range(100):
                 a = tower.random_L_elem(rng)
-                if tower.eq_at_precision(tower.galois(a), a):
-                    assert tower.in_K_at_precision(a)
+                if eq_at_precision(tower, tower.galois(a), a):
+                    assert in_K_at_precision(tower, a)
 
     def test_choice_independence(self, q3):
         other = build_tower(3, 16, [3, 0, -3, 1], sigma_choice=1)
@@ -190,7 +195,7 @@ class TestGaloisAction:
         rng = random.Random(77)
         for _ in range(25):
             coords = [rng.randrange(q3.modulus) for _ in range(q3.L.flat_rank)]
-            a1, a2 = q3.L.unflatten(coords), other.L.unflatten(coords)
+            a1, a2 = unflatten(q3.L, coords), unflatten(other.L, coords)
             t1, t2 = q3.trace(a1), other.trace(a2)
             assert t1.data[0] % 3**16 == t2.data[0] % 3**16
 
@@ -215,14 +220,14 @@ class TestGaloisAction:
 class TestValuation:
     def test_uniformizer(self, towers):
         for tower in towers.values():
-            assert tower.vL(tower.pi_L).exact() == 1
+            assert tower.vL(tower.pi_L).value == 1
 
     def test_p_is_totally_ramified(self, towers):
         for tower in towers.values():
-            assert tower.vL(tower.L.from_int(tower.p)).exact() == tower.e_L
+            assert tower.vL(tower.L.from_int(tower.p)).value == tower.e_L
 
     def test_unit_i(self, q2_i):
-        assert q2_i.vL(q2_i.pi_L - 1).exact() == 0
+        assert q2_i.vL(q2_i.pi_L - 1).value == 0
 
     def test_valuation_laws(self, q2_sqrt2, q3):
         rng = random.Random(21)
@@ -234,9 +239,9 @@ class TestValuation:
                 vsum = tower.vL(a + b)
                 if va.finite and vb.finite:
                     if va.value + vb.value < tower.val_cap:
-                        assert vab.exact() == va.value + vb.value
+                        assert vab.value == va.value + vb.value
                     if va.value != vb.value:
-                        assert vsum.exact() == min(va.value, vb.value)
+                        assert vsum.value == min(va.value, vb.value)
                     else:
                         assert vsum.at_least(va.value)
 
@@ -248,7 +253,7 @@ class TestValuation:
                 vk = tower.vK(c)
                 vl = tower.vL(tower.embed_K(c))
                 if vk.finite:
-                    assert vl.exact() == tower.p * vk.value
+                    assert vl.value == tower.p * vk.value
                 else:
                     assert not vl.finite
 
@@ -260,18 +265,18 @@ class TestTrace:
 
     def test_q2i_values(self, q2_i):
         i_elem = q2_i.pi_L - 1
-        assert q2_i.is_zero_at_precision(q2_i.trace(i_elem))
+        assert is_zero_at_precision(q2_i, q2_i.trace(i_elem))
         tr_pi = q2_i.trace(q2_i.pi_L)
-        assert q2_i.eq_at_precision(tr_pi, q2_i.K.from_int(2))
+        assert eq_at_precision(q2_i, tr_pi, q2_i.K.from_int(2))
 
     def test_q2sqrt2_formula(self, q2_sqrt2):
         rng = random.Random(4)
         for _ in range(50):
             a = rng.randrange(2**20)
             b = rng.randrange(2**20)
-            elem = q2_sqrt2.L.unflatten((a, b))
+            elem = unflatten(q2_sqrt2.L, (a, b))
             want = q2_sqrt2.K.from_int(2 * a)
-            assert q2_sqrt2.eq_at_precision(q2_sqrt2.trace(elem), want)
+            assert eq_at_precision(q2_sqrt2, q2_sqrt2.trace(elem), want)
 
     def test_additive_and_base_linear(self, q3):
         rng = random.Random(6)
@@ -279,9 +284,9 @@ class TestTrace:
             a, b = q3.random_L_elem(rng), q3.random_L_elem(rng)
             c = q3.random_K_elem(rng)
             lhs = q3.trace(a + b)
-            assert q3.eq_at_precision(lhs, q3.trace(a) + q3.trace(b))
+            assert eq_at_precision(q3, lhs, q3.trace(a) + q3.trace(b))
             lhs2 = q3.trace(q3.embed_K(c) * a)
-            assert q3.eq_at_precision(lhs2, c * q3.trace(a))
+            assert eq_at_precision(q3, lhs2, c * q3.trace(a))
 
     def test_matrix_agrees_with_direct_evaluation(self, towers):
         for tower in towers.values():
@@ -289,7 +294,7 @@ class TestTrace:
             for m in range(rank):
                 coords = [0] * rank
                 coords[m] = 1
-                basis = tower.L.unflatten(coords)
+                basis = unflatten(tower.L, coords)
                 direct = tower.trace(basis).data
                 column = [tower.trace_mat[r][m] for r in range(tower.K.flat_rank)]
                 got = [x % tower.modulus for x in column]
@@ -434,14 +439,14 @@ class TestSolvers:
     def test_trace_eq_solvable(self, q2_i):
         c = q2_i.K.from_int(2)
         x, delta = q2_i.solve_trace_eq(c.data)
-        assert q2_i.eq_at_precision(q2_i.trace(q2_i.L.unflatten(x)), c)
+        assert eq_at_precision(q2_i, q2_i.trace(unflatten(q2_i.L, x)), c)
         assert q2_i.trace_kernel_flat  # nontrivial trace kernel
 
     def test_trace_eq_obstruction(self, q2_i):
         # enumeration oracle first: the trace image modulo 4 misses 1
         image = set()
         for a, b in itertools.product(range(4), repeat=2):
-            elem = q2_i.L.unflatten((a, b))
+            elem = unflatten(q2_i.L, (a, b))
             image.add(q2_i.trace(elem).data[0] % 4)
         assert 1 not in image
         with pytest.raises(NoSolutionAtPrecision):
@@ -469,15 +474,15 @@ class TestSolvers:
 
     def test_sigma_minus_one_zero(self, q2_i):
         y, _ = q2_i.solve_sigma_minus_one(q2_i.L.zero_elem, q2_i.N_int)
-        y = q2_i.L.unflatten(y)
-        assert q2_i.is_zero_at_precision(q2_i.galois(y) - y)
+        y = unflatten(q2_i.L, y)
+        assert is_zero_at_precision(q2_i, q2_i.galois(y) - y)
 
     def test_sigma_minus_one_solvable(self, q2_i):
         i_elem = q2_i.pi_L - 1
         c = i_elem * 2
         y, delta = q2_i.solve_sigma_minus_one(c.data, q2_i.N_int)
-        y = q2_i.L.unflatten(y)
-        assert q2_i.eq_at_precision(q2_i.galois(y) - y, c)
+        y = unflatten(q2_i.L, y)
+        assert eq_at_precision(q2_i, q2_i.galois(y) - y, c)
 
     @pytest.mark.parametrize("name", TOWER_NAMES)
     def test_solutions_are_tuples_that_solve(self, all_towers, name):
@@ -501,7 +506,7 @@ class TestSolvers:
         # enumeration oracle: the image of (sigma - 1) modulo 4
         image = set()
         for a, b in itertools.product(range(4), repeat=2):
-            elem = q2_i.L.unflatten((a, b))
+            elem = unflatten(q2_i.L, (a, b))
             diff = q2_i.galois(elem) - elem
             image.add(tuple(x % 4 for x in diff.data))
         i_flat = tuple(x % 4 for x in (q2_i.pi_L - 1).data)
@@ -607,12 +612,12 @@ def test_coeff_slices_roundtrip(all_towers, name, data):
     digit = st.integers(0, modulus - 1)
     a = tuple(data.draw(digit) for _ in range(L.flat_rank))
     # the O_K coefficients of the powers of pi_L reassemble the element
-    coeffs = [tower.K.unflatten(L.coeff(a, j)) for j in range(tower.p)]
+    coeffs = [unflatten(tower.K, L.coeff(a, j)) for j in range(tower.p)]
     assert all(len(c.data) == tower.e_K for c in coeffs)
-    assert L.unflatten(sum((c.data for c in coeffs), ())).data == a
+    assert unflatten(L, sum((c.data for c in coeffs), ())).data == a
     # unflatten reduces to the working precision
     shifted = [c + modulus * data.draw(st.integers(-3, 3)) for c in a]
-    assert tower.L.unflatten(shifted).data == a
+    assert unflatten(tower.L, shifted).data == a
 
 
 # -- the flat ring ------------------------------------------------------------
@@ -684,18 +689,30 @@ class TestFlatRing:
         p, e = tower.p, tower.e_K
         for j in range(p):
             for i in range(e):
-                elem = tower.embed_K(tower.pi_K**i) * tower.pi_L**j
+                elem = tower.embed_K(pi_K(tower) ** i) * tower.pi_L**j
                 r = j * e + i
                 assert elem.data == tuple(int(m == r) for m in range(p * e))
-                assert tower.vL(elem).exact() == i * p + j
+                assert tower.vL(elem).value == i * p + j
                 assert tower.L.weights[r] == i * p + j
-            assert tower.vK(tower.pi_K**j).exact() == j
+            assert tower.vK(pi_K(tower) ** j).value == j
+
+    @pytest.mark.parametrize("name", TOWER_NAMES)
+    def test_pow_matches_repeated_products(self, all_towers, name):
+        # square and multiply from the base itself, with no leading product
+        # by one: k = 0 gives one, k = 1 the base, and every k the k-1 products
+        tower, rng = all_towers[name], random.Random(9)
+        for ring in (tower.K, tower.L):
+            a = tuple(rng.randrange(ring.modulus) for _ in range(ring.flat_rank))
+            want = ring.one_elem
+            for k in range(2 * tower.p + 2):
+                assert ring.pow(a, k) == want, k
+                want = ring.mul(want, a)
 
     def test_coefficients_are_slices(self, nested):
         rng = random.Random(5)
         for _ in range(20):
             a = nested.random_L_elem(rng)
-            coeffs = [nested.K.unflatten(nested.L.coeff(a.data, j)) for j in range(2)]
+            coeffs = [unflatten(nested.K, nested.L.coeff(a.data, j)) for j in range(2)]
             rebuilt = nested.embed_K(coeffs[0]) + nested.embed_K(coeffs[1]) * nested.pi_L
             assert rebuilt == a
 
@@ -717,7 +734,7 @@ class TestFlatRing:
         assert tower.LR is tower.L
         for ring in (tower.K, tower.L):
             assert ring.zero.level is ring and ring.one.data == ring.one_elem
-            assert ring.from_int(-1) == ring.unflatten((-1,) + ring.zero_elem[1:])
+            assert ring.from_int(-1) == unflatten(ring, (-1,) + ring.zero_elem[1:])
 
     @pytest.mark.parametrize("name", TOWER_NAMES)
     def test_flat_lift_is_built_once_per_digit_count(self, all_towers, name):
@@ -777,17 +794,18 @@ def scaled_coords(draw_int, tower, rank):
 
 
 def check_zero_tests(tower, draw_int):
-    """``is_zero_at_precision`` and ``in_K_at_precision`` against their
+    """``is_zero_at_precision``, and ``_zero_raw`` on the pi_L coefficients
+    beyond degree 0 (the "in O_K" test of the verifiers), against their
     valuation definitions, on an O_L and an O_K element."""
-    a = tower.L.unflatten(scaled_coords(draw_int, tower, tower.L.flat_rank))
-    b = tower.K.unflatten(scaled_coords(draw_int, tower, tower.K.flat_rank))
-    assert tower.is_zero_at_precision(a) == (not tower.vL(a).finite)
-    assert tower.is_zero_at_precision(b) == (not tower.vK(b).finite)
+    a = unflatten(tower.L, scaled_coords(draw_int, tower, tower.L.flat_rank))
+    b = unflatten(tower.K, scaled_coords(draw_int, tower, tower.K.flat_rank))
+    assert is_zero_at_precision(tower, a) == (not tower.vL(a).finite)
+    assert is_zero_at_precision(tower, b) == (not tower.vK(b).finite)
     in_K = all(
-        not tower.vK(tower.K.unflatten(tower.L.coeff(a.data, j))).finite
+        not tower.vK(unflatten(tower.K, tower.L.coeff(a.data, j))).finite
         for j in range(1, tower.p)
     )
-    assert tower.in_K_at_precision(a) == in_K
+    assert tower._zero_raw(a.data[tower.K.flat_rank :]) == in_K
 
 
 @pytest.mark.parametrize("name", TOWER_NAMES)

@@ -4,12 +4,9 @@ import random
 import pytest
 
 from wittlab.exactpoly import INT_RING, MPOLY_RING, ModRing, MPoly
-from wittlab import wittcore
 from wittlab.wittcore import (
-    BINARY_RANGE,
     PFOLD_RANGE,
     WittCtx,
-    WittVec,
     alternating_binom_constant,
     carry_value,
     ctx_for,
