@@ -1,5 +1,4 @@
 import importlib.util
-import math
 import pathlib
 import random
 import re
@@ -322,6 +321,33 @@ def special_coords(ring):
     ]
 
 
+def polynomial_rows(low, modulus):
+    """Structure rows of Z/modulus[x]/(x^r - sum_k low[k] x^k), r = len(low),
+    on the basis 1, x, ..., x^(r-1): a commutative ring, as a power needs."""
+    r = len(low)
+    powers = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    for _ in range(r - 1):
+        top = powers[-1]
+        shifted = (0,) + top[:-1]
+        powers.append(tuple((c + top[-1] * f) % modulus for c, f in zip(shifted, low)))
+    return tuple(tuple(powers[i + j] for j in range(r)) for i in range(r))
+
+
+# (p, rank, form) either side of the bound: the expansion while
+# C(rank+p-1, p) < 5/4 * rank^2; rank 7 at p = 7 has 1716 monomials
+POW_FORMS = [
+    (2, 1, "expansion"),
+    (2, 8, "expansion"),
+    (3, 3, "expansion"),
+    (3, 4, "chain"),
+    (5, 1, "expansion"),
+    (5, 2, "chain"),
+    (7, 1, "expansion"),
+    (7, 2, "chain"),
+    (7, 7, "chain"),
+]
+
+
 class TestCompiledPower:
     """The p-th power each ring compiles on first use against p-1 chained
     calls of its compiled product."""
@@ -339,33 +365,30 @@ class TestCompiledPower:
         for x in special_coords(ring) + drawn:
             assert ring.pth_power(x) == mul_chain(ring, x)
 
-    def test_both_forms_are_reached(self, all_towers):
-        # rank and p decide: the expansion when C(r+p-1, p) < (p-1)*r^2,
-        # which at p = 2 holds from rank 2 on; rank-1 O_K over Q_2 chains
-        forms = {}
+    def test_tower_rings_expand(self, all_towers):
+        # rank <= 4 at p = 2 and rank <= 3 at p = 3: every test tower's ring
+        # has fewer monomials than 5/4 of a product's cells
         for name, level, extra in POW_RINGS:
-            ring = ring_at(all_towers[name], level, extra)
-            form = pow_form(ring.pth_power)
-            r, p = ring.flat_rank, ring.p
-            assert form == ("expansion" if math.comb(r + p - 1, p) < (p - 1) * r * r else "chain")
-            forms.setdefault(form, []).append((name, level, r))
-        assert set(forms) == {"expansion", "chain"}
-        assert ("q3", "L", 3) in forms["expansion"] and ("q2_i", "K", 1) in forms["chain"]
+            assert pow_form(ring_at(all_towers[name], level, extra).pth_power) == "expansion"
 
-    def test_large_rank_keeps_the_chain(self):
-        # rank 7 at p = 7: 1716 monomials against 294 products
-        struct = tuple(
-            tuple(tuple(int(k == (i + j) % 7) for k in range(7)) for j in range(7))
-            for i in range(7)
-        )
-        mul = kernels.compile_flat_mul(struct, 7**5)
-        power = kernels.compile_flat_pow(struct, 7**5, 7, mul)
-        assert pow_form(power) == "chain"
-        x = tuple(range(1, 8))
-        out = x
-        for _ in range(6):
-            out = mul(out, x)
-        assert power(x) == out
+    @pytest.mark.parametrize("p,rank,form", POW_FORMS)
+    @PRODUCT_PROPERTY
+    @given(data=st.data())
+    def test_polynomial_rows_match_mul_chain(self, p, rank, form, data):
+        # rows of Z/p^D[x]/(f), f monic of degree rank with drawn coefficients;
+        # the form is the one the timings chose at this rank and p
+        modulus = p ** data.draw(st.integers(1, 12))
+        digit = st.sampled_from([0, 1, modulus - 1]) | st.integers(0, modulus - 1)
+        struct = polynomial_rows([data.draw(digit) for _ in range(rank)], modulus)
+        mul = kernels.compile_flat_mul(struct, modulus)
+        power = kernels.compile_flat_pow(struct, modulus, p, mul)
+        assert pow_form(power) == form
+        for _ in range(4):
+            x = tuple(data.draw(digit) for _ in range(rank))
+            out = x
+            for _ in range(p - 1):
+                out = mul(out, x)
+            assert power(x) == out
 
     def test_multinomial_off_by_one_fails(self, all_towers, monkeypatch):
         # mutant: every coefficient above one is one too large
