@@ -16,7 +16,9 @@ compare it with ``flat_mul``, and its x -> x^p (``compile_flat_pow``)
 with chained products.  In the same way ``compile_flat_linear`` turns a
 matrix on flattened coordinates (sigma^i or the trace of a tower) into
 a straight-line function, which the tests compare with a plain
-matrix-vector product.
+matrix-vector product, and ``compile_ghost_pass`` turns one shape of
+``wittcore.ghost_sum`` (summands per column, levels) into one, which the
+tests compare with the level-by-level loop it replaced.
 
 The package calls them through ``kernels``.
 """
@@ -284,6 +286,77 @@ def compile_flat_pow(struct_rows, modulus: int, p: int, mul):
     namespace = {"__builtins__": {}, "mul": mul}
     exec(compile(source, f"<flat_pow rank {r} {form}>", "exec"), namespace)
     return namespace["pth"]
+
+
+def _tuple(names) -> str:
+    return f"({', '.join(names)},)"
+
+
+def ghost_pass_source(p: int, rank: int, widths, levels: int, modulus: int, base: int) -> str:
+    """Straight-line source of ``ghost_pass(pth, columns)``: components
+    1..``levels`` of the Witt sum of columns of these widths (summands per
+    column; the columns above them are zero), as ``wittcore.ghost_sum``
+    defines them, on rank-``rank`` coordinates modulo ``modulus``.
+
+    Level l raises every summand of each lower column i, then S_i, with
+    ``pth`` once, in that order.  Each numerator coordinate is one integer
+    sum reduced once modulo ``modulus``; above level 1 it is checked for a
+    remainder modulo q = p^(l-1), which raises ``indivisible(coordinate,
+    q)``, and only then divided.  Each S_l is reduced modulo ``base`` as
+    soon as it is computed.
+    """
+    for x in (p, rank, levels, base):
+        _checked_int(x)
+    if _checked_int(modulus) < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    given = len(widths)
+    widths = [_checked_int(w) for w in widths] + [0] * (levels - given)
+    coords = range(rank)
+    lines = ["def ghost_pass(pth, columns):"]
+    if given:
+        lines.append(f"    {_tuple(f'c{i}' for i in range(given))} = columns")
+    for i in range(given):
+        lines.append(f"    {_tuple(f'y{i}_{j}' for j in range(widths[i]))} = c{i}")
+    for l in range(levels):
+        for i in range(l):
+            lines += [f"    y{i}_{j} = pth(y{i}_{j})" for j in range(widths[i])]
+            lines.append(f"    s{i} = pth(s{i})")
+        tuples = [f"y{i}_{j}" for i in range(l + 1) for j in range(widths[i])]
+        tuples += [f"s{i}" for i in range(l)]
+        lines += [f"    {_tuple(f'{t}_{k}' for k in coords)} = {t}" for t in tuples]
+        q = p**l
+        for k in coords:
+            groups = []
+            for i in range(l + 1):
+                group = " + ".join(f"y{i}_{j}_{k}" for j in range(widths[i]))
+                if i < l:
+                    group = f"{group} - s{i}_{k}" if group else f"-s{i}_{k}"
+                if group:
+                    groups.append(group if i == 0 else f"{p**i} * ({group})")
+            lines.append(f"    s{l}_{k} = ({' + '.join(groups) or 0}) % {modulus}")
+            if q > 1:
+                lines.append(f"    if s{l}_{k} % {q}:")
+                lines.append(f"        raise indivisible(s{l}_{k}, {q})")
+                lines.append(f"    s{l}_{k} //= {q}")
+        lines.append(f"    o{l} = {_tuple(f's{l}_{k} % {base}' for k in coords)}")
+        if l < levels - 1:
+            lines.append(f"    s{l} = {_tuple(f's{l}_{k}' for k in coords)}")
+    lines.append(f"    return {_tuple(f'o{l}' for l in range(levels))}")
+    return "\n".join(lines) + "\n"
+
+
+def compile_ghost_pass(
+    p: int, rank: int, widths, levels: int, modulus: int, base: int, indivisible
+):
+    """The ghost pass of this shape (``ghost_pass_source``) as a function
+    ``ghost_pass(pth, columns)``, compiled once; ``pth`` is x -> x^p on the
+    lifted ring, and ``indivisible(c, q)`` the exception raised for a
+    numerator coordinate c with a remainder modulo q."""
+    source = ghost_pass_source(p, rank, widths, levels, modulus, base)
+    namespace = {"__builtins__": {}, "indivisible": indivisible}
+    name = f"<ghost_pass rank {rank} widths {tuple(widths)} levels {levels}>"
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["ghost_pass"]
 
 
 def flat_linear_source(matrix, modulus: int) -> str:

@@ -548,7 +548,8 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
     vktr and vksub read no Witt vector, so they take no length (None).
     Every other lemma follows one rule: 1 <= n, the tower's precision
     covers n (``precision_policy``), and for main n >= its stable length
-    M, which is its default."""
+    M, which is its default.  carry_identity and residual_invariant check
+    levels 2..n, so they need n >= 2: at n = 1 a PASS would check nothing."""
     p = tower.p
     if lemma in ("vktr", "vksub"):
         if n is not None:
@@ -561,6 +562,8 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
         n = {"step_bounds": 4, "fixed_points": 3, "main": M}.get(lemma, PFOLD_RANGE.get(p, 2))
     if n < 1:
         raise WittLengthOutOfRange(f"--n {n} is not a Witt length; it must be at least 1")
+    if n < 2 and lemma in ("carry_identity", "residual_invariant"):
+        raise WittLengthOutOfRange(f"--n {n}: {lemma} checks levels 2..n, so n must be at least 2")
     need = precision_policy(p, tower.e_K, tower.s, n)
     if need > tower.N:
         raise WittLengthOutOfRange(

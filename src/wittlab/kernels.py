@@ -10,13 +10,16 @@ rows when the ring was built (and x -> x^p from ``compile_flat_pow``, on
 first use); ``flat_mul`` is the product's reference.  Likewise sigma^i and the
 trace run through functions that ``compile_flat_linear`` generated from
 their matrices when the tower was built; a plain matrix-vector product
-in the tests is their reference.
+in the tests is their reference.  ``wittcore.ghost_sum`` runs a pass that
+``compile_ghost_pass`` generates on first use for each shape; the loop
+it replaced, in the tests, is its reference.
 """
 
 from ._kernels_py import (
     compile_flat_linear,
     compile_flat_mul,
     compile_flat_pow,
+    compile_ghost_pass,
     flat_mul,
     monomial_key_mul,
     sparse_add,

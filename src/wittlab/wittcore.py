@@ -19,7 +19,10 @@ are computed in ghost coordinates instead, by one function
 (``ghost_sum``): for l levels the summands are lifted to the same ring
 at l-1 more base digits, their ghost components are summed, and the
 sum's Witt components are recovered one level at a time by certified
-exact division.  A negative is the vector whose sum with the
+exact division.  The pass is straight-line code compiled on first use
+for each shape (summands per column, levels) and kept on the lifted
+ring; the division check lives in that generated code, and a remainder
+raises IntegralityViolation.  A negative is the vector whose sum with the
 given one is zero, solved column by column with one pass per carry.
 Because the addition polynomials are integral, the result is exactly
 what evaluating them gives; the polynomial path remains the oracle and
@@ -45,10 +48,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from math import comb
 from typing import Sequence
 
+from . import kernels
 from .exactpoly import MPoly, MPOLY_RING, NotDivisible
 from .localfield import OElem
 
@@ -301,52 +304,36 @@ def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> 
     enters later levels multiplied by p^(l-1), so its ambiguity vanishes
     modulo the lifted modulus.  The lifted ring reduces to the working
     ring and the addition polynomials are integral, so S_l reduced modulo
-    p^M is the polynomial value.  The pass goes level by level; at each
-    level every lower column's summands and S_i are raised to the p-th
-    power once, through the lifted ring's compiled ``pth_power``.  The
-    numerator is a plain integer sum, reduced once, modulo the lifted
-    modulus, before its division, which checks every coordinate and
-    raises IntegralityViolation on a remainder; nothing is floored.
+    p^M is the polynomial value.
+
+    The pass is straight-line code (``kernels.compile_ghost_pass``),
+    compiled on first use for each shape, the number of summands in each
+    column and ``levels``, and kept on the lifted ring.  At each level it
+    raises every lower column's summands and S_i to the p-th power once,
+    through the lifted ring's ``pth_power``, read at call time.  Each
+    numerator coordinate is a plain integer sum, reduced once, modulo the
+    lifted modulus; the generated division checks it and raises
+    IntegralityViolation on a remainder, so nothing is floored.
     """
     if levels < max(1, len(columns)):
         raise ValueError(f"{len(columns)} columns give no {levels} levels")
-    if not all(columns):
+    widths = tuple(map(len, columns))
+    if 0 in widths:
         raise ValueError("a column needs at least one summand")
     lifted = ring.flat_lift(levels - 1)
-    pth, modulus = lifted.pth_power, lifted.modulus
-    # the current p-powers of each column's summands; a zero column has none
-    rows = list(columns) + [[]] * (levels - len(columns))
-    powers: list[tuple] = []  # the current p-power of each S_i
-    sums = []
-    for l in range(levels):
-        num = lifted.zero_elem
-        for i in range(l):
-            ys = rows[i] = [pth(y) for y in rows[i]]
-            s = powers[i] = pth(powers[i])
-            q = p**i
-            t = zip(*ys) if ys else repeat(())
-            num = [c + q * (sum(y) - u) for c, y, u in zip(num, t, s)]
-        q = p**l
-        if rows[l]:
-            num = [c + q * sum(y) for c, y in zip(num, zip(*rows[l]))]
-        s = _divide_exact(num, q, modulus)
-        powers.append(s)
-        sums.append(ring.reduce(s))
-    return tuple(sums)
+    shape = (widths, levels)
+    ghost_pass = lifted.ghost_passes.get(shape)
+    if ghost_pass is None:
+        ghost_pass = lifted.ghost_passes[shape] = kernels.compile_ghost_pass(
+            p, lifted.flat_rank, widths, levels, lifted.modulus, ring.modulus, _indivisible
+        )
+    return ghost_pass(lifted.pth_power, columns)
 
 
-def _divide_exact(coords, q: int, modulus: int) -> tuple:
-    """Reduce every coordinate modulo ``modulus``, then divide it by q; a
-    remainder is an integrality bug."""
-    out = []
-    for c in coords:
-        d, r = divmod(c % modulus, q)
-        if r:
-            raise IntegralityViolation(
-                f"ghost numerator coordinate {c % modulus} is not divisible by {q}"
-            )
-        out.append(d)
-    return tuple(out)
+def _indivisible(c: int, q: int) -> IntegralityViolation:
+    """What a ghost pass raises for a numerator coordinate c, reduced
+    modulo the lifted modulus, that q does not divide."""
+    return IntegralityViolation(f"ghost numerator coordinate {c} is not divisible by {q}")
 
 
 def alternating_binom_constant(p: int) -> int:

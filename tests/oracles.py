@@ -13,15 +13,22 @@
   and every check through the OElem dunders and the tower's
   ``ValExtended`` accessors.  ``cohomlab`` runs both lemmas on flat
   conjugate columns; their reports must agree byte for byte.
+* ``wittcore.ghost_sum`` as the level-by-level loop it replaced
+  (``ghost_sum_by_loops``): per-level list comprehensions over the
+  columns, and one ``divide_exact`` call per level.  The package runs a
+  straight-line pass compiled per shape; both must give the same
+  components and raise the same IntegralityViolation.
 * ``unflatten``, ``is_zero_at_precision``, ``eq_at_precision``,
   ``in_K_at_precision``, ``pi_K`` and ``project_to_K``: OElem helpers
   that only the tests use.
 """
 
+from itertools import repeat
+
 from wittlab import cohomlab, wittcore
 from wittlab.cohomlab import _base_report, _update_margin, witt_length
 from wittlab.localfield import OElem, ValExtended
-from wittlab.wittcore import PFOLD_RANGE
+from wittlab.wittcore import PFOLD_RANGE, IntegralityViolation
 
 
 def unflatten(ring, coords) -> OElem:
@@ -115,6 +122,52 @@ def randrange_L_unit(tower, rng) -> OElem:
         a = randrange_L_elem(tower, rng)
         if val_by_coordinates(tower.L, a.data) == 0:
             return a
+
+
+def ghost_sum_by_loops(p, ring, columns, levels) -> tuple:
+    """``wittcore.ghost_sum`` level by level: at level l every lower
+    column's summands and S_i are raised once with the lifted ring's
+    ``pth_power``, the numerator is summed coordinate by coordinate, and
+    ``divide_exact`` reduces it and divides it by p^(l-1)."""
+    if levels < max(1, len(columns)):
+        raise ValueError(f"{len(columns)} columns give no {levels} levels")
+    if not all(columns):
+        raise ValueError("a column needs at least one summand")
+    lifted = ring.flat_lift(levels - 1)
+    pth, modulus = lifted.pth_power, lifted.modulus
+    # the current p-powers of each column's summands; a zero column has none
+    rows = list(columns) + [[]] * (levels - len(columns))
+    powers = []  # the current p-power of each S_i
+    sums = []
+    for l in range(levels):
+        num = lifted.zero_elem
+        for i in range(l):
+            ys = rows[i] = [pth(y) for y in rows[i]]
+            s = powers[i] = pth(powers[i])
+            q = p**i
+            t = zip(*ys) if ys else repeat(())
+            num = [c + q * (sum(y) - u) for c, y, u in zip(num, t, s)]
+        q = p**l
+        if rows[l]:
+            num = [c + q * sum(y) for c, y in zip(num, zip(*rows[l]))]
+        s = divide_exact(num, q, modulus)
+        powers.append(s)
+        sums.append(ring.reduce(s))
+    return tuple(sums)
+
+
+def divide_exact(coords, q, modulus) -> tuple:
+    """Reduce every coordinate modulo ``modulus``, then divide it by q; a
+    remainder is an integrality bug."""
+    out = []
+    for c in coords:
+        d, r = divmod(c % modulus, q)
+        if r:
+            raise IntegralityViolation(
+                f"ghost numerator coordinate {c % modulus} is not divisible by {q}"
+            )
+        out.append(d)
+    return tuple(out)
 
 
 def residual_by_carry_value(tower, comps, level) -> OElem:

@@ -144,6 +144,9 @@ class TestVerify:
             ("fixed_points", "-1"),
             ("carry_identity", "6"),
             ("residual_invariant", "6"),
+            # both check levels 2..n: at n = 1 a PASS would check nothing
+            ("carry_identity", "1"),
+            ("residual_invariant", "1"),
         ],
     )
     def test_witt_length_out_of_range_is_usage_error(self, lemma, n):
@@ -153,7 +156,7 @@ class TestVerify:
         )
         assert res.returncode == 64
         assert res.stderr.count("\n") == 1 and "--n" in res.stderr
-        assert "Traceback" not in res.stderr
+        assert "Traceback" not in res.stderr and not res.stdout
 
     @pytest.mark.parametrize(
         "lemma, n, extra",

@@ -1141,6 +1141,8 @@ class TestWittLengthRule:
             ("vksub", 3),
             ("carry_identity", 6),
             ("residual_invariant", 6),
+            ("carry_identity", 1),
+            ("residual_invariant", 1),
             ("step_bounds", 0),
             ("main", 1),
             ("fixed_points", 7),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wittlab import _kernels_py as pure
 from wittlab import cohomlab, wittcore
 from wittlab.exactpoly import ModRing, MPoly
 from wittlab.localfield import FlatRing
@@ -23,7 +24,7 @@ from wittlab.wittcore import (
     witt_sum,
 )
 
-from oracles import unflatten
+from oracles import ghost_sum_by_loops, unflatten
 
 # the four builtin towers and the two nested towers of conftest.py
 TOWER_PRIMES = {
@@ -207,6 +208,10 @@ def test_lift_reduces_to_the_working_ring(all_towers):
 
 
 def test_non_divisible_ghost_numerator_raises(q2_i, monkeypatch):
+    check_non_divisible_numerator_raises(q2_i, monkeypatch)
+
+
+def check_non_divisible_numerator_raises(q2_i, monkeypatch):
     """A square that is off by one leaves w_2 - S_1^2 odd."""
     lifted = q2_i.L.flat_lift(1)  # the ring a length-2 sum runs in
     good = lifted.pth_power
@@ -283,36 +288,52 @@ def wrap_pth_power(monkeypatch, wrap):
     )
 
 
+def mutate_pass_source(monkeypatch, mutate):
+    """Mutant helper: every ghost pass compiles from ``mutate(source)``.
+    Use it with the ``fresh_passes`` fixture, so that no pass compiled
+    before it runs, or while it runs, outlives the test."""
+    source = pure.ghost_pass_source
+    monkeypatch.setattr(pure, "ghost_pass_source", lambda *args: mutate(source(*args)))
+
+
 def s_power_skipped(monkeypatch):
     """Mutant: a pass skips S_1's p-th power at level 2, so S_1 enters
     that level's numerator unraised and every later level one power
     short."""
-    divide = wittcore._divide_exact
-    state = {}
+    mutate_pass_source(monkeypatch, lambda source: source.replace("    s0 = pth(s0)\n", "", 1))
 
-    def recorded(coords, q, modulus):
-        out = divide(coords, q, modulus)
-        if q == 1:  # the level-1 division, which gives S_1
-            state["s1"] = out
-        return out
 
-    def skipping(power):
-        def pth(x):
-            if x is state.get("s1"):
-                state["s1"] = None
-                return x
-            return power(x)
+def remainder_unchecked(monkeypatch):
+    """Mutant: the generated division drops its remainder check, so a
+    numerator that p^(l-1) does not divide is floored."""
 
-        return pth
+    def unchecked(source):
+        lines = source.splitlines(keepends=True)
+        return "".join(line for line in lines if not line.lstrip().startswith(("if ", "raise ")))
 
-    monkeypatch.setattr(wittcore, "_divide_exact", recorded)
-    wrap_pth_power(monkeypatch, skipping)
+    mutate_pass_source(monkeypatch, unchecked)
+
+
+@pytest.fixture
+def fresh_passes(all_towers):
+    """No test tower ring holds a compiled ghost pass when the test starts
+    or after it ends."""
+
+    def drop():
+        for tower in all_towers.values():
+            for ring in (tower.K, tower.L):
+                for lifted in ring._lifts.values():
+                    lifted.ghost_passes.clear()
+
+    drop()
+    yield
+    drop()
 
 
 @pytest.mark.parametrize(
     "mutant", [lift_one_short, s_power_skipped], ids=["LiftOneShort", "SPowerSkipped"]
 )
-def test_engine_mutants_fail(all_towers, mutant, monkeypatch):
+def test_engine_mutants_fail(all_towers, mutant, monkeypatch, fresh_passes):
     rng = random.Random(0)
     mutant(monkeypatch)
     # a wrong component may also leave a later ghost numerator indivisible
@@ -320,6 +341,56 @@ def test_engine_mutants_fail(all_towers, mutant, monkeypatch):
         for name in ("q2_i", "q2_sqrt2", "quartic"):
             for _ in range(10):
                 check_ghost_sum(all_towers[name], rng.randint)
+
+
+def test_indivisible_message_matches_loops(q2_i, monkeypatch):
+    """The compiled pass and the loop it replaced name the same numerator
+    coordinate and divisor."""
+    lifted = q2_i.L.flat_lift(1)
+    good = lifted.pth_power
+    monkeypatch.setattr(lifted, "_pth_power", lambda a: (good(a)[0] + 1,) + good(a)[1:])
+    one, zero = q2_i.L.one_elem, q2_i.L.zero_elem
+    columns = [[one, one], [zero, zero]]
+    with pytest.raises(IntegralityViolation) as looped:
+        ghost_sum_by_loops(2, q2_i.L, columns, 2)
+    with pytest.raises(IntegralityViolation, match=f"^{looped.value}$"):
+        ghost_sum(2, q2_i.L, columns, 2)
+
+
+def test_unchecked_division_is_caught(q2_i, monkeypatch, fresh_passes):
+    remainder_unchecked(monkeypatch)
+    with pytest.raises(pytest.fail.Exception):
+        check_non_divisible_numerator_raises(q2_i, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("level", ["K", "L"])
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_compiled_pass_matches_loops(all_towers, name, level, data):
+    """The compiled pass against the loop it replaced, on 0-4 columns of
+    1..p+1 summands each and len(columns)..len(columns)+2 levels, with
+    0, 1, p^(D-1) and modulus-1 among the drawn digits (D the digits)."""
+    tower = all_towers[name]
+    p = tower.p
+    ring = tower.K if level == "K" else tower.L
+    special = [0, 1, p ** (ring.digits - 1), ring.modulus - 1]
+    digit = st.sampled_from(special) | st.integers(0, ring.modulus - 1)
+    element = st.tuples(*[digit] * ring.flat_rank)
+    widths = data.draw(st.lists(st.integers(1, p + 1), max_size=4))
+    columns = [data.draw(st.lists(element, min_size=w, max_size=w)) for w in widths]
+    levels = data.draw(st.integers(max(1, len(columns)), len(columns) + 2))
+    assert ghost_sum(p, ring, columns, levels) == ghost_sum_by_loops(p, ring, columns, levels)
+    # the same shape with every summand one of the special digits throughout
+    uniform = [
+        [(special[(i + j) % 4],) * ring.flat_rank for j in range(w)]
+        for i, w in enumerate(widths)
+    ]
+    assert ghost_sum(p, ring, uniform, levels) == ghost_sum_by_loops(p, ring, uniform, levels)
 
 
 @pytest.mark.parametrize("name", sorted(TOWER_PRIMES))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import wittlab
 from wittlab import _kernels_py as pure
-from wittlab import kernels
+from wittlab import kernels, wittcore
 from wittlab.localfield import build_tower
 
 from oracles import pi_K, unflatten
@@ -413,6 +413,57 @@ class TestCompiledPower:
         x = tower.L.one_elem
         assert tower.L.pth_power(x) == x
         assert tower.L._pth_power is tower.L.pth_power
+
+
+class TestCompiledGhostPass:
+    """The ghost pass ``wittcore.ghost_sum`` compiles per shape; its values
+    are compared with the loop it replaced in ``test_ghost``."""
+
+    def test_source_holds_only_literals_and_locals(self, q3):
+        ring = q3.L.flat_lift(3)
+        source = pure.ghost_pass_source(3, 3, (3, 3, 3), 4, ring.modulus, q3.modulus)
+        names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source))
+        keywords = {"def", "ghost_pass", "pth", "columns", "if", "raise", "indivisible", "return"}
+        # c<i> column i, y<i>_<j>[_<k>] its summand j (coordinate k), s and
+        # o the S_i before and after reduction to the working modulus
+        local = re.compile(r"c\d|y\d_\d(_\d)?|s\d(_\d)?|o\d")
+        assert all(n in keywords or local.fullmatch(n) for n in names)
+        assert source.count("raise indivisible(") == 3 * 3  # levels 2-4, 3 coordinates
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, None])
+    def test_generator_accepts_only_integers(self, bad):
+        good = (2, 2, (2, 2), 3, 2**10, 2**8)
+        for k in range(len(good)):
+            args = list(good)
+            args[k] = (bad,) if k == 2 else bad
+            with pytest.raises(TypeError):
+                pure.ghost_pass_source(*args)
+
+    def test_fresh_tower_has_compiled_no_pass(self):
+        tower = build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
+        rings = [tower.K, tower.L, *tower.K._lifts.values(), *tower.L._lifts.values()]
+        assert all(ring.ghost_passes == {} for ring in rings)
+
+    def test_same_shape_reuses_the_pass(self, monkeypatch):
+        tower = build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
+        compiled = []
+        original = kernels.compile_ghost_pass
+        monkeypatch.setattr(
+            kernels, "compile_ghost_pass", lambda *args: compiled.append(args) or original(*args)
+        )
+        one = tower.L.one_elem
+        columns = [[one] * 3, [one] * 3]
+        first = wittcore.ghost_sum(3, tower.L, columns, 3)
+        assert len(compiled) == 1
+        (ghost_pass,) = tower.L.flat_lift(2).ghost_passes.values()
+        other = [[tower.L.zero_elem] * 3, [one] * 3]
+        assert wittcore.ghost_sum(3, tower.L, other, 3) != first
+        assert wittcore.ghost_sum(3, tower.L, columns, 3) == first
+        assert len(compiled) == 1
+        assert tower.L.flat_lift(2).ghost_passes == {((3, 3), 3): ghost_pass}
+        # another shape, one more compile
+        wittcore.ghost_sum(3, tower.L, columns[:1], 3)
+        assert len(compiled) == 2
 
 
 def mat_vec(matrix, a, modulus):
