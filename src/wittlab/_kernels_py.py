@@ -17,12 +17,14 @@ with chained products.  In the same way ``compile_flat_linear`` turns a
 matrix on flattened coordinates (sigma^i or the trace of a tower) into
 a straight-line function, which the tests compare with a plain
 matrix-vector product, and ``compile_ghost_pass`` turns one shape of
-``wittcore.ghost_sum`` (summands per column, levels) into one, which the
-tests compare with the level-by-level loop it replaced.
+``wittcore.ghost_sum`` (summands per column, levels) at one pair of
+moduli into one, cached by its arguments, which the tests compare with
+the level-by-level loop it replaced.
 
 The package calls them through ``kernels``.
 """
 
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
@@ -345,13 +347,15 @@ def ghost_pass_source(p: int, rank: int, widths, levels: int, modulus: int, base
     return "\n".join(lines) + "\n"
 
 
+@cache
 def compile_ghost_pass(
-    p: int, rank: int, widths, levels: int, modulus: int, base: int, indivisible
+    p: int, rank: int, widths: tuple, levels: int, modulus: int, base: int, indivisible
 ):
     """The ghost pass of this shape (``ghost_pass_source``) as a function
-    ``ghost_pass(pth, columns)``, compiled once; ``pth`` is x -> x^p on the
-    lifted ring, and ``indivisible(c, q)`` the exception raised for a
-    numerator coordinate c with a remainder modulo q."""
+    ``ghost_pass(pth, columns)``, compiled once for each set of arguments
+    and shared by every ring they fit; ``pth`` is x -> x^p on the lifted
+    ring, and ``indivisible(c, q)`` the exception raised for a numerator
+    coordinate c with a remainder modulo q."""
     source = ghost_pass_source(p, rank, widths, levels, modulus, base)
     namespace = {"__builtins__": {}, "indivisible": indivisible}
     name = f"<ghost_pass rank {rank} widths {tuple(widths)} levels {levels}>"

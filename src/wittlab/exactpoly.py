@@ -294,72 +294,6 @@ class IntRing:
         return k
 
 
-class ModRing:
-    """Z/m with canonical representatives in [0, m)."""
-
-    def __init__(self, modulus: int):
-        if modulus <= 1:
-            raise ValueError("modulus must be at least 2")
-        self.modulus = modulus
-        self.zero = _ModElem(0, modulus)
-        self.one = _ModElem(1, modulus)
-
-    def from_int(self, k: int) -> "_ModElem":
-        return _ModElem(k % self.modulus, self.modulus)
-
-    def __repr__(self) -> str:
-        return f"ModRing({self.modulus})"
-
-
-def _val(x) -> int:
-    return x.value if isinstance(x, _ModElem) else x
-
-
-class _ModElem:
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def __add__(self, other):
-        return _ModElem(self.value + _val(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _ModElem(self.value - _val(other), self.modulus)
-
-    def __rsub__(self, other):
-        return _ModElem(_val(other) - self.value, self.modulus)
-
-    def __mul__(self, other):
-        return _ModElem(self.value * _val(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return _ModElem(pow(self.value, k, self.modulus), self.modulus)
-
-    def __neg__(self):
-        return _ModElem(-self.value, self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (
-            isinstance(other, _ModElem)
-            and self.modulus == other.modulus
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus})"
-
-
 class MPolyRing:
     """Polynomials themselves as the evaluation ring (composition)."""
 

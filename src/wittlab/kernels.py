@@ -11,8 +11,9 @@ first use); ``flat_mul`` is the product's reference.  Likewise sigma^i and the
 trace run through functions that ``compile_flat_linear`` generated from
 their matrices when the tower was built; a plain matrix-vector product
 in the tests is their reference.  ``wittcore.ghost_sum`` runs a pass that
-``compile_ghost_pass`` generates on first use for each shape; the loop
-it replaced, in the tests, is its reference.
+``compile_ghost_pass`` generates on first use for each shape and moduli,
+and caches for every ring that shares them; the loop it replaced, in the
+tests, is its reference.
 """
 
 from ._kernels_py import (

@@ -171,9 +171,7 @@ class FlatRing:
     ``ecoeffs`` are the non-leading coefficients of the level's
     Eisenstein polynomial, as elements of the level below.  ``rebuild``
     builds the same level at another digit count (``flat_lift``, which is
-    what the ghost-coordinate Witt sums in ``wittcore`` run on); a lifted
-    ring keeps the passes ``wittcore.ghost_sum`` compiled on it, by shape,
-    in ``ghost_passes``.
+    what the ghost-coordinate Witt sums in ``wittcore`` run on).
     """
 
     def __init__(
@@ -208,7 +206,6 @@ class FlatRing:
         self._rebuild = rebuild  # base digits -> this ring at that precision
         self._lifts: dict[int, FlatRing] = {}
         self._pth_power = None  # a cached_property's __dict__ write slows lookups
-        self.ghost_passes: dict = {}  # (widths, levels) -> wittcore.ghost_sum's compiled pass
         # for val_raw: p^v -> v below the modulus, and (index, weight) of
         # the coordinates in increasing weight
         self._p_exponent = {p**v: v for v in range(digits)}

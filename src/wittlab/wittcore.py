@@ -8,26 +8,25 @@ The addition and negation polynomials are produced by solving the ghost
 identities recursively; the divisions involved are exact integer
 divisions, so a successful construction doubles as an integrality
 certificate.  They are built the first time something asks for them,
-and only inside the symbolic budget ``BINARY_RANGE``.  Group arithmetic
-on length-n vectors over a ring without ``flat_lift`` (the integers,
-Z/m, polynomials) is evaluation of those integral polynomials, with no
-division.
+and only inside the symbolic budget ``BINARY_RANGE``.  They serve
+symbolic composition (the p-fold decomposition, ``wittlab polys``) and,
+in the tests, as the oracle of the numeric path; no vector is summed by
+evaluating them.
 
-Over the rings of a tower, each one ``localfield.FlatRing`` per level
-and the only rings with a ``flat_lift``, sums, carries and negatives
-are computed in ghost coordinates instead, by one function
+There is one numeric path.  A Witt vector lives over a ring of a tower,
+one ``localfield.FlatRing`` per level, and its sums, carries and
+negatives are computed in ghost coordinates by one function
 (``ghost_sum``): for l levels the summands are lifted to the same ring
 at l-1 more base digits, their ghost components are summed, and the
 sum's Witt components are recovered one level at a time by certified
 exact division.  The pass is straight-line code compiled on first use
-for each shape (summands per column, levels) and kept on the lifted
-ring; the division check lives in that generated code, and a remainder
-raises IntegralityViolation.  A negative is the vector whose sum with the
-given one is zero, solved column by column with one pass per carry.
-Because the addition polynomials are integral, the result is exactly
-what evaluating them gives; the polynomial path remains the oracle and
-the only path for symbolic composition.  No table is needed here, so a
-tower vector may be as long as the tower's precision allows.
+for each shape (summands per column, levels) and moduli, and shared by
+every ring with those; the division check lives in that generated code,
+and a remainder raises IntegralityViolation.  A negative is the vector
+whose sum with the given one is zero, solved column by column with one
+pass per carry.  Because the addition polynomials are integral, the
+result is exactly what evaluating them gives.  No table is needed here,
+so a tower vector may be as long as the tower's precision allows.
 
 The p-fold decomposition splits the l-th component of a sum of p
 vectors into the plain coefficient sum plus a carry polynomial, and
@@ -200,7 +199,9 @@ def _solve_ghost(p: int, targets: list[MPoly], what: str) -> list[MPoly]:
 
 @dataclass(frozen=True)
 class WittVec:
-    """Length-n vector with group arithmetic over an arbitrary ring."""
+    """Length-n vector over a ring of a tower.  Sums, differences and
+    negatives run on ``ghost_sum``, the one numeric path; the addition and
+    negation polynomials, which give the same values, are its oracle."""
 
     ctx: WittCtx
     ring: object
@@ -209,86 +210,46 @@ class WittVec:
     def __post_init__(self):
         if len(self.components) != self.ctx.n:
             raise ValueError("component count does not match context length")
+        if not hasattr(self.ring, "flat_lift"):
+            name = type(self.ring).__name__
+            raise ValueError(f"Witt vectors need a tower ring with flat_lift, not {name}")
 
     def __add__(self, other: "WittVec") -> "WittVec":
-        if hasattr(self.ring, "flat_lift"):
-            return ghost_witt_sum((self, other))
-        return polynomial_witt_sum((self, other))
+        return witt_sum((self, other))
 
     def __neg__(self) -> "WittVec":
-        if hasattr(self.ring, "flat_lift"):
-            return ghost_witt_neg(self)
-        return polynomial_witt_neg(self)
+        """Solve y + z = 0 column by column, z_{j+1} = -(y_{j+1} + carry
+        of columns 1..j), one ``ghost_sum`` pass per carry."""
+        ring = self.ring
+        comps = [c.data for c in self.components]
+        z = [ring.neg(comps[0])]
+        for j in range(1, self.ctx.n):
+            columns = [[y_i, z_i] for y_i, z_i in zip(comps, z)]
+            carry = ghost_sum(self.ctx.p, ring, columns, j + 1)[-1]
+            z.append(ring.neg(ring.add(comps[j], carry)))
+        return WittVec(self.ctx, ring, tuple(OElem(ring, c) for c in z))
 
     def __sub__(self, other: "WittVec") -> "WittVec":
         return self + (-other)
 
 
-def _common_frame(vectors: Sequence[WittVec]) -> tuple[WittCtx, object]:
+def witt_sum(vectors: Sequence[WittVec]) -> WittVec:
+    """The Witt sum of vectors sharing context and ring, in one
+    ``ghost_sum`` pass."""
     if not vectors:
         raise ValueError("a Witt sum needs at least one vector")
     ctx, ring = vectors[0].ctx, vectors[0].ring
     for v in vectors[1:]:
         if v.ctx is not ctx or v.ring is not ring:
             raise ValueError("operands must share context and ring")
-    return ctx, ring
-
-
-def witt_sum(vectors: Sequence[WittVec]) -> WittVec:
-    """Sum by ghost coordinates when the ring has ``flat_lift`` (the
-    rings of a tower), else by the addition polynomials."""
-    if vectors and hasattr(vectors[0].ring, "flat_lift"):
-        return ghost_witt_sum(vectors)
-    return polynomial_witt_sum(vectors)
-
-
-def polynomial_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
-    """Left-to-right sum by evaluating the addition polynomials; works
-    over any ring and is the oracle for ``ghost_witt_sum``."""
-    ctx, ring = _common_frame(vectors)
-    acc = vectors[0].components
-    for v in vectors[1:]:
-        assign = {}
-        for j in range(1, ctx.n + 1):
-            assign[xvar(j)] = acc[j - 1]
-            assign[yvar(j)] = v.components[j - 1]
-        acc = tuple(phi.eval(assign, ring) for phi in ctx.addition)
-    return WittVec(ctx, ring, acc)
-
-
-def ghost_witt_sum(vectors: Sequence[WittVec]) -> WittVec:
-    """Witt sum over a ring with ``flat_lift``, in one ``ghost_sum`` pass."""
-    ctx, ring = _common_frame(vectors)
     columns = [[v.components[j].data for v in vectors] for j in range(ctx.n)]
     sums = ghost_sum(ctx.p, ring, columns, ctx.n)
     return WittVec(ctx, ring, tuple(OElem(ring, s) for s in sums))
 
 
-def polynomial_witt_neg(y: WittVec) -> WittVec:
-    """Negative by evaluating the negation polynomials; works over any
-    ring and is the oracle for ``ghost_witt_neg``."""
-    assign = {j - 1: y.components[j - 1] for j in range(1, y.ctx.n + 1)}
-    comps = tuple(iota.eval(assign, y.ring) for iota in y.ctx.negation)
-    return WittVec(y.ctx, y.ring, comps)
-
-
-def ghost_witt_neg(y: WittVec) -> WittVec:
-    """Negative over a ring with ``flat_lift``: solve y + z = 0 column by
-    column, z_{j+1} = -(y_{j+1} + carry of columns 1..j), one
-    ``ghost_sum`` pass per carry."""
-    ring = y.ring
-    comps = [c.data for c in y.components]
-    z = [ring.neg(comps[0])]
-    for j in range(1, y.ctx.n):
-        columns = [[y_i, z_i] for y_i, z_i in zip(comps, z)]
-        carry = ghost_sum(y.ctx.p, ring, columns, j + 1)[-1]
-        z.append(ring.neg(ring.add(comps[j], carry)))
-    return WittVec(y.ctx, ring, tuple(OElem(ring, c) for c in z))
-
-
 def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> tuple:
     """Components 1..``levels`` of the Witt sum of several vectors over a
-    ring with ``flat_lift``, as reduced flat coordinate tuples.
+    ring of a tower, as reduced flat coordinate tuples.
     ``columns[i]`` holds component i+1 of every summand, each as the flat
     coordinate tuple of a ring element.  ``levels`` is at least
     ``len(columns)``; the columns above those given are zero and never
@@ -308,12 +269,13 @@ def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> 
 
     The pass is straight-line code (``kernels.compile_ghost_pass``),
     compiled on first use for each shape, the number of summands in each
-    column and ``levels``, and kept on the lifted ring.  At each level it
-    raises every lower column's summands and S_i to the p-th power once,
-    through the lifted ring's ``pth_power``, read at call time.  Each
-    numerator coordinate is a plain integer sum, reduced once, modulo the
-    lifted modulus; the generated division checks it and raises
-    IntegralityViolation on a remainder, so nothing is floored.
+    column and ``levels``, and each pair of moduli; rings with equal p,
+    rank and moduli share it.  At each level it raises every lower
+    column's summands and S_i to the p-th power once, through the lifted
+    ring's ``pth_power``, read at call time.  Each numerator coordinate
+    is a plain integer sum, reduced once, modulo the lifted modulus; the
+    generated division checks it and raises IntegralityViolation on a
+    remainder, so nothing is floored.
     """
     if levels < max(1, len(columns)):
         raise ValueError(f"{len(columns)} columns give no {levels} levels")
@@ -321,12 +283,9 @@ def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> 
     if 0 in widths:
         raise ValueError("a column needs at least one summand")
     lifted = ring.flat_lift(levels - 1)
-    shape = (widths, levels)
-    ghost_pass = lifted.ghost_passes.get(shape)
-    if ghost_pass is None:
-        ghost_pass = lifted.ghost_passes[shape] = kernels.compile_ghost_pass(
-            p, lifted.flat_rank, widths, levels, lifted.modulus, ring.modulus, _indivisible
-        )
+    ghost_pass = kernels.compile_ghost_pass(
+        p, lifted.flat_rank, widths, levels, lifted.modulus, ring.modulus, _indivisible
+    )
     return ghost_pass(lifted.pth_power, columns)
 
 
@@ -499,12 +458,8 @@ def carry_value(p: int, level: int, rows: Sequence[Sequence], ring):
     1..level-1.  Because the carry does not involve column ``level``,
     it is the top component of the sum with that column zero.
     """
-    if hasattr(ring, "flat_lift"):
-        columns = [[row[j].data for row in rows] for j in range(level - 1)]
-        return OElem(ring, ghost_sum(p, ring, columns, level)[-1])
-    ctx = ctx_for(p, level)
-    vecs = [WittVec(ctx, ring, tuple(row[: level - 1]) + (ring.zero,)) for row in rows]
-    return polynomial_witt_sum(vecs).components[level - 1]
+    columns = [[row[j].data for row in rows] for j in range(level - 1)]
+    return OElem(ring, ghost_sum(p, ring, columns, level)[-1])
 
 
 def content_hash(obj: dict) -> str:

@@ -18,17 +18,53 @@
   columns, and one ``divide_exact`` call per level.  The package runs a
   straight-line pass compiled per shape; both must give the same
   components and raise the same IntegralityViolation.
+* Witt sums and negatives by evaluating the addition and negation
+  polynomials (``polynomial_witt_sum``, ``polynomial_witt_neg``), over
+  any ring the polynomials evaluate in, the integers among them.  The
+  package sums, carries and negates only through ``wittcore.ghost_sum``;
+  every test of that path compares it with these.
 * ``unflatten``, ``is_zero_at_precision``, ``eq_at_precision``,
   ``in_K_at_precision``, ``pi_K`` and ``project_to_K``: OElem helpers
-  that only the tests use.
+  that only the tests use, and ``zmod``, Z/p^k as a rank-1 tower ring.
 """
 
+from functools import cache
 from itertools import repeat
 
 from wittlab import cohomlab, wittcore
 from wittlab.cohomlab import _base_report, _update_margin, witt_length
-from wittlab.localfield import OElem, ValExtended
-from wittlab.wittcore import PFOLD_RANGE, IntegralityViolation
+from wittlab.exactpoly import INT_RING
+from wittlab.localfield import OElem, ValExtended, build_rings
+from wittlab.wittcore import PFOLD_RANGE, IntegralityViolation, ctx_for, xvar, yvar
+
+
+def polynomial_witt_sum(p, rows, ring=INT_RING) -> tuple:
+    """The components of the left-to-right Witt sum of ``rows``, equal
+    length sequences of elements of ``ring``, by evaluating the addition
+    polynomials."""
+    ctx = ctx_for(p, len(rows[0]))
+    acc = tuple(rows[0])
+    for row in rows[1:]:
+        assign = {}
+        for j in range(1, ctx.n + 1):
+            assign[xvar(j)] = acc[j - 1]
+            assign[yvar(j)] = row[j - 1]
+        acc = tuple(phi.eval(assign, ring) for phi in ctx.addition)
+    return acc
+
+
+def polynomial_witt_neg(p, row, ring=INT_RING) -> tuple:
+    """The components of the Witt negative of ``row`` by evaluating the
+    negation polynomials."""
+    assign = dict(enumerate(row))
+    return tuple(iota.eval(assign, ring) for iota in ctx_for(p, len(row)).negation)
+
+
+@cache
+def zmod(p, digits):
+    """Z/p^digits as a tower ring: O_K for K = Q_p, of rank 1, built once
+    per (p, digits) so that vectors over it share one ring."""
+    return build_rings(p, [-p], [p] + [0] * (p - 1), digits)[0]
 
 
 def unflatten(ring, coords) -> OElem:

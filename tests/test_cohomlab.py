@@ -33,13 +33,13 @@ from wittlab.wittcore import (
     WittVec,
     ctx_for,
     fold_var,
-    polynomial_witt_sum,
 )
 
 from oracles import (
     carry_identity_by_elements,
     eq_at_precision,
     is_zero_at_precision,
+    polynomial_witt_sum,
     project_to_K,
     randrange_K_elem,
     randrange_L_elem,
@@ -416,8 +416,8 @@ def test_residue_without_the_particular_fails(all_towers, monkeypatch):
 def polynomial_trace(tower, x):
     """Witt trace by the addition polynomials: the oracle for the flat
     ``witt_trace``."""
-    conj = [galois_vec(tower, x, i) for i in range(tower.p)]
-    return [project_to_K(tower, c).data for c in polynomial_witt_sum(conj).components]
+    conj = [galois_vec(tower, x, i).components for i in range(tower.p)]
+    return [project_to_K(tower, c).data for c in polynomial_witt_sum(tower.p, conj, tower.L)]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Ghost-coordinate Witt sums and negatives over tower rings against the
-addition and negation polynomials, which stay in the repository as their
+addition and negation polynomials, which stay in ``oracles`` as their
 oracle."""
 
 import random
@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wittlab import _kernels_py as pure
-from wittlab import cohomlab, wittcore
-from wittlab.exactpoly import ModRing, MPoly
+from wittlab import cohomlab, kernels, wittcore
+from wittlab.exactpoly import INT_RING, MPoly
 from wittlab.localfield import FlatRing
 from wittlab.wittcore import (
     BINARY_RANGE,
@@ -19,12 +19,16 @@ from wittlab.wittcore import (
     carry_value,
     ctx_for,
     ghost_sum,
-    polynomial_witt_neg,
-    polynomial_witt_sum,
     witt_sum,
 )
 
-from oracles import ghost_sum_by_loops, unflatten
+from oracles import (
+    ghost_sum_by_loops,
+    polynomial_witt_neg,
+    polynomial_witt_sum,
+    unflatten,
+    zmod,
+)
 
 # the four builtin towers and the two nested towers of conftest.py
 TOWER_PRIMES = {
@@ -65,13 +69,25 @@ def datas(vec):
     return [c.data for c in vec.components]
 
 
+def oracle_sum(vecs):
+    """The Witt sum of vectors over one tower ring by the addition
+    polynomials, as flat coordinate tuples."""
+    p, ring = vecs[0].ctx.p, vecs[0].ring
+    return [c.data for c in polynomial_witt_sum(p, [v.components for v in vecs], ring)]
+
+
+def oracle_neg(y):
+    """The negative of ``y`` by the negation polynomials."""
+    return [c.data for c in polynomial_witt_neg(y.ctx.p, y.components, y.ring)]
+
+
 @pytest.mark.parametrize("name,n", CASES)
 @PROPERTY
 @given(data=st.data())
 def test_pfold_sum_matches_polynomials(all_towers, name, n, data):
     tower = all_towers[name]
     vecs = draw_vectors(data, tower, n, tower.p)
-    assert datas(witt_sum(vecs)) == datas(polynomial_witt_sum(vecs))
+    assert datas(witt_sum(vecs)) == oracle_sum(vecs)
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -80,7 +96,7 @@ def test_pfold_sum_matches_polynomials(all_towers, name, n, data):
 def test_binary_add_matches_polynomials(all_towers, name, n, data):
     tower = all_towers[name]
     a, b = draw_vectors(data, tower, n, 2)
-    assert datas(a + b) == datas(polynomial_witt_sum([a, b]))
+    assert datas(a + b) == oracle_sum([a, b])
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -91,7 +107,7 @@ def test_carry_value_matches_polynomials(all_towers, name, n, data):
     vecs = draw_vectors(data, tower, n, tower.p, top_zero=True)
     rows = [v.components[: n - 1] for v in vecs]
     got = carry_value(tower.p, n, rows, tower.L)
-    assert got.data == polynomial_witt_sum(vecs).components[n - 1].data
+    assert got.data == oracle_sum(vecs)[n - 1]
 
 
 # every length the negation tables cover, so n = 5 at p = 2
@@ -106,7 +122,7 @@ NEG_CASES = [
 def test_negation_matches_polynomials(all_towers, name, n, data):
     tower = all_towers[name]
     (y,) = draw_vectors(data, tower, n, 1)
-    assert datas(-y) == datas(polynomial_witt_neg(y))
+    assert datas(-y) == oracle_neg(y)
 
 
 def carry_sign_flipped(p, ring, columns, levels):
@@ -139,7 +155,7 @@ def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
                 for _ in range(n)
             ]
             y = WittVec(ctx, tower.L, tuple(comps))
-            cases.append((y, datas(polynomial_witt_neg(y))))
+            cases.append((y, oracle_neg(y)))
     monkeypatch.setattr(wittcore, "ghost_sum", mutant)
     assert any(datas(-y) != want for y, want in cases)
 
@@ -147,15 +163,15 @@ def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
 def test_tower_sums_evaluate_no_polynomial(q3, monkeypatch):
     ctx = ctx_for(3, 4)
     vec = WittVec(ctx, q3.L, (q3.pi_L + 1, q3.pi_L, q3.L.one, q3.pi_L * 2))
-    want = polynomial_witt_sum([vec, vec, vec])
-    want_neg = polynomial_witt_neg(vec)
+    want = polynomial_witt_sum(3, [vec.components] * 3, q3.L)
+    want_neg = polynomial_witt_neg(3, vec.components, q3.L)
 
     def refuse(*args, **kwargs):
         raise AssertionError("polynomial evaluation on a tower ring")
 
     monkeypatch.setattr(MPoly, "eval", refuse)
-    assert witt_sum([vec, vec, vec]).components == want.components
-    assert (-vec).components == want_neg.components
+    assert witt_sum([vec, vec, vec]).components == want
+    assert (-vec).components == want_neg
 
 
 def test_verifiers_evaluate_no_polynomial_on_tower_rings(q2_i, q3, monkeypatch):
@@ -186,12 +202,39 @@ def test_verifiers_evaluate_no_polynomial_on_tower_rings(q2_i, q3, monkeypatch):
     assert len(drawn) == 2 * 2
 
 
-def test_rings_without_lift_keep_the_polynomial_path():
-    ring = ModRing(2**10)
-    assert not hasattr(ring, "flat_lift")
-    ctx = ctx_for(2, 2)
-    a, b = ctx.vec(ring, [1, 0]), ctx.vec(ring, [1, 0])
-    assert (a + b).components == (ring.from_int(2), ring.from_int(-1))
+def test_rings_without_lift_are_refused():
+    """Witt vectors live over tower rings only: the integers, which the
+    polynomial oracle evaluates over, are refused in one line."""
+    with pytest.raises(ValueError, match="flat_lift") as refused:
+        ctx_for(2, 2).vec(INT_RING, [1, 0])
+    assert "\n" not in str(refused.value)
+
+
+# Z/p^k as a rank-1 tower ring, at every length the tables cover
+ZMOD_CASES = [(p, n) for p in (2, 3, 5) for n in range(1, BINARY_RANGE[p] + 1)]
+
+
+@pytest.mark.parametrize("p,n", ZMOD_CASES)
+@PROPERTY
+@given(data=st.data())
+def test_rank_one_rings_match_polynomials(p, n, data):
+    """Over Z/p^16, ``+``, ``-``, ``witt_sum`` of p vectors and
+    ``carry_value`` run the package's ghost path; each equals the
+    polynomial oracle, with 0, 1, p^15 and p^16 - 1 among the drawn
+    components."""
+    ring = zmod(p, 16)
+    ctx = ctx_for(p, n)
+    digit = st.sampled_from([0, 1, p**15, ring.modulus - 1]) | st.integers(0, ring.modulus - 1)
+    vecs = [ctx.vec(ring, data.draw(st.lists(digit, min_size=n, max_size=n))) for _ in range(p)]
+    a, b = vecs[:2]
+    assert datas(a + b) == oracle_sum([a, b])
+    assert datas(-b) == oracle_neg(b)
+    minus_b = polynomial_witt_neg(p, b.components, ring)
+    assert (a - b).components == polynomial_witt_sum(p, [a.components, minus_b], ring)
+    assert datas(witt_sum(vecs)) == oracle_sum(vecs)
+    rows = [v.components[: n - 1] for v in vecs]
+    carried = polynomial_witt_sum(p, [row + (ring.zero,) for row in rows], ring)
+    assert carry_value(p, n, rows, ring) == carried[-1]
 
 
 def test_lift_reduces_to_the_working_ring(all_towers):
@@ -229,12 +272,8 @@ def check_non_divisible_numerator_raises(q2_i, monkeypatch):
 def polynomial_carry(tower, columns):
     """Top component of the sum of the p rows with one more column, zero,
     by the addition polynomials."""
-    ctx = ctx_for(tower.p, len(columns) + 1)
-    vecs = [
-        WittVec(ctx, tower.L, tuple(col[r] for col in columns) + (tower.L.zero,))
-        for r in range(tower.p)
-    ]
-    return polynomial_witt_sum(vecs).components[-1]
+    rows = [tuple(col[r] for col in columns) + (tower.L.zero,) for r in range(tower.p)]
+    return polynomial_witt_sum(tower.p, rows, tower.L)[-1]
 
 
 def check_ghost_sum(tower, draw):
@@ -249,11 +288,10 @@ def check_ghost_sum(tower, draw):
         [unflatten(tower.L, [draw(0, modulus - 1) for _ in range(rank)]) for _ in range(p)]
         for _ in range(n)
     ]
-    ctx = ctx_for(p, n)
 
     def polynomial(cols):
-        vecs = [WittVec(ctx, tower.L, tuple(col[r] for col in cols)) for r in range(p)]
-        return tuple(c.data for c in polynomial_witt_sum(vecs).components)
+        rows = [tuple(col[r] for col in cols) for r in range(p)]
+        return tuple(c.data for c in polynomial_witt_sum(p, rows, tower.L))
 
     flat = [[c.data for c in col] for col in columns]
     assert ghost_sum(p, tower.L, flat, n) == polynomial(columns)
@@ -315,19 +353,12 @@ def remainder_unchecked(monkeypatch):
 
 
 @pytest.fixture
-def fresh_passes(all_towers):
-    """No test tower ring holds a compiled ghost pass when the test starts
-    or after it ends."""
-
-    def drop():
-        for tower in all_towers.values():
-            for ring in (tower.K, tower.L):
-                for lifted in ring._lifts.values():
-                    lifted.ghost_passes.clear()
-
-    drop()
+def fresh_passes():
+    """No compiled ghost pass is cached when the test starts or after it
+    ends, so a pass compiled from a mutated source dies with the test."""
+    kernels.compile_ghost_pass.cache_clear()
     yield
-    drop()
+    kernels.compile_ghost_pass.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -457,6 +488,5 @@ def test_carry_and_sums_are_the_polynomial_values_as_tuples(all_towers, name):
         assert carry == polynomial_carry(tower, columns[:j]).data
     sums = ghost_sum(p, tower.L, flat, n)
     assert isinstance(sums, tuple) and all(isinstance(s, tuple) for s in sums)
-    ctx = ctx_for(p, n)
-    vecs = [WittVec(ctx, tower.L, tuple(col[r] for col in columns)) for r in range(p)]
-    assert sums == tuple(c.data for c in polynomial_witt_sum(vecs).components)
+    rows = [tuple(col[r] for col in columns) for r in range(p)]
+    assert sums == tuple(c.data for c in polynomial_witt_sum(p, rows, tower.L))

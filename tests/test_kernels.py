@@ -12,7 +12,7 @@ from wittlab import _kernels_py as pure
 from wittlab import kernels, wittcore
 from wittlab.localfield import build_tower
 
-from oracles import pi_K, unflatten
+from oracles import ghost_sum_by_loops, pi_K, unflatten
 
 
 def rand_terms(rng, nvars=5, nterms=8, maxexp=6):
@@ -440,30 +440,36 @@ class TestCompiledGhostPass:
                 pure.ghost_pass_source(*args)
 
     def test_fresh_tower_has_compiled_no_pass(self):
-        tower = build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
-        rings = [tower.K, tower.L, *tower.K._lifts.values(), *tower.L._lifts.values()]
-        assert all(ring.ghost_passes == {} for ring in rings)
+        kernels.compile_ghost_pass.cache_clear()
+        build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
+        assert kernels.compile_ghost_pass.cache_info().misses == 0
 
-    def test_same_shape_reuses_the_pass(self, monkeypatch):
+    def test_same_shape_reuses_the_pass(self):
         tower = build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
-        compiled = []
-        original = kernels.compile_ghost_pass
-        monkeypatch.setattr(
-            kernels, "compile_ghost_pass", lambda *args: compiled.append(args) or original(*args)
-        )
+        kernels.compile_ghost_pass.cache_clear()
         one = tower.L.one_elem
         columns = [[one] * 3, [one] * 3]
         first = wittcore.ghost_sum(3, tower.L, columns, 3)
-        assert len(compiled) == 1
-        (ghost_pass,) = tower.L.flat_lift(2).ghost_passes.values()
         other = [[tower.L.zero_elem] * 3, [one] * 3]
         assert wittcore.ghost_sum(3, tower.L, other, 3) != first
         assert wittcore.ghost_sum(3, tower.L, columns, 3) == first
-        assert len(compiled) == 1
-        assert tower.L.flat_lift(2).ghost_passes == {((3, 3), 3): ghost_pass}
+        info = kernels.compile_ghost_pass.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
         # another shape, one more compile
         wittcore.ghost_sum(3, tower.L, columns[:1], 3)
-        assert len(compiled) == 2
+        assert kernels.compile_ghost_pass.cache_info().misses == 2
+
+    def test_rings_with_equal_moduli_share_the_pass(self, q2_sqrt2, q2_sqrt_minus2):
+        """Two towers with the same p, rank and moduli compile a shape once,
+        and the shared pass gives each ring its own sums."""
+        kernels.compile_ghost_pass.cache_clear()
+        rng = random.Random(3)
+        for tower in (q2_sqrt2, q2_sqrt_minus2):
+            columns = [[tower.random_L_elem(rng).data for _ in range(2)] for _ in range(2)]
+            got = wittcore.ghost_sum(2, tower.L, columns, 3)
+            assert got == ghost_sum_by_loops(2, tower.L, columns, 3)
+        info = kernels.compile_ghost_pass.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def mat_vec(matrix, a, modulus):

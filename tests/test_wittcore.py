@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wittlab.exactpoly import INT_RING, MPOLY_RING, ModRing, MPoly
+from wittlab.exactpoly import INT_RING, MPOLY_RING, MPoly
 from wittlab.wittcore import (
     PFOLD_RANGE,
     WittCtx,
@@ -18,6 +18,8 @@ from wittlab.wittcore import (
     xvar,
     yvar,
 )
+
+from oracles import polynomial_witt_sum, zmod
 
 
 def ghost_of_ints(p, comps):
@@ -117,30 +119,31 @@ class TestNegationPolys:
 
 
 class TestWittArithmetic:
+    """Sums over the integers go through the polynomial oracle; sums over
+    Z/p^k, a rank-1 tower ring, through the package's ghost path."""
+
     def test_identity_element(self):
         rng = random.Random(0)
-        ctx = ctx_for(2, 3)
         for _ in range(20):
-            v = ctx.vec(INT_RING, [rng.randrange(-9, 9) for _ in range(3)])
-            assert (ctx.vec(INT_RING, [0] * 3) + v).components == v.components
+            v = tuple(rng.randrange(-9, 9) for _ in range(3))
+            assert polynomial_witt_sum(2, [(0,) * 3, v]) == v
 
     def test_one_plus_one_p2(self):
         ctx = ctx_for(2, 2)
-        v = ctx.vec(INT_RING, [1, 0])
-        w = v + v
-        assert w.components == (2, -1)
-        assert [g.eval(dict(enumerate(w.components)), INT_RING) for g in ctx.ghost] == [2, 2]
+        w = polynomial_witt_sum(2, [(1, 0), (1, 0)])
+        assert w == (2, -1)
+        assert [g.eval(dict(enumerate(w)), INT_RING) for g in ctx.ghost] == [2, 2]
 
     def test_one_plus_one_mod8(self):
-        ring = ModRing(8)
+        ring = zmod(2, 3)
         ctx = ctx_for(2, 2)
         v = ctx.vec(ring, [1, 0])
         w = v + v
-        assert [c.value for c in w.components] == [2, 7]
+        assert [c.data for c in w.components] == [(2,), (7,)]
 
     def test_inverse_law_mod16(self):
         rng = random.Random(5)
-        ring = ModRing(16)
+        ring = zmod(2, 4)
         ctx = ctx_for(2, 3)
         zero = ctx.vec(ring, [0] * 3)
         for _ in range(50):
@@ -148,62 +151,61 @@ class TestWittArithmetic:
             assert (v + (-v)).components == zero.components
 
     def test_threefold_sum_p3_ghost_oracle(self):
-        ctx = ctx_for(3, 2)
-        u = ctx.vec(INT_RING, [1, 0])
-        s = witt_sum([u, u, u])
-        assert list(s.components) == witt_sum_by_ghost(3, [[1, 0]] * 3)
-        assert s.components == (3, -8)
+        u = (1, 0)
+        s = polynomial_witt_sum(3, [u, u, u])
+        assert list(s) == witt_sum_by_ghost(3, [[1, 0]] * 3)
+        assert s == (3, -8)
+        ring = zmod(3, 16)
+        over_mod = witt_sum([ctx_for(3, 2).vec(ring, u)] * 3)
+        assert over_mod.components == tuple(map(ring.from_int, s))
 
     def test_random_sums_against_ghost_oracle(self):
         rng = random.Random(13)
         for p, n in ((2, 4), (3, 3), (5, 2)):
             ctx = ctx_for(p, n)
+            ring = zmod(p, 16)
             for _ in range(25):
-                vecs = [
-                    ctx.vec(INT_RING, [rng.randrange(-4, 5) for _ in range(n)])
-                    for _ in range(3)
-                ]
-                got = witt_sum(vecs)
-                assert list(got.components) == witt_sum_by_ghost(
-                    p, [list(v.components) for v in vecs]
-                )
+                rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(3)]
+                want = witt_sum_by_ghost(p, rows)
+                assert list(polynomial_witt_sum(p, rows)) == want
+                got = witt_sum([ctx.vec(ring, row) for row in rows])
+                assert got.components == tuple(map(ring.from_int, want))
 
     def test_naturality_of_reduction(self):
         rng = random.Random(17)
         for p, n in ((2, 4), (3, 3)):
-            ring = ModRing(p**16)
+            ring = zmod(p, 16)
             ctx = ctx_for(p, n)
             for _ in range(25):
                 a = [rng.randrange(-99, 99) for _ in range(n)]
                 b = [rng.randrange(-99, 99) for _ in range(n)]
-                over_z = ctx.vec(INT_RING, a) + ctx.vec(INT_RING, b)
+                over_z = polynomial_witt_sum(p, [a, b])
                 over_mod = ctx.vec(ring, a) + ctx.vec(ring, b)
-                assert [ring.from_int(c) for c in over_z.components] == list(
-                    over_mod.components
-                )
+                assert [ring.from_int(c) for c in over_z] == list(over_mod.components)
 
 
 class TestTruncation:
     def test_drops_tail(self):
-        ctx = ctx_for(2, 2)
-        assert ctx.vec(INT_RING, [3, 4]).components[:1] == (3,)
+        ring = zmod(2, 16)
+        assert ctx_for(2, 2).vec(ring, [3, 4]).components[:1] == (ring.from_int(3),)
 
     def test_is_additive(self):
         rng = random.Random(23)
+        ring = zmod(3, 16)
         ctx = ctx_for(3, 3)
         for _ in range(30):
-            a = ctx.vec(INT_RING, [rng.randrange(-9, 9) for _ in range(3)])
-            b = ctx.vec(INT_RING, [rng.randrange(-9, 9) for _ in range(3)])
+            a = ctx.vec(ring, [rng.randrange(-9, 9) for _ in range(3)])
+            b = ctx.vec(ring, [rng.randrange(-9, 9) for _ in range(3)])
             for m in (1, 2):
                 low = ctx_for(3, m)
                 assert (a + b).components[:m] == (
-                    low.vec(INT_RING, a.components[:m]) + low.vec(INT_RING, b.components[:m])
+                    low.vec(ring, a.components[:m]) + low.vec(ring, b.components[:m])
                 ).components
 
     def test_surjective_by_zero_padding(self):
-        ctx2 = ctx_for(2, 2)
-        a = ctx2.vec(INT_RING, [5, 0])
-        assert a.components[:1] == (5,)
+        ring = zmod(2, 16)
+        a = ctx_for(2, 2).vec(ring, [5, 0])
+        assert a.components[:1] == (ring.from_int(5),)
 
 
 class TestPFoldDecomposition:
@@ -265,10 +267,9 @@ class TestPFoldDecomposition:
         rng = random.Random(29)
         for p, nmax in ((2, 3), (3, 3)):
             pf = pfold_decomposition(p, nmax)
-            ctx = ctx_for(p, nmax)
             for _ in range(20):
                 rows = [[rng.randrange(-5, 6) for _ in range(nmax)] for _ in range(p)]
-                total = witt_sum([ctx.vec(INT_RING, row) for row in rows])
+                total = polynomial_witt_sum(p, rows)
                 for l in range(1, nmax + 1):
                     assign = {
                         fold_var(p, i, j): rows[i - 1][j - 1]
@@ -277,17 +278,18 @@ class TestPFoldDecomposition:
                     }
                     f_val = pf.carry_polys[l - 1].eval(assign)
                     plain = sum(rows[i][l - 1] for i in range(p))
-                    assert total.components[l - 1] == plain + f_val
+                    assert total[l - 1] == plain + f_val
 
     def test_numeric_carry_equals_symbolic(self):
         rng = random.Random(31)
         for p, nmax in ((2, 4), (3, 3)):
             pf = pfold_decomposition(p, nmax)
+            ring = zmod(p, 16)
             for _ in range(20):
                 rows = [
                     [rng.randrange(-5, 6) for _ in range(nmax - 1)] for _ in range(p)
                 ]
-                numeric = carry_value(p, nmax, rows, INT_RING)
+                numeric = carry_value(p, nmax, [list(map(ring.from_int, r)) for r in rows], ring)
                 assign = {
                     fold_var(p, i, j): rows[i - 1][j - 1]
                     for i in range(1, p + 1)
