@@ -4,14 +4,13 @@ A tower is Q_p -> K -> L where K/Q_p is totally ramified of degree e_K
 (possibly trivial) and L/K is a degree-p Galois step, each level
 presented by an Eisenstein polynomial.  Base residues are carried
 modulo p^N_int where N_int exceeds the advertised precision N by a
-guard margin sized so that:
-
-* the digit-lifted roots of the top Eisenstein polynomial are exact
-  zeros of it in the working ring, which makes the Galois substitution
-  map an exact ring endomorphism of the working ring; and
-* every identity asserted at the advertised precision survives the
-  root ambiguity (roots are pinned only up to the derivative
-  valuation).
+guard margin: every random element is drawn uniformly modulo p^N_int,
+so the margin fixes the draws and every sampled verdict, and a linear
+solve that loses delta digits to its pivots still holds past N.  The
+roots of the top Eisenstein polynomial are lifted by Newton's method a
+few digits past N_int and reduced, so they are reductions of its roots
+in O_L: the Galois substitution is an exact automorphism of order p of
+the working ring, and the trace built from it is exact.
 
 O_K and O_L are both a ``FlatRing``: an element is a tuple of residues
 modulo p^N_int on a fixed Z_p-basis, pi_K^i on O_K and pi_K^i*pi_L^j at
@@ -558,6 +557,22 @@ def precision_policy(p: int, e_k: int, s_bound: int, witt_length: int) -> int:
     return -(-need // (p * e_k))
 
 
+def _eval_top(R: FlatRing, x):
+    """E_L at a point of R, O_L at some digit count, by Horner."""
+    acc = R.one_elem
+    for j in range(R.p - 1, -1, -1):
+        acc = R.add(R.mul(acc, x), R.embed(R.ecoeffs[j]))
+    return acc
+
+
+def _eval_deriv(R: FlatRing, x):
+    """E_L' at a point of R, by Horner."""
+    acc = R.from_int(R.p).data
+    for j in range(R.p - 1, 0, -1):
+        acc = R.add(R.mul(acc, x), R.scale_int(R.embed(R.ecoeffs[j]), j))
+    return acc
+
+
 class ExtensionTower:
     """L/K/Q_p with a chosen Galois generator and precomputed maps.
 
@@ -573,8 +588,8 @@ class ExtensionTower:
         self.N = N
         self.e_K = len(e_k)
         self.e_L = p * self.e_K
-        # guard digits: sized from the generic bound on the derivative
-        # valuation, so lifted roots stay exact in the working ring
+        # guard digits, sized from the generic bound on the derivative
+        # valuation; the module docstring says what they are for
         dv_bound = p * self.e_K + 2 * p + 4
         self.N_int = N + 2 + -(-dv_bound // (p * self.e_K))
         self.modulus = p**self.N_int
@@ -587,7 +602,6 @@ class ExtensionTower:
 
         self.val_cap = p * self.e_K * N
         self.val_cap_K = self.e_K * N
-        self.cap_int = p * self.e_K * self.N_int
 
         self._find_roots_and_sigma(sigma_choice)
         self._build_matrices()
@@ -599,27 +613,10 @@ class ExtensionTower:
 
     # -- construction helpers ------------------------------------------
 
-    def _eval_top(self, x):
-        """E_L at an O_L point, by Horner."""
-        acc = self.L.one_elem
-        for j in range(self.p - 1, -1, -1):
-            acc = self.L.add(self.L.mul(acc, x), self.L.embed(self.L.ecoeffs[j]))
-        return acc
-
     def _find_roots_and_sigma(self, sigma_choice: int) -> None:
         L, p = self.L, self.p
         pi = L.pi_elem
-        dpoly = [
-            self.L.embed(self.K.scale_int(L.ecoeffs[j], j)) for j in range(1, p)
-        ]
-
-        def eval_deriv(x):
-            acc = L.from_int(p).data
-            for j in range(p - 2, -1, -1):
-                acc = L.add(L.mul(acc, x), dpoly[j])
-            return acc
-
-        dv = L.val_raw(eval_deriv(pi))
+        dv = L.val_raw(_eval_deriv(L, pi))
         if dv is None:
             raise PrecisionTooLow("derivative of the top polynomial vanishes at precision")
         if dv % (p - 1):
@@ -630,39 +627,30 @@ class ExtensionTower:
         s_pre = dv // (p - 1) - 1
         if s_pre < 1:
             raise NotNormal("ramification break would be < 1")
-
-        k_stop = self.cap_int - dv
-        pi_pows = [L.one_elem]
-        for _ in range(k_stop):
-            pi_pows.append(L.mul(pi_pows[-1], pi))
-        digits = [L.from_int(d).data for d in range(p)]
-
-        def threshold(k: int) -> int:
-            return min(k + (p - 1) * min(k, s_pre + 1), self.cap_int)
-
-        candidates = [L.zero_elem]
-        for k in range(k_stop):
-            t = threshold(k + 1)
-            nxt = []
-            for cand in candidates:
-                for d in range(p):
-                    c2 = cand if d == 0 else L.add(cand, L.mul(digits[d], pi_pows[k]))
-                    v = L.val_raw(self._eval_top(c2))
-                    if v is None or v >= t:
-                        nxt.append(c2)
-            candidates = nxt
-            if len(candidates) > 4 * p * p:
-                raise NotNormal("root search diverged; step is not a clean Galois step")
-        roots = [c for c in candidates if L.val_raw(self._eval_top(c)) is None]
-        if len(roots) != p:
-            raise NotNormal(
-                f"found {len(roots)} roots of the top polynomial at precision, need {p}"
-            )
-        others = sorted(r for r in roots if r != pi)
-        if len(others) != p - 1:
-            raise NotNormal("uniformizer is not among the lifted roots")
+        # Newton's step x <- x - E_L(x)/E_L'(x) from pi_L + d*pi_L^(s_pre+1),
+        # d = 1..p-1, nearer its own root than the roots are to each other
+        # (sigma^i(pi_L) - pi_L has valuation s_pre + 1, leading digit 1..p-1),
+        # so its distance to the root past s_pre + 1 doubles at each step.
+        # Dividing by E_L'(x), of valuation dv, leaves ceil(dv/e_L) digits
+        # open, and R carries one more.
+        R = L.flat_lift(-(-dv // self.e_L) + 1)
+        lead = R.pow(R.pi_elem, s_pre + 1)
+        roots = []
+        for d in range(1, p):
+            x = R.add(R.pi_elem, R.scale_int(lead, d))
+            for _ in range((R.digits * R.flat_rank).bit_length() + 1):
+                deriv = _eval_deriv(R, x)  # struct[0][m] = 1 * basis element m
+                mat = tuple(zip(*(R.mul(deriv, b) for b in R.struct[0])))
+                try:
+                    step, _ = linsolve(smith_normal_form(mat, p, R.digits), _eval_top(R, x))
+                except NoSolutionAtPrecision:
+                    raise NotNormal("a Newton step has no solution") from None
+                x = R.sub(x, step)
+            roots.append(L.reduce(x))
+        if any(L.val_raw(_eval_top(L, r)) is not None for r in roots) or len({pi, *roots}) != p:
+            raise NotNormal(f"Newton's method gave no {p} distinct roots of the top polynomial")
         self.dv = dv
-        self.sigma_root = others[sigma_choice % (p - 1)]
+        self.sigma_root = roots[sigma_choice % (p - 1)]
 
         # conj[i] = sigma^i(pi), the points the substitution path evaluates at
         conj = [pi]
@@ -914,7 +902,9 @@ def build_tower(
     root of the length of E_L), takes e_K from the stripped E_K, resolves
     ``N="auto"`` by the policy at the generic bound on the break, and
     after construction refuses an N below the policy at the tower's
-    break for Witt length ``witt_length_hint``."""
+    break for Witt length ``witt_length_hint``.  The generator sigma has
+    sigma(pi_L) = pi_L + d*pi_L^(s+1) modulo pi_L^(s+2), where d = 1 +
+    (``sigma_choice`` mod p-1)."""
     e_k = [int(c) for c in _strip_monic(e_k_coeffs, "E_K")] if e_k_coeffs else [-p]
     e_l = [
         [int(x) for x in c] if isinstance(c, list) else int(c)

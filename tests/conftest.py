@@ -70,6 +70,30 @@ def all_towers(towers, nested, quartic):
 
 
 @pytest.fixture(scope="session")
+def septic():
+    """CI's p = 7 tower: the degree-7 subfield of Q7(zeta_49), shifted to
+    be Eisenstein."""
+    return localfield.build_tower(
+        7, "auto", ["-156256387", "74760231", "-15270458", "1725976",
+                    "-116571", "4704", "-105", "1"]
+    )
+
+
+@pytest.fixture(scope="session")
+def quintic():
+    """The degree-5 subfield of Q5(zeta_25), pi = eta - 4 for the
+    Gaussian period eta."""
+    return localfield.build_tower(5, "auto", [505, 850, 525, 150, 20, 1])
+
+
+@pytest.fixture(scope="session")
+def eight_towers(all_towers, septic, quintic):
+    """The six towers of ``all_towers``, CI's septic tower and the
+    quintic one, by name."""
+    return {**all_towers, "septic": septic, "quintic": quintic}
+
+
+@pytest.fixture(scope="session")
 def stable_witt_length_closed():
     """The closed form of the stable length, least M with p^(M-1) > s:
     the oracle that ``cohomlab.stable_witt_length``, which sums the

@@ -23,6 +23,17 @@
   any ring the polynomials evaluate in, the integers among them.  The
   package sums, carries and negates only through ``wittcore.ghost_sum``;
   every test of that path compares it with these.
+* The roots of E_L by the digit-by-digit search that Newton's method
+  replaced (``roots_by_digit_search``), and ``DigitSearchTower``, a tower
+  whose sigma is chosen from them by the old rule (the first root in the
+  sorted order of its coordinates).  The search grows every candidate by
+  one pi_L-adic digit at a time, so its roots are zeros of E_L modulo
+  p^N_int but not always reductions of roots in O_L; the tests compare
+  the Newton roots with them to N_int - 2 digits, and the decisions to
+  build or refuse on a list of small Eisenstein polynomials.
+* The trace from E_L's coefficients alone (``trace_by_power_sums``):
+  Newton's identities give the power sums of E_L's roots in O_K, with no
+  sigma, so the trace matrix built from sigma is compared with it.
 * ``unflatten``, ``is_zero_at_precision``, ``eq_at_precision``,
   ``in_K_at_precision``, ``pi_K`` and ``project_to_K``: OElem helpers
   that only the tests use, and ``zmod``, Z/p^k as a rank-1 tower ring.
@@ -34,7 +45,16 @@ from itertools import repeat
 from wittlab import cohomlab, wittcore
 from wittlab.cohomlab import _base_report, _update_margin, witt_length
 from wittlab.exactpoly import INT_RING
-from wittlab.localfield import OElem, ValExtended, build_rings
+from wittlab.localfield import (
+    ExtensionTower,
+    NotNormal,
+    OElem,
+    PrecisionTooLow,
+    ValExtended,
+    _eval_deriv,
+    _eval_top,
+    build_rings,
+)
 from wittlab.wittcore import PFOLD_RANGE, IntegralityViolation, ctx_for, xvar, yvar
 
 
@@ -65,6 +85,126 @@ def zmod(p, digits):
     """Z/p^digits as a tower ring: O_K for K = Q_p, of rank 1, built once
     per (p, digits) so that vectors over it share one ring."""
     return build_rings(p, [-p], [p] + [0] * (p - 1), digits)[0]
+
+
+def roots_by_digit_search(L, dv, s_pre) -> list:
+    """The roots of E_L other than pi_L, in sorted order, found in ``L``
+    (O_L at N_int digits) by growing a tree of candidates one pi_L-adic
+    digit at a time down to depth cap_int - dv, where cap_int = e_L*N_int
+    and dv = v_L(E_L'(pi_L)).  NotNormal when the tree passes 4p^2
+    candidates or does not end in p roots with pi_L among them."""
+    p = L.p
+    pi = L.pi_elem
+    cap_int = L.flat_rank * L.digits
+    k_stop = cap_int - dv
+    pi_pows = [L.one_elem]
+    for _ in range(k_stop):
+        pi_pows.append(L.mul(pi_pows[-1], pi))
+    digits = [L.from_int(d).data for d in range(p)]
+
+    def threshold(k: int) -> int:
+        return min(k + (p - 1) * min(k, s_pre + 1), cap_int)
+
+    candidates = [L.zero_elem]
+    for k in range(k_stop):
+        t = threshold(k + 1)
+        nxt = []
+        for cand in candidates:
+            for d in range(p):
+                c2 = cand if d == 0 else L.add(cand, L.mul(digits[d], pi_pows[k]))
+                v = L.val_raw(_eval_top(L, c2))
+                if v is None or v >= t:
+                    nxt.append(c2)
+        candidates = nxt
+        if len(candidates) > 4 * p * p:
+            raise NotNormal("root search diverged; step is not a clean Galois step")
+    roots = [c for c in candidates if L.val_raw(_eval_top(L, c)) is None]
+    if len(roots) != p:
+        raise NotNormal(
+            f"found {len(roots)} roots of the top polynomial at precision, need {p}"
+        )
+    others = sorted(r for r in roots if r != pi)
+    if len(others) != p - 1:
+        raise NotNormal("uniformizer is not among the lifted roots")
+    return others
+
+
+class DigitSearchTower(ExtensionTower):
+    """An ``ExtensionTower`` whose sigma comes from
+    ``roots_by_digit_search``, ``sigma_choice`` indexing the other roots in
+    sorted order, with the checks that went with the search."""
+
+    def _find_roots_and_sigma(self, sigma_choice: int) -> None:
+        L, p = self.L, self.p
+        pi = L.pi_elem
+        dv = L.val_raw(_eval_deriv(L, pi))
+        if dv is None:
+            raise PrecisionTooLow("derivative of the top polynomial vanishes at precision")
+        if dv % (p - 1):
+            raise NotNormal(
+                f"derivative valuation {dv} is not a multiple of p-1; "
+                "the step cannot be cyclic of degree p"
+            )
+        s_pre = dv // (p - 1) - 1
+        if s_pre < 1:
+            raise NotNormal("ramification break would be < 1")
+        others = roots_by_digit_search(L, dv, s_pre)
+        self.dv = dv
+        self.sigma_root = others[sigma_choice % (p - 1)]
+
+        # conj[i] = sigma^i(pi), the points the substitution path evaluates at
+        conj = [pi]
+        for _ in range(p - 1):
+            conj.append(self._subst(conj[-1], self.sigma_root))
+        wrap = self._subst(conj[-1], self.sigma_root)
+        if not self._close_raw(wrap, pi, self.val_cap):
+            raise NotNormal("Galois substitution does not have order p at precision")
+        for i in range(1, p):
+            if self._close_raw(conj[i], pi, self.val_cap):
+                raise NotNormal("Galois substitution has order < p at precision")
+        self.pi_conjugates = tuple(conj)
+
+        diff = L.sub(conj[1], pi)
+        vdiff = L.val_raw(diff)
+        if vdiff is None or vdiff >= self.val_cap:
+            raise PrecisionTooLow("sigma(pi) - pi vanishes at precision")
+        self.s = vdiff - 1
+        if self.s * (p - 1) > p * self.e_K:
+            raise NotNormal(
+                f"break {self.s} exceeds the wild bound {p * self.e_K}/(p-1)"
+            )
+
+
+def tower_by_digit_search(tower, sigma_choice=0) -> DigitSearchTower:
+    """``tower`` built again, at the same N, with the digit-search sigma."""
+    return DigitSearchTower(
+        list(tower.K.ecoeffs),
+        [list(c) for c in tower.L.ecoeffs],
+        tower.description,
+        sigma_choice=sigma_choice,
+    )
+
+
+def trace_by_power_sums(tower) -> tuple:
+    """The trace of O_L over O_K as a matrix on flat coordinates, with no
+    sigma: Tr(pi_K^i*pi_L^j) = pi_K^i*P_j, where P_j is the j-th power
+    sum of E_L's roots, from Newton's identities P_k + a_(p-1)*P_(k-1) +
+    ... + a_(p-k+1)*P_1 + k*a_(p-k) = 0 on the coefficients a_j of
+    E_L, O_K arithmetic only."""
+    K, L, p = tower.K, tower.L, tower.p
+    a = L.ecoeffs
+    sums = [K.from_int(p).data]
+    for k in range(1, p):
+        acc = K.scale_int(a[p - k], k)
+        for i in range(1, k):
+            acc = K.add(acc, K.mul(a[p - i], sums[k - i]))
+        sums.append(K.neg(acc))
+    columns = [
+        L.embed(K.mul(K.pow(K.pi_elem, i), sums[j]))
+        for j in range(p)
+        for i in range(K.flat_rank)
+    ]
+    return tuple(zip(*columns))
 
 
 def unflatten(ring, coords) -> OElem:

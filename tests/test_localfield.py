@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -25,6 +26,7 @@ from wittlab.localfield import (
 )
 
 from oracles import (
+    DigitSearchTower,
     eq_at_precision,
     fixed_by_substitution,
     in_K_at_precision,
@@ -32,6 +34,8 @@ from oracles import (
     pi_K,
     randrange_K_elem,
     randrange_L_elem,
+    tower_by_digit_search,
+    trace_by_power_sums,
     unflatten,
     val_by_coordinates,
     vp_int_by_division,
@@ -620,6 +624,157 @@ def test_coeff_slices_roundtrip(all_towers, name, data):
     assert unflatten(tower.L, shifted).data == a
 
 
+# -- sigma by Newton's method ---------------------------------------------------
+
+EIGHT_TOWERS = [*TOWER_NAMES, "septic", "quintic"]
+
+
+def mat_mul(a, b, modulus):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % modulus for col in zip(*b)) for row in a
+    )
+
+
+def reduced_set(points, modulus):
+    return {tuple(c % modulus for c in x) for x in points}
+
+
+def exactness_failures(tower) -> list:
+    """The exactness checks on sigma and the trace, modulo p^N_int, that a
+    root of E_L exact only to its last digits fails: the names of those
+    that fail."""
+    L, G, mod = tower.L, tower.galois_mats[1], tower.modulus
+    rank = L.flat_rank
+    failures = []
+    power = G
+    for _ in range(tower.p - 1):
+        power = mat_mul(power, G, mod)
+    if power != tuple(tuple(int(r == m) for m in range(rank)) for r in range(rank)):
+        failures.append("sigma^p")
+    columns = list(zip(*G))
+    if any(
+        tower.galois_maps[1](L.struct[a][b]) != L.mul(columns[a], columns[b])
+        for a in range(rank)
+        for b in range(rank)
+    ):
+        failures.append("multiplicative")
+    if tower.trace_full_mat != trace_by_power_sums(tower):
+        failures.append("trace")
+    return failures
+
+
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
+def test_sigma_and_trace_are_exact(eight_towers, name):
+    # sigma^p = 1 failed at p^N_int on q2_sqrt2, q3, septic and quintic
+    # with the digit-searched root, and the trace on q2_i and quintic
+    assert exactness_failures(eight_towers[name]) == []
+
+
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
+def test_roots_match_digit_search(eight_towers, name):
+    tower = eight_towers[name]
+    oracle = tower_by_digit_search(tower)
+    mod = tower.p ** (tower.N_int - 2)
+    assert reduced_set(tower.pi_conjugates, mod) == reduced_set(oracle.pi_conjugates, mod)
+    assert len(reduced_set(tower.pi_conjugates, mod)) == tower.p
+    assert (tower.dv, tower.s) == (oracle.dv, oracle.s)
+
+
+@pytest.mark.parametrize("p, e_l", [(3, [3, 0, -3, 1]), (5, [505, 850, 525, 150, 20, 1])])
+def test_sigma_choice_picks_the_leading_digit(p, e_l):
+    # sigma(pi_L) = pi_L + (1 + sigma_choice)*pi_L^(s+1) modulo pi_L^(s+2),
+    # and sigma_choice = p - 1 wraps to 0
+    for choice in range(p):
+        tower = build_tower(p, "auto", e_l, sigma_choice=choice)
+        L, s = tower.L, tower.s
+        lead = L.scale_int(L.pow(L.pi_elem, s + 1), 1 + choice % (p - 1))
+        assert L.val_raw(L.sub(L.sub(tower.sigma_root, L.pi_elem), lead)) >= s + 2
+
+
+def small_eisenstein() -> list:
+    """(p, the non-leading coefficients of E_L over Q_p) for 108 small
+    Eisenstein polynomials at p = 2, 3 and 5: every quadratic is Galois,
+    and most cubics and quintics are not."""
+    polys = [(2, [a0, a1]) for a1 in (0, 2, -2, 4) for a0 in (2, -2, 6, 10, -6)]
+    polys += [
+        (3, [a0, a1, a2])
+        for a1, a2 in itertools.product((0, 3, -3, 6), repeat=2)
+        for a0 in (3, -3, 6)
+    ]
+    polys += [
+        (5, [a0, a1, 0, a3, a4])
+        for a0, a1, a3, a4 in itertools.product((5, -5), (0, 5, -5), (0, 5), (0, 5, -5))
+    ]
+    # the quintic tower's E_L(x + c): the same field, other coefficients
+    quintic = [505, 850, 525, 150, 20, 1]
+    for c in (0, 5, -5, 10):
+        polys.append((5, [
+            sum(a * math.comb(j, i) * c ** (j - i) for j, a in enumerate(quintic) if j >= i)
+            for i in range(5)
+        ]))
+    return polys
+
+
+def test_decisions_match_digit_search():
+    # both build or both refuse with NotNormal; where both build, the same
+    # break and the same group {sigma^i} to N_int - 2 digits
+    counts = collections.Counter()
+    for p, e_l in small_eisenstein():
+        built = []
+        for cls in (localfield.ExtensionTower, DigitSearchTower):
+            try:
+                built.append(cls([-p], e_l, {"p": p, "N": 6}))
+            except NotNormal as exc:
+                built.append(exc)
+        newton, search = built
+        assert isinstance(newton, NotNormal) == isinstance(search, NotNormal), (p, e_l)
+        if isinstance(newton, NotNormal):
+            counts["refused past the dv checks" if "Newton" in str(newton) else "refused"] += 1
+            continue
+        mod = p ** (newton.N_int - 2)
+        assert newton.s == search.s, (p, e_l)
+        assert reduced_set(newton.pi_conjugates, mod) == reduced_set(search.pi_conjugates, mod)
+        same = reduced_set([newton.sigma_root], mod) == reduced_set([search.sigma_root], mod)
+        counts["built" if same else "built, another generator"] += 1
+    assert counts == {
+        "built": 23,
+        "built, another generator": 7,
+        "refused": 71,
+        "refused past the dv checks": 7,
+    }
+
+
+# not q2_sqrt_minus2: on x^2 + 2 the start pi_L + pi_L^3 = -pi_L is the root
+@pytest.mark.parametrize("name", [n for n in EIGHT_TOWERS if n != "q2_sqrt_minus2"])
+def test_wrong_derivative_in_newton_fails(eight_towers, name, monkeypatch):
+    # E_L' with its constant coefficient off by one in Newton's steps (the
+    # lifted ring; the derivative valuation at pi_L is read in the working
+    # ring and stays right): the steps no longer converge, and either the
+    # build refuses or the exactness checks fail
+    tower = eight_towers[name]
+    true_deriv = localfield._eval_deriv
+
+    def off_by_one(R, x):
+        d = true_deriv(R, x)
+        return R.add(d, R.one_elem) if R.digits > tower.N_int else d
+
+    monkeypatch.setattr(localfield, "_eval_deriv", off_by_one)
+    try:
+        mutant = localfield.tower_from_obj(tower.description)
+    except NotNormal:
+        return
+    assert exactness_failures(mutant)
+
+
+def test_newton_division_without_solution_is_not_normal(monkeypatch):
+    def unsolvable(snf, rhs):
+        raise NoSolutionAtPrecision(1)
+
+    monkeypatch.setattr(localfield, "linsolve", unsolvable)
+    with pytest.raises(NotNormal, match="Newton step"):
+        build_tower(3, 16, [3, 0, -3, 1])
+
+
 # -- the flat ring ------------------------------------------------------------
 
 # sha256 of the JSON of the structure rows of O_K and O_L: at N_int, and
@@ -747,22 +902,28 @@ class TestFlatRing:
             assert lifted.flat_lift(1).struct == ring.flat_lift(3).struct
 
     def test_build_computes_one_smith_form(self, monkeypatch):
-        """Only the trace's Smith form is built with the tower; sigma - 1
-        gets one per digit count, on first use."""
+        """The tower's own matrices get one Smith form at build time, the
+        trace's at N_int; sigma - 1 gets one per digit count, on first use.
+        The Newton divisions that find the roots of E_L run in the lifted
+        ring, at more digits than N_int, which is how they are told apart."""
         calls = []
         original = localfield.smith_normal_form
 
         def counted(matrix, p, digits):
-            calls.append(digits)
+            calls.append((digits, matrix))
             return original(matrix, p, digits)
 
         monkeypatch.setattr(localfield, "smith_normal_form", counted)
         tower = build_tower(2, 24, ["-2", "0", "1"])
-        assert calls == [tower.N_int]
+        lifted = tower.L.flat_lift(-(-tower.dv // tower.e_L) + 1).digits
+        assert lifted > tower.N_int
+        assert any(digits == lifted for digits, _ in calls)
+        assert [c for c in calls if c[0] != lifted] == [(tower.N_int, tower.trace_mat)]
+        calls.clear()
         for digits in (tower.N, tower.N + 2, tower.N_int):
             snf = tower.sigma_minus_one_snf(digits)
             assert tower.sigma_minus_one_snf(digits) is snf
-        assert calls == [tower.N_int, tower.N, tower.N + 2, tower.N_int]
+        assert [digits for digits, _ in calls] == [tower.N, tower.N + 2, tower.N_int]
 
 
 # -- zero at precision ----------------------------------------------------------
