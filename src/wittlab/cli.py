@@ -99,9 +99,14 @@ def _tower(ref, context: str = "", **overrides) -> localfield.ExtensionTower:
     description object, with ``N`` (``--precision``: "auto" or an integer
     string) or ``seed`` replaced by ``overrides``.  A description that
     cannot be read or built is a usage error, its line led by ``context``."""
-    try:
-        if overrides.get("N", "auto") != "auto":
+    if overrides.get("N", "auto") != "auto":
+        try:
             overrides["N"] = int(overrides["N"])
+        except ValueError:
+            raise _Exit(
+                EXIT_CONFIG, f'--precision must be "auto" or an integer, got {overrides["N"]!r}'
+            ) from None
+    try:
         if isinstance(ref, dict):
             return localfield.tower_from_obj(ref, **overrides)
         if ref in _builtin_towers():
@@ -151,9 +156,9 @@ def cmd_tower_info(args) -> int:
         "stable_witt_length": cohomlab.stable_witt_length(tower.s, tower.p),
         "h1_order_level1": cohomlab.h1_order_level1(tower),
     }
-    if args.json:
+    if args.json or args.out:
         _write_json(args.out, info)
-    else:
+    if not args.json:
         for key, value in info.items():
             print(f"{key}: {value}")
     return EXIT_PASS
@@ -231,8 +236,7 @@ def cmd_suite(args) -> int:
     if samples < 1:
         raise _Exit(EXIT_CONFIG, f"manifest samples must be at least 1, got {samples}")
 
-    cells = []
-    worst = EXIT_PASS
+    built = {}  # tower name -> tower, in manifest order
     for tower_ref in towers:
         # every tower, named, from a file or inline, takes the manifest's
         # seed, so one description has one tower_hash in a manifest
@@ -240,6 +244,14 @@ def cmd_suite(args) -> int:
         context = "cannot build inline tower: " if inline else f"cannot load tower {tower_ref!r}: "
         tower = _tower(tower_ref, context, seed=seed)
         tower_name = tower_ref.get("name", tower.tower_hash[:12]) if inline else Path(tower_ref).stem
+        # the table has one column per name
+        if tower_name in built:
+            raise _Exit(EXIT_CONFIG, f"manifest lists two towers named {tower_name!r}")
+        built[tower_name] = tower
+
+    cells = []
+    worst = EXIT_PASS
+    for tower_name, tower in built.items():
         for lemma in lemmas:
             try:
                 report = _run(lemma, tower, tower_name, samples=samples, seed=seed)

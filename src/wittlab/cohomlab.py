@@ -45,6 +45,12 @@ from .localfield import (
 from .wittcore import PFOLD_RANGE, WittVec, ctx_for
 
 
+# the trace-zero sampler's redraw cut deepens by one level every
+# SAMPLER_RETRIES consecutive failed levels, and it gives up after
+# SAMPLER_RETRIES * n * 8 failures in all; read at call time
+SAMPLER_RETRIES = 32
+
+
 class SamplerExhausted(RuntimeError):
     """The trace-zero sampler ran out of retries at some level."""
 
@@ -175,7 +181,6 @@ def sample_trace_zero(
     n: int,
     rng: random.Random,
     *,
-    retries: int = 32,
     seed_label: str = "",
 ) -> KernelSample:
     """Draw a random length-n trace-zero Witt vector.
@@ -183,7 +188,7 @@ def sample_trace_zero(
     Component 1 is a random trace-kernel element; component l solves
     tr(x_l) = -carry_l and gets a fresh kernel element added.  When the
     carry falls outside the trace image, the level l-1 kernel part is
-    redrawn (bounded retries); the finished vector is audited.  Each
+    redrawn (``SAMPLER_RETRIES``); the finished vector is audited.  Each
     carry is one ``ghost_sum`` pass over the conjugates of x_1..x_{l-1},
     lifted by l-1 digits; each component's conjugates are computed once
     and kept until the component is redrawn or cut.  Components,
@@ -239,6 +244,7 @@ def sample_trace_zero(
     comps: list[tuple] = []
     columns: list[tuple] = []  # columns[i] holds the conjugates of comps[i]
     level = 2
+    retries = SAMPLER_RETRIES
     budget = retries * n * 8
     fail_streak = 0
     while level <= n:

@@ -6,11 +6,12 @@ presented by an Eisenstein polynomial.  Base residues are carried
 modulo p^N_int where N_int exceeds the advertised precision N by a
 guard margin: every random element is drawn uniformly modulo p^N_int,
 so the margin fixes the draws and every sampled verdict, and a linear
-solve that loses delta digits to its pivots still holds past N.  The
-roots of the top Eisenstein polynomial are lifted by Newton's method a
-few digits past N_int and reduced, so they are reductions of its roots
-in O_L: the Galois substitution is an exact automorphism of order p of
-the working ring, and the trace built from it is exact.
+solve that loses delta digits to its pivots still holds past N.  One
+root of the top Eisenstein polynomial, sigma(pi_L), is lifted by
+Newton's method a few digits past N_int and reduced, so it is the
+reduction of a root in O_L: the Galois substitution is an exact
+automorphism of order p of the working ring, and the trace built from
+it is exact.
 
 O_K and O_L are both a ``FlatRing``: an element is a tuple of residues
 modulo p^N_int on a fixed Z_p-basis, pi_K^i on O_K and pi_K^i*pi_L^j at
@@ -582,7 +583,7 @@ class ExtensionTower:
     a list of O_K coordinates), and ``description`` is the tower's JSON
     description, whose sha256 is ``tower_hash``."""
 
-    def __init__(self, e_k: list, e_l: list, description: dict, *, sigma_choice: int = 0):
+    def __init__(self, e_k: list, e_l: list, description: dict):
         p, N = description["p"], description["N"]
         self.p = p
         self.N = N
@@ -603,7 +604,7 @@ class ExtensionTower:
         self.val_cap = p * self.e_K * N
         self.val_cap_K = self.e_K * N
 
-        self._find_roots_and_sigma(sigma_choice)
+        self._find_sigma()
         self._build_matrices()
         self._pi_L_pows = [self.L.one_elem]
 
@@ -613,7 +614,7 @@ class ExtensionTower:
 
     # -- construction helpers ------------------------------------------
 
-    def _find_roots_and_sigma(self, sigma_choice: int) -> None:
+    def _find_sigma(self) -> None:
         L, p = self.L, self.p
         pi = L.pi_elem
         dv = L.val_raw(_eval_deriv(L, pi))
@@ -627,30 +628,8 @@ class ExtensionTower:
         s_pre = dv // (p - 1) - 1
         if s_pre < 1:
             raise NotNormal("ramification break would be < 1")
-        # Newton's step x <- x - E_L(x)/E_L'(x) from pi_L + d*pi_L^(s_pre+1),
-        # d = 1..p-1, nearer its own root than the roots are to each other
-        # (sigma^i(pi_L) - pi_L has valuation s_pre + 1, leading digit 1..p-1),
-        # so its distance to the root past s_pre + 1 doubles at each step.
-        # Dividing by E_L'(x), of valuation dv, leaves ceil(dv/e_L) digits
-        # open, and R carries one more.
-        R = L.flat_lift(-(-dv // self.e_L) + 1)
-        lead = R.pow(R.pi_elem, s_pre + 1)
-        roots = []
-        for d in range(1, p):
-            x = R.add(R.pi_elem, R.scale_int(lead, d))
-            for _ in range((R.digits * R.flat_rank).bit_length() + 1):
-                deriv = _eval_deriv(R, x)  # struct[0][m] = 1 * basis element m
-                mat = tuple(zip(*(R.mul(deriv, b) for b in R.struct[0])))
-                try:
-                    step, _ = linsolve(smith_normal_form(mat, p, R.digits), _eval_top(R, x))
-                except NoSolutionAtPrecision:
-                    raise NotNormal("a Newton step has no solution") from None
-                x = R.sub(x, step)
-            roots.append(L.reduce(x))
-        if any(L.val_raw(_eval_top(L, r)) is not None for r in roots) or len({pi, *roots}) != p:
-            raise NotNormal(f"Newton's method gave no {p} distinct roots of the top polynomial")
         self.dv = dv
-        self.sigma_root = roots[sigma_choice % (p - 1)]
+        self.sigma_root = self._sigma_root(dv, s_pre)
 
         # conj[i] = sigma^i(pi), the points the substitution path evaluates at
         conj = [pi]
@@ -673,6 +652,31 @@ class ExtensionTower:
             raise NotNormal(
                 f"break {self.s} exceeds the wild bound {p * self.e_K}/(p-1)"
             )
+
+    def _sigma_root(self, dv: int, s_pre: int):
+        """sigma(pi_L) in the working ring, the one place that picks the
+        generator: the root of E_L that is pi_L + pi_L^(s_pre+1) modulo
+        pi_L^(s_pre+2), by Newton's step x <- x - E_L(x)/E_L'(x) from there.
+        The differences sigma^i(pi_L) - pi_L have valuation s_pre + 1 and
+        leading digits 1..p-1, so the start is nearer its root than the
+        roots are to each other, and its distance to it past s_pre + 1
+        doubles at each step.  Dividing by E_L'(x), of valuation dv, leaves
+        ceil(dv/e_L) digits open, and R carries one more."""
+        L, p = self.L, self.p
+        R = L.flat_lift(-(-dv // self.e_L) + 1)
+        x = R.add(R.pi_elem, R.pow(R.pi_elem, s_pre + 1))
+        for _ in range((R.digits * R.flat_rank).bit_length() + 1):
+            deriv = _eval_deriv(R, x)  # struct[0][m] = 1 * basis element m
+            mat = tuple(zip(*(R.mul(deriv, b) for b in R.struct[0])))
+            try:
+                step, _ = linsolve(smith_normal_form(mat, p, R.digits), _eval_top(R, x))
+            except NoSolutionAtPrecision:
+                raise NotNormal("a Newton step has no solution") from None
+            x = R.sub(x, step)
+        root = L.reduce(x)
+        if L.val_raw(_eval_top(L, root)) is not None:
+            raise NotNormal("Newton's method gave no root of the top polynomial")
+        return root
 
     def _subst(self, a, point):
         """Evaluate the coefficient polynomial of ``a`` at another root."""
@@ -891,7 +895,6 @@ def build_tower(
     e_k_coeffs: Sequence[int] | None = None,
     *,
     witt_length_hint: int = 4,
-    sigma_choice: int = 0,
     seed: int = 0,
 ) -> ExtensionTower:
     """Construct and validate a tower from little-endian coefficient
@@ -903,8 +906,7 @@ def build_tower(
     ``N="auto"`` by the policy at the generic bound on the break, and
     after construction refuses an N below the policy at the tower's
     break for Witt length ``witt_length_hint``.  The generator sigma has
-    sigma(pi_L) = pi_L + d*pi_L^(s+1) modulo pi_L^(s+2), where d = 1 +
-    (``sigma_choice`` mod p-1)."""
+    sigma(pi_L) = pi_L + pi_L^(s+1) modulo pi_L^(s+2)."""
     e_k = [int(c) for c in _strip_monic(e_k_coeffs, "E_K")] if e_k_coeffs else [-p]
     e_l = [
         [int(x) for x in c] if isinstance(c, list) else int(c)
@@ -930,7 +932,7 @@ def build_tower(
         ],
         "seed": seed,
     }
-    tower = ExtensionTower(e_k, e_l, description, sigma_choice=sigma_choice)
+    tower = ExtensionTower(e_k, e_l, description)
     smin = precision_policy(p, tower.e_K, tower.s, witt_length_hint)
     if N < smin:
         raise PrecisionTooLow(

@@ -4,14 +4,14 @@ Everything here is bootstrapped from the ghost polynomials
 
     w_l(X_1, ..., X_l) = X_1^(p^(l-1)) + p*X_2^(p^(l-2)) + ... + p^(l-1)*X_l.
 
-The addition and negation polynomials are produced by solving the ghost
-identities recursively; the divisions involved are exact integer
-divisions, so a successful construction doubles as an integrality
-certificate.  They are built the first time something asks for them,
-and only inside the symbolic budget ``BINARY_RANGE``.  They serve
-symbolic composition (the p-fold decomposition, ``wittlab polys``) and,
-in the tests, as the oracle of the numeric path; no vector is summed by
-evaluating them.
+The addition, negation and p-fold sum polynomials are produced by
+solving the ghost identities recursively; the divisions involved are
+exact integer divisions, so a successful construction doubles as an
+integrality certificate.  They are built the first time something asks
+for them, and only inside the symbolic budgets ``BINARY_RANGE`` and
+``PFOLD_RANGE``.  They serve ``wittlab polys`` and the p-fold
+decomposition and, in the tests, as the oracle of the numeric path; no
+vector is summed by evaluating them.
 
 There is one numeric path.  A Witt vector lives over a ring of a tower,
 one ``localfield.FlatRing`` per level, and its sums, carries and
@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 from typing import Sequence
 
@@ -127,12 +127,7 @@ class WittCtx:
     @cached_property
     def addition(self) -> list[MPoly]:
         _check_range(self.p, self.n, BINARY_RANGE, "binary symbolic")
-        targets = [
-            w.rename_vars({j - 1: xvar(j) for j in range(1, l + 1)})
-            + w.rename_vars({j - 1: yvar(j) for j in range(1, l + 1)})
-            for l, w in enumerate(self.ghost, start=1)
-        ]
-        return _solve_ghost(self.p, targets, "addition")
+        return _solve_ghost(self.p, _sum_targets(self.ghost, (xvar, yvar)), "addition")
 
     @cached_property
     def negation(self) -> list[MPoly]:
@@ -147,15 +142,13 @@ class WittCtx:
 
     def verify_ghost_identities(self) -> None:
         """Exact symbolic check of the addition and negation identities."""
+        targets = _sum_targets(self.ghost, (xvar, yvar))
         for l in range(1, self.n + 1):
             w = self.ghost[l - 1]
             lhs = w.eval(
                 {j - 1: self.addition[j - 1] for j in range(1, l + 1)}, MPOLY_RING
             )
-            rhs = w.rename_vars({j - 1: xvar(j) for j in range(1, l + 1)}) + w.rename_vars(
-                {j - 1: yvar(j) for j in range(1, l + 1)}
-            )
-            if lhs != rhs:
+            if lhs != targets[l - 1]:
                 raise IntegralityViolation(f"ghost addition identity fails at level {l}")
             neg_lhs = w.eval(
                 {j - 1: self.negation[j - 1] for j in range(1, l + 1)}, MPOLY_RING
@@ -181,6 +174,15 @@ def ctx_for(p: int, n: int) -> WittCtx:
     if key not in _CTX_CACHE:
         _CTX_CACHE[key] = WittCtx(p, n)
     return _CTX_CACHE[key]
+
+
+def _sum_targets(ghost: Sequence[MPoly], slots) -> list[MPoly]:
+    """w_l of a sum, the sum of w_l of its summands, at each level l of
+    ``ghost``: summand i has component j at variable ``slots[i](j)``."""
+    return [
+        sum((w.rename_vars({j - 1: f(j) for j in range(1, l + 1)}) for f in slots), MPoly.zero())
+        for l, w in enumerate(ghost, start=1)
+    ]
 
 
 def _solve_ghost(p: int, targets: list[MPoly], what: str) -> list[MPoly]:
@@ -306,7 +308,10 @@ def alternating_binom_constant(p: int) -> int:
 class PFoldDecomposition:
     """Symbolic split of the component polynomials of a p-term sum.
 
-    For each level l the component polynomial splits as
+    The component polynomials are solved from the sum's ghost identities,
+    w_l(g_1, ..., g_l) = w_l(x_1) + ... + w_l(x_p) on the p-fold
+    variables (``fold_var``).  For each level l the component polynomial
+    splits as
 
         g_l = x_{1,l} + ... + x_{p,l} + carry_l
 
@@ -322,20 +327,9 @@ class PFoldDecomposition:
         self.p = p
         self.n = n
         self.carry_constant = alternating_binom_constant(p)
-        ctx = ctx_for(p, n)
-
-        rows = [
-            [MPoly.var(fold_var(p, i, j)) for j in range(1, n + 1)]
-            for i in range(1, p + 1)
-        ]
-        acc = rows[0]
-        for i in range(1, p):
-            assign = {}
-            for j in range(1, n + 1):
-                assign[xvar(j)] = acc[j - 1]
-                assign[yvar(j)] = rows[i][j - 1]
-            acc = [phi.eval(assign, MPOLY_RING) for phi in ctx.addition]
-        self.component_polys: list[MPoly] = acc
+        summands = [partial(fold_var, p, i) for i in range(1, p + 1)]
+        targets = _sum_targets(ctx_for(p, n).ghost, summands)
+        self.component_polys: list[MPoly] = _solve_ghost(p, targets, "p-fold sum")
 
         self.carry_polys: list[MPoly] = []
         for l in range(1, n + 1):

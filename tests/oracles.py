@@ -23,6 +23,9 @@
   any ring the polynomials evaluate in, the integers among them.  The
   package sums, carries and negates only through ``wittcore.ghost_sum``;
   every test of that path compares it with these.
+* The component polynomials of a p-fold sum by folding the binary
+  addition polynomials (``pfold_components_by_folding``), which
+  ``wittcore.PFoldDecomposition`` solves from their ghost identities.
 * The roots of E_L by the digit-by-digit search that Newton's method
   replaced (``roots_by_digit_search``), and ``DigitSearchTower``, a tower
   whose sigma is chosen from them by the old rule (the first root in the
@@ -31,6 +34,9 @@
   p^N_int but not always reductions of roots in O_L; the tests compare
   the Newton roots with them to N_int - 2 digits, and the decisions to
   build or refuse on a list of small Eisenstein polynomials.
+  ``PowerSigmaTower`` takes sigma^k as its generator, for the tests that
+  a verdict does not depend on the generator; both override
+  ``ExtensionTower._sigma_root`` alone.
 * The trace from E_L's coefficients alone (``trace_by_power_sums``):
   Newton's identities give the power sums of E_L's roots in O_K, with no
   sigma, so the trace matrix built from sigma is compared with it.
@@ -44,18 +50,16 @@ from itertools import repeat
 
 from wittlab import cohomlab, wittcore
 from wittlab.cohomlab import _base_report, _update_margin, witt_length
-from wittlab.exactpoly import INT_RING
+from wittlab.exactpoly import INT_RING, MPOLY_RING, MPoly
 from wittlab.localfield import (
     ExtensionTower,
     NotNormal,
     OElem,
-    PrecisionTooLow,
     ValExtended,
-    _eval_deriv,
     _eval_top,
     build_rings,
 )
-from wittlab.wittcore import PFOLD_RANGE, IntegralityViolation, ctx_for, xvar, yvar
+from wittlab.wittcore import PFOLD_RANGE, IntegralityViolation, ctx_for, fold_var, xvar, yvar
 
 
 def polynomial_witt_sum(p, rows, ring=INT_RING) -> tuple:
@@ -78,6 +82,23 @@ def polynomial_witt_neg(p, row, ring=INT_RING) -> tuple:
     negation polynomials."""
     assign = dict(enumerate(row))
     return tuple(iota.eval(assign, ring) for iota in ctx_for(p, len(row)).negation)
+
+
+def pfold_components_by_folding(p, n) -> list:
+    """The component polynomials of a sum of p length-n vectors, in the
+    p-fold variables (``fold_var``), by folding the binary addition
+    polynomials p - 1 times with ``MPoly.eval``: the construction that
+    ``PFoldDecomposition`` replaced by solving the sum's own ghost
+    identities."""
+    rows = [[MPoly.var(fold_var(p, i, j)) for j in range(1, n + 1)] for i in range(1, p + 1)]
+    acc = rows[0]
+    for row in rows[1:]:
+        assign = {}
+        for j in range(1, n + 1):
+            assign[xvar(j)] = acc[j - 1]
+            assign[yvar(j)] = row[j - 1]
+        acc = [phi.eval(assign, MPOLY_RING) for phi in ctx_for(p, n).addition]
+    return acc
 
 
 @cache
@@ -130,59 +151,48 @@ def roots_by_digit_search(L, dv, s_pre) -> list:
 
 
 class DigitSearchTower(ExtensionTower):
-    """An ``ExtensionTower`` whose sigma comes from
-    ``roots_by_digit_search``, ``sigma_choice`` indexing the other roots in
-    sorted order, with the checks that went with the search."""
+    """An ``ExtensionTower`` whose sigma is the first of the roots
+    ``roots_by_digit_search`` finds, in sorted order; the dv checks before
+    it and the substitution checks after it are the package's."""
 
-    def _find_roots_and_sigma(self, sigma_choice: int) -> None:
-        L, p = self.L, self.p
-        pi = L.pi_elem
-        dv = L.val_raw(_eval_deriv(L, pi))
-        if dv is None:
-            raise PrecisionTooLow("derivative of the top polynomial vanishes at precision")
-        if dv % (p - 1):
-            raise NotNormal(
-                f"derivative valuation {dv} is not a multiple of p-1; "
-                "the step cannot be cyclic of degree p"
-            )
-        s_pre = dv // (p - 1) - 1
-        if s_pre < 1:
-            raise NotNormal("ramification break would be < 1")
-        others = roots_by_digit_search(L, dv, s_pre)
-        self.dv = dv
-        self.sigma_root = others[sigma_choice % (p - 1)]
-
-        # conj[i] = sigma^i(pi), the points the substitution path evaluates at
-        conj = [pi]
-        for _ in range(p - 1):
-            conj.append(self._subst(conj[-1], self.sigma_root))
-        wrap = self._subst(conj[-1], self.sigma_root)
-        if not self._close_raw(wrap, pi, self.val_cap):
-            raise NotNormal("Galois substitution does not have order p at precision")
-        for i in range(1, p):
-            if self._close_raw(conj[i], pi, self.val_cap):
-                raise NotNormal("Galois substitution has order < p at precision")
-        self.pi_conjugates = tuple(conj)
-
-        diff = L.sub(conj[1], pi)
-        vdiff = L.val_raw(diff)
-        if vdiff is None or vdiff >= self.val_cap:
-            raise PrecisionTooLow("sigma(pi) - pi vanishes at precision")
-        self.s = vdiff - 1
-        if self.s * (p - 1) > p * self.e_K:
-            raise NotNormal(
-                f"break {self.s} exceeds the wild bound {p * self.e_K}/(p-1)"
-            )
+    def _sigma_root(self, dv: int, s_pre: int):
+        return roots_by_digit_search(self.L, dv, s_pre)[0]
 
 
-def tower_by_digit_search(tower, sigma_choice=0) -> DigitSearchTower:
+class PowerSigmaTower(ExtensionTower):
+    """An ``ExtensionTower`` whose generator is sigma^k for the package's
+    sigma: its root is sigma's substituted into itself k - 1 times."""
+
+    def __init__(self, k: int, *args):
+        self.k = k
+        super().__init__(*args)
+
+    def _sigma_root(self, dv: int, s_pre: int):
+        root = point = super()._sigma_root(dv, s_pre)
+        for _ in range(self.k - 1):
+            point = self._subst(point, root)
+        return point
+
+
+def _rebuild_args(tower) -> tuple:
+    """The arguments that build ``tower`` again, at the same N: the
+    integer coefficients from its description, since ``ecoeffs`` are
+    reduced modulo p^N_int and a ring lifted from them, as Newton's
+    method lifts, would carry another polynomial."""
+    d = tower.description
+    e_k = [int(c) for c in d["E_K"][:-1]] if d["E_K"] else [-tower.p]
+    e_l = [[int(x) for x in c] if isinstance(c, list) else int(c) for c in d["E_L"][:-1]]
+    return e_k, e_l, d
+
+
+def tower_by_digit_search(tower) -> DigitSearchTower:
     """``tower`` built again, at the same N, with the digit-search sigma."""
-    return DigitSearchTower(
-        list(tower.K.ecoeffs),
-        [list(c) for c in tower.L.ecoeffs],
-        tower.description,
-        sigma_choice=sigma_choice,
-    )
+    return DigitSearchTower(*_rebuild_args(tower))
+
+
+def tower_with_sigma_power(tower, k) -> PowerSigmaTower:
+    """``tower`` built again, at the same N, with sigma^k as its generator."""
+    return PowerSigmaTower(k, *_rebuild_args(tower))
 
 
 def trace_by_power_sums(tower) -> tuple:

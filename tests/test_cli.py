@@ -71,6 +71,21 @@ class TestTowerInfo:
         res = run_cli("tower-info", "--tower", "/nonexistent.json")
         assert res.returncode == 64
 
+    def test_out_without_json_writes_the_json(self, tmp_path, capsys):
+        out = tmp_path / "info.json"
+        assert cli.main(["tower-info", "--tower", "q2_i", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out
+        assert cli.main(["tower-info", "--tower", "q2_i", "--json"]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert f"tower_hash: {json.loads(out.read_text())['tower_hash']}" in lines
+
+    @pytest.mark.parametrize("command", [["tower-info"], ["verify", "--lemma", "vktr"]])
+    def test_precision_not_an_integer_is_usage_error(self, command, capsys):
+        code = cli.main([*command, "--tower", "q2_i", "--precision", "abc"])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err == f'{command[0]}: --precision must be "auto" or an integer, got \'abc\'\n'
+
 
 # the degree-7 subfield of Q7(zeta_49), shifted to be Eisenstein
 SEPTIC = {
@@ -450,6 +465,24 @@ class TestSuite:
         manifest.write_text(json.dumps(fields))
         assert cli.main(["suite", "--manifest", str(manifest)]) == 64
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_duplicate_tower_names_are_usage_error(self, tmp_path, capsys):
+        # m/a/x.json and m/b/x.json would share one column of the table, so
+        # a FAIL in one would print under the other's name
+        for sub, name in (("a", "q2_i"), ("b", "q3_ramified")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.json").write_text((cli.TOWER_DIR / f"{name}.json").read_text())
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "towers": [str(tmp_path / "a" / "x.json"), str(tmp_path / "b" / "x.json")],
+            "lemmas": ["vktr"], "samples": 2,
+        }))
+        out = tmp_path / "agg.json"
+        code = cli.main(["suite", "--manifest", str(manifest), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err == "suite: manifest lists two towers named 'x'\n"
+        assert captured.out == "" and not out.exists()
 
     def test_unknown_lemma_named(self, tmp_path):
         manifest = tmp_path / "m.json"

@@ -275,8 +275,9 @@ def fresh_carry_rng(name, n, seed):
 
 
 def fresh_carry_mismatches(tower, name, n, retries, seeds=range(20)):
-    """Seeds on which ``sample_trace_zero`` and ``sample_with_fresh_carries``
-    differ in their components or in the state they leave the RNG in."""
+    """Seeds on which ``sample_trace_zero``, run at ``cohomlab.SAMPLER_RETRIES``,
+    and ``sample_with_fresh_carries``, run at ``retries``, differ in their
+    components or in the state they leave the RNG in."""
     bad = []
     for seed in seeds:
         want_rng = fresh_carry_rng(name, n, seed)
@@ -286,7 +287,7 @@ def fresh_carry_mismatches(tower, name, n, retries, seeds=range(20)):
         except SamplerExhausted as exc:
             want = ("exhausted", exc.level)
         try:
-            sample = sample_trace_zero(tower, n, got_rng, retries=retries)
+            sample = sample_trace_zero(tower, n, got_rng)
             got = [c.data for c in sample.vec.components]
         except SamplerExhausted as exc:
             got = ("exhausted", exc.level)
@@ -310,6 +311,7 @@ def test_sampler_matches_fresh_carry_loop(all_towers, name, n, retries, monkeypa
     tower = all_towers[name]
     memo = set()
     monkeypatch.setattr(tower, "unsolvable_prefixes", memo)
+    monkeypatch.setattr(cohomlab, "SAMPLER_RETRIES", retries)
     for run in ("cold", "warm"):
         assert fresh_carry_mismatches(tower, name, n, retries) == [], (name, n, retries, run)
     assert all(not trace_eq_solvable(tower, key) for key in memo)

@@ -35,6 +35,7 @@ from oracles import (
     randrange_K_elem,
     randrange_L_elem,
     tower_by_digit_search,
+    tower_with_sigma_power,
     trace_by_power_sums,
     unflatten,
     val_by_coordinates,
@@ -44,6 +45,9 @@ from oracles import (
 
 
 TOWER_NAMES = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic"]
+
+# (tower, k): the towers with another generator sigma^k, k = 2..p-1
+GENERATOR_POWERS = [("q3", 2), ("quintic", 2), ("quintic", 3), ("quintic", 4)]
 
 # tower_hash is the sha256 of the description, so these move only when
 # a description or its parse does
@@ -193,32 +197,37 @@ class TestGaloisAction:
                 if eq_at_precision(tower, tower.galois(a), a):
                     assert in_K_at_precision(tower, a)
 
-    def test_choice_independence(self, q3):
-        other = build_tower(3, 16, [3, 0, -3, 1], sigma_choice=1)
-        assert other.s == q3.s
-        rng = random.Random(77)
-        for _ in range(25):
-            coords = [rng.randrange(q3.modulus) for _ in range(q3.L.flat_rank)]
-            a1, a2 = unflatten(q3.L, coords), unflatten(other.L, coords)
-            t1, t2 = q3.trace(a1), other.trace(a2)
-            assert t1.data[0] % 3**16 == t2.data[0] % 3**16
+    def test_choice_independence(self, eight_towers):
+        for name, k in GENERATOR_POWERS:
+            tower = eight_towers[name]
+            other = tower_with_sigma_power(tower, k)
+            p = tower.p
+            # the generator sigma^k: sigma^(k*i) at every i
+            conj = tuple(tower.pi_conjugates[k * i % p] for i in range(p))
+            assert other.pi_conjugates == conj, (name, k)
+            assert other.s == tower.s
+            # the trace, a sum over the group, is the same matrix
+            assert other.trace_full_mat == tower.trace_full_mat
 
-    def test_choice_independent_verdicts(self, q3):
+    def test_choice_independent_verdicts(self, eight_towers):
         # solvability of (sigma-1)y = c does not depend on the generator
-        other = build_tower(3, 16, [3, 0, -3, 1], sigma_choice=1)
-        rng = random.Random(78)
-        fixed_set = [
-            [rng.randrange(3**10) for _ in range(q3.L.flat_rank)] for _ in range(20)
-        ]
-        for coords in fixed_set:
-            verdicts = []
-            for tower in (q3, other):
-                try:
-                    tower.solve_sigma_minus_one(tower.L.reduce(coords), digits=tower.N)
-                    verdicts.append("trivial")
-                except NoSolutionAtPrecision:
-                    verdicts.append("nontrivial")
-            assert verdicts[0] == verdicts[1]
+        for name, k in GENERATOR_POWERS:
+            tower = eight_towers[name]
+            other = tower_with_sigma_power(tower, k)
+            rng = random.Random(78)
+            fixed_set = [
+                [rng.randrange(tower.p**10) for _ in range(tower.L.flat_rank)]
+                for _ in range(20)
+            ]
+            for coords in fixed_set:
+                verdicts = []
+                for t in (tower, other):
+                    try:
+                        t.solve_sigma_minus_one(t.L.reduce(coords), digits=t.N)
+                        verdicts.append("trivial")
+                    except NoSolutionAtPrecision:
+                        verdicts.append("nontrivial")
+                assert verdicts[0] == verdicts[1], (name, k)
 
 
 class TestValuation:
@@ -680,15 +689,16 @@ def test_roots_match_digit_search(eight_towers, name):
     assert (tower.dv, tower.s) == (oracle.dv, oracle.s)
 
 
-@pytest.mark.parametrize("p, e_l", [(3, [3, 0, -3, 1]), (5, [505, 850, 525, 150, 20, 1])])
-def test_sigma_choice_picks_the_leading_digit(p, e_l):
-    # sigma(pi_L) = pi_L + (1 + sigma_choice)*pi_L^(s+1) modulo pi_L^(s+2),
-    # and sigma_choice = p - 1 wraps to 0
-    for choice in range(p):
-        tower = build_tower(p, "auto", e_l, sigma_choice=choice)
-        L, s = tower.L, tower.s
-        lead = L.scale_int(L.pow(L.pi_elem, s + 1), 1 + choice % (p - 1))
-        assert L.val_raw(L.sub(L.sub(tower.sigma_root, L.pi_elem), lead)) >= s + 2
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
+def test_sigma_powers_have_leading_digit_i(eight_towers, name):
+    # sigma^i(pi_L) = pi_L + i*pi_L^(s+1) modulo pi_L^(s+2): the generator
+    # is the root with leading digit 1
+    tower = eight_towers[name]
+    L, s = tower.L, tower.s
+    lead = L.pow(L.pi_elem, s + 1)
+    for i, conj in enumerate(tower.pi_conjugates):
+        v = L.val_raw(L.sub(L.sub(conj, L.pi_elem), L.scale_int(lead, i)))
+        assert v is None or v >= s + 2, (name, i)
 
 
 def small_eisenstein() -> list:
@@ -904,8 +914,9 @@ class TestFlatRing:
     def test_build_computes_one_smith_form(self, monkeypatch):
         """The tower's own matrices get one Smith form at build time, the
         trace's at N_int; sigma - 1 gets one per digit count, on first use.
-        The Newton divisions that find the roots of E_L run in the lifted
-        ring, at more digits than N_int, which is how they are told apart."""
+        The Newton divisions that lift sigma(pi_L) run in the lifted ring,
+        at more digits than N_int, which is how they are told apart: one
+        per step of one lift, at p = 3 as at p = 2."""
         calls = []
         original = localfield.smith_normal_form
 
@@ -914,16 +925,19 @@ class TestFlatRing:
             return original(matrix, p, digits)
 
         monkeypatch.setattr(localfield, "smith_normal_form", counted)
-        tower = build_tower(2, 24, ["-2", "0", "1"])
-        lifted = tower.L.flat_lift(-(-tower.dv // tower.e_L) + 1).digits
-        assert lifted > tower.N_int
-        assert any(digits == lifted for digits, _ in calls)
-        assert [c for c in calls if c[0] != lifted] == [(tower.N_int, tower.trace_mat)]
-        calls.clear()
-        for digits in (tower.N, tower.N + 2, tower.N_int):
-            snf = tower.sigma_minus_one_snf(digits)
-            assert tower.sigma_minus_one_snf(digits) is snf
-        assert [digits for digits, _ in calls] == [tower.N, tower.N + 2, tower.N_int]
+        for p, N, e_l in [(2, 24, ["-2", "0", "1"]), (3, 16, [3, 0, -3, 1])]:
+            calls.clear()
+            tower = build_tower(p, N, e_l)
+            R = tower.L.flat_lift(-(-tower.dv // tower.e_L) + 1)
+            assert R.digits > tower.N_int
+            steps = (R.digits * R.flat_rank).bit_length() + 1
+            assert sum(digits == R.digits for digits, _ in calls) == steps
+            assert [c for c in calls if c[0] != R.digits] == [(tower.N_int, tower.trace_mat)]
+            calls.clear()
+            for digits in (tower.N, tower.N + 2, tower.N_int):
+                snf = tower.sigma_minus_one_snf(digits)
+                assert tower.sigma_minus_one_snf(digits) is snf
+            assert [digits for digits, _ in calls] == [tower.N, tower.N + 2, tower.N_int]
 
 
 # -- zero at precision ----------------------------------------------------------

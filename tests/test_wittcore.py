@@ -19,7 +19,7 @@ from wittlab.wittcore import (
     yvar,
 )
 
-from oracles import polynomial_witt_sum, zmod
+from oracles import pfold_components_by_folding, polynomial_witt_sum, zmod
 
 
 def ghost_of_ints(p, comps):
@@ -209,6 +209,14 @@ class TestTruncation:
 
 
 class TestPFoldDecomposition:
+    @pytest.mark.parametrize(
+        "p, n", [(p, n) for p, nmax in PFOLD_RANGE.items() for n in range(1, nmax + 1)]
+    )
+    def test_components_match_folded_addition(self, p, n):
+        # solved from the p-fold ghost identities, equal to the binary
+        # addition polynomials folded p - 1 times
+        assert pfold_decomposition(p, n).component_polys == pfold_components_by_folding(p, n)
+
     def test_first_carry_vanishes(self):
         for p in (2, 3, 5):
             assert pfold_decomposition(p, 2).carry_polys[0].is_zero()
