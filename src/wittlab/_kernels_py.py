@@ -250,15 +250,21 @@ def flat_mul_source(plan, rank: int, modulus: int, factors: str = "ab") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _define(source: str, filename: str, name: str, **bound):
+    """The function ``name`` defined by generated ``source``, the one place such
+    code is run: with no builtins, so it sees only its own names and ``bound``."""
+    namespace = {"__builtins__": {}, **bound}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
 def compile_flat_mul(struct_rows, modulus: int):
     """The product on flattened coordinates modulo ``modulus`` with these
     structure rows, as a function ``mul(a, b)`` compiled once; it returns
     what ``flat_mul(a, b, struct_rows, modulus)`` returns."""
     rank = len(struct_rows)
     source = flat_mul_source(flat_mul_plan(struct_rows), rank, modulus)
-    namespace = {"__builtins__": {}}
-    exec(compile(source, f"<flat_mul rank {rank}>", "exec"), namespace)
-    return namespace["mul"]
+    return _define(source, f"<flat_mul rank {rank}>", "mul")
 
 
 def multinomial(counts) -> int:
@@ -285,9 +291,7 @@ def compile_flat_pow(struct_rows, modulus: int, p: int, mul):
             c = multinomial([mono.count(k) for k in set(mono)])
             groups.setdefault(tuple(c * x % modulus for x in e), []).append(mono)
         source, form = flat_mul_source(list(groups.items()), r, modulus, "a" * p), "expansion"
-    namespace = {"__builtins__": {}, "mul": mul}
-    exec(compile(source, f"<flat_pow rank {r} {form}>", "exec"), namespace)
-    return namespace["pth"]
+    return _define(source, f"<flat_pow rank {r} {form}>", "pth", mul=mul)
 
 
 def _tuple(names) -> str:
@@ -357,10 +361,8 @@ def compile_ghost_pass(
     ring, and ``indivisible(c, q)`` the exception raised for a numerator
     coordinate c with a remainder modulo q."""
     source = ghost_pass_source(p, rank, widths, levels, modulus, base)
-    namespace = {"__builtins__": {}, "indivisible": indivisible}
     name = f"<ghost_pass rank {rank} widths {tuple(widths)} levels {levels}>"
-    exec(compile(source, name, "exec"), namespace)
-    return namespace["ghost_pass"]
+    return _define(source, name, "ghost_pass", indivisible=indivisible)
 
 
 def flat_linear_source(matrix, modulus: int) -> str:
@@ -397,6 +399,4 @@ def compile_flat_linear(matrix, modulus: int):
     function ``apply(a)`` compiled once; it returns the tuple of
     ``sum_m matrix[r][m] * a[m] % modulus`` over the rows r."""
     source = flat_linear_source(matrix, modulus)
-    namespace = {"__builtins__": {}}
-    exec(compile(source, f"<flat_linear {len(matrix)}x{len(matrix[0])}>", "exec"), namespace)
-    return namespace["apply"]
+    return _define(source, f"<flat_linear {len(matrix)}x{len(matrix[0])}>", "apply")

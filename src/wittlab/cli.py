@@ -49,10 +49,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_CONFIG)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``; an unwritable path is a usage error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Exit(EXIT_CONFIG, f"cannot write {path}: {exc.strerror or _crash_line(exc)}") from None
+
+
 def _write_json(path: str | None, obj: dict) -> None:
     blob = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
-        Path(path).write_text(blob, encoding="utf-8")
+        _write_text(path, blob)
     else:
         sys.stdout.write(blob)
 
@@ -287,7 +295,7 @@ def cmd_suite(args) -> int:
                 f"{c['tower']},{c['lemma']},{c['status']},{c['samples']},"
                 f"{c['failures']},{margin}"
             )
-        Path(args.csv).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        _write_text(args.csv, "\n".join(rows) + "\n")
 
     names = sorted({c["tower"] for c in cells})
     width = max(len(l) for l in lemmas) + 2

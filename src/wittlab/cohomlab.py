@@ -34,7 +34,6 @@ from . import wittcore
 from .localfield import (
     ExtensionTower,
     NoSolutionAtPrecision,
-    OElem,
     PrecisionTooLow,
     ValExtended,
     _uniform,
@@ -42,7 +41,7 @@ from .localfield import (
     precision_policy,
     smith_normal_form,
 )
-from .wittcore import PFOLD_RANGE, WittVec, ctx_for
+from .wittcore import PFOLD_RANGE, WittVec
 
 
 # the trace-zero sampler's redraw cut deepens by one level every
@@ -83,7 +82,7 @@ class ClassVerdict:
     """Outcome of a coboundary decision."""
 
     status: str  # "trivial" | "nontrivial" | "undetermined"
-    witness: OElem | None = None
+    witness: tuple | None = None  # y with sigma(y) - y = x_1, on flat coordinates
     obstruction_depth: int | None = None
 
 
@@ -139,26 +138,15 @@ def _update_margin(margins: dict, key: str, value: int) -> None:
 # Witt-level trace and samplers
 
 
-def galois_vec(tower: ExtensionTower, x: WittVec, times: int = 1) -> WittVec:
-    comps = tuple(tower.galois(c, times) for c in x.components)
-    return WittVec(x.ctx, x.ring, comps)
-
-
 def witt_trace(tower: ExtensionTower, x: WittVec) -> WittVec:
     """Witt sum of the Galois conjugates, projected into the fixed ring.
 
-    The conjugates of each component, as flat coordinates, are the
-    columns of one ``ghost_sum`` pass, which keeps no state, so the
-    sampler's audit shares nothing with the passes that drew the sample."""
-    columns = [tower.conjugates_raw(c.data) for c in x.components]
-    sums = wittcore.ghost_sum(tower.p, tower.L, columns, x.ctx.n)
-    K = tower.K
-    projected = tuple(OElem(K, tower.project_to_K_raw(c)) for c in sums)
-    return WittVec(x.ctx, K, projected)
-
-
-def witt_diff_of_coboundary(tower: ExtensionTower, y: WittVec) -> WittVec:
-    return galois_vec(tower, y) - y
+    The conjugates of each component are the columns of one ``ghost_sum``
+    pass, which keeps no state, so the sampler's audit shares nothing with
+    the passes that drew the sample."""
+    columns = [tower.conjugates_raw(c) for c in x.components]
+    sums = wittcore.ghost_sum(tower.p, tower.L, columns, len(columns))
+    return WittVec(tower.K, tuple(map(tower.project_to_K_raw, sums)))
 
 
 def _kernel_elem(tower: ExtensionTower, base, coeffs) -> tuple:
@@ -191,9 +179,9 @@ def sample_trace_zero(
     redrawn (``SAMPLER_RETRIES``); the finished vector is audited.  Each
     carry is one ``ghost_sum`` pass over the conjugates of x_1..x_{l-1},
     lifted by l-1 digits; each component's conjugates are computed once
-    and kept until the component is redrawn or cut.  Components,
-    particular solutions and carries stay flat coordinate tuples until
-    the finished vector is built.
+    and kept until the component is redrawn or cut, and the first of
+    them is the component itself.  Components, particular solutions and
+    carries are flat coordinate tuples throughout.
 
     Whether level l is solvable depends only on x_1..x_{l-1} modulo
     ``tower.trace_residue_modulus``, p^delta with delta the largest pivot
@@ -215,7 +203,6 @@ def sample_trace_zero(
     The memo never changes a draw: the RNG stream and the components are
     those of the loop without it.
     """
-    ctx = ctx_for(tower.p, n)
     K, L = tower.K, tower.L
     unsolvable = tower.unsolvable_prefixes
     m = tower.trace_residue_modulus
@@ -236,13 +223,13 @@ def sample_trace_zero(
         return coeffs, key
 
     # particulars[i] is x_{i+1}'s particular solution; keys holds the
-    # residues of x_1..x_{level-1}, and comps the components built so far:
-    # all but the top one, x_{level-1}, whose coefficients are ``coeffs``
+    # residues of x_1..x_{level-1}, and columns the conjugates of the
+    # components built so far, columns[i][0] = x_{i+1}: all but the top
+    # one, x_{level-1}, whose coefficients are ``coeffs``
     particulars: list[tuple] = [L.zero_elem]
     coeffs, key = draw(_residues(tower, L.zero_elem))
     keys: list[tuple] = [key]
-    comps: list[tuple] = []
-    columns: list[tuple] = []  # columns[i] holds the conjugates of comps[i]
+    columns: list[tuple] = []
     level = 2
     retries = SAMPLER_RETRIES
     budget = retries * n * 8
@@ -250,8 +237,7 @@ def sample_trace_zero(
     while level <= n:
         prefix = tuple(keys)
         if prefix not in unsolvable:
-            comps.append(_kernel_elem(tower, particulars[-1], coeffs))
-            columns.append(tower.conjugates_raw(comps[-1]))
+            columns.append(tower.conjugates_raw(_kernel_elem(tower, particulars[-1], coeffs)))
             carry = wittcore.ghost_sum(tower.p, L, columns, level)[-1]
             try:
                 part, _ = tower.solve_trace_eq(K.neg(tower.project_to_K_raw(carry)))
@@ -274,12 +260,12 @@ def sample_trace_zero(
         # (its trace equations used the old carries)
         depth = min(level - 1, 1 + fail_streak // retries)
         cut = level - depth
-        del comps[cut - 1 :], columns[cut - 1 :]  # x_cut is redrawn below
+        del columns[cut - 1 :]  # x_cut is redrawn below
         del keys[cut:], particulars[cut:]
         coeffs, keys[-1] = draw(_residues(tower, particulars[-1]))
         level = cut + 1
-    comps.append(_kernel_elem(tower, particulars[-1], coeffs))
-    vec = WittVec(ctx, L, tuple(OElem(L, c) for c in comps))
+    top = _kernel_elem(tower, particulars[-1], coeffs)
+    vec = WittVec(L, tuple(col[0] for col in columns) + (top,))
     _audit_trace(tower, vec, "a fresh sample")
     return KernelSample(vec, "recursive-sampler", seed_label)
 
@@ -287,10 +273,11 @@ def sample_trace_zero(
 def coboundary_sample(
     tower: ExtensionTower, n: int, rng: random.Random, seed_label: str = ""
 ) -> KernelSample:
-    """A trace-zero vector of the form sigma(y) - y, y random, audited."""
-    ctx = ctx_for(tower.p, n)
-    y = WittVec(ctx, tower.L, tuple(tower.random_L_elem(rng) for _ in range(n)))
-    vec = witt_diff_of_coboundary(tower, y)
+    """A trace-zero vector of the form sigma(y) - y, y random (the draws of
+    ``random_L_elem`` per component), audited."""
+    L = tower.L
+    y = tuple(tuple(_uniform(rng, tower.modulus, L.flat_rank)) for _ in range(n))
+    vec = WittVec(L, tuple(map(tower.galois_maps[1], y))) - WittVec(L, y)
     _audit_trace(tower, vec, "a coboundary sample")
     return KernelSample(vec, "coboundary", seed_label)
 
@@ -298,7 +285,7 @@ def coboundary_sample(
 def _audit_trace(tower: ExtensionTower, vec: WittVec, what: str) -> None:
     """Raise AssertionError unless ``vec`` has Witt trace zero at precision."""
     for c in witt_trace(tower, vec).components:
-        if not tower._zero_raw(c.data):
+        if not tower._zero_raw(c):
             raise AssertionError(f"trace audit failed on {what}")
 
 
@@ -306,21 +293,23 @@ def _audit_trace(tower: ExtensionTower, vec: WittVec, what: str) -> None:
 # coboundary decisions
 
 
-def level1_class_trivial(tower: ExtensionTower, x1: OElem) -> ClassVerdict:
-    """Decide the class of a level-one trace-zero element.
+def level1_class_trivial(tower: ExtensionTower, x1: tuple) -> ClassVerdict:
+    """Decide the class of a level-one trace-zero element, given on O_L
+    flat coordinates; a trivial class has its witness y, sigma(y) - y =
+    x1, on the same coordinates.
 
     Solving happens at the advertised precision; an obstruction is
     certified only when it sits at depth at most N - delta, where delta
     is the elimination's pivot-valuation loss.
     """
     try:
-        y, _ = tower.solve_sigma_minus_one(x1.data, digits=tower.N)
+        y, _ = tower.solve_sigma_minus_one(x1, digits=tower.N)
     except NoSolutionAtPrecision as exc:
         certified = exc.depth + exc.delta <= tower.N
         return ClassVerdict(
             "nontrivial" if certified else "undetermined", obstruction_depth=exc.depth
         )
-    return ClassVerdict("trivial", witness=OElem(tower.L, y))
+    return ClassVerdict("trivial", witness=y)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +662,7 @@ def verify_carry_identity(
     )
     sign_ok = {"minus": True, "plus": True}
     for sample in _sampler_mix(tower, n, samples, seed, "carry"):
-        comps = [c.data for c in sample.vec.components]
+        comps = sample.vec.components
         columns = [tower.conjugates_raw(c) for c in comps[: n - 2]]
         traces = [tower._trace_raw(c) for c in comps]
         for level in range(2, n + 1):
@@ -725,7 +714,7 @@ def verify_residual_invariant(
     )
     for sample in _sampler_mix(tower, n, samples, seed, "residual"):
         label = sample.seed
-        comps = [c.data for c in sample.vec.components[: n - 2]]
+        comps = sample.vec.components[: n - 2]
         columns = [tower.conjugates_raw(c) for c in comps]
         vals = [L.val_raw(c) for c in comps]
         for level in range(2, n + 1):
@@ -773,7 +762,7 @@ def verify_step_bounds(
     tower: ExtensionTower, samples: int = 200, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
     """Valuation cascade on trace-zero samples (coboundaries mixed in)."""
-    p, s = tower.p, tower.s
+    p, s, L, cap = tower.p, tower.s, tower.L, tower.val_cap
     n = witt_length("step_bounds", tower, n)
     report = _base_report(
         tower, "step_bounds", {"samples": samples, "seed": seed, "n": n}
@@ -782,7 +771,7 @@ def verify_step_bounds(
         comps = sample.vec.components
         for i in range(1, n):
             bound = step_bound(s, p, i)
-            v = tower.vL(comps[n - i - 1])
+            v = ValExtended.at_cap(L.val_raw(comps[n - i - 1]), cap)
             margin = v.capped() - bound
             _update_margin(report.margins, f"component_{n - i}_slack", margin)
             if not v.at_least(bound):
@@ -803,13 +792,13 @@ def verify_main_theorem(
 ) -> VerificationReport:
     """At the stable length, first components of trace-zero vectors have
     valuation >= s and trivial level-one class; plus the contrast check."""
-    s = tower.s
+    s, L, cap = tower.s, tower.L, tower.val_cap
     M = witt_length("main", tower, n)
     report = _base_report(tower, "main", {"samples": samples, "seed": seed, "M": M})
     for sample in _sampler_mix(tower, M, samples, seed, "main"):
         label = sample.seed
         x1 = sample.vec.components[0]
-        v1 = tower.vL(x1)
+        v1 = ValExtended.at_cap(L.val_raw(x1), cap)
         margin = v1.capped() - s
         _update_margin(report.margins, "first_component_slack", margin)
         if not v1.at_least(s):
@@ -837,7 +826,7 @@ def verify_main_theorem(
         for idx, cand in enumerate(_contrast_candidates(tower, seed)):
             verdict = level1_class_trivial(tower, cand)
             if verdict.status == "nontrivial":
-                v = tower.vL(cand)
+                v = ValExtended.at_cap(L.val_raw(cand), cap)
                 contrast = {
                     "candidate_index": idx,
                     "v_L": v.value,
@@ -857,19 +846,19 @@ def verify_main_theorem(
     if M >= 2:
         observed = None
         for sample in _sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below"):
-            value = tower.vL(sample.vec.components[0]).capped()
+            value = ValExtended.at_cap(L.val_raw(sample.vec.components[0]), cap).capped()
             observed = value if observed is None else min(observed, value)
         report.observations["min_v_L_x1_at_length_M_minus_1"] = observed
     return report
 
 
 def _contrast_candidates(tower: ExtensionTower, seed: int):
-    for k in tower.trace_kernel_flat:
-        yield OElem(tower.L, k)
+    """Trace-zero flat coordinate tuples: the kernel basis, then 64 random ones."""
+    yield from tower.trace_kernel_flat
     for j in range(64):
         rng = random.Random(_sample_seed(seed, "contrast", j))
         coeffs = _uniform(rng, tower.modulus, len(tower.trace_kernel_flat))
-        yield OElem(tower.L, _kernel_elem(tower, tower.L.zero_elem, coeffs))
+        yield _kernel_elem(tower, tower.L.zero_elem, coeffs)
 
 
 def verify_fixed_points(

@@ -169,7 +169,8 @@ class FlatRing:
     elements r and m; ``mul`` is the product compiled from them, and
     ``pth_power`` is x -> x^p, compiled from them on first use.
     ``ecoeffs`` are the non-leading coefficients of the level's
-    Eisenstein polynomial, as elements of the level below.  ``rebuild``
+    Eisenstein polynomial, as elements of the level below: the integers,
+    unreduced, that the ring and its lifts are built from.  ``rebuild``
     builds the same level at another digit count (``flat_lift``, which is
     what the ghost-coordinate Witt sums in ``wittcore`` run on).
     """
@@ -289,7 +290,7 @@ def build_rings(
     coefficients: ``e_k`` of E_K (``[-p]`` when K = Q_p), ``e_l`` of E_L,
     each an integer or a list of O_K coordinates.  The structure rows are
     powers of pi_K and pi_L, built by multiplying by each in turn.  Each
-    ring rebuilds itself at more digits from these integers, unreduced."""
+    ring keeps them, unreduced, as ``ecoeffs`` and rebuilds itself from them."""
     mod = p**digits
     e = len(e_k)
     e_k_mod = [c % mod for c in e_k]
@@ -304,7 +305,7 @@ def build_rings(
         pk.append(times_pi_K(pk[-1]))
     K_struct = tuple(tuple(pk[a + b] for b in range(e)) for a in range(e))
     K = FlatRing(
-        "O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k_mod),
+        "O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k),
         lambda d: build_rings(p, e_k, e_l, d)[0],
     )
 
@@ -313,7 +314,7 @@ def build_rings(
         coords = list(c) if isinstance(c, list) else [c]
         if len(coords) > e:
             raise NotEisenstein(f"O_L: coefficient {c!r} has more than e_K={e} coordinates")
-        el.append(K.reduce(K.embed(coords)))
+        el.append(K.embed(coords))
     _check_eisenstein("O_L", [K.val_raw(c) for c in el])
 
     def times_pi_L(x: list) -> list:

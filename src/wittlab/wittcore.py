@@ -52,7 +52,6 @@ from typing import Sequence
 
 from . import kernels
 from .exactpoly import MPoly, MPOLY_RING, NotDivisible
-from .localfield import OElem
 
 # Symbolic budgets: term counts grow like p^(n-1), so the supported
 # window is fixed rather than discovered by timeout.  They bound the
@@ -135,10 +134,13 @@ class WittCtx:
         return _solve_ghost(self.p, [-w for w in self.ghost], "negation")
 
     def vec(self, ring, components: Sequence) -> "WittVec":
-        comps = tuple(ring.from_int(c) if isinstance(c, int) else c for c in components)
+        """A length-n vector over ``ring`` from integers, ring elements (read
+        through their ``data``) or reduced flat coordinate tuples."""
+        elements = (ring.from_int(c) if isinstance(c, int) else c for c in components)
+        comps = tuple(getattr(c, "data", c) for c in elements)
         if len(comps) != self.n:
             raise ValueError(f"expected {self.n} components, got {len(comps)}")
-        return WittVec(self, ring, comps)
+        return WittVec(ring, comps)
 
     def verify_ghost_identities(self) -> None:
         """Exact symbolic check of the addition and negation identities."""
@@ -201,17 +203,15 @@ def _solve_ghost(p: int, targets: list[MPoly], what: str) -> list[MPoly]:
 
 @dataclass(frozen=True)
 class WittVec:
-    """Length-n vector over a ring of a tower.  Sums, differences and
-    negatives run on ``ghost_sum``, the one numeric path; the addition and
-    negation polynomials, which give the same values, are its oracle."""
+    """A Witt vector over a ring of a tower: its components are reduced flat
+    coordinate tuples of ``ring``, n is their number and p the ring's.  Sums,
+    differences and negatives run on ``ghost_sum``, the one numeric path; the
+    addition and negation polynomials, which give the same values, are its oracle."""
 
-    ctx: WittCtx
     ring: object
     components: tuple
 
     def __post_init__(self):
-        if len(self.components) != self.ctx.n:
-            raise ValueError("component count does not match context length")
         if not hasattr(self.ring, "flat_lift"):
             name = type(self.ring).__name__
             raise ValueError(f"Witt vectors need a tower ring with flat_lift, not {name}")
@@ -222,31 +222,28 @@ class WittVec:
     def __neg__(self) -> "WittVec":
         """Solve y + z = 0 column by column, z_{j+1} = -(y_{j+1} + carry
         of columns 1..j), one ``ghost_sum`` pass per carry."""
-        ring = self.ring
-        comps = [c.data for c in self.components]
-        z = [ring.neg(comps[0])]
-        for j in range(1, self.ctx.n):
-            columns = [[y_i, z_i] for y_i, z_i in zip(comps, z)]
-            carry = ghost_sum(self.ctx.p, ring, columns, j + 1)[-1]
-            z.append(ring.neg(ring.add(comps[j], carry)))
-        return WittVec(self.ctx, ring, tuple(OElem(ring, c) for c in z))
+        ring, y = self.ring, self.components
+        z = [ring.neg(y[0])]
+        for j in range(1, len(y)):
+            carry = ghost_sum(ring.p, ring, list(zip(y, z)), j + 1)[-1]
+            z.append(ring.neg(ring.add(y[j], carry)))
+        return WittVec(ring, tuple(z))
 
     def __sub__(self, other: "WittVec") -> "WittVec":
         return self + (-other)
 
 
 def witt_sum(vectors: Sequence[WittVec]) -> WittVec:
-    """The Witt sum of vectors sharing context and ring, in one
+    """The Witt sum of vectors of one length over one ring, in one
     ``ghost_sum`` pass."""
     if not vectors:
         raise ValueError("a Witt sum needs at least one vector")
-    ctx, ring = vectors[0].ctx, vectors[0].ring
+    ring, n = vectors[0].ring, len(vectors[0].components)
     for v in vectors[1:]:
-        if v.ctx is not ctx or v.ring is not ring:
-            raise ValueError("operands must share context and ring")
-    columns = [[v.components[j].data for v in vectors] for j in range(ctx.n)]
-    sums = ghost_sum(ctx.p, ring, columns, ctx.n)
-    return WittVec(ctx, ring, tuple(OElem(ring, s) for s in sums))
+        if v.ring is not ring or len(v.components) != n:
+            raise ValueError("operands must share length and ring")
+    columns = list(zip(*(v.components for v in vectors)))
+    return WittVec(ring, ghost_sum(ring.p, ring, columns, n))
 
 
 def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> tuple:
@@ -445,15 +442,15 @@ def pfold_decomposition(p: int, n: int) -> PFoldDecomposition:
     return _PFOLD_CACHE[key]
 
 
-def carry_value(p: int, level: int, rows: Sequence[Sequence], ring):
+def carry_value(p: int, level: int, rows: Sequence[Sequence[tuple]], ring) -> tuple:
     """Numeric carry at a level, without the symbolic decomposition.
 
-    ``rows`` holds p sequences of ring elements covering columns
+    ``rows`` holds p sequences of flat coordinate tuples covering columns
     1..level-1.  Because the carry does not involve column ``level``,
     it is the top component of the sum with that column zero.
     """
-    columns = [[row[j].data for row in rows] for j in range(level - 1)]
-    return OElem(ring, ghost_sum(p, ring, columns, level)[-1])
+    columns = [[row[j] for row in rows] for j in range(level - 1)]
+    return ghost_sum(p, ring, columns, level)[-1]
 
 
 def content_hash(obj: dict) -> str:

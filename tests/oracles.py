@@ -8,11 +8,12 @@
   field-lemma oracles in ``test_cohomlab`` draw and take valuations
   through them only.
 * The Witt lemmas ``carry_identity`` and ``residual_invariant`` on OElem
-  components: Galois conjugates one element at a time, the residual
-  through ``wittcore.carry_value`` on rows with an explicit zero column,
-  and every check through the OElem dunders and the tower's
-  ``ValExtended`` accessors.  ``cohomlab`` runs both lemmas on flat
-  conjugate columns; their reports must agree byte for byte.
+  components: each sample's flat components wrapped in elements, Galois
+  conjugates one element at a time, the residual through
+  ``wittcore.carry_value`` on rows with an explicit zero column, and
+  every check through the OElem dunders and the tower's ``ValExtended``
+  accessors.  ``cohomlab`` runs both lemmas on flat conjugate columns;
+  their reports must agree byte for byte.
 * ``wittcore.ghost_sum`` as the level-by-level loop it replaced
   (``ghost_sum_by_loops``): per-level list comprehensions over the
   columns, and one ``divide_exact`` call per level.  The package runs a
@@ -20,9 +21,11 @@
   components and raise the same IntegralityViolation.
 * Witt sums and negatives by evaluating the addition and negation
   polynomials (``polynomial_witt_sum``, ``polynomial_witt_neg``), over
-  any ring the polynomials evaluate in, the integers among them.  The
-  package sums, carries and negates only through ``wittcore.ghost_sum``;
-  every test of that path compares it with these.
+  any ring the polynomials evaluate in, the integers among them.  Over a
+  tower ring they take and return flat coordinate tuples, as
+  ``WittVec`` holds them, and evaluate on OElems, wrapped and unwrapped
+  here.  The package sums, carries and negates only through
+  ``wittcore.ghost_sum``; every test of that path compares it with these.
 * The component polynomials of a p-fold sum by folding the binary
   addition polynomials (``pfold_components_by_folding``), which
   ``wittcore.PFoldDecomposition`` solves from their ghost identities.
@@ -53,6 +56,7 @@ from wittlab.cohomlab import _base_report, _update_margin, witt_length
 from wittlab.exactpoly import INT_RING, MPOLY_RING, MPoly
 from wittlab.localfield import (
     ExtensionTower,
+    FlatRing,
     NotNormal,
     OElem,
     ValExtended,
@@ -62,26 +66,38 @@ from wittlab.localfield import (
 from wittlab.wittcore import PFOLD_RANGE, IntegralityViolation, ctx_for, fold_var, xvar, yvar
 
 
+def _elements(ring):
+    """The maps from an entry of a row over ``ring`` to the element the
+    polynomials are evaluated on, and back: over a tower ring a flat
+    coordinate tuple is wrapped in an OElem and the value unwrapped,
+    elsewhere (the integers) entries are elements already."""
+    if isinstance(ring, FlatRing):
+        return (lambda c: OElem(ring, c)), (lambda a: a.data)
+    return (lambda c: c), (lambda a: a)
+
+
 def polynomial_witt_sum(p, rows, ring=INT_RING) -> tuple:
     """The components of the left-to-right Witt sum of ``rows``, equal
-    length sequences of elements of ``ring``, by evaluating the addition
-    polynomials."""
+    length sequences of entries over ``ring`` (``_elements``), by
+    evaluating the addition polynomials."""
+    wrap, unwrap = _elements(ring)
     ctx = ctx_for(p, len(rows[0]))
-    acc = tuple(rows[0])
+    acc = tuple(map(wrap, rows[0]))
     for row in rows[1:]:
         assign = {}
         for j in range(1, ctx.n + 1):
             assign[xvar(j)] = acc[j - 1]
-            assign[yvar(j)] = row[j - 1]
+            assign[yvar(j)] = wrap(row[j - 1])
         acc = tuple(phi.eval(assign, ring) for phi in ctx.addition)
-    return acc
+    return tuple(map(unwrap, acc))
 
 
 def polynomial_witt_neg(p, row, ring=INT_RING) -> tuple:
-    """The components of the Witt negative of ``row`` by evaluating the
-    negation polynomials."""
-    assign = dict(enumerate(row))
-    return tuple(iota.eval(assign, ring) for iota in ctx_for(p, len(row)).negation)
+    """The components of the Witt negative of ``row``, entries over
+    ``ring`` (``_elements``), by evaluating the negation polynomials."""
+    wrap, unwrap = _elements(ring)
+    assign = dict(enumerate(map(wrap, row)))
+    return tuple(unwrap(iota.eval(assign, ring)) for iota in ctx_for(p, len(row)).negation)
 
 
 def pfold_components_by_folding(p, n) -> list:
@@ -175,14 +191,10 @@ class PowerSigmaTower(ExtensionTower):
 
 
 def _rebuild_args(tower) -> tuple:
-    """The arguments that build ``tower`` again, at the same N: the
-    integer coefficients from its description, since ``ecoeffs`` are
-    reduced modulo p^N_int and a ring lifted from them, as Newton's
-    method lifts, would carry another polynomial."""
-    d = tower.description
-    e_k = [int(c) for c in d["E_K"][:-1]] if d["E_K"] else [-tower.p]
-    e_l = [[int(x) for x in c] if isinstance(c, list) else int(c) for c in d["E_L"][:-1]]
-    return e_k, e_l, d
+    """The arguments that build ``tower`` again, at the same N: its rings'
+    Eisenstein coefficients, which they keep unreduced, and its
+    description."""
+    return list(tower.K.ecoeffs), [list(c) for c in tower.L.ecoeffs], tower.description
 
 
 def tower_by_digit_search(tower) -> DigitSearchTower:
@@ -357,14 +369,15 @@ def divide_exact(coords, q, modulus) -> tuple:
 
 
 def residual_by_carry_value(tower, comps, level) -> OElem:
-    """The p-fold residual at the conjugate family (in O_L): the level-l
-    component of the Witt sum of the conjugate rows with columns l-1 and
-    l set to zero, which is the carry with column l-1 set to zero."""
+    """The p-fold residual at the conjugate family of OElem components (in
+    O_L): the level-l component of the Witt sum of the conjugate rows with
+    columns l-1 and l set to zero, which is the carry with column l-1 set
+    to zero."""
     rows = [
-        [tower.galois(c, i) for c in comps[: level - 2]] + [tower.L.zero]
+        [tower.galois(c, i).data for c in comps[: level - 2]] + [tower.L.zero_elem]
         for i in range(tower.p)
     ]
-    return wittcore.carry_value(tower.p, level, rows, tower.L)
+    return OElem(tower.L, wittcore.carry_value(tower.p, level, rows, tower.L))
 
 
 def carry_identity_by_elements(tower, samples=200, seed=0, n=None):
@@ -377,7 +390,7 @@ def carry_identity_by_elements(tower, samples=200, seed=0, n=None):
     )
     sign_ok = {"minus": True, "plus": True}
     for sample in cohomlab._sampler_mix(tower, n, samples, seed, "carry"):
-        comps = sample.vec.components
+        comps = [OElem(tower.L, c) for c in sample.vec.components]
         for level in range(2, n + 1):
             t_l = tower.trace(comps[level - 1])
             t_prev = tower.trace(comps[level - 2])
@@ -424,7 +437,7 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
     )
     for sample in cohomlab._sampler_mix(tower, n, samples, seed, "residual"):
         label = sample.seed
-        comps = sample.vec.components
+        comps = [OElem(tower.L, c) for c in sample.vec.components]
         for level in range(2, n + 1):
             h_raw = residual_by_carry_value(tower, comps, level)
             if not eq_at_precision(tower, tower.galois(h_raw), h_raw):

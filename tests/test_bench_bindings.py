@@ -7,6 +7,7 @@ that here, without running a workload."""
 
 import importlib.util
 import pathlib
+import random
 
 import wittlab
 from wittlab import cohomlab, wittcore
@@ -39,6 +40,13 @@ def test_tracer_installs_and_uninstalls():
 
 def test_baseline_names_exist(q2_i):
     # perfbench/baseline.py builds its Witt vectors as ctx.vec(tower.LR, [...])
+    # from OElems, and adds and traces them
     assert q2_i.LR is q2_i.L
     x = wittcore.ctx_for(q2_i.p, 3).vec(q2_i.LR, [1, 2, 3])
     assert x.ring is q2_i.L
+    rng = random.Random(0)
+    elems = [q2_i.random_L_elem(rng) for _ in range(3)]
+    y = wittcore.ctx_for(q2_i.p, 3).vec(q2_i.LR, elems)
+    assert y.components == tuple(a.data for a in elems)
+    assert (x + y).ring is q2_i.L
+    assert cohomlab.witt_trace(q2_i, y).ring is q2_i.K

@@ -19,6 +19,18 @@ def run_cli(*args):
     )
 
 
+def test_readme_library_example_runs():
+    """README's Library snippet runs as written and prints what its
+    comments say."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    res = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, cwd=str(ROOT)
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["2", "nontrivial", "minus"]
+
+
 class TestPolys:
     def test_writes_tables_with_hash(self, tmp_path):
         out = tmp_path / "polys.json"
@@ -497,6 +509,39 @@ CRASHES = [
     localfield.TraceNotRational("trace has a pi_L^1 coefficient of valuation 3"),
     localfield.PrecisionTooLow("assertion v >= 99 exceeds the valuation cap 48"),
 ]
+
+
+class TestUnwritableOutput:
+    """An ``--out`` or ``--csv`` path that cannot be written is a usage
+    error (64) on one line naming the path, not a crash."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        if command == "suite":
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"towers": ["q2_i"], "lemmas": ["vktr"], "samples": 2}))
+            return ["suite", "--manifest", str(manifest)]
+        return {
+            "polys": ["polys", "--p", "2", "--n", "2"],
+            "tower-info": ["tower-info", "--tower", "q2_i"],
+            "verify": ["verify", "--lemma", "vktr", "--tower", "q2_i", "--samples", "2"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["polys", "tower-info", "verify", "suite"])
+    def test_out(self, command, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.json"
+        code = cli.main([*self.argv(command, tmp_path), "--out", str(path)])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err == f"{command}: cannot write {path}: No such file or directory\n"
+
+    def test_csv(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "summary.csv"
+        argv = [*self.argv("suite", tmp_path), "--out", str(tmp_path / "a.json"), "--csv", str(path)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err == f"suite: cannot write {path}: No such file or directory\n"
 
 
 class TestCrash:

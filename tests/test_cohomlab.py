@@ -10,7 +10,6 @@ from wittlab.kernels import compile_flat_linear
 from wittlab.cohomlab import (
     SamplerExhausted,
     coboundary_sample,
-    galois_vec,
     h1_order_enumeration_stable,
     h1_order_level1,
     level1_class_trivial,
@@ -20,9 +19,9 @@ from wittlab.cohomlab import (
     step_bound,
     witt_trace,
 )
+from wittlab import localfield
 from wittlab.localfield import (
     NoSolutionAtPrecision,
-    OElem,
     PrecisionTooLow,
     TraceNotRational,
     build_tower,
@@ -57,7 +56,7 @@ class TestWittTrace:
         ctx = ctx_for(2, 2)
         z = ctx.vec(q2_i.L, [0] * 2)
         out = witt_trace(q2_i, z)
-        assert all(is_zero_at_precision(q2_i, c) for c in out.components)
+        assert all(zero_by_coordinates(q2_i, c) for c in out.components)
 
     def test_coboundary_has_zero_trace(self, towers):
         for tower in towers.values():
@@ -66,7 +65,7 @@ class TestWittTrace:
             for _ in range(10):
                 sample = coboundary_sample(tower, n, rng)
                 assert all(
-                    is_zero_at_precision(tower, c)
+                    zero_by_coordinates(tower, c)
                     for c in witt_trace(tower, sample.vec).components
                 )
 
@@ -77,7 +76,8 @@ class TestWittTrace:
 
         def off_by_one(self):
             z = negate(self)
-            return WittVec(z.ctx, z.ring, (z.components[0] + 1,) + z.components[1:])
+            first = z.ring.add(z.components[0], z.ring.one_elem)
+            return WittVec(z.ring, (first,) + z.components[1:])
 
         monkeypatch.setattr(WittVec, "__neg__", off_by_one)
         for tower in towers.values():
@@ -85,26 +85,20 @@ class TestWittTrace:
                 coboundary_sample(tower, 2, random.Random(1))
 
     def test_level1_trace_of_i(self, q2_i):
-        ctx = ctx_for(2, 1)
-        vec = WittVec(ctx, q2_i.L, (q2_i.pi_L - 1,))
+        vec = WittVec(q2_i.L, ((q2_i.pi_L - 1).data,))
         out = witt_trace(q2_i, vec)
-        assert is_zero_at_precision(q2_i, out.components[0])
+        assert zero_by_coordinates(q2_i, out.components[0])
 
     def test_additive(self, q2_i, q3):
         for tower in (q2_i, q3):
             rng = random.Random(2)
-            ctx = ctx_for(tower.p, 2)
             for _ in range(10):
-                x = WittVec(
-                    ctx, tower.L, tuple(tower.random_L_elem(rng) for _ in range(2))
-                )
-                y = WittVec(
-                    ctx, tower.L, tuple(tower.random_L_elem(rng) for _ in range(2))
-                )
+                x = WittVec(tower.L, tuple(tower.random_L_elem(rng).data for _ in range(2)))
+                y = WittVec(tower.L, tuple(tower.random_L_elem(rng).data for _ in range(2)))
                 lhs = witt_trace(tower, x + y)
                 rhs = witt_trace(tower, x) + witt_trace(tower, y)
                 assert all(
-                    eq_at_precision(tower, tower.embed_K(a), tower.embed_K(b))
+                    zero_by_coordinates(tower, tower.K.sub(a, b))
                     for a, b in zip(lhs.components, rhs.components)
                 )
 
@@ -114,7 +108,7 @@ class TestSampler:
         rng = random.Random(3)
         for _ in range(20):
             s = sample_trace_zero(q2_i, 1, rng)
-            x1 = s.vec.components[0]
+            x1 = unflatten(q2_i.L, s.vec.components[0])
             assert is_zero_at_precision(q2_i, q2_i.trace(x1))
 
     def test_q2i_level2_forces_even_multiplier(self, q2_i):
@@ -123,7 +117,7 @@ class TestSampler:
         rng = random.Random(4)
         for _ in range(25):
             s = sample_trace_zero(q2_i, 2, rng)
-            v = q2_i.vL(s.vec.components[0])
+            v = q2_i.vL(unflatten(q2_i.L, s.vec.components[0]))
             assert v.at_least(2)
 
     def test_audit_always_passes(self, towers):
@@ -133,8 +127,7 @@ class TestSampler:
             for _ in range(5):
                 s = sample_trace_zero(tower, n, rng)
                 assert all(
-                    is_zero_at_precision(tower, c)
-                    for c in witt_trace(tower, s.vec).components
+                    zero_by_coordinates(tower, c) for c in witt_trace(tower, s.vec).components
                 )
                 assert s.provenance == "recursive-sampler"
 
@@ -159,8 +152,8 @@ def sample_with_fresh_carries(tower, n, rng, retries=32, cuts=None):
     budget = retries * n * 8
     fail_streak = 0
     while level <= n:
-        rows = [[tower.galois(c, i) for c in comps[: level - 1]] for i in range(tower.p)]
-        carry = wittcore.carry_value(tower.p, level, rows, tower.L)
+        rows = [[tower.galois(c, i).data for c in comps[: level - 1]] for i in range(tower.p)]
+        carry = unflatten(tower.L, wittcore.carry_value(tower.p, level, rows, tower.L))
         try:
             part, _ = tower.solve_trace_eq((-project_to_K(tower, carry)).data)
             part = unflatten(tower.L, part)
@@ -197,15 +190,15 @@ TOWER_PRIMES = {
 
 @pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
 def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, monkeypatch):
-    """Solves, carries and retries run on flat coordinates: a sample of
-    length n builds n O_L elements (the vector) and n O_K elements (its
-    audited trace), however many attempts it takes.  A full-precision
-    component is built only for a trace solve and for the finished
-    vector, and conjugated only for a carry and for the audit, so an
-    attempt the memo of unsolvable prefixes answers builds nothing."""
+    """Solves, carries and retries run on flat coordinates, and so do the
+    finished vector and its audited trace, whose components are tuples: a
+    sample builds no OElem at all, however many attempts it takes.  A full-precision component is built only for a
+    trace solve and for the finished vector's top, and conjugated only
+    for a carry and for the audit, so an attempt the memo of unsolvable
+    prefixes answers builds nothing."""
     tower = all_towers[name]
     built, components, conjugated = [], [], []
-    init = cohomlab.OElem.__init__
+    init = localfield.OElem.__init__
     kernel_elem = cohomlab._kernel_elem
     conjugates = tower.conjugates_raw
 
@@ -232,7 +225,7 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
 
     n = 3
     sample_trace_zero(tower, n, random.Random(-1))  # builds the lifted ring once
-    monkeypatch.setattr(cohomlab.OElem, "__init__", counted)
+    monkeypatch.setattr(localfield.OElem, "__init__", counted)
     monkeypatch.setattr(tower, "solve_trace_eq", recorded)
     monkeypatch.setattr(tower, "unsolvable_prefixes", CountedMemo())
     monkeypatch.setattr(
@@ -244,7 +237,7 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
         for counts in (built, components, conjugated, solves, memo_hits):
             counts.clear()
         sample_trace_zero(tower, n, random.Random(seed))
-        assert built == [tower.L] * n + [tower.K] * n
+        assert built == []
         # one build per solve and one for the finished vector's top, so
         # at most n + solves whatever the memo answered
         assert len(components) == len(solves) + 1
@@ -255,14 +248,38 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
     assert hits > 0
 
 
+@pytest.mark.parametrize("name", ["q2_i", "q3"])
+def test_witt_lemmas_build_no_elements(towers, name, monkeypatch):
+    """carry_identity, residual_invariant and main carry Witt components as
+    flat coordinate tuples from the sampler to the verdict.  Run a second
+    time (the first builds the lifted rings, whose ``zero`` and ``one``
+    are elements, and the Smith forms), they construct no OElem."""
+    tower = towers[name]
+    lemmas = ("carry_identity", "residual_invariant", "main")
+    for lemma in lemmas:
+        cohomlab.VERIFIERS[lemma](tower, samples=6, seed=5)
+    built = []
+    init = localfield.OElem.__init__
+
+    def counted(self, level, data):
+        built.append(level)
+        init(self, level, data)
+
+    monkeypatch.setattr(localfield.OElem, "__init__", counted)
+    for lemma in lemmas:
+        report = cohomlab.VERIFIERS[lemma](tower, samples=6, seed=5)
+        assert report.status == "PASS", (lemma, report.failures[:2])
+    assert built == []
+
+
 def trace_eq_solvable(tower, comps) -> bool:
     """Whether tr(x) = -carry is solvable after the prefix ``comps`` (flat
     O_L coordinates of x_1..x_{l-1}), by the oracle path: OElem
     conjugates, ``carry_value`` and the trace solve."""
     level = len(comps) + 1
     elems = [unflatten(tower.L, c) for c in comps]
-    rows = [[tower.galois(c, i) for c in elems] for i in range(tower.p)]
-    carry = wittcore.carry_value(tower.p, level, rows, tower.L)
+    rows = [[tower.galois(c, i).data for c in elems] for i in range(tower.p)]
+    carry = unflatten(tower.L, wittcore.carry_value(tower.p, level, rows, tower.L))
     try:
         tower.solve_trace_eq((-project_to_K(tower, carry)).data)
     except NoSolutionAtPrecision:
@@ -287,8 +304,7 @@ def fresh_carry_mismatches(tower, name, n, retries, seeds=range(20)):
         except SamplerExhausted as exc:
             want = ("exhausted", exc.level)
         try:
-            sample = sample_trace_zero(tower, n, got_rng)
-            got = [c.data for c in sample.vec.components]
+            got = list(sample_trace_zero(tower, n, got_rng).vec.components)
         except SamplerExhausted as exc:
             got = ("exhausted", exc.level)
         if got != want or got_rng.random() != want_rng.random():
@@ -418,8 +434,8 @@ def test_residue_without_the_particular_fails(all_towers, monkeypatch):
 def polynomial_trace(tower, x):
     """Witt trace by the addition polynomials: the oracle for the flat
     ``witt_trace``."""
-    conj = [galois_vec(tower, x, i).components for i in range(tower.p)]
-    return [project_to_K(tower, c).data for c in polynomial_witt_sum(tower.p, conj, tower.L)]
+    conj = [[tower.galois(unflatten(tower.L, c), i).data for c in x.components] for i in range(tower.p)]
+    return [tower.project_to_K_raw(c) for c in polynomial_witt_sum(tower.p, conj, tower.L)]
 
 
 @pytest.mark.parametrize(
@@ -431,15 +447,11 @@ def polynomial_trace(tower, x):
 def test_witt_trace_matches_polynomials(all_towers, name, n, data):
     tower = all_towers[name]
     rank, top = tower.L.flat_rank, tower.modulus - 1
-    coords = st.lists(st.integers(0, top), min_size=rank, max_size=rank)
-    x = WittVec(
-        ctx_for(tower.p, n),
-        tower.L,
-        tuple(unflatten(tower.L, data.draw(coords)) for _ in range(n)),
-    )
+    coords = st.tuples(*[st.integers(0, top)] * rank)
+    x = WittVec(tower.L, tuple(data.draw(coords) for _ in range(n)))
     got = witt_trace(tower, x)
     assert got.ring is tower.K
-    assert [c.data for c in got.components] == polynomial_trace(tower, x)
+    assert list(got.components) == polynomial_trace(tower, x)
 
 
 @pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
@@ -479,21 +491,22 @@ def test_trace_kernel_basis_is_cached(all_towers):
 
 
 def symbolic_residual(tower, comps, level):
-    """The p-fold residual polynomial evaluated at the conjugate family
-    over O_L; the oracle for ``cohomlab._residual``."""
+    """The p-fold residual polynomial evaluated at the conjugate family of
+    flat components, wrapped in OElems, over O_L; the oracle for
+    ``cohomlab._residual``."""
     p = tower.p
     poly = wittcore.pfold_decomposition(p, PFOLD_RANGE[p]).residual_for_level(level)
     assign = {}
     for i in range(1, p + 1):
         for j in range(1, level - 1):
-            assign[fold_var(p, i, j)] = tower.galois(comps[j - 1], i - 1)
+            assign[fold_var(p, i, j)] = tower.galois(unflatten(tower.L, comps[j - 1]), i - 1)
     return poly.eval(assign, tower.L)
 
 
 def assert_residuals_match(tower, comps, residual):
     """``residual(tower, columns, level)``, on the flat conjugate columns
     of ``comps``, against the symbolic residual at every level."""
-    columns = [tower.conjugates_raw(c.data) for c in comps]
+    columns = [tower.conjugates_raw(c) for c in comps]
     for level in range(2, len(comps) + 1):
         got = residual(tower, columns, level)
         assert got == symbolic_residual(tower, comps, level).data, level
@@ -506,10 +519,7 @@ def residual_components(tower, kind, draw_int):
     if kind == "trace-zero":
         return sample_trace_zero(tower, n, random.Random(draw_int(0, 2**32))).vec.components
     top = tower.modulus - 1
-    return tuple(
-        unflatten(tower.L, [draw_int(0, top) for _ in range(tower.L.flat_rank)])
-        for _ in range(n)
-    )
+    return tuple(tuple(draw_int(0, top) for _ in range(tower.L.flat_rank)) for _ in range(n))
 
 
 @pytest.mark.parametrize("kind", ["trace-zero", "random"])
@@ -523,8 +533,8 @@ def test_residual_matches_symbolic(all_towers, name, kind, data):
 
 
 def conjugate_rows(tower, columns):
-    """Row i holds sigma^i of each component, as OElems."""
-    return [[OElem(tower.L, col[i]) for col in columns] for i in range(tower.p)]
+    """Row i holds sigma^i of each component."""
+    return [[col[i] for col in columns] for i in range(tower.p)]
 
 
 def residual_zeroing_column_below(tower, columns, level):
@@ -532,14 +542,14 @@ def residual_zeroing_column_below(tower, columns, level):
     rows = conjugate_rows(tower, columns[: level - 1])
     if level >= 3:
         for row in rows:
-            row[level - 3] = tower.L.zero
-    return wittcore.carry_value(tower.p, level, rows, tower.L).data
+            row[level - 3] = tower.L.zero_elem
+    return wittcore.carry_value(tower.p, level, rows, tower.L)
 
 
 def residual_keeping_column(tower, columns, level):
     """Mutant: leaves column l-1 in, so it returns the whole carry."""
     rows = conjugate_rows(tower, columns[: level - 1])
-    return wittcore.carry_value(tower.p, level, rows, tower.L).data
+    return wittcore.carry_value(tower.p, level, rows, tower.L)
 
 
 def residual_slice_one_long(tower, columns, level):
@@ -572,19 +582,21 @@ def test_residual_invariant_builds_no_decomposition(q2_i, q3, monkeypatch):
 
 class TestClassDecisions:
     def test_zero_is_trivial(self, q2_i):
-        verdict = level1_class_trivial(q2_i, q2_i.L.zero)
+        verdict = level1_class_trivial(q2_i, q2_i.L.zero_elem)
         assert verdict.status == "trivial"
 
     def test_i_is_nontrivial(self, q2_i):
-        verdict = level1_class_trivial(q2_i, q2_i.pi_L - 1)
+        verdict = level1_class_trivial(q2_i, (q2_i.pi_L - 1).data)
         assert verdict.status == "nontrivial"
         assert verdict.obstruction_depth == 1
 
     def test_2i_is_trivial_with_witness(self, q2_i):
         c = (q2_i.pi_L - 1) * 2
-        verdict = level1_class_trivial(q2_i, c)
+        verdict = level1_class_trivial(q2_i, c.data)
         assert verdict.status == "trivial"
-        got = q2_i.galois(verdict.witness) - verdict.witness
+        assert type(verdict.witness) is tuple
+        y = unflatten(q2_i.L, verdict.witness)
+        got = q2_i.galois(y) - y
         assert eq_at_precision(q2_i, got, c)
 
     def test_obstruction_past_the_precision_is_undetermined(self, q2_i, q3):
@@ -593,7 +605,7 @@ class TestClassDecisions:
         for tower in (q2_i, q3):
             x = tower.L.from_int(tower.p ** (tower.N - 1))
             assert is_zero_at_precision(tower, tower.trace(x))
-            verdict = level1_class_trivial(tower, x)
+            verdict = level1_class_trivial(tower, x.data)
             assert verdict.status == "undetermined"
             assert verdict.obstruction_depth == tower.N
 
@@ -878,7 +890,6 @@ def oracle_vksub(tower, samples, seed):
 
 def oracle_fixed_points(tower, samples, seed):
     n = cohomlab.witt_length("fixed_points", tower, None)
-    ctx = ctx_for(tower.p, n)
     report = cohomlab._base_report(
         tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}
     )
@@ -890,28 +901,23 @@ def oracle_fixed_points(tower, samples, seed):
     for k in range(samples):
         label = cohomlab._sample_seed(seed, "fixed", k)
         rng = random.Random(label)
-        kvec = WittVec(
-            ctx, tower.L, tuple(tower.embed_K(randrange_K_elem(tower, rng)) for _ in range(n))
-        )
-        gk = galois_vec(tower, kvec)
-        if not all(equal(a, b) for a, b in zip(gk.components, kvec.components)):
+        kcomps = [tower.embed_K(randrange_K_elem(tower, rng)) for _ in range(n)]
+        if not all(equal(tower.galois(c), c) for c in kcomps):
             report.record_failure({"seed": label, "what": "fixed vector moved"})
             continue
         fixed_seen += 1
         idx = rng.randrange(n)
-        perturbed = list(kvec.components)
+        perturbed = list(kcomps)
         perturbed[idx] = perturbed[idx] + tower.pi_L * randrange_L_unit(tower, rng)
-        pvec = WittVec(ctx, tower.L, tuple(perturbed))
-        gp = galois_vec(tower, pvec)
-        if all(equal(a, b) for a, b in zip(gp.components, pvec.components)):
+        if all(equal(tower.galois(c), c) for c in perturbed):
             report.record_failure({"seed": label, "what": "moved vector looks fixed"})
             continue
         e = tower.K.flat_rank
-        if not all(zero_by_coordinates(tower, c.data[e:]) for c in kvec.components):
+        if not all(zero_by_coordinates(tower, c.data[e:]) for c in kcomps):
             report.record_failure({"seed": label, "what": "fixed but not rational"})
         if n >= 2:
-            low = kvec.components[: n - 1]
-            lifted = WittVec(ctx, tower.L, low + (tower.L.zero,))
+            low = tuple(c.data for c in kcomps[: n - 1])
+            lifted = WittVec(tower.L, low + (tower.L.zero_elem,))
             if lifted.components[: n - 1] != low:
                 report.record_failure({"seed": label, "what": "truncation section"})
     report.observations["fixed_vectors_checked"] = fixed_seen

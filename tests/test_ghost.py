@@ -26,7 +26,6 @@ from oracles import (
     ghost_sum_by_loops,
     polynomial_witt_neg,
     polynomial_witt_sum,
-    unflatten,
     zmod,
 )
 
@@ -54,31 +53,26 @@ PROPERTY = settings(
 def draw_vectors(data, tower, n, count, top_zero=False):
     """``count`` length-n vectors over O_L with drawn flat coordinates."""
     rank, modulus = tower.L.flat_rank, tower.modulus
-    coords = st.lists(st.integers(0, modulus - 1), min_size=rank, max_size=rank)
-    ctx = ctx_for(tower.p, n)
+    coords = st.tuples(*[st.integers(0, modulus - 1)] * rank)
     vecs = []
     for _ in range(count):
-        comps = [unflatten(tower.L, data.draw(coords)) for _ in range(n)]
+        comps = [data.draw(coords) for _ in range(n)]
         if top_zero:
-            comps[-1] = tower.L.zero
-        vecs.append(WittVec(ctx, tower.L, tuple(comps)))
+            comps[-1] = tower.L.zero_elem
+        vecs.append(WittVec(tower.L, tuple(comps)))
     return vecs
-
-
-def datas(vec):
-    return [c.data for c in vec.components]
 
 
 def oracle_sum(vecs):
     """The Witt sum of vectors over one tower ring by the addition
     polynomials, as flat coordinate tuples."""
-    p, ring = vecs[0].ctx.p, vecs[0].ring
-    return [c.data for c in polynomial_witt_sum(p, [v.components for v in vecs], ring)]
+    ring = vecs[0].ring
+    return polynomial_witt_sum(ring.p, [v.components for v in vecs], ring)
 
 
 def oracle_neg(y):
     """The negative of ``y`` by the negation polynomials."""
-    return [c.data for c in polynomial_witt_neg(y.ctx.p, y.components, y.ring)]
+    return polynomial_witt_neg(y.ring.p, y.components, y.ring)
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -87,7 +81,7 @@ def oracle_neg(y):
 def test_pfold_sum_matches_polynomials(all_towers, name, n, data):
     tower = all_towers[name]
     vecs = draw_vectors(data, tower, n, tower.p)
-    assert datas(witt_sum(vecs)) == oracle_sum(vecs)
+    assert witt_sum(vecs).components == oracle_sum(vecs)
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -96,7 +90,7 @@ def test_pfold_sum_matches_polynomials(all_towers, name, n, data):
 def test_binary_add_matches_polynomials(all_towers, name, n, data):
     tower = all_towers[name]
     a, b = draw_vectors(data, tower, n, 2)
-    assert datas(a + b) == oracle_sum([a, b])
+    assert (a + b).components == oracle_sum([a, b])
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -107,7 +101,7 @@ def test_carry_value_matches_polynomials(all_towers, name, n, data):
     vecs = draw_vectors(data, tower, n, tower.p, top_zero=True)
     rows = [v.components[: n - 1] for v in vecs]
     got = carry_value(tower.p, n, rows, tower.L)
-    assert got.data == oracle_sum(vecs)[n - 1]
+    assert got == oracle_sum(vecs)[n - 1]
 
 
 # every length the negation tables cover, so n = 5 at p = 2
@@ -122,7 +116,7 @@ NEG_CASES = [
 def test_negation_matches_polynomials(all_towers, name, n, data):
     tower = all_towers[name]
     (y,) = draw_vectors(data, tower, n, 1)
-    assert datas(-y) == oracle_neg(y)
+    assert (-y).components == oracle_neg(y)
 
 
 def carry_sign_flipped(p, ring, columns, levels):
@@ -148,21 +142,19 @@ def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
     cases = []
     for name, n in NEG_CASES:
         tower = all_towers[name]
-        ctx = ctx_for(tower.p, n)
         for _ in range(5):
             comps = [
-                unflatten(tower.L, [rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank)])
+                tuple(rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank))
                 for _ in range(n)
             ]
-            y = WittVec(ctx, tower.L, tuple(comps))
+            y = WittVec(tower.L, tuple(comps))
             cases.append((y, oracle_neg(y)))
     monkeypatch.setattr(wittcore, "ghost_sum", mutant)
-    assert any(datas(-y) != want for y, want in cases)
+    assert any((-y).components != want for y, want in cases)
 
 
 def test_tower_sums_evaluate_no_polynomial(q3, monkeypatch):
-    ctx = ctx_for(3, 4)
-    vec = WittVec(ctx, q3.L, (q3.pi_L + 1, q3.pi_L, q3.L.one, q3.pi_L * 2))
+    vec = ctx_for(3, 4).vec(q3.L, [q3.pi_L + 1, q3.pi_L, q3.L.one, q3.pi_L * 2])
     want = polynomial_witt_sum(3, [vec.components] * 3, q3.L)
     want_neg = polynomial_witt_neg(3, vec.components, q3.L)
 
@@ -227,13 +219,13 @@ def test_rank_one_rings_match_polynomials(p, n, data):
     digit = st.sampled_from([0, 1, p**15, ring.modulus - 1]) | st.integers(0, ring.modulus - 1)
     vecs = [ctx.vec(ring, data.draw(st.lists(digit, min_size=n, max_size=n))) for _ in range(p)]
     a, b = vecs[:2]
-    assert datas(a + b) == oracle_sum([a, b])
-    assert datas(-b) == oracle_neg(b)
+    assert (a + b).components == oracle_sum([a, b])
+    assert (-b).components == oracle_neg(b)
     minus_b = polynomial_witt_neg(p, b.components, ring)
     assert (a - b).components == polynomial_witt_sum(p, [a.components, minus_b], ring)
-    assert datas(witt_sum(vecs)) == oracle_sum(vecs)
+    assert witt_sum(vecs).components == oracle_sum(vecs)
     rows = [v.components[: n - 1] for v in vecs]
-    carried = polynomial_witt_sum(p, [row + (ring.zero,) for row in rows], ring)
+    carried = polynomial_witt_sum(p, [row + (ring.zero_elem,) for row in rows], ring)
     assert carry_value(p, n, rows, ring) == carried[-1]
 
 
@@ -272,7 +264,7 @@ def check_non_divisible_numerator_raises(q2_i, monkeypatch):
 def polynomial_carry(tower, columns):
     """Top component of the sum of the p rows with one more column, zero,
     by the addition polynomials."""
-    rows = [tuple(col[r] for col in columns) + (tower.L.zero,) for r in range(tower.p)]
+    rows = [tuple(col[r] for col in columns) + (tower.L.zero_elem,) for r in range(tower.p)]
     return polynomial_witt_sum(tower.p, rows, tower.L)[-1]
 
 
@@ -285,18 +277,15 @@ def check_ghost_sum(tower, draw):
     p, modulus, rank = tower.p, tower.modulus, tower.L.flat_rank
     n = draw(1, min(4, BINARY_RANGE[p]))
     columns = [
-        [unflatten(tower.L, [draw(0, modulus - 1) for _ in range(rank)]) for _ in range(p)]
-        for _ in range(n)
+        [tuple(draw(0, modulus - 1) for _ in range(rank)) for _ in range(p)] for _ in range(n)
     ]
 
     def polynomial(cols):
-        rows = [tuple(col[r] for col in cols) for r in range(p)]
-        return tuple(c.data for c in polynomial_witt_sum(p, rows, tower.L))
+        return polynomial_witt_sum(p, list(zip(*cols)), tower.L)
 
-    flat = [[c.data for c in col] for col in columns]
-    assert ghost_sum(p, tower.L, flat, n) == polynomial(columns)
-    carried = polynomial(columns[:-1] + [[tower.L.zero] * p])
-    assert ghost_sum(p, tower.L, flat[:-1], n) == carried
+    assert ghost_sum(p, tower.L, columns, n) == polynomial(columns)
+    carried = polynomial(columns[:-1] + [[tower.L.zero_elem] * p])
+    assert ghost_sum(p, tower.L, columns[:-1], n) == carried
 
 
 @pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
@@ -476,17 +465,15 @@ def test_engine_refuses_out_of_range_columns(q2_i):
 @pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
 def test_carry_and_sums_are_the_polynomial_values_as_tuples(all_towers, name):
     """Carries and sums come back as reduced flat coordinate tuples, the
-    ``.data`` of the elements the addition polynomials give."""
+    values the addition polynomials give."""
     tower = all_towers[name]
     p, rng = tower.p, random.Random(11)
     n = min(3, BINARY_RANGE[p])
-    columns = [[tower.random_L_elem(rng) for _ in range(p)] for _ in range(n)]
-    flat = [[c.data for c in col] for col in columns]
+    columns = [[tower.random_L_elem(rng).data for _ in range(p)] for _ in range(n)]
     for j in range(n):
-        carry = ghost_sum(p, tower.L, flat[:j], j + 1)[-1]
+        carry = ghost_sum(p, tower.L, columns[:j], j + 1)[-1]
         assert isinstance(carry, tuple)
-        assert carry == polynomial_carry(tower, columns[:j]).data
-    sums = ghost_sum(p, tower.L, flat, n)
+        assert carry == polynomial_carry(tower, columns[:j])
+    sums = ghost_sum(p, tower.L, columns, n)
     assert isinstance(sums, tuple) and all(isinstance(s, tuple) for s in sums)
-    rows = [tuple(col[r] for col in columns) for r in range(p)]
-    assert sums == tuple(c.data for c in polynomial_witt_sum(p, rows, tower.L))
+    assert sums == polynomial_witt_sum(p, list(zip(*columns)), tower.L)

@@ -22,6 +22,11 @@ from wittlab.wittcore import (
 from oracles import pfold_components_by_folding, polynomial_witt_sum, zmod
 
 
+def flat_ints(ring, values) -> tuple:
+    """Integers as flat coordinate tuples of a tower ring, reduced."""
+    return tuple(ring.from_int(c).data for c in values)
+
+
 def ghost_of_ints(p, comps):
     """Independent ghost map over plain integers."""
     out = []
@@ -139,7 +144,7 @@ class TestWittArithmetic:
         ctx = ctx_for(2, 2)
         v = ctx.vec(ring, [1, 0])
         w = v + v
-        assert [c.data for c in w.components] == [(2,), (7,)]
+        assert w.components == ((2,), (7,))
 
     def test_inverse_law_mod16(self):
         rng = random.Random(5)
@@ -157,7 +162,7 @@ class TestWittArithmetic:
         assert s == (3, -8)
         ring = zmod(3, 16)
         over_mod = witt_sum([ctx_for(3, 2).vec(ring, u)] * 3)
-        assert over_mod.components == tuple(map(ring.from_int, s))
+        assert over_mod.components == flat_ints(ring, s)
 
     def test_random_sums_against_ghost_oracle(self):
         rng = random.Random(13)
@@ -169,7 +174,7 @@ class TestWittArithmetic:
                 want = witt_sum_by_ghost(p, rows)
                 assert list(polynomial_witt_sum(p, rows)) == want
                 got = witt_sum([ctx.vec(ring, row) for row in rows])
-                assert got.components == tuple(map(ring.from_int, want))
+                assert got.components == flat_ints(ring, want)
 
     def test_naturality_of_reduction(self):
         rng = random.Random(17)
@@ -181,13 +186,13 @@ class TestWittArithmetic:
                 b = [rng.randrange(-99, 99) for _ in range(n)]
                 over_z = polynomial_witt_sum(p, [a, b])
                 over_mod = ctx.vec(ring, a) + ctx.vec(ring, b)
-                assert [ring.from_int(c) for c in over_z] == list(over_mod.components)
+                assert flat_ints(ring, over_z) == over_mod.components
 
 
 class TestTruncation:
     def test_drops_tail(self):
         ring = zmod(2, 16)
-        assert ctx_for(2, 2).vec(ring, [3, 4]).components[:1] == (ring.from_int(3),)
+        assert ctx_for(2, 2).vec(ring, [3, 4]).components[:1] == flat_ints(ring, [3])
 
     def test_is_additive(self):
         rng = random.Random(23)
@@ -205,7 +210,7 @@ class TestTruncation:
     def test_surjective_by_zero_padding(self):
         ring = zmod(2, 16)
         a = ctx_for(2, 2).vec(ring, [5, 0])
-        assert a.components[:1] == (ring.from_int(5),)
+        assert a.components[:1] == flat_ints(ring, [5])
 
 
 class TestPFoldDecomposition:
@@ -297,13 +302,13 @@ class TestPFoldDecomposition:
                 rows = [
                     [rng.randrange(-5, 6) for _ in range(nmax - 1)] for _ in range(p)
                 ]
-                numeric = carry_value(p, nmax, [list(map(ring.from_int, r)) for r in rows], ring)
+                numeric = carry_value(p, nmax, [flat_ints(ring, r) for r in rows], ring)
                 assign = {
                     fold_var(p, i, j): rows[i - 1][j - 1]
                     for i in range(1, p + 1)
                     for j in range(1, nmax)
                 }
-                assert numeric == pf.carry_polys[nmax - 1].eval(assign)
+                assert (numeric,) == flat_ints(ring, [pf.carry_polys[nmax - 1].eval(assign)])
 
 
 class TestSerialization:
