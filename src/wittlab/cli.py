@@ -326,11 +326,13 @@ def cmd_oracle(args) -> int:
     }
     ok = True
     if args.what in ("h1", "all"):
+        # OrderMismatch (a crash, 70) unless the three exact counts agree
         fast = cohomlab.h1_order_level1(tower)
+        counts = " ".join(f"{k}={v}" for k, v in cohomlab.level1_counts(tower).items())
         slow = cohomlab.h1_order_enumeration_stable(tower, enumerations)
         match = fast == slow
         ok &= match
-        print(f"h1 order: elementary-divisor={fast} enumeration={slow} match={match}")
+        print(f"h1 order: {counts} enumeration={slow} match={match}")
     if args.what in ("linsolve", "all"):
         results = {
             digits: cohomlab.linsolve_matches_enumeration(tower, digits, maps)

@@ -781,14 +781,18 @@ class ExtensionTower:
         return a[:e]
 
     def _trace_raw(self, a):
+        """tr(a) on O_K flat coordinates through the compiled ``trace_map``;
+        TraceNotRational unless every pi_L coefficient past the first is
+        zero at precision (one gcd, as ``_zero_raw``)."""
         acc = self.trace_map(a)
-        if not self._zero_raw(acc[self.K.flat_rank :]):
+        e, m = self.K.flat_rank, self.prec_modulus
+        if math.gcd(m, *acc[e:]) != m:
             j = next(
                 j for j in range(1, self.p) if not self._zero_raw(self.L.coeff(acc, j))
             )
             v = self.K.val_raw(self.L.coeff(acc, j))
             raise TraceNotRational(f"trace has a pi_L^{j} coefficient of valuation {v}")
-        return self.L.coeff(acc, 0)
+        return acc[:e]
 
     # -- public element API ----------------------------------------------
 
@@ -858,21 +862,29 @@ class ExtensionTower:
 
     # -- sampling -----------------------------------------------------------
 
-    def random_K_elem(self, rng) -> OElem:
-        """Uniform coordinates modulo p^N_int, the draws of one
+    def random_K_raw(self, rng) -> tuple:
+        """Uniform O_K coordinates modulo p^N_int, the draws of one
         ``rng.randrange(p^N_int)`` per coordinate."""
-        return OElem(self.K, tuple(_uniform(rng, self.modulus, self.K.flat_rank)))
+        return tuple(_uniform(rng, self.modulus, self.K.flat_rank))
 
-    def random_L_elem(self, rng, spread_valuation: bool = False) -> OElem:
-        """Uniform coordinates modulo p^N_int; with ``spread_valuation``,
+    def random_L_raw(self, rng, spread_valuation: bool = False) -> tuple:
+        """Uniform O_L coordinates modulo p^N_int; with ``spread_valuation``,
         times pi_L to a random power below a third of the cap.  The draws
         replay one ``rng.randrange`` per coordinate and one for the power."""
-        a = tuple(_uniform(rng, self.modulus, self.L.flat_rank))
+        a = _uniform(rng, self.modulus, self.L.flat_rank)
         if spread_valuation:
             shift = _below(rng, max(1, self.val_cap // 3))
             if shift:
-                a = self.L.mul(a, self._pi_L_power(shift))
-        return OElem(self.L, a)
+                return self.L.mul(a, self._pi_L_power(shift))
+        return tuple(a)
+
+    def random_L_unit_raw(self, rng) -> tuple:
+        """``random_L_raw`` draws until one has valuation 0."""
+        val = self.L.val_raw
+        while True:
+            a = self.random_L_raw(rng)
+            if val(a) == 0:
+                return a
 
     def _pi_L_power(self, k: int):
         """pi_L^k, from a per-tower table grown by one multiply per power."""
@@ -881,12 +893,17 @@ class ExtensionTower:
             pows.append(self.L.mul(pows[-1], self.L.pi_elem))
         return pows[k]
 
+    def random_K_elem(self, rng) -> OElem:
+        """``random_K_raw`` as an O_K element."""
+        return OElem(self.K, self.random_K_raw(rng))
+
+    def random_L_elem(self, rng, spread_valuation: bool = False) -> OElem:
+        """``random_L_raw`` as an O_L element."""
+        return OElem(self.L, self.random_L_raw(rng, spread_valuation))
+
     def random_L_unit(self, rng) -> OElem:
-        while True:
-            a = self.random_L_elem(rng)
-            v = self.L.val_raw(a.data)
-            if v == 0:
-                return a
+        """``random_L_unit_raw`` as an O_L element."""
+        return OElem(self.L, self.random_L_unit_raw(rng))
 
 
 def build_tower(

@@ -266,8 +266,8 @@ class TestVerify:
         # every draw is zero at precision, so no sample can be checked
         monkeypatch.setattr(
             localfield.ExtensionTower,
-            "random_L_elem",
-            lambda self, rng, spread_valuation=False: self.L.zero,
+            "random_L_raw",
+            lambda self, rng, spread_valuation=False: self.L.zero_elem,
         )
         code = cli.main(
             ["verify", "--lemma", lemma, "--tower", "q2_i", "--samples", "3"]
@@ -726,6 +726,34 @@ class TestOracle:
         assert res.returncode == 0
         assert "match=True" in res.stdout
         assert "oracle status: PASS" in res.stdout
+
+    def test_h1_prints_the_three_level1_counts(self):
+        res = run_cli("oracle", "--tower", "q3_ramified", "--what", "h1")
+        assert res.returncode == 0, res.stderr
+        assert (
+            "h1 order: elementary-divisor=3 trace-cokernel=3 closed-form=3 enumeration=3 match=True"
+            in res.stdout
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--tower", "q3_ramified", "--what", "h1"],
+            ["tower-info", "--tower", "q3_ramified"],
+            ["verify", "--lemma", "main", "--tower", "q3_ramified", "--samples", "1"],
+        ],
+    )
+    def test_level1_counts_that_disagree_are_a_crash(self, argv, monkeypatch, capsys):
+        # the closed form with s off by one: 9 against 3 on q3_ramified
+        monkeypatch.setattr(
+            cohomlab, "trace_index_closed_form", lambda p, s: p ** ((p - 1) * (s + 2) // p)
+        )
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CRASH == 70
+        assert err.count("\n") == 1 and "OrderMismatch: level-one orders disagree" in err
+        assert "closed-form=9" in err
+        assert "status" not in out
 
     def test_seed_is_usage_error(self):
         # oracle prints no tower hash, so a tower seed would change no byte

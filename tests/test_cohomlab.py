@@ -272,6 +272,36 @@ def test_witt_lemmas_build_no_elements(towers, name, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("name", ["q2_i", "q3"])
+def test_field_lemmas_build_no_wrappers(towers, name, monkeypatch):
+    """vktr, vksub and fixed_points draw coordinate tuples and read
+    valuations as ints.  Run a second time (the first compiles the p-th
+    powers and grows the table of powers of pi_L), they construct no
+    OElem and no ValExtended."""
+    tower = towers[name]
+    lemmas = ("vktr", "vksub", "fixed_points")
+    for lemma in lemmas:
+        cohomlab.VERIFIERS[lemma](tower, samples=30, seed=5)
+    built = []
+    for cls in (localfield.OElem, localfield.ValExtended):
+        init = cls.__init__
+
+        def counted(self, *args, init=init, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    # the counter sees a wrapper built on purpose
+    tower.random_L_elem(random.Random(0))
+    localfield.ValExtended.at_cap(3, tower.val_cap)
+    assert built == ["OElem", "ValExtended"]
+    built.clear()
+    for lemma in lemmas:
+        report = cohomlab.VERIFIERS[lemma](tower, samples=30, seed=5)
+        assert report.status == "PASS", (lemma, report.failures[:2])
+    assert built == []
+
+
 def trace_eq_solvable(tower, comps) -> bool:
     """Whether tr(x) = -carry is solvable after the prefix ``comps`` (flat
     O_L coordinates of x_1..x_{l-1}), by the oracle path: OElem
@@ -643,6 +673,50 @@ class TestH1Orders:
             assert {"trace_solve", "sigma_minus_one_solve"} <= result.keys()
             assert all(result.values())
 
+    # |H^1(G, O_L)| on the eight towers, by elementary divisors of sigma - 1,
+    # by the trace's cokernel (the Herbrand quotient is 1) and in closed form
+    LEVEL1_ORDERS = {
+        "q2_i": 2, "q2_sqrt2": 2, "q2_sqrt_minus2": 2, "q3": 3,
+        "nested": 2, "quartic": 4, "septic": 7, "quintic": 5,
+    }
+
+    @pytest.mark.parametrize("name", sorted(LEVEL1_ORDERS))
+    def test_three_level1_counts_agree(self, eight_towers, name):
+        tower = eight_towers[name]
+        order = self.LEVEL1_ORDERS[name]
+        assert cohomlab.level1_counts(tower) == {
+            "elementary-divisor": order,
+            "trace-cokernel": order,
+            "closed-form": order,
+        }
+        assert h1_order_level1(tower) == order
+
+    def test_closed_form_s_off_by_one_fails(self, eight_towers, monkeypatch):
+        # mutant: the different's exponent from s + 1; on towers where the
+        # floor hides it the counts still agree, so at least one must raise
+        monkeypatch.setattr(
+            cohomlab, "trace_index_closed_form", lambda p, s: p ** ((p - 1) * (s + 2) // p)
+        )
+        raised = []
+        for name, tower in eight_towers.items():
+            try:
+                h1_order_level1(tower)
+            except cohomlab.OrderMismatch as exc:
+                assert "closed-form=" in str(exc)
+                raised.append(name)
+        assert raised
+
+    def test_trace_pivots_at_wrong_digits_fail(self, eight_towers, monkeypatch):
+        # mutant: the trace's Smith form read at as many digits as its
+        # largest pivot, which then counts as zero
+        for name, tower in eight_towers.items():
+            digits = max(tower._trace_snf.pivots)
+            short = localfield.smith_normal_form(tower.trace_mat, tower.p, digits)
+            with monkeypatch.context() as patch:
+                patch.setattr(tower, "_trace_snf", short)
+                with pytest.raises(cohomlab.OrderMismatch, match="finite pivots"):
+                    h1_order_level1(tower)
+
     @pytest.mark.parametrize("mutant", ["off_by_one", "always_raises"])
     def test_linsolve_mutants_fail_the_oracle(self, q2_i, q3, monkeypatch, mutant):
         solve = cohomlab.linsolve
@@ -924,6 +998,35 @@ def oracle_fixed_points(tower, samples, seed):
     return report
 
 
+def field_paths(tower, lemma, samples, seed) -> set:
+    """The branches vktr or vksub takes on its draw stream, decided with
+    the oracles' element arithmetic and valuations: "skip" (a bound or
+    expected value too close to the cap), "at_cap" (a checked v_K at or
+    past the cap) and "exhausted" (fewer than ``samples`` checks in
+    20*samples attempts)."""
+    p, cap_K = tower.p, tower.val_cap_K
+    paths, checked = set(), 0
+    for _, a, va in cohomlab._field_draws(tower, samples, seed, lemma):
+        a = unflatten(tower.L, a)
+        if lemma == "vktr":
+            skip = -(-(va + tower.s * (p - 1)) // p) > cap_K - 2
+            value = tower.trace(a)
+        else:
+            skip = tower.e_K + va >= cap_K - 1
+            value = tower.trace(a**p) - tower.trace(a) ** p
+        if skip:
+            paths.add("skip")
+            continue
+        checked += 1
+        if not vK_by_coordinates(tower, value).finite:
+            paths.add("at_cap")
+        if checked == samples:
+            break
+    if checked < samples:
+        paths.add("exhausted")
+    return paths
+
+
 FIELD_ORACLES = {
     "vktr": (oracle_vktr, 40),
     "vksub": (oracle_vksub, 25),
@@ -962,6 +1065,62 @@ class TestFieldLemmaOracles:
         assert got.to_json(include_runtime=False) == FIELD_ORACLES[lemma][0](
             q2_i, 25, 4
         ).to_json(include_runtime=False)
+
+    # (lemma, val_cap, val_cap_K, samples, the branches the caps make fire);
+    # val_cap None keeps the tower's.  A val_cap of 150 spreads the draws'
+    # pi_L powers up to 49, and a val_cap_K of 39 lies past the working
+    # precision on both towers, so there tr(a^p) - tr(a)^p can vanish.
+    CAP_CASES = [
+        ("vktr", None, 6, 40, {"skip", "at_cap"}),
+        ("vktr", 150, 3, 10, {"skip", "exhausted"}),
+        ("vktr", None, 2, 10, {"skip", "exhausted"}),
+        ("vksub", 150, 39, 40, {"skip", "at_cap"}),
+        ("vksub", None, 2, 10, {"skip", "exhausted"}),
+    ]
+
+    @pytest.mark.parametrize("lemma, val_cap, val_cap_K, samples, paths", CAP_CASES)
+    @pytest.mark.parametrize("name", ["q2_i", "q3"])
+    def test_cap_branches_match_oracle(
+        self, towers, name, lemma, val_cap, val_cap_K, samples, paths, monkeypatch
+    ):
+        tower = towers[name]
+        if val_cap is not None:
+            monkeypatch.setattr(tower, "val_cap", val_cap)
+        monkeypatch.setattr(tower, "val_cap_K", val_cap_K)
+        for seed in range(2):
+            assert paths <= set(field_paths(tower, lemma, samples, seed)), seed
+            got = cohomlab.VERIFIERS[lemma](tower, samples=samples, seed=seed)
+            want = FIELD_ORACLES[lemma][0](tower, samples, seed)
+            assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+            assert (got.status == "UNDETERMINED") == ("exhausted" in paths)
+            if lemma == "vksub" and "at_cap" in paths:
+                # tr(a^p) - tr(a)^p vanishes at working precision: FAIL, None
+                assert any(f["v_K(diff)"] is None for f in got.failures)
+            if got.params["checked"] == 0:
+                assert "trace_valuation_slack" not in got.margins
+
+    @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
+    @pytest.mark.parametrize("name", ["q2_i", "q3"])
+    def test_values_past_the_cap_match_oracle(self, towers, name, lemma, monkeypatch):
+        # a trace scaled by p^12 with val_cap_K 12: every checked v_K lies
+        # at or past the cap but inside the working precision, so it reads
+        # as None by the cap rule alone; vktr PASSes on the cap's margin and
+        # vksub FAILs with None in every payload
+        tower = towers[name]
+        trace, p, modulus = tower.trace_map, tower.p, tower.modulus
+        monkeypatch.setattr(
+            tower, "trace_map", lambda a: tuple(c * p**12 % modulus for c in trace(a))
+        )
+        monkeypatch.setattr(tower, "val_cap_K", 12)
+        assert "at_cap" in field_paths(tower, lemma, 20, 3)
+        got = cohomlab.VERIFIERS[lemma](tower, samples=20, seed=3)
+        want = FIELD_ORACLES[lemma][0](tower, 20, 3)
+        assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+        if lemma == "vksub":
+            assert got.status == "FAIL"
+            assert {f["v_K(diff)"] for f in got.failures} == {None}
+        else:
+            assert got.status == "PASS"
 
     def test_sigma_off_by_one_in_fixed_points_fails(self, all_towers, monkeypatch):
         # mutant: fixed_points applies a sigma with one entry off by one;
