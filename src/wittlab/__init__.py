@@ -7,7 +7,6 @@ from .kernels import BACKEND
 from .localfield import (
     ExtensionTower,
     OElem,
-    ValExtended,
     build_tower,
     load_tower,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "Monomial",
     "NotDivisible",
     "OElem",
-    "ValExtended",
     "WittCtx",
     "WittVec",
     "build_tower",

@@ -35,9 +35,9 @@ from .localfield import (
     ExtensionTower,
     NoSolutionAtPrecision,
     PrecisionTooLow,
-    ValExtended,
     _below,
     _uniform,
+    at_cap,
     linsolve,
     precision_policy,
     smith_normal_form,
@@ -135,9 +135,20 @@ def _sample_seed(seed: int, lemma: str, index: int) -> str:
     return f"{seed}:{lemma}:{index}"
 
 
-def _update_margin(margins: dict, key: str, value: int) -> None:
-    if key not in margins or value < margins[key]:
-        margins[key] = value
+def _at_least(margins: dict, key: str, v: int | None, cap: int, bound: int) -> bool:
+    """Decide v >= bound for a ring valuation ``v`` (``val_raw``) read at
+    ``cap`` (``at_cap``), and keep the least margin, v - bound with an
+    undecided v taken at the cap, as ``margins[key]``.  A bound past the
+    cap is refused (PrecisionTooLow), even for a finite v.  False means
+    an int v below the bound, so below the cap: a failure payload may
+    carry v as given."""
+    if bound > cap:
+        raise PrecisionTooLow(f"assertion v >= {bound} exceeds the valuation cap {cap}")
+    v = at_cap(v, cap)
+    margin = (cap if v is None else v) - bound
+    if key not in margins or margin < margins[key]:
+        margins[key] = margin
+    return v is None or v >= bound
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +568,13 @@ def _field_draws(
     ``a`` from random.Random("seed:lemma:k"), times a random power of
     pi_L (``random_L_raw``), and yields (label, a, v_L(a)), a a flat
     coordinate tuple and v_L(a) an int, unless the cap does not decide
-    v_L(a)."""
+    v_L(a) (``at_cap``)."""
     draw, val, cap = tower.random_L_raw, tower.L.val_raw, tower.val_cap
     for k in range(20 * samples):
         label = _sample_seed(seed, lemma, k)
         a = draw(random.Random(label), True)
-        va = val(a)
-        if va is not None and va < cap:
+        va = at_cap(val(a), cap)
+        if va is not None:
             yield label, a, va
 
 
@@ -632,38 +643,25 @@ def _record_checked(report: VerificationReport, checked: int, samples: int) -> N
 def verify_vktr(
     tower: ExtensionTower, samples: int = 1000, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """Trace valuation lower bound on the top ring, on flat coordinates.
-
-    v_K(tr a) is an int, or None when it is at or past the cap (the rule
-    of ``ValExtended.at_cap``), and a bound past the cap is refused, as
-    ``ValExtended.at_least`` refuses it."""
+    """Trace valuation lower bound on the top ring, on flat coordinates,
+    each bound checked at ``val_cap_K`` by ``_at_least``."""
     witt_length("vktr", tower, n)
     p, s, cap_K = tower.p, tower.s, tower.val_cap_K
     trace, val_K = tower._trace_raw, tower.K.val_raw
     report = _base_report(tower, "vktr", {"samples": samples, "seed": seed})
     checked = 0
-    slack = None
     for label, a, va in _field_draws(tower, samples, seed, "vktr"):
         bound = -(-(va + s * (p - 1)) // p)
         if bound > cap_K - 2:
             continue  # not decidable with margin; redraw
-        if bound > cap_K:  # pragma: no cover - the skip above keeps bounds lower
-            raise PrecisionTooLow(f"assertion v >= {bound} exceeds the valuation cap {cap_K}")
         vk = val_K(trace(a))
-        if vk is not None and vk >= cap_K:
-            vk = None
         checked += 1
-        margin = (cap_K if vk is None else vk) - bound
-        if slack is None or margin < slack:
-            slack = margin
-        if vk is not None and vk < bound:
+        if not _at_least(report.margins, "trace_valuation_slack", vk, cap_K, bound):
             report.record_failure(
                 {"seed": label, "v_L(a)": va, "v_K(tr(a))": vk, "bound": bound}
             )
         if checked == samples:
             break
-    if slack is not None:
-        report.margins["trace_valuation_slack"] = slack
     _record_checked(report, checked, samples)
     return report
 
@@ -673,7 +671,7 @@ def verify_vksub(
 ) -> VerificationReport:
     """Exact valuation of tr(a^p) - tr(a)^p, on flat coordinates.
 
-    v_K is an int, or None at or past the cap, as in ``verify_vktr``.  The
+    v_K is an int, or None at or past the cap (``at_cap``).  The
     difference is left unreduced: ``val_raw`` reads it through gcds with
     divisors of the modulus, which reduction does not change."""
     witt_length("vksub", tower, n)
@@ -688,9 +686,7 @@ def verify_vksub(
         expected = e_k + va
         if expected >= cap_K - 1:
             continue
-        vk = val_K(tuple(map(sub, trace(pow_L(a)), pow_K(trace(a)))))
-        if vk is not None and vk >= cap_K:
-            vk = None
+        vk = at_cap(val_K(tuple(map(sub, trace(pow_L(a)), pow_K(trace(a))))), cap_K)
         checked += 1
         if vk != expected:
             worst = max(worst, abs((cap_K if vk is None else vk) - expected))
@@ -773,7 +769,8 @@ def verify_residual_invariant(
 ) -> VerificationReport:
     """Residual values are Galois-fixed with the cascaded valuation bound, on
     flat coordinates (conjugates and valuations once per component)."""
-    p, L, cap, e = tower.p, tower.L, tower.val_cap, tower.K.flat_rank
+    p, K, L, e = tower.p, tower.K, tower.L, tower.K.flat_rank
+    cap, cap_K = tower.val_cap, tower.val_cap_K
     n = witt_length("residual_invariant", tower, n)
     report = _base_report(
         tower, "residual_invariant", {"samples": samples, "seed": seed, "n": n}
@@ -782,7 +779,7 @@ def verify_residual_invariant(
         label = sample.seed
         comps = sample.vec.components[: n - 2]
         columns = [tower.conjugates_raw(c) for c in comps]
-        vals = [L.val_raw(c) for c in comps]
+        vals = [at_cap(L.val_raw(c), cap) for c in comps]
         for level in range(2, n + 1):
             h = _residual(tower, columns, level)
             if not tower._fixed_raw(h):
@@ -796,21 +793,19 @@ def verify_residual_invariant(
                     report.record_failure({"seed": label, "level": level, "what": "h0 nonzero"})
                 continue
             # v_L of x_1..x_{l-2}, each decided below the cap
-            if any(v is None or v >= cap for v in vals[: level - 2]):
+            if None in vals[: level - 2]:
                 continue
             bound = p * min(vals[: level - 2])
-            if bound > tower.val_cap_K - 1:
+            if bound > cap_K - 1:
                 continue
-            vk = ValExtended.at_cap(tower.K.val_raw(h[:e]), tower.val_cap_K)
-            margin = vk.capped() - bound
-            _update_margin(report.margins, "residual_valuation_slack", margin)
-            if not vk.at_least(bound):
+            vk = K.val_raw(h[:e])
+            if not _at_least(report.margins, "residual_valuation_slack", vk, cap_K, bound):
                 report.record_failure(
                     {
                         "seed": label,
                         "level": level,
                         "what": "valuation bound",
-                        "v_K(h)": vk.value,
+                        "v_K(h)": vk,
                         "bound": bound,
                     }
                 )
@@ -837,16 +832,14 @@ def verify_step_bounds(
         comps = sample.vec.components
         for i in range(1, n):
             bound = step_bound(s, p, i)
-            v = ValExtended.at_cap(L.val_raw(comps[n - i - 1]), cap)
-            margin = v.capped() - bound
-            _update_margin(report.margins, f"component_{n - i}_slack", margin)
-            if not v.at_least(bound):
+            v = L.val_raw(comps[n - i - 1])
+            if not _at_least(report.margins, f"component_{n - i}_slack", v, cap, bound):
                 report.record_failure(
                     {
                         "seed": sample.seed,
                         "provenance": sample.provenance,
                         "component": n - i,
-                        "v_L": v.value,
+                        "v_L": v,
                         "bound": bound,
                     }
                 )
@@ -864,12 +857,10 @@ def verify_main_theorem(
     for sample in _sampler_mix(tower, M, samples, seed, "main"):
         label = sample.seed
         x1 = sample.vec.components[0]
-        v1 = ValExtended.at_cap(L.val_raw(x1), cap)
-        margin = v1.capped() - s
-        _update_margin(report.margins, "first_component_slack", margin)
-        if not v1.at_least(s):
+        v1 = L.val_raw(x1)
+        if not _at_least(report.margins, "first_component_slack", v1, cap, s):
             report.record_failure(
-                {"seed": label, "what": "valuation", "v_L(x1)": v1.value, "s": s}
+                {"seed": label, "what": "valuation", "v_L(x1)": v1, "s": s}
             )
             continue
         verdict = level1_class_trivial(tower, x1)
@@ -892,16 +883,14 @@ def verify_main_theorem(
         for idx, cand in enumerate(_contrast_candidates(tower, seed)):
             verdict = level1_class_trivial(tower, cand)
             if verdict.status == "nontrivial":
-                v = ValExtended.at_cap(L.val_raw(cand), cap)
+                v = at_cap(L.val_raw(cand), cap)
                 contrast = {
                     "candidate_index": idx,
-                    "v_L": v.value,
+                    "v_L": v,
                     "obstruction_depth": verdict.obstruction_depth,
                 }
-                if not (v.finite and v.value <= s - 1):
-                    report.record_failure(
-                        {"what": "contrast valuation", "v_L": v.value, "s": s}
-                    )
+                if v is None or v > s - 1:
+                    report.record_failure({"what": "contrast valuation", "v_L": v, "s": s})
                 break
         if contrast is None:
             report.record_failure({"what": "no nontrivial level-one class found"})
@@ -912,7 +901,8 @@ def verify_main_theorem(
     if M >= 2:
         observed = None
         for sample in _sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below"):
-            value = ValExtended.at_cap(L.val_raw(sample.vec.components[0]), cap).capped()
+            v = at_cap(L.val_raw(sample.vec.components[0]), cap)
+            value = cap if v is None else v
             observed = value if observed is None else min(observed, value)
         report.observations["min_v_L_x1_at_length_M_minus_1"] = observed
     return report

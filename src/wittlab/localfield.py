@@ -24,9 +24,9 @@ action and the trace are matrices on the same coordinates, which the
 tower compiles, once, into straight-line functions
 (``kernels.compile_flat_linear``).
 
-Valuations are reported at the advertised cap: a value at or beyond
-the cap is the interval "at least cap", and any assertion past the cap
-is refused rather than guessed.
+Valuations are reported at the advertised cap (``at_cap``): a value at
+or beyond the cap is None, the interval "at least cap", and the
+verifiers refuse any assertion past the cap rather than guess it.
 """
 
 from __future__ import annotations
@@ -71,41 +71,10 @@ class NoSolutionAtPrecision(ArithmeticError):
         super().__init__(f"no solution modulo p^{depth} (delta={delta})")
 
 
-@dataclass(frozen=True)
-class ValExtended:
-    """A valuation that is either exactly known or at least the cap."""
-
-    value: int | None
-    cap: int
-
-    @property
-    def finite(self) -> bool:
-        return self.value is not None
-
-    def capped(self) -> int:
-        """The value, or the cap when it is only known to be at least that."""
-        return self.cap if self.value is None else self.value
-
-    def at_least(self, bound: int) -> bool:
-        """Decide ``v >= bound``; refuses bounds beyond the cap."""
-        if bound > self.cap:
-            raise PrecisionTooLow(
-                f"assertion v >= {bound} exceeds the valuation cap {self.cap}"
-            )
-        if self.value is None:
-            return True
-        return self.value >= bound
-
-    def __repr__(self) -> str:
-        if self.value is None:
-            return f">= {self.cap}"
-        return str(self.value)
-
-    @classmethod
-    def at_cap(cls, v: int | None, cap: int) -> "ValExtended":
-        """A ring valuation (``val_raw``; None is zero at working
-        precision) reported at the cap: at or past it, "at least cap"."""
-        return cls(None if v is None or v >= cap else v, cap)
+def at_cap(v: int | None, cap: int) -> int | None:
+    """A ring valuation (``val_raw``; None is zero at working precision)
+    reported at the cap: None, "at least cap", at or past it."""
+    return None if v is None or v >= cap else v
 
 
 # (p, vmax) -> (p^vmax, {p^k: k for k < vmax})
@@ -645,8 +614,8 @@ class ExtensionTower:
         self.pi_conjugates = tuple(conj)
 
         diff = L.sub(conj[1], pi)
-        vdiff = L.val_raw(diff)
-        if vdiff is None or vdiff >= self.val_cap:
+        vdiff = at_cap(L.val_raw(diff), self.val_cap)
+        if vdiff is None:
             raise PrecisionTooLow("sigma(pi) - pi vanishes at precision")
         self.s = vdiff - 1
         if self.s * (p - 1) > p * self.e_K:
@@ -688,8 +657,7 @@ class ExtensionTower:
         return acc
 
     def _close_raw(self, a, b, cap: int) -> bool:
-        v = self.L.val_raw(self.L.sub(a, b))
-        return v is None or v >= cap
+        return at_cap(self.L.val_raw(self.L.sub(a, b)), cap) is None
 
     def _build_matrices(self) -> None:
         """sigma^i and the trace as matrices on flat coordinates, each
@@ -815,15 +783,15 @@ class ExtensionTower:
             raise ValueError("trace expects an O_L element")
         return OElem(self.K, self._trace_raw(a.data))
 
-    def vL(self, a: OElem) -> ValExtended:
+    def vL(self, a: OElem) -> int | None:
         if a.level is self.K:
             a = self.embed_K(a)
-        return ValExtended.at_cap(self.L.val_raw(a.data), self.val_cap)
+        return at_cap(self.L.val_raw(a.data), self.val_cap)
 
-    def vK(self, a: OElem) -> ValExtended:
+    def vK(self, a: OElem) -> int | None:
         if a.level is not self.K:
             raise ValueError("vK expects an O_K element")
-        return ValExtended.at_cap(self.K.val_raw(a.data), self.val_cap_K)
+        return at_cap(self.K.val_raw(a.data), self.val_cap_K)
 
     def strict_break_regime(self) -> bool:
         """True when s > e_K/(p-1) strictly; towers sitting exactly on
@@ -893,17 +861,9 @@ class ExtensionTower:
             pows.append(self.L.mul(pows[-1], self.L.pi_elem))
         return pows[k]
 
-    def random_K_elem(self, rng) -> OElem:
-        """``random_K_raw`` as an O_K element."""
-        return OElem(self.K, self.random_K_raw(rng))
-
     def random_L_elem(self, rng, spread_valuation: bool = False) -> OElem:
         """``random_L_raw`` as an O_L element."""
         return OElem(self.L, self.random_L_raw(rng, spread_valuation))
-
-    def random_L_unit(self, rng) -> OElem:
-        """``random_L_unit_raw`` as an O_L element."""
-        return OElem(self.L, self.random_L_unit_raw(rng))
 
 
 def build_tower(

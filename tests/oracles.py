@@ -7,13 +7,20 @@
   replaced; the test modules compare the fast forms against them, and the
   field-lemma oracles in ``test_cohomlab`` draw and take valuations
   through them only.
+* ``ValExtended``, the valuation-at-the-cap rule as an object (a value,
+  or "at least cap"; margins taken at the cap; a bound past the cap
+  refused), and ``_update_margin``: the form ``cohomlab.at_cap`` and
+  ``cohomlab._at_least`` replaced.  The OElem oracles below take every
+  valuation through it, on the per-coordinate valuation loop
+  (``vL_by_coordinates``, ``vK_by_coordinates``).
 * The Witt lemmas ``carry_identity`` and ``residual_invariant`` on OElem
   components: each sample's flat components wrapped in elements, Galois
   conjugates one element at a time, the residual through
   ``wittcore.carry_value`` on rows with an explicit zero column, and
-  every check through the OElem dunders and the tower's ``ValExtended``
-  accessors.  ``cohomlab`` runs both lemmas on flat conjugate columns;
-  their reports must agree byte for byte.
+  every check through the OElem dunders and ``ValExtended``.
+  ``step_bounds`` and ``main`` likewise on OElem components.
+  ``cohomlab`` runs these lemmas on flat coordinate tuples; their
+  reports must agree byte for byte.
 * ``wittcore.ghost_sum`` as the level-by-level loop it replaced
   (``ghost_sum_by_loops``): per-level list comprehensions over the
   columns, and one ``divide_exact`` call per level.  The package runs a
@@ -48,22 +55,65 @@
   that only the tests use, and ``zmod``, Z/p^k as a rank-1 tower ring.
 """
 
+from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 
 from wittlab import cohomlab, wittcore
-from wittlab.cohomlab import _base_report, _update_margin, witt_length
+from wittlab.cohomlab import _base_report, witt_length
 from wittlab.exactpoly import INT_RING, MPOLY_RING, MPoly
 from wittlab.localfield import (
     ExtensionTower,
     FlatRing,
     NotNormal,
     OElem,
-    ValExtended,
+    PrecisionTooLow,
     _eval_top,
     build_rings,
 )
 from wittlab.wittcore import PFOLD_RANGE, IntegralityViolation, ctx_for, fold_var, xvar, yvar
+
+
+@dataclass(frozen=True)
+class ValExtended:
+    """A valuation that is either exactly known or at least the cap."""
+
+    value: int | None
+    cap: int
+
+    @property
+    def finite(self) -> bool:
+        return self.value is not None
+
+    def capped(self) -> int:
+        """The value, or the cap when it is only known to be at least that."""
+        return self.cap if self.value is None else self.value
+
+    def at_least(self, bound: int) -> bool:
+        """Decide ``v >= bound``; refuses bounds beyond the cap."""
+        if bound > self.cap:
+            raise PrecisionTooLow(
+                f"assertion v >= {bound} exceeds the valuation cap {self.cap}"
+            )
+        if self.value is None:
+            return True
+        return self.value >= bound
+
+    def __repr__(self) -> str:
+        if self.value is None:
+            return f">= {self.cap}"
+        return str(self.value)
+
+    @classmethod
+    def at_cap(cls, v: int | None, cap: int) -> "ValExtended":
+        """A ring valuation (``val_raw``; None is zero at working
+        precision) reported at the cap: at or past it, "at least cap"."""
+        return cls(None if v is None or v >= cap else v, cap)
+
+
+def _update_margin(margins: dict, key: str, value: int) -> None:
+    if key not in margins or value < margins[key]:
+        margins[key] = value
 
 
 def _elements(ring):
@@ -456,13 +506,13 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
                         {"seed": label, "level": level, "what": "h0 nonzero"}
                     )
                 continue
-            vals = [tower.vL(comps[i]) for i in range(level - 2)]
+            vals = [vL_by_coordinates(tower, comps[i]) for i in range(level - 2)]
             if not all(v.finite for v in vals):
                 continue
             bound = p * min(v.value for v in vals)
             if bound > tower.val_cap_K - 1:
                 continue
-            vk = tower.vK(project_to_K(tower, h_raw))
+            vk = vK_by_coordinates(tower, project_to_K(tower, h_raw))
             margin = vk.capped() - bound
             _update_margin(report.margins, "residual_valuation_slack", margin)
             if not vk.at_least(bound):
@@ -475,4 +525,94 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
                         "bound": bound,
                     }
                 )
+    return report
+
+
+def step_bounds_by_elements(tower, samples=200, seed=0, n=None):
+    """``cohomlab.verify_step_bounds`` on OElem components, with the
+    cascaded bound read from ``cohomlab.step_bound`` at call time."""
+    p, s = tower.p, tower.s
+    n = witt_length("step_bounds", tower, n)
+    report = _base_report(
+        tower, "step_bounds", {"samples": samples, "seed": seed, "n": n}
+    )
+    for sample in cohomlab._sampler_mix(tower, n, samples, seed, "steps", coboundary_every=4):
+        comps = [OElem(tower.L, c) for c in sample.vec.components]
+        for i in range(1, n):
+            bound = cohomlab.step_bound(s, p, i)
+            v = vL_by_coordinates(tower, comps[n - i - 1])
+            margin = v.capped() - bound
+            _update_margin(report.margins, f"component_{n - i}_slack", margin)
+            if not v.at_least(bound):
+                report.record_failure(
+                    {
+                        "seed": sample.seed,
+                        "provenance": sample.provenance,
+                        "component": n - i,
+                        "v_L": v.value,
+                        "bound": bound,
+                    }
+                )
+    return report
+
+
+def main_by_elements(tower, samples=200, seed=0, n=None):
+    """``cohomlab.verify_main_theorem`` on OElem components; the sample
+    stream, the class decisions and the contrast candidates are read from
+    ``cohomlab`` at call time."""
+    s = tower.s
+    M = witt_length("main", tower, n)
+    report = _base_report(tower, "main", {"samples": samples, "seed": seed, "M": M})
+    for sample in cohomlab._sampler_mix(tower, M, samples, seed, "main"):
+        label = sample.seed
+        x1 = OElem(tower.L, sample.vec.components[0])
+        v1 = vL_by_coordinates(tower, x1)
+        margin = v1.capped() - s
+        _update_margin(report.margins, "first_component_slack", margin)
+        if not v1.at_least(s):
+            report.record_failure(
+                {"seed": label, "what": "valuation", "v_L(x1)": v1.value, "s": s}
+            )
+            continue
+        verdict = cohomlab.level1_class_trivial(tower, x1.data)
+        if verdict.status != "trivial":
+            report.record_failure(
+                {
+                    "seed": label,
+                    "what": "class",
+                    "verdict": verdict.status,
+                    "depth": verdict.obstruction_depth,
+                }
+            )
+
+    order = cohomlab.h1_order_level1(tower)
+    report.observations["h1_order_level1"] = order
+    if order > 1:
+        contrast = None
+        for idx, cand in enumerate(cohomlab._contrast_candidates(tower, seed)):
+            verdict = cohomlab.level1_class_trivial(tower, cand)
+            if verdict.status == "nontrivial":
+                v = vL_by_coordinates(tower, OElem(tower.L, cand))
+                contrast = {
+                    "candidate_index": idx,
+                    "v_L": v.value,
+                    "obstruction_depth": verdict.obstruction_depth,
+                }
+                if not (v.finite and v.value <= s - 1):
+                    report.record_failure(
+                        {"what": "contrast valuation", "v_L": v.value, "s": s}
+                    )
+                break
+        if contrast is None:
+            report.record_failure({"what": "no nontrivial level-one class found"})
+        else:
+            report.observations["contrast"] = contrast
+
+    if M >= 2:
+        observed = None
+        for sample in cohomlab._sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below"):
+            x1 = OElem(tower.L, sample.vec.components[0])
+            value = vL_by_coordinates(tower, x1).capped()
+            observed = value if observed is None else min(observed, value)
+        report.observations["min_v_L_x1_at_length_M_minus_1"] = observed
     return report

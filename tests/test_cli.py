@@ -1,5 +1,7 @@
+import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -425,6 +427,16 @@ class TestSuite:
                 rep = cohomlab.VERIFIERS[lemma](tower, samples=200, seed=2026)
                 assert rep.params["checked"] == 200
                 assert rep.status == "PASS"
+
+    def test_default_suite_matches_the_pinned_hash(self, tmp_path, capsys):
+        # the aggregate of the default suite has the sha256 that
+        # ``perfbench/run.py --suite-check`` compares with; the hash is read
+        # from that file, so it is stored in one place
+        run_py = (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+        pinned = re.search(r'^SUITE_BASELINE = "([0-9a-f]{64})"$', run_py, re.M).group(1)
+        out = tmp_path / "aggregate.json"
+        assert cli.main(["suite", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned
 
     @pytest.mark.parametrize("entry", [5, 0, [1], None, True])
     def test_non_object_tower_entry_is_usage_error(

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -35,15 +36,18 @@ from wittlab.wittcore import (
 )
 
 from oracles import (
+    _update_margin,
     carry_identity_by_elements,
     eq_at_precision,
     is_zero_at_precision,
+    main_by_elements,
     polynomial_witt_sum,
     project_to_K,
     randrange_K_elem,
     randrange_L_elem,
     randrange_L_unit,
     residual_invariant_by_elements,
+    step_bounds_by_elements,
     unflatten,
     vK_by_coordinates,
     vL_by_coordinates,
@@ -118,7 +122,7 @@ class TestSampler:
         for _ in range(25):
             s = sample_trace_zero(q2_i, 2, rng)
             v = q2_i.vL(unflatten(q2_i.L, s.vec.components[0]))
-            assert v.at_least(2)
+            assert v is None or v >= 2
 
     def test_audit_always_passes(self, towers):
         for tower in towers.values():
@@ -277,24 +281,22 @@ def test_field_lemmas_build_no_wrappers(towers, name, monkeypatch):
     """vktr, vksub and fixed_points draw coordinate tuples and read
     valuations as ints.  Run a second time (the first compiles the p-th
     powers and grows the table of powers of pi_L), they construct no
-    OElem and no ValExtended."""
+    OElem."""
     tower = towers[name]
     lemmas = ("vktr", "vksub", "fixed_points")
     for lemma in lemmas:
         cohomlab.VERIFIERS[lemma](tower, samples=30, seed=5)
     built = []
-    for cls in (localfield.OElem, localfield.ValExtended):
-        init = cls.__init__
+    init = localfield.OElem.__init__
 
-        def counted(self, *args, init=init, **kwargs):
-            built.append(type(self).__name__)
-            init(self, *args, **kwargs)
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+    monkeypatch.setattr(localfield.OElem, "__init__", counted)
     # the counter sees a wrapper built on purpose
     tower.random_L_elem(random.Random(0))
-    localfield.ValExtended.at_cap(3, tower.val_cap)
-    assert built == ["OElem", "ValExtended"]
+    assert built == ["OElem"]
     built.clear()
     for lemma in lemmas:
         report = cohomlab.VERIFIERS[lemma](tower, samples=30, seed=5)
@@ -890,11 +892,12 @@ class TestVerifiers:
 # -- the field-lemma verifiers against their OElem forms ---------------------
 #
 # The verifiers vktr, vksub and fixed_points run on flat coordinate tuples.
-# These are the bodies they had on OElem, WittVec and ValExtended, kept as
-# their oracles: the reports must agree byte for byte.  The oracles draw
-# with plain ``rng.randrange`` and take valuations and zero tests one
-# coordinate at a time (``oracles``), so they share neither the
-# getrandbits draws nor the one-gcd valuations with the verifiers.
+# These are the bodies they had on OElem, WittVec and ``ValExtended``
+# (now in ``oracles``), kept as their oracles: the reports must agree byte
+# for byte.  The oracles draw with plain ``rng.randrange`` and take
+# valuations and zero tests one coordinate at a time (``oracles``), so they
+# share neither the getrandbits draws nor the one-gcd valuations with the
+# verifiers.
 
 
 def oracle_vktr(tower, samples, seed):
@@ -915,7 +918,7 @@ def oracle_vktr(tower, samples, seed):
         vk = vK_by_coordinates(tower, tower.trace(a))
         checked += 1
         ok = vk.at_least(bound)
-        cohomlab._update_margin(report.margins, "trace_valuation_slack", vk.capped() - bound)
+        _update_margin(report.margins, "trace_valuation_slack", vk.capped() - bound)
         if not ok:
             report.record_failure(
                 {
@@ -1173,6 +1176,24 @@ class TestWittLemmaOracles:
                 ), (n, seed)
 
     @pytest.mark.parametrize("name", ["q2_i", "q3"])
+    def test_undecided_valuation_skips_match_oracle(self, all_towers, name, monkeypatch):
+        # every sample's x_1 is zero, so v_L(x_1) is undecided at the cap
+        # and every level from 3 on is skipped: no margin is written
+        tower, mix = all_towers[name], cohomlab._sampler_mix
+
+        def zero_first(*args, **kwargs):
+            for sample in mix(*args, **kwargs):
+                comps = (tower.L.zero_elem,) + sample.vec.components[1:]
+                yield cohomlab.KernelSample(WittVec(tower.L, comps), "zero", sample.seed)
+
+        monkeypatch.setattr(cohomlab, "_sampler_mix", zero_first)
+        n = PFOLD_RANGE[tower.p]
+        got = cohomlab.verify_residual_invariant(tower, samples=4, seed=2, n=n)
+        assert got.status == "PASS" and got.margins == {}
+        want = residual_invariant_by_elements(tower, samples=4, seed=2, n=n)
+        assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+
+    @pytest.mark.parametrize("name", ["q2_i", "q3"])
     def test_failing_carry_reports_match_oracle(self, all_towers, name, monkeypatch):
         # an alternating binomial constant off by one breaks both signs
         # wherever tr(x_{l-1}) is nonzero, so the failure payloads and the
@@ -1205,6 +1226,141 @@ class TestWittLemmaOracles:
         assert got.status == "FAIL"
         want = residual_invariant_by_elements(tower, samples=6, seed=2, n=n)
         assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+
+
+# -- step_bounds and main against their OElem forms --------------------------
+#
+# step_bounds and main check their bounds through ``cohomlab._at_least``
+# on integer valuations; their bodies on OElem components, with every
+# valuation a ``ValExtended`` from the per-coordinate loop, are the
+# oracles in ``oracles``.  Each patch below is read at call time by both
+# sides and makes a failure branch fire.
+
+CAP_LEMMA_ORACLES = {
+    "step_bounds": (step_bounds_by_elements, 8),
+    "main": (main_by_elements, 6),
+}
+
+
+def check_cap_lemma(tower, lemma, seed):
+    oracle, samples = CAP_LEMMA_ORACLES[lemma]
+    got = cohomlab.VERIFIERS[lemma](tower, samples=samples, seed=seed)
+    want = oracle(tower, samples=samples, seed=seed)
+    assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False), seed
+    return got
+
+
+def failures_by_what(report) -> set:
+    return {f.get("what", "valuation") for f in report.failures}
+
+
+class TestCapLemmaOracles:
+    @pytest.mark.parametrize("lemma", sorted(CAP_LEMMA_ORACLES))
+    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    def test_flat_verifier_matches_oracle(self, all_towers, name, lemma):
+        for seed in range(2):
+            assert check_cap_lemma(all_towers[name], lemma, seed).status == "PASS"
+
+    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    def test_step_bounds_past_the_samples_match_oracle(self, all_towers, name, monkeypatch):
+        # every cascaded bound two above the true one: each tower has a
+        # component margin of at most one, so the valuation branch fires
+        bound = cohomlab.step_bound
+        monkeypatch.setattr(cohomlab, "step_bound", lambda s, p, i: bound(s, p, i) + 2)
+        for seed in range(2):
+            got = check_cap_lemma(all_towers[name], "step_bounds", seed)
+            assert got.status == "FAIL" and failures_by_what(got) == {"valuation"}
+
+    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    def test_main_low_first_component_matches_oracle(self, all_towers, name, monkeypatch):
+        # every other main sample has x_1 replaced by 1, of valuation 0 < s
+        tower, mix = all_towers[name], cohomlab._sampler_mix
+
+        def units_first(*args, **kwargs):
+            for k, sample in enumerate(mix(*args, **kwargs)):
+                if args[4] == "main" and k % 2:
+                    comps = (tower.L.one_elem,) + sample.vec.components[1:]
+                    sample = cohomlab.KernelSample(WittVec(tower.L, comps), "unit", sample.seed)
+                yield sample
+
+        monkeypatch.setattr(cohomlab, "_sampler_mix", units_first)
+        for seed in range(2):
+            got = check_cap_lemma(tower, "main", seed)
+            assert got.status == "FAIL" and failures_by_what(got) == {"valuation"}
+            assert got.margins["first_component_slack"] == -tower.s
+
+    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    def test_main_class_and_contrast_failures_match_oracle(
+        self, all_towers, name, monkeypatch
+    ):
+        # every class nontrivial, and a first contrast candidate pi_L^s of
+        # valuation s: the class branch and the contrast valuation branch
+        tower = all_towers[name]
+        candidates = cohomlab._contrast_candidates
+        nontrivial = cohomlab.ClassVerdict("nontrivial", obstruction_depth=1)
+        monkeypatch.setattr(cohomlab, "level1_class_trivial", lambda tower, x: nontrivial)
+        monkeypatch.setattr(
+            cohomlab,
+            "_contrast_candidates",
+            lambda tower, seed: itertools.chain(
+                [tower.L.pow(tower.L.pi_elem, tower.s)], candidates(tower, seed)
+            ),
+        )
+        got = check_cap_lemma(tower, "main", 0)
+        assert failures_by_what(got) == {"class", "contrast valuation"}
+        assert got.observations["contrast"]["v_L"] == tower.s
+        # every class trivial: no contrast is found
+        trivial = cohomlab.ClassVerdict("trivial")
+        monkeypatch.setattr(cohomlab, "level1_class_trivial", lambda tower, x: trivial)
+        got = check_cap_lemma(tower, "main", 1)
+        assert failures_by_what(got) == {"no nontrivial level-one class found"}
+
+
+class TestCapRule:
+    """``localfield.at_cap`` and ``cohomlab._at_least``, the one rule for a
+    valuation at the cap: at or past it a valuation is "at least cap",
+    its margin is taken at the cap, and a bound past the cap is refused."""
+
+    def test_at_cap(self):
+        assert localfield.at_cap(3, 48) == 3
+        assert localfield.at_cap(47, 48) == 47
+        assert localfield.at_cap(48, 48) is None
+        assert localfield.at_cap(60, 48) is None
+        assert localfield.at_cap(None, 48) is None
+
+    def test_finite(self):
+        margins = {}
+        assert cohomlab._at_least(margins, "k", 3, 48, 3)
+        assert margins == {"k": 0}
+        assert not cohomlab._at_least(margins, "k", 3, 48, 4)
+        assert margins == {"k": -1}
+
+    def test_none_meets_every_bound_up_to_the_cap(self):
+        for v in (None, 48, 60):
+            for bound in (0, 40, 48):
+                margins = {}
+                assert cohomlab._at_least(margins, "k", v, 48, bound)
+                assert margins == {"k": 48 - bound}
+
+    def test_refuses_beyond_cap_even_when_finite(self):
+        for v in (3, None):
+            margins = {}
+            with pytest.raises(PrecisionTooLow, match="v >= 50 exceeds the valuation cap 48"):
+                cohomlab._at_least(margins, "k", v, 48, 50)
+            assert margins == {}
+
+    def test_least_margin_is_kept(self):
+        margins = {"other": -9}
+        for v, bound in ((10, 4), (None, 40), (7, 4), (20, 4)):
+            cohomlab._at_least(margins, "k", v, 48, bound)
+        assert margins == {"other": -9, "k": 3}
+
+    def test_no_key_without_a_check(self, q2_i, monkeypatch):
+        # a vktr run whose every draw is skipped writes no margin
+        monkeypatch.setattr(q2_i, "val_cap_K", 2)
+        report = cohomlab.verify_vktr(q2_i, samples=5, seed=0)
+        assert report.params["checked"] == 0
+        assert report.margins == {}
 
 
 class TestSampleStream:
