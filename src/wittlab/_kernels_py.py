@@ -19,7 +19,10 @@ a straight-line function, which the tests compare with a plain
 matrix-vector product, and ``compile_ghost_pass`` turns one shape of
 ``wittcore.ghost_sum`` (summands per column, levels) at one pair of
 moduli into one, cached by its arguments, which the tests compare with
-the level-by-level loop it replaced.
+the level-by-level loop it replaced.  ``compile_witt_trace_pass`` does
+the same for the Witt trace from the top ring of a tower into the ring
+below, from the rows of the field trace; the tests compare it with the
+Witt sum of the Galois conjugates.
 
 The package calls them through ``kernels``.
 """
@@ -365,6 +368,94 @@ def compile_ghost_pass(
     return _define(source, name, "ghost_pass", indivisible=indivisible)
 
 
+def _linear_terms(row, names, modulus: int) -> list:
+    """The terms row[m] * names[m] of a linear form, the entries inlined as
+    the representatives of least absolute value modulo ``modulus``, and
+    zero entries left out."""
+    terms = []
+    for c, a in zip(row, names):
+        c = _checked_int(c) % modulus
+        if 2 * c > modulus:
+            c -= modulus
+        if c:
+            terms.append(a if c == 1 else f"-{a}" if c == -1 else f"{c} * {a}")
+    return terms
+
+
+def witt_trace_pass_source(p: int, rows, count: int, levels: int, modulus: int, base: int) -> str:
+    """Straight-line source of ``trace_pass(pth_L, pth_K, components)``:
+    components 1..``levels`` of the Witt trace of (x_1, ..., x_count, 0,
+    ...), given x_1..x_count on the top ring's coordinates, on the
+    coordinates of the ring below, with ``rows`` the field trace as a
+    matrix from the first to the second, modulo ``modulus``.
+
+    The ghost map commutes with the Galois action, so the l-th ghost
+    component of the Witt trace is tr(w_l(x)), and
+
+        S_l = (tr(sum_{i<=l} p^(i-1) x_i^(p^(l-i))) - sum_{i<l} p^(i-1) S_i^(p^(l-i))) / p^(l-1).
+
+    Level l raises each lower x_i with ``pth_L`` and each S_i with
+    ``pth_K`` once, in that order, sums p^(i-1) x_i coordinate by
+    coordinate, and applies the rows to that sum.  The numerator, division
+    check and reductions are those of ``ghost_pass_source``: a remainder
+    modulo p^(l-1) raises ``indivisible(coordinate, q)``.
+    """
+    for x in (p, count, levels, base):
+        _checked_int(x)
+    if _checked_int(modulus) < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("the trace needs at least one row, all of one length")
+    coords, below = range(len(rows[0])), range(len(rows))
+    used = [k for k in coords if any(_checked_int(row[k]) % modulus for row in rows)]
+    lines = ["def trace_pass(pth_L, pth_K, components):"]
+    if count:
+        lines.append(f"    {_tuple(f'x{i}' for i in range(count))} = components")
+    for l in range(levels):
+        given = range(min(l + 1, count))
+        lines += [f"    x{i} = pth_L(x{i})" for i in given if i < l]
+        lines += [f"    s{i} = pth_K(s{i})" for i in range(l)]
+        lines += [f"    {_tuple(f'x{i}_{k}' for k in coords)} = x{i}" for i in given]
+        lines += [f"    {_tuple(f's{i}_{r}' for r in below)} = s{i}" for i in range(l)]
+        sums = {}  # coordinate -> the name of its sum, for the columns the rows use
+        for k in used:
+            terms = [f"x{i}_{k}" if i == 0 else f"{p**i} * x{i}_{k}" for i in given]
+            if len(terms) > 1:
+                lines.append(f"    t{k} = {' + '.join(terms)}")
+                sums[k] = f"t{k}"
+            elif terms:
+                sums[k] = terms[0]
+        q = p**l
+        for r in below:
+            row = [rows[r][k] for k in sums]
+            total = " + ".join(_linear_terms(row, sums.values(), modulus)) or "0"
+            lower = " + ".join(f"s{i}_{r}" if i == 0 else f"{p**i} * s{i}_{r}" for i in range(l))
+            lines.append(f"    s{l}_{r} = ({total}{f' - ({lower})' if lower else ''}) % {modulus}")
+            if q > 1:
+                lines.append(f"    if s{l}_{r} % {q}:")
+                lines.append(f"        raise indivisible(s{l}_{r}, {q})")
+                lines.append(f"    s{l}_{r} //= {q}")
+        lines.append(f"    o{l} = {_tuple(f's{l}_{r} % {base}' for r in below)}")
+        if l < levels - 1:
+            lines.append(f"    s{l} = {_tuple(f's{l}_{r}' for r in below)}")
+    lines.append(f"    return {_tuple(f'o{l}' for l in range(levels))}")
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def compile_witt_trace_pass(
+    p: int, rows: tuple, count: int, levels: int, modulus: int, base: int, indivisible
+):
+    """The Witt trace pass of this shape (``witt_trace_pass_source``) as a
+    function ``trace_pass(pth_L, pth_K, components)``, compiled once for
+    each set of arguments; ``pth_L`` and ``pth_K`` are x -> x^p on the
+    lifted top ring and the lifted ring below, and ``indivisible`` is as
+    for ``compile_ghost_pass``."""
+    source = witt_trace_pass_source(p, rows, count, levels, modulus, base)
+    name = f"<witt_trace_pass {len(rows)}x{len(rows[0])} count {count} levels {levels}>"
+    return _define(source, name, "trace_pass", indivisible=indivisible)
+
+
 def flat_linear_source(matrix, modulus: int) -> str:
     """Straight-line source of ``apply(a)``, the matrix times the column
     ``a`` modulo ``modulus``.
@@ -378,19 +469,14 @@ def flat_linear_source(matrix, modulus: int) -> str:
     if not matrix or not matrix[0]:
         raise ValueError("a matrix needs at least one row and one column")
     cols = len(matrix[0])
+    names = [f"a{m}" for m in range(cols)]
     outs = []
     for r, row in enumerate(matrix):
         if len(row) != cols:
             raise ValueError(f"matrix row {r} has {len(row)} entries, need {cols}")
-        terms = []
-        for m, c in enumerate(row):
-            c = _checked_int(c) % modulus
-            if 2 * c > modulus:
-                c -= modulus
-            if c:
-                terms.append(f"a{m}" if c == 1 else f"-a{m}" if c == -1 else f"{c} * a{m}")
+        terms = _linear_terms(row, names, modulus)
         outs.append(f"({' + '.join(terms)}) % {modulus}" if terms else "0")
-    a = ", ".join(f"a{m}" for m in range(cols))
+    a = ", ".join(names)
     return f"def apply(a):\n    ({a},) = a\n    return ({', '.join(outs)},)\n"
 
 

@@ -7,8 +7,9 @@ so everything reduces to:
 
 * a Witt-level trace (sum of the componentwise Galois conjugates),
 * a recursive sampler of trace-zero vectors that solves one linear
-  trace equation per component, with the right-hand side produced by
-  the numeric carry of the conjugate family,
+  trace equation per component, with the right-hand side the carry of
+  the Witt trace, taken on O_K from the ghost components (the
+  conjugate family's Witt sum audits the result),
 * coboundary solving at level one, exact and decisive up to the
   elimination's precision loss,
 * an order computation for the level-one cohomology group from the
@@ -159,8 +160,9 @@ def witt_trace(tower: ExtensionTower, x: WittVec) -> WittVec:
     """Witt sum of the Galois conjugates, projected into the fixed ring.
 
     The conjugates of each component are the columns of one ``ghost_sum``
-    pass, which keeps no state, so the sampler's audit shares nothing with
-    the passes that drew the sample."""
+    pass, which keeps no state.  The sampler takes its carries from
+    ``wittcore.ghost_trace``, which needs no conjugate, so its audit
+    shares nothing with the passes that drew the sample."""
     columns = [tower.conjugates_raw(c) for c in x.components]
     sums = wittcore.ghost_sum(tower.p, tower.L, columns, len(columns))
     return WittVec(tower.K, tuple(map(tower.project_to_K_raw, sums)))
@@ -194,16 +196,19 @@ def sample_trace_zero(
     tr(x_l) = -carry_l and gets a fresh kernel element added.  When the
     carry falls outside the trace image, the level l-1 kernel part is
     redrawn (``SAMPLER_RETRIES``); the finished vector is audited.  Each
-    carry is one ``ghost_sum`` pass over the conjugates of x_1..x_{l-1},
-    lifted by l-1 digits; each component's conjugates are computed once
-    and kept until the component is redrawn or cut, and the first of
-    them is the component itself.  Components, particular solutions and
-    carries are flat coordinate tuples throughout.
+    carry is the top component of the Witt trace of (x_1, ..., x_{l-1}, 0),
+    one ``wittcore.ghost_trace`` pass lifted by l-1 digits: a p-th-power
+    chain per component on O_L and per partial sum on O_K, with no
+    conjugate.  The audit (``witt_trace``) sums the conjugates instead,
+    so it shares no computation with the carries.  Components, particular
+    solutions, their residues and carries are flat coordinate tuples
+    throughout, and each particular's residues are computed once, when it
+    is solved.
 
     Whether level l is solvable depends only on x_1..x_{l-1} modulo
     ``tower.trace_residue_modulus``, p^delta with delta the largest pivot
     of the trace's Smith form.  carry_l is an integral polynomial in the
-    coordinates of their conjugates, sigma and the ring's structure
+    coordinates of x_1..x_{l-1}, the trace's rows and the rings' structure
     constants are integral, and the solve fails exactly when some entry
     of U*c is nonzero modulo its pivot's p^v, v <= delta.  (A zero row of
     the form needs every digit; the modulus is then p^N_int.)  A residue
@@ -239,14 +244,15 @@ def sample_trace_zero(
                 key = tuple((a + r * c) % m for a, c in zip(key, k))
         return coeffs, key
 
-    # particulars[i] is x_{i+1}'s particular solution; keys holds the
-    # residues of x_1..x_{level-1}, and columns the conjugates of the
-    # components built so far, columns[i][0] = x_{i+1}: all but the top
-    # one, x_{level-1}, whose coefficients are ``coeffs``
+    # particulars[i] is x_{i+1}'s particular solution and bases[i] its
+    # residues; keys holds the residues of x_1..x_{level-1}, and comps the
+    # components built so far: all but the top one, x_{level-1}, whose
+    # coefficients are ``coeffs``
     particulars: list[tuple] = [L.zero_elem]
-    coeffs, key = draw(_residues(tower, L.zero_elem))
+    bases: list[tuple] = [_residues(tower, L.zero_elem)]
+    coeffs, key = draw(bases[0])
     keys: list[tuple] = [key]
-    columns: list[tuple] = []
+    comps: list[tuple] = []
     level = 2
     retries = SAMPLER_RETRIES
     budget = retries * n * 8
@@ -254,15 +260,16 @@ def sample_trace_zero(
     while level <= n:
         prefix = tuple(keys)
         if prefix not in unsolvable:
-            columns.append(tower.conjugates_raw(_kernel_elem(tower, particulars[-1], coeffs)))
-            carry = wittcore.ghost_sum(tower.p, L, columns, level)[-1]
+            comps.append(_kernel_elem(tower, particulars[-1], coeffs))
+            carry = wittcore.ghost_trace(tower, comps, level)[-1]
             try:
-                part, _ = tower.solve_trace_eq(K.neg(tower.project_to_K_raw(carry)))
+                part, _ = tower.solve_trace_eq(K.neg(carry))
             except NoSolutionAtPrecision:
                 unsolvable.add(prefix)
             else:
                 particulars.append(part)
-                coeffs, key = draw(_residues(tower, part))
+                bases.append(_residues(tower, part))
+                coeffs, key = draw(bases[-1])
                 keys.append(key)
                 level += 1
                 fail_streak = 0
@@ -277,12 +284,12 @@ def sample_trace_zero(
         # (its trace equations used the old carries)
         depth = min(level - 1, 1 + fail_streak // retries)
         cut = level - depth
-        del columns[cut - 1 :]  # x_cut is redrawn below
-        del keys[cut:], particulars[cut:]
-        coeffs, keys[-1] = draw(_residues(tower, particulars[-1]))
+        del comps[cut - 1 :]  # x_cut is redrawn below
+        del keys[cut:], particulars[cut:], bases[cut:]
+        coeffs, keys[-1] = draw(bases[-1])
         level = cut + 1
     top = _kernel_elem(tower, particulars[-1], coeffs)
-    vec = WittVec(L, tuple(col[0] for col in columns) + (top,))
+    vec = WittVec(L, tuple(comps) + (top,))
     _audit_trace(tower, vec, "a fresh sample")
     return KernelSample(vec, "recursive-sampler", seed_label)
 

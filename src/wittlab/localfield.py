@@ -703,6 +703,7 @@ class ExtensionTower:
         # by the trace-zero sampler (see ``cohomlab.sample_trace_zero``)
         self.unsolvable_prefixes: set[tuple] = set()
         self._smo_snf: dict[int, SmithForm] = {}  # digits -> Smith form of sigma - 1
+        self._trace_rows: dict[int, tuple] = {}  # digits -> the trace into O_K
 
     # -- raw (tuple-level) operations -----------------------------------
 
@@ -827,6 +828,27 @@ class ExtensionTower:
                 self.sigma_minus_one_mat, self.p, digits
             )
         return snf
+
+    def trace_rows(self, digits: int) -> tuple:
+        """The trace of O_L into O_K modulo p^digits, N_int or more, as e_K
+        rows on O_L flat coordinates, built on first use at each digit
+        count with no sigma: Tr(pi_K^i*pi_L^j) = pi_K^i*P_j, where P_j is
+        the j-th power sum of E_L's roots, from Newton's identities
+        P_k + a_(p-1)*P_(k-1) + ... + a_(p-k+1)*P_1 + k*a_(p-k) = 0 on the
+        unreduced coefficients a_j of E_L, in O_K at that digit count.  At
+        N_int they are ``trace_mat``."""
+        rows = self._trace_rows.get(digits)
+        if rows is None:
+            K, p, a = self.K.flat_lift(digits - self.N_int), self.p, self.L.ecoeffs
+            sums = [K.scale_int(K.one_elem, p)]
+            for k in range(1, p):
+                acc = K.scale_int(a[p - k], k)
+                for i in range(1, k):
+                    acc = K.add(acc, K.mul(a[p - i], sums[k - i]))
+                sums.append(K.neg(acc))
+            columns = [K.mul(K.struct[0][i], P) for P in sums for i in range(K.flat_rank)]
+            rows = self._trace_rows[digits] = tuple(zip(*columns))
+        return rows
 
     # -- sampling -----------------------------------------------------------
 

@@ -28,6 +28,17 @@ pass per carry.  Because the addition polynomials are integral, the
 result is exactly what evaluating them gives.  No table is needed here,
 so a tower vector may be as long as the tower's precision allows.
 
+The Witt trace W(O_L) -> W(O_K) runs on that path in two forms.  The
+trace-zero sampler takes its carries from ``ghost_trace``: the ghost map
+commutes with sigma, so the trace's ghost components are the field
+traces of the vector's, and each component needs one p-th-power chain
+where the Witt sum of its p conjugates needs p.  The sampler's audit
+and the lemmas keep the Witt sum of the conjugates (``ghost_sum`` in
+``cohomlab.witt_trace``).  That is a separate computation on purpose:
+it reads the field through sigma, where ``ghost_trace`` reads it
+through E_L's coefficients, so a fault in either fails the audit, and
+it is ``ghost_trace``'s oracle in the tests.
+
 The p-fold decomposition splits the l-th component of a sum of p
 vectors into the plain coefficient sum plus a carry polynomial, and
 splits the carry further into two explicitly p-divisible brackets plus
@@ -286,6 +297,31 @@ def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> 
         p, lifted.flat_rank, widths, levels, lifted.modulus, ring.modulus, _indivisible
     )
     return ghost_pass(lifted.pth_power, columns)
+
+
+def ghost_trace(tower, components: Sequence[tuple], levels: int) -> tuple:
+    """Components 1..``levels`` of the Witt trace of (x_1, ..., x_k, 0, ...)
+    from W(O_L) into W(O_K), given x_1..x_k on O_L flat coordinates, as
+    reduced O_K flat coordinate tuples; ``levels`` is at least k.
+
+    The ghost map commutes with sigma, so the l-th ghost component of the
+    trace is tr(w_l(x)): one p-th-power chain per component on O_L and one
+    per partial sum S_i on O_K, where the Witt sum of the p conjugates
+    raises p chains per component.  As in ``ghost_sum`` the components
+    are read at levels - 1 more base digits, in both rings, with the rows
+    of the trace at that digit count (``tower.trace_rows``, which needs no
+    sigma), and the pass (``kernels.compile_witt_trace_pass``) checks every
+    division and raises IntegralityViolation on a remainder.  The value is
+    that of the Witt sum of the conjugates reduced to O_K, byte for byte.
+    """
+    if levels < max(1, len(components)):
+        raise ValueError(f"{len(components)} components give no {levels} levels")
+    K, L = tower.K.flat_lift(levels - 1), tower.L.flat_lift(levels - 1)
+    trace_pass = kernels.compile_witt_trace_pass(
+        tower.p, tower.trace_rows(K.digits), len(components), levels, K.modulus,
+        tower.modulus, _indivisible,
+    )
+    return trace_pass(L.pth_power, K.pth_power, components)
 
 
 def _indivisible(c: int, q: int) -> IntegralityViolation:

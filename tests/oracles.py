@@ -47,9 +47,6 @@
   ``PowerSigmaTower`` takes sigma^k as its generator, for the tests that
   a verdict does not depend on the generator; both override
   ``ExtensionTower._sigma_root`` alone.
-* The trace from E_L's coefficients alone (``trace_by_power_sums``):
-  Newton's identities give the power sums of E_L's roots in O_K, with no
-  sigma, so the trace matrix built from sigma is compared with it.
 * ``unflatten``, ``is_zero_at_precision``, ``eq_at_precision``,
   ``in_K_at_precision``, ``pi_K`` and ``project_to_K``: OElem helpers
   that only the tests use, and ``zmod``, Z/p^k as a rank-1 tower ring.
@@ -255,28 +252,6 @@ def tower_by_digit_search(tower) -> DigitSearchTower:
 def tower_with_sigma_power(tower, k) -> PowerSigmaTower:
     """``tower`` built again, at the same N, with sigma^k as its generator."""
     return PowerSigmaTower(k, *_rebuild_args(tower))
-
-
-def trace_by_power_sums(tower) -> tuple:
-    """The trace of O_L over O_K as a matrix on flat coordinates, with no
-    sigma: Tr(pi_K^i*pi_L^j) = pi_K^i*P_j, where P_j is the j-th power
-    sum of E_L's roots, from Newton's identities P_k + a_(p-1)*P_(k-1) +
-    ... + a_(p-k+1)*P_1 + k*a_(p-k) = 0 on the coefficients a_j of
-    E_L, O_K arithmetic only."""
-    K, L, p = tower.K, tower.L, tower.p
-    a = L.ecoeffs
-    sums = [K.from_int(p).data]
-    for k in range(1, p):
-        acc = K.scale_int(a[p - k], k)
-        for i in range(1, k):
-            acc = K.add(acc, K.mul(a[p - i], sums[k - i]))
-        sums.append(K.neg(acc))
-    columns = [
-        L.embed(K.mul(K.pow(K.pi_elem, i), sums[j]))
-        for j in range(p)
-        for i in range(K.flat_rank)
-    ]
-    return tuple(zip(*columns))
 
 
 def unflatten(ring, coords) -> OElem:

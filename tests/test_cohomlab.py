@@ -196,21 +196,22 @@ TOWER_PRIMES = {
 def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, monkeypatch):
     """Solves, carries and retries run on flat coordinates, and so do the
     finished vector and its audited trace, whose components are tuples: a
-    sample builds no OElem at all, however many attempts it takes.  A full-precision component is built only for a
-    trace solve and for the finished vector's top, and conjugated only
-    for a carry and for the audit, so an attempt the memo of unsolvable
-    prefixes answers builds nothing."""
+    sample builds no OElem at all, however many attempts it takes.  A
+    full-precision component is built only for a trace solve and for the
+    finished vector's top, so an attempt the memo of unsolvable prefixes
+    answers builds nothing; the carries take no conjugate, and only the
+    audit conjugates the finished vector's n components."""
     tower = all_towers[name]
     built, components, conjugated = [], [], []
     init = localfield.OElem.__init__
-    kernel_elem = cohomlab._kernel_elem
+    kernel_elem, residues_of = cohomlab._kernel_elem, cohomlab._residues
     conjugates = tower.conjugates_raw
 
     def counted(self, level, data):
         built.append(level)
         init(self, level, data)
 
-    solves, memo_hits = [], []
+    solves, solved, residues, memo_hits = [], [], [], []
     solve = tower.solve_trace_eq
 
     def recorded(c):
@@ -218,6 +219,7 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
         solves.append(1)
         x, delta = solve(c)
         assert type(x) is tuple
+        solved.append(1)
         return x, delta
 
     class CountedMemo(set):
@@ -236,18 +238,23 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
         cohomlab, "_kernel_elem", lambda *args: components.append(1) or kernel_elem(*args)
     )
     monkeypatch.setattr(tower, "conjugates_raw", lambda a: conjugated.append(1) or conjugates(a))
+    monkeypatch.setattr(
+        cohomlab, "_residues", lambda *args: residues.append(1) or residues_of(*args)
+    )
     hits = 0
     for seed in range(8):
-        for counts in (built, components, conjugated, solves, memo_hits):
+        for counts in (built, components, conjugated, solves, solved, residues, memo_hits):
             counts.clear()
         sample_trace_zero(tower, n, random.Random(seed))
         assert built == []
         # one build per solve and one for the finished vector's top, so
         # at most n + solves whatever the memo answered
         assert len(components) == len(solves) + 1
-        # each component below the top once, for the carries, and the
-        # audit's n
-        assert len(conjugated) == len(components) - 1 + n
+        # the audit's n, and none for the carries
+        assert len(conjugated) == n
+        # the residues of each particular solution once, the first one zero,
+        # however often a component is redrawn over it
+        assert len(residues) == len(solved) + 1
         hits += len(memo_hits)
     assert hits > 0
 
@@ -429,32 +436,18 @@ def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
 
 
 def test_residue_without_the_particular_fails(all_towers, monkeypatch):
-    """Mutant: a redrawn component's residues are taken from its kernel
-    part alone, without its particular solution's (a component drawn
-    right after a solve keeps them), so the memo is asked about, and
+    """Mutant: a particular solution's residues are kept as zero, so every
+    component drawn over it, right after its solve or redrawn, has the
+    residues of its kernel part alone, and the memo is asked about, and
     told, the wrong prefix.  The sampler must part from the fresh-carry
     loop on some tower: in its components or its RNG stream, or in a
     remembered prefix that the oracle's full solve finds solvable.  (On
     the six towers the streams still agree; the memo does not.)"""
-    residues = cohomlab._residues
     parted = []
     for name in sorted(TOWER_PRIMES):
         tower = all_towers[name]
-        solve = tower.solve_trace_eq
-        solved = [False]  # whether the last call was a solve that returned
-
-        def noted(c):
-            x = solve(c)
-            solved[0] = True
-            return x
-
-        def without_particular(tower, x):
-            after_solve, solved[0] = solved[0], False
-            return residues(tower, x) if after_solve else (0,) * len(x)
-
         with monkeypatch.context() as patch:
-            patch.setattr(cohomlab, "_residues", without_particular)
-            patch.setattr(tower, "solve_trace_eq", noted)
+            patch.setattr(cohomlab, "_residues", lambda tower, x: (0,) * len(x))
             memo = set()
             patch.setattr(tower, "unsolvable_prefixes", memo)
             mismatched = fresh_carry_mismatches(tower, name, 3, 32, seeds=range(5))

@@ -19,6 +19,7 @@ from wittlab.wittcore import (
     carry_value,
     ctx_for,
     ghost_sum,
+    ghost_trace,
     witt_sum,
 )
 
@@ -477,3 +478,165 @@ def test_carry_and_sums_are_the_polynomial_values_as_tuples(all_towers, name):
     sums = ghost_sum(p, tower.L, columns, n)
     assert isinstance(sums, tuple) and all(isinstance(s, tuple) for s in sums)
     assert sums == polynomial_witt_sum(p, list(zip(*columns)), tower.L)
+
+
+# ---------------------------------------------------------------------------
+# the Witt trace from the ghost components, against the conjugates' Witt sum
+
+EIGHT_TOWERS = [*sorted(TOWER_PRIMES), "septic", "quintic"]
+
+
+def trace_by_conjugates(tower, components, levels):
+    """Components 1..levels of the Witt trace as ``cohomlab.witt_trace``
+    computes it: the Witt sum of the p conjugates of each component, one
+    ``ghost_sum`` pass, reduced to O_K."""
+    columns = [tower.conjugates_raw(c) for c in components]
+    return tuple(map(tower.project_to_K_raw, ghost_sum(tower.p, tower.L, columns, levels)))
+
+
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_ghost_trace_matches_conjugate_sum(eight_towers, name, data):
+    """On k = 1..3 drawn components, with 0, 1, p^(N_int-1) and
+    modulus-1 among the drawn digits, at k..k+2 levels: the top one is
+    the sampler's carry into level k+1."""
+    tower = eight_towers[name]
+    special = [0, 1, tower.p ** (tower.N_int - 1), tower.modulus - 1]
+    digit = st.sampled_from(special) | st.integers(0, tower.modulus - 1)
+    element = st.tuples(*[digit] * tower.L.flat_rank)
+    k = data.draw(st.integers(1, 3))
+    components = [data.draw(element) for _ in range(k)]
+    levels = data.draw(st.integers(k, k + 2))
+    assert ghost_trace(tower, components, levels) == trace_by_conjugates(tower, components, levels)
+
+
+def check_ghost_traces(towers, seed=0):
+    """``ghost_trace`` against the conjugates' Witt sum on every tower,
+    random components, k = 1..3 and k+1..k+2 levels."""
+    rng = random.Random(seed)
+    for tower in towers.values():
+        for k in (1, 2, 3):
+            components = [tower.random_L_raw(rng) for _ in range(k)]
+            for levels in (k + 1, k + 2):
+                want = trace_by_conjugates(tower, components, levels)
+                assert ghost_trace(tower, components, levels) == want
+
+
+def mutate_trace_source(monkeypatch, mutate):
+    """Mutant helper: every Witt trace pass compiles from
+    ``mutate(source)``; use it with ``fresh_trace_passes``."""
+    source = pure.witt_trace_pass_source
+    monkeypatch.setattr(pure, "witt_trace_pass_source", lambda *args: mutate(source(*args)))
+
+
+@pytest.fixture
+def fresh_trace_passes():
+    """No compiled Witt trace pass is cached when the test starts or after
+    it ends, so a pass compiled from a mutated source dies with the test."""
+    kernels.compile_witt_trace_pass.cache_clear()
+    yield
+    kernels.compile_witt_trace_pass.cache_clear()
+
+
+def rows_at_working_digits(monkeypatch, towers):
+    """Mutant: the trace rows at N_int digits, used in the lifted ring.
+    An entry then differs from the lifted one by a multiple of p^N_int,
+    and the pi_L coefficients of x^(p^m) are mostly divisible by p^m, so
+    the error often cancels in the division; on nested it shows."""
+    for tower in towers.values():
+        rows = tower.trace_rows(tower.N_int)
+        monkeypatch.setattr(tower, "trace_rows", lambda digits, rows=rows: rows)
+
+
+def sums_raised_on_top_ring(monkeypatch, towers):
+    """Mutant: the partial sums S_i are raised with O_L's ``pth_power``."""
+    mutate_trace_source(monkeypatch, lambda source: source.replace("= pth_K(", "= pth_L("))
+
+
+def sums_raised_unlifted(monkeypatch, towers):
+    """Mutant: O_K is not lifted, so the S_i, the rows and the numerators
+    run at N_int digits while the components are lifted."""
+    for tower in towers.values():
+        monkeypatch.setattr(tower.K, "flat_lift", lambda extra, K=tower.K: K)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [rows_at_working_digits, sums_raised_on_top_ring, sums_raised_unlifted],
+    ids=["RowsAtWorkingDigits", "SumsRaisedOnTopRing", "SumsRaisedUnlifted"],
+)
+def test_ghost_trace_mutants_fail(eight_towers, mutant, monkeypatch, fresh_trace_passes):
+    check_ghost_traces(eight_towers)
+    mutant(monkeypatch, eight_towers)
+    kernels.compile_witt_trace_pass.cache_clear()  # the passes checked above
+    # a rank-e_K sum handed to O_L's power does not unpack
+    with pytest.raises((AssertionError, IntegralityViolation, ValueError)):
+        check_ghost_traces(eight_towers)
+
+
+def check_planted_remainder_raises(tower, monkeypatch):
+    """S_1^p off by one leaves the level-2 numerator with a remainder
+    modulo p: every trace of O_L into Q_p is divisible by p, so the
+    remainder is planted on the O_K side."""
+    lifted = tower.K.flat_lift(1)  # the ring a length-2 trace raises S_1 in
+    good = lifted.pth_power
+    monkeypatch.setattr(
+        lifted, "_pth_power", lambda a: ((good(a)[0] + 1) % lifted.modulus,) + good(a)[1:]
+    )
+    with pytest.raises(IntegralityViolation, match="not divisible by"):
+        ghost_trace(tower, [tower.L.one_elem], 2)
+
+
+def test_ghost_trace_planted_remainder_raises(q2_i, q3, monkeypatch):
+    for tower in (q2_i, q3):
+        check_planted_remainder_raises(tower, monkeypatch)
+
+
+def test_floored_trace_division_is_caught(q2_i, monkeypatch, fresh_trace_passes):
+    """Mutant: the generated division drops its remainder check."""
+
+    def unchecked(source):
+        lines = source.splitlines(keepends=True)
+        return "".join(line for line in lines if not line.lstrip().startswith(("if ", "raise ")))
+
+    mutate_trace_source(monkeypatch, unchecked)
+    with pytest.raises(pytest.fail.Exception):
+        check_planted_remainder_raises(q2_i, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+def test_ghost_trace_raises_each_component_once_per_level(all_towers, name, monkeypatch):
+    """At level l the pass raises each of the components below it once on
+    O_L and each S_i once on O_K: one chain per component, where the
+    conjugates' Witt sum raises p."""
+    tower = all_towers[name]
+    rng = random.Random(3)
+    calls = {"O_K": 0, "O_L": 0}
+
+    def wrap(power):
+        def counted(x):
+            calls["O_K" if len(x) == tower.K.flat_rank else "O_L"] += 1
+            return power(x)
+
+        return counted
+
+    wrap_pth_power(monkeypatch, wrap)
+    for k in (1, 2, 3):
+        components = [tower.random_L_raw(rng) for _ in range(k)]
+        for levels in range(k, k + 3):
+            calls.update(O_K=0, O_L=0)
+            ghost_trace(tower, components, levels)
+            assert calls["O_L"] == sum(min(l, k) for l in range(levels))
+            assert calls["O_K"] == levels * (levels - 1) // 2
+
+
+def test_ghost_trace_refuses_out_of_range_components(q2_i):
+    one = q2_i.L.one_elem
+    for components, levels in (([one, one], 1), ([one], 0), ([], 0)):
+        with pytest.raises(ValueError):
+            ghost_trace(q2_i, components, levels)

@@ -37,7 +37,6 @@ from oracles import (
     randrange_L_unit,
     tower_by_digit_search,
     tower_with_sigma_power,
-    trace_by_power_sums,
     unflatten,
     val_by_coordinates,
     vp_int_by_division,
@@ -670,7 +669,9 @@ def exactness_failures(tower) -> list:
         for b in range(rank)
     ):
         failures.append("multiplicative")
-    if tower.trace_full_mat != trace_by_power_sums(tower):
+    # the rows from Newton's identities, with no sigma, above zero rows
+    rows = tower.trace_rows(tower.N_int)
+    if tower.trace_full_mat != rows + ((0,) * rank,) * (rank - len(rows)):
         failures.append("trace")
     return failures
 
@@ -680,6 +681,19 @@ def test_sigma_and_trace_are_exact(eight_towers, name):
     # sigma^p = 1 failed at p^N_int on q2_sqrt2, q3, septic and quintic
     # with the digit-searched root, and the trace on q2_i and quintic
     assert exactness_failures(eight_towers[name]) == []
+
+
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
+@pytest.mark.parametrize("extra", [8, 20])
+def test_trace_rows_past_the_working_digits(eight_towers, name, extra):
+    """At N_int + 8 and N_int + 20 digits the rows reduce to those at
+    N_int, and they give tr(1) = p: no sigma is needed past N_int."""
+    tower = eight_towers[name]
+    rows = tower.trace_rows(tower.N_int + extra)
+    assert all(0 <= c < tower.modulus * tower.p**extra for row in rows for c in row)
+    reduced = tuple(tuple(c % tower.modulus for c in row) for row in rows)
+    assert reduced == tower.trace_rows(tower.N_int)
+    assert tuple(row[0] for row in rows) == (tower.p,) + (0,) * (tower.K.flat_rank - 1)
 
 
 @pytest.mark.parametrize("name", EIGHT_TOWERS)
