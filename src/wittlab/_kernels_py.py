@@ -17,12 +17,13 @@ with chained products.  In the same way ``compile_flat_linear`` turns a
 matrix on flattened coordinates (sigma^i or the trace of a tower) into
 a straight-line function, which the tests compare with a plain
 matrix-vector product, and ``compile_ghost_pass`` turns one shape of
-``wittcore.ghost_sum`` (summands per column, levels) at one pair of
-moduli into one, cached by its arguments, which the tests compare with
-the level-by-level loop it replaced.  ``compile_witt_trace_pass`` does
-the same for the Witt trace from the top ring of a tower into the ring
-below, from the rows of the field trace; the tests compare it with the
-Witt sum of the Galois conjugates.
+Witt vector arithmetic in ghost coordinates (summands per column, levels)
+at one pair of moduli into one, cached by its arguments.  A linear map
+on ghost components chooses the operation: the identity rows give the
+Witt sum, minus the identity the negative, and the rows of the field
+trace the Witt trace from the top ring of a tower into the ring below.
+The tests compare the sum with the loop it replaced, the negative with
+the column-by-column solve, and the trace with the conjugates' Witt sum.
 
 The package calls them through ``kernels``.
 """
@@ -301,73 +302,6 @@ def _tuple(names) -> str:
     return f"({', '.join(names)},)"
 
 
-def ghost_pass_source(p: int, rank: int, widths, levels: int, modulus: int, base: int) -> str:
-    """Straight-line source of ``ghost_pass(pth, columns)``: components
-    1..``levels`` of the Witt sum of columns of these widths (summands per
-    column; the columns above them are zero), as ``wittcore.ghost_sum``
-    defines them, on rank-``rank`` coordinates modulo ``modulus``.
-
-    Level l raises every summand of each lower column i, then S_i, with
-    ``pth`` once, in that order.  Each numerator coordinate is one integer
-    sum reduced once modulo ``modulus``; above level 1 it is checked for a
-    remainder modulo q = p^(l-1), which raises ``indivisible(coordinate,
-    q)``, and only then divided.  Each S_l is reduced modulo ``base`` as
-    soon as it is computed.
-    """
-    for x in (p, rank, levels, base):
-        _checked_int(x)
-    if _checked_int(modulus) < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    given = len(widths)
-    widths = [_checked_int(w) for w in widths] + [0] * (levels - given)
-    coords = range(rank)
-    lines = ["def ghost_pass(pth, columns):"]
-    if given:
-        lines.append(f"    {_tuple(f'c{i}' for i in range(given))} = columns")
-    for i in range(given):
-        lines.append(f"    {_tuple(f'y{i}_{j}' for j in range(widths[i]))} = c{i}")
-    for l in range(levels):
-        for i in range(l):
-            lines += [f"    y{i}_{j} = pth(y{i}_{j})" for j in range(widths[i])]
-            lines.append(f"    s{i} = pth(s{i})")
-        tuples = [f"y{i}_{j}" for i in range(l + 1) for j in range(widths[i])]
-        tuples += [f"s{i}" for i in range(l)]
-        lines += [f"    {_tuple(f'{t}_{k}' for k in coords)} = {t}" for t in tuples]
-        q = p**l
-        for k in coords:
-            groups = []
-            for i in range(l + 1):
-                group = " + ".join(f"y{i}_{j}_{k}" for j in range(widths[i]))
-                if i < l:
-                    group = f"{group} - s{i}_{k}" if group else f"-s{i}_{k}"
-                if group:
-                    groups.append(group if i == 0 else f"{p**i} * ({group})")
-            lines.append(f"    s{l}_{k} = ({' + '.join(groups) or 0}) % {modulus}")
-            if q > 1:
-                lines.append(f"    if s{l}_{k} % {q}:")
-                lines.append(f"        raise indivisible(s{l}_{k}, {q})")
-                lines.append(f"    s{l}_{k} //= {q}")
-        lines.append(f"    o{l} = {_tuple(f's{l}_{k} % {base}' for k in coords)}")
-        if l < levels - 1:
-            lines.append(f"    s{l} = {_tuple(f's{l}_{k}' for k in coords)}")
-    lines.append(f"    return {_tuple(f'o{l}' for l in range(levels))}")
-    return "\n".join(lines) + "\n"
-
-
-@cache
-def compile_ghost_pass(
-    p: int, rank: int, widths: tuple, levels: int, modulus: int, base: int, indivisible
-):
-    """The ghost pass of this shape (``ghost_pass_source``) as a function
-    ``ghost_pass(pth, columns)``, compiled once for each set of arguments
-    and shared by every ring they fit; ``pth`` is x -> x^p on the lifted
-    ring, and ``indivisible(c, q)`` the exception raised for a numerator
-    coordinate c with a remainder modulo q."""
-    source = ghost_pass_source(p, rank, widths, levels, modulus, base)
-    name = f"<ghost_pass rank {rank} widths {tuple(widths)} levels {levels}>"
-    return _define(source, name, "ghost_pass", indivisible=indivisible)
-
-
 def _linear_terms(row, names, modulus: int) -> list:
     """The terms row[m] * names[m] of a linear form, the entries inlined as
     the representatives of least absolute value modulo ``modulus``, and
@@ -382,78 +316,89 @@ def _linear_terms(row, names, modulus: int) -> list:
     return terms
 
 
-def witt_trace_pass_source(p: int, rows, count: int, levels: int, modulus: int, base: int) -> str:
-    """Straight-line source of ``trace_pass(pth_L, pth_K, components)``:
-    components 1..``levels`` of the Witt trace of (x_1, ..., x_count, 0,
-    ...), given x_1..x_count on the top ring's coordinates, on the
-    coordinates of the ring below, with ``rows`` the field trace as a
-    matrix from the first to the second, modulo ``modulus``.
+def _weighted(p: int, groups) -> str:
+    """sum_i p^i * groups[i], the empty groups left out."""
+    return " + ".join(g if i == 0 else f"{p**i} * ({g})" for i, g in enumerate(groups) if g)
 
-    The ghost map commutes with the Galois action, so the l-th ghost
-    component of the Witt trace is tr(w_l(x)), and
 
-        S_l = (tr(sum_{i<=l} p^(i-1) x_i^(p^(l-i))) - sum_{i<l} p^(i-1) S_i^(p^(l-i))) / p^(l-1).
+def ghost_pass_source(p: int, rows, widths, levels: int, modulus: int, base: int) -> str:
+    """Straight-line source of ``ghost_pass(pth_in, pth_out, columns)``:
+    components 1..``levels`` of the Witt vector whose ghost components are
+    ``rows`` applied to those of the sum of columns of these widths
+    (summands per column; the columns above them are zero), on the
+    coordinates ``rows`` map to, modulo ``modulus``.  With
 
-    Level l raises each lower x_i with ``pth_L`` and each S_i with
-    ``pth_K`` once, in that order, sums p^(i-1) x_i coordinate by
-    coordinate, and applies the rows to that sum.  The numerator, division
-    check and reductions are those of ``ghost_pass_source``: a remainder
-    modulo p^(l-1) raises ``indivisible(coordinate, q)``.
+        W_l = sum over summands of  sum_{i<=l} p^(i-1) x_i^(p^(l-i)),
+        S_l = (rows W_l - sum_{i<l} p^(i-1) S_i^(p^(l-i))) / p^(l-1),
+
+    the identity rows give the Witt sum, minus the identity the negative,
+    and the rows of the field trace the Witt trace, since the ghost map
+    commutes with the Galois action.
+
+    Level l raises every summand of each lower column with ``pth_in``,
+    then each S_i with ``pth_out``, once, and sums W_l unreduced at each
+    coordinate a row uses.  Each numerator coordinate is one integer sum
+    reduced once modulo ``modulus``; above level 1 a remainder modulo q =
+    p^(l-1) raises ``indivisible(coordinate, q)``, and only then is it
+    divided.  Each S_l is reduced modulo ``base`` as soon as it is computed.
     """
-    for x in (p, count, levels, base):
+    for x in (p, levels, base):
         _checked_int(x)
     if _checked_int(modulus) < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
     if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("the trace needs at least one row, all of one length")
-    coords, below = range(len(rows[0])), range(len(rows))
-    used = [k for k in coords if any(_checked_int(row[k]) % modulus for row in rows)]
-    lines = ["def trace_pass(pth_L, pth_K, components):"]
-    if count:
-        lines.append(f"    {_tuple(f'x{i}' for i in range(count))} = components")
+        raise ValueError("a ghost pass needs at least one row, all of one length")
+    given = len(widths)
+    widths = [_checked_int(w) for w in widths] + [0] * (levels - given)
+    coords, outs = range(len(rows[0])), range(len(rows))
+    uses = [sum(1 for row in rows if _checked_int(row[k]) % modulus) for k in coords]
+    lines = ["def ghost_pass(pth_in, pth_out, columns):"]
+    if given:
+        columns = (_tuple(f"y{i}_{j}" for j in range(widths[i])) for i in range(given))
+        lines.append(f"    {_tuple(columns)} = columns")
     for l in range(levels):
-        given = range(min(l + 1, count))
-        lines += [f"    x{i} = pth_L(x{i})" for i in given if i < l]
-        lines += [f"    s{i} = pth_K(s{i})" for i in range(l)]
-        lines += [f"    {_tuple(f'x{i}_{k}' for k in coords)} = x{i}" for i in given]
-        lines += [f"    {_tuple(f's{i}_{r}' for r in below)} = s{i}" for i in range(l)]
-        sums = {}  # coordinate -> the name of its sum, for the columns the rows use
-        for k in used:
-            terms = [f"x{i}_{k}" if i == 0 else f"{p**i} * x{i}_{k}" for i in given]
-            if len(terms) > 1:
-                lines.append(f"    t{k} = {' + '.join(terms)}")
-                sums[k] = f"t{k}"
-            elif terms:
-                sums[k] = terms[0]
+        summands = [(i, f"y{i}_{j}") for i in range(l + 1) for j in range(widths[i])]
+        lines += [f"    {y} = pth_in({y})" for i, y in summands if i < l]
+        lines += [f"    s{i} = pth_out(s{i})" for i in range(l)]
+        lines += [f"    {_tuple(f'{y}_{k}' for k in coords)} = {y}" for _, y in summands]
+        lines += [f"    {_tuple(f's{i}_{r}' for r in outs)} = s{i}" for i in range(l)]
+        sums = {}  # coordinate -> W_l there, named once if several rows use it
+        for k in coords:
+            groups = [" + ".join(f"y{i}_{j}_{k}" for j in range(widths[i])) for i in range(l + 1)]
+            total = _weighted(p, groups)
+            if uses[k] > 1 and not total.isidentifier():
+                lines.append(f"    t{k} = {total}")
+                total = f"t{k}"
+            if uses[k] and total:
+                sums[k] = total if total.isidentifier() else f"({total})"
         q = p**l
-        for r in below:
-            row = [rows[r][k] for k in sums]
-            total = " + ".join(_linear_terms(row, sums.values(), modulus)) or "0"
-            lower = " + ".join(f"s{i}_{r}" if i == 0 else f"{p**i} * s{i}_{r}" for i in range(l))
-            lines.append(f"    s{l}_{r} = ({total}{f' - ({lower})' if lower else ''}) % {modulus}")
+        for r in outs:
+            total = " + ".join(_linear_terms([rows[r][k] for k in sums], sums.values(), modulus))
+            lower = _weighted(p, [f"s{i}_{r}" for i in range(l)])
+            total = f"{total or 0} - ({lower})" if lower else total or "0"
+            lines.append(f"    s{l}_{r} = ({total}) % {modulus}")
             if q > 1:
                 lines.append(f"    if s{l}_{r} % {q}:")
                 lines.append(f"        raise indivisible(s{l}_{r}, {q})")
                 lines.append(f"    s{l}_{r} //= {q}")
-        lines.append(f"    o{l} = {_tuple(f's{l}_{r} % {base}' for r in below)}")
+        lines.append(f"    o{l} = {_tuple(f's{l}_{r} % {base}' for r in outs)}")
         if l < levels - 1:
-            lines.append(f"    s{l} = {_tuple(f's{l}_{r}' for r in below)}")
+            lines.append(f"    s{l} = {_tuple(f's{l}_{r}' for r in outs)}")
     lines.append(f"    return {_tuple(f'o{l}' for l in range(levels))}")
     return "\n".join(lines) + "\n"
 
 
 @cache
-def compile_witt_trace_pass(
-    p: int, rows: tuple, count: int, levels: int, modulus: int, base: int, indivisible
+def compile_ghost_pass(
+    p: int, rows: tuple, widths: tuple, levels: int, modulus: int, base: int, indivisible
 ):
-    """The Witt trace pass of this shape (``witt_trace_pass_source``) as a
-    function ``trace_pass(pth_L, pth_K, components)``, compiled once for
-    each set of arguments; ``pth_L`` and ``pth_K`` are x -> x^p on the
-    lifted top ring and the lifted ring below, and ``indivisible`` is as
-    for ``compile_ghost_pass``."""
-    source = witt_trace_pass_source(p, rows, count, levels, modulus, base)
-    name = f"<witt_trace_pass {len(rows)}x{len(rows[0])} count {count} levels {levels}>"
-    return _define(source, name, "trace_pass", indivisible=indivisible)
+    """``ghost_pass_source`` compiled once for each set of arguments and
+    shared by every ring they fit: ``pth_in`` and ``pth_out`` are x -> x^p
+    on the lifted rings the rows map from and to, and ``indivisible(c, q)``
+    is raised for a numerator coordinate c with a remainder modulo q."""
+    source = ghost_pass_source(p, rows, widths, levels, modulus, base)
+    shape = f"{len(rows)}x{len(rows[0])} widths {tuple(widths)} levels {levels}"
+    return _define(source, f"<ghost_pass {shape}>", "ghost_pass", indivisible=indivisible)
 
 
 def flat_linear_source(matrix, modulus: int) -> str:

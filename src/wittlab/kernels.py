@@ -10,13 +10,11 @@ rows when the ring was built (and x -> x^p from ``compile_flat_pow``, on
 first use); ``flat_mul`` is the product's reference.  Likewise sigma^i and the
 trace run through functions that ``compile_flat_linear`` generated from
 their matrices when the tower was built; a plain matrix-vector product
-in the tests is their reference.  ``wittcore.ghost_sum`` runs a pass that
-``compile_ghost_pass`` generates on first use for each shape and moduli,
-and caches for every ring that shares them; the loop it replaced, in the
-tests, is its reference.  ``wittcore.ghost_trace``, the Witt trace that the
-trace-zero sampler takes its carries from, runs a pass that
-``compile_witt_trace_pass`` generates in the same way from the rows of
-the field trace; the Witt sum of the Galois conjugates is its reference.
+in the tests is their reference.  Witt sums, negatives and the Witt
+trace run one pass, which ``compile_ghost_pass`` generates on first use
+for each shape, moduli and rows (the identity, minus it, or the field
+trace) and caches for every ring that shares them; the tests' loops and
+the Witt sum of the Galois conjugates are its references.
 """
 
 from ._kernels_py import (
@@ -24,7 +22,6 @@ from ._kernels_py import (
     compile_flat_mul,
     compile_flat_pow,
     compile_ghost_pass,
-    compile_witt_trace_pass,
     flat_mul,
     monomial_key_mul,
     sparse_add,

@@ -36,7 +36,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import kernels
 
@@ -139,8 +139,8 @@ class FlatRing:
     ``pth_power`` is x -> x^p, compiled from them on first use.
     ``ecoeffs`` are the non-leading coefficients of the level's
     Eisenstein polynomial, as elements of the level below: the integers,
-    unreduced, that the ring and its lifts are built from.  ``rebuild``
-    builds the same level at another digit count (``flat_lift``, which is
+    unreduced, that the ring and its lifts are built from.  ``lifts``
+    holds the tower's ring pairs by digit count (``flat_lift``, which is
     what the ghost-coordinate Witt sums in ``wittcore`` run on).
     """
 
@@ -153,7 +153,7 @@ class FlatRing:
         weights: tuple,
         struct: tuple,
         ecoeffs: tuple,
-        rebuild: Callable[[int], "FlatRing"],
+        lifts: "_Lifts",
     ):
         self.name = name
         self.p = p
@@ -173,8 +173,7 @@ class FlatRing:
         # pi_L on O_L, pi_K on O_K; at rank 1 pi_K is the root -E_K(0) of
         # E_K (p itself when K = Q_p)
         self.pi_elem = struct[0][block] if self.flat_rank > 1 else (-ecoeffs[0] % self.modulus,)
-        self._rebuild = rebuild  # base digits -> this ring at that precision
-        self._lifts: dict[int, FlatRing] = {}
+        self._lifts, self._level = lifts, ("O_K", "O_L").index(name)
         self._pth_power = None  # a cached_property's __dict__ write slows lookups
         # for val_raw: p^v -> v below the modulus, and (index, weight) of
         # the coordinates in increasing weight
@@ -186,12 +185,10 @@ class FlatRing:
 
     def flat_lift(self, extra_digits: int) -> "FlatRing":
         """This ring rebuilt at ``extra_digits`` more base digits, with its
-        own compiled product, built once per digit count.  Reducing the
-        lifted ring modulo the working modulus gives this ring back."""
-        lifted = self._lifts.get(extra_digits)
-        if lifted is None:
-            lifted = self._lifts[extra_digits] = self._rebuild(self.digits + extra_digits)
-        return lifted
+        own compiled product; both levels are built once per digit count,
+        and ``flat_lift(0)`` is this ring.  Reducing the lifted ring modulo
+        the working modulus gives this ring back."""
+        return self._lifts[self.digits + extra_digits][self._level]
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         return tuple(c % self.modulus for c in coords)
@@ -252,14 +249,27 @@ class FlatRing:
                 return self._p_exponent[g] * self.ram_index + w
 
 
+class _Lifts(dict):
+    """A tower's (O_K, O_L) pairs by digit count, shared by both rings and
+    all their lifts; ``build_rings`` builds a missing pair."""
+
+    def __init__(self, *args):
+        self.args = args  # p, e_k, e_l
+
+    def __missing__(self, digits: int) -> tuple:
+        return build_rings(*self.args, digits, self)
+
+
 def build_rings(
-    p: int, e_k: Sequence[int], e_l: Sequence, digits: int
+    p: int, e_k: Sequence[int], e_l: Sequence, digits: int, lifts: _Lifts | None = None
 ) -> tuple[FlatRing, FlatRing]:
     """O_K and O_L modulo p^digits from the non-leading integer Eisenstein
     coefficients: ``e_k`` of E_K (``[-p]`` when K = Q_p), ``e_l`` of E_L,
     each an integer or a list of O_K coordinates.  The structure rows are
     powers of pi_K and pi_L, built by multiplying by each in turn.  Each
-    ring keeps them, unreduced, as ``ecoeffs`` and rebuilds itself from them."""
+    ring keeps them, unreduced, as ``ecoeffs``; the pair joins ``lifts``
+    (a new one when None), from which both rings lift themselves."""
+    lifts = _Lifts(p, e_k, e_l) if lifts is None else lifts
     mod = p**digits
     e = len(e_k)
     e_k_mod = [c % mod for c in e_k]
@@ -273,10 +283,7 @@ def build_rings(
     for _ in range(2 * e - 2):
         pk.append(times_pi_K(pk[-1]))
     K_struct = tuple(tuple(pk[a + b] for b in range(e)) for a in range(e))
-    K = FlatRing(
-        "O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k),
-        lambda d: build_rings(p, e_k, e_l, d)[0],
-    )
+    K = FlatRing("O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k), lifts)
 
     el = []
     for c in e_l:
@@ -304,10 +311,8 @@ def build_rings(
         for i, j in index
     )
     weights = tuple(i * p + j for i, j in index)
-    L = FlatRing(
-        "O_L", p, digits, e, weights, struct, tuple(el),
-        lambda d: build_rings(p, e_k, e_l, d)[1],
-    )
+    L = FlatRing("O_L", p, digits, e, weights, struct, tuple(el), lifts)
+    lifts[digits] = K, L
     return K, L
 
 

@@ -15,29 +15,28 @@ vector is summed by evaluating them.
 
 There is one numeric path.  A Witt vector lives over a ring of a tower,
 one ``localfield.FlatRing`` per level, and its sums, carries and
-negatives are computed in ghost coordinates by one function
-(``ghost_sum``): for l levels the summands are lifted to the same ring
-at l-1 more base digits, their ghost components are summed, and the
-sum's Witt components are recovered one level at a time by certified
-exact division.  The pass is straight-line code compiled on first use
-for each shape (summands per column, levels) and moduli, and shared by
-every ring with those; the division check lives in that generated code,
-and a remainder raises IntegralityViolation.  A negative is the vector
-whose sum with the given one is zero, solved column by column with one
-pass per carry.  Because the addition polynomials are integral, the
-result is exactly what evaluating them gives.  No table is needed here,
-so a tower vector may be as long as the tower's precision allows.
+negatives, and the Witt trace W(O_L) -> W(O_K), are computed in ghost
+coordinates by one pass: for l levels the summands are lifted to the
+same ring at l-1 more base digits, a linear map is applied to the sum of
+their ghost components, and the result's Witt components are recovered
+one level at a time by certified exact division.  The map is the
+identity for a sum (``ghost_sum``), minus the identity for a negative,
+and the field trace for the Witt trace (``ghost_trace``), since the
+ghost map commutes with sigma.  The pass is straight-line code compiled
+on first use for each shape (summands per column, levels), moduli and
+map, and shared by every ring with those; the division check lives in
+that generated code, and a remainder raises IntegralityViolation.
+Because the addition polynomials are integral, the result is exactly
+what evaluating them gives.  No table is needed here, so a tower vector
+may be as long as the tower's precision allows.
 
-The Witt trace W(O_L) -> W(O_K) runs on that path in two forms.  The
-trace-zero sampler takes its carries from ``ghost_trace``: the ghost map
-commutes with sigma, so the trace's ghost components are the field
-traces of the vector's, and each component needs one p-th-power chain
-where the Witt sum of its p conjugates needs p.  The sampler's audit
-and the lemmas keep the Witt sum of the conjugates (``ghost_sum`` in
-``cohomlab.witt_trace``).  That is a separate computation on purpose:
-it reads the field through sigma, where ``ghost_trace`` reads it
-through E_L's coefficients, so a fault in either fails the audit, and
-it is ``ghost_trace``'s oracle in the tests.
+The trace-zero sampler takes its carries from ``ghost_trace``, one
+p-th-power chain per component where the Witt sum of its p conjugates
+needs p.  The sampler's audit and the lemmas keep that Witt sum
+(``ghost_sum`` in ``cohomlab.witt_trace``) on purpose: it reads the
+field through sigma, where ``ghost_trace`` reads it through E_L's
+coefficients, so a fault in either fails the audit, and it is
+``ghost_trace``'s oracle in the tests.
 
 The p-fold decomposition splits the l-th component of a sum of p
 vectors into the plain coefficient sum plus a carry polynomial, and
@@ -57,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import comb
 from typing import Sequence
 
@@ -231,14 +230,11 @@ class WittVec:
         return witt_sum((self, other))
 
     def __neg__(self) -> "WittVec":
-        """Solve y + z = 0 column by column, z_{j+1} = -(y_{j+1} + carry
-        of columns 1..j), one ``ghost_sum`` pass per carry."""
-        ring, y = self.ring, self.components
-        z = [ring.neg(y[0])]
-        for j in range(1, len(y)):
-            carry = ghost_sum(ring.p, ring, list(zip(y, z)), j + 1)[-1]
-            z.append(ring.neg(ring.add(y[j], carry)))
-        return WittVec(ring, tuple(z))
+        """The vector whose ghost components are minus this one's: one
+        ghost pass of minus the identity over the components."""
+        ring, n = self.ring, len(self.components)
+        rows, columns = _unit_rows(ring.flat_rank, -1), zip(self.components)
+        return WittVec(ring, _ghost_pass(ring.p, rows, ring, columns, (1,) * n, n))
 
     def __sub__(self, other: "WittVec") -> "WittVec":
         return self + (-other)
@@ -277,26 +273,17 @@ def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> 
     ring and the addition polynomials are integral, so S_l reduced modulo
     p^M is the polynomial value.
 
-    The pass is straight-line code (``kernels.compile_ghost_pass``),
-    compiled on first use for each shape, the number of summands in each
-    column and ``levels``, and each pair of moduli; rings with equal p,
-    rank and moduli share it.  At each level it raises every lower
-    column's summands and S_i to the p-th power once, through the lifted
-    ring's ``pth_power``, read at call time.  Each numerator coordinate
-    is a plain integer sum, reduced once, modulo the lifted modulus; the
-    generated division checks it and raises IntegralityViolation on a
-    remainder, so nothing is floored.
+    This is the ghost pass with the identity rows: it raises through the
+    lifted ring's ``pth_power``, read at call time, and its generated
+    division raises IntegralityViolation on a remainder, so nothing is
+    floored.
     """
     if levels < max(1, len(columns)):
         raise ValueError(f"{len(columns)} columns give no {levels} levels")
     widths = tuple(map(len, columns))
     if 0 in widths:
         raise ValueError("a column needs at least one summand")
-    lifted = ring.flat_lift(levels - 1)
-    ghost_pass = kernels.compile_ghost_pass(
-        p, lifted.flat_rank, widths, levels, lifted.modulus, ring.modulus, _indivisible
-    )
-    return ghost_pass(lifted.pth_power, columns)
+    return _ghost_pass(p, _unit_rows(ring.flat_rank, 1), ring, columns, widths, levels)
 
 
 def ghost_trace(tower, components: Sequence[tuple], levels: int) -> tuple:
@@ -307,21 +294,37 @@ def ghost_trace(tower, components: Sequence[tuple], levels: int) -> tuple:
     The ghost map commutes with sigma, so the l-th ghost component of the
     trace is tr(w_l(x)): one p-th-power chain per component on O_L and one
     per partial sum S_i on O_K, where the Witt sum of the p conjugates
-    raises p chains per component.  As in ``ghost_sum`` the components
-    are read at levels - 1 more base digits, in both rings, with the rows
-    of the trace at that digit count (``tower.trace_rows``, which needs no
-    sigma), and the pass (``kernels.compile_witt_trace_pass``) checks every
-    division and raises IntegralityViolation on a remainder.  The value is
-    that of the Witt sum of the conjugates reduced to O_K, byte for byte.
+    raises p chains per component.  It is the ghost pass with the rows of
+    the trace at the lifted digit count (``tower.trace_rows``, which needs
+    no sigma), and gives the Witt sum of the conjugates reduced to O_K,
+    byte for byte.
     """
     if levels < max(1, len(components)):
         raise ValueError(f"{len(components)} components give no {levels} levels")
-    K, L = tower.K.flat_lift(levels - 1), tower.L.flat_lift(levels - 1)
-    trace_pass = kernels.compile_witt_trace_pass(
-        tower.p, tower.trace_rows(K.digits), len(components), levels, K.modulus,
-        tower.modulus, _indivisible,
+    rows, widths = tower.trace_rows(tower.N_int + levels - 1), (1,) * len(components)
+    return _ghost_pass(tower.p, rows, tower.L, zip(components), widths, levels, tower.K)
+
+
+def _ghost_pass(p: int, rows: tuple, ring, columns, widths: tuple, levels: int, out=None):
+    """Components 1..``levels`` of the Witt vector whose ghost components
+    are ``rows`` applied to those of the sum of ``columns`` (an iterable
+    of columns of these widths) over ``ring``, as reduced flat coordinate
+    tuples of ``out`` (``ring`` when None), both rings read at levels - 1
+    more base digits; the pass (``kernels.compile_ghost_pass``) is
+    compiled once per shape, moduli and rows."""
+    lifted = ring.flat_lift(levels - 1)
+    pth_out = (lifted if out is None else out.flat_lift(levels - 1)).pth_power
+    ghost_pass = kernels.compile_ghost_pass(
+        p, rows, widths, levels, lifted.modulus, ring.modulus, _indivisible
     )
-    return trace_pass(L.pth_power, K.pth_power, components)
+    return ghost_pass(lifted.pth_power, pth_out, columns)
+
+
+@cache
+def _unit_rows(rank: int, sign: int) -> tuple:
+    """``sign`` times the identity on rank-``rank`` coordinates, built once
+    per rank: the rows of a ghost pass for a sum (1) or a negative (-1)."""
+    return tuple(tuple(sign * (i == k) for k in range(rank)) for i in range(rank))
 
 
 def _indivisible(c: int, q: int) -> IntegralityViolation:

@@ -26,6 +26,9 @@
   columns, and one ``divide_exact`` call per level.  The package runs a
   straight-line pass compiled per shape; both must give the same
   components and raise the same IntegralityViolation.
+* ``WittVec.__neg__`` as the column-by-column solve it replaced
+  (``negative_by_columns``), one ``ghost_sum`` pass per carry: the oracle
+  of the one-pass negative past the negation tables.
 * Witt sums and negatives by evaluating the addition and negation
   polynomials (``polynomial_witt_sum``, ``polynomial_witt_neg``), over
   any ring the polynomials evaluate in, the integers among them.  Over a
@@ -377,6 +380,18 @@ def ghost_sum_by_loops(p, ring, columns, levels) -> tuple:
         powers.append(s)
         sums.append(ring.reduce(s))
     return tuple(sums)
+
+
+def negative_by_columns(y) -> tuple:
+    """``WittVec.__neg__`` as the column-by-column solve it replaced: the
+    z with y + z = 0, z_{j+1} = -(y_{j+1} + carry of columns 1..j), one
+    ``wittcore.ghost_sum`` pass per carry."""
+    ring, y = y.ring, y.components
+    z = [ring.neg(y[0])]
+    for j in range(1, len(y)):
+        carry = wittcore.ghost_sum(ring.p, ring, list(zip(y, z)), j + 1)[-1]
+        z.append(ring.neg(ring.add(y[j], carry)))
+    return tuple(z)
 
 
 def divide_exact(coords, q, modulus) -> tuple:

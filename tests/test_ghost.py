@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wittlab import _kernels_py as pure
-from wittlab import cohomlab, kernels, wittcore
+from wittlab import cohomlab, kernels, localfield, wittcore
 from wittlab.exactpoly import INT_RING, MPoly
 from wittlab.localfield import FlatRing
 from wittlab.wittcore import (
@@ -25,6 +25,7 @@ from wittlab.wittcore import (
 
 from oracles import (
     ghost_sum_by_loops,
+    negative_by_columns,
     polynomial_witt_neg,
     polynomial_witt_sum,
     zmod,
@@ -120,29 +121,75 @@ def test_negation_matches_polynomials(all_towers, name, n, data):
     assert (-y).components == oracle_neg(y)
 
 
-def carry_sign_flipped(p, ring, columns, levels):
-    """Mutant: the carry enters the negative with the wrong sign."""
-    out = ghost_sum(p, ring, columns, levels)
-    if levels > len(columns):
-        out = out[:-1] + (ring.neg(out[-1]),)
-    return out
+# past the negation tables, where no polynomial oracle reaches: the
+# column-by-column negative is the oracle there
+LONG_NEG_CASES = [
+    ("q2_i", 6), ("q2_i", 7), ("q2_sqrt2", 6), ("q2_sqrt2", 7), ("q3", 5), ("q3", 6)
+]
 
 
-def one_row_pushed(p, ring, columns, levels):
-    """Mutant: the negative passes each column as [y_j] only."""
-    return ghost_sum(p, ring, [col[:1] for col in columns], levels)
+@pytest.mark.parametrize("name,n", LONG_NEG_CASES)
+@PROPERTY
+@given(data=st.data())
+def test_long_negation_matches_columns(all_towers, name, n, data):
+    tower = all_towers[name]
+    (y,) = draw_vectors(data, tower, n, 1)
+    z = -y
+    assert z.components == negative_by_columns(y)
+    assert (y + z).components == (tower.L.zero_elem,) * n
+
+
+def test_negation_is_one_pass(all_towers, monkeypatch):
+    """-y on a length-n vector makes one ghost pass, in the ring lifted by
+    n - 1 digits, where solving column by column makes n - 1."""
+    passes, lifts = [], []
+    compile_pass = kernels.compile_ghost_pass
+
+    def counted(*args):
+        ghost_pass = compile_pass(*args)
+        return lambda *inputs: passes.append(1) or ghost_pass(*inputs)
+
+    lift = FlatRing.flat_lift
+    monkeypatch.setattr(kernels, "compile_ghost_pass", counted)
+    monkeypatch.setattr(FlatRing, "flat_lift", lambda ring, d: lifts.append(d) or lift(ring, d))
+    rng = random.Random(2)
+    for name, n in NEG_CASES + LONG_NEG_CASES:
+        tower = all_towers[name]
+        y = WittVec(tower.L, tuple(tower.random_L_raw(rng) for _ in range(n)))
+        passes.clear()
+        lifts.clear()
+        -y
+        assert (len(passes), lifts) == (1, [n - 1])
+
+
+def plus_identity(monkeypatch):
+    """Mutant: the negative's rows are the identity, not minus it."""
+    rows = wittcore._unit_rows
+    monkeypatch.setattr(wittcore, "_unit_rows", lambda rank, sign: rows(rank, 1))
+
+
+def diagonal_entry_flipped(monkeypatch):
+    """Mutant: the last diagonal entry of the negative's rows is +1."""
+    rows = wittcore._unit_rows
+
+    def flipped(rank, sign):
+        good = rows(rank, sign)
+        return good if sign == 1 else good[:-1] + (good[-1][:-1] + (1,),)
+
+    monkeypatch.setattr(wittcore, "_unit_rows", flipped)
 
 
 @pytest.mark.parametrize(
-    "mutant", [carry_sign_flipped, one_row_pushed], ids=["CarrySignFlipped", "OneRowPushed"]
+    "mutant", [plus_identity, diagonal_entry_flipped], ids=["PlusIdentity", "DiagonalFlipped"]
 )
-def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
-    # at odd p the negative is componentwise and the carry vanishes, so
-    # the p = 2 towers are the ones that catch these
+def test_negation_mutants_fail(all_towers, mutant, monkeypatch, fresh_passes):
+    # the p = 2 towers, where the negative has carries
     rng = random.Random(0)
     cases = []
     for name, n in NEG_CASES:
         tower = all_towers[name]
+        if tower.p != 2:
+            continue
         for _ in range(5):
             comps = [
                 tuple(rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank))
@@ -150,7 +197,7 @@ def test_negation_mutants_fail(all_towers, mutant, monkeypatch):
             ]
             y = WittVec(tower.L, tuple(comps))
             cases.append((y, oracle_neg(y)))
-    monkeypatch.setattr(wittcore, "ghost_sum", mutant)
+    mutant(monkeypatch)
     assert any((-y).components != want for y, want in cases)
 
 
@@ -328,7 +375,7 @@ def s_power_skipped(monkeypatch):
     """Mutant: a pass skips S_1's p-th power at level 2, so S_1 enters
     that level's numerator unraised and every later level one power
     short."""
-    mutate_pass_source(monkeypatch, lambda source: source.replace("    s0 = pth(s0)\n", "", 1))
+    mutate_pass_source(monkeypatch, lambda source: source.replace("    s0 = pth_out(s0)\n", "", 1))
 
 
 def remainder_unchecked(monkeypatch):
@@ -527,20 +574,18 @@ def check_ghost_traces(towers, seed=0):
                 assert ghost_trace(tower, components, levels) == want
 
 
-def mutate_trace_source(monkeypatch, mutate):
-    """Mutant helper: every Witt trace pass compiles from
-    ``mutate(source)``; use it with ``fresh_trace_passes``."""
-    source = pure.witt_trace_pass_source
-    monkeypatch.setattr(pure, "witt_trace_pass_source", lambda *args: mutate(source(*args)))
-
-
-@pytest.fixture
-def fresh_trace_passes():
-    """No compiled Witt trace pass is cached when the test starts or after
-    it ends, so a pass compiled from a mutated source dies with the test."""
-    kernels.compile_witt_trace_pass.cache_clear()
-    yield
-    kernels.compile_witt_trace_pass.cache_clear()
+def test_ghost_trace_with_shared_row_coordinates():
+    """Over K = Q2(sqrt(2)) with E_L = x^2 + (2 + pi_K)x + pi_K, Tr(pi_L) =
+    -(2 + pi_K) has both O_K coordinates nonzero, so both trace rows use
+    the pi_L coordinates and the pass names their ghost sums once."""
+    tower = localfield.build_tower(
+        2, "auto", [[0, 1], [2, 1], [1]], e_k_coeffs=[-2, 0, 1], witt_length_hint=3
+    )
+    lifted = tower.K.flat_lift(2)
+    rows = tower.trace_rows(lifted.digits)
+    source = pure.ghost_pass_source(2, rows, (1, 1), 3, lifted.modulus, tower.modulus)
+    assert "    t2 = " in source and "    t3 = " in source
+    check_ghost_traces({"shared": tower}, seed=4)
 
 
 def rows_at_working_digits(monkeypatch, towers):
@@ -554,8 +599,9 @@ def rows_at_working_digits(monkeypatch, towers):
 
 
 def sums_raised_on_top_ring(monkeypatch, towers):
-    """Mutant: the partial sums S_i are raised with O_L's ``pth_power``."""
-    mutate_trace_source(monkeypatch, lambda source: source.replace("= pth_K(", "= pth_L("))
+    """Mutant: the partial sums S_i are raised with O_L's ``pth_power``
+    (a sum's pass raises both with the same power, so only traces change)."""
+    mutate_pass_source(monkeypatch, lambda source: source.replace("= pth_out(", "= pth_in("))
 
 
 def sums_raised_unlifted(monkeypatch, towers):
@@ -570,10 +616,10 @@ def sums_raised_unlifted(monkeypatch, towers):
     [rows_at_working_digits, sums_raised_on_top_ring, sums_raised_unlifted],
     ids=["RowsAtWorkingDigits", "SumsRaisedOnTopRing", "SumsRaisedUnlifted"],
 )
-def test_ghost_trace_mutants_fail(eight_towers, mutant, monkeypatch, fresh_trace_passes):
+def test_ghost_trace_mutants_fail(eight_towers, mutant, monkeypatch, fresh_passes):
     check_ghost_traces(eight_towers)
     mutant(monkeypatch, eight_towers)
-    kernels.compile_witt_trace_pass.cache_clear()  # the passes checked above
+    kernels.compile_ghost_pass.cache_clear()  # the passes checked above
     # a rank-e_K sum handed to O_L's power does not unpack
     with pytest.raises((AssertionError, IntegralityViolation, ValueError)):
         check_ghost_traces(eight_towers)
@@ -597,14 +643,14 @@ def test_ghost_trace_planted_remainder_raises(q2_i, q3, monkeypatch):
         check_planted_remainder_raises(tower, monkeypatch)
 
 
-def test_floored_trace_division_is_caught(q2_i, monkeypatch, fresh_trace_passes):
+def test_floored_trace_division_is_caught(q2_i, monkeypatch, fresh_passes):
     """Mutant: the generated division drops its remainder check."""
 
     def unchecked(source):
         lines = source.splitlines(keepends=True)
         return "".join(line for line in lines if not line.lstrip().startswith(("if ", "raise ")))
 
-    mutate_trace_source(monkeypatch, unchecked)
+    mutate_pass_source(monkeypatch, unchecked)
     with pytest.raises(pytest.fail.Exception):
         check_planted_remainder_raises(q2_i, monkeypatch)
 

@@ -408,7 +408,8 @@ class TestCompiledPower:
     def test_power_is_compiled_on_first_use(self):
         # a tower build compiles no power; the first ghost pass does
         tower = build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
-        rings = [tower.K, tower.L, *tower.K._lifts.values(), *tower.L._lifts.values()]
+        # the pairs of both rings and every lift, by digit count
+        rings = [ring for pair in tower.K._lifts.values() for ring in pair]
         assert all(ring._pth_power is None for ring in rings)
         x = tower.L.one_elem
         assert tower.L.pth_power(x) == x
@@ -419,23 +420,44 @@ class TestCompiledGhostPass:
     """The ghost pass ``wittcore.ghost_sum`` compiles per shape; its values
     are compared with the loop it replaced in ``test_ghost``."""
 
-    def test_source_holds_only_literals_and_locals(self, q3):
-        ring = q3.L.flat_lift(3)
-        source = pure.ghost_pass_source(3, 3, (3, 3, 3), 4, ring.modulus, q3.modulus)
+    @staticmethod
+    def check_names(source):
         names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source))
-        keywords = {"def", "ghost_pass", "pth", "columns", "if", "raise", "indivisible", "return"}
-        # c<i> column i, y<i>_<j>[_<k>] its summand j (coordinate k), s and
-        # o the S_i before and after reduction to the working modulus
-        local = re.compile(r"c\d|y\d_\d(_\d)?|s\d(_\d)?|o\d")
+        keywords = {
+            "def", "ghost_pass", "pth_in", "pth_out", "columns", "if", "raise", "indivisible",
+            "return",
+        }
+        # y<i>_<j>[_<k>] summand j of column i (coordinate k), t<k> the
+        # ghost sum at coordinate k, s and o the S_i before and after
+        # reduction to the working modulus
+        local = re.compile(r"y\d_\d(_\d)?|t\d|s\d(_\d)?|o\d")
         assert all(n in keywords or local.fullmatch(n) for n in names)
+
+    def test_source_holds_only_literals_and_locals(self, q3, quartic):
+        ring = q3.L.flat_lift(3)
+        identity = tuple(tuple(int(i == k) for k in range(3)) for i in range(3))
+        source = pure.ghost_pass_source(3, identity, (3, 3, 3), 4, ring.modulus, q3.modulus)
+        self.check_names(source)
         assert source.count("raise indivisible(") == 3 * 3  # levels 2-4, 3 coordinates
+        # the trace rows of a tower over a ramified K: e_K = 2 rows on 4
+        # coordinates
+        lifted = quartic.L.flat_lift(3)
+        rows = quartic.trace_rows(lifted.digits)
+        source = pure.ghost_pass_source(2, rows, (1, 1, 1), 4, lifted.modulus, quartic.modulus)
+        self.check_names(source)
+        assert source.count("raise indivisible(") == 3 * 2  # levels 2-4, 2 coordinates
+        # a ghost sum that both rows use is named once per level
+        rows = ((2, 0, 5, 0), (3, 2, 0, 5))
+        source = pure.ghost_pass_source(2, rows, (2, 1), 3, 2**12, 2**10)
+        self.check_names(source)
+        assert source.count("    t0 = ") == 3 and "t1" not in source  # levels 1-3
 
     @pytest.mark.parametrize("bad", [1.0, "1", True, None])
     def test_generator_accepts_only_integers(self, bad):
-        good = (2, 2, (2, 2), 3, 2**10, 2**8)
+        good = (2, ((1, 0), (0, 1)), (2, 2), 3, 2**10, 2**8)
         for k in range(len(good)):
             args = list(good)
-            args[k] = (bad,) if k == 2 else bad
+            args[k] = ((bad,),) if k == 1 else (bad,) if k == 2 else bad
             with pytest.raises(TypeError):
                 pure.ghost_pass_source(*args)
 

@@ -942,6 +942,30 @@ class TestFlatRing:
             # a lifted ring lifts again from the unreduced coefficients
             assert lifted.flat_lift(1).struct == ring.flat_lift(3).struct
 
+    def test_both_rings_share_one_build_per_digit_count(self, monkeypatch):
+        """O_K, O_L and every lift share one pair per digit count: lifting
+        both rings builds the pair once, a lift of a lift is the same
+        ring, and the trace rows at the working digits build nothing."""
+        tower = localfield.build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
+        built = []
+        build = localfield.build_rings
+        monkeypatch.setattr(
+            localfield, "build_rings", lambda *args: built.append(args[3]) or build(*args)
+        )
+        tower.trace_rows(tower.N_int)
+        for ring in (tower.K, tower.L):
+            assert ring.flat_lift(0) is ring
+        assert built == []
+        # past the lift that sigma's Newton steps ran in
+        K, L = tower.K.flat_lift(9), tower.L.flat_lift(9)
+        assert built == [tower.N_int + 9]
+        assert (K.name, L.name) == ("O_K", "O_L") and K.digits == L.digits == tower.N_int + 9
+        for ring in (tower.K, tower.L):
+            lifted = ring.flat_lift(8)
+            assert lifted.flat_lift(1) is ring.flat_lift(9)
+            assert lifted.flat_lift(0) is lifted
+        assert built == [tower.N_int + 9, tower.N_int + 8]
+
     def test_build_computes_one_smith_form(self, monkeypatch):
         """The tower's own matrices get one Smith form at build time, the
         trace's at N_int; sigma - 1 gets one per digit count, on first use.
