@@ -24,6 +24,9 @@ Witt sum, minus the identity the negative, and the rows of the field
 trace the Witt trace from the top ring of a tower into the ring below.
 The tests compare the sum with the loop it replaced, the negative with
 the column-by-column solve, and the trace with the conjugates' Witt sum.
+``compile_smith_solve`` turns a Smith form U*A*V = diag(p^v) into a
+straight-line solve of A*x = c, which the tests compare with the
+interpreted ``localfield.linsolve``.
 
 The package calls them through ``kernels``.
 """
@@ -431,3 +434,51 @@ def compile_flat_linear(matrix, modulus: int):
     ``sum_m matrix[r][m] * a[m] % modulus`` over the rows r."""
     source = flat_linear_source(matrix, modulus)
     return _define(source, f"<flat_linear {len(matrix)}x{len(matrix[0])}>", "apply")
+
+
+def smith_solve_source(pivots, U, V, p: int, modulus: int) -> str:
+    """Straight-line source of ``solve(c)`` against a Smith form U*A*V =
+    diag(p^v) modulo ``modulus``, a power of p: the particular solution of
+    A*x = c and delta, the largest pivot v, as ``linsolve`` returns them.
+
+    u = U*c, each coordinate reduced once.  Then, in the order ``linsolve``
+    tests them, each u_k of a pivot v > 0 must be 0 modulo p^v and each u_k
+    past the rank must be 0, else ``unsolvable(u_k)`` is raised; only then
+    is z_k = u_k / p^v divided, and x = V*z over the first rank columns of
+    V.  Constants are inlined as in ``flat_linear_source``.
+    """
+    for x in (p, *pivots):
+        _checked_int(x)
+    if _checked_int(modulus) < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    if not U or not V:
+        raise ValueError("a Smith form needs at least one row and one column")
+    if any(len(row) != len(U) for row in U) or any(len(row) != len(V) for row in V):
+        raise ValueError("U and V must be square")
+    rank = len(pivots)
+    cs = [f"c{j}" for j in range(len(U))]
+    lines = ["def solve(c):", f"    {_tuple(cs)} = c"]
+    for i, row in enumerate(U):
+        lines.append(f"    u{i} = ({' + '.join(_linear_terms(row, cs, modulus)) or 0}) % {modulus}")
+    tests = [(k, f"u{k} % {p**v}") for k, v in enumerate(pivots) if v]
+    for k, test in tests + [(k, f"u{k}") for k in range(rank, len(U))]:
+        lines += [f"    if {test}:", f"        raise unsolvable(u{k})"]
+    lines += [f"    z{k} = u{k} // {p**v}" for k, v in enumerate(pivots) if v]
+    zs = [f"z{k}" if v else f"u{k}" for k, v in enumerate(pivots)]
+    outs = []
+    for row in V:
+        terms = _linear_terms(row[:rank], zs, modulus)
+        if len(terms) == 1 and terms[0] in zs:
+            outs.append(terms[0])  # u_k is reduced, and so is z_k <= u_k
+        else:
+            outs.append(f"({' + '.join(terms)}) % {modulus}" if terms else "0")
+    lines.append(f"    return {_tuple(outs)}, {max(pivots, default=0)}")
+    return "\n".join(lines) + "\n"
+
+
+def compile_smith_solve(pivots, U, V, p: int, modulus: int, unsolvable):
+    """``smith_solve_source`` compiled once, with ``unsolvable(u)`` the
+    exception raised for the first coordinate u of U*c that fails its test."""
+    source = smith_solve_source(pivots, U, V, p, modulus)
+    shape = f"{len(U)}x{len(V)} pivots {tuple(pivots)}"
+    return _define(source, f"<smith_solve {shape}>", "solve", unsolvable=unsolvable)

@@ -170,11 +170,9 @@ def witt_trace(tower: ExtensionTower, x: WittVec) -> WittVec:
 
 def _kernel_elem(tower: ExtensionTower, base, coeffs) -> tuple:
     """``base`` plus sum of r_k * k over the tower's trace-kernel basis for
-    the given coefficients ``coeffs``, reduced, on flat coordinates."""
-    acc = base
-    for r, k in zip(coeffs, tower.trace_kernel_flat):
-        acc = [a + r * c for a, c in zip(acc, k)]
-    return tower.L.reduce(acc)
+    the given coefficients ``coeffs`` (``tower.trace_kernel_map``), reduced,
+    on flat coordinates."""
+    return tower.L.add(base, tower.trace_kernel_map(coeffs))
 
 
 def _residues(tower: ExtensionTower, x) -> tuple:
@@ -482,7 +480,9 @@ def linsolve_matches_enumeration(
     and (sigma - 1) matrices: its kernel and image bases span the
     enumerated sets, and ``linsolve`` on every right-hand side b modulo
     p^digits raises NoSolutionAtPrecision exactly when b is outside the
-    enumerated image, and otherwise returns an x with A*x = b."""
+    enumerated image, and otherwise returns an x with A*x = b.  The form's
+    compiled ``snf.solve`` must return the same particular and delta, or
+    raise at the same depth and delta; ``*_solve`` holds both checks."""
     p = tower.p
     rank = tower.L.flat_rank
     modulus = p**digits
@@ -498,9 +498,10 @@ def linsolve_matches_enumeration(
         results[f"{name}_image"] = image_span == image_set
         solved = True
         for b in itertools.product(range(modulus), repeat=m):
-            try:
-                x, _ = linsolve(snf, b)
-            except NoSolutionAtPrecision:
+            outcome = _solve_outcome(linsolve, snf, b)
+            solved &= outcome == _solve_outcome(snf.solve, b)
+            x = outcome[0]
+            if x is None:
                 solved &= b not in image_set
                 continue
             solved &= all(
@@ -508,6 +509,15 @@ def linsolve_matches_enumeration(
             )
         results[f"{name}_solve"] = solved
     return results
+
+
+def _solve_outcome(solve, *args) -> tuple:
+    """``solve(*args)``: (particular, delta), or (None, depth, delta) when it
+    raises NoSolutionAtPrecision, so that two solves compare with ``==``."""
+    try:
+        return solve(*args)
+    except NoSolutionAtPrecision as exc:
+        return None, exc.depth, exc.delta
 
 
 def h1_order_enumeration_stable(
@@ -710,7 +720,11 @@ def verify_vksub(
 def _residual(tower: ExtensionTower, columns: Sequence[tuple], level: int) -> tuple:
     """The p-fold residual at level l on the conjugate columns (``columns[j]``
     holds the conjugates of x_{j+1}): the carry with column l-1 zero, as one
-    ``ghost_sum`` pass over the first l-2 columns, on O_L flat coordinates."""
+    ``ghost_sum`` pass over the first l-2 columns, on O_L flat coordinates.
+    At level 2 that is a sum over no columns, zero by definition, and no
+    pass runs."""
+    if level == 2:
+        return tower.L.zero_elem
     return wittcore.ghost_sum(tower.p, tower.L, columns[: level - 2], level)[-1]
 
 

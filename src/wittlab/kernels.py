@@ -14,7 +14,12 @@ in the tests is their reference.  Witt sums, negatives and the Witt
 trace run one pass, which ``compile_ghost_pass`` generates on first use
 for each shape, moduli and rows (the identity, minus it, or the field
 trace) and caches for every ring that shares them; the tests' loops and
-the Witt sum of the Galois conjugates are its references.
+the Witt sum of the Galois conjugates are its references.  A Smith form
+that is solved against on every sample (the trace's, and sigma - 1's at
+each digit count) compiles its solve with ``compile_smith_solve`` on
+first use, and ``localfield.linsolve``, which interprets U and V on
+every call, stays the solve of the forms used once and is its
+reference.
 """
 
 from ._kernels_py import (
@@ -22,6 +27,7 @@ from ._kernels_py import (
     compile_flat_mul,
     compile_flat_pow,
     compile_ghost_pass,
+    compile_smith_solve,
     flat_mul,
     monomial_key_mul,
     sparse_add,

@@ -22,7 +22,9 @@ straight-line product (``kernels.compile_flat_mul``), and
 ``kernels.flat_mul`` on the same rows is its reference.  The Galois
 action and the trace are matrices on the same coordinates, which the
 tower compiles, once, into straight-line functions
-(``kernels.compile_flat_linear``).
+(``kernels.compile_flat_linear``), and a Smith form solved against on
+every sample compiles its solve on first use (``SmithForm.solve``);
+``linsolve`` interprets a form, for the forms used once.
 
 Valuations are reported at the advertised cap (``at_cap``): a value at
 or beyond the cap is None, the interval "at least cap", and the
@@ -35,7 +37,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import kernels
@@ -395,6 +397,7 @@ class SmithForm:
     p: int
     modulus: int
     digits: int
+    _solve: object = field(default=None, init=False, repr=False, compare=False)
 
     def kernel_basis(self) -> list[list[int]]:
         n, mod = self.cols, self.modulus
@@ -406,6 +409,29 @@ class SmithForm:
         for k in range(len(self.pivots), n):
             basis.append([self.V[i][k] % mod for i in range(n)])
         return basis
+
+    @property
+    def solve(self):
+        """``linsolve`` against this form as straight-line code, compiled on
+        first use (``kernels.compile_smith_solve``): ``solve(rhs)`` returns
+        (particular, delta) and raises the same NoSolutionAtPrecision,
+        for a right-hand side of length ``rows`` (``check_rhs``)."""
+        if self._solve is None:
+            p, digits, delta = self.p, self.digits, max(self.pivots, default=0)
+
+            def unsolvable(u: int) -> NoSolutionAtPrecision:
+                # u is a reduced nonzero coordinate of U*rhs, so v_p(u) < digits
+                return NoSolutionAtPrecision(_vp_int(u, p, digits) + 1, delta)
+
+            self._solve = kernels.compile_smith_solve(
+                self.pivots, self.U, self.V, p, self.modulus, unsolvable
+            )
+        return self._solve
+
+    def check_rhs(self, rhs: Sequence[int]) -> None:
+        """ValueError unless ``rhs`` has one entry per row of the system."""
+        if len(rhs) != self.rows:
+            raise ValueError(f"right-hand side has {len(rhs)} entries, the system {self.rows} rows")
 
     def image_basis(self, matrix: Sequence[Sequence[int]]) -> list[list[int]]:
         """Columns k < rank of A*V, A the matrix this form was built from:
@@ -482,12 +508,12 @@ def linsolve(snf: SmithForm, rhs: Sequence[int]) -> tuple[tuple, int]:
     ``snf.kernel_basis()``.  Raises :class:`NoSolutionAtPrecision`, whose
     depth is the digit count at which the system is already
     contradictory, and ValueError on a right-hand side of the wrong
-    length.
+    length.  It interprets U and V on every call: the solve of a form used
+    once, and the reference for the compiled ``snf.solve``.
     """
+    snf.check_rhs(rhs)
     p, digits, modulus = snf.p, snf.digits, snf.modulus
     m, n = snf.rows, snf.cols
-    if len(rhs) != m:
-        raise ValueError(f"right-hand side has {len(rhs)} entries, the system {m} rows")
     uc = [
         sum(snf.U[i][j] * rhs[j] for j in range(m)) % modulus for i in range(m)
     ]
@@ -697,6 +723,7 @@ class ExtensionTower:
         ]
         self._trace_snf = smith_normal_form(self.trace_mat, self.p, self.N_int)
         self.trace_kernel_flat = tuple(tuple(k) for k in self._trace_snf.kernel_basis())
+        self._trace_kernel_map = None  # compiled on first use
         # whether tr(x) = c is solvable depends on c modulo p^delta, delta
         # the largest pivot; a zero row of the form needs every digit
         pivots = self._trace_snf.pivots
@@ -709,6 +736,15 @@ class ExtensionTower:
         self.unsolvable_prefixes: set[tuple] = set()
         self._smo_snf: dict[int, SmithForm] = {}  # digits -> Smith form of sigma - 1
         self._trace_rows: dict[int, tuple] = {}  # digits -> the trace into O_K
+
+    @property
+    def trace_kernel_map(self):
+        """sum_k r_k * k over ``trace_kernel_flat`` for coefficients r,
+        modulo p^N_int, compiled on first use (``kernels.compile_flat_linear``)."""
+        if self._trace_kernel_map is None:
+            columns = tuple(zip(*self.trace_kernel_flat))
+            self._trace_kernel_map = kernels.compile_flat_linear(columns, self.modulus)
+        return self._trace_kernel_map
 
     # -- raw (tuple-level) operations -----------------------------------
 
@@ -809,19 +845,26 @@ class ExtensionTower:
     def solve_trace_eq(self, c) -> tuple[tuple, int]:
         """x with tr(x) = c at precision, on flat coordinates (c on O_K,
         x on O_L), and ``delta``, the digits the solve loses (its largest
-        pivot valuation)."""
-        return linsolve(self._trace_snf, c)
+        pivot valuation), through the trace form's compiled solve."""
+        snf = self._trace_snf
+        snf.check_rhs(c)
+        return snf.solve(c)
 
     def solve_sigma_minus_one(self, c, digits: int) -> tuple[tuple, int]:
         """y with (sigma-1)y = c modulo p^digits, on O_L flat coordinates
-        (advertised precision and above only), and ``delta``; raises
-        NoSolutionAtPrecision otherwise."""
+        (advertised precision and above only), and ``delta``, through the
+        compiled solve of the form at those digits; raises
+        NoSolutionAtPrecision otherwise, and TraceNotRational when
+        sigma(y) - y - c is not zero at precision (one gcd, as
+        ``_fixed_raw``)."""
         if digits < self.N:
             raise PrecisionTooLow("cannot solve below the advertised precision")
-        y, delta = linsolve(self.sigma_minus_one_snf(digits), c)
-        L = self.L
-        if not self._zero_raw(L.sub(L.sub(self._galois_raw(y, 1), y), c)):
-            raise TraceNotRational("solver postcondition failed")  # pragma: no cover
+        snf = self.sigma_minus_one_snf(digits)
+        snf.check_rhs(c)
+        y, delta = snf.solve(c)
+        m, sub = self.prec_modulus, operator.sub
+        if math.gcd(m, *map(sub, map(sub, self.galois_maps[1](y), y), c)) != m:
+            raise TraceNotRational("solver postcondition failed")
         return y, delta
 
     def sigma_minus_one_snf(self, digits: int) -> SmithForm:

@@ -50,6 +50,12 @@
   ``PowerSigmaTower`` takes sigma^k as its generator, for the tests that
   a verdict does not depend on the generator; both override
   ``ExtensionTower._sigma_root`` alone.
+* ``cohomlab._kernel_elem`` as the loop over the trace-kernel basis it
+  replaced (``kernel_elem_by_loop``); the package applies one map
+  compiled per tower (``ExtensionTower.trace_kernel_map``).
+* ``wrong_in_last``, a solve whose answers are off by one in the last
+  coordinate, which sigma moves: the wrong solve the postconditions and
+  oracles must catch.
 * ``unflatten``, ``is_zero_at_precision``, ``eq_at_precision``,
   ``in_K_at_precision``, ``pi_K`` and ``project_to_K``: OElem helpers
   that only the tests use, and ``zmod``, Z/p^k as a rank-1 tower ring.
@@ -255,6 +261,27 @@ def tower_by_digit_search(tower) -> DigitSearchTower:
 def tower_with_sigma_power(tower, k) -> PowerSigmaTower:
     """``tower`` built again, at the same N, with sigma^k as its generator."""
     return PowerSigmaTower(k, *_rebuild_args(tower))
+
+
+def kernel_elem_by_loop(tower, base, coeffs) -> tuple:
+    """``base`` plus sum of r_k * k over ``tower.trace_kernel_flat``, one
+    basis vector at a time, reduced at the end."""
+    acc = base
+    for r, k in zip(coeffs, tower.trace_kernel_flat):
+        acc = [a + r * c for a, c in zip(acc, k)]
+    return tower.L.reduce(acc)
+
+
+def wrong_in_last(solve):
+    """``solve`` with its particular's last coordinate one too large; basis
+    element 1 is fixed by sigma, so a wrong "y + 1" must be taken in a
+    coordinate sigma moves."""
+
+    def wrong(*args):
+        x, delta = solve(*args)
+        return x[:-1] + (x[-1] + 1,), delta
+
+    return wrong
 
 
 def unflatten(ring, coords) -> OElem:

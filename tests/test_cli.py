@@ -9,6 +9,8 @@ import pytest
 
 from wittlab import cli, cohomlab, localfield, wittcore
 
+from oracles import wrong_in_last
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -586,6 +588,41 @@ class TestCrash:
         assert code == 70
         assert err.count("\n") == 1 and crash in err and "vktr on q2_i" in err
         assert not out_path.exists()
+
+
+class TestWrongSolve:
+    """A compiled solve that returns a wrong answer is caught by a check
+    that does not use it, and the command crashes (70) on one line; it is
+    never reported as a FAIL."""
+
+    @staticmethod
+    def wrong_solves(monkeypatch, square: bool):
+        """Compile every Smith form of sigma - 1 (square) or of the trace
+        (not square) into a solve whose last coordinate is one too large,
+        a coordinate sigma moves and the trace does not kill."""
+        compile_solve = localfield.kernels.compile_smith_solve
+
+        def compiled(pivots, U, V, *rest):
+            solve = compile_solve(pivots, U, V, *rest)
+            return wrong_in_last(solve) if (len(U) == len(V)) == square else solve
+
+        monkeypatch.setattr(localfield.kernels, "compile_smith_solve", compiled)
+
+    @pytest.mark.parametrize(
+        "square, crash",
+        [
+            (True, "TraceNotRational: solver postcondition failed"),
+            (False, "AssertionError: trace audit failed on a fresh sample"),
+        ],
+        ids=["sigma - 1", "trace"],
+    )
+    def test_main_crashes(self, square, crash, monkeypatch, capsys):
+        self.wrong_solves(monkeypatch, square)
+        code = cli.main(["verify", "--lemma", "main", "--tower", "q2_i", "--samples", "4"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CRASH == 70
+        assert err == f"verify: main crashed: {crash}\n"
+        assert not out
 
 
 class TestExitPath:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wittlab import cohomlab, wittcore
+from wittlab import cohomlab, kernels, wittcore
 from wittlab.kernels import compile_flat_linear
 from wittlab.cohomlab import (
     SamplerExhausted,
@@ -38,6 +38,7 @@ from wittlab.wittcore import (
 from oracles import (
     _update_margin,
     carry_identity_by_elements,
+    kernel_elem_by_loop,
     eq_at_precision,
     is_zero_at_precision,
     main_by_elements,
@@ -51,6 +52,7 @@ from oracles import (
     unflatten,
     vK_by_coordinates,
     vL_by_coordinates,
+    wrong_in_last,
     zero_by_coordinates,
 )
 
@@ -515,6 +517,43 @@ def test_trace_kernel_basis_is_cached(all_towers):
         assert all(tower._zero_raw(tower.trace_map(k)) for k in basis)
 
 
+@pytest.mark.parametrize(
+    "name", ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic", "septic", "quintic"]
+)
+def test_kernel_elem_matches_the_loop(eight_towers, name):
+    tower = eight_towers[name]
+    rng, count = random.Random(34), len(tower.trace_kernel_flat)
+    for base in (tower.L.zero_elem, tower.random_L_raw(rng), tower.random_L_raw(rng)):
+        for _ in range(5):
+            coeffs = [rng.randrange(tower.modulus) for _ in range(count)]
+            assert cohomlab._kernel_elem(tower, base, coeffs) == kernel_elem_by_loop(
+                tower, base, coeffs
+            )
+
+
+def test_witt_lemmas_run_no_empty_ghost_pass(towers, monkeypatch):
+    """h_2 is zero by definition, so the level-2 residual compiles and runs
+    no pass over no columns; every other residual and carry still runs."""
+    shapes, widths = [], []
+    compile_pass, ghost_sum = kernels.compile_ghost_pass, wittcore.ghost_sum
+
+    def compiled(p, rows, shape, *rest):
+        shapes.append(shape)
+        return compile_pass(p, rows, shape, *rest)
+
+    def summed(p, ring, columns, levels):
+        widths.append(len(columns))
+        return ghost_sum(p, ring, columns, levels)
+
+    monkeypatch.setattr(kernels, "compile_ghost_pass", compiled)
+    monkeypatch.setattr(wittcore, "ghost_sum", summed)
+    for tower in (towers["q2_i"], towers["q3"]):
+        for verify in (cohomlab.verify_carry_identity, cohomlab.verify_residual_invariant):
+            assert verify(tower, samples=3).status == "PASS"
+    assert shapes and () not in shapes
+    assert widths and 0 not in widths
+
+
 def symbolic_residual(tower, comps, level):
     """The p-fold residual polynomial evaluated at the conjugate family of
     flat components, wrapped in OElems, over O_L; the oracle for
@@ -732,6 +771,19 @@ class TestH1Orders:
             assert not (result["trace_solve"] and result["sigma_minus_one_solve"])
             # the kernel and image checks do not read linsolve
             assert all(v for k, v in result.items() if not k.endswith("_solve"))
+
+
+    def test_a_wrong_compiled_solve_fails_the_oracle(self, q2_i, monkeypatch):
+        # the compiled solve off by one in a coordinate sigma moves, linsolve intact
+        compile_solve = localfield.kernels.compile_smith_solve
+        monkeypatch.setattr(
+            localfield.kernels,
+            "compile_smith_solve",
+            lambda *args: wrong_in_last(compile_solve(*args)),
+        )
+        result = linsolve_matches_enumeration(q2_i, 2)
+        assert not result["trace_solve"] and not result["sigma_minus_one_solve"]
+        assert all(v for k, v in result.items() if not k.endswith("_solve"))
 
 
 class TestStableLength:

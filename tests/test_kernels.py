@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import wittlab
 from wittlab import _kernels_py as pure
-from wittlab import kernels, wittcore
-from wittlab.localfield import build_tower
+from wittlab import cohomlab, kernels, wittcore
+from wittlab.localfield import NoSolutionAtPrecision, build_tower, linsolve, smith_normal_form
 
 from oracles import ghost_sum_by_loops, pi_K, unflatten
 
@@ -604,6 +604,170 @@ class TestCompiledLinear:
     def test_constants_are_least_absolute_and_zeros_left_out(self):
         source = pure.flat_linear_source(((1, 0, 8), (0, 0, 0), (0, 6, 7)), 9)
         assert source.endswith("return ((a0 + -a2) % 9, 0, (-3 * a1 + -2 * a2) % 9,)\n")
+
+
+SOLVE_PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def random_system(draw, p, digits, rows, cols):
+    """A matrix modulo p^digits whose rows are zero one time in five, and
+    whose entries are multiplied by p^0, p^1 or p^2, so that its Smith
+    form has pivots v = 0 and v > 0 and, often, rows past its rank."""
+    modulus = p**digits
+    return tuple(
+        (0,) * cols
+        if draw(0, 4) == 0
+        else tuple(draw(0, modulus - 1) * p ** draw(0, 2) % modulus for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def right_hand_sides(draw, matrix, p, digits):
+    """One vector in the image of ``matrix``, the same vector moved by
+    p^j at one coordinate, and a uniform vector: the last two are outside
+    the image as often as not."""
+    modulus, rows, cols = p**digits, len(matrix), len(matrix[0])
+    inside = mat_vec(matrix, [draw(0, modulus - 1) for _ in range(cols)], modulus)
+    moved = list(inside)
+    moved[draw(0, rows - 1)] += p ** draw(0, digits - 1)
+    uniform = tuple(draw(0, modulus - 1) for _ in range(rows))
+    return inside, tuple(c % modulus for c in moved), uniform
+
+
+def random_systems(seed, count):
+    """``count`` systems (p, digits, matrix, right-hand sides) from one seed."""
+    rng = random.Random(seed)
+    draw = rng.randint
+    for _ in range(count):
+        p, digits = rng.choice((2, 3, 5, 7)), draw(1, 5)
+        matrix = random_system(draw, p, digits, draw(1, 8), draw(1, 8))
+        yield p, digits, matrix, right_hand_sides(draw, matrix, p, digits)
+
+
+def mutant_solve(snf, edit=None, depth_shift=0):
+    """``snf``'s solve compiled from ``smith_solve_source`` after ``edit``,
+    raising what the form's own ``unsolvable`` raises, its depth shifted
+    by ``depth_shift``."""
+    source = pure.smith_solve_source(snf.pivots, snf.U, snf.V, snf.p, snf.modulus)
+    unsolvable = snf.solve.__globals__["unsolvable"]
+
+    def shifted(u):
+        exc = unsolvable(u)
+        return NoSolutionAtPrecision(exc.depth + depth_shift, exc.delta)
+
+    namespace = {"unsolvable": shifted}
+    exec(edit(source, snf.p) if edit else source, namespace)
+    return namespace["solve"]
+
+
+def pivot_test_one_digit_short(source, p):
+    """Mutant: each pivot v > 0 tests u % p^(v-1)."""
+    return re.sub(r"if (u\d+) % (\d+):", lambda m: f"if {m[1]} % {int(m[2]) // p}:", source)
+
+
+def rows_past_the_rank_unchecked(source, p):
+    """Mutant: the rows past the rank are not tested."""
+    return re.sub(r"    if u\d+:\n        raise unsolvable\(u\d+\)\n", "", source)
+
+
+def floored_division(source, p):
+    """Mutant: no pivot test, so u // p^v floors where it should refuse."""
+    return re.sub(r"    if u\d+ % \d+:\n        raise unsolvable\(u\d+\)\n", "", source)
+
+
+class TestCompiledSmithSolve:
+    """The solve each Smith form compiles (``SmithForm.solve``) against the
+    interpreted ``linsolve``: the same particular and delta, or the same
+    NoSolutionAtPrecision depth and delta."""
+
+    @SOLVE_PROPERTY
+    @given(data=st.data())
+    def test_random_systems_match_linsolve(self, data):
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        digits = draw(1, 5)
+        matrix = random_system(draw, p, digits, draw(1, 8), draw(1, 8))
+        snf = smith_normal_form(matrix, p, digits)
+        for rhs in right_hand_sides(draw, matrix, p, digits):
+            got = cohomlab._solve_outcome(snf.solve, rhs)
+            assert got == cohomlab._solve_outcome(linsolve, snf, rhs)
+
+    def test_fixed_batch_reaches_every_branch(self):
+        # the batch the mutants below run on: solvable systems, refusals by
+        # a pivot test and by a row past the rank, with v = 0 and v > 0 pivots
+        seen = set()
+        for p, digits, matrix, rhss in random_systems(0, 300):
+            snf = smith_normal_form(matrix, p, digits)
+            seen |= {("v", min(v, 1)) for v in snf.pivots}
+            for rhs in rhss:
+                u = mat_vec(snf.U, rhs, snf.modulus)
+                x = cohomlab._solve_outcome(snf.solve, rhs)
+                assert x == cohomlab._solve_outcome(linsolve, snf, rhs)
+                if x[0] is not None:
+                    seen.add("solved")
+                elif any(u[k] % p**v for k, v in enumerate(snf.pivots)):
+                    seen.add("pivot test")
+                else:
+                    assert any(u[len(snf.pivots):])
+                    seen.add("past the rank")
+        assert seen == {("v", 0), ("v", 1), "solved", "pivot test", "past the rank"}
+
+    @pytest.mark.parametrize(
+        "edit, depth_shift",
+        [
+            (pivot_test_one_digit_short, 0),
+            (rows_past_the_rank_unchecked, 0),
+            (floored_division, 0),
+            (None, 1),
+        ],
+        ids=["pivot test at p^(v-1)", "rows past the rank", "floored division", "depth + 1"],
+    )
+    def test_mutants_fail(self, edit, depth_shift):
+        differs = 0
+        for p, digits, matrix, rhss in random_systems(0, 300):
+            snf = smith_normal_form(matrix, p, digits)
+            mutant = mutant_solve(snf, edit, depth_shift)
+            for rhs in rhss:
+                got = cohomlab._solve_outcome(mutant, rhs)
+                differs += got != cohomlab._solve_outcome(linsolve, snf, rhs)
+        assert differs
+
+    def test_unedited_mutant_matches(self):
+        # the harness the mutants run in changes nothing by itself
+        for p, digits, matrix, rhss in random_systems(0, 300):
+            snf = smith_normal_form(matrix, p, digits)
+            solve = mutant_solve(snf)
+            for rhs in rhss:
+                got = cohomlab._solve_outcome(solve, rhs)
+                assert got == cohomlab._solve_outcome(snf.solve, rhs)
+
+    def test_source_holds_only_literals_and_locals(self, q3):
+        snf = q3.sigma_minus_one_snf(q3.N)
+        source = pure.smith_solve_source(snf.pivots, snf.U, snf.V, snf.p, snf.modulus)
+        names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source))
+        locals_ = {n for n in names if re.fullmatch(r"[cuz]\d+", n)}
+        assert names - locals_ <= {"def", "solve", "c", "if", "raise", "unsolvable", "return"}
+
+    def test_constants_are_least_absolute_and_lone_quotients_unreduced(self):
+        # U = [[1, 8], [0, 1]], V = [[1, 7], [0, 1]], pivots (1,) modulo 9
+        source = pure.smith_solve_source((1,), ((1, 8), (0, 1)), ((1, 7), (0, 1)), 3, 9)
+        assert "    u0 = (c0 + -c1) % 9\n" in source
+        assert "    if u0 % 3:\n        raise unsolvable(u0)\n" in source
+        assert "    if u1:\n        raise unsolvable(u1)\n" in source
+        assert source.endswith("    z0 = u0 // 3\n    return (z0, 0,), 1\n")
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, None])
+    def test_generator_accepts_only_integers(self, bad):
+        with pytest.raises(TypeError):
+            pure.smith_solve_source((1,), ((bad,),), ((1,),), 2, 8)
+        with pytest.raises(TypeError):
+            pure.smith_solve_source((bad,), ((1,),), ((1,),), 2, 8)
+        with pytest.raises(TypeError):
+            pure.smith_solve_source((1,), ((1,),), ((1,),), 2, bad)
 
 
 class TestVecKernels:

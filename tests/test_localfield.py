@@ -40,6 +40,7 @@ from oracles import (
     unflatten,
     val_by_coordinates,
     vp_int_by_division,
+    wrong_in_last,
     zero_by_coordinates,
 )
 
@@ -528,6 +529,60 @@ class TestSolvers:
         assert i_flat not in image
         with pytest.raises(NoSolutionAtPrecision):
             q2_i.solve_sigma_minus_one((q2_i.pi_L - 1).data, q2_i.N_int)
+
+
+class TestCompiledSolves:
+    """The tower's forms solve through their compiled ``SmithForm.solve``."""
+
+    EIGHT = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic", "septic", "quintic"]
+
+    @pytest.mark.parametrize("name", EIGHT)
+    def test_tower_forms_match_linsolve(self, eight_towers, name):
+        tower = eight_towers[name]
+        L, rng = tower.L, random.Random(33)
+        forms = [(tower._trace_snf, tower._trace_raw)]
+        for digits in (tower.N, tower.N + 2, tower.N_int):
+            forms.append((tower.sigma_minus_one_snf(digits), lambda a: L.sub(tower.galois_maps[1](a), a)))
+        for snf, image in forms:
+            for _ in range(6):
+                inside = image(tower.random_L_raw(rng))
+                moved = inside[:-1] + ((inside[-1] + tower.p) % snf.modulus,)
+                uniform = tuple(rng.randrange(snf.modulus) for _ in range(snf.rows))
+                for rhs in (inside, moved, uniform):
+                    got = cohomlab._solve_outcome(snf.solve, rhs)
+                    assert got == cohomlab._solve_outcome(linsolve, snf, rhs)
+
+    def test_nothing_compiles_at_tower_build(self, q3, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("compiled at tower build")
+
+        monkeypatch.setattr(localfield.kernels, "compile_smith_solve", refuse)
+        tower = localfield.tower_from_obj(q3.description)
+        assert tower._trace_snf._solve is None and tower._trace_kernel_map is None
+        assert tower._smo_snf == {}
+        monkeypatch.undo()
+        tower.solve_trace_eq(tower._trace_raw(tower.L.one_elem))
+        solve = tower._trace_snf._solve
+        assert solve is not None
+        tower.solve_trace_eq(tower.K.zero_elem)
+        assert tower._trace_snf._solve is solve
+
+    def test_tower_solvers_refuse_a_right_hand_side_of_the_wrong_length(self, q2_i):
+        with pytest.raises(ValueError, match=r"^right-hand side has 2 entries, the system 1 rows$"):
+            q2_i.solve_trace_eq((0, 0))
+        with pytest.raises(ValueError, match=r"^right-hand side has 1 entries, the system 2 rows$"):
+            q2_i.solve_sigma_minus_one((0,), q2_i.N)
+
+    @pytest.mark.parametrize("name", EIGHT)
+    def test_a_wrong_sigma_minus_one_solve_is_caught(self, eight_towers, name, monkeypatch):
+        tower = eight_towers[name]
+        c = tower.L.sub(tower.galois_maps[1](tower.L.pi_elem), tower.L.pi_elem)
+        for digits in (tower.N, tower.N_int):
+            snf = tower.sigma_minus_one_snf(digits)
+            tower.solve_sigma_minus_one(c, digits)
+            monkeypatch.setattr(snf, "_solve", wrong_in_last(snf.solve))
+            with pytest.raises(TraceNotRational, match="^solver postcondition failed$"):
+                tower.solve_sigma_minus_one(c, digits)
 
 
 # -- Galois and trace matrices against the substitution path ---------------
