@@ -36,7 +36,6 @@ from .localfield import (
     ExtensionTower,
     NoSolutionAtPrecision,
     PrecisionTooLow,
-    _below,
     _uniform,
     at_cap,
     linsolve,
@@ -168,19 +167,6 @@ def witt_trace(tower: ExtensionTower, x: WittVec) -> WittVec:
     return WittVec(tower.K, tuple(map(tower.project_to_K_raw, sums)))
 
 
-def _kernel_elem(tower: ExtensionTower, base, coeffs) -> tuple:
-    """``base`` plus sum of r_k * k over the tower's trace-kernel basis for
-    the given coefficients ``coeffs`` (``tower.trace_kernel_map``), reduced,
-    on flat coordinates."""
-    return tower.L.add(base, tower.trace_kernel_map(coeffs))
-
-
-def _residues(tower: ExtensionTower, x) -> tuple:
-    """Flat coordinates modulo ``tower.trace_residue_modulus``."""
-    m = tower.trace_residue_modulus
-    return tuple(c % m for c in x)
-
-
 def sample_trace_zero(
     tower: ExtensionTower,
     n: int,
@@ -199,9 +185,7 @@ def sample_trace_zero(
     chain per component on O_L and per partial sum on O_K, with no
     conjugate.  The audit (``witt_trace``) sums the conjugates instead,
     so it shares no computation with the carries.  Components, particular
-    solutions, their residues and carries are flat coordinate tuples
-    throughout, and each particular's residues are computed once, when it
-    is solved.
+    solutions and carries are flat coordinate tuples throughout.
 
     Whether level l is solvable depends only on x_1..x_{l-1} modulo
     ``tower.trace_residue_modulus``, p^delta with delta the largest pivot
@@ -214,43 +198,29 @@ def sample_trace_zero(
     when it comes back the carry and the solve are skipped for the same
     failure branch.
 
-    A draw is its kernel coefficients r_k, each uniform modulo p^N_int
-    (``_uniform``, which replays ``rng.randrange``), and its residue, the
-    particular solution's residue plus sum (r_k mod p^delta)(k mod
-    p^delta), from small integers; the full-precision component is built
-    only when a carry needs it (its prefix is not in the memo) or the
-    vector is finished, so a memo hit costs the draw and one set lookup.
-    The memo never changes a draw: the RNG stream and the components are
-    those of the loop without it.
+    A draw is the particular solution's coordinates followed by kernel
+    coefficients r_k, each uniform modulo p^N_int (``_uniform``, which
+    replays ``rng.randrange``); ``tower.trace_kernel_maps`` maps it to the
+    component and to the component's residues, its memo key.  The memo
+    never changes a draw: the RNG stream and the components are those of
+    the loop without it.
     """
     K, L = tower.K, tower.L
     unsolvable = tower.unsolvable_prefixes
-    m = tower.trace_residue_modulus
-    basis = tower.trace_kernel_flat
-    modulus, count = tower.modulus, len(basis)
-    # the basis vectors that are not 0 modulo m, by index, with their residues
-    moving = [(i, r) for i, k in enumerate(basis) if any(r := tuple(c % m for c in k))]
+    combine, residues = tower.trace_kernel_maps
+    modulus, count = tower.modulus, len(tower.trace_kernel_flat)
 
-    def draw(base: tuple) -> tuple[list[int], tuple]:
-        """A kernel part's coefficients, and the residues of the component
-        they make over a particular solution with residues ``base``."""
-        coeffs = _uniform(rng, modulus, count)
-        key = base
-        for i, k in moving:
-            r = coeffs[i] % m
-            if r:
-                key = tuple((a + r * c) % m for a, c in zip(key, k))
-        return coeffs, key
+    def draw(particular: tuple) -> None:
+        v = (*particular, *_uniform(rng, modulus, count))
+        comps.append(combine(v))
+        keys.append(residues(v))
 
-    # particulars[i] is x_{i+1}'s particular solution and bases[i] its
-    # residues; keys holds the residues of x_1..x_{level-1}, and comps the
-    # components built so far: all but the top one, x_{level-1}, whose
-    # coefficients are ``coeffs``
+    # particulars[i] is x_{i+1}'s particular solution, comps[i] is x_{i+1}
+    # and keys[i] its residues
     particulars: list[tuple] = [L.zero_elem]
-    bases: list[tuple] = [_residues(tower, L.zero_elem)]
-    coeffs, key = draw(bases[0])
-    keys: list[tuple] = [key]
     comps: list[tuple] = []
+    keys: list[tuple] = []
+    draw(L.zero_elem)
     level = 2
     retries = SAMPLER_RETRIES
     budget = retries * n * 8
@@ -258,7 +228,6 @@ def sample_trace_zero(
     while level <= n:
         prefix = tuple(keys)
         if prefix not in unsolvable:
-            comps.append(_kernel_elem(tower, particulars[-1], coeffs))
             carry = wittcore.ghost_trace(tower, comps, level)[-1]
             try:
                 part, _ = tower.solve_trace_eq(K.neg(carry))
@@ -266,9 +235,7 @@ def sample_trace_zero(
                 unsolvable.add(prefix)
             else:
                 particulars.append(part)
-                bases.append(_residues(tower, part))
-                coeffs, key = draw(bases[-1])
-                keys.append(key)
+                draw(part)
                 level += 1
                 fail_streak = 0
                 continue
@@ -282,12 +249,10 @@ def sample_trace_zero(
         # (its trace equations used the old carries)
         depth = min(level - 1, 1 + fail_streak // retries)
         cut = level - depth
-        del comps[cut - 1 :]  # x_cut is redrawn below
-        del keys[cut:], particulars[cut:], bases[cut:]
-        coeffs, keys[-1] = draw(bases[-1])
+        del comps[cut - 1 :], keys[cut - 1 :], particulars[cut:]
+        draw(particulars[-1])  # x_cut
         level = cut + 1
-    top = _kernel_elem(tower, particulars[-1], coeffs)
-    vec = WittVec(L, tuple(comps) + (top,))
+    vec = WittVec(L, tuple(comps))
     _audit_trace(tower, vec, "a fresh sample")
     return KernelSample(vec, "recursive-sampler", seed_label)
 
@@ -931,11 +896,12 @@ def verify_main_theorem(
 
 def _contrast_candidates(tower: ExtensionTower, seed: int):
     """Trace-zero flat coordinate tuples: the kernel basis, then 64 random ones."""
+    combine, _ = tower.trace_kernel_maps
     yield from tower.trace_kernel_flat
     for j in range(64):
         rng = random.Random(_sample_seed(seed, "contrast", j))
         coeffs = _uniform(rng, tower.modulus, len(tower.trace_kernel_flat))
-        yield _kernel_elem(tower, tower.L.zero_elem, coeffs)
+        yield combine((*tower.L.zero_elem, *coeffs))
 
 
 def verify_fixed_points(
@@ -964,7 +930,7 @@ def verify_fixed_points(
         # perturb one component off the fixed ring; must not be fixed.  The
         # others were just found fixed, so the vector is fixed exactly when
         # the perturbed component is.
-        idx = _below(rng, n)
+        (idx,) = _uniform(rng, n, 1)
         if fixed(add(kcomps[idx], mul(pi, draw_unit(rng)))):
             report.record_failure({"seed": label, "what": "moved vector looks fixed"})
     report.observations["fixed_vectors_checked"] = fixed_seen

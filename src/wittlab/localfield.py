@@ -92,21 +92,12 @@ def _vp_int(x: int, p: int, vmax: int) -> int | None:
     return table[1].get(math.gcd(x, table[0]))
 
 
-def _below(rng, n: int) -> int:
-    """A draw below n >= 1 that replays ``rng.randrange(n)`` bit for bit:
-    CPython draws getrandbits(n.bit_length()) until the value is below n
-    (n.bit_length(), not (n - 1).bit_length(), so n = 1 draws bits too)."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 def _uniform(rng, modulus: int, count: int) -> list[int]:
-    """``count`` draws below ``modulus``: the values, and the generator
-    state, of as many ``_below(rng, modulus)`` calls, which are the first
-    ``count`` getrandbits(modulus.bit_length()) values below the modulus."""
+    """``count`` draws below ``modulus`` >= 1 that replay as many
+    ``rng.randrange(modulus)`` calls bit for bit, values and generator
+    state: CPython draws getrandbits(modulus.bit_length()) until the value
+    is below the modulus (modulus.bit_length(), not (modulus -
+    1).bit_length(), so a modulus of 1 draws bits too)."""
     k, bits = modulus.bit_length(), rng.getrandbits
     out: list[int] = []
     while len(out) < count:
@@ -723,7 +714,6 @@ class ExtensionTower:
         ]
         self._trace_snf = smith_normal_form(self.trace_mat, self.p, self.N_int)
         self.trace_kernel_flat = tuple(tuple(k) for k in self._trace_snf.kernel_basis())
-        self._trace_kernel_map = None  # compiled on first use
         # whether tr(x) = c is solvable depends on c modulo p^delta, delta
         # the largest pivot; a zero row of the form needs every digit
         pivots = self._trace_snf.pivots
@@ -731,20 +721,33 @@ class ExtensionTower:
             self.trace_residue_modulus = self.p ** max(pivots, default=0)
         else:
             self.trace_residue_modulus = self.modulus
-        # residue prefixes whose next trace equation has no solution, filled
-        # by the trace-zero sampler (see ``cohomlab.sample_trace_zero``)
+        # the sampler's (combine, residues) pair, compiled on first use
+        # (``trace_kernel_maps``), and the residue prefixes, its keys, whose
+        # next trace equation has no solution (``cohomlab.sample_trace_zero``)
+        self._trace_kernel_maps = None
         self.unsolvable_prefixes: set[tuple] = set()
         self._smo_snf: dict[int, SmithForm] = {}  # digits -> Smith form of sigma - 1
         self._trace_rows: dict[int, tuple] = {}  # digits -> the trace into O_K
 
     @property
-    def trace_kernel_map(self):
-        """sum_k r_k * k over ``trace_kernel_flat`` for coefficients r,
-        modulo p^N_int, compiled on first use (``kernels.compile_flat_linear``)."""
-        if self._trace_kernel_map is None:
-            columns = tuple(zip(*self.trace_kernel_flat))
-            self._trace_kernel_map = kernels.compile_flat_linear(columns, self.modulus)
-        return self._trace_kernel_map
+    def trace_kernel_maps(self):
+        """``(combine, residues)``: a particular solution's coordinates
+        followed by coefficients r, mapped to the particular plus sum_k
+        r_k * k over ``trace_kernel_flat``, modulo p^N_int and modulo
+        ``trace_residue_modulus``.  One matrix [I | K], compiled at both
+        moduli on first use (``kernels.compile_flat_linear``), so a
+        sampled component's memo key is its residues by construction."""
+        if self._trace_kernel_maps is None:
+            rank = self.L.flat_rank
+            matrix = [
+                [int(r == m) for m in range(rank)] + [k[r] for k in self.trace_kernel_flat]
+                for r in range(rank)
+            ]
+            self._trace_kernel_maps = tuple(
+                kernels.compile_flat_linear(matrix, mod)
+                for mod in (self.modulus, self.trace_residue_modulus)
+            )
+        return self._trace_kernel_maps
 
     # -- raw (tuple-level) operations -----------------------------------
 
@@ -911,7 +914,7 @@ class ExtensionTower:
         replay one ``rng.randrange`` per coordinate and one for the power."""
         a = _uniform(rng, self.modulus, self.L.flat_rank)
         if spread_valuation:
-            shift = _below(rng, max(1, self.val_cap // 3))
+            (shift,) = _uniform(rng, max(1, self.val_cap // 3), 1)
             if shift:
                 return self.L.mul(a, self._pi_L_power(shift))
         return tuple(a)

@@ -2,10 +2,10 @@
 
 * The ring primitives that run on one C-level call each:
   ``FlatRing.val_raw`` and ``ExtensionTower._zero_raw`` (one gcd) and the
-  draws of ``localfield._uniform``/``_below`` (getrandbits).  These are
-  the per-coordinate loops and the plain ``rng.randrange`` calls they
-  replaced; the test modules compare the fast forms against them, and the
-  field-lemma oracles in ``test_cohomlab`` draw and take valuations
+  draws of ``localfield._uniform`` (getrandbits).  These are the
+  per-coordinate loops and the plain ``rng.randrange`` calls they
+  replaced; the test modules compare the fast forms against them, and
+  the field-lemma oracles in ``test_cohomlab`` draw and take valuations
   through them only.
 * ``ValExtended``, the valuation-at-the-cap rule as an object (a value,
   or "at least cap"; margins taken at the cap; a bound past the cap
@@ -50,9 +50,11 @@
   ``PowerSigmaTower`` takes sigma^k as its generator, for the tests that
   a verdict does not depend on the generator; both override
   ``ExtensionTower._sigma_root`` alone.
-* ``cohomlab._kernel_elem`` as the loop over the trace-kernel basis it
-  replaced (``kernel_elem_by_loop``); the package applies one map
-  compiled per tower (``ExtensionTower.trace_kernel_map``).
+* A particular solution plus a combination of the trace-kernel basis as
+  the loop over the basis (``kernel_elem_by_loop``); the package applies
+  the ``combine`` of ``ExtensionTower.trace_kernel_maps``, one matrix
+  [I | K] compiled per tower, whose ``residues`` at p^delta are the
+  sampler's memo keys.
 * ``wrong_in_last``, a solve whose answers are off by one in the last
   coordinate, which sigma moves: the wrong solve the postconditions and
   oracles must catch.

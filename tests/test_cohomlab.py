@@ -198,31 +198,22 @@ TOWER_PRIMES = {
 def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, monkeypatch):
     """Solves, carries and retries run on flat coordinates, and so do the
     finished vector and its audited trace, whose components are tuples: a
-    sample builds no OElem at all, however many attempts it takes.  A
-    full-precision component is built only for a trace solve and for the
-    finished vector's top, so an attempt the memo of unsolvable prefixes
-    answers builds nothing; the carries take no conjugate, and only the
-    audit conjugates the finished vector's n components."""
+    sample builds no OElem at all, however many attempts it takes.  Each
+    draw makes its component and its memo key by one call each of the
+    tower's compiled ``combine`` and ``residues``, whether or not the memo
+    of unsolvable prefixes then answers for it; the carries take no
+    conjugate, and only the audit conjugates the finished vector's n
+    components."""
     tower = all_towers[name]
-    built, components, conjugated = [], [], []
+    built, draws, combined, keyed, conjugated, memo_hits = [], [], [], [], [], []
     init = localfield.OElem.__init__
-    kernel_elem, residues_of = cohomlab._kernel_elem, cohomlab._residues
-    conjugates = tower.conjugates_raw
+    uniform, conjugates = cohomlab._uniform, tower.conjugates_raw
+    sample_trace_zero(tower, 3, random.Random(-1))  # compiles the maps, lifts the ring
+    combine, residues = tower.trace_kernel_maps
 
     def counted(self, level, data):
         built.append(level)
         init(self, level, data)
-
-    solves, solved, residues, memo_hits = [], [], [], []
-    solve = tower.solve_trace_eq
-
-    def recorded(c):
-        assert type(c) is tuple
-        solves.append(1)
-        x, delta = solve(c)
-        assert type(x) is tuple
-        solved.append(1)
-        return x, delta
 
     class CountedMemo(set):
         def __contains__(self, key):
@@ -232,31 +223,32 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
             return hit
 
     n = 3
-    sample_trace_zero(tower, n, random.Random(-1))  # builds the lifted ring once
+    count = len(tower.trace_kernel_flat)
     monkeypatch.setattr(localfield.OElem, "__init__", counted)
-    monkeypatch.setattr(tower, "solve_trace_eq", recorded)
     monkeypatch.setattr(tower, "unsolvable_prefixes", CountedMemo())
     monkeypatch.setattr(
-        cohomlab, "_kernel_elem", lambda *args: components.append(1) or kernel_elem(*args)
+        cohomlab,
+        "_uniform",
+        lambda rng, modulus, k: draws.append(k == count) or uniform(rng, modulus, k),
+    )
+    monkeypatch.setattr(
+        tower,
+        "_trace_kernel_maps",
+        (lambda v: combined.append(1) or combine(v), lambda v: keyed.append(1) or residues(v)),
     )
     monkeypatch.setattr(tower, "conjugates_raw", lambda a: conjugated.append(1) or conjugates(a))
-    monkeypatch.setattr(
-        cohomlab, "_residues", lambda *args: residues.append(1) or residues_of(*args)
-    )
     hits = 0
     for seed in range(8):
-        for counts in (built, components, conjugated, solves, solved, residues, memo_hits):
+        for counts in (built, draws, combined, keyed, conjugated, memo_hits):
             counts.clear()
         sample_trace_zero(tower, n, random.Random(seed))
         assert built == []
-        # one build per solve and one for the finished vector's top, so
-        # at most n + solves whatever the memo answered
-        assert len(components) == len(solves) + 1
+        # every draw is of the kernel coefficients, at least one per level
+        assert all(draws) and len(draws) >= n
+        # one component and one key per draw
+        assert len(combined) == len(keyed) == len(draws)
         # the audit's n, and none for the carries
         assert len(conjugated) == n
-        # the residues of each particular solution once, the first one zero,
-        # however often a component is redrawn over it
-        assert len(residues) == len(solved) + 1
         hits += len(memo_hits)
     assert hits > 0
 
@@ -422,6 +414,24 @@ def test_unsolvable_prefix_keys_are_residues(all_towers, name):
     assert True in outcomes and False in outcomes
 
 
+def trace_kernel_maps_with(tower, residues_matrix, residue_modulus):
+    """The tower's ``combine``, paired with a ``residues`` map compiled from
+    another matrix or at another modulus: a mutant of the memo key that
+    holds however the tower's own maps were compiled before."""
+    combine, _ = tower.trace_kernel_maps
+    return combine, compile_flat_linear(residues_matrix, residue_modulus)
+
+
+def kernel_matrix(tower, identity=True):
+    """[I | K] on a particular's coordinates and the kernel coefficients,
+    the matrix of ``tower.trace_kernel_maps``; [0 | K] without ``identity``."""
+    rank = tower.L.flat_rank
+    return [
+        [int(identity and r == m) for m in range(rank)] + [k[r] for k in tower.trace_kernel_flat]
+        for r in range(rank)
+    ]
+
+
 def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
     """Mutant: prefixes are remembered modulo p^(delta-1), so a solvable
     prefix can share a key with one that failed; the sampler must part
@@ -430,7 +440,10 @@ def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
     for name in sorted(TOWER_PRIMES):
         tower = all_towers[name]
         with monkeypatch.context() as patch:
-            patch.setattr(tower, "trace_residue_modulus", tower.trace_residue_modulus // tower.p)
+            short = tower.trace_residue_modulus // tower.p
+            patch.setattr(
+                tower, "_trace_kernel_maps", trace_kernel_maps_with(tower, kernel_matrix(tower), short)
+            )
             patch.setattr(tower, "unsolvable_prefixes", set())
             if fresh_carry_mismatches(tower, name, 3, 32, seeds=range(5)):
                 parted.append(name)
@@ -438,18 +451,23 @@ def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
 
 
 def test_residue_without_the_particular_fails(all_towers, monkeypatch):
-    """Mutant: a particular solution's residues are kept as zero, so every
-    component drawn over it, right after its solve or redrawn, has the
-    residues of its kernel part alone, and the memo is asked about, and
-    told, the wrong prefix.  The sampler must part from the fresh-carry
-    loop on some tower: in its components or its RNG stream, or in a
-    remembered prefix that the oracle's full solve finds solvable.  (On
-    the six towers the streams still agree; the memo does not.)"""
+    """Mutant: the residues map leaves out its identity block, so every
+    component drawn over a particular solution, right after its solve or
+    redrawn, has the residues of its kernel part alone, and the memo is
+    asked about, and told, the wrong prefix.  The sampler must part from
+    the fresh-carry loop on some tower: in its components or its RNG
+    stream, or in a remembered prefix that the oracle's full solve finds
+    solvable."""
     parted = []
     for name in sorted(TOWER_PRIMES):
         tower = all_towers[name]
         with monkeypatch.context() as patch:
-            patch.setattr(cohomlab, "_residues", lambda tower, x: (0,) * len(x))
+            no_particular = kernel_matrix(tower, identity=False)
+            patch.setattr(
+                tower,
+                "_trace_kernel_maps",
+                trace_kernel_maps_with(tower, no_particular, tower.trace_residue_modulus),
+            )
             memo = set()
             patch.setattr(tower, "unsolvable_prefixes", memo)
             mismatched = fresh_carry_mismatches(tower, name, 3, 32, seeds=range(5))
@@ -517,18 +535,33 @@ def test_trace_kernel_basis_is_cached(all_towers):
         assert all(tower._zero_raw(tower.trace_map(k)) for k in basis)
 
 
-@pytest.mark.parametrize(
-    "name", ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic", "septic", "quintic"]
-)
+EIGHT_TOWERS = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic", "septic", "quintic"]
+
+
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
 def test_kernel_elem_matches_the_loop(eight_towers, name):
+    """``combine`` of a particular's coordinates and kernel coefficients is
+    the loop over the kernel basis."""
     tower = eight_towers[name]
+    combine, _ = tower.trace_kernel_maps
     rng, count = random.Random(34), len(tower.trace_kernel_flat)
     for base in (tower.L.zero_elem, tower.random_L_raw(rng), tower.random_L_raw(rng)):
         for _ in range(5):
             coeffs = [rng.randrange(tower.modulus) for _ in range(count)]
-            assert cohomlab._kernel_elem(tower, base, coeffs) == kernel_elem_by_loop(
-                tower, base, coeffs
-            )
+            assert combine((*base, *coeffs)) == kernel_elem_by_loop(tower, base, coeffs)
+
+
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_residues_are_the_component_modulo_p_delta(eight_towers, name, data):
+    """A memo key is its component modulo ``trace_residue_modulus``."""
+    tower = eight_towers[name]
+    combine, residues = tower.trace_kernel_maps
+    width = tower.L.flat_rank + len(tower.trace_kernel_flat)
+    v = data.draw(st.tuples(*[st.integers(0, tower.modulus - 1)] * width))
+    m = tower.trace_residue_modulus
+    assert residues(v) == tuple(c % m for c in combine(v))
 
 
 def test_witt_lemmas_run_no_empty_ghost_pass(towers, monkeypatch):

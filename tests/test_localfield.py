@@ -558,7 +558,7 @@ class TestCompiledSolves:
 
         monkeypatch.setattr(localfield.kernels, "compile_smith_solve", refuse)
         tower = localfield.tower_from_obj(q3.description)
-        assert tower._trace_snf._solve is None and tower._trace_kernel_map is None
+        assert tower._trace_snf._solve is None and tower._trace_kernel_maps is None
         assert tower._smo_snf == {}
         monkeypatch.undo()
         tower.solve_trace_eq(tower._trace_raw(tower.L.one_elem))
@@ -1195,11 +1195,11 @@ def draw_moduli(all_towers):
 
 
 def check_draws_replay_randrange(modulus, seed):
-    """``_uniform`` and ``_below`` leave the values and the generator state
-    of as many ``randrange`` calls, in both of its forms."""
+    """``_uniform`` leaves the values and the generator state of as many
+    ``randrange`` calls, in both of its forms, for many draws and for one."""
     want, got = random.Random(seed), random.Random(seed)
     expected = [want.randrange(modulus) for _ in range(7)] + [want.randrange(0, modulus)]
-    drawn = localfield._uniform(got, modulus, 7) + [localfield._below(got, modulus)]
+    drawn = localfield._uniform(got, modulus, 7) + localfield._uniform(got, modulus, 1)
     assert drawn == expected, modulus
     assert got.getstate() == want.getstate(), modulus
 
@@ -1253,8 +1253,16 @@ def uniform_bit_short(rng, modulus, count):
 
 
 class BelowBitShort:
+    # one bit short only on a one-value draw (a shift, an index)
     def __init__(self, towers, patch):
-        patch.setattr(localfield, "_below", below_bit_short)
+        uniform = localfield._uniform
+
+        def one_draw_bit_short(rng, modulus, count):
+            if count == 1:
+                return [below_bit_short(rng, modulus)]
+            return uniform(rng, modulus, count)
+
+        patch.setattr(localfield, "_uniform", one_draw_bit_short)
 
 
 class UniformBitShort:
