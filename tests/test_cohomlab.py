@@ -201,11 +201,12 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
     sample builds no OElem at all, however many attempts it takes.  Each
     draw makes its component and its memo key by one call each of the
     tower's compiled ``combine`` and ``residues``, whether or not the memo
-    of unsolvable prefixes then answers for it; the carries take no
-    conjugate, and only the audit conjugates the finished vector's n
-    components."""
+    of unsolvable prefixes then answers for it: the first draw, and one
+    after each solve and each memo hit.  The carries take no conjugate,
+    and only the audit conjugates the finished vector's n components."""
     tower = all_towers[name]
-    built, draws, combined, keyed, conjugated, memo_hits = [], [], [], [], [], []
+    built, draws, combined, keyed, conjugated = [], [], [], [], []
+    solves, solved, memo_hits = [], [], []
     init = localfield.OElem.__init__
     uniform, conjugates = cohomlab._uniform, tower.conjugates_raw
     sample_trace_zero(tower, 3, random.Random(-1))  # compiles the maps, lifts the ring
@@ -214,6 +215,16 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
     def counted(self, level, data):
         built.append(level)
         init(self, level, data)
+
+    solve = tower.solve_trace_eq
+
+    def recorded(c):
+        assert type(c) is tuple
+        solves.append(1)
+        x, delta = solve(c)
+        assert type(x) is tuple
+        solved.append(1)
+        return x, delta
 
     class CountedMemo(set):
         def __contains__(self, key):
@@ -225,6 +236,7 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
     n = 3
     count = len(tower.trace_kernel_flat)
     monkeypatch.setattr(localfield.OElem, "__init__", counted)
+    monkeypatch.setattr(tower, "solve_trace_eq", recorded)
     monkeypatch.setattr(tower, "unsolvable_prefixes", CountedMemo())
     monkeypatch.setattr(
         cohomlab,
@@ -239,12 +251,14 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
     monkeypatch.setattr(tower, "conjugates_raw", lambda a: conjugated.append(1) or conjugates(a))
     hits = 0
     for seed in range(8):
-        for counts in (built, draws, combined, keyed, conjugated, memo_hits):
+        for counts in (built, draws, combined, keyed, conjugated, solves, solved, memo_hits):
             counts.clear()
         sample_trace_zero(tower, n, random.Random(seed))
         assert built == []
-        # every draw is of the kernel coefficients, at least one per level
-        assert all(draws) and len(draws) >= n
+        # every draw is of the kernel coefficients: the first, one after
+        # each solve, solved or not, and one redraw after each memo hit
+        assert all(draws) and len(draws) == 1 + len(solves) + len(memo_hits)
+        assert len(solved) >= n - 1
         # one component and one key per draw
         assert len(combined) == len(keyed) == len(draws)
         # the audit's n, and none for the carries
@@ -414,24 +428,6 @@ def test_unsolvable_prefix_keys_are_residues(all_towers, name):
     assert True in outcomes and False in outcomes
 
 
-def trace_kernel_maps_with(tower, residues_matrix, residue_modulus):
-    """The tower's ``combine``, paired with a ``residues`` map compiled from
-    another matrix or at another modulus: a mutant of the memo key that
-    holds however the tower's own maps were compiled before."""
-    combine, _ = tower.trace_kernel_maps
-    return combine, compile_flat_linear(residues_matrix, residue_modulus)
-
-
-def kernel_matrix(tower, identity=True):
-    """[I | K] on a particular's coordinates and the kernel coefficients,
-    the matrix of ``tower.trace_kernel_maps``; [0 | K] without ``identity``."""
-    rank = tower.L.flat_rank
-    return [
-        [int(identity and r == m) for m in range(rank)] + [k[r] for k in tower.trace_kernel_flat]
-        for r in range(rank)
-    ]
-
-
 def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
     """Mutant: prefixes are remembered modulo p^(delta-1), so a solvable
     prefix can share a key with one that failed; the sampler must part
@@ -440,10 +436,9 @@ def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
     for name in sorted(TOWER_PRIMES):
         tower = all_towers[name]
         with monkeypatch.context() as patch:
-            short = tower.trace_residue_modulus // tower.p
-            patch.setattr(
-                tower, "_trace_kernel_maps", trace_kernel_maps_with(tower, kernel_matrix(tower), short)
-            )
+            # the maps compile again, at the short modulus, on first use
+            patch.setattr(tower, "trace_residue_modulus", tower.trace_residue_modulus // tower.p)
+            patch.setattr(tower, "_trace_kernel_maps", None)
             patch.setattr(tower, "unsolvable_prefixes", set())
             if fresh_carry_mismatches(tower, name, 3, 32, seeds=range(5)):
                 parted.append(name)
@@ -462,11 +457,10 @@ def test_residue_without_the_particular_fails(all_towers, monkeypatch):
     for name in sorted(TOWER_PRIMES):
         tower = all_towers[name]
         with monkeypatch.context() as patch:
-            no_particular = kernel_matrix(tower, identity=False)
+            combine, residues = tower.trace_kernel_maps
+            zero, rank = tower.L.zero_elem, tower.L.flat_rank
             patch.setattr(
-                tower,
-                "_trace_kernel_maps",
-                trace_kernel_maps_with(tower, no_particular, tower.trace_residue_modulus),
+                tower, "_trace_kernel_maps", (combine, lambda v: residues((*zero, *v[rank:])))
             )
             memo = set()
             patch.setattr(tower, "unsolvable_prefixes", memo)
