@@ -131,8 +131,14 @@ class VerificationReport:
         )
 
 
-def _sample_seed(seed: int, lemma: str, index: int) -> str:
-    return f"{seed}:{lemma}:{index}"
+def _sample_rngs(seed: int, lemma: str, count: int) -> Iterator[tuple]:
+    """Every sampled draw's source: (label, rng) for k < count, one generator
+    reseeded as random.Random(label) is; draw sample k in full before k + 1."""
+    rng = random.Random()
+    for k in range(count):
+        label = f"{seed}:{lemma}:{k}"
+        rng.seed(label)
+        yield label, rng
 
 
 def _at_least(margins: dict, key: str, v: int | None, cap: int, bound: int) -> bool:
@@ -532,11 +538,9 @@ def _sampler_mix(
     lemma: str,
     coboundary_every: int = 0,
 ) -> Iterator[KernelSample]:
-    """The verifiers' one sample stream: sample k is drawn lazily from
-    random.Random("seed:lemma:k"), a coboundary every coboundary_every-th."""
-    for k in range(samples):
-        label = _sample_seed(seed, lemma, k)
-        rng = random.Random(label)
+    """The Witt lemmas' sample stream: sample k is drawn lazily from
+    ``_sample_rngs``, a coboundary every coboundary_every-th."""
+    for k, (label, rng) in enumerate(_sample_rngs(seed, lemma, samples)):
         if coboundary_every and k % coboundary_every == coboundary_every - 1:
             yield coboundary_sample(tower, n, rng, label)
         else:
@@ -546,15 +550,14 @@ def _sampler_mix(
 def _field_draws(
     tower: ExtensionTower, samples: int, seed: int, lemma: str
 ) -> Iterator[tuple]:
-    """The field lemmas' one draw stream: attempt k < 20*samples draws
-    ``a`` from random.Random("seed:lemma:k"), times a random power of
-    pi_L (``random_L_raw``), and yields (label, a, v_L(a)), a a flat
+    """The field lemmas' draw stream: attempt k < 20*samples draws ``a``
+    from ``_sample_rngs``, times a random power of pi_L
+    (``random_L_raw``), and yields (label, a, v_L(a)), a a flat
     coordinate tuple and v_L(a) an int, unless the cap does not decide
     v_L(a) (``at_cap``)."""
     draw, val, cap = tower.random_L_raw, tower.L.val_raw, tower.val_cap
-    for k in range(20 * samples):
-        label = _sample_seed(seed, lemma, k)
-        a = draw(random.Random(label), True)
+    for label, rng in _sample_rngs(seed, lemma, 20 * samples):
+        a = draw(rng, True)
         va = at_cap(val(a), cap)
         if va is not None:
             yield label, a, va
@@ -583,8 +586,8 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
     vktr and vksub read no Witt vector, so they take no length (None).
     Every other lemma follows one rule: 1 <= n, the tower's precision
     covers n (``precision_policy``), and for main n >= its stable length
-    M, which is its default.  carry_identity and residual_invariant check
-    levels 2..n, so they need n >= 2: at n = 1 a PASS would check nothing."""
+    M, which is its default.  carry_identity, residual_invariant (levels
+    2..n) and step_bounds (components 1..n-1) need n >= 2: else nothing is checked."""
     p = tower.p
     if lemma in ("vktr", "vksub"):
         if n is not None:
@@ -597,8 +600,8 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
         n = {"step_bounds": 4, "fixed_points": 3, "main": M}.get(lemma, PFOLD_RANGE.get(p, 2))
     if n < 1:
         raise WittLengthOutOfRange(f"--n {n} is not a Witt length; it must be at least 1")
-    if n < 2 and lemma in ("carry_identity", "residual_invariant"):
-        raise WittLengthOutOfRange(f"--n {n}: {lemma} checks levels 2..n, so n must be at least 2")
+    if n < 2 and lemma in ("carry_identity", "residual_invariant", "step_bounds"):
+        raise WittLengthOutOfRange(f"--n {n}: {lemma} checks nothing at n = 1; n must be >= 2")
     need = precision_policy(p, tower.e_K, tower.s, n)
     if need > tower.N:
         raise WittLengthOutOfRange(
@@ -898,8 +901,7 @@ def _contrast_candidates(tower: ExtensionTower, seed: int):
     """Trace-zero flat coordinate tuples: the kernel basis, then 64 random ones."""
     combine, _ = tower.trace_kernel_maps
     yield from tower.trace_kernel_flat
-    for j in range(64):
-        rng = random.Random(_sample_seed(seed, "contrast", j))
+    for _, rng in _sample_rngs(seed, "contrast", 64):
         coeffs = _uniform(rng, tower.modulus, len(tower.trace_kernel_flat))
         yield combine((*tower.L.zero_elem, *coeffs))
 
@@ -918,9 +920,7 @@ def verify_fixed_points(
         tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}
     )
     fixed_seen = 0
-    for k in range(samples):
-        label = _sample_seed(seed, "fixed", k)
-        rng = random.Random(label)
+    for label, rng in _sample_rngs(seed, "fixed", samples):
         kcomps = [embed(draw_K(rng)) for _ in range(n)]
         if not all(map(fixed, kcomps)):
             report.record_failure({"seed": label, "what": "fixed vector moved"})

@@ -175,9 +175,11 @@ class TestVerify:
             ("fixed_points", "-1"),
             ("carry_identity", "6"),
             ("residual_invariant", "6"),
-            # both check levels 2..n: at n = 1 a PASS would check nothing
+            # these check levels 2..n (step_bounds components 1..n-1): at
+            # n = 1 a PASS would check nothing
             ("carry_identity", "1"),
             ("residual_invariant", "1"),
+            ("step_bounds", "1"),
         ],
     )
     def test_witt_length_out_of_range_is_usage_error(self, lemma, n):

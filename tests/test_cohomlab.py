@@ -978,7 +978,7 @@ def oracle_vktr(tower, samples, seed):
     checked = 0
     attempts = 0
     while checked < samples and attempts < 20 * samples:
-        rng = random.Random(cohomlab._sample_seed(seed, "vktr", attempts))
+        rng = random.Random(f"{seed}:vktr:{attempts}")
         attempts += 1
         a = randrange_L_elem(tower, rng, spread_valuation=True)
         va = vL_by_coordinates(tower, a)
@@ -994,7 +994,7 @@ def oracle_vktr(tower, samples, seed):
         if not ok:
             report.record_failure(
                 {
-                    "seed": cohomlab._sample_seed(seed, "vktr", attempts - 1),
+                    "seed": f"{seed}:vktr:{attempts - 1}",
                     "v_L(a)": va.value,
                     "v_K(tr(a))": vk.value,
                     "bound": bound,
@@ -1011,7 +1011,7 @@ def oracle_vksub(tower, samples, seed):
     attempts = 0
     worst = 0
     while checked < samples and attempts < 20 * samples:
-        rng = random.Random(cohomlab._sample_seed(seed, "vksub", attempts))
+        rng = random.Random(f"{seed}:vksub:{attempts}")
         attempts += 1
         a = randrange_L_elem(tower, rng, spread_valuation=True)
         va = vL_by_coordinates(tower, a)
@@ -1026,7 +1026,7 @@ def oracle_vksub(tower, samples, seed):
             worst = max(worst, abs(vk.capped() - expected))
             report.record_failure(
                 {
-                    "seed": cohomlab._sample_seed(seed, "vksub", attempts - 1),
+                    "seed": f"{seed}:vksub:{attempts - 1}",
                     "v_L(a)": va.value,
                     "v_K(diff)": vk.value,
                     "expected": expected,
@@ -1048,7 +1048,7 @@ def oracle_fixed_points(tower, samples, seed):
 
     fixed_seen = 0
     for k in range(samples):
-        label = cohomlab._sample_seed(seed, "fixed", k)
+        label = f"{seed}:fixed:{k}"
         rng = random.Random(label)
         kcomps = [tower.embed_K(randrange_K_elem(tower, rng)) for _ in range(n)]
         if not all(equal(tower.galois(c), c) for c in kcomps):
@@ -1436,8 +1436,65 @@ class TestCapRule:
 
 
 class TestSampleStream:
-    """Every sampled verifier draws its Witt vectors through one stream,
-    ``_sampler_mix``: sample k from ``random.Random("seed:label:k")``."""
+    """Every sampled draw comes from one stream, ``_sample_rngs``: sample k
+    from a generator in the state of ``random.Random("seed:label:k")``.
+    The Witt lemmas read it through ``_sampler_mix``, vktr and vksub
+    through ``_field_draws``, and fixed_points and main's contrast search
+    directly."""
+
+    def test_each_sample_starts_from_its_label(self):
+        # sample k draws k % 4 values, none at k = 0, 4, 8, a Gaussian among
+        # them: nothing sample k leaves in the generator reaches sample k + 1
+        for k, (label, rng) in enumerate(cohomlab._sample_rngs(5, "x", 10)):
+            assert label == f"5:x:{k}"
+            assert rng.getstate() == random.Random(label).getstate()
+            draws = (rng.random, lambda: rng.gauss(0, 1), lambda: rng.getrandbits(200))
+            for j in range(k % 4):
+                draws[j % 3]()
+
+    def test_builds_its_generator_on_first_draw(self, monkeypatch):
+        made, real = [], random.Random
+        monkeypatch.setattr(cohomlab.random, "Random", lambda *a: made.append(1) or real(*a))
+        stream = cohomlab._sample_rngs(0, "x", 3)
+        assert made == []
+        assert [label for label, _ in stream] == ["0:x:0", "0:x:1", "0:x:2"]
+        assert made == [1]
+
+    @pytest.mark.parametrize(
+        "lemma, streams",
+        [
+            ("vktr", ["vktr"]),
+            ("vksub", ["vksub"]),
+            ("fixed_points", ["fixed"]),
+            ("carry_identity", ["carry"]),
+            ("residual_invariant", ["residual"]),
+            ("step_bounds", ["steps"]),
+            ("main", ["main", "contrast", "main-below"]),
+        ],
+    )
+    def test_every_draw_comes_from_the_stream(self, q2_i, monkeypatch, lemma, streams):
+        seen, made, real, original = [], [], random.Random, cohomlab._sample_rngs
+
+        def recorded(seed, name, count):
+            labels = []
+            seen.append((name, labels))
+            for label, rng in original(seed, name, count):
+                labels.append(label)
+                yield label, rng
+
+        monkeypatch.setattr(cohomlab, "_sample_rngs", recorded)
+        monkeypatch.setattr(cohomlab.random, "Random", lambda *a: made.append(1) or real(*a))
+        # every class trivial, so main's contrast search reads all 64 draws
+        trivial = cohomlab.ClassVerdict("trivial")
+        monkeypatch.setattr(cohomlab, "level1_class_trivial", lambda tower, x: trivial)
+        cohomlab.VERIFIERS[lemma](q2_i, samples=3, seed=4)
+        assert [name for name, _ in seen] == streams
+        for name, labels in seen:
+            assert labels == [f"4:{name}:{k}" for k in range(len(labels))] and labels
+        if lemma == "main":
+            assert len(dict(seen)["contrast"]) == 64
+        # one generator per stream, and none built anywhere else
+        assert len(made) == len(seen)
 
     def test_labels_and_coboundaries(self, q2_i):
         stream = cohomlab._sampler_mix(q2_i, 2, 4, 7, "x", coboundary_every=2)
@@ -1539,6 +1596,7 @@ class TestWittLengthRule:
             ("carry_identity", 1),
             ("residual_invariant", 1),
             ("step_bounds", 0),
+            ("step_bounds", 1),
             ("main", 1),
             ("fixed_points", 7),
         ],

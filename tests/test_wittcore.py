@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wittlab import cli, wittcore
 from wittlab.exactpoly import INT_RING, MPOLY_RING, MPoly
 from wittlab.wittcore import (
     PFOLD_RANGE,
@@ -309,6 +310,50 @@ class TestPFoldDecomposition:
                     for j in range(1, nmax)
                 }
                 assert (numeric,) == flat_ints(ring, [pf.carry_polys[nmax - 1].eval(assign)])
+
+
+class TestDegreeAudit:
+    """Each audit of ``PFoldDecomposition`` refuses a p-fold table that
+    breaks its bound, and ``wittlab polys`` reports the refusal as a FAIL
+    (exit 1) on one line.  The mutants add one term to the solved
+    component polynomial at one level of the (p, n) = (2, 3) table."""
+
+    x11, x12 = MPoly.var(fold_var(2, 1, 1)), MPoly.var(fold_var(2, 1, 2))
+
+    @pytest.mark.parametrize(
+        "level, term, what, found",
+        [
+            # a degree-2 carry at level 1, where the carry must be zero
+            (1, x11 * MPoly.var(fold_var(2, 2, 1)), "first carry must vanish", (1, "x0*x1")),
+            # a linear carry term, below degree p
+            (2, x11, "carry degree", (2, 1)),
+            # a carry term in column 2, which the level-2 carry must not read
+            (2, x12**2, "carry support", (2, [0, 1, 2])),
+            # degree p in column 1 passes the carry audits, but the level-2
+            # residual may read no column, so it must be zero; the residual
+            # audit names the table's length
+            (2, x11**2, "residual", (3, "no sign convention passes")),
+        ],
+    )
+    def test_mutant_refused(self, monkeypatch, capsys, level, term, what, found):
+        solve = wittcore._solve_ghost
+
+        def with_term(p, targets, kind):
+            polys = solve(p, targets, kind)
+            if kind == "p-fold sum":
+                polys[level - 1] = polys[level - 1] + term
+            return polys
+
+        monkeypatch.setattr(wittcore, "_solve_ghost", with_term)
+        monkeypatch.setattr(wittcore, "_PFOLD_CACHE", {})
+        with pytest.raises(wittcore.DegreeAuditFailure) as refused:
+            pfold_decomposition(2, 3)
+        assert (refused.value.what, refused.value.level, refused.value.found) == (what, *found)
+        code = cli.main(["polys", "--p", "2", "--n", "3"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_FAIL == 1
+        assert err == f"polys: {what} audit failed at level {found[0]}: found {found[1]}\n"
+        assert out == ""
 
 
 class TestSerialization:
