@@ -11,7 +11,8 @@ Two kernel families live here:
 
 ``flat_mul`` is the reference product on structure rows: it loops over
 every (i, j, k) cell.  The rings of a tower multiply with a product that
-``compile_flat_mul`` generates once from their own rows, and the tests
+``compile_flat_mul`` (within ``compile_flat_ring``) generates once from
+their own rows, and the tests
 compare it with ``flat_mul``, and its x -> x^p (``compile_flat_pow``)
 with chained products.  In the same way ``compile_flat_linear`` turns a
 matrix on flattened coordinates (sigma^i or the trace of a tower) into
@@ -26,14 +27,19 @@ The tests compare the sum with the loop it replaced, the negative with
 the column-by-column solve, and the trace with the conjugates' Witt sum.
 ``compile_smith_solve`` turns a Smith form U*A*V = diag(p^v) into a
 straight-line solve of A*x = c, which the tests compare with the
-interpreted ``localfield.linsolve``.
+interpreted ``localfield.linsolve``.  ``compile_flat_ring`` adds a
+ring's valuation, unrolled in weight order, to its product's source,
+against the per-coordinate loop in ``tests/oracles.py``, and
+``compile_tower_draws`` unrolls a tower's element draws from the
+rejection loop of ``localfield._uniform``, their reference.
 
 The package calls them through ``kernels``.
 """
 
 from functools import cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
+from operator import itemgetter
 
 
 def monomial_key_mul(m1, m2):
@@ -257,12 +263,14 @@ def flat_mul_source(plan, rank: int, modulus: int, factors: str = "ab") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _define(source: str, filename: str, name: str, **bound):
-    """The function ``name`` defined by generated ``source``, the one place such
-    code is run: with no builtins, so it sees only its own names and ``bound``."""
+def _define(source: str, filename: str, names: str, **bound):
+    """The function of one name, or the tuple of the functions of several
+    space-separated ``names``, defined by generated ``source``: the one place
+    such code is run, with no builtins, so it sees only its own names and
+    ``bound``."""
     namespace = {"__builtins__": {}, **bound}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
+    return itemgetter(*names.split())(namespace)
 
 
 def compile_flat_mul(struct_rows, modulus: int):
@@ -272,6 +280,69 @@ def compile_flat_mul(struct_rows, modulus: int):
     rank = len(struct_rows)
     source = flat_mul_source(flat_mul_plan(struct_rows), rank, modulus)
     return _define(source, f"<flat_mul rank {rank}>", "mul")
+
+
+def flat_val_source(p: int, digits: int, by_weight) -> str:
+    """Straight-line source of ``val_raw(a)``: v_p(c_r)*e + w(r) minimized
+    over the coordinates of a rank-e ring modulo p^digits, None when all are
+    0 modulo p^digits; ``by_weight`` holds the pairs (r, w(r)) in increasing
+    weight.  g = gcd(p^digits, c_0, c_1, ...) is p^v, v = min_r v_p(c_r),
+    and ``scaled[g]`` is v*e.  The weights are distinct and below e, so the
+    minimum is v*e + w(r) for the least-weight r with c_r nonzero modulo
+    p^(v+1), and some r has one, so the last is not tested."""
+    modulus = _checked_int(p) ** _checked_int(digits)
+    names = [f"a{m}" for m in range(len(by_weight))]
+    lines = ["def val_raw(a):", f"    {_tuple(names)} = a", f"    g = gcd({modulus}, {', '.join(names)})"]
+    lines += [f"    if g == {modulus}:", "        return None", f"    q = g * {p}"]
+    for r, w in by_weight[:-1]:
+        lines += [f"    if a{_checked_int(r)} % q:", f"        return scaled[g] + {_checked_int(w)}"]
+    lines.append(f"    return scaled[g] + {_checked_int(by_weight[-1][1])}")
+    return "\n".join(lines) + "\n"
+
+
+def compile_flat_ring(struct_rows, p: int, digits: int, by_weight):
+    """``(mul, val_raw)`` modulo p^digits: the product of ``compile_flat_mul``
+    and ``flat_val_source``'s valuation, one source compiled once."""
+    rank, modulus = len(struct_rows), p**digits
+    source = flat_mul_source(flat_mul_plan(struct_rows), rank, modulus)
+    source += flat_val_source(p, digits, by_weight)
+    scaled = {p**v: v * len(by_weight) for v in range(digits)}
+    return _define(source, f"<flat_ring rank {rank}>", "mul val_raw", gcd=gcd, scaled=scaled)
+
+
+def uniform_lines(names, modulus) -> list:
+    """Source lines that set each local of ``names`` to a draw below
+    ``modulus`` (an int, inlined, or a local's name) as ``localfield._uniform``
+    does: getrandbits(modulus.bit_length()) until the value is below it."""
+    bits = f"{modulus}.bit_length()" if isinstance(modulus, str) else modulus.bit_length()
+    lines = []
+    for x in names:
+        draw = f"{x} = getrandbits({bits})"
+        lines += [f"    {draw}", f"    while {x} >= {modulus}:", f"        {draw}"]
+    return lines
+
+
+def compile_tower_draws(p: int, rank_L: int, rank_K: int, modulus: int, mul, pi_power):
+    """A tower's element draws, functions of ``getrandbits`` that draw each
+    coordinate below ``modulus`` in turn (``uniform_lines``), compiled once:
+    ``draw_L``, an O_L element; ``draw_spread(getrandbits, cap)``, the same
+    times ``pi_power(s)`` (by ``mul``) for a shift s below max(1, cap // 3);
+    ``draw_K``, an O_K element followed by O_L's zero tail; and ``draw_unit``,
+    ``draw_L`` until coordinate 0, of weight 0, is a unit (valuation 0)."""
+    names = [f"a{m}" for m in range(_checked_int(rank_L))]
+    coords, elem = uniform_lines(names, _checked_int(modulus)), _tuple(names)
+    lines = ["def draw_L(getrandbits):", *coords, f"    return {elem}"]
+    lines += ["def draw_spread(getrandbits, cap):", *coords, "    m = cap // 3", "    if m < 1:"]
+    lines += ["        m = 1", *uniform_lines(["s"], "m"), "    if s:"]
+    lines += [f"        return mul({elem}, pi_power(s))", f"    return {elem}"]
+    lines += ["def draw_K(getrandbits):", *uniform_lines(names[:rank_K], modulus)]
+    lines.append(f"    return {_tuple(names[:rank_K] + ['0'] * (rank_L - rank_K))}")
+    lines += ["def draw_unit(getrandbits):", "    while True:", "        a = draw_L(getrandbits)"]
+    lines += [f"        if a[0] % {_checked_int(p)}:", "            return a"]
+    return _define(
+        "\n".join(lines) + "\n", f"<tower_draws rank {rank_L}>",
+        "draw_L draw_spread draw_K draw_unit", mul=mul, pi_power=pi_power,
+    )
 
 
 def multinomial(counts) -> int:

@@ -552,12 +552,12 @@ def _field_draws(
 ) -> Iterator[tuple]:
     """The field lemmas' draw stream: attempt k < 20*samples draws ``a``
     from ``_sample_rngs``, times a random power of pi_L
-    (``random_L_raw``), and yields (label, a, v_L(a)), a a flat
-    coordinate tuple and v_L(a) an int, unless the cap does not decide
-    v_L(a) (``at_cap``)."""
-    draw, val, cap = tower.random_L_raw, tower.L.val_raw, tower.val_cap
+    (the tower's compiled ``draw_spread``, as ``random_L_raw``), and yields
+    (label, a, v_L(a)), a a flat coordinate tuple and v_L(a) an int,
+    unless the cap does not decide v_L(a) (``at_cap``)."""
+    draw, val, cap = tower.draws[1], tower.L.val_raw, tower.val_cap
     for label, rng in _sample_rngs(seed, lemma, 20 * samples):
-        a = draw(rng, True)
+        a = draw(rng.getrandbits, cap)
         va = at_cap(val(a), cap)
         if va is not None:
             yield label, a, va
@@ -914,14 +914,15 @@ def verify_fixed_points(
     one with a component moved off O_K is not."""
     n = witt_length("fixed_points", tower, n)
     L = tower.L
-    embed, add, mul, pi = L.embed, L.add, L.mul, L.pi_elem
-    draw_K, draw_unit, fixed = tower.random_K_raw, tower.random_L_unit_raw, tower._fixed_raw
+    add, mul, pi, fixed = L.add, L.mul, L.pi_elem, tower._fixed_raw
+    _, _, draw_K, draw_unit = tower.draws  # O_K elements come embedded in O_L
     report = _base_report(
         tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}
     )
     fixed_seen = 0
     for label, rng in _sample_rngs(seed, "fixed", samples):
-        kcomps = [embed(draw_K(rng)) for _ in range(n)]
+        bits = rng.getrandbits
+        kcomps = [draw_K(bits) for _ in range(n)]
         if not all(map(fixed, kcomps)):
             report.record_failure({"seed": label, "what": "fixed vector moved"})
             continue
@@ -931,7 +932,7 @@ def verify_fixed_points(
         # others were just found fixed, so the vector is fixed exactly when
         # the perturbed component is.
         (idx,) = _uniform(rng, n, 1)
-        if fixed(add(kcomps[idx], mul(pi, draw_unit(rng)))):
+        if fixed(add(kcomps[idx], mul(pi, draw_unit(bits)))):
             report.record_failure({"seed": label, "what": "moved vector looks fixed"})
     report.observations["fixed_vectors_checked"] = fixed_seen
     return report

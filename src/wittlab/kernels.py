@@ -5,12 +5,18 @@ module (``kernels.sparse_mul(...)``), so each kernel can be wrapped, for
 timing or tracing, in one place.
 
 The rings of a tower do not multiply through a kernel call: each one
-holds a product that ``compile_flat_mul`` generated from its structure
-rows when the ring was built (and x -> x^p from ``compile_flat_pow``, on
-first use); ``flat_mul`` is the product's reference.  Likewise sigma^i and the
-trace run through functions that ``compile_flat_linear`` generated from
-their matrices when the tower was built; a plain matrix-vector product
-in the tests is their reference.  Witt sums, negatives and the Witt
+holds a product and a valuation that ``compile_flat_ring`` generated
+from its structure rows and weights, as one source, when the ring was
+built (and x -> x^p from ``compile_flat_pow``, on first use);
+``flat_mul`` is the product's reference, and the per-coordinate
+valuation loop in ``tests/oracles.py`` the valuation's.  A tower's
+element draws are straight-line code that ``compile_tower_draws``
+generates on first use, making exactly the ``getrandbits`` calls of
+``localfield._uniform``, their reference, rejection loop included.
+Likewise sigma^i and the trace run through functions that
+``compile_flat_linear`` generated from their matrices when the tower
+was built; a plain matrix-vector product in the tests is their
+reference.  Witt sums, negatives and the Witt
 trace run one pass, which ``compile_ghost_pass`` generates on first use
 for each shape, moduli and rows (the identity, minus it, or the field
 trace) and caches for every ring that shares them; the tests' loops and
@@ -26,8 +32,10 @@ from ._kernels_py import (
     compile_flat_linear,
     compile_flat_mul,
     compile_flat_pow,
+    compile_flat_ring,
     compile_ghost_pass,
     compile_smith_solve,
+    compile_tower_draws,
     flat_mul,
     monomial_key_mul,
     sparse_add,

@@ -18,8 +18,8 @@ modulo p^N_int on a fixed Z_p-basis, pi_K^i on O_K and pi_K^i*pi_L^j at
 index j*e_K + i on O_L, so the O_K-coefficient of pi_L^j is a slice.
 Products are bilinear through structure rows built from the integer
 Eisenstein coefficients: each ring compiles them, once, into a
-straight-line product (``kernels.compile_flat_mul``), and
-``kernels.flat_mul`` on the same rows is its reference.  The Galois
+straight-line product, with its valuation (``kernels.compile_flat_ring``),
+and ``kernels.flat_mul`` on the same rows is its reference.  The Galois
 action and the trace are matrices on the same coordinates, which the
 tower compiles, once, into straight-line functions
 (``kernels.compile_flat_linear``), and a Smith form solved against on
@@ -130,6 +130,9 @@ class FlatRing:
     and ``struct[r][m]`` holds the coordinates of the product of basis
     elements r and m; ``mul`` is the product compiled from them, and
     ``pth_power`` is x -> x^p, compiled from them on first use.
+    ``val_raw(a)`` is the valuation in this ring's units, None when every
+    coordinate is 0 modulo p^digits: one gcd, then the coordinates in
+    increasing weight, compiled with ``mul`` (``kernels.compile_flat_ring``).
     ``ecoeffs`` are the non-leading coefficients of the level's
     Eisenstein polynomial, as elements of the level below: the integers,
     unreduced, that the ring and its lifts are built from.  ``lifts``
@@ -155,7 +158,8 @@ class FlatRing:
         self.block = block  # coordinates per coefficient of the level below
         self.weights = weights
         self.struct = struct
-        self.mul = kernels.compile_flat_mul(struct, self.modulus)
+        by_weight = tuple(sorted(enumerate(weights), key=lambda rw: rw[1]))
+        self.mul, self.val_raw = kernels.compile_flat_ring(struct, p, digits, by_weight)
         self.ecoeffs = ecoeffs
         self.flat_rank = len(weights)
         self.ram_index = self.flat_rank
@@ -168,10 +172,6 @@ class FlatRing:
         self.pi_elem = struct[0][block] if self.flat_rank > 1 else (-ecoeffs[0] % self.modulus,)
         self._lifts, self._level = lifts, ("O_K", "O_L").index(name)
         self._pth_power = None  # a cached_property's __dict__ write slows lookups
-        # for val_raw: p^v -> v below the modulus, and (index, weight) of
-        # the coordinates in increasing weight
-        self._p_exponent = {p**v: v for v in range(digits)}
-        self._by_weight = tuple(sorted(enumerate(weights), key=lambda rw: rw[1]))
 
     def from_int(self, k: int) -> "OElem":
         return OElem(self, (k % self.modulus,) + self.zero_elem[1:])
@@ -223,23 +223,6 @@ class FlatRing:
         if self._pth_power is None:
             self._pth_power = kernels.compile_flat_pow(self.struct, self.modulus, self.p, self.mul)
         return self._pth_power
-
-    def val_raw(self, a) -> int | None:
-        """Valuation in this ring's units: v_p(c_r)*e + w(r) minimized over
-        the coordinates, None when every coordinate is 0 modulo p^digits.
-
-        g = gcd(p^digits, c_0, c_1, ...) is p^v with v = min_r v_p(c_r).
-        The weights are distinct and below e, so the minimum is v*e + w(r)
-        for the least-weight r with v_p(c_r) = v, that is c_r nonzero
-        modulo p^(v+1): any coordinate of larger valuation contributes at
-        least (v+1)*e."""
-        g = math.gcd(self.modulus, *a)
-        if g == self.modulus:
-            return None
-        q = g * self.p
-        for r, w in self._by_weight:
-            if a[r] % q:
-                return self._p_exponent[g] * self.ram_index + w
 
 
 class _Lifts(dict):
@@ -599,6 +582,7 @@ class ExtensionTower:
         self._find_sigma()
         self._build_matrices()
         self._pi_L_pows = [self.L.one_elem]
+        self._draws = None  # the element draws, compiled on first use (``draws``)
 
         self.description = description
         blob = json.dumps(description, sort_keys=True, separators=(",", ":"))
@@ -903,29 +887,33 @@ class ExtensionTower:
 
     # -- sampling -----------------------------------------------------------
 
+    @property
+    def draws(self) -> tuple:
+        """``(draw_L, draw_spread, draw_K, draw_unit)``, functions of
+        ``rng.getrandbits`` compiled on first use (``kernels.compile_tower_draws``):
+        each coordinate and shift replays one ``rng.randrange``, values and state."""
+        if self._draws is None:
+            L = self.L
+            self._draws = kernels.compile_tower_draws(
+                self.p, L.flat_rank, self.K.flat_rank, self.modulus, L.mul, self._pi_L_power
+            )
+        return self._draws
+
     def random_K_raw(self, rng) -> tuple:
-        """Uniform O_K coordinates modulo p^N_int, the draws of one
-        ``rng.randrange(p^N_int)`` per coordinate."""
-        return tuple(_uniform(rng, self.modulus, self.K.flat_rank))
+        """Uniform O_K coordinates modulo p^N_int (``draws``)."""
+        return self.draws[2](rng.getrandbits)[: self.K.flat_rank]
 
     def random_L_raw(self, rng, spread_valuation: bool = False) -> tuple:
         """Uniform O_L coordinates modulo p^N_int; with ``spread_valuation``,
-        times pi_L to a random power below a third of the cap.  The draws
-        replay one ``rng.randrange`` per coordinate and one for the power."""
-        a = _uniform(rng, self.modulus, self.L.flat_rank)
+        times pi_L to a random power below a third of the cap, read at call
+        time (``draws``)."""
         if spread_valuation:
-            (shift,) = _uniform(rng, max(1, self.val_cap // 3), 1)
-            if shift:
-                return self.L.mul(a, self._pi_L_power(shift))
-        return tuple(a)
+            return self.draws[1](rng.getrandbits, self.val_cap)
+        return self.draws[0](rng.getrandbits)
 
     def random_L_unit_raw(self, rng) -> tuple:
-        """``random_L_raw`` draws until one has valuation 0."""
-        val = self.L.val_raw
-        while True:
-            a = self.random_L_raw(rng)
-            if val(a) == 0:
-                return a
+        """``random_L_raw`` draws until one has valuation 0 (``draws``)."""
+        return self.draws[3](rng.getrandbits)
 
     def _pi_L_power(self, k: int):
         """pi_L^k, from a per-tower table grown by one multiply per power."""

@@ -269,12 +269,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
     def test_short_of_samples_is_undetermined(self, lemma, monkeypatch, capsys):
-        # every draw is zero at precision, so no sample can be checked
-        monkeypatch.setattr(
-            localfield.ExtensionTower,
-            "random_L_raw",
-            lambda self, rng, spread_valuation=False: self.L.zero_elem,
-        )
+        # every draw is zero at precision, so no sample can be checked: the
+        # field lemmas draw through the tower's compiled draw_spread
+        draws = localfield.ExtensionTower.draws.fget
+
+        def zero_spread(self):
+            draw_L, _, draw_K, draw_unit = draws(self)
+            return draw_L, lambda getrandbits, cap: self.L.zero_elem, draw_K, draw_unit
+
+        monkeypatch.setattr(localfield.ExtensionTower, "draws", property(zero_spread))
         code = cli.main(
             ["verify", "--lemma", lemma, "--tower", "q2_i", "--samples", "3"]
         )

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -1118,11 +1119,38 @@ def check_field_lemma(tower, lemma, seeds):
         assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False), seed
 
 
+# sha256 of the field-lemma reports (40 samples, runtime left out) on the
+# p = 5 and p = 7 towers, whose moduli 5^18 and 7^17 are 42 and 48 bits
+# wide, so each coordinate draw spans two 32-bit words: neither the suite
+# aggregate (statuses and margins) nor the benchmark's digests (p <= 3)
+# pin those draws' reports
+FIELD_REPORT_SHA256 = {
+    ("septic", "vktr", 3): "89e9d0ced47769953ecb011b2b61836946c61c7a35681ab1446560968d8ee338",
+    ("septic", "vktr", 11): "4840cc0afb8403b4aee66874c9ab85fa5e38cf4039cc42a2fa8da498f521b209",
+    ("septic", "vksub", 3): "f26ce16cfa406cc1fe5a38500ca7dc4fe54e8095b410b19be1d86919ddced089",
+    ("septic", "vksub", 11): "5457ab4021c63a645b5795d0598a2d85af8f4dcdc0e24e02bfbb276005a2925a",
+    ("septic", "fixed_points", 3): "2f2b893a138ba7b22fe4ae0cde39d9b6914f7b35ddd10b4e4e9ace26756019aa",
+    ("septic", "fixed_points", 11): "09bdf28bea0037e4f9666a693b9e32af30f04d7095c9dccf61dc42a3c49348ad",
+    ("quintic", "vktr", 3): "05ec612124d7eb9742a5bcc0079b66adf6cdf4ad254d161ee5a477290f922abb",
+    ("quintic", "vktr", 11): "1a92fc4f4061384d6b427a0aa93e718a2472a38680586600f814e2be55302f63",
+    ("quintic", "vksub", 3): "b05c72467c6965cc347c2d8566838c757527d97be4c4067f59cb408b3fd73919",
+    ("quintic", "vksub", 11): "a1f31ed65f7ddc6c218e1d078bac244431364f645800c3a7d5aec9b4700cad0c",
+    ("quintic", "fixed_points", 3): "6b26a2e94c8546f0f39bc43d4c140fef9f4ff788775c11f3540a9414b6a65ee3",
+    ("quintic", "fixed_points", 11): "453140f42ee17c9be7a774414277c34a9f459c190f39d72ccc3e79cd28c2f197",
+}
+
+
 class TestFieldLemmaOracles:
     @pytest.mark.parametrize("lemma", sorted(FIELD_ORACLES))
     @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
     def test_flat_verifier_matches_oracle(self, all_towers, name, lemma):
         check_field_lemma(all_towers[name], lemma, range(5))
+
+    @pytest.mark.parametrize("name, lemma, seed", sorted(FIELD_REPORT_SHA256))
+    def test_reports_pinned_where_a_draw_spans_two_words(self, eight_towers, name, lemma, seed):
+        report = cohomlab.VERIFIERS[lemma](eight_towers[name], samples=40, seed=seed)
+        blob = report.to_json(include_runtime=False).encode()
+        assert hashlib.sha256(blob).hexdigest() == FIELD_REPORT_SHA256[name, lemma, seed]
 
     @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
     def test_failing_reports_match_oracle(self, q2_i, lemma, monkeypatch):

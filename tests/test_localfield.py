@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wittlab import cohomlab, localfield
-from wittlab.kernels import compile_flat_linear
+from wittlab import _kernels_py, cohomlab, localfield
+from wittlab.kernels import compile_flat_linear, compile_flat_ring
 from wittlab.localfield import (
     NoSolutionAtPrecision,
     NotEisenstein,
@@ -1066,15 +1066,15 @@ def test_vp_int_matches_repeated_division(p, vmax, unit, shift):
     assert _vp_int(x, p, vmax) == vp_int_by_division(x, p, vmax)
 
 
-def scaled_coords(draw_int, tower, rank):
-    """Flat coordinates, each drawn at random and scaled by one of 1,
-    p^(N-1), p^N (the cap), p^(N_int-1) (the last working digit) and
-    p^N_int, reduced modulo p^N_int."""
-    p, N = tower.p, tower.N
-    scales = (1, p ** (N - 1), p**N, p ** (tower.N_int - 1), p**tower.N_int)
+def scaled_coords(draw_int, tower, ring):
+    """Flat coordinates of ``ring``, each drawn at random and scaled by one
+    of 1, p^(N-1), p^N (the cap), p^(digits-1) (the ring's last digit) and
+    p^digits, reduced modulo p^digits."""
+    p, N, digits = tower.p, tower.N, ring.digits
+    scales = (1, p ** (N - 1), p**N, p ** (digits - 1), p**digits)
     return tuple(
-        (draw_int(0, tower.modulus - 1) * scales[draw_int(0, len(scales) - 1)]) % tower.modulus
-        for _ in range(rank)
+        (draw_int(0, ring.modulus - 1) * scales[draw_int(0, len(scales) - 1)]) % ring.modulus
+        for _ in range(ring.flat_rank)
     )
 
 
@@ -1082,8 +1082,8 @@ def check_zero_tests(tower, draw_int):
     """``is_zero_at_precision``, and ``_zero_raw`` on the pi_L coefficients
     beyond degree 0 (the "in O_K" test of the verifiers), against their
     valuation definitions, on an O_L and an O_K element."""
-    a = unflatten(tower.L, scaled_coords(draw_int, tower, tower.L.flat_rank))
-    b = unflatten(tower.K, scaled_coords(draw_int, tower, tower.K.flat_rank))
+    a = unflatten(tower.L, scaled_coords(draw_int, tower, tower.L))
+    b = unflatten(tower.K, scaled_coords(draw_int, tower, tower.K))
     assert is_zero_at_precision(tower, a) == (tower.vL(a) is None)
     assert is_zero_at_precision(tower, b) == (tower.vK(b) is None)
     in_K = all(
@@ -1139,43 +1139,51 @@ def test_trace_rationality_check(all_towers, name, monkeypatch):
 def edge_elements(tower, ring):
     """Coordinate tuples of ``ring`` at the edges a one-gcd test must
     decide: zero, and one or two coordinates a unit times 1, p^(N-1), p^N
-    (at the cap) or p^(N_int-1) (the last working digit), the rest zero.
+    (at the cap) or p^(digits-1) (the ring's last digit), the rest zero.
     Two coordinates of one valuation are told apart by their weights."""
     p, rank = tower.p, ring.flat_rank
     supports = [*itertools.combinations(range(rank), 1), *itertools.combinations(range(rank), 2)]
     yield ring.zero_elem
-    for k in (0, tower.N - 1, tower.N, tower.N_int - 1):
+    for k in (0, tower.N - 1, tower.N, ring.digits - 1):
         for support in supports:
             for unit in (1, p + 1, -1):
                 yield ring.reduce(tuple(unit * p**k * (m in support) for m in range(rank)))
 
 
-def check_one_gcd_primitives(tower, a_L, a_K):
-    """``val_raw`` and ``_zero_raw`` on O_L and O_K, and ``_fixed_raw`` on
-    O_L and on an element of O_K plus ``a_L`` times p^N, against their
-    per-coordinate oracles."""
-    L = tower.L
-    for ring, a in ((L, a_L), (tower.K, a_K)):
-        assert ring.val_raw(a) == val_by_coordinates(ring, a), (ring.name, a)
-        assert tower._zero_raw(a) == zero_by_coordinates(tower, a), (ring.name, a)
-    near_K = L.add(L.embed(a_K), L.scale_int(a_L, tower.prec_modulus))
-    for a in (a_L, near_K):
-        assert tower._fixed_raw(a) == fixed_by_substitution(tower, a), a
+# the digits the rings are lifted by: the working rings and flat_lift(1..3)
+LIFTS = range(4)
+
+
+def check_one_gcd_primitives(tower, a_L, a_K, extra=0):
+    """``val_raw`` on O_L and O_K lifted by ``extra`` digits, and on the
+    working rings ``_zero_raw`` on both and ``_fixed_raw`` on O_L and on an
+    element of O_K plus ``a_L`` times p^N, against their per-coordinate
+    oracles."""
+    L, K = tower.L.flat_lift(extra), tower.K.flat_lift(extra)
+    for ring, a in ((L, a_L), (K, a_K)):
+        assert ring.val_raw(a) == val_by_coordinates(ring, a), (ring.name, ring.digits, a)
+        if not extra:
+            assert tower._zero_raw(a) == zero_by_coordinates(tower, a), (ring.name, a)
+    if not extra:
+        near_K = L.add(L.embed(a_K), L.scale_int(a_L, tower.prec_modulus))
+        for a in (a_L, near_K):
+            assert tower._fixed_raw(a) == fixed_by_substitution(tower, a), a
 
 
 def check_one_gcd_edges(tower):
-    # O_K has no more coordinates than O_L, so its edges are cycled
-    K_edges = itertools.cycle(edge_elements(tower, tower.K))
-    for a_L, a_K in zip(edge_elements(tower, tower.L), K_edges):
-        check_one_gcd_primitives(tower, a_L, a_K)
+    for extra in LIFTS:
+        L, K = tower.L.flat_lift(extra), tower.K.flat_lift(extra)
+        # O_K has no more coordinates than O_L, so its edges are cycled
+        K_edges = itertools.cycle(edge_elements(tower, K))
+        for a_L, a_K in zip(edge_elements(tower, L), K_edges):
+            check_one_gcd_primitives(tower, a_L, a_K, extra)
 
 
 def check_one_gcd_draws(tower, draw_int):
-    check_one_gcd_primitives(
-        tower,
-        scaled_coords(draw_int, tower, tower.L.flat_rank),
-        scaled_coords(draw_int, tower, tower.K.flat_rank),
-    )
+    for extra in LIFTS:
+        L, K = tower.L.flat_lift(extra), tower.K.flat_lift(extra)
+        a_L, a_K = scaled_coords(draw_int, tower, L), scaled_coords(draw_int, tower, K)
+        check_one_gcd_primitives(tower, a_L, a_K, extra)
 
 
 @pytest.mark.parametrize("name", TOWER_NAMES)
@@ -1214,29 +1222,41 @@ def test_draws_replay_randrange(all_towers, seed):
     assert localfield._uniform(rng, 5, 0) == [] and rng.getstate() == state
 
 
-def test_tower_draws_replay_randrange(all_towers):
-    """The tower's tuple draws, the unit draw among them, draw as the
-    per-coordinate randrange loops do."""
-    for name, tower in all_towers.items():
+def check_tower_draws_replay(tower, patch):
+    """The tower's compiled draws (``draws``, as the verifiers bind them,
+    and through ``random_*_raw``), the unit draw among them, draw as the
+    per-coordinate randrange loops do, values and generator state, with
+    the shift range of the tower's own cap, of a cap of 150, and of a cap
+    below 6, where it is 1."""
+    draw_L, draw_spread, draw_K, draw_unit = tower.draws
+    for val_cap in (tower.val_cap, 150, 5):
+        patch.setattr(tower, "val_cap", val_cap)
         for seed in range(10):
-            want, got = random.Random(seed), random.Random(seed)
-            expected = tuple(
-                a.data
-                for a in (
-                    randrange_L_elem(tower, want, spread_valuation=True),
-                    randrange_K_elem(tower, want),
-                    randrange_L_elem(tower, want),
-                    randrange_L_unit(tower, want),
-                )
-            )
+            want, direct, methods = (random.Random(seed) for _ in range(3))
+            spread = randrange_L_elem(tower, want, spread_valuation=True).data
+            k = randrange_K_elem(tower, want).data
+            expected = (spread, k, randrange_L_elem(tower, want).data, randrange_L_unit(tower, want).data)
+            bits = direct.getrandbits
+            drawn = (draw_spread(bits, val_cap), draw_K(bits), draw_L(bits), draw_unit(bits))
+            assert drawn == (spread, tower.L.embed(k), *expected[2:]), (val_cap, seed)
+            assert direct.getstate() == want.getstate(), (val_cap, seed)
             drawn = (
-                tower.random_L_raw(got, spread_valuation=True),
-                tower.random_K_raw(got),
-                tower.random_L_raw(got),
-                tower.random_L_unit_raw(got),
+                tower.random_L_raw(methods, spread_valuation=True),
+                tower.random_K_raw(methods),
+                tower.random_L_raw(methods),
+                tower.random_L_unit_raw(methods),
             )
-            assert drawn == expected, (name, seed)
-            assert got.getstate() == want.getstate(), (name, seed)
+            assert drawn == expected, (val_cap, seed)
+            assert methods.getstate() == want.getstate(), (val_cap, seed)
+
+
+def test_tower_draws_replay_randrange(eight_towers, monkeypatch):
+    """On every tower, septic included, whose modulus 7^17 needs two 32-bit
+    words per getrandbits call."""
+    assert eight_towers["septic"].modulus.bit_length() > 32
+    for name, tower in eight_towers.items():
+        with monkeypatch.context() as patch:
+            check_tower_draws_replay(tower, patch)
 
 
 def below_bit_short(rng, n):
@@ -1271,12 +1291,47 @@ class UniformBitShort:
 
 
 class ValIndexOrder:
-    # scans the coordinates by index, not by weight: the same on O_K and
-    # on O_L over Q_p, where the two orders agree
+    # the valuation generated with the coordinates in index order, not by
+    # weight: the same on O_K and on O_L over Q_p, where the two orders agree
     def __init__(self, towers, patch):
         for tower in towers.values():
-            for ring in (tower.K, tower.L):
-                patch.setattr(ring, "_by_weight", tuple(enumerate(ring.weights)))
+            for extra in LIFTS:
+                for ring in (tower.K.flat_lift(extra), tower.L.flat_lift(extra)):
+                    by_index = tuple(enumerate(ring.weights))
+                    _, val_raw = compile_flat_ring(ring.struct, ring.p, ring.digits, by_index)
+                    patch.setattr(ring, "val_raw", val_raw)
+
+
+def uniform_lines_bit_short(names, modulus):
+    # below_bit_short's draw in the generated source: (m - 1).bit_length() bits
+    if isinstance(modulus, str):
+        bits = f"({modulus} - 1).bit_length()"
+    else:
+        bits = (modulus - 1).bit_length()
+    lines = []
+    for x in names:
+        draw = f"{x} = getrandbits({bits})"
+        lines += [f"    {draw}", f"    while {x} >= {modulus}:", f"        {draw}"]
+    return lines
+
+
+class CompiledDraws:
+    # the towers' draws generated again from ``lines`` and compiled on next use
+    def __init__(self, towers, patch):
+        patch.setattr(_kernels_py, "uniform_lines", self.lines)
+        for tower in towers.values():
+            patch.setattr(tower, "_draws", None)
+
+
+class DrawAcceptsModulus(CompiledDraws):
+    # rejects only a draw above the modulus: `>` where `>=` belongs
+    @staticmethod
+    def lines(names, modulus, uniform_lines=_kernels_py.uniform_lines):
+        return [line.replace(" >= ", " > ") for line in uniform_lines(names, modulus)]
+
+
+class DrawBitShort(CompiledDraws):
+    lines = staticmethod(uniform_lines_bit_short)
 
 
 class ZeroOneDigitShort:
@@ -1287,7 +1342,15 @@ class ZeroOneDigitShort:
 
 
 @pytest.mark.parametrize(
-    "mutant", [BelowBitShort, UniformBitShort, ValIndexOrder, ZeroOneDigitShort]
+    "mutant",
+    [
+        BelowBitShort,
+        UniformBitShort,
+        ValIndexOrder,
+        ZeroOneDigitShort,
+        DrawAcceptsModulus,
+        DrawBitShort,
+    ],
 )
 def test_one_call_primitive_mutants_fail(all_towers, mutant, monkeypatch):
     moduli = draw_moduli(all_towers)
@@ -1298,6 +1361,7 @@ def test_one_call_primitive_mutants_fail(all_towers, mutant, monkeypatch):
             for modulus in moduli:
                 check_draws_replay_randrange(modulus, 0)
             for tower in all_towers.values():
+                check_tower_draws_replay(tower, patch)
                 check_one_gcd_edges(tower)
                 for _ in range(50):
                     check_one_gcd_draws(tower, rng.randint)
