@@ -394,7 +394,7 @@ def enumerate_maps(tower: ExtensionTower, digits: int) -> dict[str, tuple]:
     maps = {
         name: ([[x % modulus for x in row] for row in mat], set(), set())
         for name, mat in (
-            ("trace", tower.trace_mat),
+            ("trace", tower.trace_rows(tower.N_int)),
             ("sigma_minus_one", tower.sigma_minus_one_mat),
         )
     }
@@ -632,7 +632,7 @@ def verify_vktr(
     each bound checked at ``val_cap_K`` by ``_at_least``."""
     witt_length("vktr", tower, n)
     p, s, cap_K = tower.p, tower.s, tower.val_cap_K
-    trace, val_K = tower._trace_raw, tower.K.val_raw
+    trace, val_K = tower.trace_map, tower.K.val_raw
     report = _base_report(tower, "vktr", {"samples": samples, "seed": seed})
     checked = 0
     for label, a, va in _field_draws(tower, samples, seed, "vktr"):
@@ -661,7 +661,7 @@ def verify_vksub(
     divisors of the modulus, which reduction does not change."""
     witt_length("vksub", tower, n)
     e_k, cap_K = tower.e_K, tower.val_cap_K
-    trace, val_K = tower._trace_raw, tower.K.val_raw
+    trace, val_K = tower.trace_map, tower.K.val_raw
     pow_L, pow_K = tower.L.pth_power, tower.K.pth_power
     sub = operator.sub
     report = _base_report(tower, "vksub", {"samples": samples, "seed": seed})
@@ -715,9 +715,9 @@ def verify_carry_identity(
     for sample in _sampler_mix(tower, n, samples, seed, "carry"):
         comps = sample.vec.components
         columns = [tower.conjugates_raw(c) for c in comps[: n - 2]]
-        traces = [tower._trace_raw(c) for c in comps]
+        traces = [tower.trace_map(c) for c in comps]
         for level in range(2, n + 1):
-            t_pow = tower._trace_raw(L.pth_power(comps[level - 2]))
+            t_pow = tower.trace_map(L.pth_power(comps[level - 2]))
             t_prev_p = K.pth_power(traces[level - 2])
             h = tower.project_to_K_raw(_residual(tower, columns, level))
             # p*(-tr(x_l)) - (bracket + p*h), and the binomial term under each sign

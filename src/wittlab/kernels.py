@@ -14,9 +14,11 @@ element draws are straight-line code that ``compile_tower_draws``
 generates on first use, making exactly the ``getrandbits`` calls of
 ``localfield._uniform``, their reference, rejection loop included.
 Likewise sigma^i and the trace run through functions that
-``compile_flat_linear`` generated from their matrices when the tower
-was built; a plain matrix-vector product in the tests is their
-reference.  Witt sums, negatives and the Witt
+``compile_flat_linear`` generated, when the tower was built, from their
+one source each: sigma^i's matrices from the powers of sigma(pi_L), the
+trace's rows from E_L's power sums, compared once at build.  A plain
+matrix-vector product in the tests is their reference, and substitution
+into an element's coefficients the oracle of sigma^i.  Witt sums, negatives and the Witt
 trace run one pass, which ``compile_ghost_pass`` generates on first use
 for each shape, moduli and rows (the identity, minus it, or the field
 trace) and caches for every ring that shares them; the tests' loops and

@@ -9,9 +9,8 @@ so the margin fixes the draws and every sampled verdict, and a linear
 solve that loses delta digits to its pivots still holds past N.  One
 root of the top Eisenstein polynomial, sigma(pi_L), is lifted by
 Newton's method a few digits past N_int and reduced, so it is the
-reduction of a root in O_L: the Galois substitution is an exact
-automorphism of order p of the working ring, and the trace built from
-it is exact.
+reduction of a root in O_L, and sigma, read from it, is an exact
+automorphism of order p of the working ring.
 
 O_K and O_L are both a ``FlatRing``: an element is a tuple of residues
 modulo p^N_int on a fixed Z_p-basis, pi_K^i on O_K and pi_K^i*pi_L^j at
@@ -19,12 +18,16 @@ index j*e_K + i on O_L, so the O_K-coefficient of pi_L^j is a slice.
 Products are bilinear through structure rows built from the integer
 Eisenstein coefficients: each ring compiles them, once, into a
 straight-line product, with its valuation (``kernels.compile_flat_ring``),
-and ``kernels.flat_mul`` on the same rows is its reference.  The Galois
-action and the trace are matrices on the same coordinates, which the
-tower compiles, once, into straight-line functions
-(``kernels.compile_flat_linear``), and a Smith form solved against on
-every sample compiles its solve on first use (``SmithForm.solve``);
-``linsolve`` interprets a form, for the forms used once.
+and ``kernels.flat_mul`` on the same rows is its reference.  Each
+field map has one source: sigma^i are matrices on the same coordinates
+built from the powers of sigma(pi_L), and the trace into O_K comes from
+E_L's power sums, with no sigma.  One comparison at build, exact modulo
+p^N_int, ties the two; substituting sigma^i(pi_L) into an element's
+coefficients is the tests' oracle.  The tower compiles each map, once,
+into a straight-line function (``kernels.compile_flat_linear``), and a
+Smith form solved against on every sample compiles its solve on first
+use (``SmithForm.solve``); ``linsolve`` interprets a form, for the forms
+used once.
 
 Valuations are reported at the advertised cap (``at_cap``): a value at
 or beyond the cap is None, the interval "at least cap", and the
@@ -606,18 +609,17 @@ class ExtensionTower:
             raise NotNormal("ramification break would be < 1")
         self.dv = dv
         self.sigma_root = self._sigma_root(dv, s_pre)
+        self._build_galois()
 
-        # conj[i] = sigma^i(pi), the points the substitution path evaluates at
-        conj = [pi]
-        for _ in range(p - 1):
-            conj.append(self._subst(conj[-1], self.sigma_root))
-        wrap = self._subst(conj[-1], self.sigma_root)
+        # conj[i] = sigma^i(pi_L), the column of basis element pi_L in sigma^i
+        conj = tuple(tuple(row[self.e_K] for row in mat) for mat in self.galois_mats)
+        wrap = self.galois_maps[1](conj[-1])
         if not self._close_raw(wrap, pi, self.val_cap):
             raise NotNormal("Galois substitution does not have order p at precision")
         for i in range(1, p):
             if self._close_raw(conj[i], pi, self.val_cap):
                 raise NotNormal("Galois substitution has order < p at precision")
-        self.pi_conjugates = tuple(conj)
+        self.pi_conjugates = conj
 
         diff = L.sub(conj[1], pi)
         vdiff = at_cap(L.val_raw(diff), self.val_cap)
@@ -654,49 +656,57 @@ class ExtensionTower:
             raise NotNormal("Newton's method gave no root of the top polynomial")
         return root
 
-    def _subst(self, a, point):
-        """Evaluate the coefficient polynomial of ``a`` at another root."""
-        L = self.L
-        acc = L.zero_elem
-        for j in range(self.p - 1, -1, -1):
-            acc = L.add(L.mul(acc, point), L.embed(L.coeff(a, j)))
-        return acc
-
     def _close_raw(self, a, b, cap: int) -> bool:
         return at_cap(self.L.val_raw(self.L.sub(a, b)), cap) is None
 
-    def _build_matrices(self) -> None:
-        """sigma^i and the trace as matrices on flat coordinates, each
-        also compiled into a straight-line function.
-
-        Multiplication in the working ring is exactly bilinear modulo
-        p^N_int, so sigma^i is linear on flat coordinates and its matrix,
-        built by the substitution path on the flat basis, reproduces the
-        substitution byte for byte.
-        """
-        rank, mod = self.L.flat_rank, self.modulus
+    def _build_galois(self) -> None:
+        """``galois_mats[i]``, sigma^i on flat coordinates (entry [r][m] is
+        coordinate r of sigma^i of basis element m), and ``galois_maps[i]``,
+        each compiled (index 0 unused).  sigma comes from rho = ``sigma_root``
+        alone: pi_K^a*pi_L^b, basis element b*e_K + a, maps to pi_K^a*rho^b.
+        The product is exactly bilinear modulo p^N_int, so sigma^i's columns
+        are sigma of sigma^(i-1)'s, byte for byte the substitution of
+        sigma^i(pi_L) that the tests keep as the oracle."""
+        L, e, mod = self.L, self.e_K, self.modulus
+        rank = L.flat_rank
         basis = [tuple(int(r == m) for r in range(rank)) for m in range(rank)]
-        # galois_mats[i][r][m]: coordinate r of sigma^i applied to basis vector m
-        self.galois_mats = tuple(
-            tuple(zip(*(self._galois_by_substitution(b, i) for b in basis)))
-            for i in range(self.p)
-        )
-        self.trace_full_mat = tuple(
-            tuple(sum(col) % mod for col in zip(*rows)) for rows in zip(*self.galois_mats)
-        )
-        # the same maps as straight-line functions on flat coordinates;
-        # galois_maps[i] applies sigma^i for i >= 1 (index 0 is unused)
-        self.galois_maps = (None,) + tuple(
-            kernels.compile_flat_linear(m, mod) for m in self.galois_mats[1:]
-        )
-        self.trace_map = kernels.compile_flat_linear(self.trace_full_mat, mod)
-        # the trace into O_K: the first e_K rows of the full trace
-        self.trace_mat = self.trace_full_mat[: self.K.flat_rank]
+        powers = [L.one_elem]
+        for _ in range(self.p - 1):
+            powers.append(L.mul(powers[-1], self.sigma_root))
+        columns = [L.mul(basis[a], power) for power in powers for a in range(e)]
+        mats = [tuple(zip(*basis)), tuple(zip(*columns))]
+        sigma = kernels.compile_flat_linear(mats[1], mod)
+        maps = [None, sigma]
+        for _ in range(2, self.p):
+            columns = [sigma(c) for c in columns]
+            mats.append(tuple(zip(*columns)))
+            maps.append(kernels.compile_flat_linear(mats[-1], mod))
+        self.galois_mats, self.galois_maps = tuple(mats), tuple(maps)
+
+    def _check_trace(self, rows: tuple) -> None:
+        """sum_i ``galois_mats[i]`` must be ``rows``, the trace from E_L's
+        power sums, above zero rows, exactly modulo p^N_int: the one
+        comparison of the two sources, made at build.  A difference, as
+        from a root exact to fewer digits, is an internal fault."""
+        mod, rank = self.modulus, self.L.flat_rank
+        total = tuple(tuple(sum(col) % mod for col in zip(*r)) for r in zip(*self.galois_mats))
+        if total != rows + ((0,) * rank,) * (rank - len(rows)):
+            raise TraceNotRational("the sum of sigma^i is not the trace from E_L's power sums")
+
+    def _build_matrices(self) -> None:
+        """The trace, ``trace_rows(N_int)`` with no sigma, compiled as
+        ``trace_map`` into O_K coordinates and checked against sigma once;
+        sigma - 1's matrix; the trace's Smith form."""
+        mod = self.modulus
+        self._trace_rows: dict[int, tuple] = {}  # digits -> the trace into O_K
+        rows = self.trace_rows(self.N_int)
+        self._check_trace(rows)
+        self.trace_map = kernels.compile_flat_linear(rows, mod)
         self.sigma_minus_one_mat = [
             [(x - (r == m)) % mod for m, x in enumerate(row)]
             for r, row in enumerate(self.galois_mats[1])
         ]
-        self._trace_snf = smith_normal_form(self.trace_mat, self.p, self.N_int)
+        self._trace_snf = smith_normal_form(rows, self.p, self.N_int)
         self.trace_kernel_flat = tuple(tuple(k) for k in self._trace_snf.kernel_basis())
         # whether tr(x) = c is solvable depends on c modulo p^delta, delta
         # the largest pivot; a zero row of the form needs every digit
@@ -711,7 +721,6 @@ class ExtensionTower:
         self._trace_kernel_maps = None
         self.unsolvable_prefixes: set[tuple] = set()
         self._smo_snf: dict[int, SmithForm] = {}  # digits -> Smith form of sigma - 1
-        self._trace_rows: dict[int, tuple] = {}  # digits -> the trace into O_K
 
     @property
     def trace_kernel_maps(self):
@@ -734,14 +743,6 @@ class ExtensionTower:
         return self._trace_kernel_maps
 
     # -- raw (tuple-level) operations -----------------------------------
-
-    def _galois_by_substitution(self, a, times: int):
-        """sigma^times by substituting sigma^times(pi_L) into the
-        coefficients of ``a``; builds ``galois_mats`` and is their oracle."""
-        times %= self.p
-        if times == 0:
-            return a
-        return self._subst(a, self.pi_conjugates[times])
 
     def _galois_raw(self, a, times: int):
         times %= self.p
@@ -777,20 +778,6 @@ class ExtensionTower:
             raise TraceNotRational("element does not lie in O_K at precision")
         return a[:e]
 
-    def _trace_raw(self, a):
-        """tr(a) on O_K flat coordinates through the compiled ``trace_map``;
-        TraceNotRational unless every pi_L coefficient past the first is
-        zero at precision (one gcd, as ``_zero_raw``)."""
-        acc = self.trace_map(a)
-        e, m = self.K.flat_rank, self.prec_modulus
-        if math.gcd(m, *acc[e:]) != m:
-            j = next(
-                j for j in range(1, self.p) if not self._zero_raw(self.L.coeff(acc, j))
-            )
-            v = self.K.val_raw(self.L.coeff(acc, j))
-            raise TraceNotRational(f"trace has a pi_L^{j} coefficient of valuation {v}")
-        return acc[:e]
-
     # -- public element API ----------------------------------------------
 
     @property
@@ -810,7 +797,7 @@ class ExtensionTower:
     def trace(self, a: OElem) -> OElem:
         if a.level is not self.L:
             raise ValueError("trace expects an O_L element")
-        return OElem(self.K, self._trace_raw(a.data))
+        return OElem(self.K, self.trace_map(a.data))
 
     def vL(self, a: OElem) -> int | None:
         if a.level is self.K:
@@ -871,7 +858,9 @@ class ExtensionTower:
         the j-th power sum of E_L's roots, from Newton's identities
         P_k + a_(p-1)*P_(k-1) + ... + a_(p-k+1)*P_1 + k*a_(p-k) = 0 on the
         unreduced coefficients a_j of E_L, in O_K at that digit count.  At
-        N_int they are ``trace_mat``."""
+        N_int they are the tower's one source of the trace: ``trace_map``
+        is compiled from them, the trace's Smith form is theirs, and the
+        build checks them against the sum of sigma^i (``_check_trace``)."""
         rows = self._trace_rows.get(digits)
         if rows is None:
             K, p, a = self.K.flat_lift(digits - self.N_int), self.p, self.L.ecoeffs

@@ -93,6 +93,27 @@ def eight_towers(all_towers, septic, quintic):
     return {**all_towers, "septic": septic, "quintic": quintic}
 
 
+# ROADMAP item 25's towers (odd p over a ramified base, the largest
+# break, a rank-8 2-power step) and the p = 5 Kummer step of item 27,
+# K = Q5(zeta_5), L = K(pi_K^(1/5)), of rank 20
+RAMIFIED_BASE_TOWERS = {
+    "q3z3_kummer": {"p": 3, "N": "auto", "E_K": [3, 3, 1], "E_L": [[0, -1], [0], [0], [1]]},
+    "q3z9_over_z3": {"p": 3, "N": "auto", "E_K": [3, 3, 1], "E_L": [[0, -1], [3], [3], [1]]},
+    "q2z8_over_i": {"p": 2, "N": "auto", "E_K": [2, 2, 1], "E_L": [[0, -1], [2], [1]]},
+    "q2z16_over_z8": {"p": 2, "N": "auto", "E_K": [2, 4, 6, 4, 1], "E_L": [[0, -1], [2], [1]]},
+    "q5z5_kummer": {
+        "p": 5, "N": "auto", "E_K": [5, 10, 10, 5, 1],
+        "E_L": [[0, -1], [0], [0], [0], [0], [1]],
+    },
+}
+
+
+@pytest.fixture(scope="session")
+def ramified_base_towers():
+    """Item 25's four towers and the rank-20 Kummer step, by name."""
+    return {name: localfield.tower_from_obj(obj) for name, obj in RAMIFIED_BASE_TOWERS.items()}
+
+
 @pytest.fixture(scope="session")
 def stable_witt_length_closed():
     """The closed form of the stable length, least M with p^(M-1) > s:

@@ -39,6 +39,12 @@
 * The component polynomials of a p-fold sum by folding the binary
   addition polynomials (``pfold_components_by_folding``), which
   ``wittcore.PFoldDecomposition`` solves from their ghost identities.
+* sigma^i by substitution (``substitute``, ``galois_by_substitution``,
+  ``conjugates_by_substitution``): the coefficient polynomial of an
+  element, its O_K coefficients of the powers of pi_L, evaluated by
+  Horner at sigma^i(pi_L), which is sigma(pi_L) substituted into itself
+  i - 1 times.  The package builds sigma's matrix from the powers of
+  sigma(pi_L) and sigma^i by applying it; these are its oracle.
 * The roots of E_L by the digit-by-digit search that Newton's method
   replaced (``roots_by_digit_search``), and ``DigitSearchTower``, a tower
   whose sigma is chosen from them by the old rule (the first root in the
@@ -46,9 +52,12 @@
   one pi_L-adic digit at a time, so its roots are zeros of E_L modulo
   p^N_int but not always reductions of roots in O_L; the tests compare
   the Newton roots with them to N_int - 2 digits, and the decisions to
-  build or refuse on a list of small Eisenstein polynomials.
+  build or refuse on a list of small Eisenstein polynomials.  Such a
+  root fails the build's exact comparison of the sum of sigma^i with
+  the trace from E_L's power sums on most towers, so this oracle of the
+  root skips that comparison (``_check_trace``).
   ``PowerSigmaTower`` takes sigma^k as its generator, for the tests that
-  a verdict does not depend on the generator; both override
+  a verdict does not depend on the generator; it overrides
   ``ExtensionTower._sigma_root`` alone.
 * A particular solution plus a combination of the trace-kernel basis as
   the loop over the basis (``kernel_elem_by_loop``); the package applies
@@ -57,7 +66,9 @@
   sampler's memo keys.
 * ``wrong_in_last``, a solve whose answers are off by one in the last
   coordinate, which sigma moves: the wrong solve the postconditions and
-  oracles must catch.
+  oracles must catch; and ``trace_rows_off_by_one``, the trace from
+  E_L's power sums with one entry off by one, which the build must
+  refuse.
 * ``unflatten``, ``is_zero_at_precision``, ``eq_at_precision``,
   ``in_K_at_precision``, ``pi_K`` and ``project_to_K``: OElem helpers
   that only the tests use, and ``zmod``, Z/p^k as a rank-1 tower ring.
@@ -224,13 +235,47 @@ def roots_by_digit_search(L, dv, s_pre) -> list:
     return others
 
 
+def substitute(L, a, point):
+    """The coefficient polynomial of ``a`` in O_L, sum_j a_j*pi_L^j with
+    a_j in O_K, evaluated at ``point`` by Horner."""
+    acc = L.zero_elem
+    for j in range(L.p - 1, -1, -1):
+        acc = L.add(L.mul(acc, point), L.embed(L.coeff(a, j)))
+    return acc
+
+
+def pi_conjugates_by_substitution(tower) -> tuple:
+    """sigma^i(pi_L) for i = 0, ..., p-1: sigma(pi_L) substituted into
+    sigma^(i-1)(pi_L)."""
+    conj = [tower.L.pi_elem]
+    for _ in range(tower.p - 1):
+        conj.append(substitute(tower.L, conj[-1], tower.sigma_root))
+    return tuple(conj)
+
+
+def conjugates_by_substitution(tower, a) -> tuple:
+    """sigma^i(a) for i = 0, ..., p-1, each by substitution."""
+    return tuple(substitute(tower.L, a, point) for point in pi_conjugates_by_substitution(tower))
+
+
+def galois_by_substitution(tower, a, times: int):
+    """sigma^times(a) by substituting sigma^times(pi_L) into the
+    coefficients of ``a``."""
+    return substitute(tower.L, a, pi_conjugates_by_substitution(tower)[times % tower.p])
+
+
 class DigitSearchTower(ExtensionTower):
     """An ``ExtensionTower`` whose sigma is the first of the roots
     ``roots_by_digit_search`` finds, in sorted order; the dv checks before
-    it and the substitution checks after it are the package's."""
+    it and the order checks after it are the package's.  It skips the
+    comparison of the sum of sigma^i with the trace from E_L's power sums,
+    which a root exact only to N_int - 2 digits fails."""
 
     def _sigma_root(self, dv: int, s_pre: int):
         return roots_by_digit_search(self.L, dv, s_pre)[0]
+
+    def _check_trace(self, rows: tuple) -> None:
+        pass
 
 
 class PowerSigmaTower(ExtensionTower):
@@ -244,7 +289,7 @@ class PowerSigmaTower(ExtensionTower):
     def _sigma_root(self, dv: int, s_pre: int):
         root = point = super()._sigma_root(dv, s_pre)
         for _ in range(self.k - 1):
-            point = self._subst(point, root)
+            point = substitute(self.L, point, root)
         return point
 
 
@@ -284,6 +329,20 @@ def wrong_in_last(solve):
         return x[:-1] + (x[-1] + 1,), delta
 
     return wrong
+
+
+def trace_rows_off_by_one(monkeypatch, r, m):
+    """Patch ``ExtensionTower.trace_rows`` so that its entry (r, m), taken
+    modulo the rows' shape, is one too large."""
+    true_rows = ExtensionTower.trace_rows
+
+    def off_by_one(self, digits):
+        rows = [list(row) for row in true_rows(self, digits)]
+        row = rows[r % len(rows)]
+        row[m % len(row)] = (row[m % len(row)] + 1) % self.p**digits
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(ExtensionTower, "trace_rows", off_by_one)
 
 
 def unflatten(ring, coords) -> OElem:
@@ -347,8 +406,7 @@ def zero_by_coordinates(tower, coords):
 
 def fixed_by_substitution(tower, a):
     """sigma(a) = a at precision, with sigma(a) by substitution."""
-    L = tower.L
-    return zero_by_coordinates(tower, L.sub(tower._galois_by_substitution(a, 1), a))
+    return zero_by_coordinates(tower, tower.L.sub(substitute(tower.L, a, tower.sigma_root), a))
 
 
 def vL_by_coordinates(tower, a: OElem) -> ValExtended:

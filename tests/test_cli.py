@@ -9,7 +9,7 @@ import pytest
 
 from wittlab import cli, cohomlab, localfield, wittcore
 
-from oracles import wrong_in_last
+from oracles import trace_rows_off_by_one, wrong_in_last
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -628,6 +628,26 @@ class TestWrongSolve:
         assert code == cli.EXIT_CRASH == 70
         assert err == f"verify: main crashed: {crash}\n"
         assert not out
+
+
+EIGHT_TOWERS = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic", "septic", "quintic"]
+
+
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
+def test_trace_check_failure_crashes_tower_info(eight_towers, name, tmp_path, monkeypatch, capsys):
+    # the build's comparison of the sum of sigma^i with the trace from
+    # E_L's power sums failing is an internal fault: 70, on one line
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(eight_towers[name].description))
+    trace_rows_off_by_one(monkeypatch, 0, 1)
+    code = cli.main(["tower-info", "--tower", str(path)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CRASH == 70
+    assert err == (
+        "tower-info: crashed: TraceNotRational: "
+        "the sum of sigma^i is not the trace from E_L's power sums\n"
+    )
+    assert not out
 
 
 class TestExitPath:

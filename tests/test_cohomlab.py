@@ -773,7 +773,7 @@ class TestH1Orders:
         # largest pivot, which then counts as zero
         for name, tower in eight_towers.items():
             digits = max(tower._trace_snf.pivots)
-            short = localfield.smith_normal_form(tower.trace_mat, tower.p, digits)
+            short = localfield.smith_normal_form(tower.trace_rows(tower.N_int), tower.p, digits)
             with monkeypatch.context() as patch:
                 patch.setattr(tower, "_trace_snf", short)
                 with pytest.raises(cohomlab.OrderMismatch, match="finite pivots"):

@@ -12,7 +12,7 @@ from wittlab import _kernels_py as pure
 from wittlab import cohomlab, kernels, wittcore
 from wittlab.localfield import NoSolutionAtPrecision, build_tower, linsolve, smith_normal_form
 
-from oracles import ghost_sum_by_loops, pi_K, unflatten
+from oracles import conjugates_by_substitution, ghost_sum_by_loops, pi_K, unflatten
 
 
 def rand_terms(rng, nvars=5, nterms=8, maxexp=6):
@@ -548,13 +548,15 @@ class TestCompiledLinear:
         tower = all_towers[name]
         L, modulus = tower.L, tower.modulus
         a = tuple(data.draw(st.integers(0, modulus - 1)) for _ in range(L.flat_rank))
+        conjugates = conjugates_by_substitution(tower, a)
         for i in range(1, tower.p):
             got = tower.galois_maps[i](a)
             assert got == mat_vec(tower.galois_mats[i], a, modulus), i
-            assert got == tower._galois_by_substitution(a, i), i
-        conjugates = [tower._galois_by_substitution(a, i) for i in range(tower.p)]
+            assert got == conjugates[i], i
         full = tuple(sum(col) % modulus for col in zip(*conjugates))
-        assert tower.trace_map(a) == mat_vec(tower.trace_full_mat, a, modulus) == full
+        rows = tower.trace_rows(tower.N_int)
+        assert tower.trace_map(a) == mat_vec(rows, a, modulus) == full[: tower.e_K]
+        assert not any(full[tower.e_K :])
 
     @pytest.mark.parametrize("zero_odds", [0, 50, 100])
     @pytest.mark.parametrize("shape", ["square", "e_K x rank"])
@@ -580,7 +582,7 @@ class TestCompiledLinear:
                 tower = all_towers[name]
                 rank, modulus = tower.L.flat_rank, tower.modulus
                 vectors = [tuple(draw(0, modulus - 1) for _ in range(rank)) for _ in range(4)]
-                for matrix in tower.galois_mats[1:] + (tower.trace_full_mat,):
+                for matrix in tower.galois_mats[1:] + (tower.trace_rows(tower.N_int),):
                     check_linear(build, matrix, modulus, vectors)
             for cols in range(1, 5):
                 modulus = 3**23
@@ -596,7 +598,7 @@ class TestCompiledLinear:
             kernels.compile_flat_linear(((1,),), bad)
 
     def test_source_holds_only_literals_and_locals(self, q3):
-        source = pure.flat_linear_source(q3.trace_full_mat, q3.modulus)
+        source = pure.flat_linear_source(q3.trace_rows(q3.N_int), q3.modulus)
         source += pure.flat_linear_source(q3.galois_mats[1], q3.modulus)
         names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source))
         assert names <= {"def", "apply", "return", "a", "a0", "a1", "a2"}

@@ -24,19 +24,24 @@ from wittlab.localfield import (
     smith_normal_form,
 )
 
+from conftest import RAMIFIED_BASE_TOWERS
 from oracles import (
     DigitSearchTower,
     ValExtended,
+    conjugates_by_substitution,
     eq_at_precision,
     fixed_by_substitution,
+    galois_by_substitution,
     in_K_at_precision,
     is_zero_at_precision,
     pi_K,
+    pi_conjugates_by_substitution,
     randrange_K_elem,
     randrange_L_elem,
     randrange_L_unit,
     tower_by_digit_search,
     tower_with_sigma_power,
+    trace_rows_off_by_one,
     unflatten,
     val_by_coordinates,
     vp_int_by_division,
@@ -210,7 +215,7 @@ class TestGaloisAction:
             assert other.pi_conjugates == conj, (name, k)
             assert other.s == tower.s
             # the trace, a sum over the group, is the same matrix
-            assert other.trace_full_mat == tower.trace_full_mat
+            assert conjugate_sum(other) == conjugate_sum(tower)
 
     def test_choice_independent_verdicts(self, eight_towers):
         # solvability of (sigma-1)y = c does not depend on the generator
@@ -312,7 +317,7 @@ class TestTrace:
                 coords[m] = 1
                 basis = unflatten(tower.L, coords)
                 direct = tower.trace(basis).data
-                column = [tower.trace_mat[r][m] for r in range(tower.K.flat_rank)]
+                column = [row[m] for row in tower.trace_rows(tower.N_int)]
                 got = [x % tower.modulus for x in column]
                 for g, d in zip(got, direct):
                     assert (g - d) % tower.p**tower.N == 0
@@ -507,10 +512,10 @@ class TestSolvers:
         L, rng = tower.L, random.Random(21)
         for _ in range(10):
             a = tower.random_L_elem(rng).data
-            c = tower._trace_raw(a)
+            c = tower.trace_map(a)
             x, _ = tower.solve_trace_eq(c)
             assert isinstance(x, tuple) and L.reduce(x) == x
-            assert tower.trace_map(x)[: tower.K.flat_rank] == c
+            assert tower.trace_map(x) == c
             d = L.sub(tower._galois_raw(a, 1), a)
             for digits in (tower.N, tower.N_int):
                 y, _ = tower.solve_sigma_minus_one(d, digits)
@@ -540,7 +545,7 @@ class TestCompiledSolves:
     def test_tower_forms_match_linsolve(self, eight_towers, name):
         tower = eight_towers[name]
         L, rng = tower.L, random.Random(33)
-        forms = [(tower._trace_snf, tower._trace_raw)]
+        forms = [(tower._trace_snf, tower.trace_map)]
         for digits in (tower.N, tower.N + 2, tower.N_int):
             forms.append((tower.sigma_minus_one_snf(digits), lambda a: L.sub(tower.galois_maps[1](a), a)))
         for snf, image in forms:
@@ -561,7 +566,7 @@ class TestCompiledSolves:
         assert tower._trace_snf._solve is None and tower._trace_kernel_maps is None
         assert tower._smo_snf == {}
         monkeypatch.undo()
-        tower.solve_trace_eq(tower._trace_raw(tower.L.one_elem))
+        tower.solve_trace_eq(tower.trace_map(tower.L.one_elem))
         solve = tower._trace_snf._solve
         assert solve is not None
         tower.solve_trace_eq(tower.K.zero_elem)
@@ -603,30 +608,42 @@ def draw_L(data, tower):
 def substitution_trace_sum(tower, a):
     """sum_i sigma^i(a) in O_L, every conjugate by substitution."""
     acc = tower.L.zero_elem
-    for i in range(tower.p):
-        acc = tower.L.add(acc, tower._galois_by_substitution(a, i))
+    for conj in conjugates_by_substitution(tower, a):
+        acc = tower.L.add(acc, conj)
     return acc
 
 
-def mat_vec(mat, a, modulus):
-    """The reference for the compiled maps: a plain matrix-vector product
-    on flat coordinates, reduced."""
-    return tuple(sum(x * y for x, y in zip(row, a)) % modulus for row in mat)
+def conjugate_sum(tower):
+    """sum_i ``galois_mats[i]``, reduced: the trace as the sum over the
+    group, on O_L coordinates."""
+    mod = tower.modulus
+    return tuple(tuple(sum(col) % mod for col in zip(*rows)) for rows in zip(*tower.galois_mats))
 
 
 def check_against_substitution(tower, a):
+    conjugates = conjugates_by_substitution(tower, a)
     for i in range(tower.p + 1):
-        assert tower._galois_raw(a, i) == tower._galois_by_substitution(a, i), i
+        assert tower._galois_raw(a, i) == conjugates[i % tower.p], i
     full = substitution_trace_sum(tower, a)
-    assert tower.trace_map(a) == full
-    assert tower._trace_raw(a) == tower.L.coeff(full, 0)
+    assert tower.trace_map(a) == tower.L.coeff(full, 0)
+    assert not any(full[tower.K.flat_rank :])
 
 
-@pytest.mark.parametrize("name", TOWER_NAMES)
+# the eight towers and the five over a ramified base
+PINNED_TOWERS = [*TOWER_NAMES, "septic", "quintic", *RAMIFIED_BASE_TOWERS]
+
+
+@pytest.fixture(scope="session")
+def pinned_towers(eight_towers, ramified_base_towers):
+    return {**eight_towers, **ramified_base_towers}
+
+
+@pytest.mark.parametrize("name", PINNED_TOWERS)
 @PROPERTY
 @given(data=st.data())
-def test_matrices_match_substitution(all_towers, name, data):
-    tower = all_towers[name]
+def test_matrices_match_substitution(pinned_towers, name, data):
+    tower = pinned_towers[name]
+    assert tower.pi_conjugates == pi_conjugates_by_substitution(tower)
     check_against_substitution(tower, draw_L(data, tower))
 
 
@@ -637,8 +654,8 @@ def test_derived_matrices_match_oracle_columns(all_towers, name):
     for m in range(rank):
         basis = tuple(int(r == m) for r in range(rank))
         trace_col = list(L.coeff(substitution_trace_sum(tower, basis), 0))
-        smo_col = list(L.sub(tower._galois_by_substitution(basis, 1), basis))
-        assert [row[m] for row in tower.trace_mat] == trace_col
+        smo_col = list(L.sub(galois_by_substitution(tower, basis, 1), basis))
+        assert [row[m] for row in tower.trace_rows(tower.N_int)] == trace_col
         assert [row[m] for row in tower.sigma_minus_one_mat] == smo_col
 
 
@@ -655,6 +672,7 @@ def test_corrupted_matrix_entry_is_caught(all_towers, name, monkeypatch):
     # substitution path on ordinary draws
     tower = all_towers[name]
     rank, modulus = tower.L.flat_rank, tower.modulus
+    rows = tower.trace_rows(tower.N_int)
     rng = random.Random(3)
     draws = [tower.random_L_elem(rng).data for _ in range(10)]
     mutants = []
@@ -663,12 +681,12 @@ def test_corrupted_matrix_entry_is_caught(all_towers, name, monkeypatch):
             maps = list(tower.galois_maps)
             maps[i] = compile_flat_linear(corrupted(tower.galois_mats[i], r, m, modulus), modulus)
             mutants.append(("galois_maps", tuple(maps)))
-        bad_trace = corrupted(tower.trace_full_mat, r, m, modulus)
+        bad_trace = corrupted(rows, r % len(rows), m, modulus)
         mutants.append(("trace_map", compile_flat_linear(bad_trace, modulus)))
     for attr, bad in mutants:
         with monkeypatch.context() as patch:
             patch.setattr(tower, attr, bad)
-            with pytest.raises((AssertionError, TraceNotRational)):
+            with pytest.raises(AssertionError):
                 for a in draws:
                     check_against_substitution(tower, a)
 
@@ -726,16 +744,105 @@ def exactness_failures(tower) -> list:
         failures.append("multiplicative")
     # the rows from Newton's identities, with no sigma, above zero rows
     rows = tower.trace_rows(tower.N_int)
-    if tower.trace_full_mat != rows + ((0,) * rank,) * (rank - len(rows)):
+    if conjugate_sum(tower) != rows + ((0,) * rank,) * (rank - len(rows)):
         failures.append("trace")
     return failures
 
 
-@pytest.mark.parametrize("name", EIGHT_TOWERS)
-def test_sigma_and_trace_are_exact(eight_towers, name):
+@pytest.mark.parametrize("name", PINNED_TOWERS)
+def test_sigma_and_trace_are_exact(pinned_towers, name):
     # sigma^p = 1 failed at p^N_int on q2_sqrt2, q3, septic and quintic
     # with the digit-searched root, and the trace on q2_i and quintic
-    assert exactness_failures(eight_towers[name]) == []
+    assert exactness_failures(pinned_towers[name]) == []
+
+
+def matrix_digest(mat) -> str:
+    return hashlib.sha256(json.dumps(mat, separators=(",", ":")).encode()).hexdigest()
+
+
+# sha256 of galois_mats and of trace_rows(N_int), as compact JSON: both
+# sources of the field maps, byte for byte those of the substitution path
+MATRIX_DIGESTS = {
+    "q2_i": ("9588105751eac780b2388c7dbaa9bfa84f863e1aa3c9b92283436120938cd60a",
+             "4fed734ca99dd1dacc399c5b317f13ba28c8f8f66b7c07ecc3a6b61ef90bd16e"),
+    "q2_sqrt2": ("a93c1f70430c16e6a6ec8f84d896e39ec7fdca1f48d60e9bcb56ac82c785a811",
+                 "75273ac17054d9569884ac48ff9b17db6fa1c1d2d11d07fbe72cbe7bbf6df493"),
+    # x^2 + 2 and x^2 - 2 have the same sigma(pi_L) = -pi_L and trace
+    "q2_sqrt_minus2": ("a93c1f70430c16e6a6ec8f84d896e39ec7fdca1f48d60e9bcb56ac82c785a811",
+                       "75273ac17054d9569884ac48ff9b17db6fa1c1d2d11d07fbe72cbe7bbf6df493"),
+    "q3": ("88641cf6e0c00c483a738d76a46184d1e00e0b14a8be065ae591f7efc4dd06d7",
+           "0a0ddda2dc707c02d69afa558b3f98f0e40c57c10554c27724e964295460cddb"),
+    "nested": ("77538eae98ab154688a13e6d74661f12b5e921fb562ac06de3dba74f97c7b294",
+               "a963ceb60f35c28658714fbff99d2e260cd5c37ad9cad4cb217db426ae3ebf33"),
+    "quartic": ("57d75b6b8fb6d7ad6dda5ac458ef8603d12e8c5ca95a5f0caa09d522b2135e6e",
+                "f54744c121348ddc2ea8e3aeda2d73c84d27900040be94b6560b56cfa9924734"),
+    "septic": ("d2c74db13d48b4a66ce332fd456e75b32377f73292fe0a5437a378ccb5f876fa",
+               "0e8532945dedaceaa7c89b1e33a0fbb34a03d611b908ecb90381e148c855223d"),
+    "quintic": ("260cbee637c997eed11efb3020914d338ee3198a95e180171f08454253bfdba9",
+                "9ef6cd57264d707513615619fc7acc1ac850aeb9c6a1ecbe767ffb0b9691a8f3"),
+    "q3z3_kummer": ("0fded070c80aab3c10c795efe99ba7c34f184175326e991bfb8a65367b17b792",
+                    "de0a8d53666611dce1efe695a5484bea03be04034e9fbf06266118f1dbc918ec"),
+    "q3z9_over_z3": ("89c745036cdd1a33208efd4419f458a135546863fe1a2594bf977454c4e31cee",
+                     "34b2abde719cbc6fea8f844935f89fd64dc24d8799c65ce4f6a194e7685e15ba"),
+    "q2z8_over_i": ("789723ed00de41d081b3c29c7f8f1cf1c0e280c5045fa4a7d91ee169c7a7d751",
+                    "206742d7af0890e0f0047e4e9d231c1ec044ddbe241cde9d0879f51dc9267955"),
+    "q2z16_over_z8": ("5c5ee57da707f64bb09d940fe6340101bc651845820cb122d6cfbc245cfd9da8",
+                      "b73644dd49b475401c22c5ddbb5a7fccbbbfa3c1698128f101ea7a7b2136d368"),
+    "q5z5_kummer": ("4cf7c20ae8c2fba466a9c8436d3c1d158c836f0e3190652a2b2a65a87adc4839",
+                    "a59516a31c512bc87ba0e6fdc8696a732275256202ebde9c2407a54bfb61c6c4"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TOWERS)
+def test_matrices_are_pinned(pinned_towers, name):
+    tower = pinned_towers[name]
+    got = (matrix_digest(tower.galois_mats), matrix_digest(tower.trace_rows(tower.N_int)))
+    assert got == MATRIX_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
+def test_trace_rationality_check(eight_towers, name, monkeypatch):
+    """The trace is checked once, at build: the trace from E_L's power
+    sums with its first or its last entry off by one is refused."""
+    description = eight_towers[name].description
+    msg = "the sum of sigma^i is not the trace from E_L's power sums"
+    for entry in ((0, 0), (-1, -1)):
+        with monkeypatch.context() as patch:
+            trace_rows_off_by_one(patch, *entry)
+            with pytest.raises(TraceNotRational, match=f"^{re.escape(msg)}$"):
+                localfield.tower_from_obj(description)
+
+
+@pytest.mark.parametrize("name", EIGHT_TOWERS)
+def test_sigma_power_builds_with_the_same_trace(eight_towers, name):
+    # sum_i sigma^(k*i) = sum_i sigma^i for k prime to p, so the build
+    # check passes; at p = 2 the only generator is sigma, reached as sigma^3
+    tower = eight_towers[name]
+    other = tower_with_sigma_power(tower, tower.p - 1 if tower.p > 2 else 3)
+    assert other.trace_rows(other.N_int) == tower.trace_rows(tower.N_int)
+    assert other._trace_snf.pivots == tower._trace_snf.pivots
+    assert conjugate_sum(other) == conjugate_sum(tower)
+
+
+class DigitSearchRoot(localfield.ExtensionTower):
+    """The digit-search root with the package's build check."""
+
+    _sigma_root = DigitSearchTower._sigma_root
+
+
+def test_digit_search_root_is_refused(eight_towers):
+    # that root is exact only to N_int - 2 digits, so the sum of sigma^i
+    # misses the trace from E_L's power sums modulo p^N_int; on x^2 + 2
+    # the search finds -pi_L, the exact root
+    refused = []
+    for name, tower in eight_towers.items():
+        try:
+            DigitSearchRoot(
+                list(tower.K.ecoeffs), [list(c) for c in tower.L.ecoeffs], tower.description
+            )
+        except TraceNotRational:
+            refused.append(name)
+    assert refused == [n for n in EIGHT_TOWERS if n != "q2_sqrt_minus2"]
 
 
 @pytest.mark.parametrize("name", EIGHT_TOWERS)
@@ -761,7 +868,7 @@ def test_tower_rebuilt_from_its_rings_is_the_same(eight_towers, name):
         list(tower.K.ecoeffs), [list(c) for c in tower.L.ecoeffs], tower.description
     )
     assert rebuilt.galois_mats == tower.galois_mats
-    assert rebuilt.trace_full_mat == tower.trace_full_mat
+    assert rebuilt.trace_rows(rebuilt.N_int) == tower.trace_rows(tower.N_int)
 
 
 @pytest.mark.parametrize("name", EIGHT_TOWERS)
@@ -845,7 +952,8 @@ def test_wrong_derivative_in_newton_fails(eight_towers, name, monkeypatch):
     # E_L' with its constant coefficient off by one in Newton's steps (the
     # lifted ring; the derivative valuation at pi_L is read in the working
     # ring and stays right): the steps no longer converge, and either the
-    # build refuses or the exactness checks fail
+    # build refuses, by its order checks or by its comparison of the sum of
+    # sigma^i with the trace, or the exactness checks fail
     tower = eight_towers[name]
     true_deriv = localfield._eval_deriv
 
@@ -856,7 +964,7 @@ def test_wrong_derivative_in_newton_fails(eight_towers, name, monkeypatch):
     monkeypatch.setattr(localfield, "_eval_deriv", off_by_one)
     try:
         mutant = localfield.tower_from_obj(tower.description)
-    except NotNormal:
+    except (NotNormal, TraceNotRational):
         return
     assert exactness_failures(mutant)
 
@@ -1042,7 +1150,8 @@ class TestFlatRing:
             assert R.digits > tower.N_int
             steps = (R.digits * R.flat_rank).bit_length() + 1
             assert sum(digits == R.digits for digits, _ in calls) == steps
-            assert [c for c in calls if c[0] != R.digits] == [(tower.N_int, tower.trace_mat)]
+            rows = tower.trace_rows(tower.N_int)
+            assert [c for c in calls if c[0] != R.digits] == [(tower.N_int, rows)]
             calls.clear()
             for digits in (tower.N, tower.N + 2, tower.N_int):
                 snf = tower.sigma_minus_one_snf(digits)
@@ -1109,28 +1218,6 @@ def test_zero_test_one_digit_short_fails(all_towers, name, monkeypatch):
     with pytest.raises(AssertionError):
         for _ in range(200):
             check_zero_tests(tower, rng.randint)
-
-
-@pytest.mark.parametrize("name", TOWER_NAMES)
-def test_trace_rationality_check(all_towers, name, monkeypatch):
-    """The trace refuses a sum of conjugates with a pi_L^j coefficient of
-    finite valuation, and names the first such j."""
-    tower = all_towers[name]
-    a = tower.random_L_elem(random.Random(1)).data
-    e, N = tower.e_K, tower.N
-    good = mat_vec(tower.trace_full_mat, a, tower.modulus)
-    for j in range(1, tower.p):
-        for step, rational in ((tower.p ** (N - 1), False), (tower.p**N, True)):
-            full = list(good)
-            full[j * e] = (full[j * e] + step) % tower.modulus
-            with monkeypatch.context() as patch:
-                patch.setattr(tower, "trace_map", lambda x, full=full: tuple(full))
-                if rational:
-                    assert tower._trace_raw(a) == good[:e]
-                else:
-                    msg = f"pi_L^{j} coefficient of valuation {(N - 1) * e}"
-                    with pytest.raises(TraceNotRational, match=re.escape(msg) + "$"):
-                        tower._trace_raw(a)
 
 
 # -- one gcd and getrandbits against the per-coordinate loops ---------------
