@@ -39,11 +39,10 @@
 * The component polynomials of a p-fold sum by folding the binary
   addition polynomials (``pfold_components_by_folding``), which
   ``wittcore.PFoldDecomposition`` solves from their ghost identities.
-* sigma^i by substitution (``substitute``, ``galois_by_substitution``,
-  ``conjugates_by_substitution``): the coefficient polynomial of an
-  element, its O_K coefficients of the powers of pi_L, evaluated by
-  Horner at sigma^i(pi_L), which is sigma(pi_L) substituted into itself
-  i - 1 times.  The package builds sigma's matrix from the powers of
+* sigma^i by substitution (``substitute``, ``conjugates_by_substitution``):
+  the coefficient polynomial of an element, its O_K coefficients of the
+  powers of pi_L, evaluated by Horner at sigma^i(pi_L), which is
+  sigma(pi_L) substituted into itself i - 1 times.  The package builds sigma's matrix from the powers of
   sigma(pi_L) and sigma^i by applying it; these are its oracle.
 * The roots of E_L by the digit-by-digit search that Newton's method
   replaced (``roots_by_digit_search``), and ``DigitSearchTower``, a tower
@@ -256,12 +255,6 @@ def pi_conjugates_by_substitution(tower) -> tuple:
 def conjugates_by_substitution(tower, a) -> tuple:
     """sigma^i(a) for i = 0, ..., p-1, each by substitution."""
     return tuple(substitute(tower.L, a, point) for point in pi_conjugates_by_substitution(tower))
-
-
-def galois_by_substitution(tower, a, times: int):
-    """sigma^times(a) by substituting sigma^times(pi_L) into the
-    coefficients of ``a``."""
-    return substitute(tower.L, a, pi_conjugates_by_substitution(tower)[times % tower.p])
 
 
 class DigitSearchTower(ExtensionTower):
