@@ -11,8 +11,8 @@ Two kernel families live here:
 
 ``flat_mul`` is the reference product on structure rows: it loops over
 every (i, j, k) cell.  The rings of a tower multiply with a product that
-``compile_flat_mul`` (within ``compile_flat_ring``) generates once from
-their own rows, and the tests
+``compile_flat_ring`` generates once from their own rows
+(``flat_mul_source``), and the tests
 compare it with ``flat_mul``, and its x -> x^p (``compile_flat_pow``)
 with chained products.  In the same way ``compile_flat_linear`` turns a
 matrix on flattened coordinates (sigma^i or the trace of a tower) into
@@ -273,15 +273,6 @@ def _define(source: str, filename: str, names: str, **bound):
     return itemgetter(*names.split())(namespace)
 
 
-def compile_flat_mul(struct_rows, modulus: int):
-    """The product on flattened coordinates modulo ``modulus`` with these
-    structure rows, as a function ``mul(a, b)`` compiled once; it returns
-    what ``flat_mul(a, b, struct_rows, modulus)`` returns."""
-    rank = len(struct_rows)
-    source = flat_mul_source(flat_mul_plan(struct_rows), rank, modulus)
-    return _define(source, f"<flat_mul rank {rank}>", "mul")
-
-
 def flat_val_source(p: int, digits: int, by_weight) -> str:
     """Straight-line source of ``val_raw(a)``: v_p(c_r)*e + w(r) minimized
     over the coordinates of a rank-e ring modulo p^digits, None when all are
@@ -300,11 +291,14 @@ def flat_val_source(p: int, digits: int, by_weight) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compile_flat_ring(struct_rows, p: int, digits: int, by_weight):
-    """``(mul, val_raw)`` modulo p^digits: the product of ``compile_flat_mul``
-    and ``flat_val_source``'s valuation, one source compiled once."""
+def compile_flat_ring(struct_rows, p: int, digits: int, by_weight=None):
+    """``(mul, val_raw)`` modulo p^digits, one source compiled once: the
+    product on these structure rows, which returns what ``flat_mul`` does,
+    and ``flat_val_source``'s valuation, None without ``by_weight``."""
     rank, modulus = len(struct_rows), p**digits
     source = flat_mul_source(flat_mul_plan(struct_rows), rank, modulus)
+    if not by_weight:
+        return _define(source, f"<flat_mul rank {rank}>", "mul"), None
     source += flat_val_source(p, digits, by_weight)
     scaled = {p**v: v * len(by_weight) for v in range(digits)}
     return _define(source, f"<flat_ring rank {rank}>", "mul val_raw", gcd=gcd, scaled=scaled)

@@ -28,7 +28,6 @@ import json
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import wittcore
@@ -510,18 +509,12 @@ def h1_order_enumeration_stable(
 # the stable length
 
 
-def _cascade(s: int, p: int, i: int) -> Fraction:
-    """(s(p-1)/p) * sum_{k<i} p^-k, the cascaded valuation bound i
-    components from the top, in exact rational arithmetic."""
-    return Fraction(s * (p - 1), p) * sum(Fraction(1, p**k) for k in range(i))
-
-
 def stable_witt_length(break_s: int, p: int) -> int:
-    """Least M whose cascade over M - 1 components climbs past s - 1."""
+    """Least M with p^(M-1) > s: the cascade over M - 1 components passes s - 1."""
     if break_s < 1:
         raise ValueError("ramification break must be >= 1")
     M = 1
-    while _cascade(break_s, p, M - 1) <= break_s - 1:
+    while p ** (M - 1) <= break_s:
         M += 1
     return M
 
@@ -552,7 +545,7 @@ def _field_draws(
 ) -> Iterator[tuple]:
     """The field lemmas' draw stream: attempt k < 20*samples draws ``a``
     from ``_sample_rngs``, times a random power of pi_L
-    (the tower's compiled ``draw_spread``, as ``random_L_raw``), and yields
+    (the tower's compiled ``draw_spread``), and yields
     (label, a, v_L(a)), a a flat coordinate tuple and v_L(a) an int,
     unless the cap does not decide v_L(a) (``at_cap``)."""
     draw, val, cap = tower.draws[1], tower.L.val_raw, tower.val_cap
@@ -802,10 +795,9 @@ def verify_residual_invariant(
 
 
 def step_bound(s: int, p: int, i: int) -> int:
-    """Ceiling of the cascaded lower bound for the i-th component from
-    the top."""
-    frac = _cascade(s, p, i)
-    return -(-frac.numerator // frac.denominator)
+    """The cascaded lower bound for the i-th component from the top,
+    ceil(s(1 - p^-i)) = s - floor(s / p^i)."""
+    return s - s // p**i
 
 
 def verify_step_bounds(

@@ -50,13 +50,6 @@ class Monomial:
                 raise ValueError(f"bad monomial entry ({v}, {e})")
         self.key = key
 
-    @property
-    def exponents(self) -> dict[int, int]:
-        return dict(self.key)
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.key)
-
     def variables(self) -> frozenset[int]:
         return frozenset(v for v, _ in self.key)
 

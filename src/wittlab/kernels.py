@@ -7,7 +7,7 @@ timing or tracing, in one place.
 The rings of a tower do not multiply through a kernel call: each one
 holds a product and a valuation that ``compile_flat_ring`` generated
 from its structure rows and weights, as one source, when the ring was
-built (and x -> x^p from ``compile_flat_pow``, on first use);
+built (a lift's valuation, and x -> x^p from ``compile_flat_pow``, on first use);
 ``flat_mul`` is the product's reference, and the per-coordinate
 valuation loop in ``tests/oracles.py`` the valuation's.  A tower's
 element draws are straight-line code that ``compile_tower_draws``
@@ -32,7 +32,6 @@ reference.
 
 from ._kernels_py import (
     compile_flat_linear,
-    compile_flat_mul,
     compile_flat_pow,
     compile_flat_ring,
     compile_ghost_pass,

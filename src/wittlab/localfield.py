@@ -135,7 +135,8 @@ class FlatRing:
     ``pth_power`` is x -> x^p, compiled from them on first use.
     ``val_raw(a)`` is the valuation in this ring's units, None when every
     coordinate is 0 modulo p^digits: one gcd, then the coordinates in
-    increasing weight, compiled with ``mul`` (``kernels.compile_flat_ring``).
+    increasing weight, compiled with ``mul`` (``kernels.compile_flat_ring``) if
+    ``valued``, else on its first call.
     ``ecoeffs`` are the non-leading coefficients of the level's
     Eisenstein polynomial, as elements of the level below: the integers,
     unreduced, that the ring and its lifts are built from.  ``lifts``
@@ -153,6 +154,7 @@ class FlatRing:
         struct: tuple,
         ecoeffs: tuple,
         lifts: "_Lifts",
+        valued: bool,
     ):
         self.name = name
         self.p = p
@@ -161,8 +163,9 @@ class FlatRing:
         self.block = block  # coordinates per coefficient of the level below
         self.weights = weights
         self.struct = struct
-        by_weight = tuple(sorted(enumerate(weights), key=lambda rw: rw[1]))
-        self.mul, self.val_raw = kernels.compile_flat_ring(struct, p, digits, by_weight)
+        self._by_weight = tuple(sorted(enumerate(weights), key=lambda rw: rw[1]))
+        self.mul, val_raw = kernels.compile_flat_ring(struct, p, digits, valued and self._by_weight)
+        self.val_raw = val_raw or self._compile_val
         self.ecoeffs = ecoeffs
         self.flat_rank = len(weights)
         self.ram_index = self.flat_rank
@@ -178,6 +181,11 @@ class FlatRing:
 
     def from_int(self, k: int) -> "OElem":
         return OElem(self, (k % self.modulus,) + self.zero_elem[1:])
+
+    def _compile_val(self, a):
+        """A lift's ``val_raw`` until its first call, which compiles it."""
+        _, self.val_raw = kernels.compile_flat_ring(self.struct, self.p, self.digits, self._by_weight)
+        return self.val_raw(a)
 
     def flat_lift(self, extra_digits: int) -> "FlatRing":
         """This ring rebuilt at ``extra_digits`` more base digits, with its
@@ -246,9 +254,10 @@ def build_rings(
     coefficients: ``e_k`` of E_K (``[-p]`` when K = Q_p), ``e_l`` of E_L,
     each an integer or a list of O_K coordinates.  The structure rows are
     powers of pi_K and pi_L, built by multiplying by each in turn.  Each
-    ring keeps them, unreduced, as ``ecoeffs``; the pair joins ``lifts``
-    (a new one when None), from which both rings lift themselves."""
-    lifts = _Lifts(p, e_k, e_l) if lifts is None else lifts
+    ring keeps them, unreduced, as ``ecoeffs``; the pair joins ``lifts`` (a
+    new one for the working pair, when None), from which both lift themselves."""
+    working = lifts is None
+    lifts = _Lifts(p, e_k, e_l) if working else lifts
     mod = p**digits
     e = len(e_k)
     e_k_mod = [c % mod for c in e_k]
@@ -262,7 +271,7 @@ def build_rings(
     for _ in range(2 * e - 2):
         pk.append(times_pi_K(pk[-1]))
     K_struct = tuple(tuple(pk[a + b] for b in range(e)) for a in range(e))
-    K = FlatRing("O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k), lifts)
+    K = FlatRing("O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k), lifts, working)
 
     el = []
     for c in e_l:
@@ -270,7 +279,8 @@ def build_rings(
         if len(coords) > e:
             raise NotEisenstein(f"O_L: coefficient {c!r} has more than e_K={e} coordinates")
         el.append(K.embed(coords))
-    _check_eisenstein("O_L", [K.val_raw(c) for c in el])
+    if working:  # a lift's coefficients are these, at more digits
+        _check_eisenstein("O_L", [K.val_raw(c) for c in el])
 
     def times_pi_L(x: list) -> list:
         # x[j] is the O_K coefficient of pi_L^j; pi_L^p = -sum_j el[j]*pi_L^j
@@ -290,7 +300,7 @@ def build_rings(
         for i, j in index
     )
     weights = tuple(i * p + j for i, j in index)
-    L = FlatRing("O_L", p, digits, e, weights, struct, tuple(el), lifts)
+    L = FlatRing("O_L", p, digits, e, weights, struct, tuple(el), lifts, working)
     lifts[digits] = K, L
     return K, L
 
@@ -615,10 +625,10 @@ class ExtensionTower:
         conj = tuple(tuple(row[self.e_K] for row in mat) for mat in self.galois_mats)
         wrap = self.galois_maps[1](conj[-1])
         if not self._close_raw(wrap, pi, self.val_cap):
-            raise NotNormal("Galois substitution does not have order p at precision")
+            raise NotNormal("sigma does not have order p at precision")
         for i in range(1, p):
             if self._close_raw(conj[i], pi, self.val_cap):
-                raise NotNormal("Galois substitution has order < p at precision")
+                raise NotNormal("sigma has order < p at precision")
         self.pi_conjugates = conj
 
         diff = L.sub(conj[1], pi)
@@ -888,21 +898,9 @@ class ExtensionTower:
             )
         return self._draws
 
-    def random_K_raw(self, rng) -> tuple:
-        """Uniform O_K coordinates modulo p^N_int (``draws``)."""
-        return self.draws[2](rng.getrandbits)[: self.K.flat_rank]
-
-    def random_L_raw(self, rng, spread_valuation: bool = False) -> tuple:
-        """Uniform O_L coordinates modulo p^N_int; with ``spread_valuation``,
-        times pi_L to a random power below a third of the cap, read at call
-        time (``draws``)."""
-        if spread_valuation:
-            return self.draws[1](rng.getrandbits, self.val_cap)
+    def random_L_raw(self, rng) -> tuple:
+        """Uniform O_L coordinates modulo p^N_int (``draws``)."""
         return self.draws[0](rng.getrandbits)
-
-    def random_L_unit_raw(self, rng) -> tuple:
-        """``random_L_raw`` draws until one has valuation 0 (``draws``)."""
-        return self.draws[3](rng.getrandbits)
 
     def _pi_L_power(self, k: int):
         """pi_L^k, from a per-tower table grown by one multiply per power."""
@@ -911,9 +909,9 @@ class ExtensionTower:
             pows.append(self.L.mul(pows[-1], self.L.pi_elem))
         return pows[k]
 
-    def random_L_elem(self, rng, spread_valuation: bool = False) -> OElem:
+    def random_L_elem(self, rng) -> OElem:
         """``random_L_raw`` as an O_L element."""
-        return OElem(self.L, self.random_L_raw(rng, spread_valuation))
+        return OElem(self.L, self.random_L_raw(rng))
 
 
 def build_tower(

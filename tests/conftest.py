@@ -112,18 +112,3 @@ RAMIFIED_BASE_TOWERS = {
 def ramified_base_towers():
     """Item 25's four towers and the rank-20 Kummer step, by name."""
     return {name: localfield.tower_from_obj(obj) for name, obj in RAMIFIED_BASE_TOWERS.items()}
-
-
-@pytest.fixture(scope="session")
-def stable_witt_length_closed():
-    """The closed form of the stable length, least M with p^(M-1) > s:
-    the oracle that ``cohomlab.stable_witt_length``, which sums the
-    geometric bound in exact rationals, is compared against."""
-
-    def closed(break_s, p):
-        M = 1
-        while p ** (M - 1) <= break_s:
-            M += 1
-        return M
-
-    return closed

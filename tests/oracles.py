@@ -68,12 +68,18 @@
   oracles must catch; and ``trace_rows_off_by_one``, the trace from
   E_L's power sums with one entry off by one, which the build must
   refuse.
+* The cascade s(1 - p^-i) as the sum (s(p-1)/p) * sum_{k<i} p^-k in
+  exact rationals (``cascade``), and the step bound and the stable length
+  read from it (``step_bound_by_cascade``, ``stable_witt_length_by_cascade``):
+  the oracle of ``cohomlab.step_bound`` and ``stable_witt_length``, which
+  use the closed forms s - s // p^i and the least M with p^(M-1) > s.
 * ``unflatten``, ``is_zero_at_precision``, ``eq_at_precision``,
   ``in_K_at_precision``, ``pi_K`` and ``project_to_K``: OElem helpers
   that only the tests use, and ``zmod``, Z/p^k as a rank-1 tower ring.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import repeat
 
@@ -416,7 +422,8 @@ def randrange_K_elem(tower, rng) -> OElem:
 
 def randrange_L_elem(tower, rng, spread_valuation=False) -> OElem:
     """``ExtensionTower.random_L_elem`` drawn with one ``rng.randrange``
-    per coordinate, and the pi_L power by ``OElem.__pow__``."""
+    per coordinate, and with ``spread_valuation`` the tower's ``draw_spread``,
+    its pi_L power by ``OElem.__pow__``."""
     a = unflatten(tower.L, [rng.randrange(tower.modulus) for _ in range(tower.L.flat_rank)])
     if spread_valuation:
         a = a * tower.pi_L ** rng.randrange(0, max(1, tower.val_cap // 3))
@@ -596,6 +603,27 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
                     }
                 )
     return report
+
+
+def cascade(s, p, i) -> Fraction:
+    """(s(p-1)/p) * sum_{k<i} p^-k = s(1 - p^-i), the cascaded valuation
+    bound i components from the top, in exact rationals."""
+    return Fraction(s * (p - 1), p) * sum(Fraction(1, p**k) for k in range(i))
+
+
+def step_bound_by_cascade(s, p, i) -> int:
+    """``cohomlab.step_bound`` as the ceiling of the cascade."""
+    frac = cascade(s, p, i)
+    return -(-frac.numerator // frac.denominator)
+
+
+def stable_witt_length_by_cascade(s, p) -> int:
+    """``cohomlab.stable_witt_length`` as the least M whose cascade over
+    M - 1 components climbs past s - 1."""
+    M = 1
+    while cascade(s, p, M - 1) <= s - 1:
+        M += 1
+    return M
 
 
 def step_bounds_by_elements(tower, samples=200, seed=0, n=None):

@@ -650,6 +650,30 @@ def test_trace_check_failure_crashes_tower_info(eight_towers, name, tmp_path, mo
     assert not out
 
 
+@pytest.mark.parametrize(
+    "root,message",
+    [
+        (lambda L: L.pi_elem, "sigma has order < p at precision"),
+        (
+            lambda L: L.add(L.pi_elem, L.pow(L.pi_elem, 2)),
+            "sigma does not have order p at precision",
+        ),
+    ],
+    ids=["identity", "not a root"],
+)
+@pytest.mark.parametrize("tower", ["q2_i", "q3_ramified"])
+def test_sigma_of_wrong_order_is_refused(tower, root, message, monkeypatch, capsys):
+    # a generator whose order is not p is a refused tower: 64, on one line
+    monkeypatch.setattr(
+        localfield.ExtensionTower, "_sigma_root", lambda self, dv, s_pre: root(self.L)
+    )
+    code = cli.main(["tower-info", "--tower", tower])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG == 64
+    assert err == f"tower-info: {message}\n"
+    assert not out
+
+
 class TestExitPath:
     """``main`` maps every command's outcome the same way: an exception
     that escapes a command is a crash (70), and NotStabilized is 2, each

@@ -49,6 +49,8 @@ from oracles import (
     randrange_L_elem,
     randrange_L_unit,
     residual_invariant_by_elements,
+    stable_witt_length_by_cascade,
+    step_bound_by_cascade,
     step_bounds_by_elements,
     unflatten,
     vK_by_coordinates,
@@ -820,10 +822,19 @@ class TestStableLength:
         assert stable_witt_length(2, 2) == 3
         assert stable_witt_length(1, 3) == 2
 
-    def test_closed_form_spot(self, stable_witt_length_closed):
+    def test_closed_form_spot(self):
         for s in (1, 2, 3, 7, 9):
             for p in (2, 3, 5):
-                assert stable_witt_length(s, p) == stable_witt_length_closed(s, p)
+                assert stable_witt_length(s, p) == stable_witt_length_by_cascade(s, p)
+
+    def test_closed_forms_match_cascade(self):
+        # s - s // p^i and the least M with p^(M-1) > s against the
+        # cascade's exact rational sum
+        for p in (2, 3, 5, 7, 11, 13):
+            for s in range(1, 201):
+                assert stable_witt_length(s, p) == stable_witt_length_by_cascade(s, p), (s, p)
+                for i in range(13):
+                    assert step_bound(s, p, i) == step_bound_by_cascade(s, p, i), (s, p, i)
 
     def test_step_bound_examples(self):
         assert step_bound(2, 2, 1) == 1

@@ -197,6 +197,12 @@ def compile_source(source):
     return namespace["mul"]
 
 
+def compile_mul(struct, modulus):
+    """The product ``compile_flat_ring`` generates from these rows, at any
+    modulus: ``flat_mul_source`` on their plan."""
+    return compile_source(pure.flat_mul_source(pure.flat_mul_plan(struct), len(struct), modulus))
+
+
 def drop_a_group(struct, modulus):
     """Mutant generator: the source leaves out one structure group."""
     plan = pure.flat_mul_plan(struct)
@@ -210,7 +216,7 @@ def unreduced_group(struct, modulus):
     unit = [0] * (len(struct) - 1) + [1]
     k = next((k for k, (row, _) in enumerate(plan) if sorted(row) != unit), None)
     if k is None:
-        return kernels.compile_flat_mul(struct, modulus)
+        return compile_mul(struct, modulus)
     row, pairs = plan[k]
     rest = compile_source(pure.flat_mul_source(plan[:k] + plan[k + 1 :], len(struct), modulus))
 
@@ -244,7 +250,7 @@ class TestCompiledProduct:
         modulus = data.draw(st.sampled_from([2, 3, 2**24, 3**23, 5**30, 10**40 + 7]))
         struct = random_structure(draw, rank, modulus, zero_odds)
         pairs = random_pairs(draw, rank, modulus, 4)
-        check_product(kernels.compile_flat_mul, struct, modulus, pairs)
+        check_product(compile_mul, struct, modulus, pairs)
 
     @pytest.mark.parametrize(
         "build", [drop_a_group, unreduced_group], ids=lambda f: f.__name__
@@ -266,9 +272,9 @@ class TestCompiledProduct:
     def test_generator_accepts_only_integers(self, bad):
         struct = (((1, 0), (0, 1)), ((0, 1), (bad, 0)))
         with pytest.raises(TypeError):
-            kernels.compile_flat_mul(struct, 2**10)
+            kernels.compile_flat_ring(struct, 2, 10)
         with pytest.raises(TypeError):
-            kernels.compile_flat_mul((((1,),),), bad)
+            compile_mul((((1,),),), bad)
 
     def test_source_holds_only_literals_and_locals(self, q3):
         ring = q3.L.flat_lift(3)
@@ -382,7 +388,7 @@ class TestCompiledPower:
         special = [0, 1, p ** (digits - 1), modulus - 1]
         digit = st.sampled_from(special) | st.integers(0, modulus - 1)
         struct = polynomial_rows([data.draw(digit) for _ in range(rank)], modulus)
-        mul = kernels.compile_flat_mul(struct, modulus)
+        mul, _ = kernels.compile_flat_ring(struct, p, digits)
         power = kernels.compile_flat_pow(struct, modulus, p, mul)
         assert pow_form(power) == form
         for _ in range(4):

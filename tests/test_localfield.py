@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wittlab import _kernels_py, cohomlab, localfield
+from wittlab import _kernels_py, cohomlab, kernels, localfield
 from wittlab.kernels import compile_flat_linear, compile_flat_ring
 from wittlab.localfield import (
     NoSolutionAtPrecision,
@@ -252,9 +252,10 @@ class TestValuation:
     def test_valuation_laws(self, q2_sqrt2, q3):
         rng = random.Random(21)
         for tower in (q2_sqrt2, q3):
+            draw_spread = tower.draws[1]
             for _ in range(100):
-                a = tower.random_L_elem(rng, spread_valuation=True)
-                b = tower.random_L_elem(rng, spread_valuation=True)
+                a = unflatten(tower.L, draw_spread(rng.getrandbits, tower.val_cap))
+                b = unflatten(tower.L, draw_spread(rng.getrandbits, tower.val_cap))
                 va, vb, vab = tower.vL(a), tower.vL(b), tower.vL(a * b)
                 vsum = tower.vL(a + b)
                 if va is not None and vb is not None:
@@ -269,7 +270,7 @@ class TestValuation:
         rng = random.Random(33)
         for tower in towers.values():
             for _ in range(50):
-                c = unflatten(tower.K, tower.random_K_raw(rng))
+                c = unflatten(tower.K, tower.draws[2](rng.getrandbits)[: tower.K.flat_rank])
                 vk = tower.vK(c)
                 vl = tower.vL(tower.embed_K(c))
                 if vk is not None:
@@ -302,7 +303,7 @@ class TestTrace:
         rng = random.Random(6)
         for _ in range(50):
             a, b = q3.random_L_elem(rng), q3.random_L_elem(rng)
-            c = unflatten(q3.K, q3.random_K_raw(rng))
+            c = unflatten(q3.K, q3.draws[2](rng.getrandbits)[: q3.K.flat_rank])
             lhs = q3.trace(a + b)
             assert eq_at_precision(q3, lhs, q3.trace(a) + q3.trace(b))
             lhs2 = q3.trace(q3.embed_K(c) * a)
@@ -1284,6 +1285,27 @@ def test_one_gcd_primitives_match_coordinate_loops(all_towers, name, data):
     check_one_gcd_draws(all_towers[name], lambda lo, hi: data.draw(st.integers(lo, hi)))
 
 
+def test_lifts_compile_their_valuation_on_first_call(q3, monkeypatch):
+    # the working rings compile it with their product; a lift, which the
+    # Newton step, the trace rows and the Witt passes use, on first call
+    compile_ring, valued = kernels.compile_flat_ring, []
+
+    def counting(struct, p, digits, by_weight=None):
+        valued.extend([digits] * bool(by_weight))
+        return compile_ring(struct, p, digits, by_weight)
+
+    monkeypatch.setattr(kernels, "compile_flat_ring", counting)
+    tower = localfield.tower_from_obj(q3.description)
+    assert valued == [tower.N_int] * 2
+    for ring in (tower.K, tower.L):
+        for extra in LIFTS[1:]:
+            lift, before = ring.flat_lift(extra), len(valued)
+            a = lift.scale_int(lift.pi_elem, tower.p)
+            for _ in range(2):
+                assert lift.val_raw(a) == val_by_coordinates(lift, a) == lift.flat_rank + 1
+            assert valued[before:] == [lift.digits], (ring.name, extra)
+
+
 def draw_moduli(all_towers):
     return [1, 2, 5, 2**30 + 7] + sorted({t.modulus for t in all_towers.values()})
 
@@ -1309,11 +1331,11 @@ def test_draws_replay_randrange(all_towers, seed):
 
 
 def check_tower_draws_replay(tower, patch):
-    """The tower's compiled draws (``draws``, as the verifiers bind them,
-    and through ``random_*_raw``), the unit draw among them, draw as the
-    per-coordinate randrange loops do, values and generator state, with
-    the shift range of the tower's own cap, of a cap of 150, and of a cap
-    below 6, where it is 1."""
+    """The tower's compiled draws (``draws``, as the verifiers bind them),
+    the unit draw among them, and ``random_L_raw`` and ``random_L_elem``
+    draw as the per-coordinate randrange loops do, values and generator
+    state, with the shift range of the tower's own cap, of a cap of 150,
+    and of a cap below 6, where it is 1."""
     draw_L, draw_spread, draw_K, draw_unit = tower.draws
     for val_cap in (tower.val_cap, 150, 5):
         patch.setattr(tower, "val_cap", val_cap)
@@ -1326,12 +1348,9 @@ def check_tower_draws_replay(tower, patch):
             drawn = (draw_spread(bits, val_cap), draw_K(bits), draw_L(bits), draw_unit(bits))
             assert drawn == (spread, tower.L.embed(k), *expected[2:]), (val_cap, seed)
             assert direct.getstate() == want.getstate(), (val_cap, seed)
-            drawn = (
-                tower.random_L_raw(methods, spread_valuation=True),
-                tower.random_K_raw(methods),
-                tower.random_L_raw(methods),
-                tower.random_L_unit_raw(methods),
-            )
+            want = random.Random(seed)
+            expected = tuple(randrange_L_elem(tower, want).data for _ in range(2))
+            drawn = (tower.random_L_raw(methods), tower.random_L_elem(methods).data)
             assert drawn == expected, (val_cap, seed)
             assert methods.getstate() == want.getstate(), (val_cap, seed)
 
