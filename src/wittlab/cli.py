@@ -213,6 +213,13 @@ def cmd_suite(args) -> int:
         manifest = _default_manifest()
     if not isinstance(manifest, dict):
         raise _Exit(EXIT_CONFIG, "manifest must be a JSON object")
+    for key in manifest:
+        # a misspelt key ("sample") would otherwise run on its default
+        if key not in ("towers", "lemmas", "samples", "seed"):
+            raise _Exit(
+                EXIT_CONFIG,
+                f"unknown manifest key {key!r}: the keys are towers, lemmas, samples and seed",
+            )
     towers = manifest.get("towers") or []
     lemmas = manifest.get("lemmas") or []
     if not towers or not lemmas:
@@ -233,9 +240,12 @@ def cmd_suite(args) -> int:
                 EXIT_CONFIG,
                 f"an inline tower name must be a string, got {json.dumps(tower_ref['name'])}",
             )
-    for lemma in lemmas:
+    for i, lemma in enumerate(lemmas):
         if not isinstance(lemma, str) or lemma not in cohomlab.VERIFIERS:
             raise _Exit(EXIT_CONFIG, f"unknown lemma id {lemma!r}")
+        # the table has one row per lemma
+        if lemma in lemmas[:i]:
+            raise _Exit(EXIT_CONFIG, f"manifest lists lemma {lemma!r} twice")
     samples = manifest.get("samples", 200)
     seed = manifest.get("seed", 2026)
     for key, value in (("samples", samples), ("seed", seed)):

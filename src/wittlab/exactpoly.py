@@ -190,16 +190,13 @@ class MPoly:
             out[key] = q
         return MPoly(out)
 
-    def eval(self, assignment: Mapping[int, object], ring=None):
-        """Substitute ring elements for variables.
-
-        Integer coefficients act through the elements' integer-scaling
-        path; with no ring given, plain integer arithmetic is used.
-        Every variable that occurs must be assigned.
+    def eval(self, assignment: Mapping[int, object]):
+        """Substitute values for variables and sum the terms in the values'
+        own arithmetic: ints, MPolys and tower elements all combine with
+        ints on either side, so a polynomial with no non-constant term
+        evaluates to an int.  Every variable that occurs must be assigned.
         """
-        if ring is None:
-            ring = INT_RING
-        acc = ring.zero
+        acc = 0
         powcache: dict[tuple[int, int], object] = {}
         for key, coeff in self.terms.items():
             prod = None
@@ -210,10 +207,7 @@ class MPoly:
                         raise UnassignedVariable(v)
                     base = _ring_pow(assignment[v], e, powcache, v)
                 prod = base if prod is None else prod * base
-            if prod is None:
-                acc = acc + ring.from_int(coeff)
-            else:
-                acc = acc + prod * coeff
+            acc = acc + (coeff if prod is None else prod * coeff)
         return acc
 
     def rename_vars(self, mapping: Mapping[int, int]) -> "MPoly":
@@ -274,29 +268,3 @@ def _ring_pow(base, e: int, cache: dict, v: int):
         result = result * cache[(v, 1)]
     cache[(v, e)] = result
     return result
-
-
-class IntRing:
-    """Plain integers as the evaluation ring."""
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def from_int(k: int) -> int:
-        return k
-
-
-class MPolyRing:
-    """Polynomials themselves as the evaluation ring (composition)."""
-
-    zero = MPoly.zero()
-    one = MPoly.const(1)
-
-    @staticmethod
-    def from_int(k: int) -> MPoly:
-        return MPoly.const(k)
-
-
-INT_RING = IntRing()
-MPOLY_RING = MPolyRing()

@@ -170,17 +170,15 @@ class FlatRing:
         self.flat_rank = len(weights)
         self.ram_index = self.flat_rank
         self.zero_elem = (0,) * self.flat_rank
-        self.one_elem = self.from_int(1).data
-        self.zero = OElem(self, self.zero_elem)
-        self.one = OElem(self, self.one_elem)
+        self.one_elem = self.from_int(1)
         # pi_L on O_L, pi_K on O_K; at rank 1 pi_K is the root -E_K(0) of
         # E_K (p itself when K = Q_p)
         self.pi_elem = struct[0][block] if self.flat_rank > 1 else (-ecoeffs[0] % self.modulus,)
         self._lifts, self._level = lifts, ("O_K", "O_L").index(name)
         self._pth_power = None  # a cached_property's __dict__ write slows lookups
 
-    def from_int(self, k: int) -> "OElem":
-        return OElem(self, (k % self.modulus,) + self.zero_elem[1:])
+    def from_int(self, k: int) -> tuple:
+        return (k % self.modulus,) + self.zero_elem[1:]
 
     def _compile_val(self, a):
         """A lift's ``val_raw`` until its first call, which compiles it."""
@@ -314,27 +312,26 @@ class OElem:
         self.level = level
         self.data = data
 
-    def _coerce(self, other) -> "OElem":
+    def _coerce(self, other) -> tuple:
+        """The coordinates of ``other``, an element of this level or an int."""
         if isinstance(other, OElem):
             if other.level is not self.level:
                 raise ValueError("operands live at different tower levels")
-            return other
+            return other.data
         if isinstance(other, int):
             return self.level.from_int(other)
         raise TypeError(f"cannot combine OElem with {type(other).__name__}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return OElem(self.level, self.level.add(self.data, other.data))
+        return OElem(self.level, self.level.add(self.data, self._coerce(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return OElem(self.level, self.level.sub(self.data, other.data))
+        return OElem(self.level, self.level.sub(self.data, self._coerce(other)))
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        return OElem(self.level, self.level.sub(self._coerce(other), self.data))
 
     def __neg__(self):
         return OElem(self.level, self.level.neg(self.data))
@@ -342,8 +339,7 @@ class OElem:
     def __mul__(self, other):
         if isinstance(other, int):
             return OElem(self.level, self.level.scale_int(self.data, other))
-        other = self._coerce(other)
-        return OElem(self.level, self.level.mul(self.data, other.data))
+        return OElem(self.level, self.level.mul(self.data, self._coerce(other)))
 
     __rmul__ = __mul__
 
@@ -354,12 +350,8 @@ class OElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.level.from_int(other)
-        return (
-            isinstance(other, OElem)
-            and other.level is self.level
-            and other.data == self.data
-        )
+            return self.data == self.level.from_int(other)
+        return isinstance(other, OElem) and other.level is self.level and other.data == self.data
 
     def __hash__(self):
         return hash((id(self.level), self.data))
@@ -556,7 +548,7 @@ def _eval_top(R: FlatRing, x):
 
 def _eval_deriv(R: FlatRing, x):
     """E_L' at a point of R, by Horner."""
-    acc = R.from_int(R.p).data
+    acc = R.from_int(R.p)
     for j in range(R.p - 1, 0, -1):
         acc = R.add(R.mul(acc, x), R.scale_int(R.embed(R.ecoeffs[j]), j))
     return acc
@@ -624,10 +616,10 @@ class ExtensionTower:
         # conj[i] = sigma^i(pi_L), the column of basis element pi_L in sigma^i
         conj = tuple(tuple(row[self.e_K] for row in mat) for mat in self.galois_mats)
         wrap = self.galois_maps[1](conj[-1])
-        if not self._close_raw(wrap, pi, self.val_cap):
+        if not self._zero_raw(L.sub(wrap, pi)):
             raise NotNormal("sigma does not have order p at precision")
         for i in range(1, p):
-            if self._close_raw(conj[i], pi, self.val_cap):
+            if self._zero_raw(L.sub(conj[i], pi)):
                 raise NotNormal("sigma has order < p at precision")
         self.pi_conjugates = conj
 
@@ -649,7 +641,9 @@ class ExtensionTower:
         leading digits 1..p-1, so the start is nearer its root than the
         roots are to each other, and its distance to it past s_pre + 1
         doubles at each step.  Dividing by E_L'(x), of valuation dv, leaves
-        ceil(dv/e_L) digits open, and R carries one more."""
+        ceil(dv/e_L) digits open, and R carries one more.  A zero step
+        means E_L(x) = 0 in R, so no later step moves x and the loop ends
+        there; the fixed count is its cap."""
         L, p = self.L, self.p
         R = L.flat_lift(-(-dv // self.e_L) + 1)
         x = R.add(R.pi_elem, R.pow(R.pi_elem, s_pre + 1))
@@ -660,14 +654,13 @@ class ExtensionTower:
                 step, _ = linsolve(smith_normal_form(mat, p, R.digits), _eval_top(R, x))
             except NoSolutionAtPrecision:
                 raise NotNormal("a Newton step has no solution") from None
+            if not any(step):
+                break
             x = R.sub(x, step)
         root = L.reduce(x)
         if L.val_raw(_eval_top(L, root)) is not None:
             raise NotNormal("Newton's method gave no root of the top polynomial")
         return root
-
-    def _close_raw(self, a, b, cap: int) -> bool:
-        return at_cap(self.L.val_raw(self.L.sub(a, b)), cap) is None
 
     def _build_galois(self) -> None:
         """``galois_mats[i]``, sigma^i on flat coordinates (entry [r][m] is
@@ -776,7 +769,9 @@ class ExtensionTower:
 
     def _fixed_raw(self, a) -> bool:
         """sigma(a) = a at precision: one gcd over sigma(a) - a, with the
-        sigma the tower holds in ``galois_maps[1]`` at call time."""
+        sigma the tower holds in ``galois_maps[1]`` at call time; the gcd
+        of ``_zero_raw`` inlined, since the fixed-points lemma calls it
+        once per sample."""
         m = self.prec_modulus
         return math.gcd(m, *map(operator.sub, self.galois_maps[1](a), a)) == m
 
@@ -839,15 +834,14 @@ class ExtensionTower:
         (advertised precision and above only), and ``delta``, through the
         compiled solve of the form at those digits; raises
         NoSolutionAtPrecision otherwise, and TraceNotRational when
-        sigma(y) - y - c is not zero at precision (one gcd, as
-        ``_fixed_raw``)."""
+        sigma(y) - y - c is not zero at precision (``_zero_raw``)."""
         if digits < self.N:
             raise PrecisionTooLow("cannot solve below the advertised precision")
         snf = self.sigma_minus_one_snf(digits)
         snf.check_rhs(c)
         y, delta = snf.solve(c)
-        m, sub = self.prec_modulus, operator.sub
-        if math.gcd(m, *map(sub, map(sub, self.galois_maps[1](y), y), c)) != m:
+        sub = operator.sub
+        if not self._zero_raw(map(sub, map(sub, self.galois_maps[1](y), y), c)):
             raise TraceNotRational("solver postcondition failed")
         return y, delta
 

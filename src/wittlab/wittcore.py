@@ -61,7 +61,7 @@ from math import comb
 from typing import Sequence
 
 from . import kernels
-from .exactpoly import MPoly, MPOLY_RING, NotDivisible
+from .exactpoly import MPoly, NotDivisible
 
 # Symbolic budgets: term counts grow like p^(n-1), so the supported
 # window is fixed rather than discovered by timeout.  They bound the
@@ -157,14 +157,10 @@ class WittCtx:
         targets = _sum_targets(self.ghost, (xvar, yvar))
         for l in range(1, self.n + 1):
             w = self.ghost[l - 1]
-            lhs = w.eval(
-                {j - 1: self.addition[j - 1] for j in range(1, l + 1)}, MPOLY_RING
-            )
+            lhs = w.eval({j - 1: self.addition[j - 1] for j in range(1, l + 1)})
             if lhs != targets[l - 1]:
                 raise IntegralityViolation(f"ghost addition identity fails at level {l}")
-            neg_lhs = w.eval(
-                {j - 1: self.negation[j - 1] for j in range(1, l + 1)}, MPOLY_RING
-            )
+            neg_lhs = w.eval({j - 1: self.negation[j - 1] for j in range(1, l + 1)})
             if neg_lhs != -w:
                 raise IntegralityViolation(f"ghost negation identity fails at level {l}")
 

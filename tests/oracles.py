@@ -30,12 +30,13 @@
   (``negative_by_columns``), one ``ghost_sum`` pass per carry: the oracle
   of the one-pass negative past the negation tables.
 * Witt sums and negatives by evaluating the addition and negation
-  polynomials (``polynomial_witt_sum``, ``polynomial_witt_neg``), over
-  any ring the polynomials evaluate in, the integers among them.  Over a
-  tower ring they take and return flat coordinate tuples, as
-  ``WittVec`` holds them, and evaluate on OElems, wrapped and unwrapped
-  here.  The package sums, carries and negates only through
-  ``wittcore.ghost_sum``; every test of that path compares it with these.
+  polynomials (``polynomial_witt_sum``, ``polynomial_witt_neg``) at
+  values that add and multiply with ints: ints, MPolys or OElems.  Over
+  a tower ring ``flat_witt_sum`` and ``flat_witt_neg`` take and return
+  flat coordinate tuples, as ``WittVec`` holds them, and evaluate on
+  OElems, wrapped and unwrapped here.  The package sums, carries and
+  negates only through ``wittcore.ghost_sum``; every test of that path
+  compares it with these.
 * The component polynomials of a p-fold sum by folding the binary
   addition polynomials (``pfold_components_by_folding``), which
   ``wittcore.PFoldDecomposition`` solves from their ghost identities.
@@ -73,7 +74,7 @@
   read from it (``step_bound_by_cascade``, ``stable_witt_length_by_cascade``):
   the oracle of ``cohomlab.step_bound`` and ``stable_witt_length``, which
   use the closed forms s - s // p^i and the least M with p^(M-1) > s.
-* ``unflatten``, ``is_zero_at_precision``, ``eq_at_precision``,
+* ``unflatten``, ``int_elem``, ``is_zero_at_precision``, ``eq_at_precision``,
   ``in_K_at_precision``, ``pi_K`` and ``project_to_K``: OElem helpers
   that only the tests use, and ``zmod``, Z/p^k as a rank-1 tower ring.
 """
@@ -85,10 +86,9 @@ from itertools import repeat
 
 from wittlab import cohomlab, wittcore
 from wittlab.cohomlab import _base_report, witt_length
-from wittlab.exactpoly import INT_RING, MPOLY_RING, MPoly
+from wittlab.exactpoly import MPoly
 from wittlab.localfield import (
     ExtensionTower,
-    FlatRing,
     NotNormal,
     OElem,
     PrecisionTooLow,
@@ -140,38 +140,38 @@ def _update_margin(margins: dict, key: str, value: int) -> None:
         margins[key] = value
 
 
-def _elements(ring):
-    """The maps from an entry of a row over ``ring`` to the element the
-    polynomials are evaluated on, and back: over a tower ring a flat
-    coordinate tuple is wrapped in an OElem and the value unwrapped,
-    elsewhere (the integers) entries are elements already."""
-    if isinstance(ring, FlatRing):
-        return (lambda c: OElem(ring, c)), (lambda a: a.data)
-    return (lambda c: c), (lambda a: a)
-
-
-def polynomial_witt_sum(p, rows, ring=INT_RING) -> tuple:
+def polynomial_witt_sum(p, rows) -> tuple:
     """The components of the left-to-right Witt sum of ``rows``, equal
-    length sequences of entries over ``ring`` (``_elements``), by
-    evaluating the addition polynomials."""
-    wrap, unwrap = _elements(ring)
+    length sequences of values that add and multiply with ints (ints,
+    MPolys or OElems), by evaluating the addition polynomials."""
     ctx = ctx_for(p, len(rows[0]))
-    acc = tuple(map(wrap, rows[0]))
+    acc = tuple(rows[0])
     for row in rows[1:]:
         assign = {}
         for j in range(1, ctx.n + 1):
             assign[xvar(j)] = acc[j - 1]
-            assign[yvar(j)] = wrap(row[j - 1])
-        acc = tuple(phi.eval(assign, ring) for phi in ctx.addition)
-    return tuple(map(unwrap, acc))
+            assign[yvar(j)] = row[j - 1]
+        acc = tuple(phi.eval(assign) for phi in ctx.addition)
+    return acc
 
 
-def polynomial_witt_neg(p, row, ring=INT_RING) -> tuple:
-    """The components of the Witt negative of ``row``, entries over
-    ``ring`` (``_elements``), by evaluating the negation polynomials."""
-    wrap, unwrap = _elements(ring)
-    assign = dict(enumerate(map(wrap, row)))
-    return tuple(unwrap(iota.eval(assign, ring)) for iota in ctx_for(p, len(row)).negation)
+def polynomial_witt_neg(p, row) -> tuple:
+    """The components of the Witt negative of ``row``, values as for
+    ``polynomial_witt_sum``, by evaluating the negation polynomials."""
+    assign = dict(enumerate(row))
+    return tuple(iota.eval(assign) for iota in ctx_for(p, len(row)).negation)
+
+
+def flat_witt_sum(ring, rows) -> tuple:
+    """``polynomial_witt_sum`` over a tower ring on rows of flat coordinate
+    tuples: each entry wrapped in an OElem, each component unwrapped."""
+    values = polynomial_witt_sum(ring.p, [[OElem(ring, c) for c in row] for row in rows])
+    return tuple(v.data for v in values)
+
+
+def flat_witt_neg(ring, row) -> tuple:
+    """``polynomial_witt_neg`` over a tower ring, on flat coordinate tuples."""
+    return tuple(v.data for v in polynomial_witt_neg(ring.p, [OElem(ring, c) for c in row]))
 
 
 def pfold_components_by_folding(p, n) -> list:
@@ -187,7 +187,7 @@ def pfold_components_by_folding(p, n) -> list:
         for j in range(1, n + 1):
             assign[xvar(j)] = acc[j - 1]
             assign[yvar(j)] = row[j - 1]
-        acc = [phi.eval(assign, MPOLY_RING) for phi in ctx_for(p, n).addition]
+        acc = [phi.eval(assign) for phi in ctx_for(p, n).addition]
     return acc
 
 
@@ -211,7 +211,7 @@ def roots_by_digit_search(L, dv, s_pre) -> list:
     pi_pows = [L.one_elem]
     for _ in range(k_stop):
         pi_pows.append(L.mul(pi_pows[-1], pi))
-    digits = [L.from_int(d).data for d in range(p)]
+    digits = [L.from_int(d) for d in range(p)]
 
     def threshold(k: int) -> int:
         return min(k + (p - 1) * min(k, s_pre + 1), cap_int)
@@ -347,6 +347,11 @@ def trace_rows_off_by_one(monkeypatch, r, m):
 def unflatten(ring, coords) -> OElem:
     """The element of ``ring`` with these flat coordinates, reduced."""
     return OElem(ring, ring.reduce(coords))
+
+
+def int_elem(ring, k: int) -> OElem:
+    """The integer k as an element of ``ring``."""
+    return OElem(ring, ring.from_int(k))
 
 
 def is_zero_at_precision(tower, a: OElem) -> bool:

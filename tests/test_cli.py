@@ -515,6 +515,32 @@ class TestSuite:
         assert captured.err == "suite: manifest lists two towers named 'x'\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "fields, err",
+        [
+            # a misspelt key would run 200 samples, the default
+            ({"towers": ["q2_i"], "lemmas": ["vktr"], "sample": 5},
+             "suite: unknown manifest key 'sample': the keys are towers, lemmas, samples and seed\n"),
+            # a lemma listed twice would run twice and print two rows
+            ({"towers": ["q2_i"], "lemmas": ["vktr", "vksub", "vktr"], "samples": 2},
+             "suite: manifest lists lemma 'vktr' twice\n"),
+        ],
+        ids=["unknown_key", "lemma_twice"],
+    )
+    def test_manifest_refusals_build_no_tower(self, tmp_path, fields, err, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was loaded")
+
+        monkeypatch.setattr(localfield, "tower_from_obj", refuse)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(fields))
+        out = tmp_path / "agg.json"
+        code = cli.main(["suite", "--manifest", str(manifest), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err == err
+        assert captured.out == "" and not out.exists()
+
     def test_unknown_lemma_named(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text('{"towers": ["q2_i"], "lemmas": ["nope"]}')

@@ -12,7 +12,7 @@ from wittlab.exactpoly import (
     UnassignedVariable,
 )
 
-from oracles import zmod
+from oracles import int_elem, zmod
 
 
 def rand_poly(rng, nvars=4, nterms=5, maxexp=4, maxcoeff=30):
@@ -99,12 +99,19 @@ class TestEval:
     def test_mod_ring(self):
         ring = zmod(2, 3)
         p = X0 + Y0
-        assert p.eval({0: ring.from_int(1), 2: ring.from_int(1)}, ring) == 2
+        assert p.eval({0: int_elem(ring, 1), 2: int_elem(ring, 1)}) == 2
 
     def test_zero_annihilates(self):
         ring = zmod(2, 3)
         p = X0 * Y0
-        assert p.eval({0: ring.from_int(0), 2: ring.from_int(5)}, ring) == 0
+        assert p.eval({0: int_elem(ring, 0), 2: int_elem(ring, 5)}) == 0
+
+    def test_constants_evaluate_to_ints(self):
+        # no term carries a value, so the sum stays in the ints
+        ring = zmod(2, 3)
+        for poly in (MPoly.zero(), MPoly.const(9)):
+            value = poly.eval({0: int_elem(ring, 3)})
+            assert type(value) is int and value == poly.coefficient(Monomial())
 
     def test_over_z(self):
         p = X0**2 + 2 * MPoly.var(1)
@@ -120,15 +127,10 @@ class TestEval:
         for _ in range(100):
             p, q = rand_poly(rng), rand_poly(rng)
             vals = {v: rng.randrange(-50, 50) for v in range(4)}
-            mvals = {v: ring.from_int(x) for v, x in vals.items()}
-            assert (p + q).eval(vals) == p.eval(vals) + q.eval(vals)
-            assert (p * q).eval(vals) == p.eval(vals) * q.eval(vals)
-            assert (p + q).eval(mvals, ring) == p.eval(mvals, ring) + q.eval(
-                mvals, ring
-            )
-            assert (p * q).eval(mvals, ring) == p.eval(mvals, ring) * q.eval(
-                mvals, ring
-            )
+            mvals = {v: int_elem(ring, x) for v, x in vals.items()}
+            for values in (vals, mvals):
+                assert (p + q).eval(values) == p.eval(values) + q.eval(values)
+                assert (p * q).eval(values) == p.eval(values) * q.eval(values)
 
 
 class TestRingAxioms:
