@@ -2,7 +2,7 @@
 towers, and degree-p cyclic Galois cohomology checks, all in exact
 arithmetic with honest precision accounting."""
 
-from .exactpoly import MPoly, Monomial, NotDivisible
+from .exactpoly import MPoly, NotDivisible
 from .kernels import BACKEND
 from .localfield import (
     ExtensionTower,
@@ -18,7 +18,6 @@ __all__ = [
     "BACKEND",
     "ExtensionTower",
     "MPoly",
-    "Monomial",
     "NotDivisible",
     "OElem",
     "WittCtx",

@@ -27,9 +27,9 @@ The tests compare the sum with the loop it replaced, the negative with
 the column-by-column solve, and the trace with the conjugates' Witt sum.
 ``compile_smith_solve`` turns a Smith form U*A*V = diag(p^v) into a
 straight-line solve of A*x = c, which the tests compare with the
-interpreted ``localfield.linsolve``.  ``compile_flat_ring`` adds a
-ring's valuation, unrolled in weight order, to its product's source,
-against the per-coordinate loop in ``tests/oracles.py``, and
+interpreted ``localfield.linsolve``.  ``compile_flat_val`` unrolls a
+ring's valuation in weight order, against the per-coordinate loop in
+``tests/oracles.py``, and
 ``compile_tower_draws`` unrolls a tower's element draws from the
 rejection loop of ``localfield._uniform``, their reference.
 
@@ -273,14 +273,23 @@ def _define(source: str, filename: str, names: str, **bound):
     return itemgetter(*names.split())(namespace)
 
 
-def flat_val_source(p: int, digits: int, by_weight) -> str:
-    """Straight-line source of ``val_raw(a)``: v_p(c_r)*e + w(r) minimized
-    over the coordinates of a rank-e ring modulo p^digits, None when all are
-    0 modulo p^digits; ``by_weight`` holds the pairs (r, w(r)) in increasing
-    weight.  g = gcd(p^digits, c_0, c_1, ...) is p^v, v = min_r v_p(c_r),
-    and ``scaled[g]`` is v*e.  The weights are distinct and below e, so the
-    minimum is v*e + w(r) for the least-weight r with c_r nonzero modulo
-    p^(v+1), and some r has one, so the last is not tested."""
+def compile_flat_ring(struct_rows, p: int, digits: int):
+    """The product modulo p^digits on these structure rows, compiled once;
+    it returns what ``flat_mul`` does."""
+    rank = len(struct_rows)
+    source = flat_mul_source(flat_mul_plan(struct_rows), rank, p**digits)
+    return _define(source, f"<flat_mul rank {rank}>", "mul")
+
+
+def compile_flat_val(p: int, digits: int, by_weight):
+    """``val_raw(a)``, compiled once from straight-line source:
+    v_p(c_r)*e + w(r) minimized over the coordinates of a rank-e ring modulo
+    p^digits, None when all are 0 modulo p^digits; ``by_weight`` holds the
+    pairs (r, w(r)) in increasing weight.  g = gcd(p^digits, c_0, c_1, ...)
+    is p^v, v = min_r v_p(c_r), and ``scaled[g]`` is v*e.  The weights are
+    distinct and below e, so the minimum is v*e + w(r) for the least-weight
+    r with c_r nonzero modulo p^(v+1), and some r has one, so the last is
+    not tested."""
     modulus = _checked_int(p) ** _checked_int(digits)
     names = [f"a{m}" for m in range(len(by_weight))]
     lines = ["def val_raw(a):", f"    {_tuple(names)} = a", f"    g = gcd({modulus}, {', '.join(names)})"]
@@ -288,20 +297,9 @@ def flat_val_source(p: int, digits: int, by_weight) -> str:
     for r, w in by_weight[:-1]:
         lines += [f"    if a{_checked_int(r)} % q:", f"        return scaled[g] + {_checked_int(w)}"]
     lines.append(f"    return scaled[g] + {_checked_int(by_weight[-1][1])}")
-    return "\n".join(lines) + "\n"
-
-
-def compile_flat_ring(struct_rows, p: int, digits: int, by_weight=None):
-    """``(mul, val_raw)`` modulo p^digits, one source compiled once: the
-    product on these structure rows, which returns what ``flat_mul`` does,
-    and ``flat_val_source``'s valuation, None without ``by_weight``."""
-    rank, modulus = len(struct_rows), p**digits
-    source = flat_mul_source(flat_mul_plan(struct_rows), rank, modulus)
-    if not by_weight:
-        return _define(source, f"<flat_mul rank {rank}>", "mul"), None
-    source += flat_val_source(p, digits, by_weight)
     scaled = {p**v: v * len(by_weight) for v in range(digits)}
-    return _define(source, f"<flat_ring rank {rank}>", "mul val_raw", gcd=gcd, scaled=scaled)
+    source = "\n".join(lines) + "\n"
+    return _define(source, f"<flat_val rank {len(by_weight)}>", "val_raw", gcd=gcd, scaled=scaled)
 
 
 def uniform_lines(names, modulus) -> list:

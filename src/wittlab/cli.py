@@ -4,7 +4,7 @@ verification, suite aggregation, and brute-force oracles.
 Exit codes: 0 pass, 1 fail, 2 undetermined/not-stabilized, 64 usage or
 configuration error, 70 internal error.  ``main`` is the one place that
 maps a command's outcome to its exit code, the same way for every
-command: a usage error is 64, NotStabilized and SamplerExhausted are 2,
+command: a usage error is 64, an ``UNDETERMINED`` exception is 2,
 and any other exception that escapes a command is a crash, 70, never a
 mathematical FAIL; each is reported on one line of stderr.  A fixed seed
 makes every run byte-reproducible; the aggregate suite report carries no
@@ -26,6 +26,9 @@ EXIT_FAIL = 1
 EXIT_UNDETERMINED = 2
 EXIT_CONFIG = 64
 EXIT_CRASH = 70
+
+# the exceptions that leave a verdict UNDETERMINED (exit 2)
+UNDETERMINED = (cohomlab.NotStabilized, cohomlab.SamplerExhausted)
 
 # the builtin towers: one JSON description per name, the file stem
 TOWER_DIR = Path(__file__).resolve().parent / "towers"
@@ -135,15 +138,15 @@ def _args_overrides(args) -> dict:
 
 def _run(lemma: str, tower, tower_name: str | None = None, **kwargs):
     """``lemma``'s report on ``tower``.  A Witt length out of range is a
-    usage error, refused before anything is drawn; NotStabilized and
-    SamplerExhausted propagate; any other exception is a crash whose line
+    usage error, refused before anything is drawn; ``UNDETERMINED``
+    exceptions propagate; any other exception is a crash whose line
     names the lemma, and ``tower_name`` where given (a suite cell)."""
     where = lemma if tower_name is None else f"{lemma} on {tower_name}"
     try:
         return cohomlab.VERIFIERS[lemma](tower, **kwargs)
     except cohomlab.WittLengthOutOfRange as exc:
         raise _Exit(EXIT_CONFIG, str(exc) if tower_name is None else f"{where}: {exc}") from None
-    except (cohomlab.NotStabilized, cohomlab.SamplerExhausted):
+    except UNDETERMINED:
         raise
     except Exception as exc:
         raise _Exit(EXIT_CRASH, f"{where} crashed: {_crash_line(exc)}") from None
@@ -274,7 +277,7 @@ def cmd_suite(args) -> int:
             try:
                 report = _run(lemma, tower, tower_name, samples=samples, seed=seed)
                 status = report.status
-            except (cohomlab.NotStabilized, cohomlab.SamplerExhausted):
+            except UNDETERMINED:
                 report = None
                 status = "UNDETERMINED"
             cell = {
@@ -409,7 +412,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _Exit as exc:
         code, line = exc.code, str(exc)
-    except (cohomlab.NotStabilized, cohomlab.SamplerExhausted) as exc:
+    except UNDETERMINED as exc:
         code, line = EXIT_UNDETERMINED, str(exc)
     except Exception as exc:
         code, line = EXIT_CRASH, f"crashed: {_crash_line(exc)}"

@@ -12,7 +12,7 @@ construction gets certified.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from . import kernels
 
@@ -20,14 +20,14 @@ MonomialKey = tuple  # tuple[tuple[int, int], ...]
 
 
 class NotDivisible(ArithmeticError):
-    """Exact division failed; carries the offending term."""
+    """Exact division failed; carries the offending term's key."""
 
-    def __init__(self, monomial: "Monomial", coefficient: int, divisor: int):
+    def __init__(self, monomial: MonomialKey, coefficient: int, divisor: int):
         self.monomial = monomial
         self.coefficient = coefficient
         self.divisor = divisor
         super().__init__(
-            f"coefficient {coefficient} of {monomial} not divisible by {divisor}"
+            f"coefficient {coefficient} of {_monomial_str(monomial)} not divisible by {divisor}"
         )
 
 
@@ -35,37 +35,11 @@ class UnassignedVariable(KeyError):
     """Evaluation was asked for with a variable left unassigned."""
 
 
-class Monomial:
-    """A power product; the empty product is the constant monomial."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, exponents: Mapping[int, int] | MonomialKey = ()):
-        if isinstance(exponents, tuple):
-            key = exponents
-        else:
-            key = tuple(sorted((v, e) for v, e in exponents.items() if e))
-        for v, e in key:
-            if v < 0 or e <= 0:
-                raise ValueError(f"bad monomial entry ({v}, {e})")
-        self.key = key
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.key)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(kernels.monomial_key_mul(self.key, other.key))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __repr__(self) -> str:
-        if not self.key:
-            return "1"
-        return "*".join(f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in self.key)
+def _monomial_str(key: MonomialKey) -> str:
+    """``x0^2*x3`` for the key ((0, 2), (3, 1)); ``1`` for the constant."""
+    if not key:
+        return "1"
+    return "*".join(f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in key)
 
 
 def _term_sort_key(item: tuple[MonomialKey, int]):
@@ -160,14 +134,6 @@ class MPoly:
             return float("inf")
         return min(sum(e for _, e in key) for key in self.terms)
 
-    def coefficient(self, monomial: Monomial) -> int:
-        return self.terms.get(monomial.key, 0)
-
-    def iter_terms(self) -> Iterator[tuple[Monomial, int]]:
-        """Terms in the canonical (graded, then key-lexicographic) order."""
-        for key, coeff in sorted(self.terms.items(), key=_term_sort_key):
-            yield Monomial(key), coeff
-
     # -- exact division and evaluation --------------------------------
 
     def exact_div_int(self, k: int) -> "MPoly":
@@ -182,11 +148,8 @@ class MPoly:
         for key, coeff in self.terms.items():
             q, r = divmod(coeff, k)
             if r:
-                bad = min(
-                    (kk for kk, cc in self.terms.items() if cc % k),
-                    key=lambda kk: (sum(e for _, e in kk), kk),
-                )
-                raise NotDivisible(Monomial(bad), self.terms[bad], k)
+                bad = min((t for t in self.terms.items() if t[1] % k), key=_term_sort_key)
+                raise NotDivisible(*bad, k)
             out[key] = q
         return MPoly(out)
 
@@ -233,15 +196,16 @@ class MPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in self.iter_terms():
-            if mono.key == ():
+        for key, coeff in sorted(self.terms.items(), key=_term_sort_key):
+            mono = _monomial_str(key)
+            if not key:
                 parts.append(str(coeff))
             elif coeff == 1:
-                parts.append(repr(mono))
+                parts.append(mono)
             elif coeff == -1:
-                parts.append(f"-{mono!r}")
+                parts.append(f"-{mono}")
             else:
-                parts.append(f"{coeff}*{mono!r}")
+                parts.append(f"{coeff}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
 

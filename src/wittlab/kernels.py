@@ -5,9 +5,9 @@ module (``kernels.sparse_mul(...)``), so each kernel can be wrapped, for
 timing or tracing, in one place.
 
 The rings of a tower do not multiply through a kernel call: each one
-holds a product and a valuation that ``compile_flat_ring`` generated
-from its structure rows and weights, as one source, when the ring was
-built (a lift's valuation, and x -> x^p from ``compile_flat_pow``, on first use);
+holds a product that ``compile_flat_ring`` generated from its structure
+rows when the ring was built, and a valuation (``compile_flat_val``, from
+its weights) and x -> x^p (``compile_flat_pow``) generated on first use;
 ``flat_mul`` is the product's reference, and the per-coordinate
 valuation loop in ``tests/oracles.py`` the valuation's.  A tower's
 element draws are straight-line code that ``compile_tower_draws``
@@ -34,6 +34,7 @@ from ._kernels_py import (
     compile_flat_linear,
     compile_flat_pow,
     compile_flat_ring,
+    compile_flat_val,
     compile_ghost_pass,
     compile_smith_solve,
     compile_tower_draws,

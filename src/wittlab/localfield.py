@@ -17,9 +17,9 @@ modulo p^N_int on a fixed Z_p-basis, pi_K^i on O_K and pi_K^i*pi_L^j at
 index j*e_K + i on O_L, so the O_K-coefficient of pi_L^j is a slice.
 Products are bilinear through structure rows built from the integer
 Eisenstein coefficients: each ring compiles them, once, into a
-straight-line product, with its valuation (``kernels.compile_flat_ring``),
-and ``kernels.flat_mul`` on the same rows is its reference.  Each
-field map has one source: sigma^i are matrices on the same coordinates
+straight-line product (``kernels.compile_flat_ring``), and
+``kernels.flat_mul`` on the same rows is its reference.  Each field map
+has one source: sigma^i are matrices on the same coordinates
 built from the powers of sigma(pi_L), and the trace into O_K comes from
 E_L's power sums, with no sigma.  One comparison at build, exact modulo
 p^N_int, ties the two; substituting sigma^i(pi_L) into an element's
@@ -135,8 +135,8 @@ class FlatRing:
     ``pth_power`` is x -> x^p, compiled from them on first use.
     ``val_raw(a)`` is the valuation in this ring's units, None when every
     coordinate is 0 modulo p^digits: one gcd, then the coordinates in
-    increasing weight, compiled with ``mul`` (``kernels.compile_flat_ring``) if
-    ``valued``, else on its first call.
+    increasing weight, compiled (``kernels.compile_flat_val``) on its first
+    call.
     ``ecoeffs`` are the non-leading coefficients of the level's
     Eisenstein polynomial, as elements of the level below: the integers,
     unreduced, that the ring and its lifts are built from.  ``lifts``
@@ -154,7 +154,6 @@ class FlatRing:
         struct: tuple,
         ecoeffs: tuple,
         lifts: "_Lifts",
-        valued: bool,
     ):
         self.name = name
         self.p = p
@@ -164,8 +163,8 @@ class FlatRing:
         self.weights = weights
         self.struct = struct
         self._by_weight = tuple(sorted(enumerate(weights), key=lambda rw: rw[1]))
-        self.mul, val_raw = kernels.compile_flat_ring(struct, p, digits, valued and self._by_weight)
-        self.val_raw = val_raw or self._compile_val
+        self.mul = kernels.compile_flat_ring(struct, p, digits)
+        self.val_raw = self._compile_val
         self.ecoeffs = ecoeffs
         self.flat_rank = len(weights)
         self.ram_index = self.flat_rank
@@ -181,8 +180,8 @@ class FlatRing:
         return (k % self.modulus,) + self.zero_elem[1:]
 
     def _compile_val(self, a):
-        """A lift's ``val_raw`` until its first call, which compiles it."""
-        _, self.val_raw = kernels.compile_flat_ring(self.struct, self.p, self.digits, self._by_weight)
+        """``val_raw`` until its first call, which compiles it."""
+        self.val_raw = kernels.compile_flat_val(self.p, self.digits, self._by_weight)
         return self.val_raw(a)
 
     def flat_lift(self, extra_digits: int) -> "FlatRing":
@@ -269,7 +268,7 @@ def build_rings(
     for _ in range(2 * e - 2):
         pk.append(times_pi_K(pk[-1]))
     K_struct = tuple(tuple(pk[a + b] for b in range(e)) for a in range(e))
-    K = FlatRing("O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k), lifts, working)
+    K = FlatRing("O_K", p, digits, 1, tuple(range(e)), K_struct, tuple(e_k), lifts)
 
     el = []
     for c in e_l:
@@ -298,7 +297,7 @@ def build_rings(
         for i, j in index
     )
     weights = tuple(i * p + j for i, j in index)
-    L = FlatRing("O_L", p, digits, e, weights, struct, tuple(el), lifts, working)
+    L = FlatRing("O_L", p, digits, e, weights, struct, tuple(el), lifts)
     lifts[digits] = K, L
     return K, L
 

@@ -174,14 +174,9 @@ class WittCtx:
         }
 
 
-_CTX_CACHE: dict[tuple[int, int], WittCtx] = {}
-
-
+@cache
 def ctx_for(p: int, n: int) -> WittCtx:
-    key = (p, n)
-    if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = WittCtx(p, n)
-    return _CTX_CACHE[key]
+    return WittCtx(p, n)
 
 
 def _sum_targets(ghost: Sequence[MPoly], slots) -> list[MPoly]:
@@ -467,14 +462,9 @@ class PFoldDecomposition:
         }
 
 
-_PFOLD_CACHE: dict[tuple[int, int], PFoldDecomposition] = {}
-
-
+@cache
 def pfold_decomposition(p: int, n: int) -> PFoldDecomposition:
-    key = (p, n)
-    if key not in _PFOLD_CACHE:
-        _PFOLD_CACHE[key] = PFoldDecomposition(p, n)
-    return _PFOLD_CACHE[key]
+    return PFoldDecomposition(p, n)
 
 
 def carry_value(p: int, level: int, rows: Sequence[Sequence[tuple]], ring) -> tuple:

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wittlab import _kernels_py, cohomlab, kernels, localfield
-from wittlab.kernels import compile_flat_linear, compile_flat_ring
+from wittlab.kernels import compile_flat_linear, compile_flat_val
 from wittlab.localfield import (
     NoSolutionAtPrecision,
     NotEisenstein,
@@ -1322,15 +1322,22 @@ def test_one_gcd_primitives_match_coordinate_loops(all_towers, name, data):
 
 
 def test_lifts_compile_their_valuation_on_first_call(q3, monkeypatch):
-    # the working rings compile it with their product; a lift, which the
-    # Newton step, the trace rows and the Witt passes use, on first call
-    compile_ring, valued = kernels.compile_flat_ring, []
+    # every ring compiles its product when built and its valuation on first
+    # call: the working rings' during the build (the O_L Eisenstein check and
+    # sigma's Newton step read them), a lift's when it is first read
+    compile_ring, compile_val = kernels.compile_flat_ring, kernels.compile_flat_val
+    products, valued = [], []
 
-    def counting(struct, p, digits, by_weight=None):
-        valued.extend([digits] * bool(by_weight))
-        return compile_ring(struct, p, digits, by_weight)
+    def counting_ring(struct, p, digits):
+        products.append(digits)
+        return compile_ring(struct, p, digits)
 
-    monkeypatch.setattr(kernels, "compile_flat_ring", counting)
+    def counting_val(p, digits, by_weight):
+        valued.append(digits)
+        return compile_val(p, digits, by_weight)
+
+    monkeypatch.setattr(kernels, "compile_flat_ring", counting_ring)
+    monkeypatch.setattr(kernels, "compile_flat_val", counting_val)
     tower = localfield.tower_from_obj(q3.description)
     assert valued == [tower.N_int] * 2
     for ring in (tower.K, tower.L):
@@ -1340,6 +1347,8 @@ def test_lifts_compile_their_valuation_on_first_call(q3, monkeypatch):
             for _ in range(2):
                 assert lift.val_raw(a) == val_by_coordinates(lift, a) == lift.flat_rank + 1
             assert valued[before:] == [lift.digits], (ring.name, extra)
+    built = sorted(digits for digits, pair in tower.K._lifts.items() for _ in pair)
+    assert sorted(products) == built
 
 
 def draw_moduli(all_towers):
@@ -1439,7 +1448,7 @@ class ValIndexOrder:
             for extra in LIFTS:
                 for ring in (tower.K.flat_lift(extra), tower.L.flat_lift(extra)):
                     by_index = tuple(enumerate(ring.weights))
-                    _, val_raw = compile_flat_ring(ring.struct, ring.p, ring.digits, by_index)
+                    val_raw = compile_flat_val(ring.p, ring.digits, by_index)
                     patch.setattr(ring, "val_raw", val_raw)
 
 

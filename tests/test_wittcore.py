@@ -345,7 +345,7 @@ class TestDegreeAudit:
             return polys
 
         monkeypatch.setattr(wittcore, "_solve_ghost", with_term)
-        monkeypatch.setattr(wittcore, "_PFOLD_CACHE", {})
+        pfold_decomposition.cache_clear()
         with pytest.raises(wittcore.DegreeAuditFailure) as refused:
             pfold_decomposition(2, 3)
         assert (refused.value.what, refused.value.level, refused.value.found) == (what, *found)
