@@ -30,8 +30,10 @@ EXIT_CRASH = 70
 # the exceptions that leave a verdict UNDETERMINED (exit 2)
 UNDETERMINED = (cohomlab.NotStabilized, cohomlab.SamplerExhausted)
 
-# the builtin towers: one JSON description per name, the file stem
+# the named towers: one JSON description per name, the file stem
 TOWER_DIR = Path(__file__).resolve().parent / "towers"
+# the default suite's towers, named so that a new file leaves it unchanged
+DEFAULT_TOWERS = ("q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3_ramified")
 
 LEMMA_IDS = tuple(cohomlab.VERIFIERS)
 
@@ -101,12 +103,12 @@ def cmd_polys(args) -> int:
     return EXIT_PASS
 
 
-def _builtin_towers() -> list[str]:
+def _named_towers() -> list[str]:
     return sorted(path.stem for path in TOWER_DIR.glob("*.json"))
 
 
 def _tower(ref, context: str = "", **overrides) -> localfield.ExtensionTower:
-    """The tower of a builtin name, a description file or an inline
+    """The tower of a name in ``TOWER_DIR``, a description file or an inline
     description object, with ``N`` (``--precision``: "auto" or an integer
     string) or ``seed`` replaced by ``overrides``.  A description that
     cannot be read or built is a usage error, its line led by ``context``."""
@@ -120,8 +122,13 @@ def _tower(ref, context: str = "", **overrides) -> localfield.ExtensionTower:
     try:
         if isinstance(ref, dict):
             return localfield.tower_from_obj(ref, **overrides)
-        if ref in _builtin_towers():
+        named = _named_towers()
+        if ref in named:
             ref = str(TOWER_DIR / f"{ref}.json")
+        elif not Path(ref).is_file():
+            raise ValueError(
+                f"{ref!r} is neither a named tower nor a file; named towers: {', '.join(named)}"
+            )
         return localfield.load_tower(ref, **overrides)
     except (OSError, ValueError) as exc:
         raise _Exit(EXIT_CONFIG, f"{context}{exc}") from None
@@ -199,7 +206,7 @@ def cmd_verify(args) -> int:
 
 def _default_manifest() -> dict:
     return {
-        "towers": _builtin_towers(),
+        "towers": list(DEFAULT_TOWERS),
         "lemmas": list(LEMMA_IDS),
         "samples": 200,
         "seed": 2026,
@@ -370,7 +377,7 @@ def build_parser() -> _Parser:
     p_polys.set_defaults(fn=cmd_polys)
 
     p_info = sub.add_parser("tower-info", help="build a tower and print its data")
-    p_info.add_argument("--tower", required=True, help="path or builtin name")
+    p_info.add_argument("--tower", required=True, help="path or named tower")
     p_info.add_argument("--precision", default=None, help='"auto" or an integer')
     p_info.add_argument("--seed", type=int, default=None)
     p_info.add_argument("--json", action="store_true")

@@ -41,6 +41,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 from . import kernels
@@ -82,17 +83,17 @@ def at_cap(v: int | None, cap: int) -> int | None:
     return None if v is None or v >= cap else v
 
 
-# (p, vmax) -> (p^vmax, {p^k: k for k < vmax})
-_VP_TABLES: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+@cache
+def _vp_table(p: int, vmax: int) -> tuple[int, dict[int, int]]:
+    """p^vmax and {p^k: k for k < vmax}."""
+    return p**vmax, {p**k: k for k in range(vmax)}
 
 
 def _vp_int(x: int, p: int, vmax: int) -> int | None:
     """p-adic valuation of an integer, for vmax >= 1; None means v_p(x) >=
     vmax (zero at working precision).  gcd(x, p^vmax) is p^min(v, vmax)."""
-    table = _VP_TABLES.get((p, vmax))
-    if table is None:
-        table = _VP_TABLES[(p, vmax)] = (p**vmax, {p**k: k for k in range(vmax)})
-    return table[1].get(math.gcd(x, table[0]))
+    modulus, exponents = _vp_table(p, vmax)
+    return exponents.get(math.gcd(x, modulus))
 
 
 def _uniform(rng, modulus: int, count: int) -> list[int]:
@@ -167,7 +168,6 @@ class FlatRing:
         self.val_raw = self._compile_val
         self.ecoeffs = ecoeffs
         self.flat_rank = len(weights)
-        self.ram_index = self.flat_rank
         self.zero_elem = (0,) * self.flat_rank
         self.one_elem = self.from_int(1)
         # pi_L on O_L, pi_K on O_K; at rank 1 pi_K is the root -E_K(0) of

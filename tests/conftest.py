@@ -1,22 +1,45 @@
+import json
+
 import pytest
 
 from wittlab import localfield
 from wittlab.cli import TOWER_DIR
 
-TOWER_FILES = {
-    "q2_i": "q2_i.json",
-    "q2_sqrt2": "q2_sqrt2.json",
-    "q2_sqrt_minus2": "q2_sqrt_minus2.json",
-    "q3": "q3_ramified.json",
-}
+# the default suite's four towers, the fixture q3 being q3_ramified
+FOUR_TOWERS = ("q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3")
+# with the two nested towers over K = Q2(sqrt(2))
+SIX_TOWERS = (*FOUR_TOWERS, "nested", "quartic")
+# with CI's p = 7 tower and the p = 5 one
+EIGHT_TOWERS = (*SIX_TOWERS, "septic", "quintic")
+# ROADMAP item 25's towers (odd p over a ramified base, the largest
+# break, a rank-8 2-power step) and the p = 5 Kummer step of item 27,
+# K = Q5(zeta_5), L = K(pi_K^(1/5)), of rank 20
+RAMIFIED_BASE_TOWERS = (
+    "q3z3_kummer", "q3z9_over_z3", "q2z8_over_i", "q2z16_over_z8", "q5z5_kummer"
+)
+
+
+def _path(name: str):
+    return TOWER_DIR / f"{'q3_ramified' if name == 'q3' else name}.json"
+
+
+def description(name: str) -> dict:
+    """The JSON description of the named tower."""
+    return json.loads(_path(name).read_text(encoding="utf-8"))
+
+
+def load(name: str) -> localfield.ExtensionTower:
+    """A fresh build of the named tower."""
+    return localfield.load_tower(_path(name))
+
+
+# p of each of the six, read from its description
+PRIMES = {name: description(name)["p"] for name in SIX_TOWERS}
 
 
 @pytest.fixture(scope="session")
 def towers():
-    return {
-        name: localfield.load_tower(str(TOWER_DIR / fname))
-        for name, fname in TOWER_FILES.items()
-    }
+    return {name: load(name) for name in FOUR_TOWERS}
 
 
 @pytest.fixture(scope="session")
@@ -42,25 +65,13 @@ def q3(towers):
 @pytest.fixture(scope="session")
 def nested():
     """Nested tower with s <= e_K/(p-1), over K = Q2(sqrt(2))."""
-    return localfield.build_tower(
-        2,
-        "auto",
-        [[0, 1], [0, 1], [1]],  # x^2 + pi_K*x + pi_K over O_K
-        e_k_coeffs=[-2, 0, 1],  # K = Q2(sqrt(2))
-        witt_length_hint=3,
-    )
+    return load("nested")
 
 
 @pytest.fixture(scope="session")
 def quartic():
     """Nested quartic tower with the largest supported break, s = 4."""
-    return localfield.build_tower(
-        2,
-        "auto",
-        [[0, -1], [0, 0], [1]],  # x^2 - pi_K over O_K
-        e_k_coeffs=[-2, 0, 1],
-        witt_length_hint=4,
-    )
+    return load("quartic")
 
 
 @pytest.fixture(scope="session")
@@ -73,17 +84,14 @@ def all_towers(towers, nested, quartic):
 def septic():
     """CI's p = 7 tower: the degree-7 subfield of Q7(zeta_49), shifted to
     be Eisenstein."""
-    return localfield.build_tower(
-        7, "auto", ["-156256387", "74760231", "-15270458", "1725976",
-                    "-116571", "4704", "-105", "1"]
-    )
+    return load("septic")
 
 
 @pytest.fixture(scope="session")
 def quintic():
     """The degree-5 subfield of Q5(zeta_25), pi = eta - 4 for the
     Gaussian period eta."""
-    return localfield.build_tower(5, "auto", [505, 850, 525, 150, 20, 1])
+    return load("quintic")
 
 
 @pytest.fixture(scope="session")
@@ -93,22 +101,7 @@ def eight_towers(all_towers, septic, quintic):
     return {**all_towers, "septic": septic, "quintic": quintic}
 
 
-# ROADMAP item 25's towers (odd p over a ramified base, the largest
-# break, a rank-8 2-power step) and the p = 5 Kummer step of item 27,
-# K = Q5(zeta_5), L = K(pi_K^(1/5)), of rank 20
-RAMIFIED_BASE_TOWERS = {
-    "q3z3_kummer": {"p": 3, "N": "auto", "E_K": [3, 3, 1], "E_L": [[0, -1], [0], [0], [1]]},
-    "q3z9_over_z3": {"p": 3, "N": "auto", "E_K": [3, 3, 1], "E_L": [[0, -1], [3], [3], [1]]},
-    "q2z8_over_i": {"p": 2, "N": "auto", "E_K": [2, 2, 1], "E_L": [[0, -1], [2], [1]]},
-    "q2z16_over_z8": {"p": 2, "N": "auto", "E_K": [2, 4, 6, 4, 1], "E_L": [[0, -1], [2], [1]]},
-    "q5z5_kummer": {
-        "p": 5, "N": "auto", "E_K": [5, 10, 10, 5, 1],
-        "E_L": [[0, -1], [0], [0], [0], [0], [1]],
-    },
-}
-
-
 @pytest.fixture(scope="session")
 def ramified_base_towers():
     """Item 25's four towers and the rank-20 Kummer step, by name."""
-    return {name: localfield.tower_from_obj(obj) for name, obj in RAMIFIED_BASE_TOWERS.items()}
+    return {name: load(name) for name in RAMIFIED_BASE_TOWERS}

@@ -397,8 +397,8 @@ def val_by_coordinates(ring, a):
     best = None
     for c, w in zip(a, ring.weights):
         v = vp_int_by_division(c, ring.p, ring.digits)
-        if v is not None and (best is None or v * ring.ram_index + w < best):
-            best = v * ring.ram_index + w
+        if v is not None and (best is None or v * ring.flat_rank + w < best):
+            best = v * ring.flat_rank + w
     return best
 
 

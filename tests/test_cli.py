@@ -9,6 +9,7 @@ import pytest
 
 from wittlab import cli, cohomlab, localfield, wittcore
 
+from conftest import EIGHT_TOWERS, description
 from oracles import trace_rows_off_by_one, wrong_in_last
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -87,6 +88,14 @@ class TestTowerInfo:
         res = run_cli("tower-info", "--tower", "/nonexistent.json")
         assert res.returncode == 64
 
+    def test_unknown_tower_lists_the_named_towers(self, capsys):
+        # a misspelt name is neither a file in towers/ nor a path
+        assert cli.main(["tower-info", "--tower", "septc"]) == 64
+        named = ", ".join(sorted(path.stem for path in cli.TOWER_DIR.glob("*.json")))
+        assert capsys.readouterr().err == (
+            f"tower-info: 'septc' is neither a named tower nor a file; named towers: {named}\n"
+        )
+
     def test_out_without_json_writes_the_json(self, tmp_path, capsys):
         out = tmp_path / "info.json"
         assert cli.main(["tower-info", "--tower", "q2_i", "--out", str(out)]) == 0
@@ -101,14 +110,6 @@ class TestTowerInfo:
         err = capsys.readouterr().err
         assert code == 64
         assert err == f'{command[0]}: --precision must be "auto" or an integer, got \'abc\'\n'
-
-
-# the degree-7 subfield of Q7(zeta_49), shifted to be Eisenstein
-SEPTIC = {
-    "p": 7, "N": "auto", "E_K": None, "seed": 2026,
-    "E_L": ["-156256387", "74760231", "-15270458", "1725976",
-            "-116571", "4704", "-105", "1"],
-}
 
 
 class TestVerify:
@@ -213,20 +214,18 @@ class TestVerify:
     @pytest.mark.parametrize("lemma", ["carry_identity", "residual_invariant"])
     def test_default_length_past_the_pfold_tables(self, tmp_path, lemma):
         # PFOLD_RANGE has no entry at p=7: these lemmas default to n = 2
-        path = tmp_path / "septic.json"
-        path.write_text(json.dumps(SEPTIC))
         res = run_cli(
-            "verify", "--lemma", lemma, "--tower", str(path), "--samples", "2",
+            "verify", "--lemma", lemma, "--tower", "septic", "--samples", "2",
             "--out", str(tmp_path / "report.json"),
         )
         assert res.returncode == 0, res.stderr
-        assert f"{lemma} on {path}: PASS" in res.stdout
+        assert f"{lemma} on septic: PASS" in res.stdout
         assert json.loads((tmp_path / "report.json").read_text())["params"]["n"] == 2
         res = run_cli(
-            "verify", "--lemma", lemma, "--tower", str(path), "--n", "3", "--samples", "2"
+            "verify", "--lemma", lemma, "--tower", "septic", "--n", "3", "--samples", "2"
         )
         assert res.returncode == 0, res.stderr
-        assert f"{lemma} on {path}: PASS" in res.stdout
+        assert f"{lemma} on septic: PASS" in res.stdout
 
     def test_precision_message_names_the_needed_n(self):
         res = run_cli(
@@ -310,10 +309,10 @@ class TestSuite:
     def test_one_seed_rule_for_file_and_inline_towers(self, tmp_path, capsys):
         # the same description as a file and inline with its own seed: both
         # take the manifest's seed, so both cells have one tower_hash
-        description = {"p": 2, "N": 24, "E_K": None, "E_L": ["-2", "0", "1"], "seed": 3}
+        sqrt2 = {**description("q2_sqrt2"), "seed": 3}
         tower_file = tmp_path / "q2_sqrt2_copy.json"
-        tower_file.write_text(json.dumps(description))
-        inline = {**description, "seed": 99, "name": "inline"}
+        tower_file.write_text(json.dumps(sqrt2))
+        inline = {**sqrt2, "seed": 99, "name": "inline"}
         manifest = tmp_path / "m.json"
         manifest.write_text(
             json.dumps(
@@ -325,7 +324,7 @@ class TestSuite:
         capsys.readouterr()
         hashes = [cell["tower_hash"] for cell in json.loads(out.read_text())["cells"]]
         assert len(hashes) == 2 and hashes[0] == hashes[1]
-        assert hashes[0] == localfield.tower_from_obj(description, seed=5).tower_hash
+        assert hashes[0] == localfield.tower_from_obj(sqrt2, seed=5).tower_hash
 
     def test_csv_summary(self, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -393,13 +392,9 @@ class TestSuite:
     def test_default_length_past_the_cap_is_usage_error(self, tmp_path):
         # K = Q2(2^(1/4)), L = K(sqrt(pi_K)): s = 8, so main runs at its
         # stable length M = 5, which needs N >= 21; "auto" gives N = 17
-        tower = {
-            "name": "rank8", "p": 2, "N": "auto",
-            "E_K": [-2, 0, 0, 0, 1], "E_L": [[0, -1], [0], [1]],
-        }
         manifest = tmp_path / "m.json"
         manifest.write_text(
-            json.dumps({"towers": [tower], "lemmas": ["vktr", "main"], "samples": 1})
+            json.dumps({"towers": ["rank8"], "lemmas": ["vktr", "main"], "samples": 1})
         )
         out_path = tmp_path / "agg.json"
         res = run_cli("suite", "--manifest", str(manifest), "--out", str(out_path))
@@ -414,7 +409,7 @@ class TestSuite:
         # every lemma that needs a Witt length takes its default at p=7
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({
-            "towers": [{"name": "septic", **SEPTIC}],
+            "towers": ["septic"],
             "lemmas": ["vktr", "carry_identity", "residual_invariant"],
             "samples": 2,
         }))
@@ -434,6 +429,11 @@ class TestSuite:
                 rep = cohomlab.VERIFIERS[lemma](tower, samples=200, seed=2026)
                 assert rep.params["checked"] == 200
                 assert rep.status == "PASS"
+
+    def test_default_suite_runs_the_default_towers(self):
+        # named, so that a new file in towers/ does not enter the suite
+        assert cli._default_manifest()["towers"] == list(cli.DEFAULT_TOWERS)
+        assert set(cli.DEFAULT_TOWERS) < {path.stem for path in cli.TOWER_DIR.glob("*.json")}
 
     def test_default_suite_matches_the_pinned_hash(self, tmp_path, capsys):
         # the aggregate of the default suite has the sha256 that
@@ -656,9 +656,6 @@ class TestWrongSolve:
         assert not out
 
 
-EIGHT_TOWERS = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic", "septic", "quintic"]
-
-
 @pytest.mark.parametrize("name", EIGHT_TOWERS)
 def test_trace_check_failure_crashes_tower_info(eight_towers, name, tmp_path, monkeypatch, capsys):
     # the build's comparison of the sum of sigma^i with the trace from
@@ -756,14 +753,10 @@ class TestExitPath:
         assert cli.main(argv) == 70
         assert capsys.readouterr().err == f"{argv[0]}: crashed: KeyError: 'E_K'\n"
 
-    def test_auto_precision_builds_where_the_field_does(self, tmp_path, capsys):
+    def test_auto_precision_builds_where_the_field_does(self, capsys):
         # K = Q2(2^(1/3)), L = K(sqrt(pi_K)): auto picks N = 18, which the
         # policy at the tower's break s = 6 accepts
-        tower = tmp_path / "cubic.json"
-        tower.write_text(
-            json.dumps({"p": 2, "N": "auto", "E_K": [-2, 0, 0, 1], "E_L": [[0, -1], [0], [1]]})
-        )
-        assert cli.main(["tower-info", "--tower", str(tower), "--json"]) == 0
+        assert cli.main(["tower-info", "--tower", "cubic", "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
         assert (info["e_K"], info["N"], info["ramification_break"]) == (3, 18, 6)
 
@@ -902,14 +895,10 @@ class TestOracle:
         assert calls == list(cohomlab.ENUMERATION_DIGITS) == [2, 3]
 
     @pytest.mark.parametrize("what", ["h1", "linsolve", "all"])
-    def test_enumeration_too_large_is_usage_error(self, tmp_path, what, capsys, monkeypatch):
+    def test_enumeration_too_large_is_usage_error(self, what, capsys, monkeypatch):
         # K = Q2(2^(1/4)), L = K(sqrt(pi_K)): flat rank 8, so the digits=3
         # enumeration domain 2^24 is refused, before the digits=2 domain
         # (2^16 vectors, which is allowed) is enumerated
-        tower = tmp_path / "rank8.json"
-        tower.write_text(
-            json.dumps({"p": 2, "N": "auto", "E_K": [-2, 0, 0, 0, 1], "E_L": [[0, -1], [0], [1]]})
-        )
         product = cohomlab.itertools.product
         enumerated = []
 
@@ -919,7 +908,7 @@ class TestOracle:
                 yield vec
 
         monkeypatch.setattr(cohomlab.itertools, "product", counting_product)
-        code = cli.main(["oracle", "--tower", str(tower), "--what", what])
+        code = cli.main(["oracle", "--tower", "rank8", "--what", what])
         captured = capsys.readouterr()
         assert code == 64
         assert captured.err == "oracle: enumeration domain p^24 too large\n"

@@ -26,7 +26,6 @@ from wittlab.localfield import (
     NoSolutionAtPrecision,
     PrecisionTooLow,
     TraceNotRational,
-    build_tower,
 )
 from wittlab.wittcore import (
     BINARY_RANGE,
@@ -36,6 +35,7 @@ from wittlab.wittcore import (
     fold_var,
 )
 
+from conftest import EIGHT_TOWERS, PRIMES, SIX_TOWERS, load
 from oracles import (
     _update_margin,
     carry_identity_by_elements,
@@ -188,17 +188,7 @@ def sample_with_fresh_carries(tower, n, rng, retries=32, cuts=None):
     return comps
 
 
-TOWER_PRIMES = {
-    "q2_i": 2,
-    "q2_sqrt2": 2,
-    "q2_sqrt_minus2": 2,
-    "q3": 3,
-    "nested": 2,
-    "quartic": 2,
-}
-
-
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, monkeypatch):
     """Solves, carries and retries run on flat coordinates, and so do the
     finished vector and its audited trace, whose components are tuples: a
@@ -364,7 +354,7 @@ def fresh_carry_mismatches(tower, name, n, retries, seeds=range(20)):
 
 
 FRESH_CARRY_CASES = [
-    (name, n) for name, p in TOWER_PRIMES.items() for n in range(1, BINARY_RANGE[p] + 1)
+    (name, n) for name in SIX_TOWERS for n in range(1, BINARY_RANGE[PRIMES[name]] + 1)
 ]
 
 
@@ -404,7 +394,7 @@ def test_fresh_carry_cases_cut_deeper_above_level_two(all_towers):
     pytest.fail("no compared case cuts below depth 1")
 
 
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 def test_unsolvable_prefix_keys_are_residues(all_towers, name):
     """Solvability of the level-l trace equation does not change when any
     coordinate of x_1..x_{l-1} moves by a multiple of p^delta, delta the
@@ -437,7 +427,7 @@ def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
     prefix can share a key with one that failed; the sampler must part
     from the fresh-carry loop on some tower."""
     parted = []
-    for name in sorted(TOWER_PRIMES):
+    for name in sorted(SIX_TOWERS):
         tower = all_towers[name]
         with monkeypatch.context() as patch:
             # the maps compile again, at the short modulus, on first use
@@ -458,7 +448,7 @@ def test_residue_without_the_particular_fails(all_towers, monkeypatch):
     stream, or in a remembered prefix that the oracle's full solve finds
     solvable."""
     parted = []
-    for name in sorted(TOWER_PRIMES):
+    for name in sorted(SIX_TOWERS):
         tower = all_towers[name]
         with monkeypatch.context() as patch:
             combine, residues = tower.trace_kernel_maps
@@ -483,7 +473,11 @@ def polynomial_trace(tower, x):
 
 @pytest.mark.parametrize(
     "name,n",
-    [(name, n) for name, p in TOWER_PRIMES.items() for n in range(1, min(4, BINARY_RANGE[p]) + 1)],
+    [
+        (name, n)
+        for name in SIX_TOWERS
+        for n in range(1, min(4, BINARY_RANGE[PRIMES[name]]) + 1)
+    ],
 )
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -497,7 +491,7 @@ def test_witt_trace_matches_polynomials(all_towers, name, n, data):
     assert list(got.components) == polynomial_trace(tower, x)
 
 
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 def test_sampler_refuses_a_corrupted_sigma(all_towers, name, monkeypatch):
     """Every entry of sigma^1, in turn, off by one: the sampler's carry or
     its trace audit must raise at n = 2, 3.  (At n = 1 the sample is a
@@ -531,9 +525,6 @@ def test_trace_kernel_basis_is_cached(all_towers):
         # each vector is reduced and lies in the trace kernel
         assert all(tower.L.reduce(k) == k for k in basis)
         assert all(tower._zero_raw(tower.trace_map(k)) for k in basis)
-
-
-EIGHT_TOWERS = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic", "septic", "quintic"]
 
 
 @pytest.mark.parametrize("name", EIGHT_TOWERS)
@@ -619,7 +610,7 @@ def residual_components(tower, kind, draw_int):
 
 
 @pytest.mark.parametrize("kind", ["trace-zero", "random"])
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_residual_matches_symbolic(all_towers, name, kind, data):
@@ -904,7 +895,7 @@ class TestVerifiers:
         # the degree-5 subfield of Q5(zeta_25), pi = eta - 4 for the
         # Gaussian period eta: the default n = 4 is past BINARY_RANGE[5]
         # = 3, and samples=8 draws two coboundaries, negated at n = 4
-        tower = build_tower(5, "auto", [505, 850, 525, 150, 20, 1])
+        tower = load("quintic")
         report = cohomlab.verify_step_bounds(tower, samples=8, seed=3)
         assert report.params["n"] == 4
         assert report.status == "PASS", report.failures[:2]
@@ -1121,7 +1112,6 @@ FIELD_ORACLES = {
     "vksub": (oracle_vksub, 25),
     "fixed_points": (oracle_fixed_points, 10),
 }
-ALL_TOWER_NAMES = sorted(TOWER_PRIMES)
 
 
 def check_field_lemma(tower, lemma, seeds):
@@ -1155,7 +1145,7 @@ FIELD_REPORT_SHA256 = {
 
 class TestFieldLemmaOracles:
     @pytest.mark.parametrize("lemma", sorted(FIELD_ORACLES))
-    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
     def test_flat_verifier_matches_oracle(self, all_towers, name, lemma):
         check_field_lemma(all_towers[name], lemma, range(5))
 
@@ -1242,7 +1232,7 @@ class TestFieldLemmaOracles:
         # mutant: fixed_points applies a sigma with one entry off by one;
         # the oracle runs on the true sigma
         with pytest.raises(AssertionError):
-            for name in ALL_TOWER_NAMES:
+            for name in sorted(SIX_TOWERS):
                 tower = all_towers[name]
                 rows = [list(row) for row in tower.galois_mats[1]]
                 rows[0][0] = (rows[0][0] + 1) % tower.modulus
@@ -1270,7 +1260,7 @@ WITT_LEMMA_ORACLES = {
 
 class TestWittLemmaOracles:
     @pytest.mark.parametrize("lemma", sorted(WITT_LEMMA_ORACLES))
-    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
     def test_flat_verifier_matches_oracle(self, all_towers, name, lemma):
         # n = PFOLD_RANGE[p] + 1 is past the symbolic tables; on the nested
         # towers it is past the precision too, and both refuse it alike
@@ -1369,12 +1359,12 @@ def failures_by_what(report) -> set:
 
 class TestCapLemmaOracles:
     @pytest.mark.parametrize("lemma", sorted(CAP_LEMMA_ORACLES))
-    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
     def test_flat_verifier_matches_oracle(self, all_towers, name, lemma):
         for seed in range(2):
             assert check_cap_lemma(all_towers[name], lemma, seed).status == "PASS"
 
-    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
     def test_step_bounds_past_the_samples_match_oracle(self, all_towers, name, monkeypatch):
         # every cascaded bound two above the true one: each tower has a
         # component margin of at most one, so the valuation branch fires
@@ -1384,7 +1374,7 @@ class TestCapLemmaOracles:
             got = check_cap_lemma(all_towers[name], "step_bounds", seed)
             assert got.status == "FAIL" and failures_by_what(got) == {"valuation"}
 
-    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
     def test_main_low_first_component_matches_oracle(self, all_towers, name, monkeypatch):
         # every other main sample has x_1 replaced by 1, of valuation 0 < s
         tower, mix = all_towers[name], cohomlab._sampler_mix
@@ -1402,7 +1392,7 @@ class TestCapLemmaOracles:
             assert got.status == "FAIL" and failures_by_what(got) == {"valuation"}
             assert got.margins["first_component_slack"] == -tower.s
 
-    @pytest.mark.parametrize("name", ALL_TOWER_NAMES)
+    @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
     def test_main_class_and_contrast_failures_match_oracle(
         self, all_towers, name, monkeypatch
     ):

@@ -23,6 +23,7 @@ from wittlab.wittcore import (
     witt_sum,
 )
 
+from conftest import EIGHT_TOWERS, PRIMES, SIX_TOWERS
 from oracles import (
     flat_witt_neg,
     flat_witt_sum,
@@ -31,19 +32,10 @@ from oracles import (
     zmod,
 )
 
-# the four builtin towers and the two nested towers of conftest.py
-TOWER_PRIMES = {
-    "q2_i": 2,
-    "q2_sqrt2": 2,
-    "q2_sqrt_minus2": 2,
-    "q3": 3,
-    "nested": 2,
-    "quartic": 2,
-}
 CASES = [
     (name, n)
-    for name, p in TOWER_PRIMES.items()
-    for n in range(1, min(4, BINARY_RANGE[p]) + 1)
+    for name in SIX_TOWERS
+    for n in range(1, min(4, BINARY_RANGE[PRIMES[name]]) + 1)
 ]
 PROPERTY = settings(
     max_examples=12,
@@ -107,7 +99,7 @@ def test_carry_value_matches_polynomials(all_towers, name, n, data):
 
 # every length the negation tables cover, so n = 5 at p = 2
 NEG_CASES = [
-    (name, n) for name, p in TOWER_PRIMES.items() for n in range(1, BINARY_RANGE[p] + 1)
+    (name, n) for name in SIX_TOWERS for n in range(1, BINARY_RANGE[PRIMES[name]] + 1)
 ]
 
 
@@ -335,7 +327,7 @@ def check_ghost_sum(tower, draw):
     assert ghost_sum(p, tower.L, columns[:-1], n) == carried
 
 
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 @settings(
     max_examples=8,
     deadline=None,
@@ -430,7 +422,7 @@ def test_unchecked_division_is_caught(q2_i, monkeypatch, fresh_passes):
         check_non_divisible_numerator_raises(q2_i, monkeypatch)
 
 
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 @pytest.mark.parametrize("level", ["K", "L"])
 @settings(
     max_examples=10,
@@ -460,7 +452,7 @@ def test_compiled_pass_matches_loops(all_towers, name, level, data):
     assert ghost_sum(p, ring, uniform, levels) == ghost_sum_by_loops(p, ring, uniform, levels)
 
 
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 def test_each_lower_column_is_raised_once_per_level(all_towers, name, monkeypatch):
     """At level l a pass raises the summands and S_i of each of the l-1
     columns below it to the p-th power once, and nothing else: a column
@@ -478,7 +470,7 @@ def test_each_lower_column_is_raised_once_per_level(all_towers, name, monkeypatc
             assert len(calls) == summands + levels * (levels - 1) // 2
 
 
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 def test_implicit_zero_columns_match_explicit(all_towers, name):
     """Columns above those given count as zero: the pass equals the same
     pass with those columns given as zeros."""
@@ -509,7 +501,7 @@ def test_engine_refuses_out_of_range_columns(q2_i):
             ghost_sum(2, q2_i.L, columns, levels)
 
 
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 def test_carry_and_sums_are_the_polynomial_values_as_tuples(all_towers, name):
     """Carries and sums come back as reduced flat coordinate tuples, the
     values the addition polynomials give."""
@@ -528,9 +520,6 @@ def test_carry_and_sums_are_the_polynomial_values_as_tuples(all_towers, name):
 
 # ---------------------------------------------------------------------------
 # the Witt trace from the ghost components, against the conjugates' Witt sum
-
-EIGHT_TOWERS = [*sorted(TOWER_PRIMES), "septic", "quintic"]
-
 
 def trace_by_conjugates(tower, components, levels):
     """Components 1..levels of the Witt trace as ``cohomlab.witt_trace``
@@ -654,7 +643,7 @@ def test_floored_trace_division_is_caught(q2_i, monkeypatch, fresh_passes):
         check_planted_remainder_raises(q2_i, monkeypatch)
 
 
-@pytest.mark.parametrize("name", sorted(TOWER_PRIMES))
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
 def test_ghost_trace_raises_each_component_once_per_level(all_towers, name, monkeypatch):
     """At level l the pass raises each of the components below it once on
     O_L and each S_i once on O_K: one chain per component, where the

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import wittlab
 from wittlab import _kernels_py as pure
 from wittlab import cohomlab, kernels, wittcore
-from wittlab.localfield import NoSolutionAtPrecision, build_tower, linsolve, smith_normal_form
+from wittlab.localfield import NoSolutionAtPrecision, linsolve, smith_normal_form
 
+from conftest import SIX_TOWERS, load
 from oracles import conjugates_by_substitution, ghost_sum_by_loops, pi_K, unflatten
 
 
@@ -177,10 +178,9 @@ def random_pairs(draw, rank, modulus, count):
     ]
 
 
-TOWER_NAMES = ("q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic")
 TOWER_RINGS = [
     (name, level, extra)
-    for name in TOWER_NAMES
+    for name in SIX_TOWERS
     for level in ("K", "L")
     for extra in range(4)
 ]
@@ -311,7 +311,7 @@ def pow_form(power):
 
 POW_RINGS = [
     (name, level, extra)
-    for name in TOWER_NAMES
+    for name in SIX_TOWERS
     for level in ("K", "L")
     for extra in range(5)
 ]
@@ -413,7 +413,7 @@ class TestCompiledPower:
 
     def test_power_is_compiled_on_first_use(self):
         # a tower build compiles no power; the first ghost pass does
-        tower = build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
+        tower = load("q3")
         # the pairs of both rings and every lift, by digit count
         rings = [ring for pair in tower.K._lifts.values() for ring in pair]
         assert all(ring._pth_power is None for ring in rings)
@@ -469,11 +469,11 @@ class TestCompiledGhostPass:
 
     def test_fresh_tower_has_compiled_no_pass(self):
         kernels.compile_ghost_pass.cache_clear()
-        build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
+        load("q3")
         assert kernels.compile_ghost_pass.cache_info().misses == 0
 
     def test_same_shape_reuses_the_pass(self):
-        tower = build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
+        tower = load("q3")
         kernels.compile_ghost_pass.cache_clear()
         one = tower.L.one_elem
         columns = [[one] * 3, [one] * 3]
@@ -547,7 +547,7 @@ class TestCompiledLinear:
     """The sigma^i and trace maps each tower compiles from its matrices,
     against a plain matrix-vector product and the substitution path."""
 
-    @pytest.mark.parametrize("name", TOWER_NAMES)
+    @pytest.mark.parametrize("name", SIX_TOWERS)
     @PRODUCT_PROPERTY
     @given(data=st.data())
     def test_tower_maps_match_reference(self, all_towers, name, data):
@@ -584,7 +584,7 @@ class TestCompiledLinear:
         rng = random.Random(0)
         draw = rng.randint
         with pytest.raises(AssertionError):
-            for name in TOWER_NAMES:
+            for name in SIX_TOWERS:
                 tower = all_towers[name]
                 rank, modulus = tower.L.flat_rank, tower.modulus
                 vectors = [tuple(draw(0, modulus - 1) for _ in range(rank)) for _ in range(4)]

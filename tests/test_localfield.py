@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wittlab import _kernels_py, cohomlab, kernels, localfield
+from wittlab.cli import TOWER_DIR
 from wittlab.kernels import compile_flat_linear, compile_flat_val
 from wittlab.localfield import (
     NoSolutionAtPrecision,
@@ -24,7 +25,7 @@ from wittlab.localfield import (
     smith_normal_form,
 )
 
-from conftest import RAMIFIED_BASE_TOWERS
+from conftest import EIGHT_TOWERS, RAMIFIED_BASE_TOWERS, SIX_TOWERS, description, load
 from oracles import (
     DigitSearchTower,
     ValExtended,
@@ -50,20 +51,27 @@ from oracles import (
 )
 
 
-TOWER_NAMES = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic"]
-
 # (tower, k): the towers with another generator sigma^k, k = 2..p-1
 GENERATOR_POWERS = [("q3", 2), ("quintic", 2), ("quintic", 3), ("quintic", 4)]
 
 # tower_hash is the sha256 of the description, so these move only when
-# a description or its parse does
+# a description or its parse does: one per file in towers/
 TOWER_HASHES = {
     "q2_i": "84be0c6f340b5624cc80c0b142d6d1933f41ebd3bfb2fa2c4fac0953b7d36920",
     "q2_sqrt2": "99666e11867af9ed32377b9b782c7731af08129972a477fcc578139ffb987c3c",
     "q2_sqrt_minus2": "5b9f056eee283e72a579e19c6e0862544368a0f5fb22c1096eb80da3d0c33515",
-    "q3": "e9154c16953468de13efd5bca663ec9d5467e1093ee9bd37aea3f71f82a84dc6",
+    "q3_ramified": "e9154c16953468de13efd5bca663ec9d5467e1093ee9bd37aea3f71f82a84dc6",
     "nested": "f290003d4ff2a612411e48dcd76b32fcf738afdd82ac364b96a5b1ae128b971c",
     "quartic": "6908a6ec6d5798aa0dabe8ec253c86d32bcc929e70dcb5f60fc2c362f06efc1f",
+    "septic": "7a57f9ee4b4417402d0587386b7c5c76772ff94e514e63392b5d9f9cbffd72bf",
+    "quintic": "62c70fdadcff7c4974087059f75b1a531d9c2dbe2f2cd434864e251aa71a7a88",
+    "q3z3_kummer": "2e3a2de5ebbb25b798d45177db51a7249b96ed94d59fd918611549fac2adf502",
+    "q3z9_over_z3": "0d7a40e55bb164af40372e862872f95bc5eaf5d8472575a9bb4c6d5e723c9723",
+    "q2z8_over_i": "86b12cc63655f5c0f8cf0e31f650068303361fab187f41a661d3200376dc4f0e",
+    "q2z16_over_z8": "aa56babe2e8655a3e19f7559976fab73db384be5f3554da9ceeac0a1e71972a2",
+    "q5z5_kummer": "409eb850de6354a820aee98d7d785a43ee554bc409bc2315861a45e8d02bab76",
+    "q7z7_kummer": "7b618635f3d4f2d903c20d5cdd29c449f24922bb6ab7ed92f4d317db8fff3d63",
+    "cubic": "f843ea74d59bfd7dda83ff150b67268a4aa7a427af49fd609a5261895676e87f",
     "rank8": "e63bff29449b659ad9581f1fcaba77ae013a353141c1c4afd8aa35f391206cd2",
 }
 
@@ -114,16 +122,17 @@ class TestTowerConstruction:
         # K = Q2(2^(1/3)), L = K(sqrt(pi_K)): e_K = 3, s = 6, so the policy
         # at Witt length 4 needs N = 18; counting E_K's leading 1 as a
         # fourth coefficient picked N = 17, which the tower then refused
-        tower = build_tower(2, "auto", [[0, -1], [0], [1]], [-2, 0, 0, 1])
+        tower = load("cubic")
         assert tower.e_K == 3 and tower.N == 18 and tower.s == 6
 
-    def test_tower_hashes_are_pinned(self, all_towers):
-        # a change to how a description is read must not move any hash
-        rank8 = build_tower(2, "auto", [[0, -1], [0], [1]], [-2, 0, 0, 0, 1])
-        got = {name: tower.tower_hash for name, tower in all_towers.items()}
-        assert {**got, "rank8": rank8.tower_hash} == TOWER_HASHES
+    def test_tower_hashes_are_pinned(self):
+        # a change to how a description is read must not move any hash,
+        # and a new file in towers/ needs its hash here
+        paths = TOWER_DIR.glob("*.json")
+        got = {path.stem: localfield.load_tower(path).tower_hash for path in paths}
+        assert got == TOWER_HASHES
 
-    @pytest.mark.parametrize("name", [*TOWER_NAMES, "x_plus_2"])
+    @pytest.mark.parametrize("name", [*SIX_TOWERS, "x_plus_2"])
     def test_pi_k_is_a_root_of_e_k(self, all_towers, name):
         # K = Q_2 presented by E_K = x + 2 has pi_K = -2, not p
         if name == "x_plus_2":
@@ -506,7 +515,7 @@ class TestSolvers:
         y = unflatten(q2_i.L, y)
         assert eq_at_precision(q2_i, q2_i.galois(y) - y, c)
 
-    @pytest.mark.parametrize("name", TOWER_NAMES)
+    @pytest.mark.parametrize("name", SIX_TOWERS)
     def test_solutions_are_tuples_that_solve(self, all_towers, name):
         # right-hand sides in each image: tr(a) and sigma(a) - a
         tower = all_towers[name]
@@ -540,9 +549,7 @@ class TestSolvers:
 class TestCompiledSolves:
     """The tower's forms solve through their compiled ``SmithForm.solve``."""
 
-    EIGHT = ["q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3", "nested", "quartic", "septic", "quintic"]
-
-    @pytest.mark.parametrize("name", EIGHT)
+    @pytest.mark.parametrize("name", EIGHT_TOWERS)
     def test_tower_forms_match_linsolve(self, eight_towers, name):
         tower = eight_towers[name]
         L, rng = tower.L, random.Random(33)
@@ -579,7 +586,7 @@ class TestCompiledSolves:
         with pytest.raises(ValueError, match=r"^right-hand side has 1 entries, the system 2 rows$"):
             q2_i.solve_sigma_minus_one((0,), q2_i.N)
 
-    @pytest.mark.parametrize("name", EIGHT)
+    @pytest.mark.parametrize("name", EIGHT_TOWERS)
     def test_a_wrong_sigma_minus_one_solve_is_caught(self, eight_towers, name, monkeypatch):
         tower = eight_towers[name]
         c = tower.L.sub(tower.galois_maps[1](tower.L.pi_elem), tower.L.pi_elem)
@@ -631,7 +638,7 @@ def check_against_substitution(tower, a):
 
 
 # the eight towers and the five over a ramified base
-PINNED_TOWERS = [*TOWER_NAMES, "septic", "quintic", *RAMIFIED_BASE_TOWERS]
+PINNED_TOWERS = [*EIGHT_TOWERS, *RAMIFIED_BASE_TOWERS]
 
 
 @pytest.fixture(scope="session")
@@ -648,7 +655,7 @@ def test_matrices_match_substitution(pinned_towers, name, data):
     check_against_substitution(tower, draw_L(data, tower))
 
 
-@pytest.mark.parametrize("name", TOWER_NAMES)
+@pytest.mark.parametrize("name", SIX_TOWERS)
 def test_derived_matrices_match_oracle_columns(all_towers, name):
     tower = all_towers[name]
     L, rank = tower.L, tower.L.flat_rank
@@ -710,9 +717,6 @@ def test_coeff_slices_roundtrip(all_towers, name, data):
 
 
 # -- sigma by Newton's method ---------------------------------------------------
-
-EIGHT_TOWERS = [*TOWER_NAMES, "septic", "quintic"]
-
 
 def mat_mul(a, b, modulus):
     return tuple(
@@ -943,7 +947,7 @@ def small_eisenstein() -> list:
         for a0, a1, a3, a4 in itertools.product((5, -5), (0, 5, -5), (0, 5), (0, 5, -5))
     ]
     # the quintic tower's E_L(x + c): the same field, other coefficients
-    quintic = [505, 850, 525, 150, 20, 1]
+    quintic = description("quintic")["E_L"]
     for c in (0, 5, -5, 10):
         polys.append((5, [
             sum(a * math.comb(j, i) * c ** (j - i) for j, a in enumerate(quintic) if j >= i)
@@ -1010,7 +1014,7 @@ def test_newton_division_without_solution_is_not_normal(monkeypatch):
 
     monkeypatch.setattr(localfield, "linsolve", unsolvable)
     with pytest.raises(NotNormal, match="Newton step"):
-        build_tower(3, 16, [3, 0, -3, 1])
+        load("q3")
 
 
 # -- the flat ring ------------------------------------------------------------
@@ -1065,7 +1069,7 @@ def rows_sha256(rows) -> str:
 
 
 class TestFlatRing:
-    @pytest.mark.parametrize("name", TOWER_NAMES)
+    @pytest.mark.parametrize("name", SIX_TOWERS)
     def test_structure_rows_pinned(self, all_towers, name):
         tower = all_towers[name]
         for key, ring in (("K", tower.K), ("L", tower.L)):
@@ -1076,7 +1080,7 @@ class TestFlatRing:
             )
             assert got == STRUCTURE_ROWS_SHA256[name][key], key
 
-    @pytest.mark.parametrize("name", TOWER_NAMES)
+    @pytest.mark.parametrize("name", SIX_TOWERS)
     def test_basis_valuations(self, all_towers, name):
         tower = all_towers[name]
         p, e = tower.p, tower.e_K
@@ -1089,7 +1093,7 @@ class TestFlatRing:
                 assert tower.L.weights[r] == i * p + j
             assert tower.vK(pi_K(tower) ** j) == j
 
-    @pytest.mark.parametrize("name", TOWER_NAMES)
+    @pytest.mark.parametrize("name", SIX_TOWERS)
     def test_pow_matches_repeated_products(self, all_towers, name):
         # square and multiply from the base itself, with no leading product
         # by one: k = 0 gives one, k = 1 the base, and every k the k-1 products
@@ -1113,7 +1117,7 @@ class TestFlatRing:
         with pytest.raises(NotEisenstein):
             build_tower(2, "auto", [[0, 1, 0], [0, 1], [1]], e_k_coeffs=[-2, 0, 1])
 
-    @pytest.mark.parametrize("name", TOWER_NAMES)
+    @pytest.mark.parametrize("name", SIX_TOWERS)
     def test_one_ring_object_per_level(self, all_towers, name):
         """Elements, Witt vectors and the Witt trace point to tower.K and
         tower.L themselves, a Witt vector's components being flat
@@ -1130,7 +1134,7 @@ class TestFlatRing:
             assert ring.from_int(1) == ring.one_elem and type(ring.one_elem) is tuple
             assert ring.from_int(-1) == ring.reduce((-1,) + ring.zero_elem[1:])
 
-    @pytest.mark.parametrize("name", TOWER_NAMES)
+    @pytest.mark.parametrize("name", SIX_TOWERS)
     def test_flat_lift_is_built_once_per_digit_count(self, all_towers, name):
         tower = all_towers[name]
         for ring in (tower.K, tower.L):
@@ -1144,7 +1148,7 @@ class TestFlatRing:
         """O_K, O_L and every lift share one pair per digit count: lifting
         both rings builds the pair once, a lift of a lift is the same
         ring, and the trace rows at the working digits build nothing."""
-        tower = localfield.build_tower(3, 16, [3, 0, -3, 1], None, witt_length_hint=4, seed=2026)
+        tower = load("q3")
         built = []
         build = localfield.build_rings
         monkeypatch.setattr(
@@ -1179,9 +1183,9 @@ class TestFlatRing:
             return original(matrix, p, digits)
 
         monkeypatch.setattr(localfield, "smith_normal_form", counted)
-        for p, N, e_l in [(2, 24, ["-2", "0", "1"]), (3, 16, [3, 0, -3, 1])]:
+        for name in ("q2_sqrt2", "q3"):
             calls.clear()
-            tower = build_tower(p, N, e_l)
+            tower = load(name)
             R = tower.L.flat_lift(-(-tower.dv // tower.e_L) + 1)
             assert R.digits > tower.N_int
             cap = (R.digits * R.flat_rank).bit_length() + 1
@@ -1238,14 +1242,14 @@ def check_zero_tests(tower, draw_int):
     assert tower._zero_raw(a.data[tower.K.flat_rank :]) == in_K
 
 
-@pytest.mark.parametrize("name", TOWER_NAMES)
+@pytest.mark.parametrize("name", SIX_TOWERS)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_zero_at_precision_matches_valuation(all_towers, name, data):
     check_zero_tests(all_towers[name], lambda lo, hi: data.draw(st.integers(lo, hi)))
 
 
-@pytest.mark.parametrize("name", TOWER_NAMES)
+@pytest.mark.parametrize("name", SIX_TOWERS)
 def test_zero_test_one_digit_short_fails(all_towers, name, monkeypatch):
     """Mutant: coordinates are tested modulo p^(N-1)."""
     tower = all_towers[name]
@@ -1309,12 +1313,12 @@ def check_one_gcd_draws(tower, draw_int):
         check_one_gcd_primitives(tower, a_L, a_K, extra)
 
 
-@pytest.mark.parametrize("name", TOWER_NAMES)
+@pytest.mark.parametrize("name", SIX_TOWERS)
 def test_one_gcd_primitives_at_the_edges(all_towers, name):
     check_one_gcd_edges(all_towers[name])
 
 
-@pytest.mark.parametrize("name", TOWER_NAMES)
+@pytest.mark.parametrize("name", SIX_TOWERS)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_one_gcd_primitives_match_coordinate_loops(all_towers, name, data):
