@@ -391,8 +391,9 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--seed", type=int, default=2026)
     p_verify.add_argument("--n", type=int, default=None, help=(
         "Witt length, covered by the tower's precision and at least 1 (main: M; step_bounds, "
-        "carry_identity, residual_invariant: 2); default main M, step_bounds 4, fixed_points 3, "
-        "carry_identity and residual_invariant PFOLD_RANGE[p], 2 at p > 5; vktr/vksub: none"))
+        "carry_identity: 2; residual_invariant: 3); default main M, step_bounds 4, "
+        "fixed_points 3, carry_identity PFOLD_RANGE[p] (2 at p > 5), residual_invariant "
+        "the larger of that and 3; vktr/vksub: none"))
     p_verify.add_argument("--precision", default=None)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(fn=cmd_verify)

@@ -579,22 +579,26 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
     vktr and vksub read no Witt vector, so they take no length (None).
     Every other lemma follows one rule: 1 <= n, the tower's precision
     covers n (``precision_policy``), and for main n >= its stable length
-    M, which is its default.  carry_identity, residual_invariant (levels
-    2..n) and step_bounds (components 1..n-1) need n >= 2: else nothing is checked."""
+    M, which is its default.  carry_identity (levels 2..n) and step_bounds
+    (components 1..n-1) need n >= 2, and residual_invariant (levels 3..n;
+    the level-2 residual is zero) n >= 3: else nothing is checked."""
     p = tower.p
     if lemma in ("vktr", "vksub"):
         if n is not None:
             raise WittLengthOutOfRange(f"--n: {lemma} takes no Witt length")
         return None
     M = stable_witt_length(tower.s, p)
+    least = {"carry_identity": 2, "residual_invariant": 3, "step_bounds": 2}.get(lemma, 1)
     if n is None:
         # carry_identity and residual_invariant: the p-fold table length,
-        # and past the tables 2, the p = 5 length and the shortest with a carry
+        # and past the tables 2, the p = 5 length and the shortest with a
+        # carry; never below the lemma's least length
         n = {"step_bounds": 4, "fixed_points": 3, "main": M}.get(lemma, PFOLD_RANGE.get(p, 2))
+        n = max(n, least)
     if n < 1:
         raise WittLengthOutOfRange(f"--n {n} is not a Witt length; it must be at least 1")
-    if n < 2 and lemma in ("carry_identity", "residual_invariant", "step_bounds"):
-        raise WittLengthOutOfRange(f"--n {n}: {lemma} checks nothing at n = 1; n must be >= 2")
+    if n < least:
+        raise WittLengthOutOfRange(f"--n {n}: {lemma} checks nothing below n = {least}")
     need = precision_policy(p, tower.e_K, tower.s, n)
     if need > tower.N:
         raise WittLengthOutOfRange(
@@ -749,8 +753,9 @@ def verify_carry_identity(
 def verify_residual_invariant(
     tower: ExtensionTower, samples: int = 200, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """Residual values are Galois-fixed with the cascaded valuation bound, on
-    flat coordinates (conjugates and valuations once per component)."""
+    """Residual values at levels 3..n are Galois-fixed with the cascaded
+    valuation bound, on flat coordinates (conjugates and valuations once per
+    component); the level-2 residual is zero by definition."""
     p, K, L, e = tower.p, tower.K, tower.L, tower.K.flat_rank
     cap, cap_K = tower.val_cap, tower.val_cap_K
     n = witt_length("residual_invariant", tower, n)
@@ -762,17 +767,13 @@ def verify_residual_invariant(
         comps = sample.vec.components[: n - 2]
         columns = [tower.conjugates_raw(c) for c in comps]
         vals = [at_cap(L.val_raw(c), cap) for c in comps]
-        for level in range(2, n + 1):
+        for level in range(3, n + 1):
             h = _residual(tower, columns, level)
             if not tower._fixed_raw(h):
                 report.record_failure({"seed": label, "level": level, "what": "not Galois-fixed"})
                 continue
             if not tower._zero_raw(h[e:]):
                 report.record_failure({"seed": label, "level": level, "what": "not in fixed ring"})
-                continue
-            if level == 2:
-                if not tower._zero_raw(h):
-                    report.record_failure({"seed": label, "level": level, "what": "h0 nonzero"})
                 continue
             # v_L of x_1..x_{l-2}, each decided below the cap
             if None in vals[: level - 2]:
@@ -855,13 +856,14 @@ def verify_main_theorem(
                 }
             )
 
-    # contrast: some level-one trace-zero element must be nontrivial with
-    # small valuation whenever the level-one cohomology is nonzero
+    # contrast: ker tr is free on the basis trace_kernel_flat, so when the
+    # level-one cohomology is nonzero some basis vector is nontrivial, and
+    # it must have small valuation
     order = h1_order_level1(tower)
     report.observations["h1_order_level1"] = order
     if order > 1:
         contrast = None
-        for idx, cand in enumerate(_contrast_candidates(tower, seed)):
+        for idx, cand in enumerate(tower.trace_kernel_flat):
             verdict = level1_class_trivial(tower, cand)
             if verdict.status == "nontrivial":
                 v = at_cap(L.val_raw(cand), cap)
@@ -887,15 +889,6 @@ def verify_main_theorem(
             observed = value if observed is None else min(observed, value)
         report.observations["min_v_L_x1_at_length_M_minus_1"] = observed
     return report
-
-
-def _contrast_candidates(tower: ExtensionTower, seed: int):
-    """Trace-zero flat coordinate tuples: the kernel basis, then 64 random ones."""
-    combine, _ = tower.trace_kernel_maps
-    yield from tower.trace_kernel_flat
-    for _, rng in _sample_rngs(seed, "contrast", 64):
-        coeffs = _uniform(rng, tower.modulus, len(tower.trace_kernel_flat))
-        yield combine((*tower.L.zero_elem, *coeffs))
 
 
 def verify_fixed_points(

@@ -67,7 +67,7 @@ from .exactpoly import MPoly, NotDivisible
 # window is fixed rather than discovered by timeout.  They bound the
 # polynomial tables only; tower-ring arithmetic runs on ``ghost_sum``.
 # PFOLD_RANGE[p] is also the default Witt length of carry_identity and
-# residual_invariant (``cohomlab.witt_length``); past the tables it is 2.
+# residual_invariant (``cohomlab.witt_length``), 2 past the tables; the latter's is at least 3.
 BINARY_RANGE = {2: 5, 3: 4, 5: 3}
 PFOLD_RANGE = {2: 4, 3: 3, 5: 2}
 

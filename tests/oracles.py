@@ -561,7 +561,8 @@ def carry_identity_by_elements(tower, samples=200, seed=0, n=None):
 
 
 def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
-    """``cohomlab.verify_residual_invariant`` on OElem components."""
+    """``cohomlab.verify_residual_invariant`` on OElem components, levels
+    3..n."""
     p = tower.p
     n = witt_length("residual_invariant", tower, n)
     report = _base_report(
@@ -570,7 +571,7 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
     for sample in cohomlab._sampler_mix(tower, n, samples, seed, "residual"):
         label = sample.seed
         comps = [OElem(tower.L, c) for c in sample.vec.components]
-        for level in range(2, n + 1):
+        for level in range(3, n + 1):
             h_raw = residual_by_carry_value(tower, comps, level)
             if not eq_at_precision(tower, tower.galois(h_raw), h_raw):
                 report.record_failure(
@@ -581,12 +582,6 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
                 report.record_failure(
                     {"seed": label, "level": level, "what": "not in fixed ring"}
                 )
-                continue
-            if level == 2:
-                if not is_zero_at_precision(tower, h_raw):
-                    report.record_failure(
-                        {"seed": label, "level": level, "what": "h0 nonzero"}
-                    )
                 continue
             vals = [vL_by_coordinates(tower, comps[i]) for i in range(level - 2)]
             if not all(v.finite for v in vals):
@@ -661,8 +656,8 @@ def step_bounds_by_elements(tower, samples=200, seed=0, n=None):
 
 def main_by_elements(tower, samples=200, seed=0, n=None):
     """``cohomlab.verify_main_theorem`` on OElem components; the sample
-    stream, the class decisions and the contrast candidates are read from
-    ``cohomlab`` at call time."""
+    stream and the class decisions are read from ``cohomlab`` at call time,
+    and the contrast candidates are the tower's trace-kernel basis."""
     s = tower.s
     M = witt_length("main", tower, n)
     report = _base_report(tower, "main", {"samples": samples, "seed": seed, "M": M})
@@ -692,7 +687,7 @@ def main_by_elements(tower, samples=200, seed=0, n=None):
     report.observations["h1_order_level1"] = order
     if order > 1:
         contrast = None
-        for idx, cand in enumerate(cohomlab._contrast_candidates(tower, seed)):
+        for idx, cand in enumerate(tower.trace_kernel_flat):
             verdict = cohomlab.level1_class_trivial(tower, cand)
             if verdict.status == "nontrivial":
                 v = vL_by_coordinates(tower, OElem(tower.L, cand))

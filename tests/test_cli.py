@@ -176,10 +176,11 @@ class TestVerify:
             ("fixed_points", "-1"),
             ("carry_identity", "6"),
             ("residual_invariant", "6"),
-            # these check levels 2..n (step_bounds components 1..n-1): at
-            # n = 1 a PASS would check nothing
+            # these check levels 2..n, residual_invariant levels 3..n
+            # (step_bounds components 1..n-1): below, a PASS would check nothing
             ("carry_identity", "1"),
             ("residual_invariant", "1"),
+            ("residual_invariant", "2"),
             ("step_bounds", "1"),
         ],
     )
@@ -213,14 +214,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("lemma", ["carry_identity", "residual_invariant"])
     def test_default_length_past_the_pfold_tables(self, tmp_path, lemma):
-        # PFOLD_RANGE has no entry at p=7: these lemmas default to n = 2
+        # PFOLD_RANGE has no entry at p=7: carry_identity defaults to n = 2,
+        # residual_invariant to its least length, 3
         res = run_cli(
             "verify", "--lemma", lemma, "--tower", "septic", "--samples", "2",
             "--out", str(tmp_path / "report.json"),
         )
         assert res.returncode == 0, res.stderr
         assert f"{lemma} on septic: PASS" in res.stdout
-        assert json.loads((tmp_path / "report.json").read_text())["params"]["n"] == 2
+        want = 3 if lemma == "residual_invariant" else 2
+        assert json.loads((tmp_path / "report.json").read_text())["params"]["n"] == want
         res = run_cli(
             "verify", "--lemma", lemma, "--tower", "septic", "--n", "3", "--samples", "2"
         )

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 import re
 
@@ -22,6 +21,7 @@ from wittlab.cohomlab import (
     witt_trace,
 )
 from wittlab import localfield
+from wittlab.cli import TOWER_DIR
 from wittlab.localfield import (
     NoSolutionAtPrecision,
     PrecisionTooLow,
@@ -922,6 +922,21 @@ class TestVerifiers:
         assert report.observations["contrast"]["v_L"] <= q2_i.s - 1
         assert "min_v_L_x1_at_length_M_minus_1" in report.observations
 
+    @pytest.mark.parametrize("name", sorted(path.stem for path in TOWER_DIR.glob("*.json")))
+    def test_trace_kernel_basis_decides_the_contrast(self, name):
+        # ker tr is free on trace_kernel_flat, so H^1(G, O_L) != 0 exactly
+        # when some basis vector lies outside im(sigma - 1); main's contrast
+        # reads the basis alone, and on every named tower the first vector
+        # certified nontrivial has valuation at most s - 1
+        tower = load(name)
+        assert h1_order_level1(tower) > 1
+        first = next(
+            x for x in tower.trace_kernel_flat
+            if level1_class_trivial(tower, x).status == "nontrivial"
+        )
+        v = localfield.at_cap(tower.L.val_raw(first), tower.val_cap)
+        assert v is not None and v <= tower.s - 1
+
     def test_report_json_is_deterministic(self, q2_i):
         a = cohomlab.verify_vksub(q2_i, samples=25, seed=9).to_json(
             include_runtime=False
@@ -1396,22 +1411,15 @@ class TestCapLemmaOracles:
     def test_main_class_and_contrast_failures_match_oracle(
         self, all_towers, name, monkeypatch
     ):
-        # every class nontrivial, and a first contrast candidate pi_L^s of
-        # valuation s: the class branch and the contrast valuation branch
+        # every class nontrivial: the class branch, and the contrast valuation
+        # branch, since the first basis vector is zero at precision (v_L None)
         tower = all_towers[name]
-        candidates = cohomlab._contrast_candidates
         nontrivial = cohomlab.ClassVerdict("nontrivial", obstruction_depth=1)
         monkeypatch.setattr(cohomlab, "level1_class_trivial", lambda tower, x: nontrivial)
-        monkeypatch.setattr(
-            cohomlab,
-            "_contrast_candidates",
-            lambda tower, seed: itertools.chain(
-                [tower.L.pow(tower.L.pi_elem, tower.s)], candidates(tower, seed)
-            ),
-        )
         got = check_cap_lemma(tower, "main", 0)
         assert failures_by_what(got) == {"class", "contrast valuation"}
-        assert got.observations["contrast"]["v_L"] == tower.s
+        assert got.observations["contrast"]["candidate_index"] == 0
+        assert got.observations["contrast"]["v_L"] is None
         # every class trivial: no contrast is found
         trivial = cohomlab.ClassVerdict("trivial")
         monkeypatch.setattr(cohomlab, "level1_class_trivial", lambda tower, x: trivial)
@@ -1470,8 +1478,7 @@ class TestSampleStream:
     """Every sampled draw comes from one stream, ``_sample_rngs``: sample k
     from a generator in the state of ``random.Random("seed:label:k")``.
     The Witt lemmas read it through ``_sampler_mix``, vktr and vksub
-    through ``_field_draws``, and fixed_points and main's contrast search
-    directly."""
+    through ``_field_draws``, and fixed_points directly."""
 
     def test_each_sample_starts_from_its_label(self):
         # sample k draws k % 4 values, none at k = 0, 4, 8, a Gaussian among
@@ -1500,7 +1507,7 @@ class TestSampleStream:
             ("carry_identity", ["carry"]),
             ("residual_invariant", ["residual"]),
             ("step_bounds", ["steps"]),
-            ("main", ["main", "contrast", "main-below"]),
+            ("main", ["main", "main-below"]),
         ],
     )
     def test_every_draw_comes_from_the_stream(self, q2_i, monkeypatch, lemma, streams):
@@ -1515,15 +1522,10 @@ class TestSampleStream:
 
         monkeypatch.setattr(cohomlab, "_sample_rngs", recorded)
         monkeypatch.setattr(cohomlab.random, "Random", lambda *a: made.append(1) or real(*a))
-        # every class trivial, so main's contrast search reads all 64 draws
-        trivial = cohomlab.ClassVerdict("trivial")
-        monkeypatch.setattr(cohomlab, "level1_class_trivial", lambda tower, x: trivial)
         cohomlab.VERIFIERS[lemma](q2_i, samples=3, seed=4)
         assert [name for name, _ in seen] == streams
         for name, labels in seen:
             assert labels == [f"4:{name}:{k}" for k in range(len(labels))] and labels
-        if lemma == "main":
-            assert len(dict(seen)["contrast"]) == 64
         # one generator per stream, and none built anywhere else
         assert len(made) == len(seen)
 
@@ -1626,6 +1628,7 @@ class TestWittLengthRule:
             ("residual_invariant", 6),
             ("carry_identity", 1),
             ("residual_invariant", 1),
+            ("residual_invariant", 2),
             ("step_bounds", 0),
             ("step_bounds", 1),
             ("main", 1),
