@@ -792,6 +792,9 @@ def verify_residual_invariant(
                         "bound": bound,
                     }
                 )
+    if "residual_valuation_slack" not in report.margins and report.status == "PASS":
+        # no sample had a bound decidable below the cap: nothing was bounded
+        report.status = "UNDETERMINED"
     return report
 
 

@@ -9,7 +9,7 @@ from wittlab.cli import TOWER_DIR
 FOUR_TOWERS = ("q2_i", "q2_sqrt2", "q2_sqrt_minus2", "q3")
 # with the two nested towers over K = Q2(sqrt(2))
 SIX_TOWERS = (*FOUR_TOWERS, "nested", "quartic")
-# with CI's p = 7 tower and the p = 5 one
+# with the p = 7 tower and the p = 5 one
 EIGHT_TOWERS = (*SIX_TOWERS, "septic", "quintic")
 # ROADMAP item 25's towers (odd p over a ramified base, the largest
 # break, a rank-8 2-power step) and the p = 5 Kummer step of item 27,
@@ -82,7 +82,7 @@ def all_towers(towers, nested, quartic):
 
 @pytest.fixture(scope="session")
 def septic():
-    """CI's p = 7 tower: the degree-7 subfield of Q7(zeta_49), shifted to
+    """The p = 7 tower: the degree-7 subfield of Q7(zeta_49), shifted to
     be Eisenstein."""
     return load("septic")
 
@@ -96,7 +96,7 @@ def quintic():
 
 @pytest.fixture(scope="session")
 def eight_towers(all_towers, septic, quintic):
-    """The six towers of ``all_towers``, CI's septic tower and the
+    """The six towers of ``all_towers``, the septic tower and the
     quintic one, by name."""
     return {**all_towers, "septic": septic, "quintic": quintic}
 

@@ -602,6 +602,8 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
                         "bound": bound,
                     }
                 )
+    if "residual_valuation_slack" not in report.margins and report.status == "PASS":
+        report.status = "UNDETERMINED"
     return report
 
 

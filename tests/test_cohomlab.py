@@ -1296,7 +1296,8 @@ class TestWittLemmaOracles:
     @pytest.mark.parametrize("name", ["q2_i", "q3"])
     def test_undecided_valuation_skips_match_oracle(self, all_towers, name, monkeypatch):
         # every sample's x_1 is zero, so v_L(x_1) is undecided at the cap
-        # and every level from 3 on is skipped: no margin is written
+        # and every level from 3 on is skipped: no margin is written, and a
+        # cell that bounded no valuation is UNDETERMINED, not PASS
         tower, mix = all_towers[name], cohomlab._sampler_mix
 
         def zero_first(*args, **kwargs):
@@ -1307,8 +1308,17 @@ class TestWittLemmaOracles:
         monkeypatch.setattr(cohomlab, "_sampler_mix", zero_first)
         n = PFOLD_RANGE[tower.p]
         got = cohomlab.verify_residual_invariant(tower, samples=4, seed=2, n=n)
-        assert got.status == "PASS" and got.margins == {}
+        assert got.status == "UNDETERMINED" and got.margins == {}
         want = residual_invariant_by_elements(tower, samples=4, seed=2, n=n)
+        assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+
+    def test_residual_bounded_past_the_cap_is_undetermined(self, septic):
+        # septic at n = 3: every bound 7 v_L(x_1) >= 14 lies past
+        # val_cap_K - 1 = 10, so each sample checks fixedness alone and
+        # the cell decides no valuation
+        got = cohomlab.verify_residual_invariant(septic, samples=4, seed=2026, n=3)
+        assert (got.status, got.failures, got.margins) == ("UNDETERMINED", [], {})
+        want = residual_invariant_by_elements(septic, samples=4, seed=2026, n=3)
         assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
 
     @pytest.mark.parametrize("name", ["q2_i", "q3"])

@@ -388,5 +388,5 @@ class TestSerialization:
     @pytest.mark.parametrize("p, n", sorted(TABLE_HASHES))
     def test_content_hash_is_pinned(self, p, n):
         # the tables' bytes at the top of PFOLD_RANGE and of BINARY_RANGE,
-        # the three that CI's `wittlab polys` runs print
+        # the content hash that `wittlab polys` prints
         assert dump_tables(p, n)["content_hash"] == TABLE_HASHES[p, n]
