@@ -70,6 +70,17 @@ def _write_json(path: str | None, obj: dict) -> None:
         sys.stdout.write(blob)
 
 
+def _read_json(path: str, context: str = ""):
+    """The JSON value in the file ``path``.  A file that cannot be opened,
+    decoded or parsed (bytes that are not UTF-8, nesting past the recursion
+    limit) is a usage error, its line led by ``context``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise _Exit(EXIT_CONFIG, f"{context}{exc}") from None
+
+
 def _crash_line(exc: Exception) -> str:
     """The exception type and the first line of its message."""
     lines = str(exc).splitlines()
@@ -129,7 +140,7 @@ def _tower(ref, context: str = "", **overrides) -> localfield.ExtensionTower:
             raise ValueError(
                 f"{ref!r} is neither a named tower nor a file; named towers: {', '.join(named)}"
             )
-        return localfield.load_tower(ref, **overrides)
+        return localfield.tower_from_obj(_read_json(ref, context), **overrides)
     except (OSError, ValueError) as exc:
         raise _Exit(EXIT_CONFIG, f"{context}{exc}") from None
 
@@ -215,10 +226,7 @@ def _default_manifest() -> dict:
 
 def cmd_suite(args) -> int:
     if args.manifest:
-        try:
-            manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _Exit(EXIT_CONFIG, f"cannot read manifest: {exc}") from None
+        manifest = _read_json(args.manifest, "cannot read manifest: ")
     else:
         manifest = _default_manifest()
     if not isinstance(manifest, dict):

@@ -559,6 +559,10 @@ def _field_draws(
 def _base_report(
     tower: ExtensionTower, lemma: str, params: dict
 ) -> VerificationReport:
+    # every verifier builds its report before it draws; with no sample a
+    # PASS would check nothing
+    if params["samples"] < 1:
+        raise ValueError(f"{lemma}: samples must be at least 1, got {params['samples']}")
     return VerificationReport(
         lemma=lemma,
         tower_hash=tower.tower_hash,

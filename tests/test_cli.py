@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import pathlib
@@ -15,12 +16,43 @@ from oracles import trace_rows_off_by_one, wrong_in_last
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args):
+# a command's exit code and what it wrote
+Run = collections.namedtuple("Run", "returncode stdout stderr")
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """``run_cli(*argv)``: a wittlab command run in process through
+    ``cli.main``; an argparse refusal exits through SystemExit, whose code
+    is the exit code."""
+
+    def run(*argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return Run(code, *capsys.readouterr())
+
+    return run
+
+
+def run_module(*argv):
+    """A wittlab command run as ``python -m wittlab.cli`` in a fresh
+    process, so with a fresh hash seed."""
     return subprocess.run(
-        [sys.executable, "-m", "wittlab.cli", *args],
+        [sys.executable, "-m", "wittlab.cli", *argv],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
+    )
+
+
+def test_module_entry_point():
+    # the module runs as a script and exits with the code main returns
+    res = run_module("verify", "--lemma", "bogus", "--tower", "q2_i")
+    assert res.returncode == 64
+    assert res.stderr == (
+        f"verify: unknown lemma id 'bogus'; known: {', '.join(cli.LEMMA_IDS)}\n"
     )
 
 
@@ -37,7 +69,7 @@ def test_readme_library_example_runs():
 
 
 class TestPolys:
-    def test_writes_tables_with_hash(self, tmp_path):
+    def test_writes_tables_with_hash(self, tmp_path, run_cli):
         out = tmp_path / "polys.json"
         res = run_cli("polys", "--p", "2", "--n", "3", "--out", str(out))
         assert res.returncode == 0
@@ -49,23 +81,23 @@ class TestPolys:
         phi2 = obj["binary"]["addition"][1]
         assert ["-1", [[0, 1], [1, 1]]] in phi2
 
-    def test_byte_stable_across_runs(self, tmp_path):
+    def test_byte_stable_across_runs(self, tmp_path, run_cli):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("polys", "--p", "3", "--n", "2", "--out", str(a))
         run_cli("polys", "--p", "3", "--n", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_min_degree_reported(self, tmp_path):
+    def test_min_degree_reported(self, tmp_path, run_cli):
         res = run_cli("polys", "--p", "3", "--n", "2", "--out", str(tmp_path / "x"))
         assert "level 2: carry min degree 3" in res.stdout
 
-    def test_out_of_range_is_usage_error(self):
+    def test_out_of_range_is_usage_error(self, run_cli):
         res = run_cli("polys", "--p", "2", "--n", "6")
         assert res.returncode == 64
 
 
 class TestTowerInfo:
-    def test_builtin_and_file_agree(self, tmp_path):
+    def test_builtin_and_file_agree(self, tmp_path, run_cli):
         a = run_cli("tower-info", "--tower", "q2_i", "--json", "--out", str(tmp_path / "a"))
         b = run_cli(
             "tower-info",
@@ -84,7 +116,7 @@ class TestTowerInfo:
         assert obj_a["h1_order_level1"] == 2
         assert obj_a["strict_break_regime"] is False
 
-    def test_missing_tower_is_config_error(self):
+    def test_missing_tower_is_config_error(self, run_cli):
         res = run_cli("tower-info", "--tower", "/nonexistent.json")
         assert res.returncode == 64
 
@@ -113,7 +145,7 @@ class TestTowerInfo:
 
 
 class TestVerify:
-    def test_pass_run(self, tmp_path):
+    def test_pass_run(self, tmp_path, run_cli):
         out = tmp_path / "rep.json"
         res = run_cli(
             "verify",
@@ -135,7 +167,7 @@ class TestVerify:
         assert "runtime_ms" in rep
         assert rep["tower_hash"]
 
-    def test_main_echoes_stable_length(self, tmp_path):
+    def test_main_echoes_stable_length(self, tmp_path, run_cli):
         res = run_cli(
             "verify",
             "--lemma",
@@ -154,13 +186,13 @@ class TestVerify:
         rep = json.loads((tmp_path / "m.json").read_text())
         assert rep["params"]["M"] == 2
 
-    def test_unknown_lemma(self):
+    def test_unknown_lemma(self, run_cli):
         res = run_cli("verify", "--lemma", "bogus", "--tower", "q2_i")
         assert res.returncode == 64
         assert "bogus" in res.stderr
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_samples_below_one_is_usage_error(self, samples):
+    def test_samples_below_one_is_usage_error(self, samples, run_cli):
         res = run_cli(
             "verify", "--lemma", "vksub", "--tower", "q2_i", "--samples", samples
         )
@@ -184,7 +216,7 @@ class TestVerify:
             ("step_bounds", "1"),
         ],
     )
-    def test_witt_length_out_of_range_is_usage_error(self, lemma, n):
+    def test_witt_length_out_of_range_is_usage_error(self, lemma, n, run_cli):
         # q3_ramified has p=3, s=1 and N=16: n=6 needs N >= 19
         res = run_cli(
             "verify", "--lemma", lemma, "--tower", "q3_ramified", "--n", n, "--samples", "1"
@@ -202,7 +234,7 @@ class TestVerify:
             ("carry_identity", "4", []),
         ],
     )
-    def test_witt_length_beyond_the_tables_runs(self, lemma, n, extra):
+    def test_witt_length_beyond_the_tables_runs(self, lemma, n, extra, run_cli):
         # past BINARY_RANGE[3] = 4 and PFOLD_RANGE[3] = 3; only the
         # tower's precision bounds n
         res = run_cli(
@@ -213,7 +245,7 @@ class TestVerify:
         assert f"{lemma} on q3_ramified: PASS" in res.stdout
 
     @pytest.mark.parametrize("lemma", ["carry_identity", "residual_invariant"])
-    def test_default_length_past_the_pfold_tables(self, tmp_path, lemma):
+    def test_default_length_past_the_pfold_tables(self, tmp_path, lemma, run_cli):
         # PFOLD_RANGE has no entry at p=7: carry_identity defaults to n = 2,
         # residual_invariant to its least length, 3, where every bound
         # 7 v_L(x_1) >= 14 lies past val_cap_K - 1 = 10, so it bounds nothing
@@ -232,7 +264,7 @@ class TestVerify:
         assert res.returncode == code, res.stderr
         assert f"{lemma} on septic: {status}" in res.stdout
 
-    def test_precision_message_names_the_needed_n(self):
+    def test_precision_message_names_the_needed_n(self, run_cli):
         res = run_cli(
             "verify", "--lemma", "step_bounds", "--tower", "q3_ramified", "--n", "6",
             "--samples", "1",
@@ -244,7 +276,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
     @pytest.mark.parametrize("n", ["3", "9"])
-    def test_lemma_without_witt_length_refuses_n(self, lemma, n):
+    def test_lemma_without_witt_length_refuses_n(self, lemma, n, run_cli):
         # these lemmas read no Witt vector; an --n that fits the tower's
         # precision (3) is refused as well as one that does not (9)
         res = run_cli(
@@ -255,7 +287,7 @@ class TestVerify:
         assert not res.stdout
 
     @pytest.mark.parametrize("n", ["1", "2"])
-    def test_main_below_stable_length_is_usage_error(self, n):
+    def test_main_below_stable_length_is_usage_error(self, n, run_cli):
         # q2_sqrt2 has s = 2, so M = 3; below M the theorem claims nothing
         res = run_cli(
             "verify", "--lemma", "main", "--tower", "q2_sqrt2", "--n", n, "--samples", "1"
@@ -264,7 +296,7 @@ class TestVerify:
         assert res.stderr.count("\n") == 1 and "M=3" in res.stderr
         assert "Traceback" not in res.stderr and not res.stdout
 
-    def test_main_at_stable_length_runs(self):
+    def test_main_at_stable_length_runs(self, run_cli):
         res = run_cli(
             "verify", "--lemma", "main", "--tower", "q2_sqrt2", "--n", "3", "--samples", "2"
         )
@@ -366,8 +398,9 @@ class TestSuite:
             )
         )
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        res1 = run_cli("suite", "--manifest", str(manifest), "--out", str(a))
-        res2 = run_cli("suite", "--manifest", str(manifest), "--out", str(b))
+        # one process per run, so each has its own hash seed
+        res1 = run_module("suite", "--manifest", str(manifest), "--out", str(a))
+        res2 = run_module("suite", "--manifest", str(manifest), "--out", str(b))
         assert res1.returncode == 0 and res2.returncode == 0
         assert a.read_bytes() == b.read_bytes()
         agg = json.loads(a.read_text())
@@ -394,7 +427,7 @@ class TestSuite:
         assert len(hashes) == 2 and hashes[0] == hashes[1]
         assert hashes[0] == localfield.tower_from_obj(sqrt2, seed=5).tower_hash
 
-    def test_csv_summary(self, tmp_path):
+    def test_csv_summary(self, tmp_path, run_cli):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(
             json.dumps(
@@ -416,7 +449,7 @@ class TestSuite:
         assert lines[0] == "tower,lemma,status,samples,failures,worst_margin"
         assert lines[1].startswith("q2_i,vksub,PASS,10,0")
 
-    def test_empty_manifest_is_usage_error(self, tmp_path):
+    def test_empty_manifest_is_usage_error(self, tmp_path, run_cli):
         manifest = tmp_path / "m.json"
         manifest.write_text('{"towers": [], "lemmas": []}')
         assert run_cli("suite", "--manifest", str(manifest)).returncode == 64
@@ -432,7 +465,7 @@ class TestSuite:
             {"seed": None},
         ],
     )
-    def test_bad_samples_or_seed_is_usage_error(self, tmp_path, fields):
+    def test_bad_samples_or_seed_is_usage_error(self, tmp_path, fields, run_cli):
         manifest = tmp_path / "m.json"
         manifest.write_text(
             json.dumps({"towers": ["q2_i"], "lemmas": ["vksub"], **fields})
@@ -449,7 +482,7 @@ class TestSuite:
             {"N": 24, "E_K": None, "E_L": ["-2", "0", "1"]},  # no "p"
         ],
     )
-    def test_bad_inline_tower_is_usage_error(self, tmp_path, tower):
+    def test_bad_inline_tower_is_usage_error(self, tmp_path, tower, run_cli):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"towers": [tower], "lemmas": ["vktr"]}))
         res = run_cli("suite", "--manifest", str(manifest))
@@ -457,7 +490,7 @@ class TestSuite:
         assert res.stderr.count("\n") == 1 and "inline tower" in res.stderr
         assert "Traceback" not in res.stderr
 
-    def test_default_length_past_the_cap_is_usage_error(self, tmp_path):
+    def test_default_length_past_the_cap_is_usage_error(self, tmp_path, run_cli):
         # K = Q2(2^(1/4)), L = K(sqrt(pi_K)): s = 8, so main runs at its
         # stable length M = 5, which needs N >= 21; "auto" gives N = 17
         manifest = tmp_path / "m.json"
@@ -473,7 +506,7 @@ class TestSuite:
         )
         assert not out_path.exists()
 
-    def test_tower_past_the_pfold_tables(self, tmp_path):
+    def test_tower_past_the_pfold_tables(self, tmp_path, run_cli):
         # every lemma that needs a Witt length takes its default at p=7;
         # the residual at n = 3 bounds no valuation there, so it decides nothing
         manifest = tmp_path / "m.json"
@@ -539,7 +572,6 @@ class TestSuite:
         def refuse(*args, **kwargs):
             raise AssertionError("a tower was loaded")
 
-        monkeypatch.setattr(localfield, "load_tower", refuse)
         monkeypatch.setattr(localfield, "tower_from_obj", refuse)
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"towers": ["q2_i", entry], "lemmas": ["vktr"]}))
@@ -626,7 +658,7 @@ class TestSuite:
         assert captured.err == err
         assert captured.out == "" and not out.exists()
 
-    def test_unknown_lemma_named(self, tmp_path):
+    def test_unknown_lemma_named(self, tmp_path, run_cli):
         manifest = tmp_path / "m.json"
         manifest.write_text('{"towers": ["q2_i"], "lemmas": ["nope"]}')
         res = run_cli("suite", "--manifest", str(manifest))
@@ -882,10 +914,10 @@ class TestMalformedTower:
             ("oracle", "--what", "h1"),
         ],
     )
-    def test_tower_file_is_usage_error(self, tower_file, command):
+    def test_tower_file_is_usage_error(self, tower_file, command, run_cli):
         _one_line_usage_error(run_cli(*command, "--tower", tower_file))
 
-    def test_suite_tower_file_is_usage_error(self, tower_file, tmp_path):
+    def test_suite_tower_file_is_usage_error(self, tower_file, tmp_path, run_cli):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"towers": [tower_file], "lemmas": ["vktr"]}))
         _one_line_usage_error(run_cli("suite", "--manifest", str(manifest)))
@@ -893,7 +925,7 @@ class TestMalformedTower:
     @pytest.mark.parametrize(
         "name", ["p_null", "e_l_not_list", "seed_string", "seed_list", "p_4", "p_6"]
     )
-    def test_suite_inline_tower_is_usage_error(self, tmp_path, name):
+    def test_suite_inline_tower_is_usage_error(self, tmp_path, name, run_cli):
         manifest = tmp_path / "m.json"
         manifest.write_text(
             json.dumps({"towers": [MALFORMED_TOWERS[name]], "lemmas": ["vktr"]})
@@ -922,14 +954,63 @@ class TestMalformedTower:
             localfield.tower_from_obj(obj, seed=7)
 
 
+# JSON files that cannot be read, with the reason the usage error gives:
+# each crashed (70) as a manifest, and the nested one as a tower file too
+UNREADABLE_JSON = {
+    # a UTF-16 byte order mark
+    "not_utf8": (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "nested": (b"[" * 100_000,
+               "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+}
+
+
+class TestUnreadableJson:
+    """A tower file or a manifest that cannot be decoded or parsed is a
+    usage error (64) on one line that gives the reason."""
+
+    @pytest.fixture(params=sorted(UNREADABLE_JSON))
+    def unreadable(self, request, tmp_path):
+        blob, reason = UNREADABLE_JSON[request.param]
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(blob)
+        return str(path), reason
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("tower-info",),
+            ("verify", "--lemma", "vktr", "--samples", "1"),
+            ("oracle", "--what", "h1"),
+        ],
+    )
+    def test_tower_file(self, unreadable, command, run_cli):
+        path, reason = unreadable
+        res = run_cli(*command, "--tower", path)
+        assert (res.returncode, res.stdout, res.stderr) == (64, "", f"{command[0]}: {reason}\n")
+
+    def test_suite_tower_file(self, unreadable, tmp_path, run_cli):
+        path, reason = unreadable
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"towers": [path], "lemmas": ["vktr"]}))
+        res = run_cli("suite", "--manifest", str(manifest))
+        assert (res.returncode, res.stdout) == (64, "")
+        assert res.stderr == f"suite: cannot load tower {path!r}: {reason}\n"
+
+    def test_suite_manifest(self, unreadable, run_cli):
+        path, reason = unreadable
+        res = run_cli("suite", "--manifest", path)
+        assert (res.returncode, res.stdout) == (64, "")
+        assert res.stderr == f"suite: cannot read manifest: {reason}\n"
+
+
 class TestOracle:
-    def test_oracle_passes(self):
+    def test_oracle_passes(self, run_cli):
         res = run_cli("oracle", "--tower", "q2_i", "--what", "all")
         assert res.returncode == 0
         assert "match=True" in res.stdout
         assert "oracle status: PASS" in res.stdout
 
-    def test_h1_prints_the_three_level1_counts(self):
+    def test_h1_prints_the_three_level1_counts(self, run_cli):
         res = run_cli("oracle", "--tower", "q3_ramified", "--what", "h1")
         assert res.returncode == 0, res.stderr
         assert (
@@ -957,7 +1038,7 @@ class TestOracle:
         assert "closed-form=9" in err
         assert "status" not in out
 
-    def test_seed_is_usage_error(self):
+    def test_seed_is_usage_error(self, run_cli):
         # oracle prints no tower hash, so a tower seed would change no byte
         res = run_cli("oracle", "--tower", "q2_i", "--what", "h1", "--seed", "1")
         assert res.returncode == 64

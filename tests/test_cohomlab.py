@@ -1596,8 +1596,8 @@ class TestSampleStream:
 
 
 class TestWittLengthRule:
-    """Every verifier checks the Witt length it will run at before it
-    draws anything, whoever calls it."""
+    """Every verifier checks the Witt length it will run at, and its
+    sample count, before it draws anything, whoever calls it."""
 
     @pytest.fixture
     def no_draws(self, monkeypatch):
@@ -1652,3 +1652,11 @@ class TestWittLengthRule:
         assert problem and "\n" not in problem
         with pytest.raises(cohomlab.WittLengthOutOfRange, match=re.escape(problem)):
             cohomlab.VERIFIERS[lemma](q3, samples=1, seed=0, n=n)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("lemma", list(cohomlab.VERIFIERS))
+    def test_every_verifier_refuses_no_samples(self, q2_i, no_draws, lemma, samples):
+        # with no sample drawn, six verifiers would PASS having checked nothing
+        with pytest.raises(ValueError) as refused:
+            cohomlab.VERIFIERS[lemma](q2_i, samples=samples, seed=1)
+        assert str(refused.value) == f"{lemma}: samples must be at least 1, got {samples}"
