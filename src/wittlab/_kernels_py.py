@@ -204,18 +204,28 @@ def flat_mul(a, b, struct_rows, modulus):
 def flat_mul_plan(struct_rows):
     """The cells (i, j) of a rank-r product grouped by their structure
     row: a list of ``(row, pairs)`` in first-seen order, zero rows left
-    out, since they contribute nothing.  Every entry must be an int."""
+    out, since they contribute nothing.  Every entry must be an int; a
+    row object that several cells share is checked once."""
     r = len(struct_rows)
     groups = {}
+    # id of a row object -> (the object, kept so that its id is not reused,
+    # and its group's cells, None for a zero row)
+    seen = {}
     for i in range(r):
         if len(struct_rows[i]) != r:
             raise ValueError(f"structure row {i} has {len(struct_rows[i])} cells, need {r}")
         for j in range(r):
-            row = tuple(_checked_int(c) for c in struct_rows[i][j])
-            if len(row) != r:
-                raise ValueError(f"structure cell ({i}, {j}) has {len(row)} coordinates, need {r}")
-            if any(row):
-                groups.setdefault(row, []).append((i, j))
+            cell = struct_rows[i][j]
+            if id(cell) not in seen:
+                row = tuple(_checked_int(c) for c in cell)
+                if len(row) != r:
+                    raise ValueError(
+                        f"structure cell ({i}, {j}) has {len(row)} coordinates, need {r}"
+                    )
+                seen[id(cell)] = cell, (groups.setdefault(row, []) if any(row) else None)
+            cells = seen[id(cell)][1]
+            if cells is not None:
+                cells.append((i, j))
     return list(groups.items())
 
 

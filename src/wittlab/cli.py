@@ -3,10 +3,10 @@ verification, suite aggregation, and brute-force oracles.
 
 Exit codes: 0 pass, 1 fail, 2 undetermined/not-stabilized, 64 usage or
 configuration error, 70 internal error.  ``main`` is the one place that
-maps a command's outcome to its exit code, the same way for every
-command: a usage error is 64, an ``UNDETERMINED`` exception is 2,
-and any other exception that escapes a command is a crash, 70, never a
-mathematical FAIL; each is reported on one line of stderr.  A fixed seed
+maps a command's outcome to its exit code, and returns it, the same way
+for every command: a usage error (argparse's too) is 64, ``UNDETERMINED``
+is 2, and any other exception that escapes a command is a crash, 70,
+never a mathematical FAIL; each is one line of stderr.  A fixed seed
 makes every run byte-reproducible; the aggregate suite report carries no
 timing so that repeated runs are byte-identical.
 """
@@ -14,6 +14,7 @@ timing so that repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -50,8 +51,7 @@ class _Exit(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(EXIT_CONFIG)
+        raise _Exit(EXIT_CONFIG, f"{self.prog}: error: {message}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -70,14 +70,12 @@ def _write_json(path: str | None, obj: dict) -> None:
         sys.stdout.write(blob)
 
 
-def _read_json(path: str, context: str = ""):
-    """The JSON value in the file ``path``.  A file that cannot be opened,
-    decoded or parsed (bytes that are not UTF-8, nesting past the recursion
-    limit) is a usage error, its line led by ``context``."""
+@contextlib.contextmanager
+def _malformed(context: str = ""):
+    """Malformed input: a ValueError or OSError in the block is a usage error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
+        yield
+    except (OSError, ValueError) as exc:
         raise _Exit(EXIT_CONFIG, f"{context}{exc}") from None
 
 
@@ -93,10 +91,9 @@ def _status_exit(status: str) -> int:
 
 def cmd_polys(args) -> int:
     try:
-        tables = wittcore.dump_tables(args.p, args.n)
-        wittcore.ctx_for(args.p, args.n).verify_ghost_identities()
-    except ValueError as exc:
-        raise _Exit(EXIT_CONFIG, str(exc)) from None
+        with _malformed():
+            tables = wittcore.dump_tables(args.p, args.n)
+            wittcore.ctx_for(args.p, args.n).verify_ghost_identities()
     except (wittcore.IntegralityViolation, wittcore.DegreeAuditFailure) as exc:
         raise _Exit(EXIT_FAIL, str(exc)) from None
     _write_json(args.out, tables)
@@ -114,10 +111,6 @@ def cmd_polys(args) -> int:
     return EXIT_PASS
 
 
-def _named_towers() -> list[str]:
-    return sorted(path.stem for path in TOWER_DIR.glob("*.json"))
-
-
 def _tower(ref, context: str = "", **overrides) -> localfield.ExtensionTower:
     """The tower of a name in ``TOWER_DIR``, a description file or an inline
     description object, with ``N`` (``--precision``: "auto" or an integer
@@ -130,19 +123,17 @@ def _tower(ref, context: str = "", **overrides) -> localfield.ExtensionTower:
             raise _Exit(
                 EXIT_CONFIG, f'--precision must be "auto" or an integer, got {overrides["N"]!r}'
             ) from None
-    try:
+    with _malformed(context):
         if isinstance(ref, dict):
             return localfield.tower_from_obj(ref, **overrides)
-        named = _named_towers()
+        named = sorted(path.stem for path in TOWER_DIR.glob("*.json"))
         if ref in named:
             ref = str(TOWER_DIR / f"{ref}.json")
         elif not Path(ref).is_file():
             raise ValueError(
                 f"{ref!r} is neither a named tower nor a file; named towers: {', '.join(named)}"
             )
-        return localfield.tower_from_obj(_read_json(ref, context), **overrides)
-    except (OSError, ValueError) as exc:
-        raise _Exit(EXIT_CONFIG, f"{context}{exc}") from None
+        return localfield.load_tower(ref, **overrides)
 
 
 def _args_overrides(args) -> dict:
@@ -225,21 +216,13 @@ def _default_manifest() -> dict:
 
 
 def cmd_suite(args) -> int:
+    manifest = default = _default_manifest()
     if args.manifest:
-        manifest = _read_json(args.manifest, "cannot read manifest: ")
-    else:
-        manifest = _default_manifest()
-    if not isinstance(manifest, dict):
-        raise _Exit(EXIT_CONFIG, "manifest must be a JSON object")
-    for key in manifest:
-        # a misspelt key ("sample") would otherwise run on its default
-        if key not in ("towers", "lemmas", "samples", "seed"):
-            raise _Exit(
-                EXIT_CONFIG,
-                f"unknown manifest key {key!r}: the keys are towers, lemmas, samples and seed",
-            )
-    towers = manifest.get("towers") or []
-    lemmas = manifest.get("lemmas") or []
+        with _malformed("cannot read manifest: "):
+            manifest = localfield.read_json(args.manifest)
+    with _malformed():  # a manifest's keys are the default one's
+        localfield.check_keys(manifest, "manifest", tuple(default))
+    towers, lemmas = (manifest.get(key) or [] for key in ("towers", "lemmas"))
     if not towers or not lemmas:
         raise _Exit(EXIT_CONFIG, "manifest must list towers and lemmas")
     if not isinstance(towers, list) or not isinstance(lemmas, list):
@@ -264,8 +247,7 @@ def cmd_suite(args) -> int:
         # the table has one row per lemma
         if lemma in lemmas[:i]:
             raise _Exit(EXIT_CONFIG, f"manifest lists lemma {lemma!r} twice")
-    samples = manifest.get("samples", 200)
-    seed = manifest.get("seed", 2026)
+    samples, seed = (manifest.get(key, default[key]) for key in ("samples", "seed"))
     for key, value in (("samples", samples), ("seed", seed)):
         if type(value) is not int:
             raise _Exit(EXIT_CONFIG, f"manifest {key} must be an integer, got {value!r}")
@@ -274,11 +256,12 @@ def cmd_suite(args) -> int:
 
     built = {}  # tower name -> tower, in manifest order
     for tower_ref in towers:
-        # every tower, named, from a file or inline, takes the manifest's
-        # seed, so one description has one tower_hash in a manifest
+        # every tower takes the manifest's seed, so one description has one
+        # tower_hash in a manifest; an inline name is the suite's, not the tower's
         inline = isinstance(tower_ref, dict)
         context = "cannot build inline tower: " if inline else f"cannot load tower {tower_ref!r}: "
-        tower = _tower(tower_ref, context, seed=seed)
+        ref = {k: v for k, v in tower_ref.items() if k != "name"} if inline else tower_ref
+        tower = _tower(ref, context, seed=seed)
         tower_name = tower_ref.get("name", tower.tower_hash[:12]) if inline else Path(tower_ref).stem
         # the table has one column per name
         if tower_name in built:
@@ -313,8 +296,7 @@ def cmd_suite(args) -> int:
         "cells": cells,
         "status": "PASS" if worst == EXIT_PASS else ("FAIL" if worst == EXIT_FAIL else "UNDETERMINED"),
     }
-    out_path = args.out
-    _write_json(out_path, aggregate)
+    _write_json(args.out, aggregate)
     if args.csv:
         rows = ["tower,lemma,status,samples,failures,worst_margin"]
         for c in cells:
@@ -343,10 +325,8 @@ def cmd_suite(args) -> int:
 
 def cmd_oracle(args) -> int:
     tower = _tower(args.tower, **_args_overrides(args))
-    try:
+    with _malformed():
         cohomlab.check_enumeration_domain(tower, max(cohomlab.ENUMERATION_DIGITS))
-    except ValueError as exc:
-        raise _Exit(EXIT_CONFIG, str(exc)) from None
     # one enumeration of O_L per digit count, shared by both oracles
     enumerations = {
         digits: cohomlab.enumerate_maps(tower, digits)
@@ -423,8 +403,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     """Run one command; the only place an outcome becomes an exit code."""
-    args = build_parser().parse_args(argv)
+    where = ""  # a refusal by the parser names its own program
     try:
+        args = build_parser().parse_args(argv)
+        where = f"{args.command}: "
         return args.fn(args)
     except _Exit as exc:
         code, line = exc.code, str(exc)
@@ -432,7 +414,7 @@ def main(argv=None) -> int:
         code, line = EXIT_UNDETERMINED, str(exc)
     except Exception as exc:
         code, line = EXIT_CRASH, f"crashed: {_crash_line(exc)}"
-    sys.stderr.write(f"{args.command}: {line}\n")
+    sys.stderr.write(f"{where}{line}\n")
     return code
 
 

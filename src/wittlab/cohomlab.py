@@ -37,6 +37,7 @@ from .localfield import (
     PrecisionTooLow,
     _uniform,
     at_cap,
+    check_printable,
     linsolve,
     precision_policy,
     smith_normal_form,
@@ -609,6 +610,10 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
             f"--n {n} needs precision N >= {need} at p={p}, s={tower.s}; "
             f"the tower has N={tower.N}"
         )
+    try:  # the Witt passes at length n run on rings lifted by n - 1 digits
+        check_printable(p, tower.N_int + n - 1)
+    except PrecisionTooLow as exc:
+        raise WittLengthOutOfRange(f"--n {n}: {exc}") from None
     # below the stable length the theorem claims nothing, so a small
     # valuation there is its sharpness, not a counterexample
     if lemma == "main" and n < M:

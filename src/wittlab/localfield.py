@@ -40,6 +40,7 @@ import hashlib
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
@@ -94,6 +95,25 @@ def _vp_int(x: int, p: int, vmax: int) -> int | None:
     vmax (zero at working precision).  gcd(x, p^vmax) is p^min(v, vmax)."""
     modulus, exponents = _vp_table(p, vmax)
     return exponents.get(math.gcd(x, modulus))
+
+
+@cache
+def _power_of_ten(k: int) -> int:
+    """10^k, built once: every verifier call checks its Witt length's modulus."""
+    return 10**k
+
+
+def check_printable(p: int, digits: int) -> None:
+    """PrecisionTooLow when p^digits has more decimal digits than Python
+    turns into a string (``sys.get_int_max_str_digits()``, 0 for no
+    limit): the generated kernels inline their moduli as decimal
+    literals, so no ring can be compiled past that limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and p**digits >= _power_of_ten(limit):
+        raise PrecisionTooLow(
+            f"the modulus {p}^{digits} has more than {limit} decimal digits, the limit of "
+            "sys.get_int_max_str_digits() on the moduli the kernels print; lower N"
+        )
 
 
 def _uniform(rng, modulus: int, count: int) -> list[int]:
@@ -255,6 +275,7 @@ def build_rings(
     new one for the working pair, when None), from which both lift themselves."""
     working = lifts is None
     lifts = _Lifts(p, e_k, e_l) if working else lifts
+    check_printable(p, digits)
     mod = p**digits
     e = len(e_k)
     e_k_mod = [c % mod for c in e_k]
@@ -287,15 +308,16 @@ def build_rings(
     pl = [[K.one_elem] + [K.zero_elem] * (p - 1)]  # pl[v] = pi_L^v
     for _ in range(2 * p - 2):
         pl.append(times_pi_L(pl[-1]))
-    # basis r = j*e + i is pi_K^i * pi_L^j
+    # basis r = j*e + i is pi_K^i * pi_L^j; the product of basis elements
+    # (i, j) and (ii, jj) is the row of pi_K^(i+ii) * pi_L^(j+jj), built
+    # once and shared by every cell that needs it
+    rows = {
+        (u, v): tuple(x for c in pl[v] for x in K.mul(pk[u], c))
+        for u in range(2 * e - 1)
+        for v in range(2 * p - 1)
+    }
     index = [(i, j) for j in range(p) for i in range(e)]
-    struct = tuple(
-        tuple(
-            tuple(x for c in pl[j + jj] for x in K.mul(pk[i + ii], c))
-            for ii, jj in index
-        )
-        for i, j in index
-    )
+    struct = tuple(tuple(rows[i + ii, j + jj] for ii, jj in index) for i, j in index)
     weights = tuple(i * p + j for i, j in index)
     L = FlatRing("O_L", p, digits, e, weights, struct, tuple(el), lifts)
     lifts[digits] = K, L
@@ -520,13 +542,15 @@ def linsolve(snf: SmithForm, rhs: Sequence[int]) -> tuple[tuple, int]:
 # the tower
 
 
-def _strip_monic(coeffs: Sequence, name: str) -> list:
-    """Coefficient lists are little-endian and carry the leading 1."""
+def _strip_monic(coeffs: Sequence, name: str, width: int = 1) -> list:
+    """Coefficient lists are little-endian and carry the leading 1, an
+    integer or a list of at most ``width`` coordinates, 1 then zeros."""
     coeffs = list(coeffs)
     if len(coeffs) < 2:
         raise NotEisenstein(f"{name}: need degree >= 1")
     lead = coeffs[-1]
-    if not (lead == 1 or lead == [1] or lead == ["1"] or lead == "1"):
+    coords = lead if isinstance(lead, list) and 0 < len(lead) <= width else [lead]
+    if not all(c in (w, str(w)) for c, w in zip(coords, [1] + [0] * (len(coords) - 1))):
         raise NotEisenstein(f"{name}: leading coefficient must be 1, got {lead!r}")
     return coeffs[:-1]
 
@@ -929,7 +953,7 @@ def build_tower(
     e_k = [int(c) for c in _strip_monic(e_k_coeffs, "E_K")] if e_k_coeffs else [-p]
     e_l = [
         [int(x) for x in c] if isinstance(c, list) else int(c)
-        for c in _strip_monic(e_l_coeffs, "E_L")
+        for c in _strip_monic(e_l_coeffs, "E_L", len(e_k))
     ]
     if len(e_l) != p:
         raise NotEisenstein(f"top step must have degree {p}, got {len(e_l)}")
@@ -975,22 +999,31 @@ def _tower_list(value, what: str) -> list:
     return value
 
 
+def check_keys(obj, what: str, keys: Sequence[str], required: Sequence[str] = ()) -> None:
+    """The one shape check of a JSON input, a tower or a manifest: an object
+    with the ``required`` keys and no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(obj).__name__}")
+    for key in obj:  # a misspelt key would otherwise take its default unseen
+        if key not in keys:
+            listing = f"{', '.join(keys[:-1])} and {keys[-1]}"
+            raise ValueError(f"unknown {what} key {key!r}: the keys are {listing}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r}")
+
+
 def tower_from_obj(obj: dict, **overrides) -> ExtensionTower:
     """A tower from its JSON description, with ``N`` or ``seed``
     replaced by ``overrides``; a description of the wrong shape raises
     ValueError with a one-line message."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"a tower must be a JSON object, got {type(obj).__name__}")
-    for key in ("p", "E_L"):
-        if key not in obj:
-            raise ValueError(f"tower has no {key!r}")
+    check_keys(obj, "tower", ("p", "N", "E_K", "E_L", "seed"), required=("p", "E_L"))
     p = _tower_int(obj["p"], "p")
-    e_l = []
-    for c in _tower_list(obj["E_L"], "E_L"):
-        if isinstance(c, list):
-            e_l.append([_tower_int(x, "E_L coefficient") for x in c])
-        else:
-            e_l.append(_tower_int(c, "E_L coefficient"))
+    e_l = [
+        [_tower_int(x, "E_L coefficient") for x in c] if isinstance(c, list)
+        else _tower_int(c, "E_L coefficient")
+        for c in _tower_list(obj["E_L"], "E_L")
+    ]
     e_k = obj.get("E_K")
     if e_k is not None:
         e_k = [_tower_int(c, "E_K coefficient") for c in _tower_list(e_k, "E_K")]
@@ -1002,6 +1035,15 @@ def tower_from_obj(obj: dict, **overrides) -> ExtensionTower:
     return build_tower(p, n_prec, e_l, e_k, seed=overrides.get("seed", seed))
 
 
+def read_json(path: str):
+    """The JSON value in the file ``path``; one that cannot be opened, decoded
+    or parsed (not UTF-8, nested past the recursion limit) is a ValueError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(str(exc)) from None
+
+
 def load_tower(path: str, **overrides) -> ExtensionTower:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tower_from_obj(json.load(fh), **overrides)
+    return tower_from_obj(read_json(path), **overrides)

@@ -37,6 +37,8 @@
   OElems, wrapped and unwrapped here.  The package sums, carries and
   negates only through ``wittcore.ghost_sum``; every test of that path
   compares it with these.
+* The structure rows of O_L cell by cell (``struct_by_cells``), as
+  ``build_rings`` made them before it built each distinct row once.
 * The component polynomials of a p-fold sum by folding the binary
   addition polynomials (``pfold_components_by_folding``), which
   ``wittcore.PFoldDecomposition`` solves from their ghost identities.
@@ -342,6 +344,26 @@ def trace_rows_off_by_one(monkeypatch, r, m):
         return tuple(map(tuple, rows))
 
     monkeypatch.setattr(ExtensionTower, "trace_rows", off_by_one)
+
+
+def struct_by_cells(tower) -> tuple:
+    """O_L's structure rows as ``build_rings`` made them before equal rows
+    were shared: each cell (r, m), r = j*e_K + i and m = jj*e_K + ii, its
+    own p O_K products, pi_K^(i+ii) times each O_K coefficient of
+    pi_L^(j+jj), with pi_L's powers by one multiply each from E_L."""
+    K, p, e, el = tower.K, tower.p, tower.e_K, tower.L.ecoeffs
+    pl = [[K.one_elem] + [K.zero_elem] * (p - 1)]
+    for _ in range(2 * p - 2):
+        x = pl[-1]
+        pl.append([K.sub(lo, K.mul(x[-1], c)) for lo, c in zip([K.zero_elem] + x[:-1], el)])
+    index = [(i, j) for j in range(p) for i in range(e)]
+    return tuple(
+        tuple(
+            tuple(x for c in pl[j + jj] for x in K.mul(K.pow(K.pi_elem, i + ii), c))
+            for ii, jj in index
+        )
+        for i, j in index
+    )
 
 
 def unflatten(ring, coords) -> OElem:

@@ -23,15 +23,10 @@ Run = collections.namedtuple("Run", "returncode stdout stderr")
 @pytest.fixture
 def run_cli(capsys):
     """``run_cli(*argv)``: a wittlab command run in process through
-    ``cli.main``; an argparse refusal exits through SystemExit, whose code
-    is the exit code."""
+    ``cli.main``, which returns every exit code, an argparse refusal's too."""
 
     def run(*argv):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        return Run(code, *capsys.readouterr())
+        return Run(cli.main(list(argv)), *capsys.readouterr())
 
     return run
 
@@ -952,6 +947,212 @@ class TestMalformedTower:
             localfield.tower_from_obj(obj)
         with pytest.raises(ValueError):
             localfield.tower_from_obj(obj, seed=7)
+
+
+Q2_I = {"p": 2, "N": 24, "E_K": None, "E_L": ["2", "-2", "1"]}
+
+# descriptions that every command refuses with exit 64 on one line: wrong
+# types, a p that is not prime, polynomials that are not Eisenstein, steps
+# that are tame or not Galois, a top level that is not an object, keys that
+# are not a tower's, and an N whose moduli Python will not print
+MALFORMED_SWEEP = {
+    **MALFORMED_TOWERS,
+    "int": 5,
+    "null": None,
+    "p_string": {**Q2_I, "p": "two"},
+    "p_float": {**Q2_I, "p": 2.0},
+    "p_bool": {**Q2_I, "p": True},
+    "p_list": {**Q2_I, "p": [2]},
+    "e_l_string": {**Q2_I, "E_L": "x^2 - 2x + 2"},
+    "e_l_null_coefficient": {**Q2_I, "E_L": [None, "0", "1"]},
+    "e_l_nested_null": {**Q2_I, "E_L": [[None], "0", "1"]},
+    "e_l_float_coefficient": {**Q2_I, "E_L": [2.5, "0", "1"]},
+    "e_k_not_list": {**Q2_I, "E_K": 5},
+    "e_k_word": {**Q2_I, "E_K": ["x", "1"]},
+    "n_word": {**Q2_I, "N": "many"},
+    "n_float": {**Q2_I, "N": 24.5},
+    "n_below_4": {**Q2_I, "N": 2},
+    "n_negative": {**Q2_I, "N": -5},
+    "seed_bool": {**Q2_I, "seed": True},
+    "p_0": {**Q2_I, "p": 0},
+    "p_1": {**Q2_I, "p": 1, "E_L": ["-1", "1"]},
+    "p_negative": {**Q2_I, "p": -2},
+    "p_9": {**Q2_I, "p": 9, "E_L": ["3"] + ["0"] * 8 + ["1"]},
+    "unit_constant": {**Q2_I, "E_L": ["1", "0", "1"]},
+    "constant_valuation_2": {**Q2_I, "E_L": ["4", "2", "1"]},
+    "unit_middle": {**Q2_I, "E_L": ["2", "1", "1"]},
+    "not_monic": {**Q2_I, "E_L": ["2", "0", "2"]},
+    "degree_0": {**Q2_I, "E_L": ["1"]},
+    "e_k_not_eisenstein": {**Q2_I, "E_K": ["1", "0", "1"], "E_L": [[2], [0], [1]]},
+    "too_many_coordinates": {**Q2_I, "E_K": ["-2", "0", "1"], "E_L": [[0, 1, 0], [0], [1]]},
+    "lead_too_long": {**Q2_I, "E_L": ["2", "-2", [1, 0]]},
+    "tame": {**Q2_I, "p": 3, "E_L": ["-3", "0", "1"]},
+    "wrong_degree": {**Q2_I, "E_L": ["2", "0", "0", "1"]},
+    "not_galois": {**Q2_I, "p": 3, "E_L": ["-3", "0", "0", "1"]},
+    "no_p": {"N": 24, "E_L": ["2", "-2", "1"]},
+    "no_e_l": {"p": 2, "N": 24},
+    "unknown_key": {**Q2_I, "sigma_exponet": 5},
+    "lowercase_key": {"p": 2, "N": 24, "e_l": ["2", "-2", "1"]},
+    "name_key": {**Q2_I, "name": "q2_i"},
+    "n_past_the_printable": {**Q2_I, "N": 20000},
+}
+
+# argparse's refusals: each prints the usage, then its one line
+ARGPARSE_REFUSALS = {
+    "no_command": [],
+    "unknown_command": ["bogus"],
+    "unknown_option": ["oracle", "--tower", "q2_i", "--seed", "1"],
+    "missing_option": ["verify", "--tower", "q2_i"],
+    "not_an_int": ["verify", "--lemma", "vktr", "--tower", "q2_i", "--samples", "many"],
+    "bad_choice": ["oracle", "--tower", "q2_i", "--what", "everything"],
+    "no_value": ["suite", "--manifest"],
+}
+
+
+def _refusal_line(argv, capsys) -> str:
+    """The one line ``cli.main(argv)`` refuses ``argv`` with, exit 64,
+    after argparse's usage where it prints one.  A SystemExit fails."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    # argparse's usage wraps onto indented lines
+    while lines and lines[0].startswith(("usage: ", " ")):
+        lines.pop(0)
+    assert (code, len(lines)) == (64, 1), err
+    assert err.endswith("\n") and "Traceback" not in err and "status" not in out
+    return lines[0]
+
+
+class TestMalformedSweep:
+    """Every malformed description, in a file or inline in a manifest, and
+    every argparse refusal returns 64 from ``cli.main`` on one line; none
+    crashes (70), passes (0) or raises SystemExit."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SWEEP))
+    def test_tower_info(self, name, tmp_path, capsys):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(MALFORMED_SWEEP[name]))
+        line = _refusal_line(["tower-info", "--tower", str(path)], capsys)
+        assert line.startswith("tower-info: ")
+
+    @pytest.mark.parametrize("name", sorted(set(MALFORMED_SWEEP) - {"name_key"}))
+    def test_suite_inline(self, name, tmp_path, capsys):
+        # name_key is an inline tower's own key; the rest are refused there too
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            {"towers": [MALFORMED_SWEEP[name]], "lemmas": ["vktr"], "samples": 1}
+        ))
+        line = _refusal_line(["suite", "--manifest", str(manifest)], capsys)
+        assert line.startswith("suite: ")
+
+    @pytest.mark.parametrize("name", sorted(ARGPARSE_REFUSALS))
+    def test_argparse(self, name, capsys):
+        line = _refusal_line(ARGPARSE_REFUSALS[name], capsys)
+        assert re.fullmatch(r"wittlab( [a-z-]+)?: error: .+", line), line
+
+
+class TestStrictKeys:
+    """A tower and a manifest each name their keys; any other key is
+    refused on one line that names it (a misspelt key would otherwise take
+    its default unseen)."""
+
+    TOWER_KEYS = "the keys are p, N, E_K, E_L and seed"
+
+    def test_tower_file(self, tmp_path, capsys):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps({**description("q2_i"), "sigma_exponet": 5}))
+        assert cli.main(["tower-info", "--tower", str(path)]) == 64
+        assert capsys.readouterr().err == (
+            f"tower-info: unknown tower key 'sigma_exponet': {self.TOWER_KEYS}\n"
+        )
+
+    def test_inline_tower_takes_a_name_and_nothing_else(self, tmp_path, capsys):
+        inline = {**description("q2_i"), "name": "gauss"}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"towers": [inline], "lemmas": ["vktr"], "samples": 1}))
+        assert cli.main(["suite", "--manifest", str(manifest)]) == 0
+        assert "gauss" in capsys.readouterr().out
+        manifest.write_text(json.dumps(
+            {"towers": [{**inline, "Seed": 1}], "lemmas": ["vktr"], "samples": 1}
+        ))
+        assert cli.main(["suite", "--manifest", str(manifest)]) == 64
+        assert capsys.readouterr().err == (
+            f"suite: cannot build inline tower: unknown tower key 'Seed': {self.TOWER_KEYS}\n"
+        )
+
+    def test_library_refuses_too(self):
+        with pytest.raises(ValueError, match="unknown tower key 'sigma_exponet'"):
+            localfield.tower_from_obj({**description("q2_i"), "sigma_exponet": 5})
+
+    @pytest.mark.parametrize("manifest", [[], "q2_i", 5, None])
+    def test_manifest_not_an_object(self, manifest, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["suite", "--manifest", str(path)]) == 64
+        assert capsys.readouterr().err == (
+            f"suite: a manifest must be a JSON object, got {type(manifest).__name__}\n"
+        )
+
+
+class TestOneExit:
+    """``cli.main`` returns every refusal's exit code, argparse's too."""
+
+    def test_argparse_refusal_is_returned(self, capsys):
+        assert cli.main(["oracle", "--tower", "q2_i", "--seed", "1"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: wittlab ")
+        assert err.endswith("\nwittlab: error: unrecognized arguments: --seed 1\n")
+
+    def test_a_subcommand_refusal_names_the_subcommand(self, capsys):
+        assert cli.main(["verify", "--tower", "q2_i"]) == 64
+        assert capsys.readouterr().err.endswith(
+            "\nwittlab verify: error: the following arguments are required: --lemma\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_still_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wittlab")
+
+
+class TestPrintableModuli:
+    """Generated kernels inline their moduli as decimal literals, which
+    Python prints only up to ``sys.get_int_max_str_digits()`` digits: an N
+    or a Witt length past that is refused on one wittlab line naming the
+    limit, never Python's own message and never a crash (70)."""
+
+    # p = 2 at q2_i: N_int = N + 7, the Newton lift 2 digits more, and a
+    # Witt pass at length n n - 1 more; 2^14284 has 4 300 digits, 2^14285
+    # has 4 301
+    LIMIT = (
+        "has more than 4300 decimal digits, the limit of sys.get_int_max_str_digits() "
+        "on the moduli the kernels print; lower N"
+    )
+
+    @pytest.fixture(autouse=True)
+    def _default_limit(self):
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+            pytest.skip("Python's default int string limit is not in force")
+
+    @pytest.mark.parametrize(
+        "N, digits", [(20000, 20007), (14276, 14285)], ids=["working", "newton"]
+    )
+    def test_build_refuses_the_precision(self, N, digits, capsys):
+        assert cli.main(["tower-info", "--tower", "q2_i", "--precision", str(N)]) == 64
+        assert capsys.readouterr().err == f"tower-info: the modulus 2^{digits} {self.LIMIT}\n"
+
+    @pytest.mark.parametrize("lemma", ["step_bounds", "carry_identity"])
+    def test_witt_length_refuses_the_lift(self, lemma, capsys):
+        argv = ["verify", "--lemma", lemma, "--tower", "q2_i", "--precision", "14275"]
+        assert cli.main([*argv, "--samples", "1"]) == 64
+        assert capsys.readouterr().err == f"verify: --n 4: the modulus 2^14285 {self.LIMIT}\n"
+
+    def test_the_last_printable_length_runs(self, capsys):
+        argv = ["verify", "--lemma", "step_bounds", "--tower", "q2_i", "--precision", "14275"]
+        assert cli.main([*argv, "--samples", "1", "--n", "3"]) == 0, capsys.readouterr().err
 
 
 # JSON files that cannot be read, with the reason the usage error gives:

@@ -227,6 +227,23 @@ def unreduced_group(struct, modulus):
     return mul
 
 
+def test_plan_checks_each_shared_row_once(q3, monkeypatch):
+    # the tower shares one row object among the cells of one exponent
+    # pair; the plan checks that object once, and an unshared copy of the
+    # rows gives the same plan with every cell checked
+    struct = q3.L.struct
+    unshared = tuple(tuple(tuple(list(row)) for row in cells) for cells in struct)
+    checked = []
+    check = pure._checked_int
+    monkeypatch.setattr(pure, "_checked_int", lambda x: checked.append(x) or check(x))
+    plan = pure.flat_mul_plan(struct)
+    rank, rows = len(struct), len({id(row) for cells in struct for row in cells})
+    assert len(checked) == rank * rows < rank**3
+    checked.clear()
+    assert pure.flat_mul_plan(unshared) == plan
+    assert len(checked) == rank**3
+
+
 class TestCompiledProduct:
     """The product each ring compiles from its structure rows against
     ``flat_mul``, the reference kernel."""

@@ -40,6 +40,7 @@ from oracles import (
     randrange_K_elem,
     randrange_L_elem,
     randrange_L_unit,
+    struct_by_cells,
     tower_by_digit_search,
     tower_with_sigma_power,
     trace_rows_off_by_one,
@@ -75,6 +76,42 @@ TOWER_HASHES = {
     "rank8": "e63bff29449b659ad9581f1fcaba77ae013a353141c1c4afd8aa35f391206cd2",
 }
 
+# sha256 of the compact JSON of [K.struct, L.struct, galois_mats], one per
+# file in towers/, as built when every structure cell made its own row
+STRUCT_DIGESTS = {
+    "cubic": "590027a4a750db49c96715f3ac966f923a2c46588f498e80a0b48cf79a21dc4a",
+    "nested": "29b68bb517b289c3ce8927c4e8305a2fc957580b31cf312f5b893118187369d2",
+    "q2_i": "d57422bfa27a06b3f7894367c8457eb58af993531eb1a1c4b19539e8aca8fe42",
+    "q2_sqrt2": "672b9686ae2e623b9116dc4ba5f6ee58a8b2872ef7c0a0aa0b0a04f901d3bc23",
+    "q2_sqrt_minus2": "21123c5ab0e41c1299d85da1a8ce14d46586dc6a2c83b2c428709dcd43e7a7c8",
+    "q2z16_over_z8": "71c044b4a7bc8607505b9f810d306f22f6d6013fb4a9e48d83a2f673e3526be6",
+    "q2z8_over_i": "b4b9374123389490557db269657b27078efb9b61ee08dd0e3f797fa19ec94501",
+    "q3_ramified": "bc1937e2f9c4eb2de30713c813a64d1678349d5ce16970d1d60c85c4753f9e95",
+    "q3z3_kummer": "0a33aeab877abbb8c9ddc30af09232e0664a7309191497dd8ceb5f662b914ac6",
+    "q3z9_over_z3": "f6f74907dd121d74efa638656431a19b7972b81fce604c27c30d55fff2102464",
+    "q5z5_kummer": "77e3b306ce395286a24b4f27cef40689a8c69da099020c43506dab5faa790809",
+    "q7z7_kummer": "647bda653f3b6ab4aa0c1ab702452c305ee56c4105d9760fe3a15c487713f9f8",
+    "quartic": "37ce54b003c8189df4264f5c8121f42b4aa285eb81d5e06a2447d0792d17c72b",
+    "quintic": "6f1768465fc3feb1cdef3a06ffb1a6e6d20ee74c76076c3048e5e277578a5d4d",
+    "rank8": "2d5e57b63f94f4284cab6398fa19077889b6c76f371096c48295ca2721d50c64",
+    "septic": "d8bc0b1f48e2a128cef30c450e3c0c246ec95cae613d2e62806a938071d3438e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCT_DIGESTS))
+def test_structure_rows_are_built_once_per_exponent_pair(name):
+    # cell (i, j)*(ii, jj) is the row of pi_K^(i+ii)*pi_L^(j+jj): one row
+    # object per exponent pair, equal to the cell-by-cell build, and the
+    # rows and sigma's matrices as pinned
+    tower = localfield.load_tower(TOWER_DIR / f"{name}.json")
+    struct = tower.L.struct
+    assert len({id(row) for cells in struct for row in cells}) == (
+        (2 * tower.e_K - 1) * (2 * tower.p - 1)
+    )
+    assert struct == struct_by_cells(tower)
+    blob = json.dumps([tower.K.struct, struct, tower.galois_mats], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == STRUCT_DIGESTS[name]
+
 
 class TestValExtended:
     """The object form of the cap rule, which the OElem oracles use."""
@@ -108,6 +145,29 @@ class TestTowerConstruction:
             build_tower(2, 24, [4, 0, 1])  # constant valuation 2
         with pytest.raises(NotEisenstein):
             build_tower(2, 24, [-2, 0, 2])  # not monic
+
+    @pytest.mark.parametrize("lead", [[1, 0], ["1", "0"], [1]])
+    def test_leading_one_as_o_k_coordinates(self, lead):
+        # nested.json's leading coefficient [1] written with e_K = 2
+        # coordinates is the same element 1: the same tower, but the
+        # description hashes the lists as given
+        obj = description("nested")
+        tower = localfield.tower_from_obj({**obj, "E_L": [*obj["E_L"][:-1], lead]})
+        nested = load("nested")
+        assert tower.L.struct == nested.L.struct and tower.galois_mats == nested.galois_mats
+        assert (tower.tower_hash == nested.tower_hash) == (lead == [1])
+
+    @pytest.mark.parametrize("lead", [[1, 0, 0], [0, 1], [1, 1], [], [0]])
+    def test_leading_coefficient_other_than_one(self, lead):
+        obj = description("nested")
+        with pytest.raises(NotEisenstein, match="leading coefficient must be 1"):
+            localfield.tower_from_obj({**obj, "E_L": [*obj["E_L"][:-1], lead]})
+
+    def test_leading_one_has_at_most_e_k_coordinates(self):
+        # over Q_2, e_K = 1: [1] is the element 1, [1, 0] is not an element
+        build_tower(2, 24, [2, -2, [1]])
+        with pytest.raises(NotEisenstein, match="got \\[1, 0\\]"):
+            build_tower(2, 24, [2, -2, [1, 0]])
 
     def test_rejects_non_normal_cubic(self):
         # x^3 - 3 is Eisenstein at 3 but its splitting field is not cyclic
