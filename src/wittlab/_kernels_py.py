@@ -31,7 +31,9 @@ interpreted ``localfield.linsolve``.  ``compile_flat_val`` unrolls a
 ring's valuation in weight order, against the per-coordinate loop in
 ``tests/oracles.py``, and
 ``compile_tower_draws`` unrolls a tower's element draws from the
-rejection loop of ``localfield._uniform``, their reference.
+rejection loop of ``localfield._uniform``, their reference, and
+``compile_kernel_redraw`` the sampler's draw of a trace-kernel
+component with its memo key, redrawn while the key is known to fail.
 
 The package calls them through ``kernels``.
 """
@@ -345,6 +347,29 @@ def compile_tower_draws(p: int, rank_L: int, rank_K: int, modulus: int, mul, pi_
         "\n".join(lines) + "\n", f"<tower_draws rank {rank_L}>",
         "draw_L draw_spread draw_K draw_unit", mul=mul, pi_power=pi_power,
     )
+
+
+def compile_kernel_redraw(matrix, modulus: int, residue_modulus: int):
+    """``redraw(getrandbits, particular, bad, limit)`` for the matrix [I | K]
+    on a particular solution's coordinates followed by kernel coefficients,
+    compiled once: it draws the coefficients below ``modulus`` in turn
+    (``uniform_lines``), keys the draw by ``matrix`` times it modulo
+    ``residue_modulus``, and draws again while the key is in ``bad`` and
+    fewer than ``limit`` draws were rejected.  It returns ``(v, key, hits)``:
+    the last draw, the particular's coordinates then the coefficients, its
+    key and the number of draws rejected before it."""
+    for m in (modulus, residue_modulus):
+        if _checked_int(m) < 1:
+            raise ValueError(f"modulus must be positive, got {m}")
+    rank, names = len(matrix), [f"a{m}" for m in range(len(matrix[0]))]
+    keys = [_linear_terms(row, names, residue_modulus) for row in matrix]
+    keys = [f"({' + '.join(t)}) % {residue_modulus}" if t else "0" for t in keys]
+    lines = ["def redraw(getrandbits, particular, bad, limit):"]
+    lines += [f"    {_tuple(names[:rank])} = particular", "    hits = 0", "    while True:"]
+    lines += ["    " + x for x in uniform_lines(names[rank:], modulus)]
+    lines += [f"        key = {_tuple(keys)}", "        if hits >= limit or key not in bad:"]
+    lines += [f"            return {_tuple(names)}, key, hits", "        hits += 1"]
+    return _define("\n".join(lines) + "\n", f"<kernel_redraw rank {rank}>", "redraw")
 
 
 def multinomial(counts) -> int:

@@ -200,64 +200,69 @@ def sample_trace_zero(
     constants are integral, and the solve fails exactly when some entry
     of U*c is nonzero modulo its pivot's p^v, v <= delta.  (A zero row of
     the form needs every digit; the modulus is then p^N_int.)  A residue
-    prefix that once failed is kept in ``tower.unsolvable_prefixes``, and
+    prefix that once failed is kept in ``tower.unsolvable_prefixes``, one
+    dict from the keys of x_1..x_{l-2} to the set of x_{l-1}'s keys, and
     when it comes back the carry and the solve are skipped for the same
     failure branch.
 
-    A draw is the particular solution's coordinates followed by kernel
-    coefficients r_k, each uniform modulo p^N_int (``_uniform``, which
-    replays ``rng.randrange``); ``tower.trace_kernel_maps`` maps it to the
-    component and to the component's residues, its memo key.  The memo
+    Every draw of a component, the first, the one after each solve and
+    each redraw, is one call of the tower's compiled ``redraw`` (from
+    ``tower.trace_kernel_maps``): the particular solution's coordinates
+    followed by kernel coefficients r_k, each uniform modulo p^N_int as
+    ``rng.randrange`` draws them, keyed by the component's residues.  It
+    draws again, in the same call, while the key is in the memo and the
+    failure it stands for would redraw at the same level (``limit``); the
+    loop below accounts those failures and takes the one past the limit.
+    Only a kept draw goes through ``combine`` to its component.  The memo
     never changes a draw: the RNG stream and the components are those of
     the loop without it.
     """
     K, L = tower.K, tower.L
     unsolvable = tower.unsolvable_prefixes
-    combine, residues = tower.trace_kernel_maps
-    modulus, count = tower.modulus, len(tower.trace_kernel_flat)
-
-    def draw(particular: tuple) -> None:
-        v = (*particular, *_uniform(rng, modulus, count))
-        comps.append(combine(v))
-        keys.append(residues(v))
-
+    combine, redraw = tower.trace_kernel_maps
     # particulars[i] is x_{i+1}'s particular solution, comps[i] is x_{i+1}
-    # and keys[i] its residues
+    # and keys[i] its residues; x_level is drawn next
     particulars: list[tuple] = [L.zero_elem]
     comps: list[tuple] = []
     keys: list[tuple] = []
-    draw(L.zero_elem)
-    level = 2
+    level = 1
     retries = SAMPLER_RETRIES
     budget = retries * n * 8
     fail_streak = 0
-    while level <= n:
-        prefix = tuple(keys)
-        if prefix not in unsolvable:
-            carry = wittcore.ghost_trace(tower, comps, level)[-1]
+    while True:
+        # ``redraw`` takes each memo hit whose failure would redraw x_level
+        # again: always at level 1, else while the streak is below retries
+        base = tuple(keys)
+        bad = unsolvable.get(base, ()) if level < n else ()
+        limit = budget - 1 if level == 1 else min(budget - 1, retries - 1 - fail_streak)
+        v, key, hits = redraw(rng.getrandbits, particulars[-1], bad, limit)
+        budget -= hits
+        fail_streak += hits
+        if key not in bad:
+            comps.append(combine(v))
+            if level >= n:
+                break
+            keys.append(key)
+            carry = wittcore.ghost_trace(tower, comps, level + 1)[-1]
             try:
                 part, _ = tower.solve_trace_eq(K.neg(carry))
             except NoSolutionAtPrecision:
-                unsolvable.add(prefix)
+                unsolvable.setdefault(base, set()).add(key)
             else:
                 particulars.append(part)
-                draw(part)
                 level += 1
                 fail_streak = 0
                 continue
         budget -= 1
         fail_streak += 1
         if budget <= 0:
-            raise SamplerExhausted(level, retries)
-        # redraw the kernel part one level down; solvability can be pinned
-        # by deeper components, so the cut deepens every ``retries``
+            raise SamplerExhausted(level + 1, retries)
+        # redraw the kernel part at or below x_level; solvability can be
+        # pinned by deeper components, so the cut deepens every ``retries``
         # consecutive failures, and everything above the cut is rebuilt
         # (its trace equations used the old carries)
-        depth = min(level - 1, 1 + fail_streak // retries)
-        cut = level - depth
-        del comps[cut - 1 :], keys[cut - 1 :], particulars[cut:]
-        draw(particulars[-1])  # x_cut
-        level = cut + 1
+        level -= min(level, 1 + fail_streak // retries) - 1
+        del comps[level - 1 :], keys[level - 1 :], particulars[level:]
     vec = WittVec(L, tuple(comps))
     _audit_trace(tower, vec, "a fresh sample")
     return KernelSample(vec, "recursive-sampler", seed_label)

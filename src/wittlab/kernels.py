@@ -12,7 +12,8 @@ its weights) and x -> x^p (``compile_flat_pow``) generated on first use;
 valuation loop in ``tests/oracles.py`` the valuation's.  A tower's
 element draws are straight-line code that ``compile_tower_draws``
 generates on first use, making exactly the ``getrandbits`` calls of
-``localfield._uniform``, their reference, rejection loop included.
+``localfield._uniform``, their reference, rejection loop included, and
+so does the sampler's redraw of a kernel component (``compile_kernel_redraw``).
 Likewise sigma^i and the trace run through functions that
 ``compile_flat_linear`` generated, when the tower was built, from their
 one source each: sigma^i's matrices from the powers of sigma(pi_L), the
@@ -36,6 +37,7 @@ from ._kernels_py import (
     compile_flat_ring,
     compile_flat_val,
     compile_ghost_pass,
+    compile_kernel_redraw,
     compile_smith_solve,
     compile_tower_draws,
     flat_mul,

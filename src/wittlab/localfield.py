@@ -741,30 +741,32 @@ class ExtensionTower:
             self.trace_residue_modulus = self.p ** max(pivots, default=0)
         else:
             self.trace_residue_modulus = self.modulus
-        # the sampler's (combine, residues) pair, compiled on first use
-        # (``trace_kernel_maps``), and the residue prefixes, its keys, whose
-        # next trace equation has no solution (``cohomlab.sample_trace_zero``)
+        # the sampler's (combine, redraw) pair, compiled on first use
+        # (``trace_kernel_maps``), and its memo: each prefix of residue keys
+        # maps to the keys of the next component after which the next trace
+        # equation has no solution (``cohomlab.sample_trace_zero``)
         self._trace_kernel_maps = None
-        self.unsolvable_prefixes: set[tuple] = set()
+        self.unsolvable_prefixes: dict[tuple, set] = {}
         self._smo_snf: dict[int, SmithForm] = {}  # digits -> Smith form of sigma - 1
 
     @property
     def trace_kernel_maps(self):
-        """``(combine, residues)``: a particular solution's coordinates
-        followed by coefficients r, mapped to the particular plus sum_k
-        r_k * k over ``trace_kernel_flat``, modulo p^N_int and modulo
-        ``trace_residue_modulus``.  One matrix [I | K], compiled at both
-        moduli on first use (``kernels.compile_flat_linear``), so a
-        sampled component's memo key is its residues by construction."""
+        """``(combine, redraw)`` on one matrix [I | K], compiled on first use:
+        ``combine`` maps a particular solution's coordinates followed by
+        coefficients r to the particular plus sum_k r_k * k over
+        ``trace_kernel_flat`` modulo p^N_int (``kernels.compile_flat_linear``),
+        and ``redraw`` draws the coefficients and keys the draw by the same
+        sum modulo ``trace_residue_modulus`` (``kernels.compile_kernel_redraw``),
+        so a sampled component's memo key is its residues by construction."""
         if self._trace_kernel_maps is None:
             rank = self.L.flat_rank
             matrix = [
                 [int(r == m) for m in range(rank)] + [k[r] for k in self.trace_kernel_flat]
                 for r in range(rank)
             ]
-            self._trace_kernel_maps = tuple(
-                kernels.compile_flat_linear(matrix, mod)
-                for mod in (self.modulus, self.trace_residue_modulus)
+            self._trace_kernel_maps = (
+                kernels.compile_flat_linear(matrix, self.modulus),
+                kernels.compile_kernel_redraw(matrix, self.modulus, self.trace_residue_modulus),
             )
         return self._trace_kernel_maps
 
@@ -988,9 +990,12 @@ def build_tower(
 def _tower_int(value, what: str) -> int:
     """An integer field of a tower description; JSON strings of digits
     count, anything else is a malformed description (ValueError)."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"tower {what} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, str)):
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"tower {what} must be an integer, got {value!r}")
 
 
 def _tower_list(value, what: str) -> list:
@@ -1031,8 +1036,10 @@ def tower_from_obj(obj: dict, **overrides) -> ExtensionTower:
     seed = obj.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"tower seed must be an integer, got {seed!r}")
-    n_prec = overrides.get("N", obj.get("N", "auto"))
-    return build_tower(p, n_prec, e_l, e_k, seed=overrides.get("seed", seed))
+    n_prec = obj.get("N", "auto")
+    if n_prec != "auto":
+        n_prec = _tower_int(n_prec, "N")
+    return build_tower(p, overrides.get("N", n_prec), e_l, e_k, seed=overrides.get("seed", seed))
 
 
 def read_json(path: str):

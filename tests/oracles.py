@@ -64,8 +64,8 @@
 * A particular solution plus a combination of the trace-kernel basis as
   the loop over the basis (``kernel_elem_by_loop``); the package applies
   the ``combine`` of ``ExtensionTower.trace_kernel_maps``, one matrix
-  [I | K] compiled per tower, whose ``residues`` at p^delta are the
-  sampler's memo keys.
+  [I | K] compiled per tower, whose residues at p^delta the same pair's
+  ``redraw`` computes as the sampler's memo keys.
 * ``wrong_in_last``, a solve whose answers are off by one in the last
   coordinate, which sigma moves: the wrong solve the postconditions and
   oracles must catch; and ``trace_rows_off_by_one``, the trace from

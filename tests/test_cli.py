@@ -1094,6 +1094,39 @@ class TestStrictKeys:
         )
 
 
+class TestStringFields:
+    """An integer field of a tower may be a JSON string of digits, N
+    included, and builds the tower the int does; any other string is
+    refused on one line that names the field."""
+
+    @pytest.mark.parametrize("field", ["p", "N"])
+    def test_digit_string_builds_the_same_tower(self, field, tmp_path, capsys):
+        path = tmp_path / "tower.json"
+        hashes = []
+        for value in (Q2_I[field], str(Q2_I[field])):
+            path.write_text(json.dumps({**Q2_I, field: value}))
+            assert cli.main(["tower-info", "--tower", str(path)]) == 0
+            hashes.append(re.search(r"tower_hash: (\w+)", capsys.readouterr().out).group(1))
+        assert hashes[0] == hashes[1] == localfield.tower_from_obj(Q2_I).tower_hash
+
+    @pytest.mark.parametrize(
+        "change,what",
+        [
+            ({"p": "two"}, "p must be an integer, got 'two'"),
+            ({"N": "many"}, "N must be an integer, got 'many'"),
+            ({"N": 24.5}, "N must be an integer, got 24.5"),
+            ({"E_K": ["x", "1"]}, "E_K coefficient must be an integer, got 'x'"),
+            ({"E_L": ["2", "x", "1"]}, "E_L coefficient must be an integer, got 'x'"),
+            ({"E_L": [["2", "y"], "0", "1"]}, "E_L coefficient must be an integer, got 'y'"),
+        ],
+    )
+    def test_other_string_names_the_field(self, change, what, tmp_path, capsys):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps({**Q2_I, **change}))
+        assert cli.main(["tower-info", "--tower", str(path)]) == 64
+        assert capsys.readouterr().err == f"tower-info: tower {what}\n"
+
+
 class TestOneExit:
     """``cli.main`` returns every refusal's exit code, argparse's too."""
 

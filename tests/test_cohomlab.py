@@ -192,19 +192,19 @@ def sample_with_fresh_carries(tower, n, rng, retries=32, cuts=None):
 def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, monkeypatch):
     """Solves, carries and retries run on flat coordinates, and so do the
     finished vector and its audited trace, whose components are tuples: a
-    sample builds no OElem at all, however many attempts it takes.  Each
-    draw makes its component and its memo key by one call each of the
-    tower's compiled ``combine`` and ``residues``, whether or not the memo
-    of unsolvable prefixes then answers for it: the first draw, and one
-    after each solve and each memo hit.  The carries take no conjugate,
-    and only the audit conjugates the finished vector's n components."""
+    sample builds no OElem at all, however many attempts it takes.  Every
+    draw, the first, one after each solve and one after each memo hit, is
+    made by the tower's compiled ``redraw``, which draws again in the same
+    call for a memo hit, and only a kept component goes through
+    ``combine``: one per kept component, none per memo hit.  The carries
+    take no conjugate, and only the audit conjugates the finished
+    vector's n components."""
     tower = all_towers[name]
-    built, draws, combined, keyed, conjugated = [], [], [], [], []
+    built, draws, combined, conjugated = [], [], [], []
     solves, solved, memo_hits = [], [], []
-    init = localfield.OElem.__init__
-    uniform, conjugates = cohomlab._uniform, tower.conjugates_raw
+    init, conjugates = localfield.OElem.__init__, tower.conjugates_raw
     sample_trace_zero(tower, 3, random.Random(-1))  # compiles the maps, lifts the ring
-    combine, residues = tower.trace_kernel_maps
+    combine, redraw = tower.trace_kernel_maps
 
     def counted(self, level, data):
         built.append(level)
@@ -220,44 +220,35 @@ def test_sampler_builds_elements_only_for_the_finished_vector(all_towers, name, 
         solved.append(1)
         return x, delta
 
-    class CountedMemo(set):
-        def __contains__(self, key):
-            hit = super().__contains__(key)
-            if hit:
-                memo_hits.append(key)
-            return hit
+    def counted_redraw(getrandbits, particular, bad, limit):
+        v, key, hits = redraw(getrandbits, particular, bad, limit)
+        draws.append(hits + 1)
+        memo_hits.append(hits + (key in bad))
+        return v, key, hits
 
     n = 3
-    count = len(tower.trace_kernel_flat)
     monkeypatch.setattr(localfield.OElem, "__init__", counted)
     monkeypatch.setattr(tower, "solve_trace_eq", recorded)
-    monkeypatch.setattr(tower, "unsolvable_prefixes", CountedMemo())
+    monkeypatch.setattr(tower, "unsolvable_prefixes", {})
     monkeypatch.setattr(
-        cohomlab,
-        "_uniform",
-        lambda rng, modulus, k: draws.append(k == count) or uniform(rng, modulus, k),
-    )
-    monkeypatch.setattr(
-        tower,
-        "_trace_kernel_maps",
-        (lambda v: combined.append(1) or combine(v), lambda v: keyed.append(1) or residues(v)),
+        tower, "_trace_kernel_maps", (lambda v: combined.append(1) or combine(v), counted_redraw)
     )
     monkeypatch.setattr(tower, "conjugates_raw", lambda a: conjugated.append(1) or conjugates(a))
     hits = 0
     for seed in range(8):
-        for counts in (built, draws, combined, keyed, conjugated, solves, solved, memo_hits):
+        for counts in (built, draws, combined, conjugated, solves, solved, memo_hits):
             counts.clear()
         sample_trace_zero(tower, n, random.Random(seed))
         assert built == []
         # every draw is of the kernel coefficients: the first, one after
         # each solve, solved or not, and one redraw after each memo hit
-        assert all(draws) and len(draws) == 1 + len(solves) + len(memo_hits)
+        assert sum(draws) == 1 + len(solves) + sum(memo_hits)
         assert len(solved) >= n - 1
-        # one component and one key per draw
-        assert len(combined) == len(keyed) == len(draws)
+        # one combine per kept component, none per memo hit
+        assert len(combined) == sum(draws) - sum(memo_hits) == 1 + len(solves)
         # the audit's n, and none for the carries
         assert len(conjugated) == n
-        hits += len(memo_hits)
+        hits += sum(draws) - len(draws)  # redrawn inside a call
     assert hits > 0
 
 
@@ -366,12 +357,54 @@ def test_sampler_matches_fresh_carry_loop(all_towers, name, n, retries, monkeypa
     empty memo of unsolvable prefixes and then from the memo the first
     run left, and every prefix in it fails the oracle's full solve."""
     tower = all_towers[name]
-    memo = set()
+    memo = {}
     monkeypatch.setattr(tower, "unsolvable_prefixes", memo)
     monkeypatch.setattr(cohomlab, "SAMPLER_RETRIES", retries)
     for run in ("cold", "warm"):
         assert fresh_carry_mismatches(tower, name, n, retries) == [], (name, n, retries, run)
-    assert all(not trace_eq_solvable(tower, key) for key in memo)
+    assert not any(trace_eq_solvable(tower, prefix) for prefix in remembered(memo))
+
+
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
+def test_longer_samples_leave_the_last_component_alone(all_towers, name, monkeypatch):
+    """A tower's memo holds the prefixes of every length its samples
+    reached.  The last component of a shorter sample has no equation
+    after it, so it is drawn once, whatever the memo holds after the
+    prefix below it: from the longest length down, each length matches
+    the fresh-carry loop on a memo that the longer ones warmed."""
+    tower = all_towers[name]
+    monkeypatch.setattr(tower, "unsolvable_prefixes", {})
+    for n in range(min(4, BINARY_RANGE[PRIMES[name]]), 0, -1):
+        assert fresh_carry_mismatches(tower, name, n, 32, seeds=range(10)) == [], (name, n)
+
+
+def remembered(memo):
+    """The prefixes of residue keys that the memo, a dict from a prefix to
+    the set of keys that fail after it, holds."""
+    return [(*base, key) for base, keys in memo.items() for key in keys]
+
+
+@pytest.mark.parametrize("name,n,seed,level", [("q3", 3, 0, 3), ("q3", 4, 8, 2)])
+def test_sampler_exhausts_where_the_fresh_carry_loop_does(
+    all_towers, name, n, seed, level, monkeypatch
+):
+    """With one retry per level the budget runs out: at level 3, and at
+    level 2, where every failure redraws x_1 and the warm memo's hits run
+    inside ``redraw`` up to its limit.  Both runs raise at the oracle's
+    level, having drawn what the oracle drew."""
+    tower = all_towers[name]
+    monkeypatch.setattr(tower, "unsolvable_prefixes", {})
+    monkeypatch.setattr(cohomlab, "SAMPLER_RETRIES", 1)
+    want_rng = fresh_carry_rng(name, n, seed)
+    with pytest.raises(SamplerExhausted) as want:
+        sample_with_fresh_carries(tower, n, want_rng, 1)
+    assert want.value.level == level
+    for run in ("cold", "warm"):
+        got_rng = fresh_carry_rng(name, n, seed)
+        with pytest.raises(SamplerExhausted) as got:
+            sample_trace_zero(tower, n, got_rng)
+        assert got.value.level == level, run
+        assert got_rng.getstate() == want_rng.getstate(), run
 
 
 def test_fresh_carry_cases_cut_deeper_above_level_two(all_towers):
@@ -433,35 +466,106 @@ def test_residue_modulus_one_digit_short_fails(all_towers, monkeypatch):
             # the maps compile again, at the short modulus, on first use
             patch.setattr(tower, "trace_residue_modulus", tower.trace_residue_modulus // tower.p)
             patch.setattr(tower, "_trace_kernel_maps", None)
-            patch.setattr(tower, "unsolvable_prefixes", set())
+            patch.setattr(tower, "unsolvable_prefixes", {})
             if fresh_carry_mismatches(tower, name, 3, 32, seeds=range(5)):
                 parted.append(name)
     assert parted
 
 
 def test_residue_without_the_particular_fails(all_towers, monkeypatch):
-    """Mutant: the residues map leaves out its identity block, so every
-    component drawn over a particular solution, right after its solve or
-    redrawn, has the residues of its kernel part alone, and the memo is
-    asked about, and told, the wrong prefix.  The sampler must part from
-    the fresh-carry loop on some tower: in its components or its RNG
-    stream, or in a remembered prefix that the oracle's full solve finds
-    solvable."""
+    """Mutant: the compiled redraw keys a draw without its identity block,
+    so every component drawn over a particular solution, right after its
+    solve or redrawn, has the residues of its kernel part alone, and the
+    memo is asked about, and told, the wrong prefix.  The sampler must
+    part from the fresh-carry loop on some tower: in its components or its
+    RNG stream, or in a remembered prefix that the oracle's full solve
+    finds solvable."""
     parted = []
     for name in sorted(SIX_TOWERS):
         tower = all_towers[name]
         with monkeypatch.context() as patch:
-            combine, residues = tower.trace_kernel_maps
-            zero, rank = tower.L.zero_elem, tower.L.flat_rank
-            patch.setattr(
-                tower, "_trace_kernel_maps", (combine, lambda v: residues((*zero, *v[rank:])))
+            combine, _ = tower.trace_kernel_maps
+            rank = tower.L.flat_rank
+            matrix = [[0] * rank + row[rank:] for row in kernel_matrix(tower)]
+            redraw = kernels.compile_kernel_redraw(
+                matrix, tower.modulus, tower.trace_residue_modulus
             )
-            memo = set()
+            patch.setattr(tower, "_trace_kernel_maps", (combine, redraw))
+            memo = {}
             patch.setattr(tower, "unsolvable_prefixes", memo)
             mismatched = fresh_carry_mismatches(tower, name, 3, 32, seeds=range(5))
-            if mismatched or any(trace_eq_solvable(tower, key) for key in memo):
+            if mismatched or any(trace_eq_solvable(tower, key) for key in remembered(memo)):
                 parted.append(name)
     assert parted
+
+
+def kernel_matrix(tower):
+    """[I | K]: a particular solution's coordinates followed by coefficients
+    of ``trace_kernel_flat``, as rows of the component."""
+    rank = tower.L.flat_rank
+    return [
+        [int(r == m) for m in range(rank)] + [k[r] for k in tower.trace_kernel_flat]
+        for r in range(rank)
+    ]
+
+
+def redraw_by_loop(rng, tower, particular, bad, limit):
+    """The sampler's draws before they were compiled: ``_uniform``'s
+    coefficients after the particular's coordinates, keyed by the
+    ``residues`` map, [I | K] modulo ``trace_residue_modulus``, drawn
+    again while the key is in ``bad`` and fewer than ``limit`` were."""
+    residues = compile_flat_linear(kernel_matrix(tower), tower.trace_residue_modulus)
+    count, hits = len(tower.trace_kernel_flat), 0
+    while True:
+        v = (*particular, *localfield._uniform(rng, tower.modulus, count))
+        key = residues(v)
+        if key not in bad or hits >= limit:
+            return v, key, hits
+        hits += 1
+
+
+def every_tower_file():
+    return sorted(path.stem for path in TOWER_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", every_tower_file())
+def test_redraw_with_no_bad_key_is_one_uniform_draw(name):
+    """With ``bad`` empty, ``redraw`` returns the particular's coordinates,
+    ``_uniform``'s coefficients and the ``residues`` key, and leaves the
+    generator where ``_uniform`` does, on every tower file."""
+    tower = localfield.load_tower(TOWER_DIR / f"{name}.json")
+    _, redraw = tower.trace_kernel_maps
+    rng = random.Random(f"redraw:{name}")
+    for particular in (tower.L.zero_elem, tower.random_L_raw(rng), tower.random_L_raw(rng)):
+        for seed in range(3):
+            want, got = random.Random(seed), random.Random(seed)
+            v, key, hits = redraw(got.getrandbits, particular, set(), 10)
+            assert (v, key, hits) == redraw_by_loop(want, tower, particular, set(), 10)
+            assert hits == 0 and v[: len(particular)] == particular
+            assert got.getstate() == want.getstate(), (name, seed)
+
+
+@pytest.mark.parametrize("name", sorted(SIX_TOWERS))
+@pytest.mark.parametrize("limit", [0, 1, 3, 40])
+def test_redraw_stops_where_the_loop_does(all_towers, name, limit):
+    """A ``bad`` that holds the keys of a stream's first three draws, and a
+    limit below, at and past their number (on q2_i they are every key a
+    draw over the particular can have, so the limit ends the loop):
+    ``redraw`` returns the draw, key and hit count of the loop over
+    ``_uniform`` and ``residues``, and leaves the generator in the same
+    state."""
+    tower = all_towers[name]
+    _, redraw = tower.trace_kernel_maps
+    particular = tower.random_L_raw(random.Random(name))
+    for seed in range(4):
+        source = random.Random(seed)
+        bad = {redraw_by_loop(source, tower, particular, (), 0)[1] for _ in range(3)}
+        want, got = random.Random(seed), random.Random(seed)
+        expected = redraw_by_loop(want, tower, particular, bad, limit)
+        assert redraw(got.getrandbits, particular, bad, limit) == expected, (name, seed)
+        assert got.getstate() == want.getstate(), (name, seed)
+        # the stream's first three draws are rejected, up to the limit
+        assert expected[2] == limit if limit <= 3 else expected[2] >= 3
 
 
 def polynomial_trace(tower, x):
@@ -510,7 +614,7 @@ def test_sampler_refuses_a_corrupted_sigma(all_towers, name, monkeypatch):
                 patch.setattr(tower, "galois_maps", bad)
                 # prefixes that fail under a corrupted sigma must not stay
                 # in the tower's memo once sigma is restored
-                patch.setattr(tower, "unsolvable_prefixes", set())
+                patch.setattr(tower, "unsolvable_prefixes", {})
                 for n in (2, 3):
                     for seed in range(3):
                         with pytest.raises((TraceNotRational, AssertionError)):
@@ -546,11 +650,12 @@ def test_kernel_elem_matches_the_loop(eight_towers, name):
 def test_residues_are_the_component_modulo_p_delta(eight_towers, name, data):
     """A memo key is its component modulo ``trace_residue_modulus``."""
     tower = eight_towers[name]
-    combine, residues = tower.trace_kernel_maps
-    width = tower.L.flat_rank + len(tower.trace_kernel_flat)
-    v = data.draw(st.tuples(*[st.integers(0, tower.modulus - 1)] * width))
+    combine, redraw = tower.trace_kernel_maps
+    particular = data.draw(st.tuples(*[st.integers(0, tower.modulus - 1)] * tower.L.flat_rank))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    v, key, _ = redraw(rng.getrandbits, particular, (), 0)
     m = tower.trace_residue_modulus
-    assert residues(v) == tuple(c % m for c in combine(v))
+    assert key == tuple(c % m for c in combine(v))
 
 
 def test_witt_lemmas_run_no_empty_ghost_pass(towers, monkeypatch):

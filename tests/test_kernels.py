@@ -795,6 +795,38 @@ class TestCompiledSmithSolve:
             pure.smith_solve_source((1,), ((1,),), ((1,),), 2, bad)
 
 
+class TestCompiledRedraw:
+    """``compile_kernel_redraw`` inlines only checked ints; its draws are
+    compared with the loop over ``_uniform`` in ``test_cohomlab``."""
+
+    MATRIX = ((1, 0, 3), (0, 1, -5))
+
+    def test_code_names_nothing_but_its_locals(self, q3):
+        for redraw in (q3.trace_kernel_maps[1], kernels.compile_kernel_redraw(self.MATRIX, 2**10, 4)):
+            code = redraw.__code__
+            assert code.co_names == ()
+            assert all(c is None or c is True or type(c) is int for c in code.co_consts)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, None])
+    def test_generator_accepts_only_integers(self, bad):
+        with pytest.raises(TypeError):
+            kernels.compile_kernel_redraw(((1, 0, bad), (0, 1, 5)), 2**10, 4)
+        with pytest.raises(TypeError):
+            kernels.compile_kernel_redraw(self.MATRIX, bad, 4)
+        with pytest.raises(TypeError):
+            kernels.compile_kernel_redraw(self.MATRIX, 2**10, bad)
+
+    @pytest.mark.parametrize("moduli", [(0, 4), (2**10, 0), (-8, 4), (2**10, -1)])
+    def test_refuses_a_modulus_below_one(self, moduli):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            kernels.compile_kernel_redraw(self.MATRIX, *moduli)
+
+    def test_residue_modulus_one_keys_every_draw_alike(self):
+        redraw = kernels.compile_kernel_redraw(self.MATRIX, 2**10, 1)
+        v, key, hits = redraw(random.Random(0).getrandbits, (7, 9), {(0, 0)}, 5)
+        assert (key, hits) == ((0, 0), 5) and v[:2] == (7, 9)
+
+
 class TestVecKernels:
     def test_add_sub_per_coordinate(self):
         rng = random.Random(7)
