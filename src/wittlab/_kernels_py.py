@@ -25,6 +25,10 @@ Witt sum, minus the identity the negative, and the rows of the field
 trace the Witt trace from the top ring of a tower into the ring below.
 The tests compare the sum with the loop it replaced, the negative with
 the column-by-column solve, and the trace with the conjugates' Witt sum.
+``compile_ghost_zero`` shares the pass's lines that raise and unpack the
+summands, and only checks each level's ghost component modulo a power
+of p: the trace audit's test that a Witt sum is zero, compared in the
+tests with that sum built.
 ``compile_smith_solve`` turns a Smith form U*A*V = diag(p^v) into a
 straight-line solve of A*x = c, which the tests compare with the
 interpreted ``localfield.linsolve``.  ``compile_flat_val`` unrolls a
@@ -422,6 +426,32 @@ def _weighted(p: int, groups) -> str:
     return " + ".join(g if i == 0 else f"{p**i} * ({g})" for i, g in enumerate(groups) if g)
 
 
+def _unpack_columns(widths) -> list:
+    """The line that names summand j of column i ``yi_j``, or none for no
+    column."""
+    if not widths:
+        return []
+    columns = (_tuple(f"y{i}_{j}" for j in range(w)) for i, w in enumerate(widths))
+    return [f"    {_tuple(columns)} = columns"]
+
+
+def _level_summands(p: int, widths, l: int, coords, pth: str):
+    """Level l+1 of a ghost pass over columns of these widths (those past
+    the list are zero): the lines that raise every summand of the columns
+    below it once more with ``pth`` and unpack the coordinates of every
+    summand it reads, and W_{l+1} = sum_{i<=l} p^i * (column i's summands)
+    at each coordinate, an unreduced sum ("" where no summand reaches)."""
+    widths = list(widths[: l + 1]) + [0] * (l + 1 - len(widths))
+    summands = [(i, f"y{i}_{j}") for i in range(l + 1) for j in range(widths[i])]
+    lines = [f"    {y} = {pth}({y})" for i, y in summands if i < l]
+    lines += [f"    {_tuple(f'{y}_{k}' for k in coords)} = {y}" for _, y in summands]
+    totals = [
+        _weighted(p, [" + ".join(f"y{i}_{j}_{k}" for j in range(widths[i])) for i in range(l + 1)])
+        for k in coords
+    ]
+    return lines, totals
+
+
 def ghost_pass_source(p: int, rows, widths, levels: int, modulus: int, base: int) -> str:
     """Straight-line source of ``ghost_pass(pth_in, pth_out, columns)``:
     components 1..``levels`` of the Witt vector whose ghost components are
@@ -449,24 +479,17 @@ def ghost_pass_source(p: int, rows, widths, levels: int, modulus: int, base: int
         raise ValueError(f"modulus must be positive, got {modulus}")
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("a ghost pass needs at least one row, all of one length")
-    given = len(widths)
-    widths = [_checked_int(w) for w in widths] + [0] * (levels - given)
+    widths = [_checked_int(w) for w in widths]
     coords, outs = range(len(rows[0])), range(len(rows))
     uses = [sum(1 for row in rows if _checked_int(row[k]) % modulus) for k in coords]
-    lines = ["def ghost_pass(pth_in, pth_out, columns):"]
-    if given:
-        columns = (_tuple(f"y{i}_{j}" for j in range(widths[i])) for i in range(given))
-        lines.append(f"    {_tuple(columns)} = columns")
+    lines = ["def ghost_pass(pth_in, pth_out, columns):", *_unpack_columns(widths)]
     for l in range(levels):
-        summands = [(i, f"y{i}_{j}") for i in range(l + 1) for j in range(widths[i])]
-        lines += [f"    {y} = pth_in({y})" for i, y in summands if i < l]
+        raised, totals = _level_summands(p, widths, l, coords, "pth_in")
+        lines += raised
         lines += [f"    s{i} = pth_out(s{i})" for i in range(l)]
-        lines += [f"    {_tuple(f'{y}_{k}' for k in coords)} = {y}" for _, y in summands]
         lines += [f"    {_tuple(f's{i}_{r}' for r in outs)} = s{i}" for i in range(l)]
         sums = {}  # coordinate -> W_l there, named once if several rows use it
-        for k in coords:
-            groups = [" + ".join(f"y{i}_{j}_{k}" for j in range(widths[i])) for i in range(l + 1)]
-            total = _weighted(p, groups)
+        for k, total in zip(coords, totals):
             if uses[k] > 1 and not total.isidentifier():
                 lines.append(f"    t{k} = {total}")
                 total = f"t{k}"
@@ -500,6 +523,47 @@ def compile_ghost_pass(
     source = ghost_pass_source(p, rows, widths, levels, modulus, base)
     shape = f"{len(rows)}x{len(rows[0])} widths {tuple(widths)} levels {levels}"
     return _define(source, f"<ghost_pass {shape}>", "ghost_pass", indivisible=indivisible)
+
+
+def ghost_zero_source(p: int, rank: int, widths, levels: int, digits: int) -> str:
+    """Straight-line source of ``ghost_zero(pth, columns)``: the first
+    level l <= ``levels`` at which the ghost component W_l of the Witt sum
+    of columns of these widths, on rank-``rank`` coordinates, has a
+    coordinate not divisible by p^(digits+l-1), or 0 when none has.
+
+    W_l is the sum ``ghost_pass_source`` starts from, and the check is
+    whether that Witt sum is zero modulo p^digits: its components S_i all
+    are exactly when every W_l is zero modulo p^(digits+l-1), since
+    W_l = sum_{i<=l} p^(i-1) S_i^(p^(l-i)).  Level l raises every summand
+    of each lower column with ``pth`` once, as a ghost pass does, and
+    reduces each coordinate of W_l once; no S_i is built and nothing is
+    divided.
+    """
+    for x in (p, rank, levels):
+        _checked_int(x)
+    if _checked_int(digits) < 1:
+        raise ValueError(f"digits must be positive, got {digits}")
+    widths = [_checked_int(w) for w in widths]
+    lines = ["def ghost_zero(pth, columns):", *_unpack_columns(widths)]
+    for l in range(levels):
+        raised, totals = _level_summands(p, widths, l, range(rank), "pth")
+        q = p ** (digits + l)
+        tests = [f"({total}) % {q}" for total in totals if total]
+        lines += raised
+        if tests:
+            lines += [f"    if {' or '.join(tests)}:", f"        return {l + 1}"]
+    lines.append("    return 0")
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def compile_ghost_zero(p: int, rank: int, widths: tuple, levels: int, digits: int):
+    """``ghost_zero_source`` compiled once for each set of arguments and
+    shared by every ring they fit; ``pth`` is x -> x^p on a ring lifted
+    far enough that its modulus is a multiple of p^(digits+levels-1)."""
+    source = ghost_zero_source(p, rank, widths, levels, digits)
+    shape = f"rank {rank} widths {tuple(widths)} levels {levels}"
+    return _define(source, f"<ghost_zero {shape}>", "ghost_zero")
 
 
 def flat_linear_source(matrix, modulus: int) -> str:

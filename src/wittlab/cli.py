@@ -2,11 +2,15 @@
 verification, suite aggregation, and brute-force oracles.
 
 Exit codes: 0 pass, 1 fail, 2 undetermined/not-stabilized, 64 usage or
-configuration error, 70 internal error.  ``main`` is the one place that
-maps a command's outcome to its exit code, and returns it, the same way
-for every command: a usage error (argparse's too) is 64, ``UNDETERMINED``
-is 2, and any other exception that escapes a command is a crash, 70,
-never a mathematical FAIL; each is one line of stderr.  A fixed seed
+configuration error, 70 internal error, 141 stdout closed by its reader.
+``main`` is the one place that maps a command's outcome to its exit code,
+and returns it, the same way for every command: a usage error (argparse's
+too) is 64, ``UNDETERMINED`` is 2, and any other exception that escapes a
+command is a crash, 70, never a mathematical FAIL; each is one line of
+stderr.  A reader that closes stdout before the command has written it
+all (``wittlab tower-info ... | head -1``) is no fault of the program:
+the command ends with 141, 128 + SIGPIPE as a shell reports a writer
+that signal ends, and writes nothing to stderr.  A fixed seed
 makes every run byte-reproducible; the aggregate suite report carries no
 timing so that repeated runs are byte-identical.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -27,6 +32,7 @@ EXIT_FAIL = 1
 EXIT_UNDETERMINED = 2
 EXIT_CONFIG = 64
 EXIT_CRASH = 70
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 # the exceptions that leave a verdict UNDETERMINED (exit 2)
 UNDETERMINED = (cohomlab.NotStabilized, cohomlab.SamplerExhausted)
@@ -401,13 +407,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the
+    interpreter's final flush of what is still buffered does not raise
+    BrokenPipeError again; a stdout with no descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     """Run one command; the only place an outcome becomes an exit code."""
     where = ""  # a refusal by the parser names its own program
     try:
         args = build_parser().parse_args(argv)
         where = f"{args.command}: "
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_PIPE
     except _Exit as exc:
         code, line = exc.code, str(exc)
     except UNDETERMINED as exc:

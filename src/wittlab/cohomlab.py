@@ -8,8 +8,8 @@ so everything reduces to:
 * a Witt-level trace (sum of the componentwise Galois conjugates),
 * a recursive sampler of trace-zero vectors that solves one linear
   trace equation per component, with the right-hand side the carry of
-  the Witt trace, taken on O_K from the ghost components (the
-  conjugate family's Witt sum audits the result),
+  the Witt trace, taken on O_K from the ghost components (the ghost
+  components of the conjugate family's Witt sum audit the result),
 * coboundary solving at level one, exact and decisive up to the
   elimination's precision loss,
 * an order computation for the level-one cohomology group from the
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from . import wittcore
+from . import kernels, wittcore
 from .localfield import (
     ExtensionTower,
     NoSolutionAtPrecision,
@@ -165,9 +165,10 @@ def witt_trace(tower: ExtensionTower, x: WittVec) -> WittVec:
     """Witt sum of the Galois conjugates, projected into the fixed ring.
 
     The conjugates of each component are the columns of one ``ghost_sum``
-    pass, which keeps no state.  The sampler takes its carries from
-    ``wittcore.ghost_trace``, which needs no conjugate, so its audit
-    shares nothing with the passes that drew the sample."""
+    pass, which keeps no state.  No verdict path calls it: the trace
+    audit (``_audit_trace``) decides on the ghost components of the same
+    sum without building it, and this is the audit's oracle, and
+    ``wittcore.ghost_trace``'s, in the tests."""
     columns = [tower.conjugates_raw(c) for c in x.components]
     sums = wittcore.ghost_sum(tower.p, tower.L, columns, len(columns))
     return WittVec(tower.K, tuple(map(tower.project_to_K_raw, sums)))
@@ -189,9 +190,9 @@ def sample_trace_zero(
     carry is the top component of the Witt trace of (x_1, ..., x_{l-1}, 0),
     one ``wittcore.ghost_trace`` pass lifted by l-1 digits: a p-th-power
     chain per component on O_L and per partial sum on O_K, with no
-    conjugate.  The audit (``witt_trace``) sums the conjugates instead,
-    so it shares no computation with the carries.  Components, particular
-    solutions and carries are flat coordinate tuples throughout.
+    conjugate.  The audit (``_audit_trace``) raises the conjugates
+    instead, so it shares no computation with the carries.  Components,
+    particular solutions and carries are flat coordinate tuples throughout.
 
     Whether level l is solvable depends only on x_1..x_{l-1} modulo
     ``tower.trace_residue_modulus``, p^delta with delta the largest pivot
@@ -281,10 +282,32 @@ def coboundary_sample(
 
 
 def _audit_trace(tower: ExtensionTower, vec: WittVec, what: str) -> None:
-    """Raise AssertionError unless ``vec`` has Witt trace zero at precision."""
-    for c in witt_trace(tower, vec).components:
-        if not tower._zero_raw(c):
-            raise AssertionError(f"trace audit failed on {what}")
+    """Raise AssertionError unless ``vec`` has Witt trace zero at precision.
+
+    The trace is the Witt sum S of the p conjugates of x = ``vec``, of
+    length n, and it is zero at precision when every coordinate of S_1,
+    ..., S_n is 0 modulo p^N.  That holds exactly when every ghost
+    component G_l = sum_j sum_{i<=l} p^(i-1) (sigma^j x_i)^(p^(l-i)) of S
+    is 0 modulo p^(N+l-1), l = 1..n:
+
+    * if every S_i is, each term p^(i-1) S_i^(p^(l-i)) of
+      G_l = w_l(S) has valuation at least (i-1) + N p^(l-i) >= N + l - 1;
+    * conversely, by induction on l,
+      p^(l-1) S_l = G_l - sum_{i<l} p^(i-1) S_i^(p^(l-i)).
+
+    The conjugates are exact modulo p^N_int, so raised on O_L lifted by
+    n-1 digits G_l is exact modulo p^(N_int+l-1), which covers
+    p^(N+l-1).  The check (``kernels.compile_ghost_zero``) raises the
+    conjugates' p-th-power chains and builds no S_i.  It reads the field
+    through sigma only, never through the trace rows that the sampler's
+    carries (``wittcore.ghost_trace``) use, so it shares no computation
+    with them.
+    """
+    n, p = len(vec.components), tower.p
+    columns = [tower.conjugates_raw(c) for c in vec.components]
+    ghost_zero = kernels.compile_ghost_zero(p, tower.L.flat_rank, (p,) * n, n, tower.N)
+    if ghost_zero(tower.L.flat_lift(n - 1).pth_power, columns):
+        raise AssertionError(f"trace audit failed on {what}")
 
 
 # ---------------------------------------------------------------------------

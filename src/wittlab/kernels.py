@@ -23,7 +23,12 @@ into an element's coefficients the oracle of sigma^i.  Witt sums, negatives and 
 trace run one pass, which ``compile_ghost_pass`` generates on first use
 for each shape, moduli and rows (the identity, minus it, or the field
 trace) and caches for every ring that shares them; the tests' loops and
-the Witt sum of the Galois conjugates are its references.  A Smith form
+the Witt sum of the Galois conjugates are its references.  The trace
+audit builds no Witt trace: ``compile_ghost_zero``, generated and cached
+the same way, returns the first level whose ghost component of the
+conjugates' Witt sum is not 0 modulo p^(N+l-1), from the conjugates'
+p-th-power chains alone, and the conjugates' Witt trace is its
+reference.  A Smith form
 that is solved against on every sample (the trace's, and sigma - 1's at
 each digit count) compiles its solve with ``compile_smith_solve`` on
 first use, and ``localfield.linsolve``, which interprets U and V on
@@ -37,6 +42,7 @@ from ._kernels_py import (
     compile_flat_ring,
     compile_flat_val,
     compile_ghost_pass,
+    compile_ghost_zero,
     compile_kernel_redraw,
     compile_smith_solve,
     compile_tower_draws,

@@ -32,11 +32,13 @@ may be as long as the tower's precision allows.
 
 The trace-zero sampler takes its carries from ``ghost_trace``, one
 p-th-power chain per component where the Witt sum of its p conjugates
-needs p.  The sampler's audit and the lemmas keep that Witt sum
-(``ghost_sum`` in ``cohomlab.witt_trace``) on purpose: it reads the
-field through sigma, where ``ghost_trace`` reads it through E_L's
-coefficients, so a fault in either fails the audit, and it is
-``ghost_trace``'s oracle in the tests.
+needs p.  The sampler's audit keeps the conjugates on purpose, but
+builds no Witt sum: it checks that sum's ghost components modulo
+p^(N+l-1) (``kernels.compile_ghost_zero``, called by
+``cohomlab._audit_trace``).  It reads the field through sigma, where
+``ghost_trace`` reads it through E_L's coefficients, so a fault in
+either fails the audit.  The conjugates' Witt sum (``ghost_sum`` in
+``cohomlab.witt_trace``) stays ``ghost_trace``'s oracle in the tests.
 
 The p-fold decomposition splits the l-th component of a sum of p
 vectors into the plain coefficient sum plus a carry polynomial, and

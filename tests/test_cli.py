@@ -1127,6 +1127,48 @@ class TestStringFields:
         assert capsys.readouterr().err == f"tower-info: tower {what}\n"
 
 
+class TestClosedReader:
+    """A reader that closes stdout early ends the command with 141 (128 +
+    SIGPIPE) and nothing on stderr: it is not a crash."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tower-info", "--tower", "q2_i"],
+            ["verify", "--lemma", "vktr", "--tower", "q2_i", "--samples", "5"],
+        ],
+        ids=["tower-info", "verify"],
+    )
+    def test_closed_pipe_is_141(self, argv):
+        # the read end is closed before the command starts, so its first
+        # write to stdout (at the latest the flush in main) finds no reader
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wittlab.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=str(ROOT),
+        )
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (cli.EXIT_PIPE, b"")
+        assert cli.EXIT_PIPE == 141
+
+    def test_in_process_stdout_without_a_descriptor(self, monkeypatch, capsys):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert cli.main(["tower-info", "--tower", "q2_i"]) == 141
+        assert capsys.readouterr().err == ""
+
+
 class TestOneExit:
     """``cli.main`` returns every refusal's exit code, argparse's too."""
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import re
@@ -26,6 +27,7 @@ from wittlab.localfield import (
     NoSolutionAtPrecision,
     PrecisionTooLow,
     TraceNotRational,
+    precision_policy,
 )
 from wittlab.wittcore import (
     BINARY_RANGE,
@@ -35,7 +37,7 @@ from wittlab.wittcore import (
     fold_var,
 )
 
-from conftest import EIGHT_TOWERS, PRIMES, SIX_TOWERS, load
+from conftest import EIGHT_TOWERS, PRIMES, RAMIFIED_BASE_TOWERS, SIX_TOWERS, load
 from oracles import (
     _update_margin,
     carry_identity_by_elements,
@@ -619,6 +621,96 @@ def test_sampler_refuses_a_corrupted_sigma(all_towers, name, monkeypatch):
                     for seed in range(3):
                         with pytest.raises((TraceNotRational, AssertionError)):
                             sample_trace_zero(tower, n, random.Random(seed))
+
+
+# the eight test towers and item 25's four (all but the rank-20 Kummer step)
+AUDIT_TOWERS = (*EIGHT_TOWERS, *RAMIFIED_BASE_TOWERS[:4])
+
+
+def audit_passes(tower, vec) -> bool:
+    try:
+        cohomlab._audit_trace(tower, vec, "a test vector")
+    except AssertionError as exc:
+        assert str(exc) == "trace audit failed on a test vector"
+        return False
+    return True
+
+
+def audit_cases(tower):
+    """Length-n vectors for every n <= 4 the tower's precision covers:
+    two samples, a coboundary, and each of them with +1, +p^(N-1), +p^N
+    and +pi_L^k, k from e_L(N-2) to e_L*N, in each component in turn (at
+    valuation e_L*N - 1 and below the trace may stop being zero)."""
+    L, p, N, e = tower.L, tower.p, tower.N, tower.L.flat_rank
+    steps = [L.from_int(1), L.from_int(p ** (N - 1)), L.from_int(p**N)]
+    steps += [L.pow(L.pi_elem, k) for k in range(e * (N - 2), e * N + 1)]
+    rng = random.Random(0)
+    for n in range(1, 5):
+        if precision_policy(p, tower.e_K, tower.s, n) > N:
+            continue
+        base = [sample_trace_zero(tower, n, rng).vec for _ in range(2)]
+        base.append(coboundary_sample(tower, n, rng).vec)
+        for vec in base:
+            yield vec
+            for k in range(n):
+                for step in steps:
+                    comps = list(vec.components)
+                    comps[k] = L.add(comps[k], step)
+                    yield WittVec(L, tuple(comps))
+
+
+@pytest.fixture(scope="module")
+def audit_oracle(eight_towers, ramified_base_towers):
+    """``audit_oracle(name)``: the tower, its ``audit_cases`` and, for
+    each, whether every component of its ``witt_trace`` is zero at
+    precision; built once per tower, with the package unpatched."""
+    towers = {**eight_towers, **ramified_base_towers}
+
+    @functools.cache
+    def oracle(name):
+        tower = towers[name]
+        cases = list(audit_cases(tower))
+        zero = [
+            all(zero_by_coordinates(tower, c) for c in witt_trace(tower, vec).components)
+            for vec in cases
+        ]
+        return tower, cases, zero
+
+    return oracle
+
+
+@pytest.mark.parametrize("name", AUDIT_TOWERS)
+def test_audit_decides_as_the_witt_trace(audit_oracle, name):
+    tower, cases, zero = audit_oracle(name)
+    assert [audit_passes(tower, vec) for vec in cases] == zero
+    assert True in zero and False in zero
+
+
+@pytest.mark.parametrize("name", AUDIT_TOWERS)
+def test_audit_a_digit_short_disagrees(audit_oracle, name, monkeypatch):
+    """Mutant: level l is checked modulo p^(N+l-2), one digit short."""
+    tower, cases, zero = audit_oracle(name)
+    compile_check = kernels.compile_ghost_zero
+    monkeypatch.setattr(
+        kernels,
+        "compile_ghost_zero",
+        lambda p, rank, widths, levels, digits: compile_check(p, rank, widths, levels, digits - 1),
+    )
+    assert [audit_passes(tower, vec) for vec in cases] != zero
+
+
+@pytest.mark.parametrize("name", AUDIT_TOWERS)
+def test_audit_reads_no_trace_rows(audit_oracle, name, monkeypatch):
+    """The audit decides with ``wittcore.ghost_trace`` and the tower's
+    trace rows unusable: it reads the field only through sigma."""
+    tower, cases, zero = audit_oracle(name)
+
+    def unusable(*args):
+        raise RuntimeError("the audit read the trace")
+
+    monkeypatch.setattr(wittcore, "ghost_trace", unusable)
+    monkeypatch.setattr(tower, "trace_rows", unusable)
+    assert [audit_passes(tower, vec) for vec in cases] == zero
 
 
 def test_trace_kernel_basis_is_cached(all_towers):

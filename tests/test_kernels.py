@@ -517,6 +517,71 @@ class TestCompiledGhostPass:
         assert (info.misses, info.hits) == (1, 1)
 
 
+def first_nonzero_level(p, ring, columns, levels, digits):
+    """The reference for ``compile_ghost_zero``: the first component of the
+    Witt sum of the columns (``ghost_sum_by_loops``) with a coordinate not
+    0 modulo p^digits, or 0."""
+    sums = ghost_sum_by_loops(p, ring, columns, levels)
+    return next((l for l, s in enumerate(sums, 1) if any(c % p**digits for c in s)), 0)
+
+
+class TestCompiledGhostZero:
+    """The check of the trace audit: whether a Witt sum is zero modulo
+    p^digits, decided on its ghost components."""
+
+    def test_source_holds_only_literals_and_locals(self):
+        source = pure.ghost_zero_source(3, 3, (3, 3, 3), 4, 16)
+        names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source))
+        keywords = {"def", "ghost_zero", "pth", "columns", "if", "or", "return"}
+        assert all(n in keywords or re.fullmatch(r"y\d_\d(_\d)?", n) for n in names)
+        # one check per level, modulo 3^16 ... 3^19; nothing divided
+        assert [source.count(f"% {3 ** (16 + l)}") for l in range(4)] == [3, 3, 3, 3]
+        assert source.count("return") == 5 and "//" not in source
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, None])
+    def test_generator_accepts_only_integers(self, bad):
+        good = (2, 2, (2, 2), 3, 5)
+        for k in range(len(good)):
+            args = list(good)
+            args[k] = (bad,) if k == 2 else bad
+            with pytest.raises(TypeError):
+                pure.ghost_zero_source(*args)
+        with pytest.raises(ValueError):
+            pure.ghost_zero_source(2, 2, (2, 2), 3, 0)
+
+    @pytest.mark.parametrize("name", ["q2_sqrt2", "q3", "quartic"])
+    def test_first_nonzero_level_matches_the_witt_sum(self, all_towers, name):
+        # the columns of x and -x sum to zero; a perturbation p^j of one
+        # component makes the sum nonzero modulo p^digits from some level
+        tower = all_towers[name]
+        p, L, n, digits = tower.p, tower.L, 4, tower.N
+        rng = random.Random(0)
+        check = kernels.compile_ghost_zero(p, L.flat_rank, (2,) * n, n, digits)
+        pth = L.flat_lift(n - 1).pth_power
+        seen = set()
+        for _ in range(6):
+            x = wittcore.WittVec(L, tuple(tower.random_L_raw(rng) for _ in range(n)))
+            y = (-x).components
+            for k in range(n):
+                for j in (0, digits - 1, digits, rng.randrange(digits)):
+                    comps = list(x.components)
+                    comps[k] = L.add(comps[k], L.from_int(p**j))
+                    columns = [list(pair) for pair in zip(comps, y)]
+                    want = first_nonzero_level(p, L, columns, n, digits)
+                    assert check(pth, columns) == want
+                    seen.add(want)
+        assert seen == {0, 1, 2, 3, 4}
+
+    def test_same_arguments_share_the_check(self):
+        kernels.compile_ghost_zero.cache_clear()
+        for name in ("q2_sqrt2", "q2_sqrt_minus2"):
+            tower = load(name)
+            sample = cohomlab.sample_trace_zero(tower, 3, random.Random(0))
+            assert sample.provenance == "recursive-sampler"
+        info = kernels.compile_ghost_zero.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
 def mat_vec(matrix, a, modulus):
     """The reference for the compiled maps: a plain matrix-vector product."""
     return tuple(sum(c * x for c, x in zip(row, a)) % modulus for row in matrix)
