@@ -91,8 +91,8 @@ def _crash_line(exc: Exception) -> str:
     return f"{type(exc).__name__}: {lines[0]}" if lines else type(exc).__name__
 
 
-def _status_exit(status: str) -> int:
-    return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(status, EXIT_UNDETERMINED)
+# a verdict's exit code; a suite's status is its worst cell's, the largest code
+STATUS_EXIT = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "UNDETERMINED": EXIT_UNDETERMINED}
 
 
 def cmd_polys(args) -> int:
@@ -209,7 +209,7 @@ def cmd_verify(args) -> int:
         f"{args.lemma} on {args.tower}: {report.status} "
         f"({len(report.failures)} failures, {report.runtime_ms} ms){extra}"
     )
-    return _status_exit(report.status)
+    return STATUS_EXIT[report.status]
 
 
 def _default_manifest() -> dict:
@@ -275,7 +275,6 @@ def cmd_suite(args) -> int:
         built[tower_name] = tower
 
     cells = []
-    worst = EXIT_PASS
     for tower_name, tower in built.items():
         for lemma in lemmas:
             try:
@@ -296,11 +295,11 @@ def cmd_suite(args) -> int:
                 "sign_convention": report.sign_convention if report else None,
             }
             cells.append(cell)
-            worst = max(worst, _status_exit(status))
+    worst = max((c["status"] for c in cells), key=STATUS_EXIT.__getitem__)
     aggregate = {
         "config": {"samples": samples, "seed": seed, "lemmas": lemmas},
         "cells": cells,
-        "status": "PASS" if worst == EXIT_PASS else ("FAIL" if worst == EXIT_FAIL else "UNDETERMINED"),
+        "status": worst,
     }
     _write_json(args.out, aggregate)
     if args.csv:
@@ -325,8 +324,8 @@ def cmd_suite(args) -> int:
                 text += f" m={min(cell['margins'].values())}"
             row.append(text.ljust(14))
         print("  ".join(row).rstrip())
-    print(f"suite status: {aggregate['status']}")
-    return worst
+    print(f"suite status: {worst}")
+    return STATUS_EXIT[worst]
 
 
 def cmd_oracle(args) -> int:

@@ -110,19 +110,10 @@ class VerificationReport:
         self.status = "FAIL"
 
     def to_obj(self, include_runtime: bool = True) -> dict:
-        obj = {
-            "lemma": self.lemma,
-            "tower_hash": self.tower_hash,
-            "params": self.params,
-            "status": self.status,
-            "failures": self.failures,
-            "margins": self.margins,
-            "observations": self.observations,
-            "sign_convention": self.sign_convention,
-            "precision": self.precision,
-        }
-        if include_runtime:
-            obj["runtime_ms"] = self.runtime_ms
+        """The report's fields; both serializations sort its keys."""
+        obj = dict(vars(self))
+        if not include_runtime:
+            del obj["runtime_ms"]
         return obj
 
     def to_json(self, include_runtime: bool = True) -> str:

@@ -6,11 +6,13 @@ presented by an Eisenstein polynomial.  Base residues are carried
 modulo p^N_int where N_int exceeds the advertised precision N by a
 guard margin: every random element is drawn uniformly modulo p^N_int,
 so the margin fixes the draws and every sampled verdict, and a linear
-solve that loses delta digits to its pivots still holds past N.  One
-root of the top Eisenstein polynomial, sigma(pi_L), is lifted by
-Newton's method a few digits past N_int and reduced, so it is the
-reduction of a root in O_L, and sigma, read from it, is an exact
-automorphism of order p of the working ring.
+solve that loses delta digits to its pivots still holds past N.  The
+lower break s comes first, from v_L(E_L'(pi_L)) = (p-1)(s+1), Hilbert's
+formula for the different.  Then one root of the top Eisenstein
+polynomial, sigma(pi_L), is lifted by Newton's method a few digits past
+N_int and reduced, so it is the reduction of a root in O_L, and sigma,
+read from it, is an exact automorphism of the working ring, of order p
+by two checks: sigma^p(pi_L) = pi_L and sigma(pi_L) != pi_L.
 
 O_K and O_L are both a ``FlatRing``: an element is a tuple of residues
 modulo p^N_int on a fixed Z_p-basis, pi_K^i on O_K and pi_K^i*pi_L^j at
@@ -550,7 +552,7 @@ def _strip_monic(coeffs: Sequence, name: str, width: int = 1) -> list:
         raise NotEisenstein(f"{name}: need degree >= 1")
     lead = coeffs[-1]
     coords = lead if isinstance(lead, list) and 0 < len(lead) <= width else [lead]
-    if not all(c in (w, str(w)) for c, w in zip(coords, [1] + [0] * (len(coords) - 1))):
+    if coords != [1] + [0] * (len(coords) - 1):
         raise NotEisenstein(f"{name}: leading coefficient must be 1, got {lead!r}")
     return coeffs[:-1]
 
@@ -619,57 +621,48 @@ class ExtensionTower:
     # -- construction helpers ------------------------------------------
 
     def _find_sigma(self) -> None:
+        """s, then sigma.  Hilbert's formula for the different (Serre, Local
+        Fields, IV 1) gives dv = v_L(E_L'(pi_L)) = (p-1)(s+1) on a cyclic
+        degree-p step, as each sigma^i(pi_L) - pi_L has valuation s + 1.  The
+        terms p*pi_L^(p-1) and j*a_j*pi_L^(j-1), 0 < j < p, of E_L'(pi_L) have
+        distinct valuations modulo p, all at least p, the first p*e_K + p - 1:
+        so p <= dv <= p*e_K + p - 1 (below the cap), (p-1) | dv gives s >= 1,
+        and s(p-1) = dv - (p-1) <= p*e_K, the wild bound.  As p is prime,
+        sigma has order p exactly when sigma^p(pi_L) = pi_L != sigma(pi_L)."""
         L, p = self.L, self.p
         pi = L.pi_elem
         dv = L.val_raw(_eval_deriv(L, pi))
-        if dv is None:
-            raise PrecisionTooLow("derivative of the top polynomial vanishes at precision")
         if dv % (p - 1):
             raise NotNormal(
                 f"derivative valuation {dv} is not a multiple of p-1; "
                 "the step cannot be cyclic of degree p"
             )
-        s_pre = dv // (p - 1) - 1
-        if s_pre < 1:
-            raise NotNormal("ramification break would be < 1")
-        self.dv = dv
-        self.sigma_root = self._sigma_root(dv, s_pre)
+        self.dv, self.s = dv, dv // (p - 1) - 1
+        self.sigma_root = self._sigma_root(dv, self.s)
         self._build_galois()
 
         # conj[i] = sigma^i(pi_L), the column of basis element pi_L in sigma^i
         conj = tuple(tuple(row[self.e_K] for row in mat) for mat in self.galois_mats)
-        wrap = self.galois_maps[1](conj[-1])
-        if not self._zero_raw(L.sub(wrap, pi)):
+        if not self._zero_raw(L.sub(self.galois_maps[1](conj[-1]), pi)):
             raise NotNormal("sigma does not have order p at precision")
-        for i in range(1, p):
-            if self._zero_raw(L.sub(conj[i], pi)):
-                raise NotNormal("sigma has order < p at precision")
+        if self._zero_raw(L.sub(conj[1], pi)):
+            raise NotNormal("sigma has order < p at precision")
         self.pi_conjugates = conj
 
-        diff = L.sub(conj[1], pi)
-        vdiff = at_cap(L.val_raw(diff), self.val_cap)
-        if vdiff is None:
-            raise PrecisionTooLow("sigma(pi) - pi vanishes at precision")
-        self.s = vdiff - 1
-        if self.s * (p - 1) > p * self.e_K:
-            raise NotNormal(
-                f"break {self.s} exceeds the wild bound {p * self.e_K}/(p-1)"
-            )
-
-    def _sigma_root(self, dv: int, s_pre: int):
+    def _sigma_root(self, dv: int, s: int):
         """sigma(pi_L) in the working ring, the one place that picks the
-        generator: the root of E_L that is pi_L + pi_L^(s_pre+1) modulo
-        pi_L^(s_pre+2), by Newton's step x <- x - E_L(x)/E_L'(x) from there.
-        The differences sigma^i(pi_L) - pi_L have valuation s_pre + 1 and
+        generator: the root of E_L that is pi_L + pi_L^(s+1) modulo
+        pi_L^(s+2), by Newton's step x <- x - E_L(x)/E_L'(x) from there.
+        The differences sigma^i(pi_L) - pi_L have valuation s + 1 and
         leading digits 1..p-1, so the start is nearer its root than the
-        roots are to each other, and its distance to it past s_pre + 1
+        roots are to each other, and its distance to it past s + 1
         doubles at each step.  Dividing by E_L'(x), of valuation dv, leaves
         ceil(dv/e_L) digits open, and R carries one more.  A zero step
         means E_L(x) = 0 in R, so no later step moves x and the loop ends
         there; the fixed count is its cap."""
         L, p = self.L, self.p
         R = L.flat_lift(-(-dv // self.e_L) + 1)
-        x = R.add(R.pi_elem, R.pow(R.pi_elem, s_pre + 1))
+        x = R.add(R.pi_elem, R.pow(R.pi_elem, s + 1))
         for _ in range((R.digits * R.flat_rank).bit_length() + 1):
             deriv = _eval_deriv(R, x)  # struct[0][m] = 1 * basis element m
             mat = tuple(zip(*(R.mul(deriv, b) for b in R.struct[0])))
@@ -772,12 +765,6 @@ class ExtensionTower:
 
     # -- raw (tuple-level) operations -----------------------------------
 
-    def _galois_raw(self, a, times: int):
-        times %= self.p
-        if times == 0:
-            return a
-        return self.galois_maps[times](a)
-
     def conjugates_raw(self, a) -> tuple:
         """sigma^i(a) for i = 0, ..., p-1, on flat coordinates."""
         return (a,) + tuple(f(a) for f in self.galois_maps[1:])
@@ -820,9 +807,10 @@ class ExtensionTower:
         return OElem(self.L, self.L.embed(a.data))
 
     def galois(self, a: OElem, times: int = 1) -> OElem:
-        if a.level is self.K:
+        times %= self.p
+        if a.level is self.K or times == 0:
             return a
-        return OElem(self.L, self._galois_raw(a.data, times))
+        return OElem(self.L, self.galois_maps[times](a.data))
 
     def trace(self, a: OElem) -> OElem:
         if a.level is not self.L:
@@ -942,21 +930,18 @@ def build_tower(
     witt_length_hint: int = 4,
     seed: int = 0,
 ) -> ExtensionTower:
-    """Construct and validate a tower from little-endian coefficient
-    lists that carry the leading 1 (``e_k_coeffs`` None or empty when
-    K = Q_p).  The one reader of those lists: it strips the leading 1,
-    converts to integers, refuses a top step whose degree is not p and
-    then a p that is not prime (so trial division stops at the square
-    root of the length of E_L), takes e_K from the stripped E_K, resolves
-    ``N="auto"`` by the policy at the generic bound on the break, and
-    after construction refuses an N below the policy at the tower's
-    break for Witt length ``witt_length_hint``.  The generator sigma has
+    """Construct and validate a tower from little-endian lists of integer
+    coefficients that carry the leading 1 (``e_k_coeffs`` None or empty
+    when K = Q_p; ``tower_from_obj`` turns a JSON description's into
+    integers).  It strips the leading 1, refuses a top step whose degree
+    is not p and then a p that is not prime (so trial division stops at
+    the square root of the length of E_L), takes e_K from the stripped
+    E_K, resolves ``N="auto"`` by the policy at the generic bound on the
+    break, and after construction refuses an N below the policy at the
+    tower's break for Witt length ``witt_length_hint``.  The generator sigma has
     sigma(pi_L) = pi_L + pi_L^(s+1) modulo pi_L^(s+2)."""
-    e_k = [int(c) for c in _strip_monic(e_k_coeffs, "E_K")] if e_k_coeffs else [-p]
-    e_l = [
-        [int(x) for x in c] if isinstance(c, list) else int(c)
-        for c in _strip_monic(e_l_coeffs, "E_L", len(e_k))
-    ]
+    e_k = _strip_monic(e_k_coeffs, "E_K") if e_k_coeffs else [-p]
+    e_l = _strip_monic(e_l_coeffs, "E_L", len(e_k))
     if len(e_l) != p:
         raise NotEisenstein(f"top step must have degree {p}, got {len(e_l)}")
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
@@ -966,15 +951,12 @@ def build_tower(
         N = precision_policy(p, len(e_k), s_bound, witt_length_hint)
     if not isinstance(N, int) or N < 4:
         raise PrecisionTooLow(f"N={N!r} is not an acceptable precision")
-    # the lists as given, leading 1 included: their strings are hashed
+    # the lists, leading 1 included, as decimal strings: these are hashed
     description = {
         "p": p,
         "N": N,
         "E_K": [str(c) for c in e_k_coeffs] if e_k_coeffs else None,
-        "E_L": [
-            c if isinstance(c, str) else ([str(x) for x in c] if isinstance(c, list) else str(c))
-            for c in e_l_coeffs
-        ],
+        "E_L": [[str(x) for x in c] if isinstance(c, list) else str(c) for c in e_l_coeffs],
         "seed": seed,
     }
     tower = ExtensionTower(e_k, e_l, description)

@@ -1,13 +1,15 @@
 import functools
 import hashlib
+import json
 import random
 import re
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wittlab import cohomlab, kernels, wittcore
+from wittlab import cli, cohomlab, kernels, wittcore
 from wittlab.kernels import compile_flat_linear
 from wittlab.cohomlab import (
     SamplerExhausted,
@@ -1857,3 +1859,118 @@ class TestWittLengthRule:
         with pytest.raises(ValueError) as refused:
             cohomlab.VERIFIERS[lemma](q2_i, samples=samples, seed=1)
         assert str(refused.value) == f"{lemma}: samples must be at least 1, got {samples}"
+
+
+def _order_with_pivots(pivots):
+    """``_sigma_minus_one_order`` on q2_i whose Smith forms of sigma - 1 have
+    ``pivots(tower, digits)`` as their pivots."""
+    tower = load("q2_i")
+    tower.sigma_minus_one_snf = lambda digits: types.SimpleNamespace(pivots=pivots(tower, digits))
+    return cohomlab._sigma_minus_one_order(tower)
+
+
+# refusals no tower reaches: (call, error, message)
+REFUSALS = {
+    "no finite pivot": (
+        lambda: _order_with_pivots(lambda t, d: [d] * t.L.flat_rank),
+        cohomlab.NotStabilized,
+        r"rank defect 2 != expected 1",
+    ),
+    "pivots move": (
+        lambda: _order_with_pivots(lambda t, d: [d - t.N, d]),
+        cohomlab.NotStabilized,
+        r"elementary divisors moved: \[0\] vs \[2\]",
+    ),
+    "break 0": (
+        lambda: stable_witt_length(0, 2), ValueError, "ramification break must be >= 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def _always_fixed(self, a):
+    return True
+
+
+# verdict branches no unpatched tower reaches, each forced through
+# ``cli.main``: (lemma, tower, patches as (object, name, value), exit code,
+# status, sign convention, the failures' "what", their keys)
+VERDICT_BRANCHES = {
+    "residual not in fixed ring": (
+        "residual_invariant",
+        "q3_ramified",
+        [
+            (cohomlab, "_residual", lambda tower, columns, level: tower.L.pi_elem),
+            (localfield.ExtensionTower, "_fixed_raw", _always_fixed),
+        ],
+        cli.EXIT_FAIL,
+        "FAIL",
+        None,
+        "not in fixed ring",
+        {"seed", "level", "what"},
+    ),
+    "residual valuation bound": (
+        "residual_invariant",
+        "q2_i",
+        [(cohomlab, "_residual", lambda tower, columns, level: tower.L.one_elem)],
+        cli.EXIT_FAIL,
+        "FAIL",
+        None,
+        "valuation bound",
+        {"seed", "level", "what", "v_K(h)", "bound"},
+    ),
+    "moved vector looks fixed": (
+        "fixed_points",
+        "q2_i",
+        [(localfield.ExtensionTower, "_fixed_raw", _always_fixed)],
+        cli.EXIT_FAIL,
+        "FAIL",
+        None,
+        "moved vector looks fixed",
+        {"seed", "what"},
+    ),
+    "carry sign plus": (
+        "carry_identity",
+        "q2_i",
+        [(wittcore, "alternating_binom_constant", lambda p: 1)],
+        cli.EXIT_PASS,
+        "PASS",
+        "plus",
+        None,
+        None,
+    ),
+    "carry sign neither": (
+        "carry_identity",
+        "q3_ramified",
+        [(wittcore, "alternating_binom_constant", lambda p: 1)],
+        cli.EXIT_FAIL,
+        "FAIL",
+        "neither",
+        None,
+        {"seed", "level"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_BRANCHES))
+def test_verdict_branches(case, tmp_path, monkeypatch, capsys):
+    lemma, tower, patches, code, status, sign, what, keys = VERDICT_BRANCHES[case]
+    for target, name, value in patches:
+        monkeypatch.setattr(target, name, value)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--lemma", lemma, "--tower", tower, "--samples", "4", "--out", str(out)]
+    assert cli.main(argv) == code
+    assert not capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert (report["status"], report["sign_convention"]) == (status, sign)
+    if keys is None:
+        assert not report["failures"]
+    else:
+        assert report["failures"]
+        assert all(set(f) == keys and f.get("what") == what for f in report["failures"])

@@ -920,3 +920,71 @@ class TestSelector:
         assert wittlab.BACKEND == kernels.BACKEND == "python"
         for name in names:
             assert getattr(kernels, name) is getattr(pure, name)
+
+
+# every generator refuses a modulus below 1 and a ragged or empty matrix
+# before it writes a line of source: (call, error message)
+RAGGED = ((1, 2), (3,))
+GENERATOR_REFUSALS = {
+    "flat_mul_source modulus 0": (
+        lambda: pure.flat_mul_source([], 2, 0), "modulus must be positive, got 0"
+    ),
+    "flat_mul_source modulus -4": (
+        lambda: pure.flat_mul_source([], 2, -4), "modulus must be positive, got -4"
+    ),
+    "flat_mul_plan short row": (
+        lambda: pure.flat_mul_plan((((1, 0), (0, 1)), ((0, 1),))),
+        r"structure row 1 has 1 cells, need 2",
+    ),
+    "flat_mul_plan short cell": (
+        lambda: pure.flat_mul_plan((((1, 0), (0,)), ((0, 1), (1, 0)))),
+        r"structure cell \(0, 1\) has 1 coordinates, need 2",
+    ),
+    "ghost_pass_source modulus 0": (
+        lambda: pure.ghost_pass_source(2, ((1, 0), (0, 1)), (2,), 1, 0, 4),
+        "modulus must be positive, got 0",
+    ),
+    "ghost_pass_source ragged rows": (
+        lambda: pure.ghost_pass_source(2, RAGGED, (2,), 1, 4, 4),
+        "a ghost pass needs at least one row, all of one length",
+    ),
+    "ghost_pass_source no rows": (
+        lambda: pure.ghost_pass_source(2, (), (2,), 1, 4, 4),
+        "a ghost pass needs at least one row, all of one length",
+    ),
+    "ghost_zero_source digits 0": (
+        lambda: pure.ghost_zero_source(2, 2, (2,), 1, 0), "digits must be positive, got 0"
+    ),
+    "flat_linear_source modulus 0": (
+        lambda: pure.flat_linear_source(((1, 0), (0, 1)), 0), "modulus must be positive, got 0"
+    ),
+    "flat_linear_source ragged": (
+        lambda: pure.flat_linear_source(RAGGED, 4), "matrix row 1 has 1 entries, need 2"
+    ),
+    "flat_linear_source no columns": (
+        lambda: pure.flat_linear_source(((),), 4), "a matrix needs at least one row and one column"
+    ),
+    "smith_solve_source modulus 0": (
+        lambda: pure.smith_solve_source((0,), ((1,),), ((1,),), 2, 0),
+        "modulus must be positive, got 0",
+    ),
+    "smith_solve_source ragged U": (
+        lambda: pure.smith_solve_source((0,), RAGGED, ((1, 0), (0, 1)), 2, 4),
+        "U and V must be square",
+    ),
+    "smith_solve_source ragged V": (
+        lambda: pure.smith_solve_source((0,), ((1, 0), (0, 1)), RAGGED, 2, 4),
+        "U and V must be square",
+    ),
+    "smith_solve_source no U": (
+        lambda: pure.smith_solve_source((), (), ((1,),), 2, 4),
+        "a Smith form needs at least one row and one column",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_REFUSALS))
+def test_generator_refusals(case):
+    call, message = GENERATOR_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

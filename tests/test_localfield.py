@@ -225,6 +225,18 @@ class TestTowerConstruction:
         for tower in towers.values():
             assert tower.dv == (tower.p - 1) * (tower.s + 1)
 
+    @pytest.mark.parametrize("path", sorted(TOWER_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_break_from_the_different(self, path):
+        # the build reads s from dv = v_L(E_L'(pi_L)) alone (Hilbert's
+        # formula); sigma, built after it, must give the same s, and dv and
+        # s lie in the ranges that made the build's other checks redundant
+        tower = localfield.load_tower(path)
+        p, e_k, L = tower.p, tower.e_K, tower.L
+        assert tower.dv == (tower.s + 1) * (p - 1)
+        assert p <= tower.dv <= p * e_k + p - 1
+        assert L.val_raw(L.sub(tower.galois_maps[1](L.pi_elem), L.pi_elem)) == tower.s + 1
+        assert tower.s * (p - 1) <= p * e_k
+
     def test_nested_tower(self):
         # K = Q2(sqrt(2)), L = K(2^(1/4))
         tower = build_tower(
@@ -258,6 +270,14 @@ class TestGaloisAction:
                 for _ in range(tower.p):
                     b = tower.galois(b)
                 assert eq_at_precision(tower, a, b)
+
+    def test_times_is_read_modulo_p(self, towers):
+        rng = random.Random(5)
+        for tower in towers.values():
+            a = tower.random_L_elem(rng)
+            conjugates = tower.conjugates_raw(a.data)
+            for i in range(-1, 2 * tower.p + 1):
+                assert tower.galois(a, i).data == conjugates[i % tower.p], i
 
     def test_is_ring_homomorphism(self, q3):
         rng = random.Random(9)
@@ -586,11 +606,11 @@ class TestSolvers:
             x, _ = tower.solve_trace_eq(c)
             assert isinstance(x, tuple) and L.reduce(x) == x
             assert tower.trace_map(x) == c
-            d = L.sub(tower._galois_raw(a, 1), a)
+            d = L.sub(tower.galois_maps[1](a), a)
             for digits in (tower.N, tower.N_int):
                 y, _ = tower.solve_sigma_minus_one(d, digits)
                 assert isinstance(y, tuple) and L.reduce(y) == y
-                residual = L.sub(L.sub(tower._galois_raw(y, 1), y), d)
+                residual = L.sub(L.sub(tower.galois_maps[1](y), y), d)
                 assert not any(r % tower.p**digits for r in residual)
 
     def test_sigma_minus_one_obstruction(self, q2_i):
@@ -690,8 +710,7 @@ def conjugate_sum(tower):
 
 def check_against_substitution(tower, a):
     conjugates = conjugates_by_substitution(tower, a)
-    for i in range(tower.p + 1):
-        assert tower._galois_raw(a, i) == conjugates[i % tower.p], i
+    assert tower.conjugates_raw(a) == conjugates
     full = substitution_trace_sum(tower, a)
     assert tower.trace_map(a) == tower.L.coeff(full, 0)
     assert not any(full[tower.K.flat_rank :])
@@ -1579,3 +1598,26 @@ def test_one_call_primitive_mutants_fail(all_towers, mutant, monkeypatch):
                 check_one_gcd_edges(tower)
                 for _ in range(50):
                     check_one_gcd_draws(tower, rng.randint)
+
+
+# the tower's refusals of a request it cannot answer at precision:
+# (call on q2_i, error, message)
+TOWER_REFUSALS = {
+    "sigma - 1 below N": (
+        lambda t: t.solve_sigma_minus_one(t.L.zero_elem, t.N - 1),
+        PrecisionTooLow,
+        "cannot solve below the advertised precision",
+    ),
+    "project pi_L": (
+        lambda t: t.project_to_K_raw(t.L.pi_elem),
+        TraceNotRational,
+        "element does not lie in O_K at precision",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOWER_REFUSALS))
+def test_tower_refusals(q2_i, case):
+    call, error, message = TOWER_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call(q2_i)

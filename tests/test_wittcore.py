@@ -390,3 +390,31 @@ class TestSerialization:
         # the tables' bytes at the top of PFOLD_RANGE and of BINARY_RANGE,
         # the content hash that `wittlab polys` prints
         assert dump_tables(p, n)["content_hash"] == TABLE_HASHES[p, n]
+
+
+# Witt vectors over one tower ring, refused on a length or ring mismatch:
+# (call on q2_i, error message)
+WITT_REFUSALS = {
+    "empty sum": (lambda t: witt_sum([]), "a Witt sum needs at least one vector"),
+    "lengths differ": (
+        lambda t: witt_sum([ctx_for(2, 2).vec(t.L, [1, 2]), ctx_for(2, 3).vec(t.L, [1, 2, 3])]),
+        "operands must share length and ring",
+    ),
+    "rings differ": (
+        lambda t: witt_sum([ctx_for(2, 2).vec(t.L, [1, 2]), ctx_for(2, 2).vec(t.K, [1, 2])]),
+        "operands must share length and ring",
+    ),
+    "too few components": (
+        lambda t: ctx_for(2, 3).vec(t.L, [1, 2]), "expected 3 components, got 2"
+    ),
+    "too many components": (
+        lambda t: ctx_for(2, 2).vec(t.L, [1, 2, 3]), "expected 2 components, got 3"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITT_REFUSALS))
+def test_witt_refusals(q2_i, case):
+    call, message = WITT_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call(q2_i)
