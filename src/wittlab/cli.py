@@ -275,6 +275,7 @@ def cmd_suite(args) -> int:
         built[tower_name] = tower
 
     cells = []
+    summary = {}  # (tower, lemma) -> status, failures, least margin ("" without margins)
     for tower_name, tower in built.items():
         for lemma in lemmas:
             try:
@@ -295,6 +296,9 @@ def cmd_suite(args) -> int:
                 "sign_convention": report.sign_convention if report else None,
             }
             cells.append(cell)
+            summary[tower_name, lemma] = (
+                status, cell["failures"], min(cell["margins"].values(), default="")
+            )
     worst = max((c["status"] for c in cells), key=STATUS_EXIT.__getitem__)
     aggregate = {
         "config": {"samples": samples, "seed": seed, "lemmas": lemmas},
@@ -303,26 +307,20 @@ def cmd_suite(args) -> int:
     }
     _write_json(args.out, aggregate)
     if args.csv:
-        rows = ["tower,lemma,status,samples,failures,worst_margin"]
-        for c in cells:
-            margin = min(c["margins"].values()) if c["margins"] else ""
-            rows.append(
-                f"{c['tower']},{c['lemma']},{c['status']},{c['samples']},"
-                f"{c['failures']},{margin}"
-            )
+        rows = ["tower,lemma,status,samples,failures,worst_margin"] + [
+            f"{tower_name},{lemma},{status},{samples},{failures},{margin}"
+            for (tower_name, lemma), (status, failures, margin) in summary.items()
+        ]
         _write_text(args.csv, "\n".join(rows) + "\n")
 
-    names = sorted({c["tower"] for c in cells})
+    names = sorted(built)
     width = max(len(l) for l in lemmas) + 2
     print("".ljust(width) + "  ".join(n[:14].ljust(14) for n in names))
     for lemma in lemmas:
         row = [lemma.ljust(width)]
         for name in names:
-            cell = next(c for c in cells if c["tower"] == name and c["lemma"] == lemma)
-            text = cell["status"]
-            if cell["margins"]:
-                text += f" m={min(cell['margins'].values())}"
-            row.append(text.ljust(14))
+            status, _, margin = summary[name, lemma]
+            row.append((status if margin == "" else f"{status} m={margin}").ljust(14))
         print("  ".join(row).rstrip())
     print(f"suite status: {worst}")
     return STATUS_EXIT[worst]
@@ -380,8 +378,9 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run one lemma verifier")
     p_verify.add_argument("--lemma", required=True)
     p_verify.add_argument("--tower", required=True)
-    p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=2026)
+    default = _default_manifest()
+    p_verify.add_argument("--samples", type=int, default=default["samples"])
+    p_verify.add_argument("--seed", type=int, default=default["seed"])
     p_verify.add_argument("--n", type=int, default=None, help=(
         "Witt length, covered by the tower's precision and at least 1 (main: M; step_bounds, "
         "carry_identity: 2; residual_invariant: 3); default main M, step_bounds 4, "

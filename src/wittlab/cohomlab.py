@@ -161,7 +161,7 @@ def witt_trace(tower: ExtensionTower, x: WittVec) -> WittVec:
     sum without building it, and this is the audit's oracle, and
     ``wittcore.ghost_trace``'s, in the tests."""
     columns = [tower.conjugates_raw(c) for c in x.components]
-    sums = wittcore.ghost_sum(tower.p, tower.L, columns, len(columns))
+    sums = wittcore.ghost_sum(tower.L, columns, len(columns))
     return WittVec(tower.K, tuple(map(tower.project_to_K_raw, sums)))
 
 
@@ -426,26 +426,6 @@ def enumerate_maps(tower: ExtensionTower, digits: int) -> dict[str, tuple]:
     return maps
 
 
-def h1_order_enumeration(
-    tower: ExtensionTower, digits: int, maps: dict[str, tuple] | None = None
-) -> int:
-    """Set-enumeration oracle for the level-one order.
-
-    Enumerates the whole module at the given precision (or reads
-    ``maps``, the ``enumerate_maps`` result at these digits) and corrects
-    the naive kernel/image quotient by the trace-image defect, which is
-    the finite-precision artifact.
-    """
-    if maps is None:
-        maps = enumerate_maps(tower, digits)
-    _, trace_kernel, trace_image = maps["trace"]
-    numerator = len(trace_kernel) * len(trace_image)
-    denominator = len(maps["sigma_minus_one"][2]) * tower.p ** (digits * tower.K.flat_rank)
-    if numerator % denominator:
-        raise NotStabilized("enumeration counts are not an integer ratio")
-    return numerator // denominator
-
-
 def _subgroup_span(generators, rank: int, modulus: int) -> frozenset:
     """Closure of the generated subgroup of (Z/modulus)^rank."""
     zero = tuple([0] * rank)
@@ -513,13 +493,21 @@ def _solve_outcome(solve, *args) -> tuple:
 def h1_order_enumeration_stable(
     tower: ExtensionTower, maps_by_digits: dict[int, dict] | None = None
 ) -> int:
-    """The enumeration order at each of ``ENUMERATION_DIGITS``, which must
-    agree; ``maps_by_digits`` holds ``enumerate_maps`` results to reuse."""
-    maps_by_digits = maps_by_digits or {}
-    a, b = (
-        h1_order_enumeration(tower, digits, maps_by_digits.get(digits))
-        for digits in ENUMERATION_DIGITS
-    )
+    """Set-enumeration oracle for the level-one order, which must agree at
+    each of ``ENUMERATION_DIGITS``: the naive kernel/image quotient of the
+    enumerated module (or of ``maps_by_digits``, ``enumerate_maps``
+    results to reuse), corrected by the trace-image defect, the
+    finite-precision artifact."""
+    orders = []
+    for digits in ENUMERATION_DIGITS:
+        maps = (maps_by_digits or {}).get(digits) or enumerate_maps(tower, digits)
+        _, trace_kernel, trace_image = maps["trace"]
+        numerator = len(trace_kernel) * len(trace_image)
+        denominator = len(maps["sigma_minus_one"][2]) * tower.p ** (digits * tower.K.flat_rank)
+        if numerator % denominator:
+            raise NotStabilized("enumeration counts are not an integer ratio")
+        orders.append(numerator // denominator)
+    a, b = orders
     if a != b:
         raise NotStabilized(f"enumeration order moved: {a} vs {b}")
     return a
@@ -718,7 +706,7 @@ def _residual(tower: ExtensionTower, columns: Sequence[tuple], level: int) -> tu
     pass runs."""
     if level == 2:
         return tower.L.zero_elem
-    return wittcore.ghost_sum(tower.p, tower.L, columns[: level - 2], level)[-1]
+    return wittcore.ghost_sum(tower.L, columns[: level - 2], level)[-1]
 
 
 def verify_carry_identity(

@@ -394,15 +394,13 @@ class SmithForm:
     pivots: list[int]
     U: list[list[int]]
     V: list[list[int]]
-    rows: int
-    cols: int
     p: int
     modulus: int
     digits: int
     _solve: object = field(default=None, init=False, repr=False, compare=False)
 
     def kernel_basis(self) -> list[list[int]]:
-        n, mod = self.cols, self.modulus
+        n, mod = len(self.V), self.modulus
         basis = []
         for k, v in enumerate(self.pivots):
             if v > 0:
@@ -417,7 +415,7 @@ class SmithForm:
         """``linsolve`` against this form as straight-line code, compiled on
         first use (``kernels.compile_smith_solve``): ``solve(rhs)`` returns
         (particular, delta) and raises the same NoSolutionAtPrecision,
-        for a right-hand side of length ``rows`` (``check_rhs``)."""
+        for a right-hand side with one entry per row of U (``check_rhs``)."""
         if self._solve is None:
             p, digits, delta = self.p, self.digits, max(self.pivots, default=0)
 
@@ -432,13 +430,13 @@ class SmithForm:
 
     def check_rhs(self, rhs: Sequence[int]) -> None:
         """ValueError unless ``rhs`` has one entry per row of the system."""
-        if len(rhs) != self.rows:
-            raise ValueError(f"right-hand side has {len(rhs)} entries, the system {self.rows} rows")
+        if len(rhs) != len(self.U):
+            raise ValueError(f"right-hand side has {len(rhs)} entries, the system {len(self.U)} rows")
 
     def image_basis(self, matrix: Sequence[Sequence[int]]) -> list[list[int]]:
         """Columns k < rank of A*V, A the matrix this form was built from:
         column k is U^-1 e_k p^v_k and the rest vanish, so they span im A."""
-        m, n, mod = self.rows, self.cols, self.modulus
+        m, n, mod = len(self.U), len(self.V), self.modulus
         return [
             [sum(matrix[i][j] * self.V[j][k] for j in range(n)) % mod for i in range(m)]
             for k in range(len(self.pivots))
@@ -498,7 +496,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], p: int, digits: int) -> S
                 for r in range(n):
                     V[r][j] = (V[r][j] - mult * V[r][k]) % modulus
         pivots.append(v)
-    return SmithForm(pivots, U, V, m, n, p, modulus, digits)
+    return SmithForm(pivots, U, V, p, modulus, digits)
 
 
 def linsolve(snf: SmithForm, rhs: Sequence[int]) -> tuple[tuple, int]:
@@ -515,7 +513,7 @@ def linsolve(snf: SmithForm, rhs: Sequence[int]) -> tuple[tuple, int]:
     """
     snf.check_rhs(rhs)
     p, digits, modulus = snf.p, snf.digits, snf.modulus
-    m, n = snf.rows, snf.cols
+    m, n = len(snf.U), len(snf.V)
     uc = [
         sum(snf.U[i][j] * rhs[j] for j in range(m)) % modulus for i in range(m)
     ]

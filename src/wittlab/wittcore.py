@@ -227,7 +227,7 @@ class WittVec:
         ghost pass of minus the identity over the components."""
         ring, n = self.ring, len(self.components)
         rows, columns = _unit_rows(ring.flat_rank, -1), zip(self.components)
-        return WittVec(ring, _ghost_pass(ring.p, rows, ring, columns, (1,) * n, n))
+        return WittVec(ring, _ghost_pass(rows, ring, columns, (1,) * n, n))
 
     def __sub__(self, other: "WittVec") -> "WittVec":
         return self + (-other)
@@ -243,10 +243,10 @@ def witt_sum(vectors: Sequence[WittVec]) -> WittVec:
         if v.ring is not ring or len(v.components) != n:
             raise ValueError("operands must share length and ring")
     columns = list(zip(*(v.components for v in vectors)))
-    return WittVec(ring, ghost_sum(ring.p, ring, columns, n))
+    return WittVec(ring, ghost_sum(ring, columns, n))
 
 
-def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> tuple:
+def ghost_sum(ring, columns: Sequence[Sequence[tuple]], levels: int) -> tuple:
     """Components 1..``levels`` of the Witt sum of several vectors over a
     ring of a tower, as reduced flat coordinate tuples.
     ``columns[i]`` holds component i+1 of every summand, each as the flat
@@ -276,7 +276,7 @@ def ghost_sum(p: int, ring, columns: Sequence[Sequence[tuple]], levels: int) -> 
     widths = tuple(map(len, columns))
     if 0 in widths:
         raise ValueError("a column needs at least one summand")
-    return _ghost_pass(p, _unit_rows(ring.flat_rank, 1), ring, columns, widths, levels)
+    return _ghost_pass(_unit_rows(ring.flat_rank, 1), ring, columns, widths, levels)
 
 
 def ghost_trace(tower, components: Sequence[tuple], levels: int) -> tuple:
@@ -295,10 +295,10 @@ def ghost_trace(tower, components: Sequence[tuple], levels: int) -> tuple:
     if levels < max(1, len(components)):
         raise ValueError(f"{len(components)} components give no {levels} levels")
     rows, widths = tower.trace_rows(tower.N_int + levels - 1), (1,) * len(components)
-    return _ghost_pass(tower.p, rows, tower.L, zip(components), widths, levels, tower.K)
+    return _ghost_pass(rows, tower.L, zip(components), widths, levels, tower.K)
 
 
-def _ghost_pass(p: int, rows: tuple, ring, columns, widths: tuple, levels: int, out=None):
+def _ghost_pass(rows: tuple, ring, columns, widths: tuple, levels: int, out=None):
     """Components 1..``levels`` of the Witt vector whose ghost components
     are ``rows`` applied to those of the sum of ``columns`` (an iterable
     of columns of these widths) over ``ring``, as reduced flat coordinate
@@ -308,7 +308,7 @@ def _ghost_pass(p: int, rows: tuple, ring, columns, widths: tuple, levels: int, 
     lifted = ring.flat_lift(levels - 1)
     pth_out = (lifted if out is None else out.flat_lift(levels - 1)).pth_power
     ghost_pass = kernels.compile_ghost_pass(
-        p, rows, widths, levels, lifted.modulus, ring.modulus, _indivisible
+        ring.p, rows, widths, levels, lifted.modulus, ring.modulus, _indivisible
     )
     return ghost_pass(lifted.pth_power, pth_out, columns)
 
@@ -469,7 +469,7 @@ def pfold_decomposition(p: int, n: int) -> PFoldDecomposition:
     return PFoldDecomposition(p, n)
 
 
-def carry_value(p: int, level: int, rows: Sequence[Sequence[tuple]], ring) -> tuple:
+def carry_value(level: int, rows: Sequence[Sequence[tuple]], ring) -> tuple:
     """Numeric carry at a level, without the symbolic decomposition.
 
     ``rows`` holds p sequences of flat coordinate tuples covering columns
@@ -477,7 +477,7 @@ def carry_value(p: int, level: int, rows: Sequence[Sequence[tuple]], ring) -> tu
     it is the top component of the sum with that column zero.
     """
     columns = [[row[j] for row in rows] for j in range(level - 1)]
-    return ghost_sum(p, ring, columns, level)[-1]
+    return ghost_sum(ring, columns, level)[-1]
 
 
 def content_hash(obj: dict) -> str:

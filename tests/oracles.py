@@ -464,7 +464,7 @@ def randrange_L_unit(tower, rng) -> OElem:
             return a
 
 
-def ghost_sum_by_loops(p, ring, columns, levels) -> tuple:
+def ghost_sum_by_loops(ring, columns, levels) -> tuple:
     """``wittcore.ghost_sum`` level by level: at level l every lower
     column's summands and S_i are raised once with the lifted ring's
     ``pth_power``, the numerator is summed coordinate by coordinate, and
@@ -473,7 +473,7 @@ def ghost_sum_by_loops(p, ring, columns, levels) -> tuple:
         raise ValueError(f"{len(columns)} columns give no {levels} levels")
     if not all(columns):
         raise ValueError("a column needs at least one summand")
-    lifted = ring.flat_lift(levels - 1)
+    p, lifted = ring.p, ring.flat_lift(levels - 1)
     pth, modulus = lifted.pth_power, lifted.modulus
     # the current p-powers of each column's summands; a zero column has none
     rows = list(columns) + [[]] * (levels - len(columns))
@@ -503,7 +503,7 @@ def negative_by_columns(y) -> tuple:
     ring, y = y.ring, y.components
     z = [ring.neg(y[0])]
     for j in range(1, len(y)):
-        carry = wittcore.ghost_sum(ring.p, ring, list(zip(y, z)), j + 1)[-1]
+        carry = wittcore.ghost_sum(ring, list(zip(y, z)), j + 1)[-1]
         z.append(ring.neg(ring.add(y[j], carry)))
     return tuple(z)
 
@@ -531,7 +531,7 @@ def residual_by_carry_value(tower, comps, level) -> OElem:
         [tower.galois(c, i).data for c in comps[: level - 2]] + [tower.L.zero_elem]
         for i in range(tower.p)
     ]
-    return OElem(tower.L, wittcore.carry_value(tower.p, level, rows, tower.L))
+    return OElem(tower.L, wittcore.carry_value(level, rows, tower.L))
 
 
 def carry_identity_by_elements(tower, samples=200, seed=0, n=None):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -61,6 +62,25 @@ def test_readme_library_example_runs():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["2", "nontrivial", "minus"]
+
+
+def _readme_command_lines() -> list[str]:
+    """The ``wittlab`` lines of README's Command line block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("wittlab ")]
+    assert lines, "README's Command line block names no wittlab command"
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_line_runs(line, run_cli, tmp_path, monkeypatch):
+    """Each command line of README's Command line block exits 0, run in
+    process in a scratch directory, its tower path read in ``cli.TOWER_DIR``."""
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.replace("src/wittlab/towers/", f"{cli.TOWER_DIR}/") for arg in shlex.split(line)]
+    res = run_cli(*argv[1:])
+    assert res.returncode == 0, res.stderr
 
 
 class TestPolys:

@@ -167,7 +167,7 @@ def sample_with_fresh_carries(tower, n, rng, retries=32, cuts=None):
     fail_streak = 0
     while level <= n:
         rows = [[tower.galois(c, i).data for c in comps[: level - 1]] for i in range(tower.p)]
-        carry = unflatten(tower.L, wittcore.carry_value(tower.p, level, rows, tower.L))
+        carry = unflatten(tower.L, wittcore.carry_value(level, rows, tower.L))
         try:
             part, _ = tower.solve_trace_eq((-project_to_K(tower, carry)).data)
             part = unflatten(tower.L, part)
@@ -315,7 +315,7 @@ def trace_eq_solvable(tower, comps) -> bool:
     level = len(comps) + 1
     elems = [unflatten(tower.L, c) for c in comps]
     rows = [[tower.galois(c, i).data for c in elems] for i in range(tower.p)]
-    carry = unflatten(tower.L, wittcore.carry_value(tower.p, level, rows, tower.L))
+    carry = unflatten(tower.L, wittcore.carry_value(level, rows, tower.L))
     try:
         tower.solve_trace_eq((-project_to_K(tower, carry)).data)
     except NoSolutionAtPrecision:
@@ -762,9 +762,9 @@ def test_witt_lemmas_run_no_empty_ghost_pass(towers, monkeypatch):
         shapes.append(shape)
         return compile_pass(p, rows, shape, *rest)
 
-    def summed(p, ring, columns, levels):
+    def summed(ring, columns, levels):
         widths.append(len(columns))
-        return ghost_sum(p, ring, columns, levels)
+        return ghost_sum(ring, columns, levels)
 
     monkeypatch.setattr(kernels, "compile_ghost_pass", compiled)
     monkeypatch.setattr(wittcore, "ghost_sum", summed)
@@ -829,19 +829,19 @@ def residual_zeroing_column_below(tower, columns, level):
     if level >= 3:
         for row in rows:
             row[level - 3] = tower.L.zero_elem
-    return wittcore.carry_value(tower.p, level, rows, tower.L)
+    return wittcore.carry_value(level, rows, tower.L)
 
 
 def residual_keeping_column(tower, columns, level):
     """Mutant: leaves column l-1 in, so it returns the whole carry."""
     rows = conjugate_rows(tower, columns[: level - 1])
-    return wittcore.carry_value(tower.p, level, rows, tower.L)
+    return wittcore.carry_value(level, rows, tower.L)
 
 
 def residual_slice_one_long(tower, columns, level):
     """Mutant: the flat pass over ``columns[:level-1]``, one column more
     than the residual's l-2."""
-    return wittcore.ghost_sum(tower.p, tower.L, columns[: level - 1], level)[-1]
+    return wittcore.ghost_sum(tower.L, columns[: level - 1], level)[-1]
 
 
 @pytest.mark.parametrize(
@@ -1869,8 +1869,32 @@ def _order_with_pivots(pivots):
     return cohomlab._sigma_minus_one_order(tower)
 
 
+def _enumeration_order(counts):
+    """``h1_order_enumeration_stable`` on q2_i, whose O_K has rank 1, fed
+    maps whose trace kernel, trace image and (sigma - 1) image have the
+    sizes ``counts[digits]``."""
+    maps_by_digits = {
+        digits: {
+            "trace": (None, set(range(kernel)), set(range(image))),
+            "sigma_minus_one": (None, set(), set(range(moved))),
+        }
+        for digits, (kernel, image, moved) in counts.items()
+    }
+    return h1_order_enumeration_stable(load("q2_i"), maps_by_digits)
+
+
 # refusals no tower reaches: (call, error, message)
 REFUSALS = {
+    "enumeration ratio": (
+        lambda: _enumeration_order({2: (1, 1, 1), 3: (8, 1, 1)}),
+        cohomlab.NotStabilized,
+        "enumeration counts are not an integer ratio",
+    ),
+    "enumeration order moves": (
+        lambda: _enumeration_order({2: (8, 1, 1), 3: (32, 1, 1)}),
+        cohomlab.NotStabilized,
+        "enumeration order moved: 2 vs 4",
+    ),
     "no finite pivot": (
         lambda: _order_with_pivots(lambda t, d: [d] * t.L.flat_rank),
         cohomlab.NotStabilized,

@@ -184,6 +184,10 @@ class TestDegreesAndSerialization:
         with pytest.raises(ValueError):
             (X0 + X1).rename_vars({0: 1})
 
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError, match="negative polynomial power"):
+            X0**-1
+
 
 def test_public_names_resolve():
     for name in wittlab.__all__:

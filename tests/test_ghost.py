@@ -93,7 +93,7 @@ def test_carry_value_matches_polynomials(all_towers, name, n, data):
     tower = all_towers[name]
     vecs = draw_vectors(data, tower, n, tower.p, top_zero=True)
     rows = [v.components[: n - 1] for v in vecs]
-    got = carry_value(tower.p, n, rows, tower.L)
+    got = carry_value(n, rows, tower.L)
     assert got == oracle_sum(vecs)[n - 1]
 
 
@@ -265,7 +265,7 @@ def test_rank_one_rings_match_polynomials(p, n, data):
     assert witt_sum(vecs).components == oracle_sum(vecs)
     rows = [v.components[: n - 1] for v in vecs]
     carried = flat_witt_sum(ring, [row + (ring.zero_elem,) for row in rows])
-    assert carry_value(p, n, rows, ring) == carried[-1]
+    assert carry_value(n, rows, ring) == carried[-1]
 
 
 def test_lift_reduces_to_the_working_ring(all_towers):
@@ -322,9 +322,9 @@ def check_ghost_sum(tower, draw):
     def polynomial(cols):
         return flat_witt_sum(tower.L, list(zip(*cols)))
 
-    assert ghost_sum(p, tower.L, columns, n) == polynomial(columns)
+    assert ghost_sum(tower.L, columns, n) == polynomial(columns)
     carried = polynomial(columns[:-1] + [[tower.L.zero_elem] * p])
-    assert ghost_sum(p, tower.L, columns[:-1], n) == carried
+    assert ghost_sum(tower.L, columns[:-1], n) == carried
 
 
 @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
@@ -411,9 +411,9 @@ def test_indivisible_message_matches_loops(q2_i, monkeypatch):
     one, zero = q2_i.L.one_elem, q2_i.L.zero_elem
     columns = [[one, one], [zero, zero]]
     with pytest.raises(IntegralityViolation) as looped:
-        ghost_sum_by_loops(2, q2_i.L, columns, 2)
+        ghost_sum_by_loops(q2_i.L, columns, 2)
     with pytest.raises(IntegralityViolation, match=f"^{looped.value}$"):
-        ghost_sum(2, q2_i.L, columns, 2)
+        ghost_sum(q2_i.L, columns, 2)
 
 
 def test_unchecked_division_is_caught(q2_i, monkeypatch, fresh_passes):
@@ -443,13 +443,13 @@ def test_compiled_pass_matches_loops(all_towers, name, level, data):
     widths = data.draw(st.lists(st.integers(1, p + 1), max_size=4))
     columns = [data.draw(st.lists(element, min_size=w, max_size=w)) for w in widths]
     levels = data.draw(st.integers(max(1, len(columns)), len(columns) + 2))
-    assert ghost_sum(p, ring, columns, levels) == ghost_sum_by_loops(p, ring, columns, levels)
+    assert ghost_sum(ring, columns, levels) == ghost_sum_by_loops(ring, columns, levels)
     # the same shape with every summand one of the special digits throughout
     uniform = [
         [(special[(i + j) % 4],) * ring.flat_rank for j in range(w)]
         for i, w in enumerate(widths)
     ]
-    assert ghost_sum(p, ring, uniform, levels) == ghost_sum_by_loops(p, ring, uniform, levels)
+    assert ghost_sum(ring, uniform, levels) == ghost_sum_by_loops(ring, uniform, levels)
 
 
 @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
@@ -465,7 +465,7 @@ def test_each_lower_column_is_raised_once_per_level(all_towers, name, monkeypatc
         columns = [[tower.random_L_elem(rng).data for _ in range(p)] for _ in range(width)]
         for levels in range(max(1, width), width + 3):
             calls.clear()
-            ghost_sum(p, tower.L, columns, levels)
+            ghost_sum(tower.L, columns, levels)
             summands = p * sum(min(l, width) for l in range(levels))
             assert len(calls) == summands + levels * (levels - 1) // 2
 
@@ -480,9 +480,7 @@ def test_implicit_zero_columns_match_explicit(all_towers, name):
         columns = [[tower.random_L_elem(rng).data for _ in range(p)] for _ in range(width)]
         for levels in range(max(1, width), width + 3):
             explicit = columns + [[zero] * p] * (levels - width)
-            assert ghost_sum(p, tower.L, columns, levels) == ghost_sum(
-                p, tower.L, explicit, levels
-            )
+            assert ghost_sum(tower.L, columns, levels) == ghost_sum(tower.L, explicit, levels)
 
 
 def test_engine_refuses_out_of_range_columns(q2_i):
@@ -498,7 +496,7 @@ def test_engine_refuses_out_of_range_columns(q2_i):
         ([[]], 2),
     ):
         with pytest.raises(ValueError):
-            ghost_sum(2, q2_i.L, columns, levels)
+            ghost_sum(q2_i.L, columns, levels)
 
 
 @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
@@ -510,10 +508,10 @@ def test_carry_and_sums_are_the_polynomial_values_as_tuples(all_towers, name):
     n = min(3, BINARY_RANGE[p])
     columns = [[tower.random_L_elem(rng).data for _ in range(p)] for _ in range(n)]
     for j in range(n):
-        carry = ghost_sum(p, tower.L, columns[:j], j + 1)[-1]
+        carry = ghost_sum(tower.L, columns[:j], j + 1)[-1]
         assert isinstance(carry, tuple)
         assert carry == polynomial_carry(tower, columns[:j])
-    sums = ghost_sum(p, tower.L, columns, n)
+    sums = ghost_sum(tower.L, columns, n)
     assert isinstance(sums, tuple) and all(isinstance(s, tuple) for s in sums)
     assert sums == flat_witt_sum(tower.L, list(zip(*columns)))
 
@@ -526,7 +524,7 @@ def trace_by_conjugates(tower, components, levels):
     computes it: the Witt sum of the p conjugates of each component, one
     ``ghost_sum`` pass, reduced to O_K."""
     columns = [tower.conjugates_raw(c) for c in components]
-    return tuple(map(tower.project_to_K_raw, ghost_sum(tower.p, tower.L, columns, levels)))
+    return tuple(map(tower.project_to_K_raw, ghost_sum(tower.L, columns, levels)))
 
 
 @pytest.mark.parametrize("name", EIGHT_TOWERS)

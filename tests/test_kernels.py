@@ -494,14 +494,14 @@ class TestCompiledGhostPass:
         kernels.compile_ghost_pass.cache_clear()
         one = tower.L.one_elem
         columns = [[one] * 3, [one] * 3]
-        first = wittcore.ghost_sum(3, tower.L, columns, 3)
+        first = wittcore.ghost_sum(tower.L, columns, 3)
         other = [[tower.L.zero_elem] * 3, [one] * 3]
-        assert wittcore.ghost_sum(3, tower.L, other, 3) != first
-        assert wittcore.ghost_sum(3, tower.L, columns, 3) == first
+        assert wittcore.ghost_sum(tower.L, other, 3) != first
+        assert wittcore.ghost_sum(tower.L, columns, 3) == first
         info = kernels.compile_ghost_pass.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         # another shape, one more compile
-        wittcore.ghost_sum(3, tower.L, columns[:1], 3)
+        wittcore.ghost_sum(tower.L, columns[:1], 3)
         assert kernels.compile_ghost_pass.cache_info().misses == 2
 
     def test_rings_with_equal_moduli_share_the_pass(self, q2_sqrt2, q2_sqrt_minus2):
@@ -511,8 +511,8 @@ class TestCompiledGhostPass:
         rng = random.Random(3)
         for tower in (q2_sqrt2, q2_sqrt_minus2):
             columns = [[tower.random_L_elem(rng).data for _ in range(2)] for _ in range(2)]
-            got = wittcore.ghost_sum(2, tower.L, columns, 3)
-            assert got == ghost_sum_by_loops(2, tower.L, columns, 3)
+            got = wittcore.ghost_sum(tower.L, columns, 3)
+            assert got == ghost_sum_by_loops(tower.L, columns, 3)
         info = kernels.compile_ghost_pass.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
@@ -521,7 +521,7 @@ def first_nonzero_level(p, ring, columns, levels, digits):
     """The reference for ``compile_ghost_zero``: the first component of the
     Witt sum of the columns (``ghost_sum_by_loops``) with a coordinate not
     0 modulo p^digits, or 0."""
-    sums = ghost_sum_by_loops(p, ring, columns, levels)
+    sums = ghost_sum_by_loops(ring, columns, levels)
     return next((l for l, s in enumerate(sums, 1) if any(c % p**digits for c in s)), 0)
 
 

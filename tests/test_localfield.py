@@ -219,17 +219,13 @@ class TestTowerConstruction:
         tower = build_tower(2, "auto", [-2, 0, 1])
         assert tower.val_cap >= 2 * 4 * (tower.s + tower.e_L) + 8
 
-    def test_break_consistent_with_derivative_valuation(self, towers):
-        # the computed break must match the independent route through
-        # the derivative of the defining polynomial at the uniformizer
-        for tower in towers.values():
-            assert tower.dv == (tower.p - 1) * (tower.s + 1)
-
     @pytest.mark.parametrize("path", sorted(TOWER_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_break_from_the_different(self, path):
         # the build reads s from dv = v_L(E_L'(pi_L)) alone (Hilbert's
-        # formula); sigma, built after it, must give the same s, and dv and
-        # s lie in the ranges that made the build's other checks redundant
+        # formula), so dv = (s + 1)(p - 1) holds by construction; sigma,
+        # built after it, is the independent route and must give the same
+        # s, and dv and s lie in the ranges that made the build's other
+        # checks redundant
         tower = localfield.load_tower(path)
         p, e_k, L = tower.p, tower.e_K, tower.L
         assert tower.dv == (tower.s + 1) * (p - 1)
@@ -367,6 +363,17 @@ class TestValuation:
                     assert vl == tower.p * vk
                 else:
                     assert vl is None
+
+    @pytest.mark.parametrize("name", EIGHT_TOWERS)
+    def test_vL_embeds_an_O_K_element(self, eight_towers, name):
+        """``vL`` given an O_K element embeds it first: v_L(a) = p*v_K(a),
+        and both read None at their caps."""
+        tower, rng = eight_towers[name], random.Random(17)
+        elements = [pi_K(tower) ** k for k in range(4)] + [int_elem(tower.K, tower.p)]
+        elements += [randrange_K_elem(tower, rng) for _ in range(20)] + [int_elem(tower.K, 0)]
+        for a in elements:
+            vk = tower.vK(a)
+            assert tower.vL(a) == (None if vk is None else tower.p * vk)
 
 
 class TestTrace:
@@ -640,7 +647,7 @@ class TestCompiledSolves:
             for _ in range(6):
                 inside = image(tower.random_L_raw(rng))
                 moved = inside[:-1] + ((inside[-1] + tower.p) % snf.modulus,)
-                uniform = tuple(rng.randrange(snf.modulus) for _ in range(snf.rows))
+                uniform = tuple(rng.randrange(snf.modulus) for _ in range(len(snf.U)))
                 for rhs in (inside, moved, uniform):
                     got = cohomlab._solve_outcome(snf.solve, rhs)
                     assert got == cohomlab._solve_outcome(linsolve, snf, rhs)
@@ -1600,9 +1607,25 @@ def test_one_call_primitive_mutants_fail(all_towers, mutant, monkeypatch):
                     check_one_gcd_draws(tower, rng.randint)
 
 
-# the tower's refusals of a request it cannot answer at precision:
-# (call on q2_i, error, message)
+# the tower's refusals of a request it cannot answer at precision, or of
+# an element of the wrong level: (call on q2_i, error, message)
 TOWER_REFUSALS = {
+    "embed_K of an O_L element": (
+        lambda t: t.embed_K(t.pi_L), ValueError, "embed_K expects an O_K element"
+    ),
+    "trace of an O_K element": (
+        lambda t: t.trace(pi_K(t)), ValueError, "trace expects an O_L element"
+    ),
+    "vK of an O_L element": (lambda t: t.vK(t.pi_L), ValueError, "vK expects an O_K element"),
+    "OElem levels differ": (
+        lambda t: t.pi_L + pi_K(t), ValueError, "operands live at different tower levels"
+    ),
+    "OElem with a float": (
+        lambda t: t.pi_L - 0.5, TypeError, "cannot combine OElem with float"
+    ),
+    "OElem negative power": (
+        lambda t: t.pi_L ** -1, ValueError, "negative power of an integral element"
+    ),
     "sigma - 1 below N": (
         lambda t: t.solve_sigma_minus_one(t.L.zero_elem, t.N - 1),
         PrecisionTooLow,

@@ -7,6 +7,7 @@ from wittlab import cli, wittcore
 from wittlab.exactpoly import MPoly
 from wittlab.wittcore import (
     PFOLD_RANGE,
+    IntegralityViolation,
     WittCtx,
     alternating_binom_constant,
     carry_value,
@@ -303,7 +304,7 @@ class TestPFoldDecomposition:
                 rows = [
                     [rng.randrange(-5, 6) for _ in range(nmax - 1)] for _ in range(p)
                 ]
-                numeric = carry_value(p, nmax, [flat_ints(ring, r) for r in rows], ring)
+                numeric = carry_value(nmax, [flat_ints(ring, r) for r in rows], ring)
                 assign = {
                     fold_var(p, i, j): rows[i - 1][j - 1]
                     for i in range(1, p + 1)
@@ -392,29 +393,68 @@ class TestSerialization:
         assert dump_tables(p, n)["content_hash"] == TABLE_HASHES[p, n]
 
 
-# Witt vectors over one tower ring, refused on a length or ring mismatch:
-# (call on q2_i, error message)
+def _corrupted(table: str, level: int) -> WittCtx:
+    """A fresh length-3 context at p = 2 whose ``table`` ("addition" or
+    "negation") is off by one at ``level``; the cached ``ctx_for`` is left alone."""
+    ctx = WittCtx(2, 3)
+    polys = list(getattr(ctx, table))
+    polys[level - 1] = polys[level - 1] + MPoly.const(1)
+    setattr(ctx, table, polys)
+    return ctx
+
+
+# refusals of the Witt layer: Witt vectors over one tower ring on a length
+# or ring mismatch, levels out of range, and tables or targets that break
+# the ghost identities: (call on q2_i, error, message)
 WITT_REFUSALS = {
-    "empty sum": (lambda t: witt_sum([]), "a Witt sum needs at least one vector"),
+    "empty sum": (lambda t: witt_sum([]), ValueError, "a Witt sum needs at least one vector"),
     "lengths differ": (
         lambda t: witt_sum([ctx_for(2, 2).vec(t.L, [1, 2]), ctx_for(2, 3).vec(t.L, [1, 2, 3])]),
+        ValueError,
         "operands must share length and ring",
     ),
     "rings differ": (
         lambda t: witt_sum([ctx_for(2, 2).vec(t.L, [1, 2]), ctx_for(2, 2).vec(t.K, [1, 2])]),
+        ValueError,
         "operands must share length and ring",
     ),
     "too few components": (
-        lambda t: ctx_for(2, 3).vec(t.L, [1, 2]), "expected 3 components, got 2"
+        lambda t: ctx_for(2, 3).vec(t.L, [1, 2]), ValueError, "expected 3 components, got 2"
     ),
     "too many components": (
-        lambda t: ctx_for(2, 2).vec(t.L, [1, 2, 3]), "expected 2 components, got 3"
+        lambda t: ctx_for(2, 2).vec(t.L, [1, 2, 3]), ValueError, "expected 2 components, got 3"
+    ),
+    "ghost level 0": (lambda t: ghost_poly(2, 0), ValueError, "level must be >= 1"),
+    "residual level 1": (
+        lambda t: pfold_decomposition(2, 3).residual_for_level(1),
+        ValueError,
+        "level 1 out of range",
+    ),
+    "residual past n": (
+        lambda t: pfold_decomposition(2, 3).residual_for_level(4),
+        ValueError,
+        "level 4 out of range",
+    ),
+    "addition table corrupted": (
+        lambda t: _corrupted("addition", 3).verify_ghost_identities(),
+        IntegralityViolation,
+        "ghost addition identity fails at level 3",
+    ),
+    "negation table corrupted": (
+        lambda t: _corrupted("negation", 2).verify_ghost_identities(),
+        IntegralityViolation,
+        "ghost negation identity fails at level 2",
+    ),
+    "target no ghost image": (
+        lambda t: wittcore._solve_ghost(2, [MPoly.var(0), MPoly.var(0)], "probe"),
+        IntegralityViolation,
+        "probe polynomial level 2: coefficient",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WITT_REFUSALS))
 def test_witt_refusals(q2_i, case):
-    call, message = WITT_REFUSALS[case]
-    with pytest.raises(ValueError, match=message):
+    call, error, message = WITT_REFUSALS[case]
+    with pytest.raises(error, match=message):
         call(q2_i)
