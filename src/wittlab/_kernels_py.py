@@ -243,6 +243,13 @@ def _checked_int(x) -> int:
     return x
 
 
+def _positive(x, what: str = "modulus") -> int:
+    """``_checked_int(x)``, refused unless it is at least 1."""
+    if _checked_int(x) < 1:
+        raise ValueError(f"{what} must be positive, got {x}")
+    return x
+
+
 def flat_mul_source(plan, rank: int, modulus: int, factors: str = "ab") -> str:
     """Straight-line source of ``mul(a, b)`` for a product plan, or with
     ``factors`` "a" * p and cells of p indices of ``pth(a)`` = a^p.
@@ -255,8 +262,7 @@ def flat_mul_source(plan, rank: int, modulus: int, factors: str = "ab") -> str:
     scaled unreduced (0.84 of the reduced power's time, median of timings
     at ranks 2-8).  Every output coordinate is reduced once, at the end.
     """
-    if _checked_int(modulus) < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+    _positive(modulus)
     names = sorted(set(factors))
     lines = [f"def {'mul' if len(names) > 1 else 'pth'}({', '.join(names)}):"]
     coords = range(_checked_int(rank))
@@ -266,16 +272,15 @@ def flat_mul_source(plan, rank: int, modulus: int, factors: str = "ab") -> str:
         total = " + ".join(
             " * ".join(f"{v}{_checked_int(k)}" for v, k in zip(factors, cell)) for cell in cells
         )
-        consts = [(k, _checked_int(c) % modulus) for k, c in enumerate(row)]
-        consts = [(k, c - modulus if 2 * c > modulus else c) for k, c in consts if c]
+        consts = [(k, _least_residue(c, modulus)) for k, c in enumerate(row)]
+        consts = [(k, c) for k, c in consts if c]
         if len(consts) == 1 and consts[0][1] == 1:
             terms[consts[0][0]].append(total)
             continue
         lines.append(f"    g{g} = " + (f"({total}) % {modulus}" if len(names) > 1 else total))
         for k, c in consts:
             terms[k].append(f"g{g}" if c == 1 else f"{c} * g{g}")
-    outs = [f"({' + '.join(t)}) % {modulus}" if t else "0" for t in terms]
-    lines.append(f"    return ({', '.join(outs)},)")
+    lines.append(f"    return {_tuple(_reduced_sum(t, modulus) for t in terms)}")
     return "\n".join(lines) + "\n"
 
 
@@ -362,12 +367,11 @@ def compile_kernel_redraw(matrix, modulus: int, residue_modulus: int):
     fewer than ``limit`` draws were rejected.  It returns ``(v, key, hits)``:
     the last draw, the particular's coordinates then the coefficients, its
     key and the number of draws rejected before it."""
-    for m in (modulus, residue_modulus):
-        if _checked_int(m) < 1:
-            raise ValueError(f"modulus must be positive, got {m}")
+    _positive(modulus)
+    _positive(residue_modulus)
     rank, names = len(matrix), [f"a{m}" for m in range(len(matrix[0]))]
     keys = [_linear_terms(row, names, residue_modulus) for row in matrix]
-    keys = [f"({' + '.join(t)}) % {residue_modulus}" if t else "0" for t in keys]
+    keys = [_reduced_sum(t, residue_modulus) for t in keys]
     lines = ["def redraw(getrandbits, particular, bad, limit):"]
     lines += [f"    {_tuple(names[:rank])} = particular", "    hits = 0", "    while True:"]
     lines += ["    " + x for x in uniform_lines(names[rank:], modulus)]
@@ -407,18 +411,27 @@ def _tuple(names) -> str:
     return f"({', '.join(names)},)"
 
 
+def _least_residue(c, modulus: int) -> int:
+    """The representative of ``c`` of least absolute value modulo
+    ``modulus``, as generated source inlines a constant."""
+    c = _checked_int(c) % modulus
+    return c - modulus if 2 * c > modulus else c
+
+
 def _linear_terms(row, names, modulus: int) -> list:
     """The terms row[m] * names[m] of a linear form, the entries inlined as
-    the representatives of least absolute value modulo ``modulus``, and
-    zero entries left out."""
+    ``_least_residue`` gives them, and zero entries left out."""
     terms = []
     for c, a in zip(row, names):
-        c = _checked_int(c) % modulus
-        if 2 * c > modulus:
-            c -= modulus
+        c = _least_residue(c, modulus)
         if c:
             terms.append(a if c == 1 else f"-{a}" if c == -1 else f"{c} * {a}")
     return terms
+
+
+def _reduced_sum(terms, modulus: int) -> str:
+    """The sum of ``terms`` reduced modulo ``modulus``, or 0 for none."""
+    return f"({' + '.join(terms)}) % {modulus}" if terms else "0"
 
 
 def _weighted(p: int, groups) -> str:
@@ -475,8 +488,7 @@ def ghost_pass_source(p: int, rows, widths, levels: int, modulus: int, base: int
     """
     for x in (p, levels, base):
         _checked_int(x)
-    if _checked_int(modulus) < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+    _positive(modulus)
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("a ghost pass needs at least one row, all of one length")
     widths = [_checked_int(w) for w in widths]
@@ -541,8 +553,7 @@ def ghost_zero_source(p: int, rank: int, widths, levels: int, digits: int) -> st
     """
     for x in (p, rank, levels):
         _checked_int(x)
-    if _checked_int(digits) < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    _positive(digits, "digits")
     widths = [_checked_int(w) for w in widths]
     lines = ["def ghost_zero(pth, columns):", *_unpack_columns(widths)]
     for l in range(levels):
@@ -574,8 +585,7 @@ def flat_linear_source(matrix, modulus: int) -> str:
     representatives of least absolute value, and every output coordinate
     is reduced once; a row with no nonzero entry returns 0.
     """
-    if _checked_int(modulus) < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+    _positive(modulus)
     if not matrix or not matrix[0]:
         raise ValueError("a matrix needs at least one row and one column")
     cols = len(matrix[0])
@@ -584,10 +594,8 @@ def flat_linear_source(matrix, modulus: int) -> str:
     for r, row in enumerate(matrix):
         if len(row) != cols:
             raise ValueError(f"matrix row {r} has {len(row)} entries, need {cols}")
-        terms = _linear_terms(row, names, modulus)
-        outs.append(f"({' + '.join(terms)}) % {modulus}" if terms else "0")
-    a = ", ".join(names)
-    return f"def apply(a):\n    ({a},) = a\n    return ({', '.join(outs)},)\n"
+        outs.append(_reduced_sum(_linear_terms(row, names, modulus), modulus))
+    return f"def apply(a):\n    {_tuple(names)} = a\n    return {_tuple(outs)}\n"
 
 
 def compile_flat_linear(matrix, modulus: int):
@@ -611,8 +619,7 @@ def smith_solve_source(pivots, U, V, p: int, modulus: int) -> str:
     """
     for x in (p, *pivots):
         _checked_int(x)
-    if _checked_int(modulus) < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+    _positive(modulus)
     if not U or not V:
         raise ValueError("a Smith form needs at least one row and one column")
     if any(len(row) != len(U) for row in U) or any(len(row) != len(V) for row in V):
@@ -633,7 +640,7 @@ def smith_solve_source(pivots, U, V, p: int, modulus: int) -> str:
         if len(terms) == 1 and terms[0] in zs:
             outs.append(terms[0])  # u_k is reduced, and so is z_k <= u_k
         else:
-            outs.append(f"({' + '.join(terms)}) % {modulus}" if terms else "0")
+            outs.append(_reduced_sum(terms, modulus))
     lines.append(f"    return {_tuple(outs)}, {max(pivots, default=0)}")
     return "\n".join(lines) + "\n"
 

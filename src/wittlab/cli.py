@@ -3,16 +3,18 @@ verification, suite aggregation, and brute-force oracles.
 
 Exit codes: 0 pass, 1 fail, 2 undetermined/not-stabilized, 64 usage or
 configuration error, 70 internal error, 141 stdout closed by its reader.
-``main`` is the one place that maps a command's outcome to its exit code,
-and returns it, the same way for every command: a usage error (argparse's
-too) is 64, ``UNDETERMINED`` is 2, and any other exception that escapes a
-command is a crash, 70, never a mathematical FAIL; each is one line of
-stderr.  A reader that closes stdout before the command has written it
-all (``wittlab tower-info ... | head -1``) is no fault of the program:
-the command ends with 141, 128 + SIGPIPE as a shell reports a writer
-that signal ends, and writes nothing to stderr.  A fixed seed
-makes every run byte-reproducible; the aggregate suite report carries no
-timing so that repeated runs are byte-identical.
+A verdict's code is its report's status (``STATUS_EXIT``): the verifiers
+decide UNDETERMINED themselves and raise nothing for it.  ``main`` is the
+one place that maps any other outcome to its exit code, and returns it,
+the same way for every command: a usage error (argparse's too) is 64,
+``NotStabilized`` from ``tower-info`` or ``oracle`` is 2, and any other
+exception that escapes a command is a crash, 70, never a mathematical
+FAIL; each is one line of stderr.  A reader that closes stdout before
+the command has written it all (``wittlab tower-info ... | head -1``) is
+no fault of the program: the command ends with 141, 128 + SIGPIPE as a
+shell reports a writer that signal ends, and writes nothing to stderr.
+A fixed seed makes every run byte-reproducible; the aggregate suite
+report carries no timing so that repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ EXIT_UNDETERMINED = 2
 EXIT_CONFIG = 64
 EXIT_CRASH = 70
 EXIT_PIPE = 141  # 128 + SIGPIPE
-
-# the exceptions that leave a verdict UNDETERMINED (exit 2)
-UNDETERMINED = (cohomlab.NotStabilized, cohomlab.SamplerExhausted)
 
 # the named towers: one JSON description per name, the file stem
 TOWER_DIR = Path(__file__).resolve().parent / "towers"
@@ -152,17 +151,15 @@ def _args_overrides(args) -> dict:
 
 
 def _run(lemma: str, tower, tower_name: str | None = None, **kwargs):
-    """``lemma``'s report on ``tower``.  A Witt length out of range is a
-    usage error, refused before anything is drawn; ``UNDETERMINED``
-    exceptions propagate; any other exception is a crash whose line
-    names the lemma, and ``tower_name`` where given (a suite cell)."""
+    """``lemma``'s report on ``tower``, whose status is the verdict.  A Witt
+    length out of range is a usage error, refused before anything is
+    drawn; any other exception is a crash whose line names the lemma,
+    and ``tower_name`` where given (a suite cell)."""
     where = lemma if tower_name is None else f"{lemma} on {tower_name}"
     try:
         return cohomlab.VERIFIERS[lemma](tower, **kwargs)
     except cohomlab.WittLengthOutOfRange as exc:
         raise _Exit(EXIT_CONFIG, str(exc) if tower_name is None else f"{where}: {exc}") from None
-    except UNDETERMINED:
-        raise
     except Exception as exc:
         raise _Exit(EXIT_CRASH, f"{where} crashed: {_crash_line(exc)}") from None
 
@@ -278,26 +275,21 @@ def cmd_suite(args) -> int:
     summary = {}  # (tower, lemma) -> status, failures, least margin ("" without margins)
     for tower_name, tower in built.items():
         for lemma in lemmas:
-            try:
-                report = _run(lemma, tower, tower_name, samples=samples, seed=seed)
-                status = report.status
-            except UNDETERMINED:
-                report = None
-                status = "UNDETERMINED"
+            report = _run(lemma, tower, tower_name, samples=samples, seed=seed)
             cell = {
                 "tower": tower_name,
                 "tower_hash": tower.tower_hash,
                 "lemma": lemma,
-                "status": status,
+                "status": report.status,
                 "samples": samples,
                 "seed": seed,
-                "failures": len(report.failures) if report else None,
-                "margins": report.margins if report else {},
-                "sign_convention": report.sign_convention if report else None,
+                "failures": len(report.failures),
+                "margins": report.margins,
+                "sign_convention": report.sign_convention,
             }
             cells.append(cell)
             summary[tower_name, lemma] = (
-                status, cell["failures"], min(cell["margins"].values(), default="")
+                report.status, cell["failures"], min(report.margins.values(), default="")
             )
     worst = max((c["status"] for c in cells), key=STATUS_EXIT.__getitem__)
     aggregate = {
@@ -434,7 +426,7 @@ def main(argv=None) -> int:
         return EXIT_PIPE
     except _Exit as exc:
         code, line = exc.code, str(exc)
-    except UNDETERMINED as exc:
+    except cohomlab.NotStabilized as exc:
         code, line = EXIT_UNDETERMINED, str(exc)
     except Exception as exc:
         code, line = EXIT_CRASH, f"crashed: {_crash_line(exc)}"

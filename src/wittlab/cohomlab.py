@@ -109,6 +109,13 @@ class VerificationReport:
         self.failures.append(payload)
         self.status = "FAIL"
 
+    def undetermined(self, reason: str) -> None:
+        """Work that decided nothing: a PASS becomes UNDETERMINED, a FAIL
+        stays, and the first reason is kept as observations["undetermined"]."""
+        self.observations.setdefault("undetermined", reason)
+        if self.status == "PASS":
+            self.status = "UNDETERMINED"
+
     def to_obj(self, include_runtime: bool = True) -> dict:
         """The report's fields; both serializations sort its keys."""
         obj = dict(vars(self))
@@ -537,15 +544,23 @@ def _sampler_mix(
     samples: int,
     seed: int,
     lemma: str,
+    report: VerificationReport,
     coboundary_every: int = 0,
 ) -> Iterator[KernelSample]:
     """The Witt lemmas' sample stream: sample k is drawn lazily from
-    ``_sample_rngs``, a coboundary every coboundary_every-th."""
+    ``_sample_rngs``, a coboundary every coboundary_every-th.  A sampler
+    that runs out of retries ends the stream and leaves ``report``
+    undetermined; the samples already yielded keep what they recorded."""
     for k, (label, rng) in enumerate(_sample_rngs(seed, lemma, samples)):
         if coboundary_every and k % coboundary_every == coboundary_every - 1:
             yield coboundary_sample(tower, n, rng, label)
-        else:
-            yield sample_trace_zero(tower, n, rng, seed_label=label)
+            continue
+        try:
+            sample = sample_trace_zero(tower, n, rng, seed_label=label)
+        except SamplerExhausted as exc:
+            report.undetermined(str(exc))
+            return
+        yield sample
 
 
 def _field_draws(
@@ -634,8 +649,8 @@ def _record_checked(report: VerificationReport, checked: int, samples: int) -> N
     """A sampled check that ran out of attempts before reaching the
     requested sample count decides nothing: PASS becomes UNDETERMINED."""
     report.params["checked"] = checked
-    if checked < samples and report.status == "PASS":
-        report.status = "UNDETERMINED"
+    if checked < samples:
+        report.undetermined(f"checked {checked} of {samples} samples")
 
 
 def verify_vktr(
@@ -725,7 +740,7 @@ def verify_carry_identity(
         tower, "carry_identity", {"samples": samples, "seed": seed, "n": n}
     )
     sign_ok = {"minus": True, "plus": True}
-    for sample in _sampler_mix(tower, n, samples, seed, "carry"):
+    for sample in _sampler_mix(tower, n, samples, seed, "carry", report):
         comps = sample.vec.components
         columns = [tower.conjugates_raw(c) for c in comps[: n - 2]]
         traces = [tower.trace_map(c) for c in comps]
@@ -778,7 +793,7 @@ def verify_residual_invariant(
     report = _base_report(
         tower, "residual_invariant", {"samples": samples, "seed": seed, "n": n}
     )
-    for sample in _sampler_mix(tower, n, samples, seed, "residual"):
+    for sample in _sampler_mix(tower, n, samples, seed, "residual", report):
         label = sample.seed
         comps = sample.vec.components[: n - 2]
         columns = [tower.conjugates_raw(c) for c in comps]
@@ -808,9 +823,8 @@ def verify_residual_invariant(
                         "bound": bound,
                     }
                 )
-    if "residual_valuation_slack" not in report.margins and report.status == "PASS":
-        # no sample had a bound decidable below the cap: nothing was bounded
-        report.status = "UNDETERMINED"
+    if "residual_valuation_slack" not in report.margins:
+        report.undetermined(f"no valuation bound fell below val_cap_K - 1 = {cap_K - 1}")
     return report
 
 
@@ -829,7 +843,7 @@ def verify_step_bounds(
     report = _base_report(
         tower, "step_bounds", {"samples": samples, "seed": seed, "n": n}
     )
-    for sample in _sampler_mix(tower, n, samples, seed, "steps", coboundary_every=4):
+    for sample in _sampler_mix(tower, n, samples, seed, "steps", report, coboundary_every=4):
         comps = sample.vec.components
         for i in range(1, n):
             bound = step_bound(s, p, i)
@@ -855,7 +869,7 @@ def verify_main_theorem(
     s, L, cap = tower.s, tower.L, tower.val_cap
     M = witt_length("main", tower, n)
     report = _base_report(tower, "main", {"samples": samples, "seed": seed, "M": M})
-    for sample in _sampler_mix(tower, M, samples, seed, "main"):
+    for sample in _sampler_mix(tower, M, samples, seed, "main", report):
         label = sample.seed
         x1 = sample.vec.components[0]
         v1 = L.val_raw(x1)
@@ -865,7 +879,12 @@ def verify_main_theorem(
             )
             continue
         verdict = level1_class_trivial(tower, x1)
-        if verdict.status != "trivial":
+        if verdict.status == "undetermined":
+            report.undetermined(
+                f"{label}: class obstruction at depth {verdict.obstruction_depth} "
+                f"not certified at N={tower.N}"
+            )
+        elif verdict.status != "trivial":
             report.record_failure(
                 {
                     "seed": label,
@@ -878,12 +897,17 @@ def verify_main_theorem(
     # contrast: ker tr is free on the basis trace_kernel_flat, so when the
     # level-one cohomology is nonzero some basis vector is nontrivial, and
     # it must have small valuation
-    order = h1_order_level1(tower)
+    try:
+        order = h1_order_level1(tower)
+    except NotStabilized as exc:
+        report.undetermined(str(exc))
+        order = None
     report.observations["h1_order_level1"] = order
-    if order > 1:
-        contrast = None
+    if order is not None and order > 1:
+        contrast, undecided = None, 0
         for idx, cand in enumerate(tower.trace_kernel_flat):
             verdict = level1_class_trivial(tower, cand)
+            undecided += verdict.status == "undetermined"
             if verdict.status == "nontrivial":
                 v = at_cap(L.val_raw(cand), cap)
                 contrast = {
@@ -894,7 +918,9 @@ def verify_main_theorem(
                 if v is None or v > s - 1:
                     report.record_failure({"what": "contrast valuation", "v_L": v, "s": s})
                 break
-        if contrast is None:
+        if contrast is None and undecided:
+            report.undetermined(f"no contrast: {undecided} basis classes undetermined")
+        elif contrast is None:
             report.record_failure({"what": "no nontrivial level-one class found"})
         else:
             report.observations["contrast"] = contrast
@@ -902,7 +928,7 @@ def verify_main_theorem(
     # observed (not asserted) behavior one length below the stable one
     if M >= 2:
         observed = None
-        for sample in _sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below"):
+        for sample in _sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below", report):
             v = at_cap(L.val_raw(sample.vec.components[0]), cap)
             value = cap if v is None else v
             observed = value if observed is None else min(observed, value)

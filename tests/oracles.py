@@ -543,7 +543,7 @@ def carry_identity_by_elements(tower, samples=200, seed=0, n=None):
         tower, "carry_identity", {"samples": samples, "seed": seed, "n": n}
     )
     sign_ok = {"minus": True, "plus": True}
-    for sample in cohomlab._sampler_mix(tower, n, samples, seed, "carry"):
+    for sample in cohomlab._sampler_mix(tower, n, samples, seed, "carry", report):
         comps = [OElem(tower.L, c) for c in sample.vec.components]
         for level in range(2, n + 1):
             t_l = tower.trace(comps[level - 1])
@@ -590,7 +590,7 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
     report = _base_report(
         tower, "residual_invariant", {"samples": samples, "seed": seed, "n": n}
     )
-    for sample in cohomlab._sampler_mix(tower, n, samples, seed, "residual"):
+    for sample in cohomlab._sampler_mix(tower, n, samples, seed, "residual", report):
         label = sample.seed
         comps = [OElem(tower.L, c) for c in sample.vec.components]
         for level in range(3, n + 1):
@@ -624,8 +624,10 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
                         "bound": bound,
                     }
                 )
-    if "residual_valuation_slack" not in report.margins and report.status == "PASS":
-        report.status = "UNDETERMINED"
+    if "residual_valuation_slack" not in report.margins:
+        report.undetermined(
+            f"no valuation bound fell below val_cap_K - 1 = {tower.val_cap_K - 1}"
+        )
     return report
 
 
@@ -658,7 +660,8 @@ def step_bounds_by_elements(tower, samples=200, seed=0, n=None):
     report = _base_report(
         tower, "step_bounds", {"samples": samples, "seed": seed, "n": n}
     )
-    for sample in cohomlab._sampler_mix(tower, n, samples, seed, "steps", coboundary_every=4):
+    steps = cohomlab._sampler_mix(tower, n, samples, seed, "steps", report, coboundary_every=4)
+    for sample in steps:
         comps = [OElem(tower.L, c) for c in sample.vec.components]
         for i in range(1, n):
             bound = cohomlab.step_bound(s, p, i)
@@ -685,7 +688,7 @@ def main_by_elements(tower, samples=200, seed=0, n=None):
     s = tower.s
     M = witt_length("main", tower, n)
     report = _base_report(tower, "main", {"samples": samples, "seed": seed, "M": M})
-    for sample in cohomlab._sampler_mix(tower, M, samples, seed, "main"):
+    for sample in cohomlab._sampler_mix(tower, M, samples, seed, "main", report):
         label = sample.seed
         x1 = OElem(tower.L, sample.vec.components[0])
         v1 = vL_by_coordinates(tower, x1)
@@ -697,7 +700,12 @@ def main_by_elements(tower, samples=200, seed=0, n=None):
             )
             continue
         verdict = cohomlab.level1_class_trivial(tower, x1.data)
-        if verdict.status != "trivial":
+        if verdict.status == "undetermined":
+            report.undetermined(
+                f"{label}: class obstruction at depth {verdict.obstruction_depth} "
+                f"not certified at N={tower.N}"
+            )
+        elif verdict.status != "trivial":
             report.record_failure(
                 {
                     "seed": label,
@@ -707,12 +715,17 @@ def main_by_elements(tower, samples=200, seed=0, n=None):
                 }
             )
 
-    order = cohomlab.h1_order_level1(tower)
+    try:
+        order = cohomlab.h1_order_level1(tower)
+    except cohomlab.NotStabilized as exc:
+        report.undetermined(str(exc))
+        order = None
     report.observations["h1_order_level1"] = order
-    if order > 1:
-        contrast = None
+    if order is not None and order > 1:
+        contrast, undecided = None, 0
         for idx, cand in enumerate(tower.trace_kernel_flat):
             verdict = cohomlab.level1_class_trivial(tower, cand)
+            undecided += verdict.status == "undetermined"
             if verdict.status == "nontrivial":
                 v = vL_by_coordinates(tower, OElem(tower.L, cand))
                 contrast = {
@@ -725,14 +738,17 @@ def main_by_elements(tower, samples=200, seed=0, n=None):
                         {"what": "contrast valuation", "v_L": v.value, "s": s}
                     )
                 break
-        if contrast is None:
+        if contrast is None and undecided:
+            report.undetermined(f"no contrast: {undecided} basis classes undetermined")
+        elif contrast is None:
             report.record_failure({"what": "no nontrivial level-one class found"})
         else:
             report.observations["contrast"] = contrast
 
     if M >= 2:
         observed = None
-        for sample in cohomlab._sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below"):
+        below = cohomlab._sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below", report)
+        for sample in below:
             x1 = OElem(tower.L, sample.vec.components[0])
             value = vL_by_coordinates(tower, x1).capped()
             observed = value if observed is None else min(observed, value)

@@ -318,23 +318,6 @@ class TestVerify:
         assert res.returncode == 0, res.stderr
         assert "main on q2_sqrt2: PASS" in res.stdout and "M=3" in res.stdout
 
-    @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
-    def test_short_of_samples_is_undetermined(self, lemma, monkeypatch, capsys):
-        # every draw is zero at precision, so no sample can be checked: the
-        # field lemmas draw through the tower's compiled draw_spread
-        draws = localfield.ExtensionTower.draws.fget
-
-        def zero_spread(self):
-            draw_L, _, draw_K, draw_unit = draws(self)
-            return draw_L, lambda getrandbits, cap: self.L.zero_elem, draw_K, draw_unit
-
-        monkeypatch.setattr(localfield.ExtensionTower, "draws", property(zero_spread))
-        code = cli.main(
-            ["verify", "--lemma", lemma, "--tower", "q2_i", "--samples", "3"]
-        )
-        assert code == 2
-        assert "UNDETERMINED" in capsys.readouterr().out
-
 
 # every lemma, in the order these pins were made with: an aggregate lists
 # its cells in the manifest's order
@@ -371,14 +354,15 @@ PINNED_RUNS = {
     "quintic": ({"towers": ["quintic"], "lemmas": ALL_LEMMAS, "samples": 40}, 0,
                 "5942c9cb38cb707ee158704bc3afcaad864725f756fd76813aaf10cf780bdcf9"),
     # ROADMAP item 25: odd p over a ramified base, the largest break and a
-    # rank-8 2-power step; 5 cells run out of sampler retries (UNDETERMINED)
+    # rank-8 2-power step; 5 cells run out of sampler retries (UNDETERMINED),
+    # each with the failures and margins of the samples checked before
     "item25": ({"towers": ["q3z3_kummer", "q3z9_over_z3", "q2z8_over_i", "q2z16_over_z8"],
                 "lemmas": ALL_LEMMAS, "samples": 200}, 2,
-               "faca4c8e7147c0f56d05151cd0b9971c0103e54e57a8d994b36b152df3b27e2b"),
+               "2a5ee94fbe73b619c3bab7360bd9027ad6a8d606d2cecd5fd1c66d5d3a63978d"),
     # the p = 5 Kummer step, rank 20, break s = 5 (item 27): the sampler
     # runs out of retries on the four Witt lemmas (UNDETERMINED)
     "kummer5": ({"towers": ["q5z5_kummer"], "lemmas": ALL_LEMMAS, "samples": 40}, 2,
-                "76e2cc3bfa4e7c1393380d96fc6d9fe72b4c9d264574a4370128cb8e0ef30830"),
+                "fb05e06d3f2ae433fe5ae2eaca74cc057f3b5bb0f8229513c5eeac1922c8d058"),
     # the p = 7 Kummer step, rank 42: h1_order_level1 7^6 = 117649, the
     # closed form at s = 7, and stable_witt_length 3, the least M with
     # 7^(M-1) > s
@@ -397,6 +381,16 @@ PINNED_RUNS = {
         "0a6f9c66b0b4b1a7634f30f6a25fc0151ac97c3b22c833eb34763e9beaffdca2",
     ),
 }
+
+
+def suite_cells(aggregate: bytes) -> list[str]:
+    """One line per cell of a suite aggregate, (status, failures, least
+    margin), so that a deliberate re-pin reads what moved from one run."""
+    return [
+        f"{c['tower']} {c['lemma']}: "
+        f"{(c['status'], c['failures'], min(c['margins'].values(), default=None))}"
+        for c in json.loads(aggregate)["cells"]
+    ]
 
 
 class TestSuite:
@@ -576,7 +570,9 @@ class TestSuite:
             report = json.loads(written)
             del report["runtime_ms"]
             written = json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(written).hexdigest() == pinned
+        digest = hashlib.sha256(written).hexdigest()
+        cells = suite_cells(written) if argv[0] == "suite" and digest != pinned else []
+        assert digest == pinned, "\n".join([f"{name} now writes sha256 {digest}", *cells])
 
     @pytest.mark.parametrize("entry", [5, 0, [1], None, True])
     def test_non_object_tower_entry_is_usage_error(
@@ -831,8 +827,9 @@ def test_sigma_of_wrong_order_is_refused(tower, root, message, monkeypatch, caps
 
 class TestExitPath:
     """``main`` maps every command's outcome the same way: an exception
-    that escapes a command is a crash (70), and NotStabilized is 2, each
-    on one line; never the FAIL code 1."""
+    that escapes a command is a crash (70), and NotStabilized, which only
+    ``tower-info`` and ``oracle`` raise (a verifier reports it as
+    UNDETERMINED), is 2, each on one line; never the FAIL code 1."""
 
     @pytest.mark.parametrize(
         "argv, module, name",
@@ -891,6 +888,127 @@ class TestExitPath:
         assert cli.main(["tower-info", "--tower", "cubic", "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
         assert (info["e_K"], info["N"], info["ramification_break"]) == (3, 18, 6)
+
+
+def _one_retry(monkeypatch):
+    monkeypatch.setattr(cohomlab, "SAMPLER_RETRIES", 1)
+
+
+def _zero_spread(monkeypatch):
+    # every draw is zero at precision, so no sample can be checked: the
+    # field lemmas draw through the tower's compiled draw_spread
+    draws = localfield.ExtensionTower.draws.fget
+
+    def zero_spread(self):
+        draw_L, _, draw_K, draw_unit = draws(self)
+        return draw_L, lambda getrandbits, cap: self.L.zero_elem, draw_K, draw_unit
+
+    monkeypatch.setattr(localfield.ExtensionTower, "draws", property(zero_spread))
+
+
+def _below_exhausted(monkeypatch):
+    # main's stream one length below M = 2 runs out of retries, and its
+    # stream at M does not
+    draw = cohomlab.sample_trace_zero
+
+    def exhausted_at_length_one(tower, n, rng, **kwargs):
+        if n == 1:
+            raise cohomlab.SamplerExhausted(1, 32)
+        return draw(tower, n, rng, **kwargs)
+
+    monkeypatch.setattr(cohomlab, "sample_trace_zero", exhausted_at_length_one)
+
+
+def _not_stabilized(monkeypatch):
+    def moved(tower):
+        raise cohomlab.NotStabilized("elementary divisors moved: [2] vs [4]")
+
+    monkeypatch.setattr(cohomlab, "h1_order_level1", moved)
+
+
+def _unsolvable(depth, delta):
+    """Every solve of sigma(y) - y = x fails at ``depth`` with pivot loss
+    ``delta``: certified on q2_i (N = 24) when depth + delta <= 24."""
+
+    def patch(monkeypatch):
+        def raiser(self, c, digits):
+            raise localfield.NoSolutionAtPrecision(depth, delta)
+
+        monkeypatch.setattr(localfield.ExtensionTower, "solve_sigma_minus_one", raiser)
+
+    return patch
+
+
+# every route to UNDETERMINED, each lemma's: (lemma, tower, samples), what
+# forces the route (None: the tower alone), and the reason the report keeps
+UNDETERMINED_ROUTES = {
+    # cubic's trace equations fail often enough that one retry per level
+    # runs out on every Witt lemma
+    "carry_identity-exhausted": (("carry_identity", "cubic", "10"), _one_retry,
+                                 "sampler exhausted 1 retries at level 2"),
+    "residual_invariant-exhausted": (("residual_invariant", "cubic", "10"), _one_retry,
+                                     "sampler exhausted 1 retries at level 2"),
+    "step_bounds-exhausted": (("step_bounds", "cubic", "10"), _one_retry,
+                              "sampler exhausted 1 retries at level 2"),
+    "main-exhausted": (("main", "cubic", "10"), _one_retry,
+                       "sampler exhausted 1 retries at level 2"),
+    # the default retries run out after 165 of 200 samples, unforced
+    "step_bounds-exhausted-unforced": (("step_bounds", "q2z16_over_z8", "200"), None,
+                                       "sampler exhausted 32 retries at level 4"),
+    "main-below-exhausted": (("main", "q2_i", "4"), _below_exhausted,
+                             "sampler exhausted 32 retries at level 1"),
+    "vktr-short": (("vktr", "q2_i", "3"), _zero_spread, "checked 0 of 3 samples"),
+    "vksub-short": (("vksub", "q2_i", "3"), _zero_spread, "checked 0 of 3 samples"),
+    # at n = 3 every bound 7 v_L(x_1) >= 14 lies past val_cap_K - 1 = 10
+    "residual_invariant-past-cap": (("residual_invariant", "septic", "2"), None,
+                                    "no valuation bound fell below val_cap_K - 1 = 10"),
+    "main-not-stabilized": (("main", "q2_i", "4"), _not_stabilized,
+                            "elementary divisors moved: [2] vs [4]"),
+    "main-uncertified-class": (("main", "q2_i", "4"), _unsolvable(24, 1),
+                               "2026:main:0: class obstruction at depth 24 not certified at N=24"),
+}
+
+
+class TestUndetermined:
+    """A verifier decides UNDETERMINED in its report, which keeps the first
+    reason as ``observations["undetermined"]`` and what the samples checked
+    before it recorded; ``verify`` writes that report and exits 2."""
+
+    @pytest.mark.parametrize("route", list(UNDETERMINED_ROUTES))
+    def test_every_route_writes_its_reason(self, route, tmp_path, monkeypatch, capsys):
+        (lemma, tower, samples), force, reason = UNDETERMINED_ROUTES[route]
+        if force:
+            force(monkeypatch)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--lemma", lemma, "--tower", tower, "--samples", samples]
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_UNDETERMINED == 2
+        assert f"{lemma} on {tower}: UNDETERMINED" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["status"] == "UNDETERMINED"
+        assert report["observations"]["undetermined"] == reason
+
+    @pytest.mark.parametrize("lemma", cli.LEMMA_IDS)
+    def test_a_pass_keeps_no_reason(self, lemma, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--lemma", lemma, "--tower", "q2_i", "--samples", "3"]
+        assert cli.main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+        assert "undetermined" not in json.loads(out.read_text())["observations"]
+
+    @pytest.mark.parametrize("depth, delta, code", [(1, 0, 1), (24, 1, 2)])
+    def test_main_obstruction_fails_only_when_certified(
+        self, depth, delta, code, tmp_path, monkeypatch, capsys
+    ):
+        # every sample's class, and every contrast candidate's, is obstructed
+        _unsolvable(depth, delta)(monkeypatch)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--lemma", "main", "--tower", "q2_i", "--samples", "4"]
+        assert cli.main([*argv, "--out", str(out)]) == code, capsys.readouterr().err
+        report = json.loads(out.read_text())
+        classes = [f for f in report["failures"] if f.get("what") == "class"]
+        if code == 1:
+            assert {f["verdict"] for f in classes} == {"nontrivial"} and len(classes) == 4
+        else:
+            assert report["failures"] == []
 
 
 # tower descriptions of the wrong shape: each used to raise TypeError

@@ -1472,6 +1472,12 @@ WITT_LEMMA_ORACLES = {
 }
 
 
+def blank_report(tower):
+    """A report for ``_sampler_mix`` to leave undetermined, where a test
+    reads the stream and not the verdict."""
+    return cohomlab.VerificationReport("stream", tower.tower_hash, {})
+
+
 class TestWittLemmaOracles:
     @pytest.mark.parametrize("lemma", sorted(WITT_LEMMA_ORACLES))
     @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
@@ -1541,7 +1547,7 @@ class TestWittLemmaOracles:
         # failure payloads are compared as well
         tower = all_towers[name]
         n = PFOLD_RANGE[tower.p]
-        drawn = list(cohomlab._sampler_mix(tower, n, 6, 2, "residual"))
+        drawn = list(cohomlab._sampler_mix(tower, n, 6, 2, "residual", blank_report(tower)))
         rows = [list(row) for row in tower.galois_mats[1]]
         rows[0][1] = (rows[0][1] + 1) % tower.modulus
         maps = tower.galois_maps
@@ -1634,6 +1640,24 @@ class TestCapLemmaOracles:
         monkeypatch.setattr(cohomlab, "level1_class_trivial", lambda tower, x: trivial)
         got = check_cap_lemma(tower, "main", 1)
         assert failures_by_what(got) == {"no nontrivial level-one class found"}
+        # every class undetermined: no obstruction is certified, and neither
+        # is the contrast's absence
+        undetermined = cohomlab.ClassVerdict("undetermined", obstruction_depth=tower.N)
+        monkeypatch.setattr(cohomlab, "level1_class_trivial", lambda tower, x: undetermined)
+        got = check_cap_lemma(tower, "main", 0)
+        assert (got.status, got.failures) == ("UNDETERMINED", [])
+        assert got.observations["undetermined"].startswith("0:main:0: class obstruction")
+        # the samples' classes trivial and the contrast candidates' undetermined
+        basis = tower.trace_kernel_flat
+        monkeypatch.setattr(
+            cohomlab, "level1_class_trivial",
+            lambda tower, x: undetermined if x in basis else trivial,
+        )
+        got = check_cap_lemma(tower, "main", 1)
+        assert (got.status, got.failures) == ("UNDETERMINED", [])
+        assert got.observations["undetermined"] == (
+            f"no contrast: {len(basis)} basis classes undetermined"
+        )
 
 
 class TestCapRule:
@@ -1739,7 +1763,7 @@ class TestSampleStream:
         assert len(made) == len(seen)
 
     def test_labels_and_coboundaries(self, q2_i):
-        stream = cohomlab._sampler_mix(q2_i, 2, 4, 7, "x", coboundary_every=2)
+        stream = cohomlab._sampler_mix(q2_i, 2, 4, 7, "x", blank_report(q2_i), coboundary_every=2)
         got = [(s.seed, s.provenance) for s in stream]
         assert got == [
             ("7:x:0", "recursive-sampler"),
@@ -1757,7 +1781,7 @@ class TestSampleStream:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cohomlab, "sample_trace_zero", counted)
-        stream = cohomlab._sampler_mix(q2_i, 2, 5, 1, "x")
+        stream = cohomlab._sampler_mix(q2_i, 2, 5, 1, "x", blank_report(q2_i))
         assert drawn == []
         next(stream)
         assert drawn == [1]
@@ -1775,9 +1799,9 @@ class TestSampleStream:
         seen, streamed, drawn = [], [], []
         original = cohomlab._sampler_mix
 
-        def recorded(tower, n, samples, seed, label, coboundary_every=0):
+        def recorded(tower, n, samples, seed, label, report, coboundary_every=0):
             seen.append(label)
-            for sample in original(tower, n, samples, seed, label, coboundary_every):
+            for sample in original(tower, n, samples, seed, label, report, coboundary_every):
                 streamed.append(sample.seed)
                 yield sample
 
