@@ -33,11 +33,12 @@ tests with that sum built.
 straight-line solve of A*x = c, which the tests compare with the
 interpreted ``localfield.linsolve``.  ``compile_flat_val`` unrolls a
 ring's valuation in weight order, against the per-coordinate loop in
-``tests/oracles.py``, and
-``compile_tower_draws`` unrolls a tower's element draws from the
-rejection loop of ``localfield._uniform``, their reference, and
-``compile_kernel_redraw`` the sampler's draw of a trace-kernel
-component with its memo key, redrawn while the key is known to fail.
+``tests/oracles.py``, and ``compile_kernel_redraw`` the sampler's draw
+of a trace-kernel component with its memo key, redrawn while the key is
+known to fail.  ``compile_field_checks`` fuses one sample of each field
+lemma, its draws (the rejection loop of ``localfield._uniform``), its
+valuations and its maps, into one function per tower; the tests compare
+the reports with the lemmas' forms on ``OElem`` and plain ``randrange``.
 
 The package calls them through ``kernels``.
 """
@@ -45,7 +46,7 @@ The package calls them through ``kernels``.
 from functools import cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, gcd, prod
-from operator import itemgetter
+from operator import itemgetter, mul as _mul
 
 
 def monomial_key_mul(m1, m2):
@@ -252,23 +253,29 @@ def _positive(x, what: str = "modulus") -> int:
 
 def flat_mul_source(plan, rank: int, modulus: int, factors: str = "ab") -> str:
     """Straight-line source of ``mul(a, b)`` for a product plan, or with
-    ``factors`` "a" * p and cells of p indices of ``pth(a)`` = a^p.
-
-    Each group's cells (i, j, ...) are summed once, as terms a_i * b_j *
-    ...  A unit row (one coordinate equal to 1) adds that sum to its
-    coordinate directly; any other row scales it by the row's constants,
-    inlined as the representatives of least absolute value, after one
-    reduction modulo ``modulus`` in a product; a power's degree-p sums are
-    scaled unreduced (0.84 of the reduced power's time, median of timings
-    at ranks 2-8).  Every output coordinate is reduced once, at the end.
-    """
+    ``factors`` "a" * p and cells of p indices of ``pth(a)`` = a^p, from
+    ``_plan_terms``: a product's group sums are reduced, a power's are not
+    (0.84 of the reduced power's time, median of timings at ranks 2-8), and
+    every output coordinate is reduced once, at the end."""
     _positive(modulus)
     names = sorted(set(factors))
     lines = [f"def {'mul' if len(names) > 1 else 'pth'}({', '.join(names)}):"]
     coords = range(_checked_int(rank))
     lines += [f"    ({', '.join(f'{v}{i}' for i in coords)},) = {v}" for v in names]
-    terms = [[] for _ in range(rank)]
-    for g, (row, cells) in enumerate(plan):
+    body, terms = _plan_terms(plan, rank, modulus, factors, len(names) > 1)
+    lines += body
+    lines.append(f"    return {_tuple(_reduced_sum(t, modulus) for t in terms)}")
+    return "\n".join(lines) + "\n"
+
+
+def _plan_terms(plan, rank: int, modulus: int, factors, reduce: bool, g: str = "g"):
+    """The lines that name a plan's group sums and the terms of its ``rank``
+    output coordinates.  A group's cells (i, j, ...) are summed once, as
+    ``factors[0]``i * ``factors[1]``j * ...; a unit row adds the sum to its
+    coordinate, and any other nonzero row scales it, named ``g``<group> and
+    reduced when ``reduce``, by its constants of least absolute value."""
+    lines, terms = [], [[] for _ in range(rank)]
+    for j, (row, cells) in enumerate(plan):
         total = " + ".join(
             " * ".join(f"{v}{_checked_int(k)}" for v, k in zip(factors, cell)) for cell in cells
         )
@@ -276,12 +283,11 @@ def flat_mul_source(plan, rank: int, modulus: int, factors: str = "ab") -> str:
         consts = [(k, c) for k, c in consts if c]
         if len(consts) == 1 and consts[0][1] == 1:
             terms[consts[0][0]].append(total)
-            continue
-        lines.append(f"    g{g} = " + (f"({total}) % {modulus}" if len(names) > 1 else total))
-        for k, c in consts:
-            terms[k].append(f"g{g}" if c == 1 else f"{c} * g{g}")
-    lines.append(f"    return {_tuple(_reduced_sum(t, modulus) for t in terms)}")
-    return "\n".join(lines) + "\n"
+        elif consts:
+            lines.append(f"    {g}{j} = " + (f"({total}) % {modulus}" if reduce else total))
+            for k, c in consts:
+                terms[k].append(f"{g}{j}" if c == 1 else f"{c} * {g}{j}")
+    return lines, terms
 
 
 def _define(source: str, filename: str, names: str, **bound):
@@ -306,21 +312,28 @@ def compile_flat_val(p: int, digits: int, by_weight):
     """``val_raw(a)``, compiled once from straight-line source:
     v_p(c_r)*e + w(r) minimized over the coordinates of a rank-e ring modulo
     p^digits, None when all are 0 modulo p^digits; ``by_weight`` holds the
-    pairs (r, w(r)) in increasing weight.  g = gcd(p^digits, c_0, c_1, ...)
-    is p^v, v = min_r v_p(c_r), and ``scaled[g]`` is v*e.  The weights are
-    distinct and below e, so the minimum is v*e + w(r) for the least-weight
-    r with c_r nonzero modulo p^(v+1), and some r has one, so the last is
-    not tested."""
-    modulus = _checked_int(p) ** _checked_int(digits)
+    pairs (r, w(r)) in increasing weight (``_val_lines``)."""
     names = [f"a{m}" for m in range(len(by_weight))]
-    lines = ["def val_raw(a):", f"    {_tuple(names)} = a", f"    g = gcd({modulus}, {', '.join(names)})"]
-    lines += [f"    if g == {modulus}:", "        return None", f"    q = g * {p}"]
-    for r, w in by_weight[:-1]:
-        lines += [f"    if a{_checked_int(r)} % q:", f"        return scaled[g] + {_checked_int(w)}"]
-    lines.append(f"    return scaled[g] + {_checked_int(by_weight[-1][1])}")
-    scaled = {p**v: v * len(by_weight) for v in range(digits)}
+    lines = ["def val_raw(a):", f"    {_tuple(names)} = a"]
+    lines += [*_val_lines("v", names, p, digits, by_weight, "return None"), "    return v"]
     source = "\n".join(lines) + "\n"
+    scaled = {p**k: k * len(by_weight) for k in range(digits)}
     return _define(source, f"<flat_val rank {len(by_weight)}>", "val_raw", gcd=gcd, scaled=scaled)
+
+
+def _val_lines(v: str, names, p: int, digits: int, by_weight, zero: str, scaled: str = "scaled"):
+    """Lines that set ``v`` to the valuation of the coordinates ``names``,
+    which may be unreduced, or run ``zero`` when all are 0 modulo p^digits.
+    g = gcd(p^digits, c_0, c_1, ...) is p^k, k = min_r v_p(c_r), ``scaled``
+    names the dict p^k -> k*e, and the weights are distinct and below e:
+    the valuation is k*e + w(r) for the least-weight r (``by_weight``) with
+    c_r nonzero modulo p^(k+1), and some r has one, so the last is untested."""
+    modulus = _checked_int(p) ** _checked_int(digits)
+    lines = [f"    g = gcd({modulus}, {', '.join(names)})"] + [f"    q = g * {p}"][: len(by_weight) - 1]
+    lines += [f"    if g == {modulus}:", f"        {zero}"]
+    for r, w in by_weight[:-1]:
+        lines += [f"    elif {names[_checked_int(r)]} % q:", f"        {v} = {scaled}[g] + {_checked_int(w)}"]
+    return lines + ["    else:", f"        {v} = {scaled}[g] + {_checked_int(by_weight[-1][1])}"]
 
 
 def uniform_lines(names, modulus) -> list:
@@ -333,29 +346,6 @@ def uniform_lines(names, modulus) -> list:
         draw = f"{x} = getrandbits({bits})"
         lines += [f"    {draw}", f"    while {x} >= {modulus}:", f"        {draw}"]
     return lines
-
-
-def compile_tower_draws(p: int, rank_L: int, rank_K: int, modulus: int, mul, pi_power):
-    """A tower's element draws, functions of ``getrandbits`` that draw each
-    coordinate below ``modulus`` in turn (``uniform_lines``), compiled once:
-    ``draw_L``, an O_L element; ``draw_spread(getrandbits, cap)``, the same
-    times ``pi_power(s)`` (by ``mul``) for a shift s below max(1, cap // 3);
-    ``draw_K``, an O_K element followed by O_L's zero tail; and ``draw_unit``,
-    ``draw_L`` until coordinate 0, of weight 0, is a unit (valuation 0)."""
-    names = [f"a{m}" for m in range(_checked_int(rank_L))]
-    coords, elem = uniform_lines(names, _checked_int(modulus)), _tuple(names)
-    lines = ["def draw_L(getrandbits):", *coords, f"    return {elem}"]
-    lines += ["def draw_spread(getrandbits, cap):", *coords, "    m = cap // 3", "    if m < 1:"]
-    lines += ["        m = 1", *uniform_lines(["s"], "m"), "    if s:"]
-    lines += [f"        return mul({elem}, pi_power(s))", f"    return {elem}"]
-    lines += ["def draw_K(getrandbits):", *uniform_lines(names[:rank_K], modulus)]
-    lines.append(f"    return {_tuple(names[:rank_K] + ['0'] * (rank_L - rank_K))}")
-    lines += ["def draw_unit(getrandbits):", "    while True:", "        a = draw_L(getrandbits)"]
-    lines += [f"        if a[0] % {_checked_int(p)}:", "            return a"]
-    return _define(
-        "\n".join(lines) + "\n", f"<tower_draws rank {rank_L}>",
-        "draw_L draw_spread draw_K draw_unit", mul=mul, pi_power=pi_power,
-    )
 
 
 def compile_kernel_redraw(matrix, modulus: int, residue_modulus: int):
@@ -385,26 +375,117 @@ def multinomial(counts) -> int:
     return factorial(sum(counts)) // prod(factorial(k) for k in counts)
 
 
+def pth_plan(struct_rows, modulus: int, p: int):
+    """The multinomial expansion of x -> x^p modulo ``modulus`` as a plan
+    (``flat_mul_source``): monomial a_k1 * ... * a_kp, a cell of p indices,
+    has the row of the basis elements k1..kp multiplied (``flat_mul``),
+    times its coefficient.  None where its C(r+p-1, p) monomials are not
+    fewer than 5/4 of a product's r^2 cells, where the expansion's timing
+    and that of p-1 chained products cross."""
+    r = len(struct_rows)
+    if 4 * comb(r + p - 1, p) >= 5 * r * r:
+        return None
+    unit, groups = _unit(r), {}
+    for mono in combinations_with_replacement(range(r), p):
+        e = unit[mono[0]]
+        for k in mono[1:]:
+            e = flat_mul(e, unit[k], struct_rows, modulus)
+        c = multinomial([mono.count(k) for k in set(mono)])
+        groups.setdefault(tuple(c * x % modulus for x in e), []).append(mono)
+    return list(groups.items())
+
+
 def compile_flat_pow(struct_rows, modulus: int, p: int, mul):
     """x -> x^p modulo ``modulus``, compiled once, returning what p-1 chained
     calls of ``mul`` (the product compiled from these rows) return: the
-    multinomial expansion when its C(r+p-1, p) monomials are fewer than
-    5/4 of a product's r^2 cells (where the two forms' timings cross),
-    else the chain.  Monomial a_k1 * ... * a_kp has the row of the basis
-    elements k1..kp multiplied (``flat_mul``), times its coefficient."""
-    r = len(struct_rows)
+    expansion where ``pth_plan`` gives one, else the chain."""
+    r, plan = len(struct_rows), pth_plan(struct_rows, modulus, p)
     source, form = f"def pth(a):\n    return {'mul(' * (p - 1)}a{', a)' * (p - 1)}\n", "chain"
-    if 4 * comb(r + p - 1, p) < 5 * r * r:
-        unit = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-        groups = {}
-        for mono in combinations_with_replacement(range(r), p):
-            e = unit[mono[0]]
-            for k in mono[1:]:
-                e = flat_mul(e, unit[k], struct_rows, modulus)
-            c = multinomial([mono.count(k) for k in set(mono)])
-            groups.setdefault(tuple(c * x % modulus for x in e), []).append(mono)
-        source, form = flat_mul_source(list(groups.items()), r, modulus, "a" * p), "expansion"
+    if plan is not None:
+        source, form = flat_mul_source(plan, r, modulus, "a" * p), "expansion"
     return _define(source, f"<flat_pow rank {r} {form}>", "pth", mul=mul)
+
+
+def compile_field_checks(L, K, trace, sigma, prec_modulus: int):
+    """A tower's field-lemma checks ``(vktr, vksub, fixed)``, compiled once
+    from its rings ``L`` and ``K`` (``localfield.FlatRing``), ``trace`` rows
+    and ``sigma``'s matrix; each draws with ``uniform_lines`` from the
+    sample's ``getrandbits``, and a zero at precision is 0 modulo
+    ``prec_modulus``.  ``vktr(getrandbits, pows, cap, cap_K, s)`` and
+    ``vksub(getrandbits, pows, cap, cap_K)`` draw an O_L element, then k
+    below len(pows), take a = the element * pows[k] (pi_L^k) and v_L(a),
+    and skip (None) a zero, a v_L(a) at or past ``cap`` and a bound past
+    ``cap_K``.  Else vktr returns (v_L(a), v_K(tr a), ceil((v_L(a) +
+    s(p-1))/p)) and vksub (v_L(a), v_K(tr(a^p) - tr(a)^p), e_K + v_L(a)),
+    v_K as ``val_raw`` gives it, with tr(a^p) - tr(a)^p one polynomial in
+    the coordinates of a and of the reduced trace (``_power_terms``).
+    ``fixed(getrandbits, n)`` draws n O_K elements and returns 1 when sigma
+    moves one.  Else it draws an index below n and O_L elements until
+    coordinate 0 is a unit u, and returns 2 when the vector with pi_L * u
+    added to the indexed component reads fixed, else 0: the others are
+    fixed and sigma - 1 is linear, so that is one gcd of (sigma - 1) * pi_L
+    on u, and the index is drawn only to keep the stream."""
+    p, modulus, rank, e = L.p, L.modulus, L.flat_rank, K.flat_rank
+    P = _positive(prec_modulus)
+    a, u = [f"a{m}" for m in range(rank)], [f"u{m}" for m in range(rank)]
+    c, d = [f"c{m}" for m in range(e)], [f"d{m}" for m in range(e)]
+    draw = [*uniform_lines(a, modulus), "    m = len(pows)", *uniform_lines(["k"], "m")]
+    draw += [f"    {_tuple(a)} = mul({_tuple(a)}, pows[k])"]
+    draw += _val_lines("va", a, p, L.digits, L.by_weight, "return None", "sL")
+    draw += ["    if va >= cap:", "        return None"]
+    val_K = _val_lines("vk", d, p, K.digits, K.by_weight, "vk = None", "sK")
+    traces = [_sum(_linear_terms(row, a, modulus)) for row in trace]
+    lines = ["def vktr(getrandbits, pows, cap, cap_K, s):", *draw]
+    lines += [f"    bound = -(-(va + s * {p - 1}) // {p})", "    if bound > cap_K - 2:"]
+    lines += ["        return None", *(f"    d{i} = {t}" for i, t in enumerate(traces)), *val_K]
+    lines += ["    return va, vk, bound", "def vksub(getrandbits, pows, cap, cap_K):", *draw]
+    lines += [f"    expected = {e} + va", "    if expected >= cap_K - 1:", "        return None"]
+    lines += [f"    t{i} = ({t}) % {modulus}" for i, t in enumerate(traces)]
+    (up, ups), (down, downs) = _power_terms(L, "a", trace, "g"), _power_terms(K, "t", _unit(e), "h")
+    lines += up + down + [f"    d{i} = {_sum(x)} - ({_sum(y)})" for i, (x, y) in enumerate(zip(ups, downs))]
+    lines += [*val_K, "    return va, vk, expected"]
+    minus_one = [[x - (r == m) for m, x in enumerate(row)] for r, row in enumerate(sigma)]
+    times_pi = [L.mul(L.pi_elem, b) for b in _unit(rank)]  # pi_L times each basis element
+    moved = [_sum(_linear_terms(row[:e], c, modulus)) for row in minus_one]
+    perturbed = [[sum(map(_mul, row, col)) for col in times_pi] for row in minus_one]
+    perturbed = [_sum(_linear_terms(row, u, modulus)) for row in perturbed]
+    lines += ["def fixed(getrandbits, n):", "    moved = i = 0", "    while i < n:"]
+    lines += ["    " + x for x in uniform_lines(c, modulus)]
+    lines += [f"        if gcd({P}, {', '.join(moved)}) != {P}:", "            moved = 1", "        i += 1"]
+    lines += ["    if moved:", "        return 1", *uniform_lines(["i"], "n"), "    while True:"]
+    lines += ["    " + x for x in uniform_lines(u, modulus)]
+    lines += [f"        if u0 % {p}:", "            break", f"    if gcd({P}, {', '.join(perturbed)}) == {P}:"]
+    lines += ["        return 2", "    return 0"]
+    bound = dict(gcd=gcd, len=len, mul=L.mul, gpth=L.pth_power, hpth=K.pth_power)
+    bound.update(sL={p**k: k * rank for k in range(L.digits)}, sK={p**k: k * e for k in range(K.digits)})
+    source = "\n".join(lines) + "\n"
+    return _define(source, f"<field_checks rank {rank}>", "vktr vksub fixed", **bound)
+
+
+def _power_terms(ring, v: str, rows, g: str):
+    """The lines and the terms of each row of ``rows`` times x^p, x the
+    ``ring`` element named v0, v1, ...: ``pth_plan``'s groups, their rows
+    mapped through ``rows`` and their sums unreduced, or where it has none
+    the rows on x^p from the ring's ``pth_power``, bound as ``g``pth."""
+    r, modulus = ring.flat_rank, ring.modulus
+    plan, lines, factors = pth_plan(ring.struct, modulus, ring.p), [], v * ring.p
+    if plan is None:
+        x = [f"{g}x{k}" for k in range(r)]
+        lines.append(f"    {_tuple(x)} = {g}pth({_tuple(f'{v}{k}' for k in range(r))})")
+        plan, factors = [(row, [(k,)]) for k, row in enumerate(_unit(r))], [f"{g}x"]
+    plan = [(tuple(sum(map(_mul, row, col)) for row in rows), cells) for col, cells in plan]
+    body, terms = _plan_terms(plan, len(rows), modulus, factors, False, g)
+    return lines + body, terms
+
+
+def _unit(r: int) -> list:
+    """The rows of the rank-r identity."""
+    return [tuple(int(i == k) for i in range(r)) for k in range(r)]
+
+
+def _sum(terms) -> str:
+    """The unreduced sum of ``terms``, or 0 for none."""
+    return " + ".join(terms) or "0"
 
 
 def _tuple(names) -> str:

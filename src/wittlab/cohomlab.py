@@ -35,7 +35,6 @@ from .localfield import (
     ExtensionTower,
     NoSolutionAtPrecision,
     PrecisionTooLow,
-    _uniform,
     at_cap,
     check_printable,
     linsolve,
@@ -546,11 +545,13 @@ def _sampler_mix(
     lemma: str,
     report: VerificationReport,
     coboundary_every: int = 0,
+    checks: bool = True,
 ) -> Iterator[KernelSample]:
     """The Witt lemmas' sample stream: sample k is drawn lazily from
     ``_sample_rngs``, a coboundary every coboundary_every-th.  A sampler
     that runs out of retries ends the stream and leaves ``report``
-    undetermined; the samples already yielded keep what they recorded."""
+    undetermined, and the samples already yielded keep what they recorded;
+    if they are ``checks``, their count is ``report.params["checked"]``."""
     for k, (label, rng) in enumerate(_sample_rngs(seed, lemma, samples)):
         if coboundary_every and k % coboundary_every == coboundary_every - 1:
             yield coboundary_sample(tower, n, rng, label)
@@ -558,25 +559,11 @@ def _sampler_mix(
         try:
             sample = sample_trace_zero(tower, n, rng, seed_label=label)
         except SamplerExhausted as exc:
+            if checks:
+                report.params["checked"] = k
             report.undetermined(str(exc))
             return
         yield sample
-
-
-def _field_draws(
-    tower: ExtensionTower, samples: int, seed: int, lemma: str
-) -> Iterator[tuple]:
-    """The field lemmas' draw stream: attempt k < 20*samples draws ``a``
-    from ``_sample_rngs``, times a random power of pi_L
-    (the tower's compiled ``draw_spread``), and yields
-    (label, a, v_L(a)), a a flat coordinate tuple and v_L(a) an int,
-    unless the cap does not decide v_L(a) (``at_cap``)."""
-    draw, val, cap = tower.draws[1], tower.L.val_raw, tower.val_cap
-    for label, rng in _sample_rngs(seed, lemma, 20 * samples):
-        a = draw(rng.getrandbits, cap)
-        va = at_cap(val(a), cap)
-        if va is not None:
-            yield label, a, va
 
 
 def _base_report(
@@ -656,18 +643,19 @@ def _record_checked(report: VerificationReport, checked: int, samples: int) -> N
 def verify_vktr(
     tower: ExtensionTower, samples: int = 1000, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """Trace valuation lower bound on the top ring, on flat coordinates,
-    each bound checked at ``val_cap_K`` by ``_at_least``."""
+    """Trace valuation lower bound on the top ring: attempt k < 20*samples
+    calls the tower's ``field_checks`` on sample k of ``_sample_rngs``, each
+    bound checked at ``val_cap_K`` by ``_at_least``."""
     witt_length("vktr", tower, n)
-    p, s, cap_K = tower.p, tower.s, tower.val_cap_K
-    trace, val_K = tower.trace_map, tower.K.val_raw
+    check, s, cap, cap_K = tower.field_checks[0], tower.s, tower.val_cap, tower.val_cap_K
+    pows = tower.pi_L_powers(max(1, cap // 3))
     report = _base_report(tower, "vktr", {"samples": samples, "seed": seed})
     checked = 0
-    for label, a, va in _field_draws(tower, samples, seed, "vktr"):
-        bound = -(-(va + s * (p - 1)) // p)
-        if bound > cap_K - 2:
+    for label, rng in _sample_rngs(seed, "vktr", 20 * samples):
+        drawn = check(rng.getrandbits, pows, cap, cap_K, s)
+        if drawn is None:
             continue  # not decidable with margin; redraw
-        vk = val_K(trace(a))
+        va, vk, bound = drawn
         checked += 1
         if not _at_least(report.margins, "trace_valuation_slack", vk, cap_K, bound):
             report.record_failure(
@@ -682,24 +670,20 @@ def verify_vktr(
 def verify_vksub(
     tower: ExtensionTower, samples: int = 1000, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """Exact valuation of tr(a^p) - tr(a)^p, on flat coordinates.
-
-    v_K is an int, or None at or past the cap (``at_cap``).  The
-    difference is left unreduced: ``val_raw`` reads it through gcds with
-    divisors of the modulus, which reduction does not change."""
+    """Exact valuation of tr(a^p) - tr(a)^p, drawn and computed as vktr's
+    bound is; v_K is an int, or None at or past the cap (``at_cap``)."""
     witt_length("vksub", tower, n)
-    e_k, cap_K = tower.e_K, tower.val_cap_K
-    trace, val_K = tower.trace_map, tower.K.val_raw
-    pow_L, pow_K = tower.L.pth_power, tower.K.pth_power
-    sub = operator.sub
+    check, cap, cap_K = tower.field_checks[1], tower.val_cap, tower.val_cap_K
+    pows = tower.pi_L_powers(max(1, cap // 3))
     report = _base_report(tower, "vksub", {"samples": samples, "seed": seed})
     checked = 0
     worst = 0
-    for label, a, va in _field_draws(tower, samples, seed, "vksub"):
-        expected = e_k + va
-        if expected >= cap_K - 1:
+    for label, rng in _sample_rngs(seed, "vksub", 20 * samples):
+        drawn = check(rng.getrandbits, pows, cap, cap_K)
+        if drawn is None:
             continue
-        vk = at_cap(val_K(tuple(map(sub, trace(pow_L(a)), pow_K(trace(a))))), cap_K)
+        va, vk, expected = drawn
+        vk = at_cap(vk, cap_K)
         checked += 1
         if vk != expected:
             worst = max(worst, abs((cap_K if vk is None else vk) - expected))
@@ -928,7 +912,8 @@ def verify_main_theorem(
     # observed (not asserted) behavior one length below the stable one
     if M >= 2:
         observed = None
-        for sample in _sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below", report):
+        below = min(samples, 50)
+        for sample in _sampler_mix(tower, M - 1, below, seed, "main-below", report, checks=False):
             v = at_cap(L.val_raw(sample.vec.components[0]), cap)
             value = cap if v is None else v
             observed = value if observed is None else min(observed, value)
@@ -936,34 +921,27 @@ def verify_main_theorem(
     return report
 
 
+# the failure each outcome of a tower's compiled fixed-points check records
+FIXED_FAILURES = (None, "fixed vector moved", "moved vector looks fixed")
+
+
 def verify_fixed_points(
     tower: ExtensionTower, samples: int = 200, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """Galois-fixed vectors are exactly those with fixed-ring components,
-    on flat coordinate tuples: a vector of O_K components is fixed, and
-    one with a component moved off O_K is not."""
+    """Galois-fixed vectors are exactly those with fixed-ring components: a
+    vector of O_K components is fixed, and one with a component moved off
+    O_K is not, each sample one call of the tower's ``field_checks``."""
     n = witt_length("fixed_points", tower, n)
-    L = tower.L
-    add, mul, pi, fixed = L.add, L.mul, L.pi_elem, tower._fixed_raw
-    _, _, draw_K, draw_unit = tower.draws  # O_K elements come embedded in O_L
+    check = tower.field_checks[2]
     report = _base_report(
         tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}
     )
     fixed_seen = 0
     for label, rng in _sample_rngs(seed, "fixed", samples):
-        bits = rng.getrandbits
-        kcomps = [draw_K(bits) for _ in range(n)]
-        if not all(map(fixed, kcomps)):
-            report.record_failure({"seed": label, "what": "fixed vector moved"})
-            continue
-        fixed_seen += 1
-
-        # perturb one component off the fixed ring; must not be fixed.  The
-        # others were just found fixed, so the vector is fixed exactly when
-        # the perturbed component is.
-        (idx,) = _uniform(rng, n, 1)
-        if fixed(add(kcomps[idx], mul(pi, draw_unit(bits)))):
-            report.record_failure({"seed": label, "what": "moved vector looks fixed"})
+        outcome = check(rng.getrandbits, n)
+        fixed_seen += outcome != 1
+        if outcome:
+            report.record_failure({"seed": label, "what": FIXED_FAILURES[outcome]})
     report.observations["fixed_vectors_checked"] = fixed_seen
     return report
 

@@ -7,6 +7,7 @@ kernel generates and which reference the tests compare it with.
 """
 
 from ._kernels_py import (
+    compile_field_checks,
     compile_flat_linear,
     compile_flat_pow,
     compile_flat_ring,
@@ -15,7 +16,6 @@ from ._kernels_py import (
     compile_ghost_zero,
     compile_kernel_redraw,
     compile_smith_solve,
-    compile_tower_draws,
     flat_mul,
     monomial_key_mul,
     sparse_add,

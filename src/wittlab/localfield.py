@@ -156,6 +156,7 @@ class FlatRing:
     and ``struct[r][m]`` holds the coordinates of the product of basis
     elements r and m; ``mul`` is the product compiled from them, and
     ``pth_power`` is x -> x^p, compiled from them on first use.
+    ``by_weight`` lists the pairs (r, weights[r]) in increasing weight.
     ``val_raw(a)`` is the valuation in this ring's units, None when every
     coordinate is 0 modulo p^digits: one gcd, then the coordinates in
     increasing weight, compiled (``kernels.compile_flat_val``) on its first
@@ -185,7 +186,7 @@ class FlatRing:
         self.block = block  # coordinates per coefficient of the level below
         self.weights = weights
         self.struct = struct
-        self._by_weight = tuple(sorted(enumerate(weights), key=lambda rw: rw[1]))
+        self.by_weight = tuple(sorted(enumerate(weights), key=lambda rw: rw[1]))
         self.mul = kernels.compile_flat_ring(struct, p, digits)
         self.val_raw = self._compile_val
         self.ecoeffs = ecoeffs
@@ -203,7 +204,7 @@ class FlatRing:
 
     def _compile_val(self, a):
         """``val_raw`` until its first call, which compiles it."""
-        self.val_raw = kernels.compile_flat_val(self.p, self.digits, self._by_weight)
+        self.val_raw = kernels.compile_flat_val(self.p, self.digits, self.by_weight)
         return self.val_raw(a)
 
     def flat_lift(self, extra_digits: int) -> "FlatRing":
@@ -610,7 +611,7 @@ class ExtensionTower:
         self._find_sigma()
         self._build_matrices()
         self._pi_L_pows = [self.L.one_elem]
-        self._draws = None  # the element draws, compiled on first use (``draws``)
+        self._field_checks = None  # compiled on first use (``field_checks``)
 
         self.description = description
         blob = json.dumps(description, sort_keys=True, separators=(",", ":"))
@@ -892,27 +893,26 @@ class ExtensionTower:
     # -- sampling -----------------------------------------------------------
 
     @property
-    def draws(self) -> tuple:
-        """``(draw_L, draw_spread, draw_K, draw_unit)``, functions of
-        ``rng.getrandbits`` compiled on first use (``kernels.compile_tower_draws``):
-        each coordinate and shift replays one ``rng.randrange``, values and state."""
-        if self._draws is None:
-            L = self.L
-            self._draws = kernels.compile_tower_draws(
-                self.p, L.flat_rank, self.K.flat_rank, self.modulus, L.mul, self._pi_L_power
+    def field_checks(self) -> tuple:
+        """``(vktr, vksub, fixed)``, the field lemmas' per-sample checks,
+        compiled on first use (``kernels.compile_field_checks``) from the
+        rings, ``trace_rows(N_int)`` and sigma's matrix ``galois_mats[1]``."""
+        if self._field_checks is None:
+            self._field_checks = kernels.compile_field_checks(
+                self.L, self.K, self.trace_rows(self.N_int), self.galois_mats[1], self.prec_modulus
             )
-        return self._draws
+        return self._field_checks
 
     def random_L_raw(self, rng) -> tuple:
-        """Uniform O_L coordinates modulo p^N_int (``draws``)."""
-        return self.draws[0](rng.getrandbits)
+        """Uniform O_L coordinates modulo p^N_int (``_uniform``)."""
+        return tuple(_uniform(rng, self.modulus, self.L.flat_rank))
 
-    def _pi_L_power(self, k: int):
-        """pi_L^k, from a per-tower table grown by one multiply per power."""
+    def pi_L_powers(self, count: int) -> tuple:
+        """pi_L^k for k < count, from a per-tower table grown on demand."""
         pows = self._pi_L_pows
-        while len(pows) <= k:
+        while len(pows) < count:
             pows.append(self.L.mul(pows[-1], self.L.pi_elem))
-        return pows[k]
+        return tuple(pows[:count])
 
     def random_L_elem(self, rng) -> OElem:
         """``random_L_raw`` as an O_L element."""

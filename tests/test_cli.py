@@ -896,14 +896,12 @@ def _one_retry(monkeypatch):
 
 def _zero_spread(monkeypatch):
     # every draw is zero at precision, so no sample can be checked: the
-    # field lemmas draw through the tower's compiled draw_spread
-    draws = localfield.ExtensionTower.draws.fget
+    # field lemmas' compiled checks shift each draw by a power of pi_L
+    # from the table they are given, here all zero
+    def zero_powers(self, count):
+        return (self.L.zero_elem,) * count
 
-    def zero_spread(self):
-        draw_L, _, draw_K, draw_unit = draws(self)
-        return draw_L, lambda getrandbits, cap: self.L.zero_elem, draw_K, draw_unit
-
-    monkeypatch.setattr(localfield.ExtensionTower, "draws", property(zero_spread))
+    monkeypatch.setattr(localfield.ExtensionTower, "pi_L_powers", zero_powers)
 
 
 def _below_exhausted(monkeypatch):
@@ -992,7 +990,37 @@ class TestUndetermined:
         out = tmp_path / "report.json"
         argv = ["verify", "--lemma", lemma, "--tower", "q2_i", "--samples", "3"]
         assert cli.main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
-        assert "undetermined" not in json.loads(out.read_text())["observations"]
+        report = json.loads(out.read_text())
+        assert "undetermined" not in report["observations"]
+        # only the field lemmas, which may skip draws, count their checks
+        assert ("checked" in report["params"]) == (lemma in ("vktr", "vksub"))
+
+    @pytest.mark.parametrize("lemma", ["carry_identity", "residual_invariant", "step_bounds", "main"])
+    def test_an_exhausted_witt_lemma_counts_its_samples(self, lemma, tmp_path, monkeypatch, capsys):
+        # the report of a stream that runs out holds the number of samples
+        # the stream yielded before, as params["checked"]
+        _one_retry(monkeypatch)
+        counts, stream = [], cohomlab._sampler_mix
+
+        def counted(*args, **kwargs):
+            counts.append(0)
+            for sample in stream(*args, **kwargs):
+                counts[-1] += 1
+                yield sample
+
+        monkeypatch.setattr(cohomlab, "_sampler_mix", counted)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--lemma", lemma, "--tower", "cubic", "--samples", "10"]
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_UNDETERMINED, capsys.readouterr()
+        assert json.loads(out.read_text())["params"]["checked"] == counts[0] < 10
+
+    def test_main_below_m_counts_no_check(self, tmp_path, monkeypatch, capsys):
+        # main's samples one length below M are an observation, not checks
+        _below_exhausted(monkeypatch)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--lemma", "main", "--tower", "q2_i", "--samples", "4"]
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_UNDETERMINED, capsys.readouterr()
+        assert "checked" not in json.loads(out.read_text())["params"]
 
     @pytest.mark.parametrize("depth, delta, code", [(1, 0, 1), (24, 1, 2)])
     def test_main_obstruction_fails_only_when_certified(

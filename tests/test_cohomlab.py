@@ -45,6 +45,7 @@ from oracles import (
     carry_identity_by_elements,
     kernel_elem_by_loop,
     eq_at_precision,
+    fixed_by_substitution,
     flat_witt_sum,
     int_elem,
     is_zero_at_precision,
@@ -283,9 +284,9 @@ def test_witt_lemmas_build_no_elements(towers, name, monkeypatch):
 @pytest.mark.parametrize("name", ["q2_i", "q3"])
 def test_field_lemmas_build_no_wrappers(towers, name, monkeypatch):
     """vktr, vksub and fixed_points draw coordinate tuples and read
-    valuations as ints.  Run a second time (the first compiles the p-th
-    powers and grows the table of powers of pi_L), they construct no
-    OElem."""
+    valuations as ints.  Run a second time (the first compiles the
+    tower's field checks and grows the table of powers of pi_L), they
+    construct no OElem."""
     tower = towers[name]
     lemmas = ("vktr", "vksub", "fixed_points")
     for lemma in lemmas:
@@ -1146,9 +1147,9 @@ class TestVerifiers:
         assert a == b
 
     def test_vksub_deviation_reads_a_zero_valuation_as_zero(self, q2_i, monkeypatch):
-        # a finite v_K of 0 is a deviation from 0, not from the cap
-        # the verifier reads v_K from the ring's val_raw, on flat coordinates
-        monkeypatch.setattr(q2_i.K, "val_raw", lambda a: 0)
+        # a finite v_K of 0 is a deviation from 0, not from the cap; the
+        # verifier reads the compiled check's v_K through ``at_cap``
+        monkeypatch.setattr(cohomlab, "at_cap", lambda v, cap: 0)
         report = cohomlab.verify_vksub(q2_i, samples=3, seed=1)
         assert report.status == "FAIL"
         assert [f["v_K(diff)"] for f in report.failures] == [0, 0, 0]
@@ -1294,14 +1295,19 @@ def oracle_fixed_points(tower, samples, seed):
 
 def field_paths(tower, lemma, samples, seed) -> set:
     """The branches vktr or vksub takes on its draw stream, decided with
-    the oracles' element arithmetic and valuations: "skip" (a bound or
-    expected value too close to the cap), "at_cap" (a checked v_K at or
+    the oracles' draws, element arithmetic and valuations: "skip" (a bound
+    or expected value too close to the cap), "at_cap" (a checked v_K at or
     past the cap) and "exhausted" (fewer than ``samples`` checks in
     20*samples attempts)."""
     p, cap_K = tower.p, tower.val_cap_K
     paths, checked = set(), 0
-    for _, a, va in cohomlab._field_draws(tower, samples, seed, lemma):
-        a = unflatten(tower.L, a)
+    for k in range(20 * samples):
+        rng = random.Random(f"{seed}:{lemma}:{k}")
+        a = randrange_L_elem(tower, rng, spread_valuation=True)
+        va = vL_by_coordinates(tower, a)
+        if not va.finite:
+            continue
+        va = va.value
         if lemma == "vktr":
             skip = -(-(va + tower.s * (p - 1)) // p) > cap_K - 2
             value = tower.trace(a)
@@ -1357,11 +1363,25 @@ FIELD_REPORT_SHA256 = {
 }
 
 
+def with_trace_rows(patch, tower, rows):
+    """``tower`` with the trace ``rows`` at N_int: its field checks are
+    compiled again from them, and so is ``trace_map``, which the oracles
+    read through ``trace``."""
+    real = tower.trace_rows
+    patch.setattr(tower, "trace_rows", lambda digits: rows if digits == tower.N_int else real(digits))
+    patch.setattr(tower, "trace_map", compile_flat_linear(rows, tower.modulus))
+    patch.setattr(tower, "_field_checks", None)
+
+
 class TestFieldLemmaOracles:
+    """The compiled checks against the oracles at p = 2, 3, 5 and 7, at
+    ranks 2 to 8, and on draws of two 32-bit words (7^17 on septic)."""
+
     @pytest.mark.parametrize("lemma", sorted(FIELD_ORACLES))
-    @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
-    def test_flat_verifier_matches_oracle(self, all_towers, name, lemma):
-        check_field_lemma(all_towers[name], lemma, range(5))
+    @pytest.mark.parametrize("name", AUDIT_TOWERS)
+    def test_flat_verifier_matches_oracle(self, eight_towers, ramified_base_towers, name, lemma):
+        tower = {**eight_towers, **ramified_base_towers}[name]
+        check_field_lemma(tower, lemma, range(5))
 
     @pytest.mark.parametrize("name, lemma, seed", sorted(FIELD_REPORT_SHA256))
     def test_reports_pinned_where_a_draw_spans_two_words(self, eight_towers, name, lemma, seed):
@@ -1371,15 +1391,11 @@ class TestFieldLemmaOracles:
 
     @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
     def test_failing_reports_match_oracle(self, q2_i, lemma, monkeypatch):
-        # a trace map that adds one to its first coordinate breaks both
-        # lemmas, so the failure payloads are compared as well
-        trace, modulus = q2_i.trace_map, q2_i.modulus
-
-        def off_by_one(a):
-            t = trace(a)
-            return ((t[0] + 1) % modulus,) + t[1:]
-
-        monkeypatch.setattr(q2_i, "trace_map", off_by_one)
+        # trace rows with one added to their first entry, so that a's
+        # coordinate 0 is added to the trace's, break both lemmas, so the
+        # failure payloads are compared as well
+        rows = q2_i.trace_rows(q2_i.N_int)
+        with_trace_rows(monkeypatch, q2_i, ((rows[0][0] + 1, *rows[0][1:]), *rows[1:]))
         got = cohomlab.VERIFIERS[lemma](q2_i, samples=25, seed=4)
         assert got.status == "FAIL"
         assert got.to_json(include_runtime=False) == FIELD_ORACLES[lemma][0](
@@ -1422,15 +1438,14 @@ class TestFieldLemmaOracles:
     @pytest.mark.parametrize("lemma", ["vktr", "vksub"])
     @pytest.mark.parametrize("name", ["q2_i", "q3"])
     def test_values_past_the_cap_match_oracle(self, towers, name, lemma, monkeypatch):
-        # a trace scaled by p^12 with val_cap_K 12: every checked v_K lies
+        # trace rows scaled by p^12 with val_cap_K 12: every checked v_K lies
         # at or past the cap but inside the working precision, so it reads
         # as None by the cap rule alone; vktr PASSes on the cap's margin and
         # vksub FAILs with None in every payload
         tower = towers[name]
-        trace, p, modulus = tower.trace_map, tower.p, tower.modulus
-        monkeypatch.setattr(
-            tower, "trace_map", lambda a: tuple(c * p**12 % modulus for c in trace(a))
-        )
+        p, modulus = tower.p, tower.modulus
+        rows = [[c * p**12 % modulus for c in row] for row in tower.trace_rows(tower.N_int)]
+        with_trace_rows(monkeypatch, tower, rows)
         monkeypatch.setattr(tower, "val_cap_K", 12)
         assert "at_cap" in field_paths(tower, lemma, 20, 3)
         got = cohomlab.VERIFIERS[lemma](tower, samples=20, seed=3)
@@ -1443,20 +1458,60 @@ class TestFieldLemmaOracles:
             assert got.status == "PASS"
 
     def test_sigma_off_by_one_in_fixed_points_fails(self, all_towers, monkeypatch):
-        # mutant: fixed_points applies a sigma with one entry off by one;
-        # the oracle runs on the true sigma
+        # mutant: fixed_points' check is compiled from a sigma with one
+        # entry off by one; the oracle runs on the true sigma
         with pytest.raises(AssertionError):
             for name in sorted(SIX_TOWERS):
                 tower = all_towers[name]
                 rows = [list(row) for row in tower.galois_mats[1]]
                 rows[0][0] = (rows[0][0] + 1) % tower.modulus
-                maps = tower.galois_maps
-                bad = (maps[0], compile_flat_linear(rows, tower.modulus)) + maps[2:]
+                mats = tower.galois_mats
                 with monkeypatch.context() as patch:
-                    patch.setattr(tower, "galois_maps", bad)
+                    patch.setattr(tower, "galois_mats", (mats[0], rows, *mats[2:]))
+                    patch.setattr(tower, "_field_checks", None)
                     got = cohomlab.verify_fixed_points(tower, samples=5, seed=0)
                 want = oracle_fixed_points(tower, 5, 0)
                 assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+
+    def test_identity_sigma_matches_oracle(self, q2_i, monkeypatch):
+        # sigma the identity, in the matrix the check is compiled from and in
+        # the map the oracle reads: every perturbed vector reads fixed, and
+        # each sample still counts as a fixed vector checked
+        identity = [[int(r == m) for m in range(2)] for r in range(2)]
+        monkeypatch.setattr(q2_i, "galois_mats", (q2_i.galois_mats[0], identity))
+        monkeypatch.setattr(q2_i, "galois_maps", (None, compile_flat_linear(identity, q2_i.modulus)))
+        monkeypatch.setattr(q2_i, "_field_checks", None)
+        got = cohomlab.verify_fixed_points(q2_i, samples=10, seed=0)
+        assert {f["what"] for f in got.failures} == {"moved vector looks fixed"}
+        assert got.observations["fixed_vectors_checked"] == 10
+        want = oracle_fixed_points(q2_i, 10, 0)
+        assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+
+    @pytest.mark.parametrize("name", AUDIT_TOWERS)
+    def test_fixed_perturbs_by_pi_L_times_the_unit(self, eight_towers, ramified_base_towers, name):
+        # scripted draws: n = 2 zero O_K elements, index 0 and the unit
+        # u = 1, which lies in O_K; pi_L * u does not, so the perturbed
+        # vector is not fixed, where sigma - 1 on u alone would read fixed
+        tower = {**eight_towers, **ramified_base_towers}[name]
+        unit = tower.L.one_elem
+        script = iter([0] * (2 * tower.K.flat_rank) + [0, *unit])
+        assert tower.field_checks[2](lambda bits: next(script), 2) == 0
+        assert not fixed_by_substitution(tower, tower.L.mul(tower.L.pi_elem, unit))
+        assert fixed_by_substitution(tower, unit)
+
+    @pytest.mark.parametrize(
+        "name, failures", [("q2_i", 100), ("q2_sqrt2", 100), ("q2_sqrt_minus2", 100), ("q3", 104)]
+    )
+    def test_vktr_with_the_break_one_too_large_fails(self, towers, name, failures, monkeypatch):
+        # ROADMAP item 12's break row: with s + 1 for s the bound is too
+        # strong for about half the draws.  The check is compiled first, with
+        # the true s, so it must read s at call time to fail
+        tower = towers[name]
+        assert tower.field_checks
+        monkeypatch.setattr(tower, "s", tower.s + 1)
+        report = cohomlab.verify_vktr(tower, samples=200, seed=0)
+        assert report.status == "FAIL"
+        assert len(report.failures) == failures
 
 
 # -- the Witt lemmas against their OElem forms -------------------------------
@@ -1710,8 +1765,9 @@ class TestCapRule:
 class TestSampleStream:
     """Every sampled draw comes from one stream, ``_sample_rngs``: sample k
     from a generator in the state of ``random.Random("seed:label:k")``.
-    The Witt lemmas read it through ``_sampler_mix``, vktr and vksub
-    through ``_field_draws``, and fixed_points directly."""
+    The Witt lemmas read it through ``_sampler_mix``; vktr, vksub and
+    fixed_points pass each sample's ``getrandbits`` to the tower's compiled
+    checks (``field_checks``)."""
 
     def test_each_sample_starts_from_its_label(self):
         # sample k draws k % 4 values, none at k = 0, 4, 8, a Gaussian among
@@ -1799,9 +1855,10 @@ class TestSampleStream:
         seen, streamed, drawn = [], [], []
         original = cohomlab._sampler_mix
 
-        def recorded(tower, n, samples, seed, label, report, coboundary_every=0):
+        def recorded(tower, n, samples, seed, label, report, coboundary_every=0, checks=True):
             seen.append(label)
-            for sample in original(tower, n, samples, seed, label, report, coboundary_every):
+            stream = original(tower, n, samples, seed, label, report, coboundary_every, checks)
+            for sample in stream:
                 streamed.append(sample.seed)
                 yield sample
 
@@ -1946,6 +2003,13 @@ def _always_fixed(self, a):
     return True
 
 
+def _checks_with_identity_sigma(L, K, trace, sigma, prec_modulus, compile_checks=kernels.compile_field_checks):
+    """The field checks compiled with sigma the identity, which fixes every
+    vector."""
+    identity = [[int(r == m) for m in range(len(sigma))] for r in range(len(sigma))]
+    return compile_checks(L, K, trace, identity, prec_modulus)
+
+
 # verdict branches no unpatched tower reaches, each forced through
 # ``cli.main``: (lemma, tower, patches as (object, name, value), exit code,
 # status, sign convention, the failures' "what", their keys)
@@ -1976,7 +2040,7 @@ VERDICT_BRANCHES = {
     "moved vector looks fixed": (
         "fixed_points",
         "q2_i",
-        [(localfield.ExtensionTower, "_fixed_raw", _always_fixed)],
+        [(kernels, "compile_field_checks", _checks_with_identity_sigma)],
         cli.EXIT_FAIL,
         "FAIL",
         None,

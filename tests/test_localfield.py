@@ -46,6 +46,7 @@ from oracles import (
     trace_rows_off_by_one,
     unflatten,
     val_by_coordinates,
+    vL_by_coordinates,
     vp_int_by_division,
     wrong_in_last,
     zero_by_coordinates,
@@ -338,10 +339,9 @@ class TestValuation:
     def test_valuation_laws(self, q2_sqrt2, q3):
         rng = random.Random(21)
         for tower in (q2_sqrt2, q3):
-            draw_spread = tower.draws[1]
             for _ in range(100):
-                a = unflatten(tower.L, draw_spread(rng.getrandbits, tower.val_cap))
-                b = unflatten(tower.L, draw_spread(rng.getrandbits, tower.val_cap))
+                a = randrange_L_elem(tower, rng, spread_valuation=True)
+                b = randrange_L_elem(tower, rng, spread_valuation=True)
                 va, vb, vab = tower.vL(a), tower.vL(b), tower.vL(a * b)
                 vsum = tower.vL(a + b)
                 if va is not None and vb is not None:
@@ -356,7 +356,7 @@ class TestValuation:
         rng = random.Random(33)
         for tower in towers.values():
             for _ in range(50):
-                c = unflatten(tower.K, tower.draws[2](rng.getrandbits)[: tower.K.flat_rank])
+                c = randrange_K_elem(tower, rng)
                 vk = tower.vK(c)
                 vl = tower.vL(tower.embed_K(c))
                 if vk is not None:
@@ -400,7 +400,7 @@ class TestTrace:
         rng = random.Random(6)
         for _ in range(50):
             a, b = q3.random_L_elem(rng), q3.random_L_elem(rng)
-            c = unflatten(q3.K, q3.draws[2](rng.getrandbits)[: q3.K.flat_rank])
+            c = randrange_K_elem(q3, rng)
             lhs = q3.trace(a + b)
             assert eq_at_precision(q3, lhs, q3.trace(a) + q3.trace(b))
             lhs2 = q3.trace(q3.embed_K(c) * a)
@@ -1466,28 +1466,53 @@ def test_draws_replay_randrange(all_towers, seed):
 
 
 def check_tower_draws_replay(tower, patch):
-    """The tower's compiled draws (``draws``, as the verifiers bind them),
-    the unit draw among them, and ``random_L_raw`` and ``random_L_elem``
-    draw as the per-coordinate randrange loops do, values and generator
-    state, with the shift range of the tower's own cap, of a cap of 150,
-    and of a cap below 6, where it is 1."""
-    draw_L, draw_spread, draw_K, draw_unit = tower.draws
-    for val_cap in (tower.val_cap, 150, 5):
+    """The tower's compiled field checks (``field_checks``) draw as the
+    per-coordinate randrange loops do, values and generator state: vktr
+    and vksub an O_L element times a power of pi_L, with the shift range
+    of the tower's own cap, of a cap of 150 and of a cap of 2, where it is
+    1 and v_L often reaches the cap, and the v_L of that product (vktr
+    also the v_K of its trace);
+    fixed three O_K elements, an index below 3 and a unit.  So do
+    ``random_L_raw`` and ``random_L_elem``."""
+    vktr, vksub, fixed = tower.field_checks
+
+    def run(check, rng, *args):
+        try:
+            return check(rng.getrandbits, *args)
+        except IndexError:  # a shift drawn past its range has no power
+            raise AssertionError("a shift past the table of pi_L powers") from None
+
+    for val_cap in (tower.val_cap, 150, 2):
+        pows = tower.pi_L_powers(max(1, val_cap // 3))
         patch.setattr(tower, "val_cap", val_cap)
         for seed in range(10):
+            want = random.Random(seed)
+            a = randrange_L_elem(tower, want, spread_valuation=True)
+            va = vL_by_coordinates(tower, a)
+            vk = val_by_coordinates(tower.K, tower.trace(a).data)
+            # a cap_K far past every valuation skips no bound
+            for check, args, expected in (
+                (vktr, (val_cap, 10**6, tower.s), (va.value, vk)),
+                (vksub, (val_cap, 10**6), (va.value,)),
+            ):
+                direct = random.Random(seed)
+                drawn = run(check, direct, pows, *args)
+                got = None if drawn is None else drawn[: len(expected)]
+                assert got == (expected if va.finite else None), (val_cap, seed)
+                assert direct.getstate() == want.getstate(), (val_cap, seed)
+        for seed in range(10):
             want, direct, methods = (random.Random(seed) for _ in range(3))
-            spread = randrange_L_elem(tower, want, spread_valuation=True).data
-            k = randrange_K_elem(tower, want).data
-            expected = (spread, k, randrange_L_elem(tower, want).data, randrange_L_unit(tower, want).data)
-            bits = direct.getrandbits
-            drawn = (draw_spread(bits, val_cap), draw_K(bits), draw_L(bits), draw_unit(bits))
-            assert drawn == (spread, tower.L.embed(k), *expected[2:]), (val_cap, seed)
-            assert direct.getstate() == want.getstate(), (val_cap, seed)
+            for _ in range(3):
+                randrange_K_elem(tower, want)
+            want.randrange(3)
+            randrange_L_unit(tower, want)
+            assert run(fixed, direct, 3) == 0, seed
+            assert direct.getstate() == want.getstate(), seed
             want = random.Random(seed)
             expected = tuple(randrange_L_elem(tower, want).data for _ in range(2))
             drawn = (tower.random_L_raw(methods), tower.random_L_elem(methods).data)
-            assert drawn == expected, (val_cap, seed)
-            assert methods.getstate() == want.getstate(), (val_cap, seed)
+            assert drawn == expected, seed
+            assert methods.getstate() == want.getstate(), seed
 
 
 def test_tower_draws_replay_randrange(eight_towers, monkeypatch):
@@ -1556,11 +1581,12 @@ def uniform_lines_bit_short(names, modulus):
 
 
 class CompiledDraws:
-    # the towers' draws generated again from ``lines`` and compiled on next use
+    # the towers' field checks generated again from ``lines`` and compiled
+    # on next use
     def __init__(self, towers, patch):
         patch.setattr(_kernels_py, "uniform_lines", self.lines)
         for tower in towers.values():
-            patch.setattr(tower, "_draws", None)
+            patch.setattr(tower, "_field_checks", None)
 
 
 class DrawAcceptsModulus(CompiledDraws):
@@ -1572,6 +1598,15 @@ class DrawAcceptsModulus(CompiledDraws):
 
 class DrawBitShort(CompiledDraws):
     lines = staticmethod(uniform_lines_bit_short)
+
+
+class FieldValIndexOrder:
+    # the field checks' v_L generated with the coordinates in index order:
+    # wrong on O_L over a ramified K, where index and weight orders differ
+    def __init__(self, towers, patch):
+        for tower in towers.values():
+            patch.setattr(tower.L, "by_weight", tuple(enumerate(tower.L.weights)))
+            patch.setattr(tower, "_field_checks", None)
 
 
 class ZeroOneDigitShort:
@@ -1587,6 +1622,7 @@ class ZeroOneDigitShort:
         BelowBitShort,
         UniformBitShort,
         ValIndexOrder,
+        FieldValIndexOrder,
         ZeroOneDigitShort,
         DrawAcceptsModulus,
         DrawBitShort,
