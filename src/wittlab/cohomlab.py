@@ -18,7 +18,8 @@ so everything reduces to:
 
 The verify_* entry points package sampled evidence (exact equalities
 and valuation inequalities, with margins and replayable seeds) into
-structured reports.
+structured reports; each takes its Witt length and its report from
+``_start``, and vktr and vksub read one attempt stream, ``_field_stream``.
 """
 
 from __future__ import annotations
@@ -566,25 +567,6 @@ def _sampler_mix(
         yield sample
 
 
-def _base_report(
-    tower: ExtensionTower, lemma: str, params: dict
-) -> VerificationReport:
-    # every verifier builds its report before it draws; with no sample a
-    # PASS would check nothing
-    if params["samples"] < 1:
-        raise ValueError(f"{lemma}: samples must be at least 1, got {params['samples']}")
-    return VerificationReport(
-        lemma=lemma,
-        tower_hash=tower.tower_hash,
-        params={**params, "N": tower.N},
-        precision={
-            "N": tower.N,
-            "N_internal": tower.N_int,
-            "val_cap": tower.val_cap,
-        },
-    )
-
-
 def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
     """The Witt length ``lemma`` runs at on this tower: ``n``, or the
     lemma's default when n is None; out of range, WittLengthOutOfRange
@@ -632,9 +614,41 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
     return n
 
 
-def _record_checked(report: VerificationReport, checked: int, samples: int) -> None:
-    """A sampled check that ran out of attempts before reaching the
-    requested sample count decides nothing: PASS becomes UNDETERMINED."""
+def _start(
+    tower: ExtensionTower, lemma: str, samples: int, seed: int, n: int | None
+) -> tuple[int | None, VerificationReport]:
+    """Every verifier's first step, before it draws: its Witt length
+    (``witt_length``), a refusal of samples < 1 (a PASS would check
+    nothing), and its report, with the length in params as ``M`` for main
+    and as ``n`` for every other lemma that takes one."""
+    n = witt_length(lemma, tower, n)
+    if samples < 1:
+        raise ValueError(f"{lemma}: samples must be at least 1, got {samples}")
+    params = {"samples": samples, "seed": seed, "N": tower.N}
+    if n is not None:
+        params["M" if lemma == "main" else "n"] = n
+    precision = {"N": tower.N, "N_internal": tower.N_int, "val_cap": tower.val_cap}
+    return n, VerificationReport(lemma, tower.tower_hash, params, precision=precision)
+
+
+def _field_stream(
+    tower: ExtensionTower, report: VerificationReport, check: Callable, *extra
+) -> Iterator[tuple]:
+    """vktr's and vksub's attempts: attempt k < 20*samples calls ``check`` on
+    sample k of ``_sample_rngs``, pi_L's powers, the caps and ``extra``, read
+    at call time, and yields (label, drawn) for each draw it decides (not
+    None).  After ``samples`` of them, or the last attempt, their count is
+    ``report.params["checked"]``; fewer leave the report UNDETERMINED."""
+    samples, cap, cap_K = report.params["samples"], tower.val_cap, tower.val_cap_K
+    pows = tower.pi_L_powers(max(1, cap // 3))
+    checked = 0
+    for label, rng in _sample_rngs(report.params["seed"], report.lemma, 20 * samples):
+        drawn = check(rng.getrandbits, pows, cap, cap_K, *extra)
+        if drawn is not None:
+            checked += 1
+            yield label, drawn
+            if checked == samples:
+                break
     report.params["checked"] = checked
     if checked < samples:
         report.undetermined(f"checked {checked} of {samples} samples")
@@ -643,27 +657,16 @@ def _record_checked(report: VerificationReport, checked: int, samples: int) -> N
 def verify_vktr(
     tower: ExtensionTower, samples: int = 1000, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """Trace valuation lower bound on the top ring: attempt k < 20*samples
-    calls the tower's ``field_checks`` on sample k of ``_sample_rngs``, each
-    bound checked at ``val_cap_K`` by ``_at_least``."""
-    witt_length("vktr", tower, n)
-    check, s, cap, cap_K = tower.field_checks[0], tower.s, tower.val_cap, tower.val_cap_K
-    pows = tower.pi_L_powers(max(1, cap // 3))
-    report = _base_report(tower, "vktr", {"samples": samples, "seed": seed})
-    checked = 0
-    for label, rng in _sample_rngs(seed, "vktr", 20 * samples):
-        drawn = check(rng.getrandbits, pows, cap, cap_K, s)
-        if drawn is None:
-            continue  # not decidable with margin; redraw
-        va, vk, bound = drawn
-        checked += 1
+    """Trace valuation lower bound on the top ring: each draw of
+    ``_field_stream`` through the tower's ``field_checks``, its bound
+    checked at ``val_cap_K`` by ``_at_least``."""
+    _, report = _start(tower, "vktr", samples, seed, n)
+    cap_K = tower.val_cap_K
+    for label, (va, vk, bound) in _field_stream(tower, report, tower.field_checks[0], tower.s):
         if not _at_least(report.margins, "trace_valuation_slack", vk, cap_K, bound):
             report.record_failure(
                 {"seed": label, "v_L(a)": va, "v_K(tr(a))": vk, "bound": bound}
             )
-        if checked == samples:
-            break
-    _record_checked(report, checked, samples)
     return report
 
 
@@ -672,28 +675,17 @@ def verify_vksub(
 ) -> VerificationReport:
     """Exact valuation of tr(a^p) - tr(a)^p, drawn and computed as vktr's
     bound is; v_K is an int, or None at or past the cap (``at_cap``)."""
-    witt_length("vksub", tower, n)
-    check, cap, cap_K = tower.field_checks[1], tower.val_cap, tower.val_cap_K
-    pows = tower.pi_L_powers(max(1, cap // 3))
-    report = _base_report(tower, "vksub", {"samples": samples, "seed": seed})
-    checked = 0
+    _, report = _start(tower, "vksub", samples, seed, n)
+    cap_K = tower.val_cap_K
     worst = 0
-    for label, rng in _sample_rngs(seed, "vksub", 20 * samples):
-        drawn = check(rng.getrandbits, pows, cap, cap_K)
-        if drawn is None:
-            continue
-        va, vk, expected = drawn
+    for label, (va, vk, expected) in _field_stream(tower, report, tower.field_checks[1]):
         vk = at_cap(vk, cap_K)
-        checked += 1
         if vk != expected:
             worst = max(worst, abs((cap_K if vk is None else vk) - expected))
             report.record_failure(
                 {"seed": label, "v_L(a)": va, "v_K(diff)": vk, "expected": expected}
             )
-        if checked == samples:
-            break
     report.margins["max_deviation"] = worst
-    _record_checked(report, checked, samples)
     return report
 
 
@@ -718,11 +710,8 @@ def verify_carry_identity(
     the residual, on flat coordinates (traces and conjugates once each).
     """
     p, L, K = tower.p, tower.L, tower.K
-    n = witt_length("carry_identity", tower, n)
+    n, report = _start(tower, "carry_identity", samples, seed, n)
     C = wittcore.alternating_binom_constant(p)
-    report = _base_report(
-        tower, "carry_identity", {"samples": samples, "seed": seed, "n": n}
-    )
     sign_ok = {"minus": True, "plus": True}
     for sample in _sampler_mix(tower, n, samples, seed, "carry", report):
         comps = sample.vec.components
@@ -773,10 +762,7 @@ def verify_residual_invariant(
     component); the level-2 residual is zero by definition."""
     p, K, L, e = tower.p, tower.K, tower.L, tower.K.flat_rank
     cap, cap_K = tower.val_cap, tower.val_cap_K
-    n = witt_length("residual_invariant", tower, n)
-    report = _base_report(
-        tower, "residual_invariant", {"samples": samples, "seed": seed, "n": n}
-    )
+    n, report = _start(tower, "residual_invariant", samples, seed, n)
     for sample in _sampler_mix(tower, n, samples, seed, "residual", report):
         label = sample.seed
         comps = sample.vec.components[: n - 2]
@@ -823,10 +809,7 @@ def verify_step_bounds(
 ) -> VerificationReport:
     """Valuation cascade on trace-zero samples (coboundaries mixed in)."""
     p, s, L, cap = tower.p, tower.s, tower.L, tower.val_cap
-    n = witt_length("step_bounds", tower, n)
-    report = _base_report(
-        tower, "step_bounds", {"samples": samples, "seed": seed, "n": n}
-    )
+    n, report = _start(tower, "step_bounds", samples, seed, n)
     for sample in _sampler_mix(tower, n, samples, seed, "steps", report, coboundary_every=4):
         comps = sample.vec.components
         for i in range(1, n):
@@ -851,8 +834,7 @@ def verify_main_theorem(
     """At the stable length, first components of trace-zero vectors have
     valuation >= s and trivial level-one class; plus the contrast check."""
     s, L, cap = tower.s, tower.L, tower.val_cap
-    M = witt_length("main", tower, n)
-    report = _base_report(tower, "main", {"samples": samples, "seed": seed, "M": M})
+    M, report = _start(tower, "main", samples, seed, n)
     for sample in _sampler_mix(tower, M, samples, seed, "main", report):
         label = sample.seed
         x1 = sample.vec.components[0]
@@ -909,15 +891,14 @@ def verify_main_theorem(
         else:
             report.observations["contrast"] = contrast
 
-    # observed (not asserted) behavior one length below the stable one
-    if M >= 2:
-        observed = None
-        below = min(samples, 50)
-        for sample in _sampler_mix(tower, M - 1, below, seed, "main-below", report, checks=False):
-            v = at_cap(L.val_raw(sample.vec.components[0]), cap)
-            value = cap if v is None else v
-            observed = value if observed is None else min(observed, value)
-        report.observations["min_v_L_x1_at_length_M_minus_1"] = observed
+    # observed (not asserted) behavior one length below the stable M >= 2
+    observed = None
+    below = min(samples, 50)
+    for sample in _sampler_mix(tower, M - 1, below, seed, "main-below", report, checks=False):
+        v = at_cap(L.val_raw(sample.vec.components[0]), cap)
+        value = cap if v is None else v
+        observed = value if observed is None else min(observed, value)
+    report.observations["min_v_L_x1_at_length_M_minus_1"] = observed
     return report
 
 
@@ -931,11 +912,8 @@ def verify_fixed_points(
     """Galois-fixed vectors are exactly those with fixed-ring components: a
     vector of O_K components is fixed, and one with a component moved off
     O_K is not, each sample one call of the tower's ``field_checks``."""
-    n = witt_length("fixed_points", tower, n)
+    n, report = _start(tower, "fixed_points", samples, seed, n)
     check = tower.field_checks[2]
-    report = _base_report(
-        tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}
-    )
     fixed_seen = 0
     for label, rng in _sample_rngs(seed, "fixed", samples):
         outcome = check(rng.getrandbits, n)

@@ -779,12 +779,9 @@ class ExtensionTower:
         return math.gcd(m, *coords) == m
 
     def _fixed_raw(self, a) -> bool:
-        """sigma(a) = a at precision: one gcd over sigma(a) - a, with the
-        sigma the tower holds in ``galois_maps[1]`` at call time; the gcd
-        of ``_zero_raw`` inlined, since the fixed-points lemma calls it
-        once per sample."""
-        m = self.prec_modulus
-        return math.gcd(m, *map(operator.sub, self.galois_maps[1](a), a)) == m
+        """sigma(a) = a at precision: ``_zero_raw`` of sigma(a) - a, with the
+        sigma the tower holds in ``galois_maps[1]`` at call time."""
+        return self._zero_raw(map(operator.sub, self.galois_maps[1](a), a))
 
     def project_to_K_raw(self, a):
         """The O_K coordinates of an O_L element that lies in O_K at
@@ -929,16 +926,17 @@ def build_tower(
     seed: int = 0,
 ) -> ExtensionTower:
     """Construct and validate a tower from little-endian lists of integer
-    coefficients that carry the leading 1 (``e_k_coeffs`` None or empty
-    when K = Q_p; ``tower_from_obj`` turns a JSON description's into
-    integers).  It strips the leading 1, refuses a top step whose degree
-    is not p and then a p that is not prime (so trial division stops at
-    the square root of the length of E_L), takes e_K from the stripped
-    E_K, resolves ``N="auto"`` by the policy at the generic bound on the
-    break, and after construction refuses an N below the policy at the
-    tower's break for Witt length ``witt_length_hint``.  The generator sigma has
-    sigma(pi_L) = pi_L + pi_L^(s+1) modulo pi_L^(s+2)."""
-    e_k = _strip_monic(e_k_coeffs, "E_K") if e_k_coeffs else [-p]
+    coefficients that carry the leading 1 (``e_k_coeffs`` None when
+    K = Q_p, where an empty list is refused; ``tower_from_obj`` turns a
+    JSON description's into integers).  It strips the leading 1, refuses
+    a top step whose degree is not p and then a p that is not prime (so
+    trial division stops at the square root of the length of E_L), takes
+    e_K from the stripped E_K, resolves ``N="auto"`` by the policy at the
+    generic bound on the break, and after construction refuses an N below
+    the policy at the tower's break for Witt length ``witt_length_hint``.
+    The generator sigma has sigma(pi_L) = pi_L + pi_L^(s+1) modulo
+    pi_L^(s+2)."""
+    e_k = _strip_monic(e_k_coeffs, "E_K") if e_k_coeffs is not None else [-p]
     e_l = _strip_monic(e_l_coeffs, "E_L", len(e_k))
     if len(e_l) != p:
         raise NotEisenstein(f"top step must have degree {p}, got {len(e_l)}")
@@ -953,7 +951,7 @@ def build_tower(
     description = {
         "p": p,
         "N": N,
-        "E_K": [str(c) for c in e_k_coeffs] if e_k_coeffs else None,
+        "E_K": [str(c) for c in e_k_coeffs] if e_k_coeffs is not None else None,
         "E_L": [[str(x) for x in c] if isinstance(c, list) else str(c) for c in e_l_coeffs],
         "seed": seed,
     }

@@ -7,6 +7,10 @@
   replaced; the test modules compare the fast forms against them, and
   the field-lemma oracles in ``test_cohomlab`` draw and take valuations
   through them only.
+* ``new_report`` and ``count_checked``: every oracle's report, built field
+  by field, and the field lemmas' checked count with its "checked k of n
+  samples" reason, so that ``cohomlab._start`` and ``_field_stream``,
+  which the verifiers share, are checked against them and not borrowed.
 * ``ValExtended``, the valuation-at-the-cap rule as an object (a value,
   or "at least cap"; margins taken at the cap; a bound past the cap
   refused), and ``_update_margin``: the form ``cohomlab.at_cap`` and
@@ -87,7 +91,7 @@ from functools import cache
 from itertools import repeat
 
 from wittlab import cohomlab, wittcore
-from wittlab.cohomlab import _base_report, witt_length
+from wittlab.cohomlab import VerificationReport, witt_length
 from wittlab.exactpoly import MPoly
 from wittlab.localfield import (
     ExtensionTower,
@@ -140,6 +144,25 @@ class ValExtended:
 def _update_margin(margins: dict, key: str, value: int) -> None:
     if key not in margins or value < margins[key]:
         margins[key] = value
+
+
+def new_report(tower, lemma, **params) -> VerificationReport:
+    """The report a verifier starts from, field by field: ``params`` with
+    the tower's N, and the tower's precision."""
+    return VerificationReport(
+        lemma=lemma,
+        tower_hash=tower.tower_hash,
+        params={**params, "N": tower.N},
+        precision={"N": tower.N, "N_internal": tower.N_int, "val_cap": tower.val_cap},
+    )
+
+
+def count_checked(report, checked, samples) -> None:
+    """A field lemma's count of checked draws; fewer than ``samples``
+    decide nothing, so a PASS becomes UNDETERMINED."""
+    report.params["checked"] = checked
+    if checked < samples:
+        report.undetermined(f"checked {checked} of {samples} samples")
 
 
 def polynomial_witt_sum(p, rows) -> tuple:
@@ -539,9 +562,7 @@ def carry_identity_by_elements(tower, samples=200, seed=0, n=None):
     p = tower.p
     n = witt_length("carry_identity", tower, n)
     C = wittcore.alternating_binom_constant(p)
-    report = _base_report(
-        tower, "carry_identity", {"samples": samples, "seed": seed, "n": n}
-    )
+    report = new_report(tower, "carry_identity", samples=samples, seed=seed, n=n)
     sign_ok = {"minus": True, "plus": True}
     for sample in cohomlab._sampler_mix(tower, n, samples, seed, "carry", report):
         comps = [OElem(tower.L, c) for c in sample.vec.components]
@@ -587,9 +608,7 @@ def residual_invariant_by_elements(tower, samples=200, seed=0, n=None):
     3..n."""
     p = tower.p
     n = witt_length("residual_invariant", tower, n)
-    report = _base_report(
-        tower, "residual_invariant", {"samples": samples, "seed": seed, "n": n}
-    )
+    report = new_report(tower, "residual_invariant", samples=samples, seed=seed, n=n)
     for sample in cohomlab._sampler_mix(tower, n, samples, seed, "residual", report):
         label = sample.seed
         comps = [OElem(tower.L, c) for c in sample.vec.components]
@@ -657,9 +676,7 @@ def step_bounds_by_elements(tower, samples=200, seed=0, n=None):
     cascaded bound read from ``cohomlab.step_bound`` at call time."""
     p, s = tower.p, tower.s
     n = witt_length("step_bounds", tower, n)
-    report = _base_report(
-        tower, "step_bounds", {"samples": samples, "seed": seed, "n": n}
-    )
+    report = new_report(tower, "step_bounds", samples=samples, seed=seed, n=n)
     steps = cohomlab._sampler_mix(tower, n, samples, seed, "steps", report, coboundary_every=4)
     for sample in steps:
         comps = [OElem(tower.L, c) for c in sample.vec.components]
@@ -687,7 +704,7 @@ def main_by_elements(tower, samples=200, seed=0, n=None):
     and the contrast candidates are the tower's trace-kernel basis."""
     s = tower.s
     M = witt_length("main", tower, n)
-    report = _base_report(tower, "main", {"samples": samples, "seed": seed, "M": M})
+    report = new_report(tower, "main", samples=samples, seed=seed, M=M)
     for sample in cohomlab._sampler_mix(tower, M, samples, seed, "main", report):
         label = sample.seed
         x1 = OElem(tower.L, sample.vec.components[0])
@@ -745,12 +762,14 @@ def main_by_elements(tower, samples=200, seed=0, n=None):
         else:
             report.observations["contrast"] = contrast
 
-    if M >= 2:
-        observed = None
-        below = cohomlab._sampler_mix(tower, M - 1, min(samples, 50), seed, "main-below", report)
-        for sample in below:
-            x1 = OElem(tower.L, sample.vec.components[0])
-            value = vL_by_coordinates(tower, x1).capped()
-            observed = value if observed is None else min(observed, value)
-        report.observations["min_v_L_x1_at_length_M_minus_1"] = observed
+    # the stream one length below M records no checked count
+    observed = None
+    below = cohomlab._sampler_mix(
+        tower, M - 1, min(samples, 50), seed, "main-below", report, checks=False
+    )
+    for sample in below:
+        x1 = OElem(tower.L, sample.vec.components[0])
+        value = vL_by_coordinates(tower, x1).capped()
+        observed = value if observed is None else min(observed, value)
+    report.observations["min_v_L_x1_at_length_M_minus_1"] = observed
     return report

@@ -1135,6 +1135,8 @@ MALFORMED_SWEEP = {
     "e_l_float_coefficient": {**Q2_I, "E_L": [2.5, "0", "1"]},
     "e_k_not_list": {**Q2_I, "E_K": 5},
     "e_k_word": {**Q2_I, "E_K": ["x", "1"]},
+    # only null or an absent key means K = Q_p; [] used to build as Q_p
+    "e_k_empty": {**Q2_I, "E_K": []},
     "n_word": {**Q2_I, "N": "many"},
     "n_float": {**Q2_I, "N": 24.5},
     "n_below_4": {**Q2_I, "N": 2},

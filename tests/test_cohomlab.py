@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -39,10 +40,11 @@ from wittlab.wittcore import (
     fold_var,
 )
 
-from conftest import EIGHT_TOWERS, PRIMES, RAMIFIED_BASE_TOWERS, SIX_TOWERS, load
+from conftest import EIGHT_TOWERS, FOUR_TOWERS, PRIMES, RAMIFIED_BASE_TOWERS, SIX_TOWERS, load
 from oracles import (
     _update_margin,
     carry_identity_by_elements,
+    count_checked,
     kernel_elem_by_loop,
     eq_at_precision,
     fixed_by_substitution,
@@ -50,6 +52,7 @@ from oracles import (
     int_elem,
     is_zero_at_precision,
     main_by_elements,
+    new_report,
     project_to_K,
     randrange_K_elem,
     randrange_L_elem,
@@ -1194,7 +1197,7 @@ class TestVerifiers:
 
 def oracle_vktr(tower, samples, seed):
     p, s = tower.p, tower.s
-    report = cohomlab._base_report(tower, "vktr", {"samples": samples, "seed": seed})
+    report = new_report(tower, "vktr", samples=samples, seed=seed)
     checked = 0
     attempts = 0
     while checked < samples and attempts < 20 * samples:
@@ -1220,13 +1223,13 @@ def oracle_vktr(tower, samples, seed):
                     "bound": bound,
                 }
             )
-    cohomlab._record_checked(report, checked, samples)
+    count_checked(report, checked, samples)
     return report
 
 
 def oracle_vksub(tower, samples, seed):
     p, e_k = tower.p, tower.e_K
-    report = cohomlab._base_report(tower, "vksub", {"samples": samples, "seed": seed})
+    report = new_report(tower, "vksub", samples=samples, seed=seed)
     checked = 0
     attempts = 0
     worst = 0
@@ -1253,15 +1256,13 @@ def oracle_vksub(tower, samples, seed):
                 }
             )
     report.margins["max_deviation"] = worst
-    cohomlab._record_checked(report, checked, samples)
+    count_checked(report, checked, samples)
     return report
 
 
 def oracle_fixed_points(tower, samples, seed):
     n = cohomlab.witt_length("fixed_points", tower, None)
-    report = cohomlab._base_report(
-        tower, "fixed_points", {"samples": samples, "seed": seed, "n": n}
-    )
+    report = new_report(tower, "fixed_points", samples=samples, seed=seed, n=n)
 
     def equal(a, b):
         return zero_by_coordinates(tower, (a - b).data)
@@ -1513,6 +1514,26 @@ class TestFieldLemmaOracles:
         assert report.status == "FAIL"
         assert len(report.failures) == failures
 
+    @pytest.mark.parametrize("name", FOUR_TOWERS)
+    def test_sigma_entry_mutants(self, name):
+        # ROADMAP item 12's sigma row on the compiled checks: p^(N-1) added
+        # to one entry of galois_mats[1] of a fresh tower before its field
+        # checks are compiled.  fixed_points (20 samples, seed 0) fails on
+        # the entries of column 0, sigma's image of 1, where each O_K
+        # vector moves, and misses the rest: a moved vector still moves
+        rank = load(name).L.flat_rank
+        failed = {}
+        for r, m in itertools.product(range(rank), repeat=2):
+            tower = load(name)
+            rows = [list(row) for row in tower.galois_mats[1]]
+            rows[r][m] = (rows[r][m] + tower.p ** (tower.N - 1)) % tower.modulus
+            tower.galois_mats = (tower.galois_mats[0], rows, *tower.galois_mats[2:])
+            report = cohomlab.verify_fixed_points(tower, samples=20, seed=0)
+            if report.status != "PASS":
+                failed[r, m] = (report.status, {f["what"] for f in report.failures})
+        moved = ("FAIL", {"fixed vector moved"})
+        assert failed == {(r, 0): moved for r in range(rank)}
+
 
 # -- the Witt lemmas against their OElem forms -------------------------------
 #
@@ -1648,6 +1669,20 @@ class TestCapLemmaOracles:
     def test_flat_verifier_matches_oracle(self, all_towers, name, lemma):
         for seed in range(2):
             assert check_cap_lemma(all_towers[name], lemma, seed).status == "PASS"
+
+    def test_main_whose_stream_below_M_runs_out_matches_oracle(self):
+        # q5z5_kummer at seed 2026: main's stream at M runs out at its first
+        # sample and its stream one length below after 13; only the first
+        # is the report's checked count
+        tower = load("q5z5_kummer")
+        M = stable_witt_length(tower.s, tower.p)
+        below = blank_report(tower)
+        assert len(list(cohomlab._sampler_mix(tower, M - 1, 40, 2026, "main-below", below))) == 13
+        assert below.params["checked"] == 13 and below.status == "UNDETERMINED"
+        got = cohomlab.verify_main_theorem(tower, samples=40, seed=2026)
+        assert (got.status, got.params["checked"]) == ("UNDETERMINED", 0)
+        want = main_by_elements(tower, samples=40, seed=2026)
+        assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
 
     @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
     def test_step_bounds_past_the_samples_match_oracle(self, all_towers, name, monkeypatch):
@@ -2003,6 +2038,21 @@ def _always_fixed(self, a):
     return True
 
 
+_true_residual = cohomlab._residual
+
+
+def _residual_for_plus_at_level_3(tower, columns, level):
+    """The residual, moved at level 3 by -2C tr(x_2)^p, C the true binomial
+    constant: p times that is the gap between the two signs' binomial
+    terms, so there only "plus" holds, and elsewhere only "minus"."""
+    h = _true_residual(tower, columns, level)
+    if level != 3:
+        return h
+    C = wittcore.alternating_binom_constant(tower.p)
+    c = tower.K.pth_power(tower.trace_map(columns[1][0]))
+    return tuple(a - 2 * C * b for a, b in zip(h, c)) + h[len(c):]
+
+
 def _checks_with_identity_sigma(L, K, trace, sigma, prec_modulus, compile_checks=kernels.compile_field_checks):
     """The field checks compiled with sigma the identity, which fixes every
     vector."""
@@ -2066,6 +2116,18 @@ VERDICT_BRANCHES = {
         "neither",
         None,
         {"seed", "level"},
+    ),
+    # every level holds under some sign, but level 3 under "plus" alone and
+    # level 4 under "minus" alone (q2_i runs at n = 4)
+    "carry no consistent sign": (
+        "carry_identity",
+        "q2_i",
+        [(cohomlab, "_residual", _residual_for_plus_at_level_3)],
+        cli.EXIT_FAIL,
+        "FAIL",
+        "neither",
+        "no consistent sign convention",
+        {"what"},
     ),
 }
 

@@ -1672,6 +1672,10 @@ TOWER_REFUSALS = {
         TraceNotRational,
         "element does not lie in O_K at precision",
     ),
+    # None means K = Q_p; an empty E_K used to build as Q_p and hash as None
+    "empty E_K": (
+        lambda t: build_tower(t.p, t.N, [2, -2, 1], []), NotEisenstein, "E_K: need degree >= 1"
+    ),
 }
 
 
