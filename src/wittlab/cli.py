@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
 import json
 import os
 import sys
@@ -200,8 +202,8 @@ def cmd_verify(args) -> int:
     report.runtime_ms = int((time.perf_counter() - t0) * 1000)
     _write_json(args.out, report.to_obj())
     extra = f" sign={report.sign_convention}" if report.sign_convention else ""
-    if "M" in report.params:
-        extra += f" M={report.params['M']}"
+    if "M" in report.params:  # main, and its n where it runs at another length
+        extra += "".join(f" {k}={report.params[k]}" for k in ("M", "n") if k in report.params)
     print(
         f"{args.lemma} on {args.tower}: {report.status} "
         f"({len(report.failures)} failures, {report.runtime_ms} ms){extra}"
@@ -239,10 +241,15 @@ def cmd_suite(args) -> int:
                 f"a manifest tower must be a name, a path or an object, "
                 f"got {json.dumps(tower_ref)}",
             )
-        if isinstance(tower_ref, dict) and not isinstance(tower_ref.get("name", ""), str):
+        # the name heads a column of the printed table and a CSV field
+        name = tower_ref.get("name", "") if isinstance(tower_ref, dict) else Path(tower_ref).stem
+        if not isinstance(name, str):
             raise _Exit(
-                EXIT_CONFIG,
-                f"an inline tower name must be a string, got {json.dumps(tower_ref['name'])}",
+                EXIT_CONFIG, f"an inline tower name must be a string, got {json.dumps(name)}"
+            )
+        if not name.isprintable():
+            raise _Exit(
+                EXIT_CONFIG, f"a manifest tower name must be printable, got {json.dumps(name)}"
             )
     for i, lemma in enumerate(lemmas):
         if not isinstance(lemma, str) or lemma not in cohomlab.VERIFIERS:
@@ -299,11 +306,14 @@ def cmd_suite(args) -> int:
     }
     _write_json(args.out, aggregate)
     if args.csv:
-        rows = ["tower,lemma,status,samples,failures,worst_margin"] + [
-            f"{tower_name},{lemma},{status},{samples},{failures},{margin}"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("tower", "lemma", "status", "samples", "failures", "worst_margin"))
+        writer.writerows(
+            (tower_name, lemma, status, samples, failures, margin)
             for (tower_name, lemma), (status, failures, margin) in summary.items()
-        ]
-        _write_text(args.csv, "\n".join(rows) + "\n")
+        )
+        _write_text(args.csv, buf.getvalue())
 
     names = sorted(built)
     width = max(len(l) for l in lemmas) + 2
@@ -376,7 +386,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--n", type=int, default=None, help=(
         "Witt length, covered by the tower's precision and at least 1 (main: M; step_bounds, "
         "carry_identity: 2; residual_invariant: 3); default main M, step_bounds 4, "
-        "fixed_points 3, carry_identity PFOLD_RANGE[p] (2 at p > 5), residual_invariant "
+        "fixed_points 3, carry_identity 4 at p=2, 3 at p=3 and 2 above, residual_invariant "
         "the larger of that and 3; vktr/vksub: none"))
     p_verify.add_argument("--precision", default=None)
     p_verify.add_argument("--out", default=None)

@@ -577,7 +577,10 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
     covers n (``precision_policy``), and for main n >= its stable length
     M, which is its default.  carry_identity (levels 2..n) and step_bounds
     (components 1..n-1) need n >= 2, and residual_invariant (levels 3..n;
-    the level-2 residual is zero) n >= 3: else nothing is checked."""
+    the level-2 residual is zero) n >= 3: else nothing is checked.  The
+    other defaults: carry_identity 4 at p = 2, 3 at p = 3 and 2 past it,
+    residual_invariant the larger of that and 3, step_bounds 4 and
+    fixed_points 3."""
     p = tower.p
     if lemma in ("vktr", "vksub"):
         if n is not None:
@@ -586,11 +589,11 @@ def witt_length(lemma: str, tower: ExtensionTower, n: int | None) -> int | None:
     M = stable_witt_length(tower.s, p)
     least = {"carry_identity": 2, "residual_invariant": 3, "step_bounds": 2}.get(lemma, 1)
     if n is None:
-        # carry_identity and residual_invariant: the p-fold table length,
-        # and past the tables 2, the p = 5 length and the shortest with a
-        # carry; never below the lemma's least length
-        n = {"step_bounds": 4, "fixed_points": 3, "main": M}.get(lemma, PFOLD_RANGE.get(p, 2))
-        n = max(n, least)
+        carry = {2: 4, 3: 3}.get(p, 2)
+        n = {
+            "carry_identity": carry, "residual_invariant": max(carry, 3),
+            "step_bounds": 4, "fixed_points": 3, "main": M,
+        }[lemma]
     if n < 1:
         raise WittLengthOutOfRange(f"--n {n} is not a Witt length; it must be at least 1")
     if n < least:
@@ -619,14 +622,17 @@ def _start(
 ) -> tuple[int | None, VerificationReport]:
     """Every verifier's first step, before it draws: its Witt length
     (``witt_length``), a refusal of samples < 1 (a PASS would check
-    nothing), and its report, with the length in params as ``M`` for main
-    and as ``n`` for every other lemma that takes one."""
+    nothing), and its report.  Its params hold the length as ``n`` for
+    every lemma that takes one, and for main its stable length as ``M``,
+    with ``n`` only where main runs at another length."""
     n = witt_length(lemma, tower, n)
     if samples < 1:
         raise ValueError(f"{lemma}: samples must be at least 1, got {samples}")
     params = {"samples": samples, "seed": seed, "N": tower.N}
-    if n is not None:
-        params["M" if lemma == "main" else "n"] = n
+    if lemma == "main":
+        params["M"] = stable_witt_length(tower.s, tower.p)
+    if n not in (None, params.get("M")):
+        params["n"] = n
     precision = {"N": tower.N, "N_internal": tower.N_int, "val_cap": tower.val_cap}
     return n, VerificationReport(lemma, tower.tower_hash, params, precision=precision)
 
@@ -706,13 +712,16 @@ def verify_carry_identity(
     """Division-free trace recursion for trace-zero vectors.
 
     Checks p*(-tr(x_l)) against the Frobenius bracket, the alternating
-    binomial term (both signs tried, the exact one recorded), and p times
-    the residual, on flat coordinates (traces and conjugates once each).
+    binomial term under each of ``wittcore.SIGNS``, and p times the
+    residual, on flat coordinates (traces and conjugates once each).  A
+    level where no sign holds is a failure; the signs that hold at every
+    level are kept, and the first of them in ``SIGNS`` is the recorded
+    convention ("neither" when none is).
     """
     p, L, K = tower.p, tower.L, tower.K
     n, report = _start(tower, "carry_identity", samples, seed, n)
     C = wittcore.alternating_binom_constant(p)
-    sign_ok = {"minus": True, "plus": True}
+    kept = {name for name, _ in wittcore.SIGNS}
     for sample in _sampler_mix(tower, n, samples, seed, "carry", report):
         comps = sample.vec.components
         columns = [tower.conjugates_raw(c) for c in comps[: n - 2]]
@@ -727,23 +736,15 @@ def verify_carry_identity(
                 for t, b, c, u in zip(traces[level - 1], t_pow, t_prev_p, h)
             ]
             cterm = [C * p * c for c in t_prev_p]
-            matched = False
-            for sign, op in (("minus", operator.add), ("plus", operator.sub)):
-                if tower._zero_raw(map(op, rest, cterm)):
-                    matched = True
-                else:
-                    sign_ok[sign] = False
-            if not matched:
+            held = {name for name, op in wittcore.SIGNS if tower._zero_raw(map(op, rest, cterm))}
+            if not held:
                 report.record_failure({"seed": sample.seed, "level": level})
-    if sign_ok["minus"]:
-        report.sign_convention = "minus"
+            kept &= held
+    report.sign_convention = next((name for name, _ in wittcore.SIGNS if name in kept), "neither")
+    if report.sign_convention == "minus":
         report.observations["c_term_degenerate"] = C == 0
-    elif sign_ok["plus"]:
-        report.sign_convention = "plus"
-    else:
-        report.sign_convention = "neither"
-        if not report.failures:
-            report.record_failure({"what": "no consistent sign convention"})
+    elif not kept and not report.failures:
+        report.record_failure({"what": "no consistent sign convention"})
     report.observations["carry_constant"] = C
     # the symbolic split exists only within the p-fold tables
     report.observations["symbolic_sign_convention"] = (
@@ -831,11 +832,12 @@ def verify_step_bounds(
 def verify_main_theorem(
     tower: ExtensionTower, samples: int = 200, seed: int = 0, n: int | None = None
 ) -> VerificationReport:
-    """At the stable length, first components of trace-zero vectors have
-    valuation >= s and trivial level-one class; plus the contrast check."""
+    """At the stable length M, or the given n >= M, first components of
+    trace-zero vectors have valuation >= s and trivial level-one class;
+    plus the contrast check, and an observation at length M - 1."""
     s, L, cap = tower.s, tower.L, tower.val_cap
-    M, report = _start(tower, "main", samples, seed, n)
-    for sample in _sampler_mix(tower, M, samples, seed, "main", report):
+    n, report = _start(tower, "main", samples, seed, n)
+    for sample in _sampler_mix(tower, n, samples, seed, "main", report):
         label = sample.seed
         x1 = sample.vec.components[0]
         v1 = L.val_raw(x1)
@@ -893,7 +895,7 @@ def verify_main_theorem(
 
     # observed (not asserted) behavior one length below the stable M >= 2
     observed = None
-    below = min(samples, 50)
+    below, M = min(samples, 50), report.params["M"]
     for sample in _sampler_mix(tower, M - 1, below, seed, "main-below", report, checks=False):
         v = at_cap(L.val_raw(sample.vec.components[0]), cap)
         value = cap if v is None else v

@@ -111,7 +111,10 @@ def check_printable(p: int, digits: int) -> None:
     limit): the generated kernels inline their moduli as decimal
     literals, so no ring can be compiled past that limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and p**digits >= _power_of_ten(limit):
+    # digits * log10(p) decides, and p^digits is built only within one
+    # decimal digit of the limit; an int compares with a float exactly
+    low, high = ((limit + k) / math.log10(p) for k in (-1, 1))
+    if limit and (digits >= high or digits > low and p**digits >= _power_of_ten(limit)):
         raise PrecisionTooLow(
             f"the modulus {p}^{digits} has more than {limit} decimal digits, the limit of "
             "sys.get_int_max_str_digits() on the moduli the kernels print; lower N"
@@ -562,6 +565,14 @@ def precision_policy(p: int, e_k: int, s_bound: int, witt_length: int) -> int:
     return -(-need // (p * e_k))
 
 
+def _working_digits(p: int, e_k: int, N: int) -> int:
+    """N_int, the base digits of the working rings: N plus guard digits,
+    sized from the generic bound on the derivative valuation; the module
+    docstring says what they are for."""
+    dv_bound = p * e_k + 2 * p + 4
+    return N + 2 + -(-dv_bound // (p * e_k))
+
+
 def _eval_top(R: FlatRing, x):
     """E_L at a point of R, O_L at some digit count, by Horner."""
     acc = R.one_elem
@@ -593,10 +604,7 @@ class ExtensionTower:
         self.N = N
         self.e_K = len(e_k)
         self.e_L = p * self.e_K
-        # guard digits, sized from the generic bound on the derivative
-        # valuation; the module docstring says what they are for
-        dv_bound = p * self.e_K + 2 * p + 4
-        self.N_int = N + 2 + -(-dv_bound // (p * self.e_K))
+        self.N_int = _working_digits(p, self.e_K, N)
         self.modulus = p**self.N_int
         self.prec_modulus = p**N  # coordinates divisible by it are zero at precision
         # the working levels reduce the integer coefficients modulo
@@ -932,8 +940,10 @@ def build_tower(
     a top step whose degree is not p and then a p that is not prime (so
     trial division stops at the square root of the length of E_L), takes
     e_K from the stripped E_K, resolves ``N="auto"`` by the policy at the
-    generic bound on the break, and after construction refuses an N below
-    the policy at the tower's break for Witt length ``witt_length_hint``.
+    generic bound on the break, refuses an N whose working modulus
+    p^N_int is past ``check_printable``'s limit before any ring is built,
+    and after construction refuses an N below the policy at the tower's
+    break for Witt length ``witt_length_hint``.
     The generator sigma has sigma(pi_L) = pi_L + pi_L^(s+1) modulo
     pi_L^(s+2)."""
     e_k = _strip_monic(e_k_coeffs, "E_K") if e_k_coeffs is not None else [-p]
@@ -947,6 +957,9 @@ def build_tower(
         N = precision_policy(p, len(e_k), s_bound, witt_length_hint)
     if not isinstance(N, int) or N < 4:
         raise PrecisionTooLow(f"N={N!r} is not an acceptable precision")
+    # refused before p^N is built; the Newton lift's digits are checked
+    # when its rings are (``build_rings``)
+    check_printable(p, _working_digits(p, len(e_k), N))
     # the lists, leading 1 included, as decimal strings: these are hashed
     description = {
         "p": p,

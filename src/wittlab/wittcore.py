@@ -43,10 +43,10 @@ either fails the audit.  The conjugates' Witt sum (``ghost_sum`` in
 The p-fold decomposition splits the l-th component of a sum of p
 vectors into the plain coefficient sum plus a carry polynomial, and
 splits the carry further into two explicitly p-divisible brackets plus
-a deep residual whose monomials all have degree >= p^2; the residual is
-defined by subtraction, and the sign of the middle bracket that makes
-the degree audit pass is recorded rather than assumed.  The residual
-h_l equals carry_l with the column l-1 variables set to zero: it is the
+a deep residual whose monomials all have degree >= p^2.  The residual
+h_l is carry_l with the column l-1 variables set to zero, and is built
+so; the sign of the middle bracket under which carry_l - first -/+ mid
+equals h_l (``SIGNS``) is recorded rather than assumed.  h_l is the
 level-l component of the Witt sum of the p rows with columns l-1 and l
 set to zero, so numerically it is one ``ghost_sum`` pass over columns
 1..l-2 at l levels, and the symbolic residual is needed only as audit
@@ -60,6 +60,7 @@ import json
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from math import comb
+from operator import add, sub
 from typing import Sequence
 
 from . import kernels
@@ -68,8 +69,6 @@ from .exactpoly import MPoly, NotDivisible
 # Symbolic budgets: term counts grow like p^(n-1), so the supported
 # window is fixed rather than discovered by timeout.  They bound the
 # polynomial tables only; tower-ring arithmetic runs on ``ghost_sum``.
-# PFOLD_RANGE[p] is also the default Witt length of carry_identity and
-# residual_invariant (``cohomlab.witt_length``), 2 past the tables; the latter's is at least 3.
 BINARY_RANGE = {2: 5, 3: 4, 5: 3}
 PFOLD_RANGE = {2: 4, 3: 3, 5: 2}
 
@@ -334,6 +333,11 @@ def alternating_binom_constant(p: int) -> int:
     return total // p
 
 
+# the middle bracket's signs, each with the operator that takes
+# carry_l - first and mid to the residual: "minus" is carry_l = first - mid + h_l
+SIGNS = (("minus", add), ("plus", sub))
+
+
 class PFoldDecomposition:
     """Symbolic split of the component polynomials of a p-term sum.
 
@@ -345,10 +349,14 @@ class PFoldDecomposition:
         g_l = x_{1,l} + ... + x_{p,l} + carry_l
 
     where the carry involves only columns j <= l-1 and every monomial
-    has degree >= p.  The carry itself splits into a Frobenius bracket,
-    a binomial bracket (sign recorded, not assumed), and a residual
-    whose monomials all have degree >= p^2 and involve only columns
-    j <= l-2.  Both brackets are certified p-divisible on extraction.
+    has degree >= p.  The residual h_l is carry_l with every term that
+    reads column l-1 dropped, so it involves only columns j <= l-2, and
+    its monomials must all have degree >= p^2.  The carry splits as
+    carry_l = first -/+ mid + h_l into a Frobenius bracket and a binomial
+    bracket, both certified p-divisible on extraction; the signs under
+    which that holds at every level are kept (``SIGNS``), and
+    ``sign_convention`` names the one left, or "degenerate" when both
+    are, which happens exactly when every binomial bracket is zero.
     """
 
     def __init__(self, p: int, n: int):
@@ -390,61 +398,33 @@ class PFoldDecomposition:
                 raise DegreeAuditFailure("carry support", l, sorted(f.variables()))
 
     def _brackets(self, l: int) -> tuple[MPoly, MPoly]:
+        """The Frobenius bracket (v_1^p + ... + v_p^p - s^p) / p on column
+        l-1, with s = v_1 + ... + v_p, and the binomial bracket, the sum
+        over 0 < j < p of C(p, j) s^(p-j) carry_{l-1}^j, over p (zero when
+        carry_{l-1} is)."""
         p = self.p
         col = [MPoly.var(fold_var(p, i, l - 1)) for i in range(1, p + 1)]
-        s = MPoly.zero()
-        for v in col:
-            s = s + v
-        frob = MPoly.zero()
-        for v in col:
-            frob = frob + v**p
-        frob = frob - s**p
-        first = frob.exact_div_int(p)
+        s = sum(col, MPoly.zero())
+        first = (sum((v**p for v in col), MPoly.zero()) - s**p).exact_div_int(p)
         carry_prev = self.carry_polys[l - 2]
-        mid = MPoly.zero()
-        if not carry_prev.is_zero():
-            fpow = MPoly.const(1)
-            for j in range(1, p):
-                fpow = fpow * carry_prev
-                mid = mid + s ** (p - j) * fpow * comb(p, j)
-            mid = mid.exact_div_int(p)
-        return first, mid
-
-    def _residual_ok(self, h: MPoly, l: int) -> bool:
-        if h.min_monomial_degree() < self.p**2:
-            return False
-        allowed = {
-            fold_var(self.p, i, j)
-            for i in range(1, self.p + 1)
-            for j in range(1, l - 1)
-        }
-        return h.variables() <= allowed
+        if carry_prev.is_zero():
+            return first, MPoly.zero()
+        terms = (s ** (p - j) * carry_prev**j * comb(p, j) for j in range(1, p))
+        return first, sum(terms, MPoly.zero()).exact_div_int(p)
 
     def _extract_residuals(self) -> str:
-        # The residual is whatever is left of the carry after removing
-        # the two p-divisible brackets; only the middle bracket's sign
-        # is in question, so compute the residual both ways and keep
-        # the convention whose degree/support audit passes everywhere.
-        verdicts = {"minus": True, "plus": True}
-        per_sign: dict[str, list[MPoly]] = {"minus": [], "plus": []}
-        degenerate = True
+        p, signs = self.p, dict(SIGNS)
         for l in range(2, self.n + 1):
-            first, mid = self._brackets(l)
             f = self.carry_polys[l - 1]
-            if not mid.is_zero():
-                degenerate = False
-            per_sign["minus"].append(f - first + mid)
-            per_sign["plus"].append(f - first - mid)
-            for sign in ("minus", "plus"):
-                if not self._residual_ok(per_sign[sign][-1], l):
-                    verdicts[sign] = False
-        if verdicts["minus"]:
-            self.residual_polys = per_sign["minus"]
-            return "degenerate" if degenerate else "minus"
-        if verdicts["plus"]:
-            self.residual_polys = per_sign["plus"]
-            return "plus"
-        raise DegreeAuditFailure("residual", self.n, "no sign convention passes")
+            column = {fold_var(p, i, l - 1) for i in range(1, p + 1)}
+            h = MPoly({k: c for k, c in f.terms.items() if column.isdisjoint(v for v, _ in k)})
+            self.residual_polys.append(h)
+            first, mid = self._brackets(l)
+            deep = h.min_monomial_degree() >= p**2
+            signs = {name: op for name, op in signs.items() if deep and op(f - first, mid) == h}
+        if not signs:
+            raise DegreeAuditFailure("residual", self.n, "no sign convention passes")
+        return "degenerate" if len(signs) == len(SIGNS) else next(iter(signs))
 
     def residual_for_level(self, l: int) -> MPoly:
         """Residual entering the level-l identity (zero when l == 2)."""

@@ -701,11 +701,15 @@ def step_bounds_by_elements(tower, samples=200, seed=0, n=None):
 def main_by_elements(tower, samples=200, seed=0, n=None):
     """``cohomlab.verify_main_theorem`` on OElem components; the sample
     stream and the class decisions are read from ``cohomlab`` at call time,
-    and the contrast candidates are the tower's trace-kernel basis."""
+    and the contrast candidates are the tower's trace-kernel basis.  The
+    report holds the stable length M from the cascade, and n where the
+    samples are drawn at another length; the stream below runs at M - 1."""
     s = tower.s
-    M = witt_length("main", tower, n)
-    report = new_report(tower, "main", samples=samples, seed=seed, M=M)
-    for sample in cohomlab._sampler_mix(tower, M, samples, seed, "main", report):
+    n = witt_length("main", tower, n)
+    M = stable_witt_length_by_cascade(s, tower.p)
+    at_n = {} if n == M else {"n": n}
+    report = new_report(tower, "main", samples=samples, seed=seed, M=M, **at_n)
+    for sample in cohomlab._sampler_mix(tower, n, samples, seed, "main", report):
         label = sample.seed
         x1 = OElem(tower.L, sample.vec.components[0])
         v1 = vL_by_coordinates(tower, x1)

@@ -1,4 +1,5 @@
 import collections
+import csv
 import hashlib
 import json
 import pathlib
@@ -318,6 +319,16 @@ class TestVerify:
         assert res.returncode == 0, res.stderr
         assert "main on q2_sqrt2: PASS" in res.stdout and "M=3" in res.stdout
 
+    def test_main_above_stable_length_reports_both(self, tmp_path, run_cli):
+        # q2_i has M = 2; a run at n = 4 reports M and the length it ran at
+        out = tmp_path / "m.json"
+        argv = ["--lemma", "main", "--tower", "q2_i", "--n", "4", "--samples", "5"]
+        res = run_cli("verify", *argv, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("main on q2_i: PASS") and res.stdout.endswith(" M=2 n=4\n")
+        params = json.loads(out.read_text())["params"]
+        assert (params["M"], params["n"]) == (2, 4)
+
 
 # every lemma, in the order these pins were made with: an aggregate lists
 # its cells in the manifest's order
@@ -457,6 +468,20 @@ class TestSuite:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "tower,lemma,status,samples,failures,worst_margin"
         assert lines[1].startswith("q2_i,vksub,PASS,10,0")
+
+    def test_csv_quotes_a_comma_in_a_tower_name(self, tmp_path, run_cli):
+        inline = {**json.loads((cli.TOWER_DIR / "q2_i.json").read_text()), "name": "a,b"}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"towers": [inline], "lemmas": ["vktr", "vksub"], "samples": 2})
+        )
+        csv_path = tmp_path / "summary.csv"
+        argv = ["--manifest", str(manifest), "--out", str(tmp_path / "agg.json")]
+        assert run_cli("suite", *argv, "--csv", str(csv_path)).returncode == 0
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert [row[:2] for row in rows[1:]] == [["a,b", "vktr"], ["a,b", "vksub"]]
 
     def test_empty_manifest_is_usage_error(self, tmp_path, run_cli):
         manifest = tmp_path / "m.json"
@@ -652,8 +677,13 @@ class TestSuite:
             # a lemma listed twice would run twice and print two rows
             ({"towers": ["q2_i"], "lemmas": ["vktr", "vksub", "vktr"], "samples": 2},
              "suite: manifest lists lemma 'vktr' twice\n"),
+            # a newline would split a CSV row and a line of the printed table
+            ({"towers": [{"name": "x\ny", "p": 2, "E_L": ["2", "-2", "1"]}], "lemmas": ["vktr"]},
+             'suite: a manifest tower name must be printable, got "x\\ny"\n'),
+            ({"towers": ["towers/x\ty.json"], "lemmas": ["vktr"]},
+             'suite: a manifest tower name must be printable, got "x\\ty"\n'),
         ],
-        ids=["unknown_key", "lemma_twice"],
+        ids=["unknown_key", "lemma_twice", "unprintable_name", "unprintable_stem"],
     )
     def test_manifest_refusals_build_no_tower(self, tmp_path, fields, err, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1392,6 +1422,20 @@ class TestPrintableModuli:
         argv = ["verify", "--lemma", lemma, "--tower", "q2_i", "--precision", "14275"]
         assert cli.main([*argv, "--samples", "1"]) == 64
         assert capsys.readouterr().err == f"verify: --n 4: the modulus 2^14285 {self.LIMIT}\n"
+
+    def test_the_working_digits_are_refused_before_a_tower_is_built(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was constructed")
+
+        monkeypatch.setattr(localfield, "ExtensionTower", refuse)
+        assert cli.main(["tower-info", "--tower", "q2_i", "--precision", "20000"]) == 64
+        assert capsys.readouterr().err == f"tower-info: the modulus 2^20007 {self.LIMIT}\n"
+
+    def test_a_huge_modulus_is_refused_without_building_it(self):
+        # 2^(10^15) would take 125 TB; the digit count's logarithm refuses it
+        with pytest.raises(localfield.PrecisionTooLow) as refused:
+            localfield.check_printable(2, 10**15)
+        assert str(refused.value) == f"the modulus 2^{10**15} {self.LIMIT}"
 
     def test_the_last_printable_length_runs(self, capsys):
         argv = ["verify", "--lemma", "step_bounds", "--tower", "q2_i", "--precision", "14275"]

@@ -1684,6 +1684,13 @@ class TestCapLemmaOracles:
         want = main_by_elements(tower, samples=40, seed=2026)
         assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
 
+    def test_main_above_the_stable_length_matches_oracle(self, q2_i):
+        # q2_i has M = 2: drawn at n = 4, observed one length below M
+        got = cohomlab.verify_main_theorem(q2_i, samples=6, seed=0, n=4)
+        assert (got.status, got.params["M"], got.params["n"]) == ("PASS", 2, 4)
+        want = main_by_elements(q2_i, samples=6, seed=0, n=4)
+        assert got.to_json(include_runtime=False) == want.to_json(include_runtime=False)
+
     @pytest.mark.parametrize("name", sorted(SIX_TOWERS))
     def test_step_bounds_past_the_samples_match_oracle(self, all_towers, name, monkeypatch):
         # every cascaded bound two above the true one: each tower has a
@@ -1929,12 +1936,17 @@ class TestWittLengthRule:
         assert got == {
             "vktr": None,
             "vksub": None,
-            "carry_identity": PFOLD_RANGE[3],
-            "residual_invariant": PFOLD_RANGE[3],
+            "carry_identity": 3,
+            "residual_invariant": 3,
             "step_bounds": 4,
             "main": M,
             "fixed_points": 3,
         }
+
+    def test_defaults_do_not_read_the_symbolic_budget(self, q2_i, monkeypatch):
+        monkeypatch.setattr(cohomlab, "PFOLD_RANGE", {})
+        for lemma in ("carry_identity", "residual_invariant"):
+            assert cohomlab.witt_length(lemma, q2_i, None) == 4, lemma
 
     def test_step_bounds_past_the_precision(self, q3, no_draws):
         # q3_ramified has p=3, s=1 and N=16; n=8 needs N >= 24

@@ -356,6 +356,28 @@ class TestDegreeAudit:
         assert err == f"polys: {what} audit failed at level {found[0]}: found {found[1]}\n"
         assert out == ""
 
+    def test_bracket_mutant_refused(self, monkeypatch, capsys):
+        # x_{1,1}^4 added to the level-3 Frobenius bracket: degree p^2 in
+        # column 1, so a residual taken as what the brackets leave would pass
+        # a degree and support audit; it is not carry_3 with column 2 dropped
+        brackets = wittcore.PFoldDecomposition._brackets
+
+        def with_term(pf, l):
+            first, mid = brackets(pf, l)
+            return (first + self.x11**4 if l == 3 else first), mid
+
+        monkeypatch.setattr(wittcore.PFoldDecomposition, "_brackets", with_term)
+        pfold_decomposition.cache_clear()
+        with pytest.raises(wittcore.DegreeAuditFailure) as refused:
+            pfold_decomposition(2, 3)
+        found = (refused.value.what, refused.value.level, refused.value.found)
+        assert found == ("residual", 3, "no sign convention passes")
+        code = cli.main(["polys", "--p", "2", "--n", "3"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_FAIL
+        assert err == "polys: residual audit failed at level 3: found no sign convention passes\n"
+        assert out == ""
+
 
 TABLE_HASHES = {
     (2, 4): "69b9a0a424e65129b9186f86693ed6643c99e8cdaa3ef998a127c31f125d3541",
