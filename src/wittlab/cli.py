@@ -251,6 +251,8 @@ def cmd_suite(args) -> int:
             raise _Exit(
                 EXIT_CONFIG, f"a manifest tower name must be printable, got {json.dumps(name)}"
             )
+        if not name and isinstance(tower_ref, dict) and "name" in tower_ref:
+            raise _Exit(EXIT_CONFIG, "an inline tower name must not be empty")
     for i, lemma in enumerate(lemmas):
         if not isinstance(lemma, str) or lemma not in cohomlab.VERIFIERS:
             raise _Exit(EXIT_CONFIG, f"unknown lemma id {lemma!r}")
@@ -315,15 +317,19 @@ def cmd_suite(args) -> int:
         )
         _write_text(args.csv, buf.getvalue())
 
+    # a column is as wide as its head and its cells, at least 14, and its
+    # head starts two places left of its cells
     names = sorted(built)
+    text = {
+        key: status if margin == "" else f"{status} m={margin}"
+        for key, (status, _, margin) in summary.items()
+    }
+    widths = [max(14, len(name), *(len(text[name, lemma]) for lemma in lemmas)) for name in names]
     width = max(len(l) for l in lemmas) + 2
-    print("".ljust(width) + "  ".join(n[:14].ljust(14) for n in names))
+    print("".ljust(width) + "  ".join(n.ljust(w) for n, w in zip(names, widths)))
     for lemma in lemmas:
-        row = [lemma.ljust(width)]
-        for name in names:
-            status, _, margin = summary[name, lemma]
-            row.append((status if margin == "" else f"{status} m={margin}").ljust(14))
-        print("  ".join(row).rstrip())
+        row = (text[name, lemma].ljust(w) for name, w in zip(names, widths))
+        print("  ".join([lemma.ljust(width), *row]).rstrip())
     print(f"suite status: {worst}")
     return STATUS_EXIT[worst]
 

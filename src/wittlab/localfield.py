@@ -404,15 +404,13 @@ class SmithForm:
     _solve: object = field(default=None, init=False, repr=False, compare=False)
 
     def kernel_basis(self) -> list[list[int]]:
-        n, mod = len(self.V), self.modulus
-        basis = []
-        for k, v in enumerate(self.pivots):
-            if v > 0:
-                scale = self.p ** (self.digits - v)
-                basis.append([(self.V[i][k] * scale) % mod for i in range(n)])
-        for k in range(len(self.pivots), n):
-            basis.append([self.V[i][k] % mod for i in range(n)])
-        return basis
+        """p^(digits - v_k) * column k of V for each v_k > 0, v_k = digits past the rank."""
+        pivots = self.pivots + [self.digits] * (len(self.V) - len(self.pivots))
+        return [
+            [row[k] * self.p ** (self.digits - v) % self.modulus for row in self.V]
+            for k, v in enumerate(pivots)
+            if v > 0
+        ]
 
     @property
     def solve(self):
@@ -448,59 +446,44 @@ class SmithForm:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], p: int, digits: int) -> SmithForm:
-    modulus = p**digits
-    A = [[x % modulus for x in row] for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    """U*A*V = diag(p^v) on one table: A's m rows, each followed by its row
+    of U, which the row operations act on, then V's n rows, which the
+    column operations act on; U and V start as identities."""
+    modulus, exponents = _vp_table(p, digits)
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    T = [
+        [x % modulus for x in row] + [int(i == j) for j in range(m)]
+        for i, row in enumerate(matrix)
+    ]
+    T += [[int(i == j) for j in range(n)] for i in range(n)]
     pivots: list[int] = []
-
-    def vp(x: int) -> int:
-        v = _vp_int(x, p, digits)
-        return digits if v is None else v
-
     for k in range(min(m, n)):
         best, bi, bj = digits, -1, -1
         for i in range(k, m):
             for j in range(k, n):
-                v = vp(A[i][j])
+                v = exponents.get(math.gcd(T[i][j], modulus), digits)
                 if v < best:
                     best, bi, bj = v, i, j
         if bi < 0:
             break
-        if bi != k:
-            A[k], A[bi] = A[bi], A[k]
-            U[k], U[bi] = U[bi], U[k]
-        if bj != k:
-            for r in range(m):
-                A[r][k], A[r][bj] = A[r][bj], A[r][k]
-            for r in range(n):
-                V[r][k], V[r][bj] = V[r][bj], V[r][k]
-        v = best
-        unit = A[k][k] // p**v
-        uinv = pow(unit, -1, modulus)
-        for j in range(k, n):
-            A[k][j] = (A[k][j] * uinv) % modulus
-        for j in range(m):
-            U[k][j] = (U[k][j] * uinv) % modulus
-        pv = p**v
+        T[k], T[bi] = T[bi], T[k]
+        for row in T:
+            row[k], row[bj] = row[bj], row[k]
+        pv = p**best
+        uinv = pow(T[k][k] // pv, -1, modulus)
+        T[k][k:] = [x * uinv % modulus for x in T[k][k:]]
         for i in range(k + 1, m):
-            if A[i][k]:
-                mult = A[i][k] // pv
-                for j in range(k, n):
-                    A[i][j] = (A[i][j] - mult * A[k][j]) % modulus
-                for j in range(m):
-                    U[i][j] = (U[i][j] - mult * U[k][j]) % modulus
+            if T[i][k]:
+                mult = T[i][k] // pv
+                T[i][k:] = [(x - mult * y) % modulus for x, y in zip(T[i][k:], T[k][k:])]
         for j in range(k + 1, n):
-            if A[k][j]:
-                mult = A[k][j] // pv
-                for r in range(m):
-                    A[r][j] = (A[r][j] - mult * A[r][k]) % modulus
-                for r in range(n):
-                    V[r][j] = (V[r][j] - mult * V[r][k]) % modulus
-        pivots.append(v)
-    return SmithForm(pivots, U, V, p, modulus, digits)
+            if T[k][j]:
+                mult = T[k][j] // pv
+                for row in T:
+                    row[j] = (row[j] - mult * row[k]) % modulus
+        pivots.append(best)
+    return SmithForm(pivots, [row[n:] for row in T[:m]], T[m:], p, modulus, digits)
 
 
 def linsolve(snf: SmithForm, rhs: Sequence[int]) -> tuple[tuple, int]:
@@ -516,30 +499,20 @@ def linsolve(snf: SmithForm, rhs: Sequence[int]) -> tuple[tuple, int]:
     once, and the reference for the compiled ``snf.solve``.
     """
     snf.check_rhs(rhs)
-    p, digits, modulus = snf.p, snf.digits, snf.modulus
-    m, n = len(snf.U), len(snf.V)
-    uc = [
-        sum(snf.U[i][j] * rhs[j] for j in range(m)) % modulus for i in range(m)
-    ]
+    p, digits = snf.p, snf.digits
+    modulus, exponents = _vp_table(p, digits)
     delta = max(snf.pivots, default=0)
-    z = [0] * n
-    r = len(snf.pivots)
-    for k, v in enumerate(snf.pivots):
-        if v == 0:
-            z[k] = uc[k]
-            continue
-        vv = _vp_int(uc[k], p, digits)
-        if vv is not None and vv < v:
-            raise NoSolutionAtPrecision(vv + 1, delta)
-        z[k] = (uc[k] // p**v) % modulus
-    for k in range(r, m):
-        if uc[k]:
-            vv = _vp_int(uc[k], p, digits)
-            raise NoSolutionAtPrecision((digits if vv is None else vv) + 1, delta)
-    particular = tuple([
-        sum(snf.V[i][k] * z[k] for k in range(n)) % modulus for i in range(n)
-    ])
-    return particular, delta
+    # p^v_k divides row k of U*rhs; a row past the rank has v_k = digits
+    pivots = snf.pivots + [digits] * (len(snf.U) - len(snf.pivots))
+    z = []
+    for row, v in zip(snf.U, pivots):
+        u = sum(map(operator.mul, row, rhs)) % modulus
+        vu = exponents.get(math.gcd(u, modulus), digits)
+        if vu < v:
+            raise NoSolutionAtPrecision(vu + 1, delta)
+        z.append(u // p**v)
+    # z_k past n is zero (past the rank), as is each z_k that m < n omits
+    return tuple([sum(map(operator.mul, row, z)) % modulus for row in snf.V]), delta
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +621,11 @@ class ExtensionTower:
         self.sigma_root = self._sigma_root(dv, self.s)
         self._build_galois()
 
-        # conj[i] = sigma^i(pi_L), the column of basis element pi_L in sigma^i
-        conj = tuple(tuple(row[self.e_K] for row in mat) for mat in self.galois_mats)
+        conj = self.conjugates_raw(pi)
         if not self._zero_raw(L.sub(self.galois_maps[1](conj[-1]), pi)):
             raise NotNormal("sigma does not have order p at precision")
         if self._zero_raw(L.sub(conj[1], pi)):
             raise NotNormal("sigma has order < p at precision")
-        self.pi_conjugates = conj
 
     def _sigma_root(self, dv: int, s: int):
         """sigma(pi_L) in the working ring, the one place that picks the

@@ -342,6 +342,20 @@ SEPTIC = {
     "samples": 20,
 }
 
+# the default suite's printed table, byte for byte: every name and cell
+# fits in 14 places, so the columns are 14 wide
+DEFAULT_SUITE_TABLE = (
+    "                    q2_i            q2_sqrt2        q2_sqrt_minus2  q3_ramified   \n"
+    "vktr                  PASS m=0        PASS m=0        PASS m=0        PASS m=0\n"
+    "vksub                 PASS m=0        PASS m=0        PASS m=0        PASS m=0\n"
+    "carry_identity        PASS            PASS            PASS            PASS\n"
+    "residual_invariant    PASS m=4        PASS m=2        PASS m=2        PASS m=1\n"
+    "step_bounds           PASS m=1        PASS m=0        PASS m=0        PASS m=1\n"
+    "main                  PASS m=1        PASS m=1        PASS m=1        PASS m=1\n"
+    "fixed_points          PASS            PASS            PASS            PASS\n"
+    "suite status: PASS\n"
+)
+
 # Every pinned verdict outside the default suite.  A row is a suite
 # manifest or a wittlab argv, run in process with --out added, its exit
 # code, and the sha256 of what --out wrote (a verify report without its
@@ -580,6 +594,37 @@ class TestSuite:
         out = tmp_path / "aggregate.json"
         assert cli.main(["suite", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned
+        # every cell fits in 14 places, so the table keeps its bytes
+        assert capsys.readouterr().out == DEFAULT_SUITE_TABLE
+
+    def test_long_names_print_distinct_heads(self, tmp_path, capsys):
+        # cut to 14 places, both heads read "long_tower_nam"
+        towers = [
+            {"name": f"long_tower_name_{tag}", **json.loads((cli.TOWER_DIR / file).read_text())}
+            for tag, file in (("A", "q2_i.json"), ("B", "q2_sqrt2.json"))
+        ]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"towers": towers, "lemmas": ["vktr"], "samples": 2}))
+        assert cli.main(["suite", "--manifest", str(manifest), "--out", str(tmp_path / "a")]) == 0
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head.split() == ["long_tower_name_A", "long_tower_name_B"]
+
+    def test_columns_start_at_one_offset(self, tmp_path, capsys):
+        # "UNDETERMINED m=0" is 16 places long: cut to 14 places, the
+        # step_bounds row's second cell started two places right of vktr's
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "towers": ["q3z3_kummer", "q2z16_over_z8"],
+            "lemmas": ["step_bounds", "vktr"], "samples": 200, "seed": 2026,
+        }))
+        assert cli.main(["suite", "--manifest", str(manifest), "--out", str(tmp_path / "a")]) == 2
+        head, *rows, _ = capsys.readouterr().out.splitlines()
+        assert "UNDETERMINED m=0" in rows[0]
+
+        def starts(line):  # a head or cell follows at least two spaces
+            return [m.start() for m in re.finditer(r"(?<=  )\S", line)]
+
+        assert starts(rows[0]) == starts(rows[1]) == [k + 2 for k in starts(head)]
 
     @pytest.mark.parametrize("name", list(PINNED_RUNS))
     def test_pinned_run(self, tmp_path, name, capsys):
@@ -682,8 +727,11 @@ class TestSuite:
              'suite: a manifest tower name must be printable, got "x\\ny"\n'),
             ({"towers": ["towers/x\ty.json"], "lemmas": ["vktr"]},
              'suite: a manifest tower name must be printable, got "x\\ty"\n'),
+            # an empty name would head a blank column and an empty CSV field
+            ({"towers": [{"name": "", "p": 2, "E_L": ["2", "-2", "1"]}], "lemmas": ["vktr"]},
+             "suite: an inline tower name must not be empty\n"),
         ],
-        ids=["unknown_key", "lemma_twice", "unprintable_name", "unprintable_stem"],
+        ids=["unknown_key", "lemma_twice", "unprintable_name", "unprintable_stem", "empty_name"],
     )
     def test_manifest_refusals_build_no_tower(self, tmp_path, fields, err, capsys, monkeypatch):
         def refuse(*args, **kwargs):

@@ -114,6 +114,37 @@ def test_structure_rows_are_built_once_per_exponent_pair(name):
     assert hashlib.sha256(blob.encode()).hexdigest() == STRUCT_DIGESTS[name]
 
 
+# sha256 of the compact JSON of [pivots, U, V] of the trace's Smith form
+# at N_int and sigma - 1's at N and N + 2, one per file in towers/: U and V
+# fix the compiled solves' particular solutions, and so the sampler
+SMITH_FORM_DIGESTS = {
+    "cubic": "59fd136d251efe686fba50826ed32f2afe7f77ad23d5ede345551efd267f798d",
+    "nested": "64876c0c11eb7099f6930e3254567f62cfa1e0b1d95a2790c2378ad6860dabf9",
+    "q2_i": "a87e2615960fb8eb3a4a2b4021a6cb04c39cfbb2332f11f966808777aa794f77",
+    "q2_sqrt2": "0966f7c47a448a0442c6a256314616f907124ae1ca0a049e5f251ae636aeec95",
+    "q2_sqrt_minus2": "0966f7c47a448a0442c6a256314616f907124ae1ca0a049e5f251ae636aeec95",
+    "q2z16_over_z8": "ec925db5d7cf2fcce1112904704f4b84a73376cf5a1609360413605661c93506",
+    "q2z8_over_i": "97f70e6160b24bc39467a1ca9989c654cbe21de03407d545b13676812b6eb7f6",
+    "q3_ramified": "4f8defd763bb5475c017bf625d486f2b52dcce7c433f175092f02b147bead9ad",
+    "q3z3_kummer": "b5dcf5046f522fea02bea5afab1b20897720a9fcbe76ce1edc12c7934b29a813",
+    "q3z9_over_z3": "7593b3aa8022724a1bbade1d6347ee2e111903f0ab182e3e33fdd19edeeae2ce",
+    "q5z5_kummer": "01c646a22cacfa7ecdcb5300a5397e9d09a1cc2d1736135064e80ff51f2d3689",
+    "q7z7_kummer": "fafb9fc27f7227b825c19f112f9c206331be84855200dd3c595cb3749a6b3a66",
+    "quartic": "1b0483677cc967213a4bb45cddd204cce5fa597a527fd45cecdaf9a989001640",
+    "quintic": "89323942320e2adcfe3099e451144313bfa32bfe1fd33bd8e54d63d7df6a7ade",
+    "rank8": "ddb58fc0a28f4d24e50457802b61ff67b65d9f9b3b05e9728d7afc4659c1590d",
+    "septic": "0d4b40ef8f74f4f1dcaabba6a34a5abeaabc272b0a52b010c71c6baf66514bd8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMITH_FORM_DIGESTS))
+def test_smith_forms_are_pinned(name):
+    tower = localfield.load_tower(TOWER_DIR / f"{name}.json")
+    forms = [tower._trace_snf, *map(tower.sigma_minus_one_snf, (tower.N, tower.N + 2))]
+    blob = json.dumps([[f.pivots, f.U, f.V] for f in forms], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SMITH_FORM_DIGESTS[name]
+
+
 class TestValExtended:
     """The object form of the cap rule, which the OElem oracles use."""
 
@@ -297,8 +328,9 @@ class TestGaloisAction:
             other = tower_with_sigma_power(tower, k)
             p = tower.p
             # the generator sigma^k: sigma^(k*i) at every i
-            conj = tuple(tower.pi_conjugates[k * i % p] for i in range(p))
-            assert other.pi_conjugates == conj, (name, k)
+            conj = tower.conjugates_raw(tower.L.pi_elem)
+            want = tuple(conj[k * i % p] for i in range(p))
+            assert other.conjugates_raw(other.L.pi_elem) == want, (name, k)
             assert other.s == tower.s
             # the trace, a sum over the group, is the same matrix
             assert conjugate_sum(other) == conjugate_sum(tower)
@@ -433,6 +465,23 @@ def solve(matrix, rhs, p, digits):
     return particular, delta, snf.kernel_basis()
 
 
+def rank_mod_p(matrix, p: int) -> int:
+    """The rank of ``matrix`` over F_p, by Gauss-Jordan elimination."""
+    rows, rank = [[x % p for x in row] for row in matrix], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 class TestLinSolve:
     def test_identity(self):
         particular, delta, kernel = solve([[1, 0], [0, 1]], [3, 5], 2, 3)
@@ -461,15 +510,22 @@ class TestLinSolve:
             linsolve(snf, rhs)
 
     def test_smith_diagonalizes(self):
+        # U*A*V = diag(p^v) with U and V invertible: full rank modulo p,
+        # by the elimination over F_p of ``rank_mod_p``
         rng = random.Random(8)
-        for _ in range(100):
-            m = rng.randrange(1, 4)
-            n = rng.randrange(1, 4)
-            digits = 5
-            mod = 2**digits
-            A = [[rng.randrange(mod) for _ in range(n)] for _ in range(m)]
-            snf = smith_normal_form(A, 2, digits)
-            # U*A*V == diag(2^v)
+        for _ in range(1000):
+            p, digits = rng.choice((2, 3, 5, 7)), rng.randrange(1, 6)
+            m, n, mod = rng.randrange(1, 7), rng.randrange(1, 7), p**digits
+            A = [[rng.randrange(mod) * rng.choice((1, p, p * p)) % mod for _ in range(n)]
+                 for _ in range(m)]
+            if rng.random() < 0.3:
+                A[rng.randrange(m)] = [0] * n
+            if rng.random() < 0.3:
+                j = rng.randrange(n)
+                for row in A:
+                    row[j] = 0
+            snf = smith_normal_form(A, p, digits)
+            assert rank_mod_p(snf.U, p) == m and rank_mod_p(snf.V, p) == n
             UA = [
                 [sum(snf.U[i][k] * A[k][j] for k in range(m)) % mod for j in range(n)]
                 for i in range(m)
@@ -480,7 +536,7 @@ class TestLinSolve:
             ]
             for i in range(m):
                 for j in range(n):
-                    want = 2 ** snf.pivots[i] if i == j and i < len(snf.pivots) else 0
+                    want = p ** snf.pivots[i] if i == j and i < len(snf.pivots) else 0
                     assert UAV[i][j] == want % mod
             # the image basis is the first rank columns of A*V
             AV = [
@@ -737,7 +793,7 @@ def pinned_towers(eight_towers, ramified_base_towers):
 @given(data=st.data())
 def test_matrices_match_substitution(pinned_towers, name, data):
     tower = pinned_towers[name]
-    assert tower.pi_conjugates == pi_conjugates_by_substitution(tower)
+    assert tower.conjugates_raw(tower.L.pi_elem) == pi_conjugates_by_substitution(tower)
     check_against_substitution(tower, draw_L(data, tower))
 
 
@@ -1001,8 +1057,9 @@ def test_roots_match_digit_search(eight_towers, name):
     tower = eight_towers[name]
     oracle = tower_by_digit_search(tower)
     mod = tower.p ** (tower.N_int - 2)
-    assert reduced_set(tower.pi_conjugates, mod) == reduced_set(oracle.pi_conjugates, mod)
-    assert len(reduced_set(tower.pi_conjugates, mod)) == tower.p
+    conj = reduced_set(tower.conjugates_raw(tower.L.pi_elem), mod)
+    assert conj == reduced_set(oracle.conjugates_raw(oracle.L.pi_elem), mod)
+    assert len(conj) == tower.p
     assert (tower.dv, tower.s) == (oracle.dv, oracle.s)
 
 
@@ -1013,7 +1070,7 @@ def test_sigma_powers_have_leading_digit_i(eight_towers, name):
     tower = eight_towers[name]
     L, s = tower.L, tower.s
     lead = L.pow(L.pi_elem, s + 1)
-    for i, conj in enumerate(tower.pi_conjugates):
+    for i, conj in enumerate(tower.conjugates_raw(L.pi_elem)):
         v = L.val_raw(L.sub(L.sub(conj, L.pi_elem), L.scale_int(lead, i)))
         assert v is None or v >= s + 2, (name, i)
 
@@ -1060,7 +1117,8 @@ def test_decisions_match_digit_search():
             continue
         mod = p ** (newton.N_int - 2)
         assert newton.s == search.s, (p, e_l)
-        assert reduced_set(newton.pi_conjugates, mod) == reduced_set(search.pi_conjugates, mod)
+        conj = [t.conjugates_raw(t.L.pi_elem) for t in (newton, search)]
+        assert reduced_set(conj[0], mod) == reduced_set(conj[1], mod)
         same = reduced_set([newton.sigma_root], mod) == reduced_set([search.sigma_root], mod)
         counts["built" if same else "built, another generator"] += 1
     assert counts == {
